@@ -158,7 +158,7 @@ void ParallelBaselineSweep(BenchContext& ctx) {
       SeaDetector(AffinityView(&sparse), o).DetectAll();
     });
     time_method("PALID", [&] {
-      // Fresh oracle (and cache) per row keeps the sweep fair; the map
+      // Fresh oracle per row keeps the sweep fair; the map
       // tasks run on the same shared pool as the baselines above.
       LazyAffinityOracle oracle(data.data, affinity);
       PalidOptions o;

@@ -45,7 +45,7 @@ class Lid {
 
   Lid(const Lid&) = delete;
   Lid& operator=(const Lid&) = delete;
-  /// Movable: the memory charge transfers with the column cache.
+  /// Movable: the memory charge transfers with the column memo.
   Lid(Lid&& other) noexcept;
   Lid& operator=(Lid&&) = delete;
 
@@ -89,7 +89,7 @@ class Lid {
  private:
   // Ensures columns_[g] holds A_{beta, g}; returns a reference to it.
   const std::vector<Scalar>& EnsureColumn(Index g);
-  // Re-account the column-cache footprint with the oracle.
+  // Re-account the column-memo footprint with the oracle.
   void Recharge();
 
   const LazyAffinityOracle* oracle_;
@@ -99,7 +99,8 @@ class Lid {
   std::unordered_map<Index, int> pos_;   // global index -> position in beta_
   std::vector<Scalar> x_;                // weights, parallel to beta_
   std::vector<Scalar> ax_;               // (A_{beta,alpha} x_alpha), parallel
-  // Cached columns A_{beta, g} for invaded vertices, parallel to beta_.
+  // Per-run column memo: A_{beta, g} for invaded vertices, parallel to
+  // beta_ — the O(a*(a*+delta)) structure of the paper's space bound.
   std::unordered_map<Index, std::vector<Scalar>> columns_;
 
   bool converged_ = false;

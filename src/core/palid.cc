@@ -28,7 +28,6 @@ struct PalidCounters {
   obs::Counter* tasks;
   obs::Counter* clusters;
   obs::Counter* steals;
-  obs::Counter* cache_hits;
   obs::Counter* entries_computed;
 };
 
@@ -41,7 +40,6 @@ PalidCounters& GlobalPalidCounters() {
     c->tasks = r.AddCounter("palid_tasks");
     c->clusters = r.AddCounter("palid_clusters");
     c->steals = r.AddCounter("palid_steals");
-    c->cache_hits = r.AddCounter("palid_cache_hits");
     c->entries_computed = r.AddCounter("palid_entries_computed");
     return c;
   }();
@@ -90,10 +88,7 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
   const IndexList seeds = SampleSeeds();
   AlidDetector detector(*oracle_, *lsh_, options_.alid);
 
-  const int64_t hits_before = oracle_->cache_hits();
   const int64_t entries_before = oracle_->entries_computed();
-  const int64_t evictions_before = oracle_->cache_evictions();
-  const int64_t stale_before = oracle_->cache_stale_drops();
 
   WallTimer wall;
   const int num_seeds = static_cast<int>(seeds.size());
@@ -177,7 +172,6 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
     }
   }
 
-  const int64_t run_cache_hits = oracle_->cache_hits() - hits_before;
   const int64_t run_entries = oracle_->entries_computed() - entries_before;
   PalidCounters& totals = GlobalPalidCounters();
   totals.runs->Add(1);
@@ -185,7 +179,6 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
   totals.tasks->Add(num_tasks);
   totals.clusters->Add(static_cast<int64_t>(result.clusters.size()));
   totals.steals->Add(steals);
-  totals.cache_hits->Add(run_cache_hits);
   totals.entries_computed->Add(run_entries);
 
   if (stats != nullptr) {
@@ -195,15 +188,7 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
     stats->total_task_seconds =
         std::accumulate(task_seconds.begin(), task_seconds.end(), 0.0);
     stats->steals = steals;
-    stats->cache_hits = run_cache_hits;
     stats->entries_computed = run_entries;
-    const int64_t touched = stats->cache_hits + stats->entries_computed;
-    stats->cache_hit_rate =
-        touched > 0 ? static_cast<double>(stats->cache_hits) / touched : 0.0;
-    stats->cache_evictions = oracle_->cache_evictions() - evictions_before;
-    stats->cache_stale_drops = oracle_->cache_stale_drops() - stale_before;
-    stats->cache_bytes = oracle_->cache_size_bytes();
-    stats->cache_budget_bytes = oracle_->cache_budget_bytes();
     stats->task_seconds = std::move(task_seconds);
   }
   return result;

@@ -214,15 +214,14 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
 
   // Verify each fresh cluster's density from the build's own kernel
   // entries: x^T A x over the exported support, through a build-scratch
-  // delta dataset (the fresh clusters' rows only) and lazy oracle whose
-  // column cache dedups the symmetric (t, u)/(u, t) pairs. Per-cluster sums
-  // run serially in a fixed order inside deterministic chunks, so the
-  // values are bit-identical for any pool width or grain — and for a shared
-  // cluster, bit-identical to the predecessor's value its block carries,
-  // which is why this pass may skip it. The scratch dataset and oracle die
-  // with this scope: only the verified densities (in the blocks) and the
-  // cache-hit counter survive, so the snapshot holds no second copy of any
-  // member row.
+  // delta dataset (the fresh clusters' rows only) and lazy oracle.
+  // Per-cluster sums run serially in a fixed order inside deterministic
+  // chunks, so the values are bit-identical for any pool width or grain —
+  // and for a shared cluster, bit-identical to the predecessor's value its
+  // block carries, which is why this pass may skip it. The scratch dataset
+  // and oracle die with this scope: only the verified densities (in the
+  // blocks) survive, so the snapshot holds no second copy of any member
+  // row.
   {
     ALID_TRACE_SCOPE("publish", "verify_density");
     Dataset delta(dim);
@@ -252,7 +251,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
               block->verified_density = density;
             }
           });
-      snap->verification_cache_hits_ = oracle.cache_hits();
     }
   }
 

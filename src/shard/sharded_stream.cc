@@ -202,9 +202,6 @@ StreamStats ShardedStream::stats() const {
     total.refreshes += s.refreshes;
     total.clusters_born += s.clusters_born;
     total.clusters_dissolved += s.clusters_dissolved;
-    total.cache_entries_invalidated += s.cache_entries_invalidated;
-    total.cache_rebudgets += s.cache_rebudgets;
-    total.cache_budget_bytes += s.cache_budget_bytes;
     total.sketch_prunes += s.sketch_prunes;
     total.sketch_exact += s.sketch_exact;
     total.refresh_rounds += s.refresh_rounds;

@@ -1,6 +1,9 @@
 // Unit tests for the affinity substrate: the Eq. 1 kernel, the materialized
 // matrix, the lazy column oracle and the sparsifiers.
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -152,6 +155,160 @@ TEST(LazyAffinityOracleTest, ChargeDischargePeak) {
   EXPECT_EQ(o.peak_bytes(), 300);
   o.ResetCounters();
   EXPECT_EQ(o.peak_bytes(), 0);
+}
+
+// The oracle's stateless contract. The suite is named after the shared
+// column cache the oracle once carried; with that cache removed, each case
+// checks that the oracle needs none: values are recomputed bit-identically
+// on every request, entries_computed counts every request (the Table 1
+// count), and the cache reads the repository benchmark still compiles
+// against stay 0.
+LabeledData CacheSuiteData(Index n = 120) {
+  SyntheticConfig cfg;
+  cfg.n = n;
+  cfg.dim = 8;
+  cfg.num_clusters = 3;
+  cfg.seed = 11;
+  return MakeSynthetic(cfg);
+}
+
+IndexList RowRange(Index begin, Index end) {
+  IndexList rows;
+  for (Index i = begin; i < end; ++i) rows.push_back(i);
+  return rows;
+}
+
+TEST(ColumnCacheTest, LookupAfterInsertHitsSymmetrically) {
+  LabeledData data = CacheSuiteData();
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle oracle(data.data, affinity);
+  // a_ij == a_ji bit-for-bit, and both orders are true kernel work.
+  for (Index i = 0; i < 10; ++i) {
+    const Index j = 119 - i;
+    EXPECT_EQ(oracle.Entry(i, j), oracle.Entry(j, i)) << i;
+  }
+  EXPECT_EQ(oracle.entries_computed(), 20);
+  // A column fragment agrees with the transposed single entries.
+  const IndexList rows = RowRange(0, 10);
+  const std::vector<Scalar> column = oracle.Column(rows, 100);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(column[r], oracle.Entry(100, rows[r])) << r;
+  }
+  EXPECT_EQ(oracle.entries_computed(), 40);
+  EXPECT_EQ(oracle.cache_hits(), 0);
+}
+
+TEST(ColumnCacheTest, OracleCountsHitsSeparatelyFromEntriesComputed) {
+  // Repeat work is true kernel work: it shows up in entries_computed, and
+  // the constant cache_hits read never moves.
+  LabeledData data = CacheSuiteData();
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle oracle(data.data, affinity);
+
+  const IndexList rows = RowRange(0, 40);
+  auto first = oracle.Column(rows, 100);
+  EXPECT_EQ(oracle.entries_computed(), 40);
+  EXPECT_EQ(oracle.cache_hits(), 0);
+
+  auto second = oracle.Column(rows, 100);
+  EXPECT_EQ(oracle.entries_computed(), 80);
+  EXPECT_EQ(oracle.cache_hits(), 0);
+  EXPECT_EQ(first, second);
+
+  oracle.Entry(100, 5);
+  EXPECT_EQ(oracle.entries_computed(), 81);
+  EXPECT_EQ(oracle.cache_hits(), 0);
+}
+
+TEST(ColumnCacheTest, CachedValuesMatchUncachedOracle) {
+  // Two oracles over the same data, asked repeatedly, return exactly the
+  // kernel of Eq. 1 evaluated on the current rows.
+  LabeledData data = CacheSuiteData();
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle a(data.data, affinity);
+  LazyAffinityOracle b(data.data, affinity);
+  const IndexList rows = RowRange(10, 60);
+  for (Index col : {0, 5, 99, 100}) {
+    const std::vector<Scalar> column = a.Column(rows, col);
+    EXPECT_EQ(column, b.Column(rows, col)) << col;
+    EXPECT_EQ(column, a.Column(rows, col)) << col;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(column[r], affinity(data.data, rows[r], col)) << col;
+    }
+  }
+}
+
+TEST(ColumnCacheTest, DisableRestoresStatelessOracle) {
+  // The oracle is stateless from construction: each repeat of the same
+  // entry is evaluated and counted, and ResetCounters leaves nothing behind.
+  LabeledData data = CacheSuiteData();
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle oracle(data.data, affinity);
+  const Scalar value = oracle.Entry(1, 2);
+  EXPECT_EQ(oracle.Entry(1, 2), value);
+  EXPECT_EQ(oracle.Entry(1, 2), value);
+  EXPECT_EQ(oracle.entries_computed(), 3);
+  EXPECT_EQ(oracle.cache_hits(), 0);
+  oracle.ResetCounters();
+  EXPECT_EQ(oracle.entries_computed(), 0);
+  EXPECT_EQ(oracle.Entry(1, 2), value);
+  EXPECT_EQ(oracle.entries_computed(), 1);
+}
+
+TEST(ColumnCacheTest, OracleEvictionUnderTightBudgetStaysCorrectAndCounted) {
+  // A working set far above any per-oracle storage: values stay exact on
+  // every pass, nothing is evicted because nothing is stored, and the count
+  // is exactly the requests — 3 passes x 40 columns x 100 rows.
+  LabeledData data = CacheSuiteData(200);
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle oracle(data.data, affinity);
+  LazyAffinityOracle reference(data.data, affinity);
+
+  const IndexList rows = RowRange(0, 100);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (Index col = 100; col < 140; ++col) {
+      EXPECT_EQ(oracle.Column(rows, col), reference.Column(rows, col)) << col;
+    }
+  }
+  EXPECT_EQ(oracle.cache_evictions(), 0);
+  EXPECT_EQ(oracle.cache_hits(), 0);
+  EXPECT_EQ(oracle.entries_computed(), 3 * 40 * 100);
+  // The oracle holds no affinity storage of its own: only detections charge
+  // bytes (LID's per-run column memo).
+  EXPECT_EQ(oracle.peak_bytes(), 0);
+}
+
+TEST(ColumnCacheTest, ConcurrentMixedUseIsConsistent) {
+  LabeledData data = CacheSuiteData(200);
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle oracle(data.data, affinity);
+  LazyAffinityOracle reference(data.data, affinity);
+
+  const IndexList rows = RowRange(0, 80);
+  constexpr int kThreads = 4;
+  constexpr int kReps = 20;
+  std::vector<std::thread> threads;
+  std::atomic<bool> mismatch{false};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < kReps; ++rep) {
+        const Index col = 100 + (t * 20 + rep) % 50;
+        if (oracle.Column(rows, col) != reference.Column(rows, col)) {
+          mismatch.store(true);
+        }
+        if (oracle.Entry(col, rows[rep]) != reference.Entry(rows[rep], col)) {
+          mismatch.store(true);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(mismatch.load());
+  // Shared by four threads, the count is still exact: every column row and
+  // every single entry was one kernel evaluation.
+  EXPECT_EQ(oracle.entries_computed(),
+            kThreads * kReps * static_cast<int64_t>(rows.size() + 1));
+  EXPECT_EQ(oracle.cache_hits(), 0);
 }
 
 TEST(SparsifierTest, DenseCsrMatchesAffinityMatrix) {

@@ -63,9 +63,8 @@ TEST(ConcurrencyTest, OracleCountersAreExactUnderContention) {
   LabeledData data = Workload(100);
   AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
   LazyAffinityOracle oracle(data.data, affinity);
-  // The paper-faithful stateless oracle: every request is a kernel eval, so
-  // the counter must equal the exact request count under contention.
-  oracle.DisableColumnCache();
+  // The stateless oracle: every request is a kernel eval, so the counter
+  // must equal the exact request count under contention.
   oracle.ResetCounters();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
@@ -84,32 +83,37 @@ TEST(ConcurrencyTest, OracleCountersAreExactUnderContention) {
 }
 
 TEST(ConcurrencyTest, CachedOracleCountersPartitionRequestsExactly) {
+  // Every request is either a cache hit or true kernel work. The oracle has
+  // no cache, so under contention — single entries and column fragments
+  // mixed on one shared oracle — the hits stay 0 and the computed count is
+  // exactly the number of entries requested.
   LabeledData data = Workload(100);
   AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
-  LazyAffinityOracle oracle(data.data, affinity);  // default-on cache
-  oracle.ResetCounters();
+  LazyAffinityOracle oracle(data.data, affinity);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
-  constexpr int kDistinctPairs = 100;
+  constexpr int kColumnRows = 10;
+  IndexList rows;
+  for (Index i = 0; i < kColumnRows; ++i) rows.push_back(i);
   {
     ThreadPool pool(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       pool.Post([&] {
         for (int i = 0; i < kPerThread; ++i) {
-          oracle.Entry(i % 100, (i + 1) % 100);
+          if (i % 2 == 0) {
+            oracle.Entry(i % 100, (i + 1) % 100);
+          } else {
+            oracle.Column(rows, i % 100);
+          }
         }
       });
     }
     pool.Wait();
   }
-  // Every request either hit the cache or was a true kernel eval — the
-  // Table 1 honesty contract, now under contention. Two threads racing the
-  // same cold pair may both compute it (both evals are real work), so the
-  // computed count is bounded below by the distinct pairs, not equal to it.
-  EXPECT_EQ(oracle.cache_hits() + oracle.entries_computed(),
-            kThreads * kPerThread);
-  EXPECT_GE(oracle.entries_computed(), kDistinctPairs);
-  EXPECT_LT(oracle.entries_computed(), kThreads * kPerThread / 2);
+  constexpr int64_t kRequested =
+      kThreads * (kPerThread / 2) * int64_t{1 + kColumnRows};
+  EXPECT_EQ(oracle.cache_hits(), 0);
+  EXPECT_EQ(oracle.cache_hits() + oracle.entries_computed(), kRequested);
 }
 
 TEST(ConcurrencyTest, MemoryTrackerBalancedUnderContention) {

@@ -1,6 +1,6 @@
 // Determinism regression tests for the parallel runtime: PALID's output must
-// be bit-identical across executor counts, chunk sizes, scheduling
-// disciplines, and with the shared column cache on or off.
+// be bit-identical across executor counts, chunk sizes and scheduling
+// disciplines, and so must its kernel-evaluation count.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -23,12 +23,8 @@ LabeledData Workload(Index n = 500) {
   return MakeSynthetic(cfg);
 }
 
-// TestPipeline's cache flag matters here: the oracle's cache is default-on,
-// and cache=false restores the stateless oracle so the cached/uncached
-// comparisons below stay meaningful.
 struct Fixture : TestPipeline {
-  explicit Fixture(const LabeledData& labeled, bool cache = false)
-      : TestPipeline(labeled, cache) {}
+  using TestPipeline::TestPipeline;
   DetectionResult Detect(PalidOptions opts) const {
     return Palid(*oracle, *lsh, opts).Detect();
   }
@@ -81,21 +77,58 @@ TEST(DeterminismTest, IdenticalUnderFifoAblation) {
   ExpectIdentical(fx.Detect(stealing), fx.Detect(fifo));
 }
 
+// No affinity state survives between detections (the shared column cache
+// this case is named after is gone): a PALID run on an oracle that already
+// served other runs, at other executor counts, matches a run on a fresh
+// oracle — detections and kernel-evaluation count alike.
 TEST(DeterminismTest, ColumnCacheNeverChangesDetections) {
   LabeledData data = Workload();
-  Fixture plain(data, /*cache=*/false);
-  Fixture cached(data, /*cache=*/true);
-  PalidOptions opts;
-  opts.num_executors = 4;
-  DetectionResult without = plain.Detect(opts);
-  DetectionResult with = cached.Detect(opts);
-  ExpectIdentical(without, with);
-  EXPECT_GT(cached.oracle->cache_hits(), 0);  // the cache actually engaged
-
-  // And a cached run at a different executor count still matches.
+  Fixture fresh(data);
+  Fixture used(data);
   PalidOptions two;
   two.num_executors = 2;
-  ExpectIdentical(without, cached.Detect(two));
+  used.Detect(two);
+  used.Detect(two);
+
+  PalidOptions four;
+  four.num_executors = 4;
+  PalidStats fresh_stats;
+  PalidStats used_stats;
+  DetectionResult on_fresh =
+      Palid(*fresh.oracle, *fresh.lsh, four).Detect(&fresh_stats);
+  DetectionResult on_used =
+      Palid(*used.oracle, *used.lsh, four).Detect(&used_stats);
+  ExpectIdentical(on_fresh, on_used);
+  EXPECT_EQ(fresh_stats.entries_computed, used_stats.entries_computed);
+  EXPECT_EQ(used_stats.cache_hits, 0);
+  EXPECT_EQ(used.oracle->cache_hits(), 0);
+  // Three equal runs on the used oracle, one on the fresh.
+  EXPECT_EQ(used.oracle->entries_computed(),
+            3 * fresh.oracle->entries_computed());
+
+  // And the fresh result holds at a different executor count.
+  ExpectIdentical(on_fresh, used.Detect(two));
+}
+
+// The stateless oracle makes entries_computed the paper's Table 1 count:
+// every map task's Algorithm 2 runs are pure, so the number of kernel
+// evaluations a PALID run makes is a function of the input alone — the same
+// under every executor count and on every repeat.
+TEST(DeterminismTest, PalidKernelEvaluationCountIsExact) {
+  LabeledData data = Workload();
+  Fixture fx(data);
+  int64_t expected = -1;
+  for (int executors : {1, 2, 4, 8, 1, 4}) {
+    PalidOptions opts;
+    opts.num_executors = executors;
+    PalidStats stats;
+    const int64_t before = fx.oracle->entries_computed();
+    Palid(*fx.oracle, *fx.lsh, opts).Detect(&stats);
+    EXPECT_EQ(stats.entries_computed, fx.oracle->entries_computed() - before);
+    if (expected < 0) expected = stats.entries_computed;
+    EXPECT_EQ(stats.entries_computed, expected) << executors << " executors";
+  }
+  EXPECT_GT(expected, 0);
 }
 
 TEST(DeterminismTest, SeedSamplingIndependentOfExecutors) {
@@ -111,10 +144,9 @@ TEST(DeterminismTest, SeedSamplingIndependentOfExecutors) {
 
 TEST(DeterminismTest, RepeatedRunsAreIdentical) {
   LabeledData data = Workload(300);
-  Fixture fx(data, /*cache=*/true);
+  Fixture fx(data);
   PalidOptions opts;
   opts.num_executors = 3;
-  // A warm cache (second run) must not perturb results either.
   DetectionResult r1 = fx.Detect(opts);
   DetectionResult r2 = fx.Detect(opts);
   ExpectIdentical(r1, r2);

@@ -458,35 +458,5 @@ TEST(TraceTest, ServeAnswersBitIdenticalTracingOnVsOff) {
   }
 }
 
-// ColumnCache::RegisterMetrics exposes the cache atomics as callback
-// gauges: values must track the live cache, not a registration-time copy.
-TEST(MetricsTest, ColumnCacheGaugesTrackTheLiveCache) {
-  LabeledData data = Workload(120, 3);
-  TestPipeline pipeline(data);
-
-  MetricsRegistry registry;
-  ASSERT_NE(pipeline.oracle->column_cache(), nullptr);
-  pipeline.oracle->column_cache()->RegisterMetrics(&registry, "cache");
-
-  auto read = [&registry](const std::string& name) -> int64_t {
-    for (const auto& sample : registry.Snapshot()) {
-      if (sample.name == name) return sample.value;
-    }
-    ADD_FAILURE() << "no gauge named " << name;
-    return -1;
-  };
-  EXPECT_EQ(read("cache_hits"), 0);
-  EXPECT_GT(read("cache_budget_bytes"), 0);
-
-  // Touch the oracle twice: the second pass hits the freshly cached rows.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (Index i = 0; i + 1 < data.size(); i += 2) {
-      pipeline.oracle->Entry(i, i + 1);
-    }
-  }
-  EXPECT_GT(read("cache_hits"), 0);
-  EXPECT_GT(read("cache_bytes"), 0);
-}
-
 }  // namespace
 }  // namespace alid

@@ -185,7 +185,7 @@ TEST(ServeTest, BatchedParallelQueriesBitIdenticalToSerial) {
 TEST(ServeTest, SnapshotImmutableUnderConcurrentIngest) {
   // The HTAP-style isolation claim: a published snapshot keeps answering
   // from the state it captured while InsertBatch keeps mutating the stream
-  // (slot re-use, cluster re-detections, cache invalidations included).
+  // (slot re-use and cluster re-detections included).
   // Run under TSan, this also proves the two sides share no unsynchronized
   // state — the snapshot deep-copied everything it serves.
   LabeledData data = Workload(520, 57);
@@ -404,9 +404,6 @@ TEST(ServeTest, TopKOrderingAndClusterInfoRoundTrip) {
   }
   EXPECT_EQ(server.ClusterInfo(-1).cluster, -1);
   EXPECT_EQ(server.ClusterInfo(snap->num_clusters()).cluster, -1);
-  // The verification pass ran through the per-snapshot column cache: each
-  // symmetric pair is one slot, so the (u, t) half of every sum hit.
-  EXPECT_GT(snap->verification_cache_hits(), 0);
 }
 
 TEST(ServeTest, OfflineAndEmptySnapshotEdges) {
@@ -499,43 +496,6 @@ TEST(ServeTest, StatsCountQueriesAndLatencies) {
   const ServeStatsView reset = server.stats();
   EXPECT_EQ(reset.queries, 0);
   EXPECT_TRUE(reset.query_seconds.empty());
-}
-
-TEST(ServeTest, StreamCacheRebudgetsAsTheWindowFills) {
-  // The ROADMAP satellite: the budget derived at construction saw an empty
-  // dataset (the 1 MiB floor); past ~1.5K live slots the re-derived budget
-  // exceeds the floor and the stream grows the cache in place.
-  SyntheticConfig cfg;
-  cfg.n = 1700;
-  cfg.dim = 8;
-  cfg.num_clusters = 4;
-  cfg.omega = 0.6;
-  cfg.mean_box = 300.0;
-  cfg.overlap_clusters = false;
-  cfg.seed = 77;
-  LabeledData data = MakeSynthetic(cfg);
-  OnlineAlidOptions opts = StreamOptions(data);
-  OnlineAlid online(data.data.dim(), opts);
-  EXPECT_EQ(online.stats().cache_budget_bytes,
-            static_cast<int64_t>(ColumnCacheOptions::kMinAutoBudgetBytes));
-  std::vector<Scalar> flat;
-  for (Index i = 0; i < data.size(); ++i) {
-    const auto row = data.data[i];
-    flat.insert(flat.end(), row.begin(), row.end());
-    if (flat.size() == static_cast<size_t>(100 * data.data.dim())) {
-      online.InsertBatch(flat);
-      flat.clear();
-    }
-  }
-  if (!flat.empty()) online.InsertBatch(flat);
-  EXPECT_GT(online.stats().cache_rebudgets, 0);
-  EXPECT_GT(online.stats().cache_budget_bytes,
-            static_cast<int64_t>(ColumnCacheOptions::kMinAutoBudgetBytes));
-  EXPECT_EQ(online.stats().cache_budget_bytes,
-            static_cast<int64_t>(
-                ColumnCacheOptions::ForDataSize(data.size()).max_bytes));
-  EXPECT_EQ(online.stats().cache_budget_bytes,
-            online.oracle().cache_budget_bytes());
 }
 
 }  // namespace

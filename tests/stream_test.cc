@@ -1,6 +1,6 @@
 // Tests of the streaming runtime (windowed, batch-parallel OnlineAlid):
 // bit-identical stream state across executor counts and scheduling
-// disciplines, cache-on ≡ cache-off under interleaved insert/expiry, and the
+// disciplines, an executor-independent kernel-evaluation count, and the
 // streaming edge cases (empty window, duplicate inserts, remove-then-
 // reinsert, refresh-interval boundaries).
 #include <memory>
@@ -84,6 +84,9 @@ void ExpectIdenticalStreams(const OnlineAlid& a, const OnlineAlid& b) {
   EXPECT_EQ(sa.refresh_rounds, sb.refresh_rounds);
   EXPECT_EQ(sa.refresh_speculations, sb.refresh_speculations);
   EXPECT_EQ(sa.refresh_conflicts, sb.refresh_conflicts);
+  // The oracle is stateless, so its kernel-evaluation count is exact: a
+  // deterministic function of the stream like the state it paid for.
+  EXPECT_EQ(a.oracle().entries_computed(), b.oracle().entries_computed());
 }
 
 // Per-slot equality needs the slot universe; compare over the high-water
@@ -136,6 +139,11 @@ TEST(StreamTest, BitIdenticalAcrossGrains) {
   }
 }
 
+// Named after the shared column cache the stream once invalidated on
+// expiry; with the stateless oracle there is nothing to invalidate. After
+// interleaved insert/expiry with slot re-use, every affinity the stream's
+// oracle serves is the kernel on the slot's current point — never a value
+// against an evicted one — and each request is counted as kernel work.
 TEST(StreamTest, CacheOnEqualsCacheOffAfterInterleavedInsertRemove) {
   LabeledData data = Workload(380, 17);
   OnlineAlidOptions opts = Options(data);
@@ -143,20 +151,35 @@ TEST(StreamTest, CacheOnEqualsCacheOffAfterInterleavedInsertRemove) {
   ThreadPool pool(4);
   opts.pool = &pool;
 
-  OnlineAlidOptions cached = opts;
-  cached.column_cache = true;
-  OnlineAlidOptions stateless = opts;
-  stateless.column_cache = false;
+  std::unique_ptr<OnlineAlid> pooled = RunStream(data, opts, 29);
+  OnlineAlidOptions serial = opts;
+  serial.pool = nullptr;
+  std::unique_ptr<OnlineAlid> reference = RunStream(data, serial, 29);
+  // Slots were expired and re-used — otherwise this test proves nothing
+  // about stale-value hygiene.
+  const LazyAffinityOracle& oracle = pooled->oracle();
+  const Index slots = oracle.data().size();
+  ASSERT_GT(pooled->stats().evicted, 0);
+  ASSERT_LT(slots, pooled->size());
+  ExpectIdenticalStreams(*pooled, *reference);
+  ExpectIdenticalSlots(*pooled, *reference, opts.window + 29);
 
-  std::unique_ptr<OnlineAlid> with = RunStream(data, cached, 29);
-  std::unique_ptr<OnlineAlid> without = RunStream(data, stateless, 29);
-  // The cache engaged and expiry invalidated entries — otherwise this test
-  // proves nothing about stale-value hygiene.
-  EXPECT_GT(with->oracle().cache_hits(), 0);
-  EXPECT_GT(with->stats().cache_entries_invalidated, 0);
-  EXPECT_EQ(without->stats().cache_entries_invalidated, 0);
-  ExpectIdenticalStreams(*with, *without);
-  ExpectIdenticalSlots(*with, *without, opts.window + 29);
+  AffinityFunction kernel(opts.affinity);
+  IndexList live;
+  for (Index i = 0; i < slots; ++i) {
+    if (pooled->IsAlive(i)) live.push_back(i);
+  }
+  ASSERT_EQ(static_cast<Index>(live.size()), pooled->alive());
+  const int64_t before = oracle.entries_computed();
+  for (Index col : {live.front(), live[live.size() / 2], live.back()}) {
+    const std::vector<Scalar> column = oracle.Column(live, col);
+    for (size_t r = 0; r < live.size(); ++r) {
+      EXPECT_EQ(column[r], kernel(oracle.data(), live[r], col)) << col;
+    }
+  }
+  EXPECT_EQ(oracle.entries_computed() - before,
+            3 * static_cast<int64_t>(live.size()));
+  EXPECT_EQ(oracle.cache_hits(), 0);
 }
 
 TEST(StreamTest, SlidingWindowBoundsAliveAndReleasesExpired) {
