@@ -242,12 +242,11 @@ void Run(BenchContext& ctx) {
     queries.insert(queries.end(), row.begin(), row.end());
   }
   WallTimer query_timer;
-  const ShardedQueryResponse assigned = router.Query({.points = queries});
+  const QueryResponse assigned = router.Query({.points = queries});
   const double query_wall = query_timer.Seconds();
-  const ShardedQueryResponse ranked =
-      router.Query({.points = queries, .top_k = 3});
+  const QueryResponse ranked = router.Query({.points = queries, .top_k = 3});
   int64_t assigned_points = 0;
-  for (const ShardAssignment& a : assigned.assignments) {
+  for (const QueryOutcome& a : assigned.assignments) {
     assigned_points += a.cluster >= 0 ? 1 : 0;
   }
   const std::vector<BoundaryPair> boundary =

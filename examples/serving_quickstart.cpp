@@ -12,6 +12,7 @@
 //
 //   ./build/example_serving_quickstart
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -44,6 +45,7 @@ int main() {
   OnlineAlid online(dim, options);
 
   ClusterServer server(dim, {.pool = &pool});
+  std::shared_ptr<const ClusterSnapshot> published;
 
   // Ingest in batches; after each batch, export + publish a fresh snapshot.
   // (In production the export runs on a refresh thread; queries keep
@@ -62,15 +64,14 @@ int main() {
       // Incremental export: chaining on the served snapshot lets every
       // cluster the batch left untouched *share* its arena blocks (a
       // refcount bump) — publish cost tracks what changed, not the window.
-      server.Publish(
-          ClusterSnapshot::FromStream(online, &pool, server.snapshot()));
-      const SnapshotBuildInfo& build = server.snapshot()->build_info();
+      published = ClusterSnapshot::FromStream(online, &pool, published);
+      server.Publish(published);
+      const SnapshotBuildInfo& build = published->build_info();
       std::printf("published snapshot @%llu arrivals: %d clusters over %d "
                   "support members (%.1f ms build, %d/%d clusters re-used, "
                   "%lld bytes shared / %lld copied)\n",
                   static_cast<unsigned long long>(server.generation()),
-                  server.snapshot()->num_clusters(),
-                  server.snapshot()->num_members(),
+                  published->num_clusters(), published->num_members(),
                   build.build_seconds * 1e3, build.clusters_reused,
                   build.clusters_total,
                   static_cast<long long>(build.bytes_shared),
@@ -94,9 +95,9 @@ int main() {
       }
     }
     online.InsertBatch(batch);
-    server.Publish(
-        ClusterSnapshot::FromStream(online, &pool, server.snapshot()));
-    const SnapshotBuildInfo& build = server.snapshot()->build_info();
+    published = ClusterSnapshot::FromStream(online, &pool, published);
+    server.Publish(published);
+    const SnapshotBuildInfo& build = published->build_info();
     std::printf("localized burst -> generation %llu: %d/%d clusters "
                 "unchanged, %lld bytes shared / %lld copied\n",
                 static_cast<unsigned long long>(server.generation()),

@@ -1,7 +1,7 @@
 #include "serve/cluster_server.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <map>
 #include <unordered_set>
 #include <utility>
 
@@ -40,18 +40,83 @@ ClusterServer::ClusterServer(int dim, ClusterServerOptions options)
   }
 }
 
+namespace {
+
+// One cluster of a generation, at its generation-wide id: the metadata
+// GenerationDiff reports.
+struct ClusterMeta {
+  size_t shard = 0;
+  uint64_t uid = 0;
+  uint64_t version = 0;
+  Index size = 0;
+  Scalar density = 0.0;
+};
+
+std::vector<ClusterMeta> ClusterMetas(const ServedGeneration& gen) {
+  std::vector<ClusterMeta> metas;
+  for (size_t s = 0; s < gen.shards.size(); ++s) {
+    const ClusterSnapshot& shard = *gen.shards[s];
+    for (int c = 0; c < shard.num_clusters(); ++c) {
+      metas.push_back(ClusterMeta{s, shard.cluster_uid(c),
+                                  shard.cluster_version(c),
+                                  shard.cluster_size(c), shard.density(c)});
+    }
+  }
+  return metas;
+}
+
+// Top-k of one point across every shard of `gen`: each shard's ranking with
+// its ids offset into the generation's id space, merged by affinity
+// descending and ascending id on ties — the snapshot's own order, so for
+// S == 1 this is the shard's ranking verbatim. The order is total (no two
+// candidates share an id), so the merge is deterministic whatever sort runs
+// underneath.
+std::vector<ScoredCluster> RankAcrossShards(const ServedGeneration& gen,
+                                            std::span<const Scalar> point,
+                                            int k) {
+  std::vector<ScoredCluster> ranked =
+      gen.shards.front()->TopKClusters(point, k);
+  int offset = gen.shards.front()->num_clusters();
+  for (size_t s = 1; s < gen.shards.size(); ++s) {
+    for (ScoredCluster candidate : gen.shards[s]->TopKClusters(point, k)) {
+      candidate.cluster += offset;
+      ranked.push_back(candidate);
+    }
+    offset += gen.shards[s]->num_clusters();
+  }
+  if (gen.shards.size() > 1) {
+    std::sort(ranked.begin(), ranked.end(),
+              [](const ScoredCluster& a, const ScoredCluster& b) {
+                if (a.affinity != b.affinity) return a.affinity > b.affinity;
+                return a.cluster < b.cluster;
+              });
+    if (static_cast<int>(ranked.size()) > k) {
+      ranked.resize(static_cast<size_t>(k));
+    }
+  }
+  for (ScoredCluster& candidate : ranked) {
+    candidate.generation = gen.generation;
+  }
+  return ranked;
+}
+
+}  // namespace
+
 int64_t ClusterServer::HistoryBytesLocked() const {
+  if (history_.empty()) return 0;
   std::unordered_set<const ClusterBlock*> counted;
-  if (snapshot_ptr_ != nullptr) {
-    for (const auto& block : snapshot_ptr_->blocks()) {
-      counted.insert(block.get());
+  if (current_ != nullptr) {
+    for (const auto& shard : current_->shards) {
+      for (const auto& block : shard->blocks()) counted.insert(block.get());
     }
   }
   int64_t bytes = 0;
-  for (const Retained& entry : history_) {
-    for (const auto& block : entry.snapshot->blocks()) {
-      if (counted.insert(block.get()).second) {
-        bytes += static_cast<int64_t>(block->MemoryBytes());
+  for (const auto& entry : history_) {
+    for (const auto& shard : entry->shards) {
+      for (const auto& block : shard->blocks()) {
+        if (counted.insert(block.get()).second) {
+          bytes += static_cast<int64_t>(block->MemoryBytes());
+        }
       }
     }
   }
@@ -59,49 +124,66 @@ int64_t ClusterServer::HistoryBytesLocked() const {
 }
 
 void ClusterServer::Publish(std::shared_ptr<const ClusterSnapshot> snapshot) {
-  if (snapshot != nullptr) ALID_CHECK(snapshot->dim() == dim_);
-  const ClusterSnapshot* incoming = snapshot.get();
-  double build_seconds = 0.0;
-  int64_t rows_reused = 0;
-  int64_t clusters_reused = 0;
-  int64_t bytes_shared = 0;
-  int64_t bytes_copied = 0;
-  if (incoming != nullptr) {
-    const SnapshotBuildInfo& info = incoming->build_info();
-    build_seconds = info.build_seconds;
-    rows_reused = info.rows_reused;
-    clusters_reused = info.clusters_reused;
-    bytes_shared = info.bytes_shared;
-    bytes_copied = info.bytes_copied;
+  if (snapshot == nullptr) {
+    Publish(nullptr);
+    return;
   }
-  // Snapshots released by this publication (ring evictions, plus the swap
+  auto generation = std::make_shared<ServedGeneration>();
+  generation->generation = snapshot->generation();
+  generation->shards.push_back(std::move(snapshot));
+  Publish(std::shared_ptr<const ServedGeneration>(std::move(generation)));
+}
+
+void ClusterServer::Publish(
+    std::shared_ptr<const ServedGeneration> generation) {
+  // The build ledger of a generation is the sum over its shards.
+  const bool online = generation != nullptr;
+  SnapshotBuildInfo ledger;
+  if (online) {
+    ALID_CHECK(!generation->shards.empty());
+    for (const auto& shard : generation->shards) {
+      ALID_CHECK(shard != nullptr && shard->dim() == dim_);
+      const SnapshotBuildInfo& info = shard->build_info();
+      ledger.build_seconds += info.build_seconds;
+      ledger.rows_reused += info.rows_reused;
+      ledger.clusters_reused += info.clusters_reused;
+      ledger.bytes_shared += info.bytes_shared;
+      ledger.bytes_copied += info.bytes_copied;
+    }
+  }
+  // Generations released by this publication (ring evictions, plus the swap
   // operand itself when it goes out of scope) die outside the critical
   // section, so an expensive teardown never stalls readers.
-  std::vector<std::shared_ptr<const ClusterSnapshot>> evicted;
+  std::vector<std::shared_ptr<const ServedGeneration>> evicted;
   bool republish = false;
   {
     ALID_TRACE_SCOPE("serve", "publish_swap");
     std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
-    republish = snapshot_ptr_.get() == incoming;
-    if (!republish && snapshot_ptr_ != nullptr &&
-        options_.history_capacity > 0) {
-      // Retire the outgoing snapshot into the ring. A generation republished
-      // later (rollback) would otherwise accumulate duplicate entries, so an
-      // existing entry of the same generation is dropped first.
-      const uint64_t retiring = snapshot_ptr_->generation();
+    // Re-publishing the current shards (a rollback, or a fresh one-shard
+    // wrapper around the current snapshot) leaves the ring as it is.
+    republish = current_ == generation ||
+                (current_ != nullptr && generation != nullptr &&
+                 current_->generation == generation->generation &&
+                 current_->shards == generation->shards);
+    if (!republish && current_ != nullptr && options_.history_capacity > 0) {
+      // Retire the outgoing generation into the ring. A generation
+      // republished later (rollback) would otherwise accumulate duplicate
+      // entries, so an existing entry of the same generation is dropped
+      // first.
+      const uint64_t retiring = current_->generation;
       for (auto it = history_.begin(); it != history_.end();) {
-        if (it->generation == retiring) {
-          evicted.push_back(std::move(it->snapshot));
+        if ((*it)->generation == retiring) {
+          evicted.push_back(std::move(*it));
           it = history_.erase(it);
         } else {
           ++it;
         }
       }
-      history_.push_back(Retained{retiring, snapshot_ptr_});
+      history_.push_back(current_);
     }
-    snapshot_ptr_.swap(snapshot);
+    current_.swap(generation);
     while (static_cast<int>(history_.size()) > options_.history_capacity) {
-      evicted.push_back(std::move(history_.front().snapshot));
+      evicted.push_back(std::move(history_.front()));
       history_.pop_front();
       ++history_evictions_;
     }
@@ -109,47 +191,47 @@ void ClusterServer::Publish(std::shared_ptr<const ClusterSnapshot> snapshot) {
     while (options_.history_budget_bytes > 0 &&
            history_ring_bytes_ > options_.history_budget_bytes &&
            !history_.empty()) {
-      evicted.push_back(std::move(history_.front().snapshot));
+      evicted.push_back(std::move(history_.front()));
       history_.pop_front();
       ++history_evictions_;
       history_ring_bytes_ = HistoryBytesLocked();
     }
   }
   evicted.clear();
-  // Re-publishing the snapshot that was already current (e.g. a rollback)
-  // still counts as a publication, but its build cost and re-use totals were
-  // recorded when it was first published — folding them again would claim
-  // work that never happened.
-  stats_.RecordPublish(incoming != nullptr && !republish, build_seconds,
-                       republish ? 0 : rows_reused,
-                       republish ? 0 : clusters_reused,
-                       republish ? 0 : bytes_shared,
-                       republish ? 0 : bytes_copied);
+  // Re-publishing the generation that was already current still counts as
+  // a publication, but its build cost and re-use totals were recorded when
+  // it was first published — folding them again would claim work that
+  // never happened.
+  stats_.RecordPublish(online && !republish, ledger.build_seconds,
+                       republish ? 0 : ledger.rows_reused,
+                       republish ? 0 : ledger.clusters_reused,
+                       republish ? 0 : ledger.bytes_shared,
+                       republish ? 0 : ledger.bytes_copied);
 }
 
-std::shared_ptr<const ClusterSnapshot> ClusterServer::snapshot() const {
+std::shared_ptr<const ServedGeneration> ClusterServer::snapshot() const {
   std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-  return snapshot_ptr_;
+  return current_;
 }
 
-std::shared_ptr<const ClusterSnapshot> ClusterServer::SnapshotAt(
+std::shared_ptr<const ServedGeneration> ClusterServer::SnapshotAt(
     uint64_t generation) const {
   std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-  if (generation == 0) return snapshot_ptr_;
-  if (snapshot_ptr_ != nullptr && snapshot_ptr_->generation() == generation) {
-    return snapshot_ptr_;
+  if (generation == 0) return current_;
+  if (current_ != nullptr && current_->generation == generation) {
+    return current_;
   }
   // Newest-first scan: as-of queries overwhelmingly address recent
   // generations, and the ring is small by construction.
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-    if (it->generation == generation) return it->snapshot;
+    if ((*it)->generation == generation) return *it;
   }
   return nullptr;
 }
 
 uint64_t ClusterServer::generation() const {
-  const auto snap = snapshot();
-  return snap != nullptr ? snap->generation() : 0;
+  const auto current = snapshot();
+  return current != nullptr ? current->generation : 0;
 }
 
 QueryResponse ClusterServer::Query(const QueryRequest& request) const {
@@ -159,34 +241,37 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
   QueryResponse response;
   WallTimer timer;
   ALID_TRACE_SCOPE("serve", "query");
-  // One acquire for the whole request: every point of the call is answered
-  // by the same snapshot even if Publish swaps mid-call — the linearization
-  // point of the request is this load. An as-of request pins the retained
-  // generation the same way, so its answers are exactly the answers that
-  // generation gave when it was current.
-  std::shared_ptr<const ClusterSnapshot> snap;
+  // One acquire for the whole request: every point of the call, on every
+  // shard, is answered by the same generation even if Publish swaps
+  // mid-call — the linearization point of the request is this load. An
+  // as-of request pins the retained generation the same way, so its answers
+  // are exactly the answers that generation gave when it was current.
+  std::shared_ptr<const ServedGeneration> gen;
   {
     ALID_TRACE_SCOPE("serve", "snapshot_pin");
-    snap = SnapshotAt(request.generation);
+    gen = SnapshotAt(request.generation);
   }
-  if (snap == nullptr) {
+  if (gen == nullptr) {
     response.status = request.generation == 0
                           ? QueryStatus::kOffline
                           : QueryStatus::kGenerationUnavailable;
   } else {
     response.status = QueryStatus::kOk;
-    response.generation = snap->generation();
+    response.generation = gen->generation;
+    stats_.RecordFanout(static_cast<int64_t>(count) *
+                        static_cast<int64_t>(gen->shards.size()));
   }
   if (request.top_k > 0) {
     response.ranked.resize(static_cast<size_t>(count));
     if (count == 0) return response;
-    if (snap != nullptr) {
+    if (gen != nullptr) {
       // Ranked queries are pure per point; chunking only distributes them.
       ParallelChunks(options_.pool, 0, count, options_.grain,
                      [&](int64_t, int64_t lo, int64_t hi) {
                        ALID_TRACE_SCOPE("serve", "rank_chunk");
                        for (int64_t q = lo; q < hi; ++q) {
-                         response.ranked[q] = snap->TopKClusters(
+                         response.ranked[q] = RankAcrossShards(
+                             *gen,
                              request.points.subspan(
                                  static_cast<size_t>(q) * dim_,
                                  static_cast<size_t>(dim_)),
@@ -199,28 +284,48 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
   }
   response.assignments.resize(static_cast<size_t>(count));
   if (count == 0) return response;
-  if (snap != nullptr) {
+  if (gen != nullptr) {
     ParallelChunks(
         options_.pool, 0, count, options_.grain,
         [&](int64_t, int64_t lo, int64_t hi) {
           // Candidate walk + scoring of one chunk (the per-worker view of
           // the batch in a trace).
           ALID_TRACE_SCOPE("serve", "assign_chunk");
-          // Query-major block assignment inside the chunk: the snapshot
-          // streams each cluster's SoA tiles across the whole block of
+          // Query-major block assignment inside the chunk: each snapshot
+          // streams its clusters' SoA tiles across the whole block of
           // queries, and every outcome stays bit-identical to a per-query
           // Assign (see ClusterSnapshot::AssignBatch).
           std::vector<AssignOutcome> outcomes(static_cast<size_t>(hi - lo));
-          snap->AssignBatch(
+          const auto chunk =
               request.points.subspan(static_cast<size_t>(lo) * dim_,
-                                     static_cast<size_t>(hi - lo) * dim_),
-              outcomes);
-          for (int64_t k = lo; k < hi; ++k) {
-            const AssignOutcome& outcome = outcomes[k - lo];
-            // Relaxed atomics, so chunks record straight from pool workers.
-            stats_.RecordSketch(outcome.sketch_prunes, outcome.sketch_exact);
-            response.assignments[k] = outcome;
+                                     static_cast<size_t>(hi - lo) * dim_);
+          int64_t prunes = 0;
+          int64_t exact = 0;
+          int offset = 0;
+          for (const auto& shard : gen->shards) {
+            if (shard->num_clusters() == 0) continue;
+            shard->AssignBatch(chunk, outcomes);
+            for (int64_t k = lo; k < hi; ++k) {
+              const AssignOutcome& outcome = outcomes[k - lo];
+              prunes += outcome.sketch_prunes;
+              exact += outcome.sketch_exact;
+              if (outcome.cluster < 0) continue;
+              // Strictly-greater replacement: equal margins keep the
+              // earlier shard, and each shard already prefers its lowest
+              // cluster id — the lowest generation-wide id wins ties.
+              QueryOutcome& best = response.assignments[k];
+              if (best.cluster < 0 || outcome.margin > best.margin) {
+                best = outcome;
+                best.cluster += offset;
+              }
+            }
+            offset += shard->num_clusters();
           }
+          for (int64_t k = lo; k < hi; ++k) {
+            response.assignments[k].generation = gen->generation;
+          }
+          // Relaxed atomics, so chunks record straight from pool workers.
+          stats_.RecordSketch(prunes, exact);
         });
   }
   int64_t assigned = 0;
@@ -235,63 +340,66 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
 GenerationDiffResult ClusterServer::GenerationDiff(uint64_t from,
                                                    uint64_t to) const {
   GenerationDiffResult diff;
-  const auto snap_from = SnapshotAt(from);
-  const auto snap_to = SnapshotAt(to);
-  if (snap_from == nullptr || snap_to == nullptr) return diff;
+  const auto gen_from = SnapshotAt(from);
+  const auto gen_to = SnapshotAt(to);
+  if (gen_from == nullptr || gen_to == nullptr) return diff;
   diff.ok = true;
-  diff.from = snap_from->generation();
-  diff.to = snap_to->generation();
-  std::unordered_map<uint64_t, int> from_by_uid;
-  from_by_uid.reserve(static_cast<size_t>(snap_from->num_clusters()));
-  for (int c = 0; c < snap_from->num_clusters(); ++c) {
-    if (snap_from->cluster_uid(c) != 0) {
-      from_by_uid.emplace(snap_from->cluster_uid(c), c);
+  diff.from = gen_from->generation;
+  diff.to = gen_to->generation;
+  const std::vector<ClusterMeta> was = ClusterMetas(*gen_from);
+  const std::vector<ClusterMeta> now = ClusterMetas(*gen_to);
+  // The match key is (shard, uid): every shard's stream numbers its
+  // clusters from uid 1.
+  std::map<std::pair<size_t, uint64_t>, int> from_by_key;
+  for (int f = 0; f < static_cast<int>(was.size()); ++f) {
+    if (was[f].uid != 0) {
+      from_by_key.emplace(std::pair{was[f].shard, was[f].uid}, f);
     }
   }
-  for (int c = 0; c < snap_to->num_clusters(); ++c) {
-    const uint64_t uid = snap_to->cluster_uid(c);
-    const auto it = uid != 0 ? from_by_uid.find(uid) : from_by_uid.end();
-    if (it == from_by_uid.end()) {
+  for (int c = 0; c < static_cast<int>(now.size()); ++c) {
+    const auto it = now[c].uid != 0
+                        ? from_by_key.find({now[c].shard, now[c].uid})
+                        : from_by_key.end();
+    if (it == from_by_key.end()) {
       ClusterDrift born;
-      born.uid = uid;
+      born.uid = now[c].uid;
       born.cluster_to = c;
-      born.size_to = snap_to->cluster_size(c);
-      born.density_to = snap_to->density(c);
+      born.size_to = now[c].size;
+      born.density_to = now[c].density;
       diff.births.push_back(born);
       continue;
     }
     const int f = it->second;
-    from_by_uid.erase(it);
-    if (snap_from->cluster_version(f) == snap_to->cluster_version(c)) {
+    from_by_key.erase(it);
+    if (was[f].version == now[c].version) {
       ++diff.unchanged;
       continue;
     }
     ClusterDrift moved;
-    moved.uid = uid;
+    moved.uid = now[c].uid;
     moved.cluster_from = f;
     moved.cluster_to = c;
-    moved.size_from = snap_from->cluster_size(f);
-    moved.size_to = snap_to->cluster_size(c);
-    moved.density_from = snap_from->density(f);
-    moved.density_to = snap_to->density(c);
+    moved.size_from = was[f].size;
+    moved.size_to = now[c].size;
+    moved.density_from = was[f].density;
+    moved.density_to = now[c].density;
     diff.drifted.push_back(moved);
   }
   // Clusters of `from` never matched: deaths, in ascending id so the report
-  // is deterministic.
-  std::vector<std::pair<int, uint64_t>> gone;
-  gone.reserve(from_by_uid.size());
-  for (const auto& [uid, c] : from_by_uid) gone.emplace_back(c, uid);
-  // uid == 0 clusters (non-stream sources) cannot match; report them too.
-  for (int c = 0; c < snap_from->num_clusters(); ++c) {
-    if (snap_from->cluster_uid(c) == 0) gone.emplace_back(c, 0);
+  // is deterministic. uid == 0 clusters (non-stream sources) cannot match;
+  // they are reported too.
+  std::vector<int> gone;
+  for (const auto& [key, f] : from_by_key) gone.push_back(f);
+  for (int f = 0; f < static_cast<int>(was.size()); ++f) {
+    if (was[f].uid == 0) gone.push_back(f);
   }
   std::sort(gone.begin(), gone.end());
-  for (const auto& [c, uid] : gone) {
+  for (const int f : gone) {
     ClusterDrift dead;
-    dead.uid = uid;
-    dead.cluster_from = c;
-    dead.size_from = snap_from->cluster_size(c);
-    dead.density_from = snap_from->density(c);
+    dead.uid = was[f].uid;
+    dead.cluster_from = f;
+    dead.size_from = was[f].size;
+    dead.density_from = was[f].density;
     diff.deaths.push_back(dead);
   }
   return diff;
@@ -299,9 +407,18 @@ GenerationDiffResult ClusterServer::GenerationDiff(uint64_t from,
 
 ClusterSnapshotInfo ClusterServer::ClusterInfo(int cluster) const {
   stats_.RecordInfo();
-  const auto snap = snapshot();
-  if (snap == nullptr) return {};
-  return snap->ClusterInfo(cluster);
+  const auto gen = snapshot();
+  if (gen == nullptr || cluster < 0) return {};
+  int local = cluster;
+  for (const auto& shard : gen->shards) {
+    if (local < shard->num_clusters()) {
+      ClusterSnapshotInfo info = shard->ClusterInfo(local);
+      info.cluster = cluster;
+      return info;
+    }
+    local -= shard->num_clusters();
+  }
+  return {};
 }
 
 ServeStatsView ClusterServer::stats() const {

@@ -1,6 +1,7 @@
 #ifndef ALID_SERVE_CLUSTER_SERVER_H_
 #define ALID_SERVE_CLUSTER_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -38,12 +39,17 @@ struct ClusterServerOptions {
   int64_t history_budget_bytes = 0;
 };
 
-/// One answered assignment query (the QueryOutcome shape; `generation`
-/// names the snapshot that answered — every result of one batched call
-/// carries the same value, because the call acquires its snapshot exactly
-/// once).
-struct AssignResult : QueryOutcome {
-  bool operator==(const AssignResult&) const = default;
+/// One published generation: the per-shard ClusterSnapshots served together
+/// as one unit (S = shards.size(); S == 1 is the plain case). The cluster
+/// ids of a generation form one id space: shard s's clusters take the ids
+/// that follow shard s-1's, so every answer names its cluster by one int
+/// and the snapshot's own "lowest id on ties" rule orders clusters across
+/// shards too. `generation` is the publication tag — the snapshot's own
+/// generation for S == 1, the sharded stream's total arrival count for
+/// ShardRouter.
+struct ServedGeneration {
+  uint64_t generation = 0;
+  std::vector<std::shared_ptr<const ClusterSnapshot>> shards;
 };
 
 /// A unified serve request: `points` holds count * dim scalars, row-major.
@@ -84,13 +90,15 @@ struct QueryResponse {
 };
 
 /// One cluster's change between two generations (ClusterServer::
-/// GenerationDiff). Clusters match across snapshots by stream uid; a
-/// matched cluster whose version differs drifted (membership/weights/
-/// density changed), an unmatched one was born or died.
+/// GenerationDiff). Clusters match across generations by (shard, stream
+/// uid) — every shard's stream numbers its clusters from uid 1, so the uid
+/// alone is ambiguous once S > 1; a matched cluster whose version differs
+/// drifted (membership/weights/density changed), an unmatched one was born
+/// or died.
 struct ClusterDrift {
   uint64_t uid = 0;
-  int cluster_from = -1;  ///< Id in the `from` snapshot (-1 for births).
-  int cluster_to = -1;    ///< Id in the `to` snapshot (-1 for deaths).
+  int cluster_from = -1;  ///< Id in the `from` generation (-1 for births).
+  int cluster_to = -1;    ///< Id in the `to` generation (-1 for deaths).
   Index size_from = 0;
   Index size_to = 0;
   Scalar density_from = 0.0;
@@ -112,25 +120,32 @@ struct GenerationDiffResult {
   int unchanged = 0;
 };
 
-/// The read side of the serving subsystem: answers generation-addressed
-/// queries against immutable ClusterSnapshots published through an
-/// RCU-style atomic shared_ptr swap. Readers never wait on each other and
-/// never see torn state — a query (or a whole batch) acquires one snapshot
-/// reference up front and scores against it even while Publish() installs a
-/// successor; a retired snapshot enters the bounded history ring (staying
-/// addressable for as-of queries) and dies when evicted and released by its
-/// last in-flight reader. The write side (an ingest/refresh loop) mutates
-/// nothing the readers touch: it builds a fresh snapshot off-line and
-/// publishes it in one pointer swap. Because consecutive snapshots share
+/// The read side of the serving subsystem, for any shard count: answers
+/// generation-addressed queries against immutable ServedGenerations
+/// published through an RCU-style atomic shared_ptr swap. Readers never
+/// wait on each other and never see torn state — a query (or a whole batch)
+/// acquires one generation reference up front and scores every point, on
+/// every shard, against it even while Publish() installs a successor; a
+/// retired generation enters the bounded history ring (staying addressable
+/// for as-of queries) and dies when evicted and released by its last
+/// in-flight reader. The write side (an ingest/refresh loop) mutates
+/// nothing the readers touch: it builds fresh snapshots off-line and
+/// publishes them in one pointer swap. Because consecutive snapshots share
 /// their unchanged clusters' arena blocks, both the publish and the ring
 /// cost O(changed bytes), not O(window).
+///
+/// Sharded answers merge by the snapshot's own rule over the generation's
+/// one cluster-id space: assignment takes the largest positive margin and
+/// ranking orders by affinity descending, both breaking ties by the lowest
+/// id, i.e. by ascending (shard, cluster). For S == 1 a request does
+/// exactly the single snapshot's work.
 ///
 /// The publication cell implements std::atomic<std::shared_ptr> semantics
 /// (P0718: linearizable store, acquire loads) over a reader-writer lock
 /// rather than libstdc++'s _Sp_atomic: the latter's hand-rolled spinlock is
 /// opaque to ThreadSanitizer, and this subsystem's swap-linearizability
 /// contract is enforced under TSan in CI. Readers take the lock shared and
-/// hold it only to bump the snapshot's refcount, so a reader is delayed
+/// hold it only to bump the generation's refcount, so a reader is delayed
 /// only by the O(1) swap of a concurrent Publish, never by other readers.
 ///
 /// Thread-safety: Publish and every query method may be called from any
@@ -143,41 +158,49 @@ class ClusterServer {
   /// checked against every published snapshot and query).
   explicit ClusterServer(int dim, ClusterServerOptions options = {});
 
-  /// Atomically installs a new snapshot (a release in the publication
+  /// Atomically installs a new generation (a release in the publication
   /// order: a reader that sees it also sees everything its build wrote).
-  /// The retired snapshot enters the history ring (unless history_capacity
-  /// is 0); generations evicted by the capacity/budget bounds are released
-  /// outside the swap critical section, so an expensive teardown never
-  /// stalls readers. Passing nullptr takes the server offline (queries
+  /// The retired generation enters the history ring (unless
+  /// history_capacity is 0); generations evicted by the capacity/budget
+  /// bounds are released outside the swap critical section, so an expensive
+  /// teardown never stalls readers. Republishing the current shards is a
+  /// no-op for the ring. Passing nullptr takes the server offline (queries
   /// answer unassigned, generation 0).
+  void Publish(std::shared_ptr<const ServedGeneration> generation);
+  /// Publishes `snapshot` as a one-shard generation tagged with the
+  /// snapshot's own generation.
   void Publish(std::shared_ptr<const ClusterSnapshot> snapshot);
+  void Publish(std::nullptr_t) {
+    Publish(std::shared_ptr<const ServedGeneration>());
+  }
 
-  /// The current snapshot, or nullptr before the first Publish. Holding the
-  /// returned pointer pins the snapshot across later swaps.
-  std::shared_ptr<const ClusterSnapshot> snapshot() const;
+  /// The current generation, or nullptr before the first Publish. Holding
+  /// the returned pointer pins it across later swaps.
+  std::shared_ptr<const ServedGeneration> snapshot() const;
 
   /// Generation of the current snapshot (0 when offline).
   uint64_t generation() const;
 
   /// The unified serve entry point (see QueryRequest): assignment or
-  /// ranked mode, against the current snapshot or a retained generation.
-  /// The whole request is answered by ONE snapshot (acquired once) and
+  /// ranked mode, against the current generation or a retained one. The
+  /// whole request is answered by ONE generation (acquired once) and
   /// chunked across the shared pool; assignment results are bit-identical
-  /// to querying that snapshot point by point serially, and an as-of
-  /// request reproduces exactly the answers the addressed generation gave
-  /// when it was current (the snapshot is immutable — nothing to recompute).
+  /// to querying its shards point by point serially and merging by the
+  /// class comment's rule, and an as-of request reproduces exactly the
+  /// answers the addressed generation gave when it was current (the
+  /// snapshots are immutable — nothing to recompute).
   QueryResponse Query(const QueryRequest& request) const;
 
   /// Cluster births, deaths and drift between two addressable generations
   /// (0 = current). Purely metadata — O(clusters), no member rows touched.
   GenerationDiffResult GenerationDiff(uint64_t from, uint64_t to) const;
 
-  /// Snapshot of generation `generation` (0 = current): the current
-  /// snapshot or a ring entry, nullptr when not addressable. Holding the
-  /// pointer pins it past eviction.
-  std::shared_ptr<const ClusterSnapshot> SnapshotAt(uint64_t generation) const;
+  /// Generation `generation` (0 = current): the current one or a ring
+  /// entry, nullptr when not addressable. Holding the pointer pins it past
+  /// eviction.
+  std::shared_ptr<const ServedGeneration> SnapshotAt(uint64_t generation) const;
 
-  /// Copy-out of one cluster's metadata from the current snapshot
+  /// Copy-out of one cluster's metadata from the current generation
   /// (info.cluster == -1 when offline or out of range).
   ClusterSnapshotInfo ClusterInfo(int cluster) const;
 
@@ -190,46 +213,15 @@ class ClusterServer {
   void ResetStats() { stats_.Reset(); }
 
   /// The per-instance instrument registry behind stats(): every serve
-  /// counter plus the history-ring and pool gauges, exportable as
+  /// counter (shard_fanout_queries counts points x shards per answered
+  /// request) plus the history-ring and pool gauges, exportable as
   /// single-line JSON (bench trajectory) or Prometheus text.
   const obs::MetricsRegistry& metrics() const { return stats_.registry(); }
 
-  // --- Deprecated pre-generation query surface ----------------------------
-  // Thin inline adapters over Query(), retained for one deprecation cycle.
-  // Migration:
-  //   server.Assign(x)          -> server.Query({.points = x}).assignments[0]
-  //   server.AssignBatch(xs)    -> server.Query({.points = xs}).assignments
-  //   server.TopKClusters(x, k) -> server.Query({.points = x, .top_k = k})
-  //                                      .ranked[0]
-
-  /// Single assignment query against the current snapshot.
-  [[deprecated(
-      "use Query(QueryRequest{.points = point}) — the generation-addressed "
-      "serve API")]]
-  AssignResult Assign(std::span<const Scalar> point) const;
-
-  /// Batched assignment against the current snapshot.
-  [[deprecated(
-      "use Query(QueryRequest{.points = points}) — the generation-addressed "
-      "serve API")]]
-  std::vector<AssignResult> AssignBatch(std::span<const Scalar> points) const;
-
-  /// Top-k candidate clusters of a point by pi(s_c, x), descending.
-  [[deprecated(
-      "use Query(QueryRequest{.points = point, .top_k = k}) — the "
-      "generation-addressed serve API")]]
-  std::vector<ScoredCluster> TopKClusters(std::span<const Scalar> point,
-                                          int k) const;
-
  private:
-  struct Retained {
-    uint64_t generation = 0;
-    std::shared_ptr<const ClusterSnapshot> snapshot;
-  };
-
   // Unique arena-block bytes referenced by ring entries but NOT by the
-  // current snapshot — the true extra cost of time travel (shared blocks
-  // are charged to the live snapshot). Caller holds snapshot_mu_.
+  // current generation — the true extra cost of time travel (shared blocks
+  // are charged to the live generation). Caller holds snapshot_mu_.
   int64_t HistoryBytesLocked() const;
 
   int dim_;
@@ -237,39 +229,12 @@ class ClusterServer {
   // The publication cell (see class comment). shared lock: copy the
   // pointer / scan the ring; unique lock: swap + retire + evict.
   mutable std::shared_mutex snapshot_mu_;
-  std::shared_ptr<const ClusterSnapshot> snapshot_ptr_;
-  std::deque<Retained> history_;  // oldest first
+  std::shared_ptr<const ServedGeneration> current_;
+  std::deque<std::shared_ptr<const ServedGeneration>> history_;  // oldest first
   int64_t history_ring_bytes_ = 0;
   int64_t history_evictions_ = 0;
   mutable ServeStats stats_;
 };
-
-inline AssignResult ClusterServer::Assign(std::span<const Scalar> point) const {
-  const QueryResponse response = Query(QueryRequest{point, 0, 0});
-  AssignResult result;
-  if (!response.assignments.empty()) {
-    static_cast<QueryOutcome&>(result) = response.assignments.front();
-  }
-  return result;
-}
-
-inline std::vector<AssignResult> ClusterServer::AssignBatch(
-    std::span<const Scalar> points) const {
-  const QueryResponse response = Query(QueryRequest{points, 0, 0});
-  std::vector<AssignResult> results(response.assignments.size());
-  for (size_t i = 0; i < response.assignments.size(); ++i) {
-    static_cast<QueryOutcome&>(results[i]) = response.assignments[i];
-  }
-  return results;
-}
-
-inline std::vector<ScoredCluster> ClusterServer::TopKClusters(
-    std::span<const Scalar> point, int k) const {
-  if (k <= 0) return {};
-  QueryResponse response = Query(QueryRequest{point, k, 0});
-  if (response.ranked.empty()) return {};
-  return std::move(response.ranked.front());
-}
 
 }  // namespace alid
 

@@ -66,7 +66,7 @@ struct SnapshotBuildInfo {
 };
 
 /// The shared shape of every answered query — the single result vocabulary
-/// of the serve API (ClusterServer::Query). AssignResult and ScoredCluster
+/// of the serve API (ClusterServer::Query). AssignOutcome and ScoredCluster
 /// extend it without changing its meaning.
 struct QueryOutcome {
   /// Snapshot cluster id, or -1 when no candidate cluster absorbs the point.

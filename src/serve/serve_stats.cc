@@ -17,6 +17,7 @@ ServeStats::ServeStats()
       assigned_(registry_.AddCounter("assigned")),
       topk_queries_(registry_.AddCounter("topk_queries")),
       info_queries_(registry_.AddCounter("info_queries")),
+      fanout_(registry_.AddCounter("shard_fanout_queries")),
       snapshots_published_(registry_.AddCounter("snapshots_published")),
       sketch_prunes_(registry_.AddCounter("sketch_prunes")),
       sketch_exact_(registry_.AddCounter("sketch_exact")),
@@ -100,6 +101,7 @@ void ServeStats::Reset() {
   assigned_->Set(0);
   topk_queries_->Set(0);
   info_queries_->Set(0);
+  fanout_->Set(0);
   snapshots_published_->Set(0);
   sketch_prunes_->Set(0);
   sketch_exact_->Set(0);

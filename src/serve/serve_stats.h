@@ -81,6 +81,8 @@ class ServeStats {
                     bool batch);
   void RecordTopK(int64_t count = 1) { topk_queries_->Add(count); }
   void RecordInfo() { info_queries_->Add(1); }
+  /// Per-shard sub-queries of one answered request (points x shards).
+  void RecordFanout(int64_t subqueries) { fanout_->Add(subqueries); }
   /// One publication: the snapshot's build latency joins the bounded
   /// publish-latency reservoir (skipped when has_build is false — the
   /// offline nullptr publish) and its incremental-export reuse/byte
@@ -114,6 +116,7 @@ class ServeStats {
   obs::Counter* assigned_;
   obs::Counter* topk_queries_;
   obs::Counter* info_queries_;
+  obs::Counter* fanout_;
   obs::Counter* snapshots_published_;
   obs::Counter* sketch_prunes_;
   obs::Counter* sketch_exact_;

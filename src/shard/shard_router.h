@@ -3,64 +3,16 @@
 
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
-#include <span>
 #include <vector>
 
-#include "obs/latency_reservoir.h"
-#include "obs/metrics.h"
 #include "serve/cluster_server.h"
 #include "serve/cluster_snapshot.h"
 #include "shard/sharded_stream.h"
 
 namespace alid {
 
-class ThreadPool;
-
-/// Options of the fan-out query side.
-struct ShardRouterOptions {
-  /// Optional shared executor pool for batched fan-out queries; results are
-  /// bit-identical for any pool width, grain, scheduling, or nullptr — the
-  /// runtime's standard determinism contract.
-  ThreadPool* pool = nullptr;
-  /// Chunk grain of batched queries (see DeterministicGrain); 0 auto.
-  int64_t grain = 0;
-};
-
-/// One atomically published sharded generation: the per-shard
-/// ClusterSnapshots exported together from one quiescent ShardedStream
-/// state. `generation` is the stream's total arrival count — a pure
-/// function of (config, stream), never of wall time or publish cadence.
-struct ShardedSnapshot {
-  uint64_t generation = 0;
-  std::vector<std::shared_ptr<const ClusterSnapshot>> shards;
-};
-
-/// One merged assignment: the QueryOutcome shape plus the owning shard
-/// (generation carries the *sharded* generation, not the per-shard one).
-struct ShardAssignment : QueryOutcome {
-  int shard = -1;
-
-  bool operator==(const ShardAssignment&) const = default;
-};
-
-/// One merged ranked candidate.
-struct ShardScoredCluster : ScoredCluster {
-  int shard = -1;
-
-  bool operator==(const ShardScoredCluster&) const = default;
-};
-
-/// The answer to one fanned-out QueryRequest — the sharded mirror of
-/// QueryResponse (same status vocabulary, shard-tagged outcomes).
-struct ShardedQueryResponse {
-  QueryStatus status = QueryStatus::kOffline;
-  uint64_t generation = 0;
-  std::vector<ShardAssignment> assignments;
-  std::vector<std::vector<ShardScoredCluster>> ranked;
-
-  bool ok() const { return status == QueryStatus::kOk; }
-};
+/// perfbench/ names the fan-out answer so; drop at the next benchmark revision.
+using ShardedQueryResponse = QueryResponse;
 
 /// One cross-shard boundary-cluster pair: two clusters on different shards
 /// whose members share at least one LSH bucket (same table, same key — the
@@ -81,105 +33,48 @@ struct BoundaryPair {
   bool operator==(const BoundaryPair&) const = default;
 };
 
-/// The serve side of the sharded runtime: publishes the per-shard snapshots
-/// of a ShardedStream as ONE atomically-swapped ShardedSnapshot generation
-/// and answers queries by fanning out over every shard and merging by
-/// score. A request pins exactly one ShardedSnapshot (the linearization
-/// point), so every point of a batch — and every shard visited for it — is
-/// answered by the same generation even while a hot publisher keeps
-/// swapping; the publication cell is the same TSan-visible reader-writer
-/// idiom as ClusterServer's.
-///
-/// Merge semantics: assignment takes the shard whose winner has the
-/// largest positive margin, ties broken by ascending (shard, cluster) id —
-/// within a shard the snapshot already prefers the lowest cluster id, and
-/// across shards a strictly-greater-margin replacement keeps the earliest
-/// shard. TopK concatenates the per-shard rankings and orders by affinity
-/// descending with the same ascending (shard, cluster) tie-break. Both are
-/// pure functions of (request, pinned generation).
+/// The serve side of the sharded runtime: a ClusterServer whose
+/// generations carry one ClusterSnapshot per shard of a ShardedStream.
+/// Queries, the merge rule, the one cluster-id space, the history ring,
+/// GenerationDiff and the instruments are the server's own (see
+/// ClusterServer); the router adds only the per-shard incremental export
+/// chain and the boundary-cluster report. By default it retains no
+/// generations besides the current one; pass a history_capacity for as-of
+/// queries across shards.
 ///
 /// Thread-safety: queries from any number of threads concurrently with one
 /// publisher; publishers are externally synchronized with each other (they
-/// read the stream, which is single-writer anyway).
-class ShardRouter {
+/// read the stream, which is single-writer anyway, and extend one export
+/// chain).
+class ShardRouter : public ClusterServer {
  public:
-  ShardRouter(int dim, int num_shards, ShardRouterOptions options = {});
+  ShardRouter(int dim, int num_shards,
+              ClusterServerOptions options = {.history_capacity = 0});
 
   /// Exports every shard's ClusterSnapshot (incrementally against the
-  /// previous publish, concurrently on the pool) and swaps the bundle in as
-  /// one generation = stream.size(). The stream must be quiescent (between
+  /// previous export, concurrently on the pool) and publishes them as one
+  /// generation = stream.size(). The stream must be quiescent (between
   /// ingest calls — same contract as ClusterSnapshot::FromStream). Returns
   /// the published generation.
   uint64_t PublishFromStream(const ShardedStream& stream);
 
-  /// Takes the router offline (queries answer kOffline) and drops the
-  /// incremental chain.
-  void Unpublish();
-
-  /// The current sharded snapshot, or nullptr before the first publish.
-  std::shared_ptr<const ShardedSnapshot> snapshot() const;
-
-  /// Generation of the current snapshot (0 when offline).
-  uint64_t generation() const;
-
-  /// Snapshot of `generation` (0 = current). The router keeps no history
-  /// ring: any nonzero generation other than the current one answers
-  /// nullptr (kGenerationUnavailable at the Query level) — per-shard time
-  /// travel stays available on the underlying ClusterServers.
-  std::shared_ptr<const ShardedSnapshot> SnapshotAt(uint64_t generation) const;
-
-  /// The fan-out serve entry point — QueryRequest semantics as in
-  /// ClusterServer::Query, answered by every shard of ONE pinned
-  /// generation and merged (see class comment). Assignment results are
-  /// bit-identical to querying each shard snapshot serially and merging by
-  /// the stated rule.
-  ShardedQueryResponse Query(const QueryRequest& request) const;
-
   /// The boundary-cluster report of the current generation: every
   /// cross-shard cluster pair colliding in LSH bucket space, with shared
   /// bucket counts and exact cross densities, ordered by ascending
-  /// (shard_a, cluster_a, shard_b, cluster_b). Deterministic — a pure
-  /// function of the pinned snapshot. `affinity` must be the streams' own
-  /// kernel parameters (the report reproduces the stream's merge test).
+  /// (shard_a, cluster_a, shard_b, cluster_b) — cluster ids local to their
+  /// shard. Deterministic — a pure function of the pinned generation.
+  /// `affinity` must be the streams' own kernel parameters (the report
+  /// reproduces the stream's merge test).
   std::vector<BoundaryPair> BoundaryClusters(
       const AffinityParams& affinity) const;
 
-  int dim() const { return dim_; }
   int num_shards() const { return num_shards_; }
-  const ShardRouterOptions& options() const { return options_; }
-
-  /// Router instruments: `shard_fanout_queries` (per-shard sub-queries
-  /// issued — count x shards per fanned request; the CI gate asserts it
-  /// positive so the fan-out path cannot silently no-op), request/point
-  /// counters, and the query/publish latency histograms.
-  const obs::MetricsRegistry& metrics() const { return metrics_.registry; }
 
  private:
-  int dim_;
   int num_shards_;
-  ShardRouterOptions options_;
-
-  // The publication cell (ClusterServer idiom): shared lock to pin, unique
-  // lock to swap. previous_ belongs to the (single) publisher only.
-  mutable std::shared_mutex snapshot_mu_;
-  std::shared_ptr<const ShardedSnapshot> current_;
+  // The last exported snapshot of each shard, the base of the next
+  // incremental export. Belongs to the (single) publisher.
   std::vector<std::shared_ptr<const ClusterSnapshot>> previous_;
-
-  struct RouterInstruments {
-    obs::MetricsRegistry registry;
-    obs::Counter* queries = nullptr;         // requests answered
-    obs::Counter* points = nullptr;          // items answered
-    obs::Counter* fanout = nullptr;          // shard_fanout_queries
-    obs::Counter* topk_queries = nullptr;
-    obs::Counter* publishes = nullptr;
-    obs::Counter* offline_queries = nullptr;
-    obs::Counter* stale_generation = nullptr;
-    obs::Counter* sketch_prunes = nullptr;
-    obs::Counter* sketch_exact = nullptr;
-    obs::LatencyReservoir query_seconds{8192};
-    obs::LatencyReservoir publish_seconds{8192};
-  };
-  mutable RouterInstruments metrics_;
 };
 
 }  // namespace alid

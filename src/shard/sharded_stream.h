@@ -59,7 +59,9 @@ struct ShardSlot {
 /// and S == 1 delegates straight to the single OnlineAlid, bit for bit.
 ///
 /// Thread-safety: like OnlineAlid, externally synchronized — one ingest
-/// call at a time. Readers go through ShardRouter's published snapshots.
+/// call at a time. Readers query a ShardRouter: the ClusterServer that
+/// publishes the shards' snapshots as one generation with one cluster-id
+/// space.
 class ShardedStream {
  public:
   ShardedStream(int dim, ShardedStreamOptions options);

@@ -16,7 +16,6 @@
 
 #include "common/memory_tracker.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
 #include "serve/cluster_server.h"
@@ -189,8 +188,9 @@ TEST(ServeHistoryTest, CapacityAndBudgetBoundTheRing) {
   EXPECT_EQ(two.stats().generations_retained, 2);
   EXPECT_EQ(two.stats().history_evictions,
             static_cast<int64_t>(snaps.size()) - 1 - 2);
-  EXPECT_EQ(two.SnapshotAt(snaps[snaps.size() - 2]->generation()),
-            snaps[snaps.size() - 2]);
+  const auto retained = two.SnapshotAt(snaps[snaps.size() - 2]->generation());
+  ASSERT_NE(retained, nullptr);
+  EXPECT_EQ(retained->shards, std::vector{snaps[snaps.size() - 2]});
   EXPECT_EQ(two.SnapshotAt(snaps.front()->generation()), nullptr);
 
   // A 1-byte budget evicts every generation whose blocks are not fully
@@ -201,10 +201,15 @@ TEST(ServeHistoryTest, CapacityAndBudgetBoundTheRing) {
   const ServeStatsView tight_stats = tight.stats();
   EXPECT_LE(tight_stats.history_ring_bytes, 1);
   EXPECT_GT(tight_stats.history_evictions, 0);
-  // Republishing the current snapshot is a no-op for the ring.
+  // Republishing the current snapshot is a no-op for the ring, whether as
+  // the pinned generation or as the bare snapshot (a fresh one-shard
+  // wrapper).
   const ServeStatsView before = tight.stats();
   tight.Publish(tight.snapshot());
   EXPECT_EQ(tight.stats().generations_retained, before.generations_retained);
+  tight.Publish(snaps.back());
+  EXPECT_EQ(tight.stats().generations_retained, before.generations_retained);
+  EXPECT_EQ(tight.stats().history_evictions, before.history_evictions);
 }
 
 TEST(ServeHistoryTest, RingEvictionUnderHotPublisherAndConcurrentReaders) {
@@ -387,46 +392,6 @@ TEST(ServeHistoryTest, GenerationDiffReportsBirthsDeathsAndDrift) {
       server.GenerationDiff(0xdeadbeefULL, to->generation());
   EXPECT_FALSE(bad.ok);
   EXPECT_TRUE(bad.births.empty());
-}
-
-TEST(ServeHistoryTest, QueryGenerationZeroMatchesDeprecatedAdapters) {
-  // The migration contract: the deprecated triplet is a thin veneer over
-  // Query(generation = 0) — same bits, every field, across executor sweeps.
-  LabeledData data = Workload(460, 13);
-  OnlineAlid online(data.data.dim(), StreamOptions(data));
-  const auto snaps = SnapshotChain(data, online, 110);
-  ASSERT_GE(snaps.size(), 1u);
-  const int dim = data.data.dim();
-  const std::vector<Scalar> probes = Probes(data, 50);
-  const Index count = static_cast<Index>(probes.size()) / dim;
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  for (int executors : {1, 4}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (executors > 1) pool = std::make_unique<ThreadPool>(executors);
-    ClusterServer server(dim, {.pool = pool.get()});
-    server.Publish(snaps.back());
-    SCOPED_TRACE(testing::Message() << "executors=" << executors);
-
-    const QueryResponse batch = server.Query({.points = probes});
-    const std::vector<AssignResult> legacy_batch = server.AssignBatch(probes);
-    ASSERT_EQ(legacy_batch.size(), batch.assignments.size());
-    for (Index q = 0; q < count; ++q) {
-      EXPECT_EQ(static_cast<const QueryOutcome&>(legacy_batch[q]),
-                batch.assignments[q]);
-      const std::span<const Scalar> point =
-          std::span<const Scalar>(probes).subspan(
-              static_cast<size_t>(q) * dim, static_cast<size_t>(dim));
-      const AssignResult single = server.Assign(point);
-      EXPECT_EQ(static_cast<const QueryOutcome&>(single),
-                batch.assignments[q]);
-      EXPECT_EQ(server.TopKClusters(point, 3),
-                server.Query({.points = point, .top_k = 3}).ranked.front());
-    }
-    EXPECT_TRUE(server.TopKClusters(probes, 0).empty());
-  }
-#pragma GCC diagnostic pop
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 // a plain OnlineAlid, a fixed shard count is bit-identical across executor
 // counts / grains / scheduling (the partition is a pure function of the
 // stream, never of the schedule), the router's fan-out merge equals the
-// serial per-shard merge with the ascending-(shard, cluster) tie-break, a
-// hot publisher never tears a response across generations (the TSan
-// claim), the empty-shard / hot-spot / offline / stale-generation edges,
-// and the boundary-cluster report (cross-shard LSH collisions with exact
-// cross densities).
+// serial per-shard merge with the ascending-(shard, cluster) tie-break over
+// the generation's one cluster-id space, a hot publisher never tears a
+// response across generations (the TSan claim), the empty-shard / hot-spot
+// / offline / stale-generation edges, as-of queries and GenerationDiff
+// across shards, and the boundary-cluster report (cross-shard LSH
+// collisions with exact cross densities).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -132,6 +133,14 @@ uint64_t KeyForShard(const ShardedStream& stream, int shard) {
   }
 }
 
+// First generation-wide cluster id of shard `s`: shard s's clusters take
+// the ids that follow shard s-1's.
+int ClusterOffset(const ServedGeneration& gen, int s) {
+  int offset = 0;
+  for (int t = 0; t < s; ++t) offset += gen.shards[t]->num_clusters();
+  return offset;
+}
+
 // A Gaussian blob around `center`, flattened row-major.
 std::vector<Scalar> Blob(const std::vector<Scalar>& center, Index n,
                          double spread, uint64_t seed) {
@@ -204,18 +213,20 @@ TEST(ShardTest, SingleShardRouterMatchesDirectSnapshot) {
     const auto row = data.data[i];
     queries.insert(queries.end(), row.begin(), row.end());
   }
-  const ShardedQueryResponse response = router.Query({.points = queries});
+  const QueryResponse response = router.Query({.points = queries});
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response.assignments.size(), 60u);
+  const int shard0_clusters = router.snapshot()->shards[0]->num_clusters();
   for (Index i = 0; i < 60; ++i) {
     const AssignOutcome expected = direct->Assign(data.data[i]);
-    const ShardAssignment& got = response.assignments[static_cast<size_t>(i)];
+    const QueryOutcome& got = response.assignments[static_cast<size_t>(i)];
     EXPECT_EQ(got.cluster, expected.cluster) << "point " << i;
     EXPECT_EQ(got.affinity, expected.affinity) << "point " << i;
     EXPECT_EQ(got.margin, expected.margin) << "point " << i;
     EXPECT_EQ(got.generation, gen);
     if (got.cluster >= 0) {
-      EXPECT_EQ(got.shard, 0);
+      // Shard 0's id range is [0, its cluster count): offset 0.
+      EXPECT_LT(got.cluster, shard0_clusters) << "point " << i;
     }
   }
 }
@@ -284,55 +295,79 @@ TEST(ShardTest, RouterMergeMatchesSerialPerShardMerge) {
     queries.insert(queries.end(), row.begin(), row.end());
   }
 
-  const ShardedQueryResponse response = router.Query({.points = queries});
+  // Shard s's clusters take the generation-wide ids [offset[s],
+  // offset[s + 1]).
+  std::vector<int> offset{0};
+  for (int s = 0; s < 3; ++s) {
+    offset.push_back(offset.back() + pinned->shards[s]->num_clusters());
+  }
+
+  const QueryResponse response = router.Query({.points = queries});
   ASSERT_TRUE(response.ok());
   for (Index i = 0; i < num_queries; ++i) {
     // The reference merge: serial per-shard Assign, strictly-greater margin
     // replacement (equal margins keep the earliest shard).
-    ShardAssignment expected;
-    expected.generation = gen;
+    AssignOutcome expected;
+    int expected_shard = -1;
     for (int s = 0; s < 3; ++s) {
       const AssignOutcome outcome = pinned->shards[s]->Assign(data.data[i]);
       if (outcome.cluster < 0) continue;
       if (expected.cluster < 0 || outcome.margin > expected.margin) {
-        static_cast<QueryOutcome&>(expected) = outcome;
-        expected.generation = gen;
-        expected.shard = s;
+        expected = outcome;
+        expected_shard = s;
       }
     }
-    const ShardAssignment& got = response.assignments[static_cast<size_t>(i)];
-    EXPECT_EQ(got.cluster, expected.cluster) << "point " << i;
-    EXPECT_EQ(got.shard, expected.shard) << "point " << i;
+    const QueryOutcome& got = response.assignments[static_cast<size_t>(i)];
+    EXPECT_EQ(got.generation, gen) << "point " << i;
+    if (expected_shard < 0) {
+      EXPECT_EQ(got, (QueryOutcome{.generation = gen})) << "point " << i;
+      continue;
+    }
+    // The id lies in the winning shard's range, and the local id, affinity
+    // and margin are that shard's answer.
+    EXPECT_GE(got.cluster, offset[expected_shard]) << "point " << i;
+    EXPECT_LT(got.cluster, offset[expected_shard + 1]) << "point " << i;
+    EXPECT_EQ(got.cluster - offset[expected_shard], expected.cluster)
+        << "point " << i;
     EXPECT_EQ(got.affinity, expected.affinity) << "point " << i;
     EXPECT_EQ(got.margin, expected.margin) << "point " << i;
   }
 
   // Ranked fan-out: concatenation of the per-shard rankings under the
-  // (affinity desc, shard asc, cluster asc) total order, truncated.
+  // (affinity desc, shard asc, cluster asc) total order, truncated, then
+  // named by offset ids.
   const int top_k = 3;
-  const ShardedQueryResponse ranked =
+  const QueryResponse ranked =
       router.Query({.points = queries, .top_k = top_k});
   ASSERT_TRUE(ranked.ok());
+  struct Tagged {
+    ScoredCluster scored;
+    int shard;
+  };
   for (Index i = 0; i < num_queries; ++i) {
-    std::vector<ShardScoredCluster> expected;
+    std::vector<Tagged> tagged;
     for (int s = 0; s < 3; ++s) {
       for (const ScoredCluster& sc :
            pinned->shards[s]->TopKClusters(data.data[i], top_k)) {
-        ShardScoredCluster tagged;
-        static_cast<ScoredCluster&>(tagged) = sc;
-        tagged.shard = s;
-        tagged.generation = gen;
-        expected.push_back(tagged);
+        tagged.push_back({sc, s});
       }
     }
-    std::sort(expected.begin(), expected.end(),
-              [](const ShardScoredCluster& a, const ShardScoredCluster& b) {
-                if (a.affinity != b.affinity) return a.affinity > b.affinity;
+    std::sort(tagged.begin(), tagged.end(),
+              [](const Tagged& a, const Tagged& b) {
+                if (a.scored.affinity != b.scored.affinity) {
+                  return a.scored.affinity > b.scored.affinity;
+                }
                 if (a.shard != b.shard) return a.shard < b.shard;
-                return a.cluster < b.cluster;
+                return a.scored.cluster < b.scored.cluster;
               });
-    if (static_cast<int>(expected.size()) > top_k) {
-      expected.resize(static_cast<size_t>(top_k));
+    if (static_cast<int>(tagged.size()) > top_k) {
+      tagged.resize(static_cast<size_t>(top_k));
+    }
+    std::vector<ScoredCluster> expected;
+    for (Tagged& t : tagged) {
+      t.scored.cluster += offset[t.shard];
+      t.scored.generation = gen;
+      expected.push_back(t.scored);
     }
     EXPECT_EQ(ranked.ranked[static_cast<size_t>(i)], expected)
         << "point " << i;
@@ -372,20 +407,25 @@ TEST(ShardTest, MergePrefersLowestShardOnExactTies) {
 
   ShardRouter router(dim, 2);
   router.PublishFromStream(stream);
-  const ShardedQueryResponse response = router.Query({.points = center});
+  const QueryResponse response = router.Query({.points = center});
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response.assignments.size(), 1u);
-  const ShardAssignment& best = response.assignments[0];
+  const QueryOutcome& best = response.assignments[0];
   ASSERT_GE(best.cluster, 0);
-  EXPECT_EQ(best.shard, 0);  // the tie-break of the merge contract
+  // The tie-break of the merge contract: shard 0's id range wins.
+  const int shard1_offset = ClusterOffset(*router.snapshot(), 1);
+  EXPECT_LT(best.cluster, shard1_offset);
 
-  // Both tied candidates surface in the ranking, shard 0 first.
-  const ShardedQueryResponse ranked =
-      router.Query({.points = center, .top_k = 2});
+  // Both tied candidates surface in the ranking, shard 0 first, and they
+  // are the same local cluster of their shards.
+  const QueryResponse ranked = router.Query({.points = center, .top_k = 2});
   ASSERT_EQ(ranked.ranked[0].size(), 2u);
   EXPECT_EQ(ranked.ranked[0][0].affinity, ranked.ranked[0][1].affinity);
-  EXPECT_EQ(ranked.ranked[0][0].shard, 0);
-  EXPECT_EQ(ranked.ranked[0][1].shard, 1);
+  EXPECT_EQ(ranked.ranked[0][0].margin, ranked.ranked[0][1].margin);
+  EXPECT_LT(ranked.ranked[0][0].cluster, shard1_offset);
+  EXPECT_GE(ranked.ranked[0][1].cluster, shard1_offset);
+  EXPECT_EQ(ranked.ranked[0][0].cluster,
+            ranked.ranked[0][1].cluster - shard1_offset);
 }
 
 // The TSan claim: while one publisher hot-swaps sharded generations, every
@@ -424,12 +464,12 @@ TEST(ShardTest, HotPublisherKeepsResponsesGenerationConsistent) {
     readers.emplace_back([&] {
       uint64_t last_seen = 0;
       while (!done.load(std::memory_order_acquire)) {
-        const ShardedQueryResponse r = router.Query({.points = queries});
+        const QueryResponse r = router.Query({.points = queries});
         if (!r.ok()) {
           bad_status.store(true);
           continue;
         }
-        for (const ShardAssignment& a : r.assignments) {
+        for (const QueryOutcome& a : r.assignments) {
           if (a.generation != r.generation) torn.store(true);
         }
         if (r.generation < last_seen) non_monotonic.store(true);
@@ -487,7 +527,7 @@ TEST(ShardTest, EmptyShardsHotSpotAndStatusEdges) {
 
   ShardRouter router(dim, 4);
   // Offline before the first publish.
-  const ShardedQueryResponse offline = router.Query({.points = center});
+  const QueryResponse offline = router.Query({.points = center});
   EXPECT_EQ(offline.status, QueryStatus::kOffline);
   EXPECT_EQ(router.generation(), 0u);
 
@@ -495,25 +535,192 @@ TEST(ShardTest, EmptyShardsHotSpotAndStatusEdges) {
   // hot one.
   const uint64_t gen = router.PublishFromStream(stream);
   EXPECT_EQ(gen, 120u);
-  const ShardedQueryResponse response = router.Query({.points = center});
+  const QueryResponse response = router.Query({.points = center});
   ASSERT_TRUE(response.ok());
-  ASSERT_GE(response.assignments[0].cluster, 0);
-  EXPECT_EQ(response.assignments[0].shard, hot);
+  // The answer lies in the hot shard's id range (the empty shards before it
+  // take no ids).
+  const auto published = router.snapshot();
+  const int cluster = response.assignments[0].cluster;
+  ASSERT_GE(cluster, ClusterOffset(*published, hot));
+  EXPECT_LT(cluster, ClusterOffset(*published, hot + 1));
 
   // Generation addressing: the current one answers, anything else is
-  // unavailable (the router keeps no history ring).
+  // unavailable (the router's default keeps no history ring).
   EXPECT_TRUE(router.Query({.points = center, .generation = gen}).ok());
-  const ShardedQueryResponse stale =
+  const QueryResponse stale =
       router.Query({.points = center, .generation = gen + 1});
   EXPECT_EQ(stale.status, QueryStatus::kGenerationUnavailable);
   EXPECT_NE(router.SnapshotAt(0), nullptr);
   EXPECT_NE(router.SnapshotAt(gen), nullptr);
   EXPECT_EQ(router.SnapshotAt(gen + 1), nullptr);
 
-  // Unpublish takes the router offline again.
-  router.Unpublish();
+  // A nullptr publish takes the router offline again.
+  router.Publish(nullptr);
   EXPECT_EQ(router.Query({.points = center}).status, QueryStatus::kOffline);
   EXPECT_EQ(router.generation(), 0u);
+}
+
+// A sharded generation rides the server's history ring: with a capacity,
+// a retired generation answers as-of exactly as it did when it was current,
+// and GenerationDiff matches clusters by (shard, uid) although every
+// shard's stream numbers its clusters from uid 1.
+TEST(ShardTest, AsOfAndGenerationDiffAcrossShards) {
+  LabeledData data = Workload(480, 23);
+  ShardedStreamOptions opts;
+  opts.base = BaseOptions(data);
+  opts.num_shards = 3;
+  ShardedStream stream(data.data.dim(), opts);
+  ShardRouter router(data.data.dim(), 3, {.history_capacity = 4});
+
+  const int dim = data.data.dim();
+  std::vector<Scalar> probes;
+  for (Index i = 0; i < 60; ++i) {
+    const auto row = data.data[i];
+    probes.insert(probes.end(), row.begin(), row.end());
+  }
+
+  // Publish after every batch, pinning each generation's answers while it
+  // is current.
+  std::vector<std::shared_ptr<const ServedGeneration>> pinned;
+  std::vector<std::vector<QueryOutcome>> assigned;
+  std::vector<std::vector<std::vector<ScoredCluster>>> ranked;
+  const auto publish = [&] {
+    const uint64_t gen = router.PublishFromStream(stream);
+    pinned.push_back(router.snapshot());
+    ASSERT_EQ(pinned.back()->generation, gen);
+    assigned.push_back(router.Query({.points = probes}).assignments);
+    ranked.push_back(router.Query({.points = probes, .top_k = 3}).ranked);
+  };
+  Rng rng(5);
+  const auto order = rng.Permutation(data.size());
+  std::vector<Scalar> flat;
+  for (Index pos = 0; pos < data.size(); ++pos) {
+    const auto row = data.data[order[pos]];
+    flat.insert(flat.end(), row.begin(), row.end());
+    if (flat.size() < static_cast<size_t>(60 * dim)) continue;
+    stream.InsertBatch(flat);
+    flat.clear();
+    stream.Refresh();
+    publish();
+  }
+  // Two localized tails forced onto shard 0: shards 1 and 2 keep their
+  // clusters' (uid, version) verbatim.
+  const std::vector<uint64_t> to_shard0(20, KeyForShard(stream, 0));
+  for (int round = 0; round < 2; ++round) {
+    for (Index q = 0; q < 20; ++q) {
+      const auto row = data.data[q];
+      for (int d = 0; d < dim; ++d) {
+        flat.push_back(row[d] + rng.Gaussian() * 0.05);
+      }
+    }
+    stream.InsertBatch(flat, to_shard0);
+    flat.clear();
+    publish();
+  }
+  const size_t n = pinned.size();
+  ASSERT_EQ(n, 10u);
+  EXPECT_EQ(router.stats().generations_retained, 4);
+
+  // As-of answers, field for field: the four newest retired generations
+  // are retained, older ones were evicted.
+  bool beyond_shard0 = false;
+  for (size_t g = 0; g + 1 < n; ++g) {
+    const uint64_t gen = pinned[g]->generation;
+    SCOPED_TRACE(testing::Message() << "generation " << gen);
+    const QueryResponse asof =
+        router.Query({.points = probes, .generation = gen});
+    if (g + 5 < n) {
+      EXPECT_EQ(asof.status, QueryStatus::kGenerationUnavailable);
+      EXPECT_EQ(router.SnapshotAt(gen), nullptr);
+      continue;
+    }
+    ASSERT_TRUE(asof.ok());
+    EXPECT_EQ(asof.generation, gen);
+    EXPECT_EQ(router.SnapshotAt(gen), pinned[g]);
+    EXPECT_EQ(asof.assignments, assigned[g]);
+    const QueryResponse asof_ranked =
+        router.Query({.points = probes, .top_k = 3, .generation = gen});
+    ASSERT_TRUE(asof_ranked.ok());
+    EXPECT_EQ(asof_ranked.ranked, ranked[g]);
+    for (const QueryOutcome& a : asof.assignments) {
+      beyond_shard0 |= a.cluster >= ClusterOffset(*pinned[g], 1);
+    }
+  }
+  // The as-of answers really span shards, not just shard 0's id range.
+  EXPECT_TRUE(beyond_shard0);
+
+  // GenerationDiff against the reference per-shard match, across the
+  // tails.
+  const ServedGeneration& from = *pinned[n - 3];
+  const ServedGeneration& to = *pinned[n - 1];
+  std::vector<int> births, deaths, drifted;
+  int unchanged = 0;
+  int shared_blocks = 0;
+  bool uids_collide = false;
+  for (int s = 0; s < 3; ++s) {
+    const ClusterSnapshot& a = *from.shards[s];
+    const ClusterSnapshot& b = *to.shards[s];
+    for (int c = 0; c < b.num_clusters(); ++c) {
+      int match = -1;
+      for (int f = 0; f < a.num_clusters(); ++f) {
+        if (a.cluster_uid(f) == b.cluster_uid(c)) match = f;
+      }
+      for (int t = 0; t < s; ++t) {
+        const ClusterSnapshot& other = *to.shards[t];
+        for (int o = 0; o < other.num_clusters(); ++o) {
+          uids_collide |= other.cluster_uid(o) == b.cluster_uid(c);
+        }
+      }
+      const int id = ClusterOffset(to, s) + c;
+      if (match < 0) {
+        births.push_back(id);
+      } else if (a.cluster_version(match) == b.cluster_version(c)) {
+        ++unchanged;
+      } else {
+        drifted.push_back(id);
+      }
+      for (const auto& block : a.blocks()) {
+        shared_blocks += block == b.blocks()[c] ? 1 : 0;
+      }
+    }
+    for (int f = 0; f < a.num_clusters(); ++f) {
+      bool alive = false;
+      for (int c = 0; c < b.num_clusters(); ++c) {
+        alive |= a.cluster_uid(f) == b.cluster_uid(c);
+      }
+      if (!alive) deaths.push_back(ClusterOffset(from, s) + f);
+    }
+  }
+  // The shards' uid spaces overlap, so a uid-only match would pair clusters
+  // of different shards.
+  EXPECT_TRUE(uids_collide);
+
+  const GenerationDiffResult diff =
+      router.GenerationDiff(from.generation, to.generation);
+  ASSERT_TRUE(diff.ok);
+  EXPECT_EQ(diff.unchanged, unchanged);
+  // Unchanged clusters are exactly those whose arena blocks the two
+  // generations share.
+  EXPECT_EQ(diff.unchanged, shared_blocks);
+  std::vector<int> got_births, got_deaths, got_drifted;
+  for (const ClusterDrift& d : diff.births) got_births.push_back(d.cluster_to);
+  for (const ClusterDrift& d : diff.deaths) {
+    got_deaths.push_back(d.cluster_from);
+  }
+  const auto shard_of = [](const ServedGeneration& gen, int id) {
+    int s = 0;
+    while (id >= ClusterOffset(gen, s + 1)) ++s;
+    return s;
+  };
+  for (const ClusterDrift& d : diff.drifted) {
+    got_drifted.push_back(d.cluster_to);
+    // A drifted cluster stays on its shard.
+    EXPECT_EQ(shard_of(from, d.cluster_from), shard_of(to, d.cluster_to));
+  }
+  EXPECT_EQ(got_births, births);
+  EXPECT_EQ(got_deaths, deaths);
+  EXPECT_EQ(got_drifted, drifted);
+  EXPECT_GT(diff.unchanged, 0);
 }
 
 TEST(ShardTest, BoundaryReportFindsSplitClustersOnly) {
