@@ -345,7 +345,9 @@ struct KernelFixture {
       data.Append(point);
     }
     weights.assign(support, 1.0 / static_cast<Scalar>(support));
-    block.FromRowMajor(data.raw().data(), support, dim);
+    IndexList members(static_cast<size_t>(support));
+    for (Index i = 0; i < support; ++i) members[static_cast<size_t>(i)] = i;
+    block.GatherRows(data, members);
     num_queries = 64;
     for (Index q = 0; q < num_queries; ++q) {
       const auto row = data[static_cast<Index>(rng.UniformInt(0, support - 1))];

@@ -125,9 +125,9 @@ int main() {
   for (const ScoredCluster& s : ranked.ranked.front()) {
     const ClusterSnapshotInfo info = server.ClusterInfo(s.cluster);
     std::printf("  candidate cluster %d: pi=%.3f%s, support %d, density "
-                "%.3f (verified %.3f)\n",
+                "%.3f\n",
                 s.cluster, s.affinity, s.absorbable ? " [absorbable]" : "",
-                info.size, info.density, info.verified_density);
+                info.size, info.density);
   }
 
   // Batched queries run chunked on the shared pool — bit-identical to the

@@ -32,14 +32,8 @@ void LazyAffinityOracle::DistancesTo(std::span<const Index> items,
                                      Scalar* out) const {
   distances_computed_.fetch_add(static_cast<int64_t>(items.size()),
                                 std::memory_order_relaxed);
-  const double p = affinity_->params().p;
-  if (SimdSupportsNorm(p)) {
-    GatheredDistances(*ActiveSimdOps(), *data_, items, point, p, out);
-    return;
-  }
-  for (size_t i = 0; i < items.size(); ++i) {
-    out[i] = data_->DistanceTo(items[i], point, p);
-  }
+  GatheredDistances(*ActiveSimdOps(), *data_, items, point,
+                    affinity_->params().p, out);
 }
 
 void LazyAffinityOracle::Charge(int64_t bytes) const {

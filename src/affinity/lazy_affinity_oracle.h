@@ -47,8 +47,8 @@ class LazyAffinityOracle {
   /// Distances between every item of `items` and `point`, written to
   /// out[0..items.size()). Bit-identical to per-item DistanceTo calls —
   /// counters included (distances_computed advances by items.size()) — but
-  /// the supported norms (p == 2, p == 1) run gathered through the SIMD
-  /// tile kernels, which is what the CIVS ROI scan batches over.
+  /// gathered through the SoA tile kernels (GatheredDistances), which is
+  /// what the CIVS ROI scan batches over.
   void DistancesTo(std::span<const Index> items,
                    std::span<const Scalar> point, Scalar* out) const;
 

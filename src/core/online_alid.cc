@@ -10,16 +10,8 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/trace.h"
-#include "simd/simd_dispatch.h"
 
 namespace alid {
-
-// The tiled branch-and-bound walk hands the kernel callback one
-// checkpoint group at a time; one SoA tile must be exactly one group or
-// the vector walk would check bounds at different prefix positions than
-// the scalar walk and the prune decisions could diverge.
-static_assert(kSimdTileLanes == kSketchBoundStride,
-              "one SoA tile must cover exactly one bound-checkpoint group");
 
 std::vector<int> StreamStats::LatencyHistogram(int bins) const {
   return EqualWidthHistogram(batch_seconds, bins);
@@ -30,7 +22,6 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   ALID_CHECK(options_.window >= 0);
   ALID_CHECK(options_.refresh_interval >= 1);
   ALID_CHECK(options_.refresh_frontier >= 1);
-  simd_norm_ = SimdSupportsNorm(options_.affinity.p);
   oracle_ = std::make_unique<LazyAffinityOracle>(data_, affinity_fn_);
   lsh_ = std::make_unique<LshIndex>(data_, options_.lsh);
 
@@ -181,10 +172,10 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
     ALID_TRACE_SCOPE("stream", "compact");
     CompactClusters();
   }
-  // Sketches of mutated clusters are rebuilt at batch end — the next
-  // batch's parallel scoring phase and any between-batch snapshot export
-  // read only fresh ones.
-  RefreshSketches();
+  // Mutated clusters get new scorers at batch end — the next batch's
+  // parallel scoring phase and any between-batch snapshot export read only
+  // fresh ones.
+  RefreshScorers();
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
   metrics_.batch_seconds.Record(timer.Seconds());
@@ -216,68 +207,36 @@ OnlineAlid::Choice OnlineAlid::ScoreArrival(Index slot) const {
   for (Index j : lsh_->QueryByIndex(slot)) {
     if (assignment_[j] >= 0) candidate[assignment_[j]] = 1;
   }
-  const SimdKernelOps& ops = *ActiveSimdOps();
-  const double p = options_.affinity.p;
-  const Scalar* query = data_[slot].data();
+  const std::span<const Scalar> query = data_[slot];
   Scalar best_margin = -std::numeric_limits<Scalar>::infinity();
   for (size_t c = 0; c < clusters_.size(); ++c) {
     if (candidate[c] == 0 || cluster_dead_[c] != 0) continue;
-    const Cluster& cl = clusters_[c];
+    // Batch-start state: every scorer was rebuilt at the previous batch end.
+    ALID_DCHECK(scorers_[c] != nullptr &&
+                scorers_[c]->sketch.built_version == cluster_version_[c]);
+    const ClusterScorer& scorer = *scorers_[c];
     // Absorb when (near-)infective: same-cluster arrivals sit at the density
     // (Theorem 1 equality on the support), hence the slack.
-    const Scalar threshold = cl.density * (1.0 - options_.absorb_slack);
-    const SupportSketch& sketch = sketches_[c];
-    // The vector path needs fresh tiles (same protocol as the sketch) and a
-    // tile kernel for the configured norm. Either way the arithmetic below
-    // is bit-identical — the tiles reproduce the oracle's member-order
-    // accumulation exactly — so this is a speed choice, never a result
-    // choice. The newcomer is unassigned, so no member equals `slot` and
-    // the oracle's a_ii = 0 diagonal can never be hit here.
-    const bool tiles_fresh =
-        simd_norm_ && tiles_[c].built_version == cluster_version_[c];
-    if (sketch.engaged() && sketch.built_version == cluster_version_[c]) {
-      // Branch-and-bound filter (SketchBoundRejects[Tiled] — one walk
-      // shared with the serving layer, so both sides take bit-identical
-      // prune decisions): a rejected candidate provably cannot clear the
-      // absorb threshold or beat the incumbent's exact margin, so its
-      // full-support scoring is skipped; anything else — inconclusive walk
-      // or give-up — falls through to the unchanged exact summation below.
-      // Both exits are pure functions of the sketch and the arrival, hence
-      // executor-independent.
-      bool rejected;
-      if (tiles_fresh) {
-        // One SoA tile per checkpoint group (kSimdTileLanes ==
-        // kSketchBoundStride), so t0 always lands on a tile boundary.
-        rejected = SketchBoundRejectsTiled(
-            std::span<const Scalar>(sketch.weights),
-            std::span<const Scalar>(sketch.rest_weights), threshold,
-            best_margin, [&](size_t t0, size_t n, Scalar* out) {
-              Scalar dists[kSimdTileLanes];
-              TileDistances(ops, tiles_[c].prefix,
-                            static_cast<Index>(t0 / kSimdTileLanes), query, p,
-                            dists);
-              for (size_t i = 0; i < n; ++i) {
-                out[i] = affinity_fn_.FromDistance(dists[i]);
-              }
-            });
-      } else {
-        rejected = SketchBoundRejects(
-            std::span<const Scalar>(sketch.weights),
-            std::span<const Scalar>(sketch.rest_weights), threshold,
-            best_margin, [&](size_t t) {
-              return oracle_->Entry(cl.members[sketch.ordinals[t]], slot);
-            });
-      }
-      if (rejected) {
+    const Scalar threshold =
+        clusters_[c].density * (1.0 - options_.absorb_slack);
+    if (scorer.sketch.engaged()) {
+      // Branch-and-bound filter (the same walk the serving layer runs, so
+      // both sides take bit-identical prune decisions): a rejected
+      // candidate provably cannot clear the absorb threshold or beat the
+      // incumbent's exact margin, so its full-support scoring is skipped;
+      // anything else — inconclusive walk or give-up — falls through to the
+      // unchanged exact summation below. Both exits are pure functions of
+      // the scorer and the arrival, hence executor-independent.
+      if (scorer.Rejects(affinity_fn_, query, threshold, best_margin)) {
         ++best.sketch_prunes;
         continue;
       }
       ++best.sketch_exact;
     }
-    const Scalar affinity =
-        tiles_fresh ? SoaWeightedKernelSum(ops, tiles_[c].members, cl.weights,
-                                           affinity_fn_, query)
-                    : ClusterAffinity(cl, slot);
+    // The member tiles reproduce the oracle's member-order accumulation
+    // bit for bit. The newcomer is unassigned, so no member equals `slot`
+    // and the oracle's a_ii = 0 diagonal could never have been hit here.
+    const Scalar affinity = scorer.Affinity(affinity_fn_, query);
     const Scalar margin = affinity - threshold;
     if (margin > 0.0 && margin > best_margin) {
       best_margin = margin;
@@ -341,47 +300,32 @@ void OnlineAlid::ApplyArrival(Index slot, const Choice& choice,
 void OnlineAlid::Refresh() {
   DetectFromPool();
   CompactClusters();
-  RefreshSketches();
+  RefreshScorers();
   since_refresh_ = 0;
   metrics_.refreshes->Add(1);
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
 }
 
-void OnlineAlid::RefreshSketches() {
+void OnlineAlid::RefreshScorers() {
   ALID_TRACE_SCOPE("stream", "sketch_rebuild");
-  // Pure per cluster (weights in, sketch out; member rows in, tiles out),
-  // so the sweep chunks on the shared pool like every other parallel phase;
-  // only clusters whose version moved rebuild, so the cost is O(changed),
-  // not O(clusters). The scoring tiles follow the sketch's freshness
-  // protocol exactly: between batches every cluster's tiles are fresh, so
-  // the next parallel scoring phase runs the vector path throughout.
+  // Pure per cluster (members and weights in, scorer out), so the sweep
+  // chunks on the shared pool like every other parallel phase; only
+  // clusters whose version moved rebuild, so the cost is O(changed), not
+  // O(clusters). A replaced scorer is released, never mutated: a snapshot
+  // may still be serving it.
   ParallelChunks(
       options_.pool, 0, static_cast<int64_t>(clusters_.size()),
       options_.grain, [&](int64_t, int64_t lo, int64_t hi) {
         for (int64_t c = lo; c < hi; ++c) {
-          if (sketches_[c].built_version != cluster_version_[c]) {
-            sketches_[c] =
-                BuildSupportSketch(clusters_[c].weights, options_.sketch);
-            sketches_[c].built_version = cluster_version_[c];
-          }
-          if (!simd_norm_ ||
-              tiles_[c].built_version == cluster_version_[c]) {
+          if (scorers_[c] != nullptr &&
+              scorers_[c]->sketch.built_version == cluster_version_[c]) {
             continue;
           }
-          ClusterTiles& tiles = tiles_[c];
-          tiles.members.GatherRows(data_, clusters_[c].members);
-          const SupportSketch& sketch = sketches_[c];
-          if (sketch.engaged()) {
-            std::vector<Index> prefix_items(sketch.ordinals.size());
-            for (size_t t = 0; t < sketch.ordinals.size(); ++t) {
-              prefix_items[t] = clusters_[c].members[sketch.ordinals[t]];
-            }
-            tiles.prefix.GatherRows(data_, prefix_items);
-          } else {
-            tiles.prefix = SoaBlock();
-          }
-          tiles.built_version = cluster_version_[c];
+          scorers_[c] = BuildClusterScorer(data_, clusters_[c].members,
+                                           clusters_[c].weights,
+                                           options_.sketch,
+                                           cluster_version_[c]);
         }
       });
 }
@@ -555,8 +499,7 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
   cluster_version_.push_back(0);
   cluster_dead_.push_back(0);
   cluster_uid_.push_back(next_cluster_uid_++);
-  sketches_.emplace_back();
-  tiles_.emplace_back();
+  scorers_.emplace_back();
   Assign(static_cast<int>(clusters_.size()) - 1);
   metrics_.clusters_born->Add(1);
 }
@@ -632,8 +575,7 @@ void OnlineAlid::CompactClusters() {
   std::vector<Cluster> kept;
   std::vector<uint64_t> kept_versions;
   std::vector<uint64_t> kept_uids;
-  std::vector<SupportSketch> kept_sketches;
-  std::vector<ClusterTiles> kept_tiles;
+  std::vector<std::shared_ptr<const ClusterScorer>> kept_scorers;
   kept.reserve(clusters_.size());
   for (size_t c = 0; c < clusters_.size(); ++c) {
     if (cluster_dead_[c] != 0) continue;
@@ -641,14 +583,12 @@ void OnlineAlid::CompactClusters() {
     kept.push_back(std::move(clusters_[c]));
     kept_versions.push_back(cluster_version_[c]);
     kept_uids.push_back(cluster_uid_[c]);
-    kept_sketches.push_back(std::move(sketches_[c]));
-    kept_tiles.push_back(std::move(tiles_[c]));
+    kept_scorers.push_back(std::move(scorers_[c]));
   }
   clusters_ = std::move(kept);
   cluster_version_ = std::move(kept_versions);
   cluster_uid_ = std::move(kept_uids);
-  sketches_ = std::move(kept_sketches);
-  tiles_ = std::move(kept_tiles);
+  scorers_ = std::move(kept_scorers);
   cluster_dead_.assign(clusters_.size(), 0);
   for (int& a : assignment_) {
     if (a >= 0) a = remap[a];  // dead clusters hold no assignments

@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "core/alid.h"
+#include "core/cluster_scorer.h"
 #include "core/support_sketch.h"
 #include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
-#include "simd/soa_block.h"
 
 namespace alid {
 
@@ -120,11 +120,14 @@ struct StreamStats {
 /// slots are re-used smallest-first) and hashed into the growing LSH index —
 /// the hashing and the Theorem-1 absorb scoring run chunked on the shared
 /// pool, both pure against the batch-start state, so the streamed state is
-/// bit-identical for every executor count. Absorb scoring consults each
-/// candidate cluster's support sketch first: the top-weight prefix plus the
-/// tail-weight bound rejects most candidates without touching the full
-/// support, and an inconclusive bound falls back to the unchanged exact
-/// summation — an exact optimization, never an approximation. Absorptions
+/// bit-identical for every executor count. Absorb scoring goes through each
+/// candidate cluster's immutable ClusterScorer, built at the end of the
+/// batch that last changed the cluster: its support sketch rejects most
+/// candidates without touching the full support (the top-weight prefix plus
+/// the tail-weight bound), and an inconclusive bound falls back to the
+/// unchanged exact summation over the member tiles — an exact optimization,
+/// never an approximation. Snapshot exports share the same scorers, so the
+/// serving side scores with the very objects the stream does. Absorptions
 /// then apply serially in arrival order: an arrival whose chosen cluster
 /// was mutated earlier in the same batch is re-scored against the cluster's
 /// current state before a *local* re-detection absorbs it. Arrivals
@@ -199,11 +202,11 @@ class OnlineAlid {
     return cluster_version_[static_cast<size_t>(c)];
   }
 
-  /// The support sketch of cluster `c`. Fresh (built_version ==
+  /// The scorer of cluster `c`. Fresh (sketch.built_version ==
   /// cluster_version) for every cluster between batches, so snapshot
-  /// exports lift it instead of rebuilding.
-  const SupportSketch& cluster_sketch(int c) const {
-    return sketches_[static_cast<size_t>(c)];
+  /// exports share it instead of rebuilding.
+  const std::shared_ptr<const ClusterScorer>& cluster_scorer(int c) const {
+    return scorers_[static_cast<size_t>(c)];
   }
 
   /// Stream observability — the streaming counterpart of PalidStats. A
@@ -221,19 +224,6 @@ class OnlineAlid {
   const LazyAffinityOracle& oracle() const { return *oracle_; }
 
  private:
-  // Dimension-major member tiles of one cluster — the vector-kernel mirror
-  // of (members, weights) and of the sketch prefix, versioned exactly like
-  // the sketch: `built` must equal the cluster's mutation counter or the
-  // tiles must not be consulted (the scoring falls back to the oracle path,
-  // which is bit-identical anyway). Rebuilt alongside the sketches at batch
-  // end, so the parallel scoring phase only ever reads fresh tiles.
-  struct ClusterTiles {
-    SoaBlock members;  // member rows, in member order
-    SoaBlock prefix;   // sketch-prefix rows, in sketch (descending-weight)
-                       // order; empty when the sketch is disengaged
-    uint64_t built_version = SupportSketch::kUnbuilt;
-  };
-
   // Absorb decision of one arrival: the target cluster (-1 = pool) plus the
   // sketch-filter activity of the scoring (accumulated serially into
   // StreamStats after the parallel phase). The deciding margin is
@@ -249,7 +239,9 @@ class OnlineAlid {
   Index AllocateSlot(std::span<const Scalar> point);
   // Pure Theorem-1 scoring of one arrival against the current clusters.
   Choice ScoreArrival(Index slot) const;
-  // pi(s_j, x) of the newcomer against one cluster's weighted support.
+  // pi(s_j, x) of the newcomer against one cluster's live weighted support
+  // through the oracle — the apply phase's re-score of a cluster that
+  // changed earlier in the batch, whose scorer is stale by then.
   Scalar ClusterAffinity(const Cluster& cluster, Index slot) const;
   // Serial per-arrival apply: absorb (re-scoring if the chosen cluster
   // mutated earlier in the batch, per `versions`) and refresh bookkeeping.
@@ -266,9 +258,9 @@ class OnlineAlid {
   // says so, otherwise install as a new cluster.
   void InstallPoolCluster(Cluster cluster, const AlidDetector& detector,
                           std::vector<bool>& exclude);
-  // Rebuilds the sketch of every cluster whose version moved (end of every
-  // batch / refresh, so scoring and exports always see fresh sketches).
-  void RefreshSketches();
+  // Builds a new scorer for every cluster whose version moved (end of every
+  // batch / refresh, so scoring and exports always see fresh scorers).
+  void RefreshScorers();
   void Assign(int cluster_id);
   // Expires the oldest items down to the window and repairs the clusters
   // they were peeled out of.
@@ -294,17 +286,12 @@ class OnlineAlid {
   // id compaction — what snapshot generations match clusters by.
   std::vector<uint64_t> cluster_uid_;
   uint64_t next_cluster_uid_ = 1;
-  // Support sketches parallel to clusters_, rebuilt for mutated clusters at
-  // the end of every batch (so the parallel scoring phase and FromStream
-  // exports only ever read fresh ones).
-  std::vector<SupportSketch> sketches_;
-  // SIMD scoring tiles parallel to clusters_, maintained under the same
-  // freshness protocol as sketches_. Never built when the configured norm
-  // has no tile kernel (simd_norm_ below), in which case scoring stays on
-  // the row-major oracle path everywhere.
-  std::vector<ClusterTiles> tiles_;
-  // SimdSupportsNorm(options_.affinity.p), resolved once at construction.
-  bool simd_norm_ = false;
+  // Scorers parallel to clusters_ (nullptr until a cluster's first batch
+  // end). A cluster whose version moved gets a new scorer at batch end; a
+  // scorer is never mutated, because snapshots may share it. So the
+  // parallel scoring phase and FromStream exports only ever read fresh
+  // ones.
+  std::vector<std::shared_ptr<const ClusterScorer>> scorers_;
   // Dissolved-in-this-batch markers; compacted away at batch end so public
   // cluster ids stay dense.
   std::vector<uint8_t> cluster_dead_;

@@ -9,8 +9,9 @@
 
 namespace alid {
 
-/// Sizing of the per-cluster support sketch shared by the streaming absorb
-/// path (OnlineAlid::InsertBatch) and the serving path (ClusterSnapshot).
+/// Sizing of the per-cluster support sketch inside every ClusterScorer (the
+/// one scoring object the stream's absorb step and the snapshot's queries
+/// share).
 struct SupportSketchParams {
   /// The prefix keeps top-weight members until it covers this fraction of
   /// the cluster's total simplex mass, so the remaining weight — the
@@ -82,9 +83,10 @@ inline constexpr int kSketchBoundStride = 8;
 /// for every prefix length T — scoring the prefix front-to-back yields a
 /// tightening sequence of certified upper bounds, and the walk stops at the
 /// first one that rejects the cluster (or proves it cannot beat the
-/// incumbent winner). The bound only ever *skips* exact work — an
-/// inconclusive walk falls back to the unchanged exact summation — so
-/// results are bit-identical with the sketch on or off.
+/// incumbent winner; ClusterScorer::Rejects is that walk). The bound only
+/// ever *skips* exact work — an inconclusive walk falls back to the
+/// unchanged exact summation — so results are bit-identical with the
+/// sketch on or off.
 struct SupportSketch {
   /// `built_version` value of a sketch that was never built.
   static constexpr uint64_t kUnbuilt = ~uint64_t{0};
@@ -115,69 +117,6 @@ struct SupportSketch {
 /// `built_version` is left at kUnbuilt for the caller to stamp.
 SupportSketch BuildSupportSketch(std::span<const Scalar> weights,
                                  const SupportSketchParams& params);
-
-/// The one branch-and-bound walk every scoring layer runs (the stream's
-/// absorb phase and the snapshot's Assign/TopK must take bit-identical
-/// prune decisions, so the checkpoint cadence, guard, reject test and
-/// give-up rule live here exactly once). `weights`/`rest_weights` are the
-/// sketch prefix arrays; `tile_kernels(t0, n, out)` fills out[0..n) with
-/// the affinities of prefix positions [t0, t0 + n) against the query —
-/// n is kSketchBoundStride except possibly at the prefix end, which is
-/// what lets the SIMD path evaluate one full dimension-major tile per
-/// checkpoint group. Returns true when some checkpoint bound —
-/// (partial + rest + guard) - threshold, a certified upper bound on the
-/// exact margin — drops to 0 or to `incumbent` or below: the cluster
-/// provably cannot win and exact scoring may be skipped. Returns false
-/// when the walk is inconclusive or gives up (mean prefix kernel already
-/// at the effective threshold, see kSketchBoundStride) — the caller then
-/// runs the unchanged exact summation.
-///
-/// The checkpoint positions, the partial's member-order accumulation and
-/// every test are identical whether the kernels arrive one at a time
-/// (SketchBoundRejects) or a tile at a time: both walks evaluate the same
-/// groups of kernels between checkpoints, so prune decisions — and the
-/// prune/exact counters — are bit-identical across the scalar and vector
-/// paths.
-template <typename TileKernels>
-bool SketchBoundRejectsTiled(std::span<const Scalar> weights,
-                             std::span<const Scalar> rest_weights,
-                             Scalar threshold, Scalar incumbent,
-                             TileKernels&& tile_kernels) {
-  const Scalar ceiling =
-      threshold + (incumbent > Scalar{0} ? incumbent : Scalar{0});
-  Scalar partial = 0.0;
-  Scalar cum_weight = 0.0;
-  Scalar kernels[kSketchBoundStride];
-  const size_t prefix = weights.size();
-  for (size_t t0 = 0; t0 < prefix; t0 += kSketchBoundStride) {
-    const size_t n = std::min<size_t>(kSketchBoundStride, prefix - t0);
-    tile_kernels(t0, n, kernels);
-    for (size_t i = 0; i < n; ++i) {
-      partial += weights[t0 + i] * kernels[i];
-      cum_weight += weights[t0 + i];
-    }
-    const size_t t = t0 + n - 1;  // the checkpoint position
-    const Scalar bound_margin =
-        partial + rest_weights[t] + kSketchBoundGuard - threshold;
-    if (bound_margin <= 0.0 || bound_margin <= incumbent) return true;
-    if (partial >= ceiling * cum_weight) return false;  // give up
-  }
-  return false;
-}
-
-/// Per-evaluation adapter over the tiled walk: `kernel_at(t)` evaluates one
-/// prefix position. The oracle-backed scalar paths use this form.
-template <typename KernelAt>
-bool SketchBoundRejects(std::span<const Scalar> weights,
-                        std::span<const Scalar> rest_weights,
-                        Scalar threshold, Scalar incumbent,
-                        KernelAt&& kernel_at) {
-  return SketchBoundRejectsTiled(
-      weights, rest_weights, threshold, incumbent,
-      [&](size_t t0, size_t n, Scalar* out) {
-        for (size_t i = 0; i < n; ++i) out[i] = kernel_at(t0 + i);
-      });
-}
 
 }  // namespace alid
 

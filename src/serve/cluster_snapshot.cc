@@ -5,7 +5,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "affinity/lazy_affinity_oracle.h"
 #include "common/check.h"
 #include "common/epoch_stamp.h"
 #include "common/parallel.h"
@@ -14,11 +13,6 @@
 #include "obs/trace.h"
 
 namespace alid {
-
-// The tiled sketch walk below hands the kernel callback one checkpoint
-// group per SoA tile; see the twin assert in online_alid.cc.
-static_assert(kSimdTileLanes == kSketchBoundStride,
-              "one SoA tile must cover exactly one bound-checkpoint group");
 
 namespace {
 
@@ -117,9 +111,13 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
 
   // Block fill, cluster-major: an unchanged cluster *shares* the previous
   // snapshot's sealed arena block (a refcount bump — zero bytes moved);
-  // a changed one materializes a fresh block and gathers its rows from the
-  // source. `fresh` keeps the mutable handle of every new block for the
-  // build passes below; once Build returns, only const references remain.
+  // a changed one materializes a fresh block, gathers its rows from the
+  // source and takes the stream's own scorer when it is fresh (the
+  // "export, don't rebuild" path — another refcount bump), building one
+  // with the same builder otherwise; the scorer is a pure function of the
+  // members' rows and weights, so both give the same bits. `fresh` keeps
+  // the mutable handle of every new block for the build passes below; once
+  // Build returns, only const references remain.
   snap->blocks_.resize(static_cast<size_t>(num_clusters));
   std::vector<std::shared_ptr<ClusterBlock>> fresh(
       static_cast<size_t>(num_clusters));
@@ -148,7 +146,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
         block->dim = dim;
         block->keys_per_member = tables;
         block->rows.resize(static_cast<size_t>(count) * dim);
-        block->weights.resize(static_cast<size_t>(count));
         block->source_ids.resize(static_cast<size_t>(count));
         block->member_keys.resize(static_cast<size_t>(count) * tables);
         for (Index t = 0; t < count; ++t) {
@@ -157,9 +154,16 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
           const std::span<const Scalar> row = data[source];
           std::copy(row.begin(), row.end(),
                     block->rows.begin() + static_cast<size_t>(t) * dim);
-          block->weights[t] = cluster.weights[t];
           block->source_ids[t] = source;
         }
+        std::shared_ptr<const ClusterScorer> scorer =
+            stream != nullptr ? stream->cluster_scorer(c) : nullptr;
+        if (scorer == nullptr ||
+            scorer->sketch.built_version != stream->cluster_version(c)) {
+          scorer = BuildClusterScorer(data, cluster.members, cluster.weights,
+                                      options.sketch);
+        }
+        block->scorer = std::move(scorer);
         snap->blocks_[c] = block;
         fresh[c] = std::move(block);
         snap->build_info_.rows_rebuilt += count;
@@ -212,102 +216,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
     }
   }
 
-  // Verify each fresh cluster's density from the build's own kernel
-  // entries: x^T A x over the exported support, through a build-scratch
-  // delta dataset (the fresh clusters' rows only) and lazy oracle.
-  // Per-cluster sums run serially in a fixed order inside deterministic
-  // chunks, so the values are bit-identical for any pool width or grain —
-  // and for a shared cluster, bit-identical to the predecessor's value its
-  // block carries, which is why this pass may skip it. The scratch dataset
-  // and oracle die with this scope: only the verified densities (in the
-  // blocks) survive, so the snapshot holds no second copy of any member
-  // row.
-  {
-    ALID_TRACE_SCOPE("publish", "verify_density");
-    Dataset delta(dim);
-    std::vector<Index> delta_begin(static_cast<size_t>(num_clusters), -1);
-    for (int c = 0; c < num_clusters; ++c) {
-      if (fresh[c] == nullptr) continue;
-      delta_begin[c] = delta.size();
-      delta.AppendRaw(std::span<const Scalar>(fresh[c]->rows.data(),
-                                              fresh[c]->rows.size()));
-    }
-    if (!delta.empty()) {
-      LazyAffinityOracle oracle(delta, *snap->affinity_fn_);
-      ParallelChunks(
-          options.pool, 0, num_clusters, options.grain,
-          [&fresh, &delta_begin, &oracle](int64_t, int64_t lo, int64_t hi) {
-            for (int64_t c = lo; c < hi; ++c) {
-              ClusterBlock* block = fresh[c].get();
-              if (block == nullptr) continue;
-              const Index base = delta_begin[c];
-              Scalar density = 0.0;
-              for (Index t = 0; t < block->count; ++t) {
-                for (Index u = 0; u < block->count; ++u) {
-                  density += block->weights[t] * block->weights[u] *
-                             oracle.Entry(base + t, base + u);
-                }
-              }
-              block->verified_density = density;
-            }
-          });
-    }
-  }
-
-  // Support sketches, cluster-local ordinals: shared blocks carry theirs;
-  // fresh clusters lift the stream's fresh sketch when one exists (the
-  // "export, don't rebuild" path) and otherwise build from the weights —
-  // both produce the same bits because the sketch is a pure function of the
-  // weights.
-  {
-    ALID_TRACE_SCOPE("publish", "sketches");
-    for (int c = 0; c < num_clusters; ++c) {
-      ClusterBlock* block = fresh[c].get();
-      if (block == nullptr) continue;
-      const SupportSketch* sketch = nullptr;
-      SupportSketch built;
-      if (stream != nullptr &&
-          stream->cluster_sketch(c).built_version ==
-              stream->cluster_version(c)) {
-        sketch = &stream->cluster_sketch(c);
-      } else {
-        built = BuildSupportSketch(block->weights_span(), options.sketch);
-        sketch = &built;
-      }
-      block->sketch_members.reserve(sketch->ordinals.size());
-      for (size_t t = 0; t < sketch->ordinals.size(); ++t) {
-        block->sketch_members.push_back(sketch->ordinals[t]);
-        block->sketch_weights.push_back(sketch->weights[t]);
-        block->sketch_rest.push_back(sketch->rest_weights[t]);
-      }
-    }
-  }
-
-  // Vector-kernel tiles (see snapshot_arena.h): dimension-major copies of
-  // every fresh cluster's member block and sketch prefix, skipped entirely
-  // when the norm has no tile kernel. Pure per cluster, so the pass chunks
-  // on the build pool like the others; a shared block's tiles ride along
-  // with the block (a compatible predecessor was built under the same norm,
-  // so they exist and are bit-identical to a rebuild from the same rows).
-  snap->simd_norm_ = SimdSupportsNorm(options.affinity.p);
-  if (snap->simd_norm_) {
-    ALID_TRACE_SCOPE("publish", "soa_tiles");
-    ParallelChunks(options.pool, 0, num_clusters, options.grain,
-                   [&fresh, dim](int64_t, int64_t lo, int64_t hi) {
-                     for (int64_t c = lo; c < hi; ++c) {
-                       ClusterBlock* block = fresh[c].get();
-                       if (block == nullptr) continue;
-                       block->cluster_soa.FromRowMajor(block->rows.data(),
-                                                       block->count, dim);
-                       block->sketch_soa.GatherRowMajor(
-                           block->rows.data(), dim,
-                           std::span<const Index>(
-                               block->sketch_members.data(),
-                               block->sketch_members.size()));
-                     }
-                   });
-  }
-
   // Every fresh block is complete: seal it — charging its bytes to the
   // global tracker and the arena's resource space exactly once — and count
   // what this build materialized vs. shared.
@@ -349,35 +257,13 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
                static_cast<uint64_t>(stream.size()), &identity);
 }
 
-Scalar ClusterSnapshot::ClusterAffinity(int c,
-                                        std::span<const Scalar> point) const {
-  const ClusterBlock& block = *blocks_[c];
-  if (simd_norm_) {
-    // Same member-order accumulation through the dimension-major tiles —
-    // bit-identical to the row-major loop below (see simd/soa_block.h).
-    return SoaWeightedKernelSum(*ActiveSimdOps(), block.cluster_soa,
-                                block.weights_span(), *affinity_fn_,
-                                point.data());
-  }
-  const double p = affinity_fn_->params().p;
-  Scalar affinity = 0.0;  // pi(s_c, x), in member order (see header)
-  for (Index t = 0; t < block.count; ++t) {
-    affinity += block.weights[t] *
-                affinity_fn_->FromDistance(LpDistance(block.row(t), point, p));
-  }
-  return affinity;
-}
-
 ClusterSnapshot::SketchView ClusterSnapshot::sketch(int c) const {
   SketchView view;
   if (c < 0 || c >= num_clusters()) return view;
-  const ClusterBlock& block = *blocks_[c];
-  view.members = std::span<const Index>(block.sketch_members.data(),
-                                        block.sketch_members.size());
-  view.weights = std::span<const Scalar>(block.sketch_weights.data(),
-                                         block.sketch_weights.size());
-  view.rest_weights = std::span<const Scalar>(block.sketch_rest.data(),
-                                              block.sketch_rest.size());
+  const SupportSketch& sketch = blocks_[c]->scorer->sketch;
+  view.members = sketch.ordinals;
+  view.weights = sketch.weights;
+  view.rest_weights = sketch.rest_weights;
   return view;
 }
 
@@ -390,42 +276,6 @@ const std::vector<Index>& ClusterSnapshot::CandidateMembers(
     scratch.candidates.Mark(static_cast<size_t>(cluster_of_[j]));
   }
   return scratch.hits;
-}
-
-bool ClusterSnapshot::SketchRejects(int c, std::span<const Scalar> point,
-                                    Scalar threshold,
-                                    Scalar incumbent) const {
-  const double p = affinity_fn_->params().p;
-  const ClusterBlock& block = *blocks_[c];
-  const std::span<const Scalar> prefix_weights(block.sketch_weights.data(),
-                                               block.sketch_weights.size());
-  const std::span<const Scalar> prefix_rest(block.sketch_rest.data(),
-                                            block.sketch_rest.size());
-  // One walk, shared with the stream's absorb phase (SketchBoundRejects
-  // [Tiled] in support_sketch.h): checkpoint cadence, guard, reject test
-  // and give-up rule live there exactly once, so a tweak cannot
-  // desynchronize the two layers' prune decisions.
-  if (simd_norm_) {
-    const SimdKernelOps& ops = *ActiveSimdOps();
-    const SoaBlock& soa = block.sketch_soa;
-    return SketchBoundRejectsTiled(
-        prefix_weights, prefix_rest, threshold, incumbent,
-        [&](size_t t0, size_t n, Scalar* out) {
-          // One SoA tile per checkpoint group (kSimdTileLanes ==
-          // kSketchBoundStride), so t0 always lands on a tile boundary.
-          Scalar dists[kSimdTileLanes];
-          TileDistances(ops, soa, static_cast<Index>(t0 / kSimdTileLanes),
-                        point.data(), p, dists);
-          for (size_t i = 0; i < n; ++i) {
-            out[i] = affinity_fn_->FromDistance(dists[i]);
-          }
-        });
-  }
-  return SketchBoundRejects(
-      prefix_weights, prefix_rest, threshold, incumbent, [&](size_t t) {
-        return affinity_fn_->FromDistance(
-            LpDistance(block.row(block.sketch_members[t]), point, p));
-      });
 }
 
 AssignOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
@@ -441,20 +291,21 @@ AssignOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
     // Absorb when (near-)infective — the same slack rule, threshold and
     // lowest-id tie-break as the stream's ScoreArrival.
     const Scalar threshold = density_[c] * (1.0 - absorb_slack_);
-    if (!blocks_[c]->sketch_members.empty()) {
+    const ClusterScorer& scorer = *blocks_[c]->scorer;
+    if (scorer.sketch.engaged()) {
       // Branch-and-bound: any scored prefix of the sketch plus its rest
       // weight (plus the FP guard) certifies an upper bound on pi(s_c, x);
       // a checkpoint bound that cannot clear the threshold or beat the
       // incumbent margin rejects the cluster without touching its full
       // support. The fallback below is the unchanged exact summation, so
       // answers are bit-identical with the sketch on or off.
-      if (SketchRejects(c, point, threshold, best_margin)) {
+      if (scorer.Rejects(*affinity_fn_, point, threshold, best_margin)) {
         ++best.sketch_prunes;
         continue;
       }
       ++best.sketch_exact;
     }
-    const Scalar affinity = ClusterAffinity(c, point);
+    const Scalar affinity = scorer.Affinity(*affinity_fn_, point);
     const Scalar margin = affinity - threshold;
     if (margin > 0.0 && margin > best_margin) {
       best_margin = margin;
@@ -506,7 +357,8 @@ void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
     }
     for (int c = 0; c < num; ++c) {
       const Scalar threshold = density_[c] * (1.0 - absorb_slack_);
-      const bool sketched = !blocks_[c]->sketch_members.empty();
+      const ClusterScorer& scorer = *blocks_[c]->scorer;
+      const bool sketched = scorer.sketch.engaged();
       for (Index i = 0; i < block; ++i) {
         if (candidate[static_cast<size_t>(i) * num + c] == 0) continue;
         const std::span<const Scalar> point =
@@ -514,13 +366,14 @@ void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
                            static_cast<size_t>(d));
         AssignOutcome& best = outcomes[q0 + i];
         if (sketched) {
-          if (SketchRejects(c, point, threshold, best_margin[i])) {
+          if (scorer.Rejects(*affinity_fn_, point, threshold,
+                             best_margin[i])) {
             ++best.sketch_prunes;
             continue;
           }
           ++best.sketch_exact;
         }
-        const Scalar affinity = ClusterAffinity(c, point);
+        const Scalar affinity = scorer.Affinity(*affinity_fn_, point);
         const Scalar margin = affinity - threshold;
         if (margin > 0.0 && margin > best_margin[i]) {
           best_margin[i] = margin;
@@ -548,13 +401,15 @@ std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
   std::vector<Scalar> topk;  // min-heap of the k best affinities so far
   for (int c = 0; c < num_clusters(); ++c) {
     if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;
-    if (static_cast<int>(topk.size()) == k &&
-        !blocks_[c]->sketch_members.empty() &&
-        SketchRejects(c, point, /*threshold=*/0.0,
-                      /*incumbent=*/topk.front())) {
+    const ClusterScorer& scorer = *blocks_[c]->scorer;
+    // threshold = 0, so the bound compares directly against the k-th best
+    // affinity.
+    if (static_cast<int>(topk.size()) == k && scorer.sketch.engaged() &&
+        scorer.Rejects(*affinity_fn_, point, /*threshold=*/0.0,
+                       /*incumbent=*/topk.front())) {
       continue;
     }
-    const Scalar affinity = ClusterAffinity(c, point);
+    const Scalar affinity = scorer.Affinity(*affinity_fn_, point);
     ScoredCluster entry;
     entry.cluster = c;
     entry.affinity = affinity;
@@ -589,10 +444,9 @@ ClusterSnapshotInfo ClusterSnapshot::ClusterInfo(int c) const {
   info.cluster = c;
   info.size = block.count;
   info.density = density_[c];
-  info.verified_density = block.verified_density;
   info.seed = seed_[c];
   info.members.assign(block.source_ids.begin(), block.source_ids.end());
-  info.weights.assign(block.weights.begin(), block.weights.end());
+  info.weights = block.scorer->weights;
   return info;
 }
 

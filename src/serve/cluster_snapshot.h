@@ -12,7 +12,6 @@
 #include "core/support_sketch.h"
 #include "lsh/lsh_index.h"
 #include "serve/snapshot_arena.h"
-#include "simd/soa_block.h"
 
 namespace alid {
 
@@ -38,8 +37,8 @@ struct ClusterSnapshotOptions {
   /// bit-identical either way — the sketch only skips provably hopeless
   /// exact scorings.
   SupportSketchParams sketch;
-  /// Optional pool for the build's parallel passes (LSH key computation and
-  /// the density verification; build-time only — queries never touch it).
+  /// Optional pool for the build's parallel pass (LSH key computation;
+  /// build-time only — queries never touch it).
   ThreadPool* pool = nullptr;
   /// Chunk grain of the build's parallel passes; 0 auto.
   int64_t grain = 0;
@@ -50,9 +49,8 @@ struct ClusterSnapshotOptions {
 struct SnapshotBuildInfo {
   int clusters_total = 0;
   /// Clusters inherited wholesale from the previous snapshot: their arena
-  /// blocks (member rows, weights, LSH keys, verified density, sketch, SoA
-  /// tiles) moved as shared refcount bumps because the stream's
-  /// (uid, version) pair proved them unchanged.
+  /// blocks (member rows, LSH keys, scorer) moved as shared refcount bumps
+  /// because the stream's (uid, version) pair proved them unchanged.
   int clusters_reused = 0;
   Index rows_reused = 0;    ///< Member rows shared from the predecessor.
   Index rows_rebuilt = 0;   ///< Member rows gathered + re-hashed from source.
@@ -109,20 +107,19 @@ struct ClusterSnapshotInfo {
   int cluster = -1;  ///< -1 when the queried id was out of range.
   Index size = 0;
   Scalar density = 0.0;
-  /// x^T A x recomputed from the snapshot build's own kernel entries
-  /// (through a build-scratch oracle) — an integrity check that the
-  /// exported supports and the reported density describe the same simplex.
-  Scalar verified_density = 0.0;
   Index seed = -1;     ///< Source id of the detection seed.
   IndexList members;   ///< Source ids (dataset rows / stream slots).
   std::vector<Scalar> weights;
 };
 
 /// An immutable, self-contained view of one detection state, built for
-/// serving: every dominant cluster's payload (compacted member rows, simplex
-/// weights, source ids, per-member LSH keys, support sketch, SoA tiles)
-/// lives in a refcounted arena block (see snapshot_arena.h), plus a
-/// per-snapshot LSH index over the members for candidate retrieval. The
+/// serving: every dominant cluster's payload (compacted member rows, source
+/// ids, per-member LSH keys, and the ClusterScorer holding the simplex
+/// weights, support sketch and SoA tiles) lives in a refcounted arena block
+/// (see snapshot_arena.h), plus a per-snapshot LSH index over the members
+/// for candidate retrieval. Every query — Assign, AssignBatch, TopKClusters
+/// — scores a candidate through its block's scorer, the same object and
+/// the same two methods the stream's absorb step uses. The
 /// incremental export *shares* an unchanged cluster's block with the
 /// predecessor snapshot instead of copying it, so consecutive generations
 /// cost only their changed bytes — and a server's history ring of old
@@ -147,9 +144,9 @@ class ClusterSnapshot {
 
   /// Exports the live state of a stream. Affinity/LSH parameters, absorb
   /// slack and the sketch sizing are taken from the stream's own options, so
-  /// Assign reproduces the stream's absorb decision bit for bit (and the
-  /// stream's freshly maintained support sketches are lifted into the
-  /// snapshot instead of being rebuilt); the generation is the stream's
+  /// Assign reproduces the stream's absorb decision bit for bit (and every
+  /// block shares the stream's own fresh ClusterScorer by refcount instead
+  /// of rebuilding one); the generation is the stream's
   /// arrival count. The stream must not be mutated during the export (the
   /// ingest loop exports between batches); afterwards the snapshot is fully
   /// decoupled.
@@ -157,12 +154,11 @@ class ClusterSnapshot {
   /// `previous` enables the incremental export: any cluster whose stream
   /// (uid, version) pair matches a cluster of the previous snapshot — which
   /// proves its members, weights, density and member rows did not change —
-  /// *shares* that snapshot's arena block (rows, weights, per-member LSH
-  /// keys, verified density, sketch, SoA tiles) by refcount instead of
-  /// gathering, re-hashing and re-verifying, turning publish cost from
-  /// O(window) into O(changed bytes). The result is deep-equal to a
-  /// from-scratch build (the property tests pin this every generation); pass
-  /// nullptr for the from-scratch behavior.
+  /// *shares* that snapshot's arena block (rows, per-member LSH keys,
+  /// scorer) by refcount instead of gathering and re-hashing, turning
+  /// publish cost from O(window) into O(changed bytes). The result is
+  /// deep-equal to a from-scratch build (the property tests pin this every
+  /// generation); pass nullptr for the from-scratch behavior.
   static std::shared_ptr<const ClusterSnapshot> FromStream(
       const OnlineAlid& stream, ThreadPool* pool = nullptr,
       std::shared_ptr<const ClusterSnapshot> previous = nullptr);
@@ -258,19 +254,6 @@ class ClusterSnapshot {
   // parameters, so its per-cluster arena blocks are shareable verbatim.
   bool CompatibleWith(const ClusterSnapshotOptions& options, int dim) const;
 
-  // pi(s_c, x): the weighted kernel sum over cluster c's support, in member
-  // order — the same summation order as OnlineAlid::ClusterAffinity, so the
-  // value is bit-identical to the stream's own scoring.
-  Scalar ClusterAffinity(int c, std::span<const Scalar> point) const;
-  // Branch-and-bound walk over cluster c's sketch prefix: true when some
-  // checkpoint margin bound — (partial + rest_weight + guard) - threshold,
-  // a certified upper bound on the exact margin — drops to 0 or to
-  // `incumbent` or below, i.e. the cluster provably cannot win and exact
-  // scoring may be skipped. TopK calls it with threshold = 0 so the bound
-  // compares directly against the k-th best affinity. Only call for
-  // clusters with an engaged sketch.
-  bool SketchRejects(int c, std::span<const Scalar> point, Scalar threshold,
-                     Scalar incumbent) const;
   // Marks the clusters of the point's LSH collisions in thread-local
   // scratch and returns the collision list.
   const std::vector<Index>& CandidateMembers(
@@ -289,7 +272,6 @@ class ClusterSnapshot {
   // the key the *next* incremental export matches against.
   std::vector<uint64_t> src_uid_;
   std::vector<uint64_t> src_version_;
-  bool simd_norm_ = false;
   SupportSketchParams sketch_params_;
   double absorb_slack_ = 0.05;
   std::unique_ptr<AffinityFunction> affinity_fn_;

@@ -28,13 +28,9 @@ ClusterBlock::~ClusterBlock() {
 }
 
 size_t ClusterBlock::MemoryBytes() const {
-  return rows.size() * sizeof(Scalar) + weights.size() * sizeof(Scalar) +
-         source_ids.size() * sizeof(Index) +
+  return rows.size() * sizeof(Scalar) + source_ids.size() * sizeof(Index) +
          member_keys.size() * sizeof(uint64_t) +
-         sketch_members.size() * sizeof(Index) +
-         sketch_weights.size() * sizeof(Scalar) +
-         sketch_rest.size() * sizeof(Scalar) + cluster_soa.MemoryBytes() +
-         sketch_soa.MemoryBytes();
+         scorer->MemoryBytes();
 }
 
 void ClusterBlock::Seal() {

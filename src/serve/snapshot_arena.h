@@ -8,7 +8,7 @@
 
 #include "common/memory_tracker.h"
 #include "common/types.h"
-#include "simd/soa_block.h"
+#include "core/cluster_scorer.h"
 
 namespace alid {
 
@@ -22,18 +22,21 @@ namespace alid {
 MemoryTracker& SnapshotArenaTracker();
 
 /// One cluster's immutable serving payload, allocated in the shared snapshot
-/// arena: the member rows, simplex weights, source ids, per-member LSH
-/// bucket keys, support-sketch slices and SIMD SoA tiles that every query
-/// path reads. A block is built and mutated only inside one snapshot build
-/// (which holds the sole reference), then sealed and published behind
-/// shared_ptr<const ClusterBlock>; from then on it is immutable, so a
-/// successor snapshot whose stream (uid, version) pair proves the cluster
-/// unchanged *shares* the block with a refcount bump instead of copying it —
-/// publish cost in bytes is the changed clusters only, and bounded time
-/// travel over a ring of generations costs only each generation's unshared
-/// blocks. Bytes are charged exactly once (at Seal) to both the global
-/// MemoryTracker and SnapshotArenaTracker(), and released when the last
-/// referencing snapshot dies.
+/// arena: the member rows, source ids and per-member LSH bucket keys, plus
+/// the cluster's ClusterScorer (simplex weights, support sketch and SIMD SoA
+/// tiles) that every query scores through. A stream export shares the
+/// stream's own scorer here by refcount, so the block holds no second copy
+/// of anything the scorer holds. A block is built and mutated only inside
+/// one snapshot build (which holds the sole reference), then sealed and
+/// published behind shared_ptr<const ClusterBlock>; from then on it is
+/// immutable, so a successor snapshot whose stream (uid, version) pair
+/// proves the cluster unchanged *shares* the block with a refcount bump
+/// instead of copying it — publish cost in bytes is the changed clusters
+/// only, and bounded time travel over a ring of generations costs only each
+/// generation's unshared blocks. Bytes (the scorer's included) are charged
+/// exactly once per block (at Seal) to both the global MemoryTracker and
+/// SnapshotArenaTracker(), and released when the last referencing snapshot
+/// dies.
 struct ClusterBlock {
   ClusterBlock() = default;
   /// Traced ("arena"/"release"): the last referencing snapshot's teardown
@@ -48,40 +51,25 @@ struct ClusterBlock {
 
   /// count x dim row-major member rows, in member (support) order.
   std::vector<Scalar> rows;
-  /// Simplex weights, member order (parallel to rows).
-  std::vector<Scalar> weights;
   /// Member -> source id (dataset row / stream slot).
   std::vector<Index> source_ids;
   /// Per-member LSH bucket keys, count x keys_per_member row-major — kept so
   /// a shared block's members re-enter the successor snapshot's index
   /// without re-hashing.
   std::vector<uint64_t> member_keys;
-  /// Support sketch over the weights, cluster-LOCAL member ordinals in
-  /// descending-weight order (empty when disengaged), with the per-position
-  /// weights and rest-weights that drive the branch-and-bound walk.
-  std::vector<Index> sketch_members;
-  std::vector<Scalar> sketch_weights;
-  std::vector<Scalar> sketch_rest;
-  /// Dimension-major SIMD tiles of all member rows (member order) and of
-  /// the sketch prefix (descending-weight order); empty when the configured
-  /// norm has no tile kernel.
-  SoaBlock cluster_soa;
-  SoaBlock sketch_soa;
-  /// x^T A x recomputed from the build's own kernel entries (see
-  /// ClusterSnapshotInfo::verified_density).
-  Scalar verified_density = 0.0;
+  /// The cluster's scoring state (weights in member order, sketch, tiles);
+  /// shared with the stream that exported it and with every block that
+  /// inherited it.
+  std::shared_ptr<const ClusterScorer> scorer;
 
   /// Row-major view of member row i.
   std::span<const Scalar> row(Index i) const {
     return {rows.data() + static_cast<size_t>(i) * dim,
             static_cast<size_t>(dim)};
   }
-  std::span<const Scalar> weights_span() const {
-    return {weights.data(), weights.size()};
-  }
 
-  /// Bytes of the block's payload vectors and tiles — what sharing saves and
-  /// what Seal() charges.
+  /// Bytes of the block's payload vectors plus its scorer's — what sharing
+  /// saves and what Seal() charges.
   size_t MemoryBytes() const;
 
   /// Charges MemoryBytes() to the global tracker and the arena space. Call

@@ -123,8 +123,8 @@ std::vector<BoundaryPair> ShardRouter::BoundaryClusters(
     for (Index i = 0; i < a.count; ++i) {
       const auto row_a = a.row(i);
       for (Index j = 0; j < b.count; ++j) {
-        cross += a.weights[static_cast<size_t>(i)] *
-                 b.weights[static_cast<size_t>(j)] *
+        cross += a.scorer->weights[static_cast<size_t>(i)] *
+                 b.scorer->weights[static_cast<size_t>(j)] *
                  fn.FromDistance(LpDistance(row_a, b.row(j), affinity.p));
       }
     }

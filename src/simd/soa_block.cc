@@ -27,42 +27,29 @@ void SoaBlock::GatherRows(const Dataset& data,
   }
 }
 
-void SoaBlock::FromRowMajor(const Scalar* rows, Index count, int dim) {
-  Resize(count, dim);
-  for (Index m = 0; m < count; ++m) {
-    const Scalar* row = rows + static_cast<size_t>(m) * dim;
-    Scalar* lane = tiles_.data() +
-                   (static_cast<size_t>(m) / kSimdTileLanes) *
-                       static_cast<size_t>(dim_) * kSimdTileLanes +
-                   static_cast<size_t>(m) % kSimdTileLanes;
-    for (int k = 0; k < dim; ++k) lane[static_cast<size_t>(k) * kSimdTileLanes] = row[k];
-  }
-}
-
-void SoaBlock::GatherRowMajor(const Scalar* rows, int dim,
-                              std::span<const Index> items) {
-  Resize(static_cast<Index>(items.size()), dim);
-  for (size_t m = 0; m < items.size(); ++m) {
-    const Scalar* row = rows + static_cast<size_t>(items[m]) * dim;
-    Scalar* lane = tiles_.data() +
-                   (m / kSimdTileLanes) * static_cast<size_t>(dim_) *
-                       kSimdTileLanes +
-                   m % kSimdTileLanes;
-    for (int k = 0; k < dim; ++k) {
-      lane[static_cast<size_t>(k) * kSimdTileLanes] = row[k];
-    }
-  }
-}
-
 void TileDistances(const SimdKernelOps& ops, const SoaBlock& block, Index t,
                    const Scalar* query, double p,
                    Scalar out[kSimdTileLanes]) {
-  ALID_DCHECK(SimdSupportsNorm(p));
   if (p == 2.0) {
     ops.tile_squared_l2(block.tile(t), block.dim(), query, out);
     for (int l = 0; l < kSimdTileLanes; ++l) out[l] = std::sqrt(out[l]);
-  } else {
+  } else if (p == 1.0) {
     ops.tile_l1(block.tile(t), block.dim(), query, out);
+  } else {
+    // LpDistance's general loop, lane by lane: the same ascending-dimension
+    // pow accumulation and the same final root, so every lane keeps its
+    // scalar bits. No ISA has a kernel for it; lane width is not observable.
+    const Scalar* tile = block.tile(t);
+    Scalar acc[kSimdTileLanes] = {};
+    for (int k = 0; k < block.dim(); ++k) {
+      const Scalar* col = tile + static_cast<size_t>(k) * kSimdTileLanes;
+      for (int l = 0; l < kSimdTileLanes; ++l) {
+        acc[l] += std::pow(std::abs(col[l] - query[k]), p);
+      }
+    }
+    for (int l = 0; l < kSimdTileLanes; ++l) {
+      out[l] = std::pow(acc[l], 1.0 / p);
+    }
   }
 }
 
@@ -89,7 +76,6 @@ Scalar SoaWeightedKernelSum(const SimdKernelOps& ops, const SoaBlock& block,
 void GatheredDistances(const SimdKernelOps& ops, const Dataset& data,
                        std::span<const Index> items,
                        std::span<const Scalar> query, double p, Scalar* out) {
-  ALID_DCHECK(SimdSupportsNorm(p));
   thread_local SoaBlock gather;
   Scalar dists[kSimdTileLanes];
   for (size_t at = 0; at < items.size(); at += kSimdTileLanes) {

@@ -11,11 +11,6 @@
 
 namespace alid {
 
-/// True iff the SIMD tile kernels implement the L_p norm (the Eq.-1
-/// experiments use p = 2; p = 1 rides along). Other norms take the
-/// row-major scalar path unchanged.
-inline bool SimdSupportsNorm(double p) { return p == 2.0 || p == 1.0; }
-
 /// Dimension-major (structure-of-arrays) storage of a list of member rows,
 /// tiled kSimdTileLanes members wide: tile t holds members
 /// [t * lanes, (t + 1) * lanes), and within a tile coordinate k of all
@@ -36,19 +31,9 @@ class SoaBlock {
     return (count_ + kSimdTileLanes - 1) / kSimdTileLanes;
   }
 
-  /// Rebuilds from rows of `data` gathered at `members`, in order — the
-  /// stream's per-cluster layout (members live in arbitrary slots).
+  /// Rebuilds from rows of `data` gathered at `members`, in order (members
+  /// live in arbitrary slots or dataset rows).
   void GatherRows(const Dataset& data, std::span<const Index> members);
-
-  /// Rebuilds from a contiguous row-major block of `count` rows — the
-  /// snapshot's cluster-major member storage.
-  void FromRowMajor(const Scalar* rows, Index count, int dim);
-
-  /// Rebuilds from rows of a contiguous row-major block gathered at `items`
-  /// (block-local row ordinals), in order — how an arena block tiles its
-  /// sketch prefix (descending-weight order) from its own member rows.
-  void GatherRowMajor(const Scalar* rows, int dim,
-                      std::span<const Index> items);
 
   /// Base pointer of tile t (dim * kSimdTileLanes scalars).
   const Scalar* tile(Index t) const {
@@ -66,31 +51,30 @@ class SoaBlock {
   std::vector<Scalar> tiles_;
 };
 
-/// Fills out[0..lanes) with the L_p distances (p == 2 or p == 1) of tile
-/// `t`'s members to `query` through `ops`. out[l] is bit-identical to
-/// LpDistance(member row, query, p) for every valid lane: the tile kernel
-/// reproduces the scalar per-dimension accumulation exactly, and the p == 2
-/// square root is the same correctly-rounded std::sqrt on the same bits.
+/// Fills out[0..lanes) with the L_p distances of tile `t`'s members to
+/// `query`. out[l] is bit-identical to LpDistance(member row, query, p) for
+/// every valid lane and every p: p == 2 and p == 1 run the `ops` tile
+/// kernels, which reproduce the scalar per-dimension accumulation exactly
+/// (the p == 2 square root is the same correctly-rounded std::sqrt on the
+/// same bits); any other p runs LpDistance's general loop lane by lane,
+/// operation for operation.
 void TileDistances(const SimdKernelOps& ops, const SoaBlock& block, Index t,
                    const Scalar* query, double p,
                    Scalar out[kSimdTileLanes]);
 
 /// pi(s, x): the weighted Eq.-1 kernel sum of every member of `block`
 /// against `query`, accumulated serially in member order — the summation
-/// order of OnlineAlid::ClusterAffinity and ClusterSnapshot::
-/// ClusterAffinity, so the value is bit-identical to the row-major scalar
-/// path. Distances come from the tile kernels; the transcendental stays the
+/// order of OnlineAlid::ClusterAffinity's oracle loop, so the value is
+/// bit-identical to the row-major scalar path (ClusterScorer::Affinity). Distances come from the tile kernels; the transcendental stays the
 /// same per-member std::exp on the same argument bits (the exact path never
 /// batches it — see the tolerance contract in README for the opt-out).
-/// REQUIRES SimdSupportsNorm(fn.params().p).
 Scalar SoaWeightedKernelSum(const SimdKernelOps& ops, const SoaBlock& block,
                             std::span<const Scalar> weights,
                             const AffinityFunction& fn, const Scalar* query);
 
-/// L_p distances (p == 2 or p == 1) of arbitrary dataset rows to `query`:
-/// gathers items eight at a time into a thread-local tile and runs the tile
-/// kernel. out[i] is bit-identical to data.DistanceTo(items[i], query, p).
-/// REQUIRES SimdSupportsNorm(p).
+/// L_p distances of arbitrary dataset rows to `query`: gathers items eight
+/// at a time into a thread-local tile and runs TileDistances. out[i] is
+/// bit-identical to data.DistanceTo(items[i], query, p).
 void GatheredDistances(const SimdKernelOps& ops, const Dataset& data,
                        std::span<const Index> items,
                        std::span<const Scalar> query, double p, Scalar* out);

@@ -82,52 +82,58 @@ TEST(ServeTest, AssignAgreesWithStreamAbsorbOnHeldOutArrivals) {
   // stream's own affinity/LSH parameters, Assign(x) is *exactly* the
   // Theorem-1 absorb decision the stream takes when x actually arrives —
   // same LSH candidates (the seeded projections match), same weighted
-  // kernel sums in the same order, same slack and tie-break.
+  // kernel sums in the same order, same slack and tie-break. p = 3 has no
+  // ISA kernel: both sides then run the general per-lane tile loop, and
+  // must agree just the same.
   LabeledData data = Workload(460, 23);
-  OnlineAlidOptions opts = StreamOptions(data);
-  opts.refresh_interval = 1 << 20;  // no refresh between probe arrivals
   const std::vector<Index> order = ShuffledOrder(data);
   const Index fed = 340;
-  auto online = FeedStream(data, order, fed, opts);
-  ASSERT_GT(online->clusters().size(), 1u);
+  for (const double p : {2.0, 3.0}) {
+    SCOPED_TRACE(testing::Message() << "p=" << p);
+    OnlineAlidOptions opts = StreamOptions(data);
+    opts.affinity.p = p;
+    opts.refresh_interval = 1 << 20;  // no refresh between probe arrivals
+    auto online = FeedStream(data, order, fed, opts);
+    ASSERT_GT(online->clusters().size(), 1u);
 
-  int absorbed = 0;
-  int pooled = 0;
-  for (Index pos = fed; pos < data.size(); ++pos) {
-    const Index i = order[pos];
-    const auto snap = ClusterSnapshot::FromStream(*online);
-    ClusterServer server(data.data.dim());
-    server.Publish(snap);
-    const QueryResponse predicted_response =
-        server.Query({.points = data.data[i]});
-    ASSERT_TRUE(predicted_response.ok());
-    const QueryOutcome predicted = predicted_response.assignments.front();
-    const int64_t redetects_before = online->stats().redetections;
-    const Index slot = online->Insert(data.data[i]);
-    const int actual = online->ClusterOf(slot);
-    // The stream's absorb *decision* is observable as the local
-    // re-detection it triggers; the server must predict it exactly. (The
-    // re-detection may still leave a boundary arrival out of the rebuilt
-    // support — then it pools despite an infective margin — but when it
-    // keeps the arrival, it keeps it in the predicted cluster.)
-    const bool stream_absorbed =
-        online->stats().redetections > redetects_before;
-    if (predicted.cluster >= 0) {
-      EXPECT_TRUE(stream_absorbed) << "arrival " << i;
-      EXPECT_GT(predicted.margin, 0.0);
-      if (actual >= 0) {
-        EXPECT_EQ(actual, predicted.cluster) << "arrival " << i;
-        ++absorbed;
+    int absorbed = 0;
+    int pooled = 0;
+    for (Index pos = fed; pos < data.size(); ++pos) {
+      const Index i = order[pos];
+      const auto snap = ClusterSnapshot::FromStream(*online);
+      ClusterServer server(data.data.dim());
+      server.Publish(snap);
+      const QueryResponse predicted_response =
+          server.Query({.points = data.data[i]});
+      ASSERT_TRUE(predicted_response.ok());
+      const QueryOutcome predicted = predicted_response.assignments.front();
+      const int64_t redetects_before = online->stats().redetections;
+      const Index slot = online->Insert(data.data[i]);
+      const int actual = online->ClusterOf(slot);
+      // The stream's absorb *decision* is observable as the local
+      // re-detection it triggers; the server must predict it exactly. (The
+      // re-detection may still leave a boundary arrival out of the rebuilt
+      // support — then it pools despite an infective margin — but when it
+      // keeps the arrival, it keeps it in the predicted cluster.)
+      const bool stream_absorbed =
+          online->stats().redetections > redetects_before;
+      if (predicted.cluster >= 0) {
+        EXPECT_TRUE(stream_absorbed) << "arrival " << i;
+        EXPECT_GT(predicted.margin, 0.0);
+        if (actual >= 0) {
+          EXPECT_EQ(actual, predicted.cluster) << "arrival " << i;
+          ++absorbed;
+        }
+      } else {
+        EXPECT_FALSE(stream_absorbed) << "arrival " << i;
+        EXPECT_EQ(actual, -1) << "arrival " << i;
+        ++pooled;
       }
-    } else {
-      EXPECT_FALSE(stream_absorbed) << "arrival " << i;
-      EXPECT_EQ(actual, -1) << "arrival " << i;
-      ++pooled;
     }
+    // The probe set must exercise both outcomes or the contract is vacuous.
+    EXPECT_GT(absorbed, 0);
+    EXPECT_GT(pooled, 0);
   }
-  // The probe set must exercise both outcomes or the contract is vacuous.
-  EXPECT_GT(absorbed, 0);
-  EXPECT_GT(pooled, 0);
 }
 
 TEST(ServeTest, BatchedParallelQueriesBitIdenticalToSerial) {
@@ -397,9 +403,13 @@ TEST(ServeTest, TopKOrderingAndClusterInfoRoundTrip) {
     EXPECT_EQ(info.density, source.density);
     EXPECT_EQ(info.seed, source.seed);
     EXPECT_EQ(info.size, static_cast<Index>(source.members.size()));
-    // The build verified the density off its own kernel entries; the two
-    // agree to numerical noise (the stream tracks pi incrementally).
-    EXPECT_NEAR(info.verified_density, info.density,
+    // The exported support and the reported density describe the same
+    // simplex: x^T A x from the source rows and the served weights agrees
+    // with it to numerical noise (the stream tracks pi incrementally).
+    const Scalar density =
+        QuadraticDensity(online->oracle().data(), online->oracle().affinity(),
+                         info.members, info.weights);
+    EXPECT_NEAR(density, info.density,
                 1e-6 * std::max<Scalar>(1.0, info.density));
   }
   EXPECT_EQ(server.ClusterInfo(-1).cluster, -1);

@@ -44,6 +44,19 @@ Dataset RandomRows(Index n, int dim, uint64_t seed) {
   return d;
 }
 
+// Tiles of every row of `rows`, in row order.
+SoaBlock AllRowsBlock(const Dataset& rows) {
+  IndexList all(static_cast<size_t>(rows.size()));
+  for (Index i = 0; i < rows.size(); ++i) all[static_cast<size_t>(i)] = i;
+  SoaBlock block;
+  block.GatherRows(rows, all);
+  return block;
+}
+
+// The norms the tile path must reproduce bit for bit: the two with ISA
+// kernels, and two that run LpDistance's general pow loop per lane.
+constexpr double kNorms[] = {2.0, 1.0, 3.0, 1.5};
+
 std::vector<Scalar> RandomQuery(int dim, uint64_t seed) {
   Rng rng(seed);
   std::vector<Scalar> q(dim);
@@ -130,26 +143,6 @@ TEST(SoaBlockTest, TilesAreDimensionMajorWithZeroPaddedTail) {
   }
 }
 
-TEST(SoaBlockTest, FromRowMajorMatchesGatherRows) {
-  const int dim = 6;
-  const Index n = 13;
-  Dataset rows = RandomRows(n, dim, 11);
-  IndexList all;
-  for (Index i = 0; i < n; ++i) all.push_back(i);
-  SoaBlock gathered, contiguous;
-  gathered.GatherRows(rows, all);
-  contiguous.FromRowMajor(rows.raw().data(), n, dim);
-  ASSERT_EQ(gathered.count(), contiguous.count());
-  ASSERT_EQ(gathered.num_tiles(), contiguous.num_tiles());
-  const size_t tile_scalars = static_cast<size_t>(dim) * kSimdTileLanes;
-  for (Index t = 0; t < gathered.num_tiles(); ++t) {
-    EXPECT_EQ(std::memcmp(gathered.tile(t), contiguous.tile(t),
-                          tile_scalars * sizeof(Scalar)),
-              0)
-        << "tile " << t;
-  }
-}
-
 // Every compiled-in ISA's tile kernels must produce bit-identical outputs to
 // the scalar ops AND to the row-major reference accumulation, across odd
 // dimensions and ragged final tiles.
@@ -158,8 +151,7 @@ TEST(SimdKernelTest, TileKernelsBitIdenticalToScalarReference) {
     for (const Index n : {1, 7, 8, 9, 24, 29}) {
       Dataset rows = RandomRows(n, dim, 100 + dim * 31 + n);
       const std::vector<Scalar> query = RandomQuery(dim, 900 + n);
-      SoaBlock block;
-      block.FromRowMajor(rows.raw().data(), n, dim);
+      const SoaBlock block = AllRowsBlock(rows);
       for (Index t = 0; t < block.num_tiles(); ++t) {
         // Row-major reference: ascending-dimension separate subtract /
         // multiply / add, exactly the Dataset::SquaredL2 loop (the whole
@@ -202,10 +194,8 @@ TEST(SimdKernelTest, TileDistancesBitIdenticalToLpDistance) {
   const Index n = 21;
   Dataset rows = RandomRows(n, dim, 41);
   const std::vector<Scalar> query = RandomQuery(dim, 42);
-  SoaBlock block;
-  block.FromRowMajor(rows.raw().data(), n, dim);
-  for (const double p : {2.0, 1.0}) {
-    ASSERT_TRUE(SimdSupportsNorm(p));
+  const SoaBlock block = AllRowsBlock(rows);
+  for (const double p : kNorms) {
     for (SimdIsa isa : AvailableSimdIsas()) {
       const SimdKernelOps* ops = SimdOpsFor(isa);
       for (Index t = 0; t < block.num_tiles(); ++t) {
@@ -231,7 +221,7 @@ TEST(SimdKernelTest, GatheredDistancesBitIdenticalToDatasetDistanceTo) {
   const std::vector<Scalar> query = RandomQuery(dim, 78);
   // An arbitrary non-contiguous gather with duplicates and a ragged tail.
   const IndexList items{3, 60, 7, 7, 0, 31, 12, 45, 63, 2, 18};
-  for (const double p : {2.0, 1.0}) {
+  for (const double p : kNorms) {
     for (SimdIsa isa : AvailableSimdIsas()) {
       std::vector<Scalar> out(items.size());
       GatheredDistances(*SimdOpsFor(isa), rows, items, query, p, out.data());
@@ -253,9 +243,8 @@ TEST(SimdKernelTest, WeightedKernelSumBitIdenticalToScalarLoop) {
   Rng rng(57);
   std::vector<Scalar> weights(n);
   for (auto& w : weights) w = rng.Uniform(0.0, 1.0);
-  SoaBlock block;
-  block.FromRowMajor(rows.raw().data(), n, dim);
-  for (const double p : {2.0, 1.0}) {
+  const SoaBlock block = AllRowsBlock(rows);
+  for (const double p : kNorms) {
     AffinityFunction fn({.k = 0.37, .p = p});
     // The member-order serial accumulation of the row-major scalar path.
     Scalar want = 0.0;

@@ -4,6 +4,7 @@
 // engaged), incremental snapshots are deep-equal to from-scratch rebuilds
 // every generation, and the refresh pass's frontier map stage speculates
 // deterministically.
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -390,8 +391,20 @@ void RunIncrementalVsScratch(const LabeledData& data, Index window,
       EXPECT_EQ(a.members, b.members) << "cluster " << c;
       EXPECT_EQ(a.weights, b.weights) << "cluster " << c;
       EXPECT_EQ(a.density, b.density) << "cluster " << c;
-      EXPECT_EQ(a.verified_density, b.verified_density) << "cluster " << c;
       EXPECT_EQ(a.seed, b.seed) << "cluster " << c;
+      // The chained export serves a density that x^T A x over the source
+      // rows and its own served weights reproduces.
+      const Scalar density =
+          QuadraticDensity(online.oracle().data(), online.oracle().affinity(),
+                           a.members, a.weights);
+      EXPECT_NEAR(density, a.density, 1e-6 * std::max<Scalar>(1.0, a.density))
+          << "cluster " << c;
+      // Export, don't rebuild: both exports score through the stream's own
+      // scorer objects, inherited blocks and fresh blocks alike.
+      EXPECT_EQ(incremental->blocks()[c]->scorer, online.cluster_scorer(c))
+          << "cluster " << c;
+      EXPECT_EQ(scratch->blocks()[c]->scorer, online.cluster_scorer(c))
+          << "cluster " << c;
       const auto sa = incremental->sketch(c);
       const auto sb = scratch->sketch(c);
       ASSERT_EQ(sa.members.size(), sb.members.size()) << "cluster " << c;
@@ -422,9 +435,10 @@ void RunIncrementalVsScratch(const LabeledData& data, Index window,
 TEST(SketchSnapshotTest, IncrementalExportDeepEqualsFromScratch) {
   // Every generation, the incremental export (chained on its predecessor)
   // must be indistinguishable from a from-scratch rebuild: same clusters,
-  // rows, weights, verified densities, sketches and answers — and the
-  // steady-state phase must actually re-use, or the publish optimization
-  // silently lost itself.
+  // rows, weights, densities, sketches and answers, with every block
+  // holding the stream's own scorer and every density matching x^T A x of
+  // the served support — and the steady-state phase must actually re-use,
+  // or the publish optimization silently lost itself.
   LabeledData data = Workload(420, 17);
   int64_t rows_reused = 0;
   RunIncrementalVsScratch(data, /*window=*/0, &rows_reused);

@@ -4,6 +4,7 @@
 // Helpers shared by the test binaries (each tests/*.cc builds standalone, so
 // everything here is header-only).
 #include <memory>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,22 @@ inline void ExpectIdenticalDetections(const DetectionResult& a,
     EXPECT_EQ(a.clusters[c].weights, b.clusters[c].weights) << "cluster " << c;
     EXPECT_EQ(a.clusters[c].density, b.clusters[c].density) << "cluster " << c;
   }
+}
+
+/// x^T A x of the simplex `weights` over the rows `members` of `data`,
+/// summed in one fixed double-loop order — the reference the snapshot tests
+/// hold every exported cluster's reported density against.
+inline Scalar QuadraticDensity(const Dataset& data,
+                               const AffinityFunction& fn,
+                               std::span<const Index> members,
+                               std::span<const Scalar> weights) {
+  Scalar density = 0.0;
+  for (size_t t = 0; t < members.size(); ++t) {
+    for (size_t u = 0; u < members.size(); ++u) {
+      density += weights[t] * weights[u] * fn(data, members[t], members[u]);
+    }
+  }
+  return density;
 }
 
 }  // namespace alid
