@@ -1,19 +1,14 @@
 // Component microbenchmarks: kernel evaluation, lazy column computation,
-// LSH build/query, one LID invasion, replicator iteration, eigensolvers, and
-// sketch-filtered vs full absorb scoring.
+// LSH build/query, one LID invasion, replicator iteration and eigensolvers.
 //
 // Mostly not a paper artifact — used to attribute the figure-level costs to
-// components. Two registrations: "micro_components" reports seconds-per-call
-// for each component kernel (adaptive timed loops, KeepAlive sinks — the
-// google-benchmark idiom without the dependency), and "micro_sketch" keeps
-// the sketch-vs-full absorb sweep with its exactness contract — a sketch
-// that changed one answer bit would be a bug, not a speedup, so a mismatch
-// fails the benchmark (and with it the CI bench step).
+// components. "micro_components" reports seconds-per-call for each component
+// kernel (adaptive timed loops, KeepAlive sinks — the google-benchmark idiom
+// without the dependency).
 #include "bench_util.h"
 #include "registry.h"
 
 #include <cstring>
-#include <memory>
 
 #include "baselines/replicator.h"
 #include "common/random.h"
@@ -21,7 +16,6 @@
 #include "data/synthetic.h"
 #include "linalg/jacobi.h"
 #include "linalg/lanczos.h"
-#include "serve/cluster_snapshot.h"
 #include "simd/simd_dispatch.h"
 #include "simd/soa_block.h"
 
@@ -173,144 +167,6 @@ void RunComponents(BenchContext& ctx) {
 
 ALID_BENCHMARK("micro_components", "micro", "micro_components",
                RunComponents);
-
-// ---------------------------------------------------------------------------
-// Sketch-filtered vs full Theorem-1 absorb scoring at a* in {64, 256, 1024}.
-//
-// One dense Gaussian cluster of a* members is exported into two snapshots —
-// sketch on and sketch off — and assignment queries from three bands
-// (absorbing jitter, the collide-but-fail near-miss band, far points) score
-// against it. The LSH segment length is set far above the data scale so
-// every query collides and the measurement isolates the scoring itself;
-// answers are bit-identical by the sketch's exactness contract (asserted).
-// ---------------------------------------------------------------------------
-struct AbsorbFixture {
-  static constexpr int dim = 12;
-  static constexpr Index kQueryCount = 512;
-
-  Dataset data;
-  std::shared_ptr<const ClusterSnapshot> with_sketch;
-  std::shared_ptr<const ClusterSnapshot> without_sketch;
-  std::vector<Scalar> queries;  // row-major, kQueryCount x dim
-
-  explicit AbsorbFixture(Index support) : data(dim) {
-    Rng rng(811);
-    std::vector<Scalar> center(dim);
-    for (auto& v : center) v = rng.Uniform(0.0, 100.0);
-    for (Index i = 0; i < support; ++i) {
-      std::vector<Scalar> point(dim);
-      for (int d = 0; d < dim; ++d) point[d] = center[d] + rng.Gaussian();
-      data.Append(point);
-    }
-    Cluster cluster;
-    cluster.seed = 0;
-    for (Index i = 0; i < support; ++i) {
-      cluster.members.push_back(i);
-      cluster.weights.push_back(1.0 / static_cast<Scalar>(support));
-    }
-    ClusterSnapshotOptions options;
-    // Kernel tuned so in-cluster pairs sit near 0.9 => density ~0.8+.
-    options.affinity.k = AffinityFunction::SuggestScalingFactor(
-        data, /*p=*/2.0, /*target_affinity=*/0.9);
-    AffinityFunction fn(options.affinity);
-    LazyAffinityOracle oracle(data, fn);
-    Scalar density = 0.0;
-    for (Index a = 0; a < support; ++a) {
-      for (Index b = 0; b < support; ++b) {
-        density += cluster.weights[a] * cluster.weights[b] *
-                   oracle.Entry(a, b);
-      }
-    }
-    cluster.density = density;
-    // Every query lands in every bucket: the sweep times scoring, not
-    // candidate retrieval.
-    options.lsh.segment_length = 1e9;
-    with_sketch =
-        ClusterSnapshot::FromClusters(data, {&cluster, 1}, options);
-    ClusterSnapshotOptions off = options;
-    off.sketch.prefix_mass = 0.0;
-    without_sketch =
-        ClusterSnapshot::FromClusters(data, {&cluster, 1}, off);
-
-    for (Index q = 0; q < kQueryCount; ++q) {
-      const auto row =
-          data[static_cast<Index>(rng.UniformInt(0, support - 1))];
-      const int band = static_cast<int>(q % 3);
-      const double magnitude = band == 0 ? 0.2 : (band == 1 ? 6.0 : 40.0);
-      for (int d = 0; d < dim; ++d) {
-        queries.push_back(row[d] + rng.Gaussian() * magnitude);
-      }
-    }
-  }
-
-  std::span<const Scalar> Query(Index q) const {
-    return {queries.data() + static_cast<size_t>(q % kQueryCount) * dim,
-            static_cast<size_t>(dim)};
-  }
-};
-
-// The trajectory record: wall seconds over a fixed query sweep per support
-// size, sketch vs full, plus the prune/exact counters and an equality spot
-// check.
-void RunSketch(BenchContext& ctx) {
-  std::printf("Sketch-filtered vs full absorb scoring\n");
-  std::string json = "{\"bench\":\"micro_sketch\",\"rows\":[";
-  bool first = true;
-  bool all_match = true;
-  for (Index support : {Index{64}, Index{256}, Index{1024}}) {
-    AbsorbFixture fixture(support);
-    constexpr int kSweep = 4096;
-    int64_t prunes = 0;
-    int64_t exact = 0;
-    int mismatches = 0;
-    for (Index q = 0; q < AbsorbFixture::kQueryCount; ++q) {
-      const AssignOutcome a = fixture.with_sketch->Assign(fixture.Query(q));
-      const AssignOutcome b =
-          fixture.without_sketch->Assign(fixture.Query(q));
-      if (a.cluster != b.cluster || a.affinity != b.affinity ||
-          a.margin != b.margin) {
-        ++mismatches;
-        all_match = false;
-      }
-      prunes += a.sketch_prunes;
-      exact += a.sketch_exact;
-    }
-    WallTimer full_timer;
-    for (int q = 0; q < kSweep; ++q) {
-      KeepAlive(fixture.without_sketch->Assign(fixture.Query(q)));
-    }
-    const double full_seconds = full_timer.Seconds();
-    WallTimer sketch_timer;
-    for (int q = 0; q < kSweep; ++q) {
-      KeepAlive(fixture.with_sketch->Assign(fixture.Query(q)));
-    }
-    const double sketch_seconds = sketch_timer.Seconds();
-    std::printf("  support=%-5d full %.4fs  sketch %.4fs  speedup %.2fx  "
-                "prunes %lld  exact %lld  mismatches %d\n",
-                support, full_seconds, sketch_seconds,
-                sketch_seconds > 0.0 ? full_seconds / sketch_seconds : 0.0,
-                static_cast<long long>(prunes),
-                static_cast<long long>(exact), mismatches);
-    AppendF(json,
-            "%s{\"support\":%d,\"queries\":%d,\"full_seconds\":%.6f,"
-            "\"sketch_seconds\":%.6f,\"speedup\":%.4f,"
-            "\"sketch_prunes\":%lld,"
-            "\"sketch_exact\":%lld,\"mismatches\":%d}",
-            first ? "" : ",", support, kSweep, full_seconds, sketch_seconds,
-            sketch_seconds > 0.0 ? full_seconds / sketch_seconds : 0.0,
-            static_cast<long long>(prunes), static_cast<long long>(exact),
-            mismatches);
-    first = false;
-  }
-  json += "]}";
-  ctx.EmitJson(json);
-  if (!all_match) {
-    ctx.Fail("sketch-pruned absorb scoring disagreed with full scoring — "
-             "the exactness contract is broken");
-  }
-}
-
-ALID_BENCHMARK("micro_sketch", "micro", "micro_sketch", RunSketch);
 
 // ---------------------------------------------------------------------------
 // Row-major scalar vs SoA tile kernels, one column per available ISA.

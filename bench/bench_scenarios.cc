@@ -11,10 +11,9 @@
 //                        rows_reused collapses in a storm because almost
 //                        every cluster changed between publishes.
 //   scenario_heavy_tail  Zipf cluster sizes; the interesting columns are
-//                        sketch_prunes vs sketch_exact (the head cluster's
-//                        support saturates absorb scoring) and
-//                        entries_computed (kernel evaluations the head's
-//                        re-detections cost).
+//                        redetections and entries_computed (kernel
+//                        evaluations the head cluster's re-detections
+//                        cost).
 //
 // Each scenario sweeps executors {1, 8} (1 = the serial no-pool path, the
 // same baseline convention as the fig7/stream sweeps), streams the identical
@@ -53,8 +52,6 @@ struct ScenarioRun {
   int64_t redetections = 0;
   int64_t clusters_born = 0;
   int64_t clusters_dissolved = 0;
-  int64_t sketch_prunes = 0;
-  int64_t sketch_exact = 0;
   int64_t rows_reused = 0;
   int64_t clusters_reused = 0;
   int64_t entries_computed = 0;
@@ -126,8 +123,6 @@ ScenarioRun StreamScenario(const ScenarioSpec& spec, int executors) {
   run.redetections = stats.redetections;
   run.clusters_born = stats.clusters_born;
   run.clusters_dissolved = stats.clusters_dissolved;
-  run.sketch_prunes = stats.sketch_prunes;
-  run.sketch_exact = stats.sketch_exact;
   run.entries_computed = online.oracle().entries_computed();
   run.steals = pool != nullptr ? pool->steal_count() : 0;
   run.clusters = static_cast<int>(online.clusters().size());
@@ -143,7 +138,6 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
           "\"absorbed\":%lld,\"pooled\":%lld,\"evicted\":%lld,"
           "\"refreshes\":%lld,\"redetections\":%lld,"
           "\"clusters_born\":%lld,\"clusters_dissolved\":%lld,"
-          "\"sketch_prunes\":%lld,\"sketch_exact\":%lld,"
           "\"rows_reused\":%lld,\"clusters_reused\":%lld,"
           "\"entries_computed\":%lld,\"steals\":%lld,\"clusters\":%d}",
           first ? "" : ",", r.executors, r.wall_seconds, r.speedup,
@@ -157,8 +151,6 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
           static_cast<long long>(r.redetections),
           static_cast<long long>(r.clusters_born),
           static_cast<long long>(r.clusters_dissolved),
-          static_cast<long long>(r.sketch_prunes),
-          static_cast<long long>(r.sketch_exact),
           static_cast<long long>(r.rows_reused),
           static_cast<long long>(r.clusters_reused),
           static_cast<long long>(r.entries_computed),
@@ -167,13 +159,13 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
 
 void PrintRun(const ScenarioRun& r) {
   std::printf("  execs %-2d  wall %.3fs (x%.2f)  items/s %8.1f  "
-              "born %-4lld dissolved %-4lld redetect %-4lld  prunes %-6lld "
+              "born %-4lld dissolved %-4lld redetect %-4lld  entries %-9lld "
               "rows_reused %-6lld  clusters %d\n",
               r.executors, r.wall_seconds, r.speedup, r.items_per_second,
               static_cast<long long>(r.clusters_born),
               static_cast<long long>(r.clusters_dissolved),
               static_cast<long long>(r.redetections),
-              static_cast<long long>(r.sketch_prunes),
+              static_cast<long long>(r.entries_computed),
               static_cast<long long>(r.rows_reused), r.clusters);
 }
 
@@ -279,9 +271,8 @@ void RunHeavyTail(BenchContext& ctx) {
               HeavyTailClusterProbability(cfg, 0), spec.num_batches,
               ctx.scale());
   const std::vector<ScenarioRun> runs = SweepExecutors(spec);
-  std::printf("Expected shape: the head cluster's support dominates absorb "
-              "scoring, so sketch_prunes dwarfs sketch_exact and the head's "
-              "re-detections dominate entries_computed.\n");
+  std::printf("Expected shape: the head cluster draws most arrivals, so "
+              "its re-detections dominate entries_computed.\n");
   std::string json;
   AppendF(json,
           "{\"bench\":\"scenario_heavy_tail\",\"num_clusters\":%d,"
@@ -313,8 +304,8 @@ void RunEmbedding(BenchContext& ctx) {
               spec.num_batches, ctx.scale());
   const std::vector<ScenarioRun> runs = SweepExecutors(spec);
   std::printf("Expected shape: LSH bucket occupancy skews along the wide "
-              "manifold axes, so the sketch columns behave unlike the "
-              "isotropic synthetic regimes at the same arrival rate.\n");
+              "manifold axes, so the absorbed/pooled split behaves unlike "
+              "the isotropic synthetic regimes at the same arrival rate.\n");
   std::string json;
   AppendF(json,
           "{\"bench\":\"scenario_embedding\",\"dim\":%d,"

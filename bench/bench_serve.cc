@@ -51,7 +51,7 @@ struct ServeRow {
   int64_t unassigned = 0;
   int64_t swaps = 0;
   // The server's per-instance metrics registry as comma-joined JSON fields
-  // (queries/assigned/sketch_*/publish and history gauges) — captured while
+  // (queries/assigned/publish and history gauges) — captured while
   // the server is alive; rows use a fresh server each, so the registry
   // totals ARE the row's deltas.
   std::string registry_fields;
@@ -131,7 +131,7 @@ void EmitServeJson(BenchContext& ctx, const std::vector<ServeRow>& rows,
           static_cast<long long>(history_ring_bytes), trace_base_seconds,
           trace_wall_seconds, trace_overhead_ratio);
   // The wall/latency/derived keys are emitted by hand; the counter keys
-  // (queries, assigned, sketch_*, publish ledger, history and pool gauges)
+  // (queries, assigned, publish ledger, history and pool gauges)
   // come from each row's embedded registry export — the manual list must
   // never overlap the registry's names (--schema-check rejects duplicates).
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -257,8 +257,7 @@ void Run(BenchContext& ctx) {
       }
     } else if (mix < 0.8) {
       // Near-miss band: collides with a cluster's buckets but scores far
-      // below its absorb threshold — the queries the support sketch
-      // rejects after a handful of kernel evaluations.
+      // below its absorb threshold.
       const auto row =
           data.data[static_cast<Index>(rng.UniformInt(0, data.size() - 1))];
       const double magnitude = 2.0 + rng.Uniform() * 6.0;

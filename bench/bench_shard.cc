@@ -44,8 +44,6 @@ struct ShardRow {
   int64_t arrivals = 0;
   int64_t absorbed = 0;
   int64_t evicted = 0;
-  int64_t sketch_prunes = 0;
-  int64_t sketch_exact = 0;
   int64_t hot_shard_arrivals = 0;   // max per-shard arrivals (skew)
   int64_t cold_shard_arrivals = 0;  // min per-shard arrivals
   int clusters = 0;
@@ -136,8 +134,6 @@ ShardRow RunSharded(const LabeledData& data,
   row.p95_batch_seconds = Percentile(stats.batch_seconds, 0.95);
   row.absorbed = stats.absorbed;
   row.evicted = stats.evicted;
-  row.sketch_prunes = stats.sketch_prunes;
-  row.sketch_exact = stats.sketch_exact;
   row.clusters = stats.clusters_alive;
   for (int s = 0; s < shards; ++s) {
     const int64_t size = static_cast<int64_t>(stream->shard(s).size());
@@ -291,7 +287,6 @@ void Run(BenchContext& ctx) {
             "\"items_per_second\":%.2f,\"p50_batch_seconds\":%.6f,"
             "\"p95_batch_seconds\":%.6f,\"ingest_p95_seconds\":%.6f,"
             "\"arrivals\":%lld,\"absorbed\":%lld,\"evicted\":%lld,"
-            "\"sketch_prunes\":%lld,\"sketch_exact\":%lld,"
             "\"hot_shard_arrivals\":%lld,\"cold_shard_arrivals\":%lld,"
             "\"clusters\":%d%s}",
             i == 0 ? "" : ",", r.shards, r.shards, r.executors,
@@ -300,8 +295,6 @@ void Run(BenchContext& ctx) {
             static_cast<long long>(r.arrivals),
             static_cast<long long>(r.absorbed),
             static_cast<long long>(r.evicted),
-            static_cast<long long>(r.sketch_prunes),
-            static_cast<long long>(r.sketch_exact),
             static_cast<long long>(r.hot_shard_arrivals),
             static_cast<long long>(r.cold_shard_arrivals), r.clusters,
             r.gated ? ",\"gate_speedup\":true" : "");

@@ -61,9 +61,8 @@ struct StreamRow {
 };
 
 // Shuffled dataset rows followed by a band of near-miss probes (jittered
-// copies at magnitudes spanning the collide-but-fail region): the arrivals
-// the support sketch rejects after a handful of kernel evaluations instead
-// of a full-support scan.
+// copies at magnitudes spanning the collide-but-fail region): arrivals that
+// reach candidate clusters through the LSH but absorb into none of them.
 std::vector<Scalar> ArrivalStream(const LabeledData& data,
                                   const std::vector<Index>& order) {
   const int dim = data.data.dim();
@@ -187,7 +186,7 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
           "\"trace_overhead_ratio\":%.4f,\"rows\":[",
           n, trace_base_seconds, trace_wall_seconds, trace_overhead_ratio);
   // The wall/latency/derived keys are emitted by hand; every counter and
-  // gauge key (absorbed, evicted, sketch_prunes, pool_*, ...)
+  // gauge key (absorbed, evicted, redetections, pool_*, ...)
   // comes from the embedded registry export — the manual list must never
   // overlap the registry's names (--schema-check rejects duplicate keys).
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -299,9 +298,7 @@ void Run(BenchContext& ctx) {
               "the executor column (only wall time moves); larger batches "
               "amortize the parallel hash/score phases, and the window "
               "bounds evictions — and with them the index "
-              "footprint — independent of stream length. sketch_prunes "
-              "counts absorb scorings the support-sketch bound skipped "
-              "(exactly, never approximately), and the publish columns "
+              "footprint — independent of stream length. The publish columns "
               "time the incremental snapshot export over a steady-state "
               "tail: rows_reused > 0 is the proof the publish path pays "
               "O(changed clusters), not O(window).\n");

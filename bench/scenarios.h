@@ -15,9 +15,8 @@
 //                 brand-new clusters) and incremental publish (rows_reused
 //                 collapses in birth storms).
 //   heavy_tail  — Zipf cluster membership: one giant head cluster, a long
-//                 tail of rare ones; stresses support-sketch prune rates
-//                 (the head's support saturates the scoring path) and the
-//                 head cluster's re-detection cost.
+//                 tail of rare ones; stresses the head cluster's
+//                 re-detection cost.
 //
 // Every generator is a pure function of (config, batch_index): batch k can
 // be produced without batches 0..k-1 and in any order, and the same
@@ -80,9 +79,9 @@ struct HeavyTailScenarioConfig {
 /// High-dimensional embedding streams: realistic text/image-embedding
 /// geometry — points clustered on a low-dimensional manifold inside a high
 /// ambient dimension, with anisotropic within-cluster scatter — where LSH
-/// bucket occupancy skews and sketch pruning behaves unlike isotropic
-/// synthetic Gaussians. Cluster centers live in the span of a shared
-/// `manifold_dim`-column orthonormal basis (seed-keyed); each arrival adds
+/// bucket occupancy skews unlike isotropic synthetic Gaussians. Cluster
+/// centers live in the span of a shared `manifold_dim`-column orthonormal
+/// basis (seed-keyed); each arrival adds
 /// manifold-coordinate Gaussian scatter whose per-axis scale decays
 /// geometrically (axis 0 at `spread`, the last axis `anisotropy`x tighter)
 /// plus a small isotropic ambient jitter off the manifold.

@@ -182,11 +182,8 @@ int main() {
               static_cast<long long>(stats.batch_calls),
               static_cast<long long>(stats.assigned),
               static_cast<long long>(stats.snapshots_published), stats.qps);
-  std::printf("support-sketch filter: %lld candidates pruned by the bound, "
-              "%lld scored exactly; incremental publishes re-used %lld "
-              "member rows across %lld clusters\n",
-              static_cast<long long>(stats.sketch_prunes),
-              static_cast<long long>(stats.sketch_exact),
+  std::printf("incremental publishes re-used %lld member rows across %lld "
+              "clusters\n",
               static_cast<long long>(stats.rows_reused),
               static_cast<long long>(stats.clusters_reused));
   std::printf("arena ledger: %lld bytes shared vs %lld copied across "

@@ -115,11 +115,8 @@ int main() {
               static_cast<long long>(stats.redetections),
               static_cast<long long>(online.oracle().entries_computed()),
               static_cast<long long>(pool.steal_count()));
-  std::printf("absorb fast path: %lld candidate scorings pruned by the "
-              "support sketch, %lld exact fallbacks; refresh map stage: "
-              "%lld rounds, %lld speculative detections, %lld conflicts\n",
-              static_cast<long long>(stats.sketch_prunes),
-              static_cast<long long>(stats.sketch_exact),
+  std::printf("refresh map stage: %lld rounds, %lld speculative "
+              "detections, %lld conflicts\n",
               static_cast<long long>(stats.refresh_rounds),
               static_cast<long long>(stats.refresh_speculations),
               static_cast<long long>(stats.refresh_conflicts));

@@ -38,8 +38,6 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   metrics_.refreshes = registry.AddCounter("refreshes");
   metrics_.clusters_born = registry.AddCounter("clusters_born");
   metrics_.clusters_dissolved = registry.AddCounter("clusters_dissolved");
-  metrics_.sketch_prunes = registry.AddCounter("sketch_prunes");
-  metrics_.sketch_exact = registry.AddCounter("sketch_exact");
   metrics_.refresh_rounds = registry.AddCounter("refresh_rounds");
   metrics_.refresh_speculations = registry.AddCounter("refresh_speculations");
   metrics_.refresh_conflicts = registry.AddCounter("refresh_conflicts");
@@ -68,8 +66,6 @@ StreamStats OnlineAlid::stats() const {
   s.refreshes = metrics_.refreshes->value();
   s.clusters_born = metrics_.clusters_born->value();
   s.clusters_dissolved = metrics_.clusters_dissolved->value();
-  s.sketch_prunes = metrics_.sketch_prunes->value();
-  s.sketch_exact = metrics_.sketch_exact->value();
   s.refresh_rounds = metrics_.refresh_rounds->value();
   s.refresh_speculations = metrics_.refresh_speculations->value();
   s.refresh_conflicts = metrics_.refresh_conflicts->value();
@@ -135,29 +131,25 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   // against the batch-start clusters. Same-batch neighbours are already in
   // the LSH buckets but still unassigned, so the candidate sets — like the
   // scores — depend only on the batch boundary, never on the executors.
-  std::vector<Choice> choices(count);
+  std::vector<int> targets(count);
   {
     ALID_TRACE_SCOPE("stream", "absorb_score");
     ParallelChunks(options_.pool, 0, count, options_.grain,
                    [&](int64_t, int64_t lo, int64_t hi) {
                      ALID_TRACE_SCOPE("stream", "absorb_score_chunk");
                      for (int64_t k = lo; k < hi; ++k) {
-                       choices[k] = ScoreArrival(slots[k]);
+                       targets[k] = ScoreArrival(slots[k]);
                      }
                    });
   }
 
   // Phase 5 (serial): apply in arrival order. Clusters mutate here, so the
-  // snapshot versions tell ApplyArrival which precomputed choices are stale.
-  // The sketch-filter counters of the parallel phase fold in here too, in
-  // arrival order, so the stats are executor-independent like the state.
+  // snapshot versions tell ApplyArrival which precomputed targets are stale.
   {
     ALID_TRACE_SCOPE("stream", "apply");
     const std::vector<uint64_t> versions = cluster_version_;
     for (Index k = 0; k < count; ++k) {
-      metrics_.sketch_prunes->Add(choices[k].sketch_prunes);
-      metrics_.sketch_exact->Add(choices[k].sketch_exact);
-      ApplyArrival(slots[k], choices[k], versions);
+      ApplyArrival(slots[k], targets[k], versions);
     }
   }
 
@@ -199,8 +191,8 @@ Index OnlineAlid::AllocateSlot(std::span<const Scalar> point) {
   return slot;
 }
 
-OnlineAlid::Choice OnlineAlid::ScoreArrival(Index slot) const {
-  Choice best;
+int OnlineAlid::ScoreArrival(Index slot) const {
+  int best = -1;
   if (clusters_.empty()) return best;
   // Candidates are the clusters of the newcomer's LSH neighbours.
   std::vector<uint8_t> candidate(clusters_.size(), 0);
@@ -213,26 +205,12 @@ OnlineAlid::Choice OnlineAlid::ScoreArrival(Index slot) const {
     if (candidate[c] == 0 || cluster_dead_[c] != 0) continue;
     // Batch-start state: every scorer was rebuilt at the previous batch end.
     ALID_DCHECK(scorers_[c] != nullptr &&
-                scorers_[c]->sketch.built_version == cluster_version_[c]);
+                scorers_[c]->version == cluster_version_[c]);
     const ClusterScorer& scorer = *scorers_[c];
     // Absorb when (near-)infective: same-cluster arrivals sit at the density
     // (Theorem 1 equality on the support), hence the slack.
     const Scalar threshold =
         clusters_[c].density * (1.0 - options_.absorb_slack);
-    if (scorer.sketch.engaged()) {
-      // Branch-and-bound filter (the same walk the serving layer runs, so
-      // both sides take bit-identical prune decisions): a rejected
-      // candidate provably cannot clear the absorb threshold or beat the
-      // incumbent's exact margin, so its full-support scoring is skipped;
-      // anything else — inconclusive walk or give-up — falls through to the
-      // unchanged exact summation below. Both exits are pure functions of
-      // the scorer and the arrival, hence executor-independent.
-      if (scorer.Rejects(affinity_fn_, query, threshold, best_margin)) {
-        ++best.sketch_prunes;
-        continue;
-      }
-      ++best.sketch_exact;
-    }
     // The member tiles reproduce the oracle's member-order accumulation
     // bit for bit. The newcomer is unassigned, so no member equals `slot`
     // and the oracle's a_ii = 0 diagonal could never have been hit here.
@@ -240,7 +218,7 @@ OnlineAlid::Choice OnlineAlid::ScoreArrival(Index slot) const {
     const Scalar margin = affinity - threshold;
     if (margin > 0.0 && margin > best_margin) {
       best_margin = margin;
-      best.cluster = static_cast<int>(c);
+      best = static_cast<int>(c);
     }
   }
   return best;
@@ -254,7 +232,7 @@ Scalar OnlineAlid::ClusterAffinity(const Cluster& cluster, Index slot) const {
   return aff;
 }
 
-void OnlineAlid::ApplyArrival(Index slot, const Choice& choice,
+void OnlineAlid::ApplyArrival(Index slot, int target,
                               const std::vector<uint64_t>& versions) {
   metrics_.arrivals->Add(1);
   if (assignment_[slot] >= 0) {
@@ -264,7 +242,6 @@ void OnlineAlid::ApplyArrival(Index slot, const Choice& choice,
     // would seed inside a cluster the arrival may no longer target.
     metrics_.absorbed->Add(1);
   } else {
-    int target = choice.cluster;
     if (target >= 0) {
       if (cluster_dead_[target] != 0) {
         target = -1;  // dissolved earlier in this batch
@@ -308,7 +285,7 @@ void OnlineAlid::Refresh() {
 }
 
 void OnlineAlid::RefreshScorers() {
-  ALID_TRACE_SCOPE("stream", "sketch_rebuild");
+  ALID_TRACE_SCOPE("stream", "scorer_rebuild");
   // Pure per cluster (members and weights in, scorer out), so the sweep
   // chunks on the shared pool like every other parallel phase; only
   // clusters whose version moved rebuild, so the cost is O(changed), not
@@ -319,12 +296,11 @@ void OnlineAlid::RefreshScorers() {
       options_.grain, [&](int64_t, int64_t lo, int64_t hi) {
         for (int64_t c = lo; c < hi; ++c) {
           if (scorers_[c] != nullptr &&
-              scorers_[c]->sketch.built_version == cluster_version_[c]) {
+              scorers_[c]->version == cluster_version_[c]) {
             continue;
           }
           scorers_[c] = BuildClusterScorer(data_, clusters_[c].members,
                                            clusters_[c].weights,
-                                           options_.sketch,
                                            cluster_version_[c]);
         }
       });

@@ -9,7 +9,6 @@
 
 #include "core/alid.h"
 #include "core/cluster_scorer.h"
-#include "core/support_sketch.h"
 #include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
 
@@ -50,15 +49,6 @@ struct OnlineAlidOptions {
   ThreadPool* pool = nullptr;
   /// Chunk grain of the parallel phases (see DeterministicGrain); 0 auto.
   int64_t grain = 0;
-  /// Per-cluster support-sketch sizing. The sketch is a branch-and-bound
-  /// filter in front of exact absorb scoring: with a bounded kernel, any
-  /// scored prefix of the top-weight members plus the remaining weight
-  /// upper-bounds pi(s_j, x), so most candidate clusters are rejected
-  /// after a few kernel evaluations instead of a full-support scan — and
-  /// since an inconclusive bound falls back to the unchanged exact
-  /// summation, the streamed state is bit-identical with the sketch on or
-  /// off (prefix_mass <= 0 disables it).
-  SupportSketchParams sketch;
   /// Maximum number of pool seeds the refresh pass detects speculatively
   /// per map round (PALID's seed-chunk map stage over the unassigned pool).
   /// The frontier ramps 1 -> 2 -> ... -> this cap while rounds stay
@@ -83,12 +73,9 @@ struct StreamStats {
   int64_t refreshes = 0;     ///< Maintenance passes over the pool.
   int64_t clusters_born = 0;
   int64_t clusters_dissolved = 0;
-  /// Candidate clusters rejected by the support-sketch upper bound during
-  /// absorb scoring — exact work the branch-and-bound filter skipped.
+  /// Always 0: kept only for readers of the retired support-sketch counter.
   int64_t sketch_prunes = 0;
-  /// Sketch-engaged candidates whose bound was inconclusive and fell back
-  /// to the exact full-support scoring (the bits of which the sketch never
-  /// changes).
+  /// Always 0: kept only for readers of the retired support-sketch counter.
   int64_t sketch_exact = 0;
   /// Map rounds of the refresh pass's frontier scheme.
   int64_t refresh_rounds = 0;
@@ -122,12 +109,10 @@ struct StreamStats {
 /// pool, both pure against the batch-start state, so the streamed state is
 /// bit-identical for every executor count. Absorb scoring goes through each
 /// candidate cluster's immutable ClusterScorer, built at the end of the
-/// batch that last changed the cluster: its support sketch rejects most
-/// candidates without touching the full support (the top-weight prefix plus
-/// the tail-weight bound), and an inconclusive bound falls back to the
-/// unchanged exact summation over the member tiles — an exact optimization,
-/// never an approximation. Snapshot exports share the same scorers, so the
-/// serving side scores with the very objects the stream does. Absorptions
+/// batch that last changed the cluster: one exact weighted kernel sum over
+/// the member tiles per candidate (the LSH candidates already bound the
+/// candidate set). Snapshot exports share the same scorers, so the serving
+/// side scores with the very objects the stream does. Absorptions
 /// then apply serially in arrival order: an arrival whose chosen cluster
 /// was mutated earlier in the same batch is re-scored against the cluster's
 /// current state before a *local* re-detection absorbs it. Arrivals
@@ -202,9 +187,9 @@ class OnlineAlid {
     return cluster_version_[static_cast<size_t>(c)];
   }
 
-  /// The scorer of cluster `c`. Fresh (sketch.built_version ==
-  /// cluster_version) for every cluster between batches, so snapshot
-  /// exports share it instead of rebuilding.
+  /// The scorer of cluster `c`. Fresh (version == cluster_version) for
+  /// every cluster between batches, so snapshot exports share it instead
+  /// of rebuilding.
   const std::shared_ptr<const ClusterScorer>& cluster_scorer(int c) const {
     return scorers_[static_cast<size_t>(c)];
   }
@@ -224,28 +209,20 @@ class OnlineAlid {
   const LazyAffinityOracle& oracle() const { return *oracle_; }
 
  private:
-  // Absorb decision of one arrival: the target cluster (-1 = pool) plus the
-  // sketch-filter activity of the scoring (accumulated serially into
-  // StreamStats after the parallel phase). The deciding margin is
-  // recomputed on the apply path whenever the target mutated, so only the
-  // choice itself is carried across the phases.
-  struct Choice {
-    int cluster = -1;
-    int32_t sketch_prunes = 0;
-    int32_t sketch_exact = 0;
-  };
-
   // Writes the point into a re-used or appended slot (serial phase).
   Index AllocateSlot(std::span<const Scalar> point);
-  // Pure Theorem-1 scoring of one arrival against the current clusters.
-  Choice ScoreArrival(Index slot) const;
+  // Pure Theorem-1 scoring of one arrival against the current clusters:
+  // the absorb target (-1 = pool). The deciding margin is recomputed on the
+  // apply path whenever the target mutated, so only the target is carried
+  // across the phases.
+  int ScoreArrival(Index slot) const;
   // pi(s_j, x) of the newcomer against one cluster's live weighted support
   // through the oracle — the apply phase's re-score of a cluster that
   // changed earlier in the batch, whose scorer is stale by then.
   Scalar ClusterAffinity(const Cluster& cluster, Index slot) const;
   // Serial per-arrival apply: absorb (re-scoring if the chosen cluster
   // mutated earlier in the batch, per `versions`) and refresh bookkeeping.
-  void ApplyArrival(Index slot, const Choice& choice,
+  void ApplyArrival(Index slot, int target,
                     const std::vector<uint64_t>& versions);
   // Re-runs Algorithm 2 from a seed and installs/updates a cluster.
   void RedetectCluster(int cluster_id, Index seed);
@@ -317,8 +294,6 @@ class OnlineAlid {
     obs::Counter* refreshes = nullptr;
     obs::Counter* clusters_born = nullptr;
     obs::Counter* clusters_dissolved = nullptr;
-    obs::Counter* sketch_prunes = nullptr;
-    obs::Counter* sketch_exact = nullptr;
     obs::Counter* refresh_rounds = nullptr;
     obs::Counter* refresh_speculations = nullptr;
     obs::Counter* refresh_conflicts = nullptr;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -12,6 +14,19 @@
 namespace alid {
 
 namespace {
+
+// floor(v) as an int32, saturated to [INT32_MIN, INT32_MAX] with NaN sent to
+// INT32_MIN: a huge or non-finite query coordinate still hashes (to an edge
+// bucket) instead of hitting the undefined float-to-int conversion, and
+// every in-range value converts exactly as a plain cast would.
+int32_t SaturatingFloor(Scalar v) {
+  constexpr Scalar kMin = std::numeric_limits<int32_t>::min();
+  constexpr Scalar kMax = std::numeric_limits<int32_t>::max();
+  const Scalar f = std::floor(v);
+  if (!(f >= kMin)) return std::numeric_limits<int32_t>::min();
+  if (f > kMax) return std::numeric_limits<int32_t>::max();
+  return static_cast<int32_t>(f);
+}
 
 // 64-bit FNV-1a over a sequence of 32-bit floor values.
 uint64_t HashFloors(const int32_t* vals, int count) {
@@ -173,8 +188,8 @@ uint64_t LshIndex::HashPoint(const Table& table,
     const Scalar* proj = table.projections.data() + static_cast<size_t>(p) * d;
     Scalar dot = 0.0;
     for (int k = 0; k < d; ++k) dot += proj[k] * point[k];
-    floors[p] = static_cast<int32_t>(
-        std::floor((dot + table.offsets[p]) / params_.segment_length));
+    floors[p] =
+        SaturatingFloor((dot + table.offsets[p]) / params_.segment_length);
   }
   return HashFloors(floors.data(), params_.num_projections);
 }

@@ -1,6 +1,7 @@
 #include "serve/cluster_server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <unordered_set>
 #include <utility>
@@ -235,10 +236,20 @@ uint64_t ClusterServer::generation() const {
 }
 
 QueryResponse ClusterServer::Query(const QueryRequest& request) const {
-  ALID_CHECK(request.points.size() % static_cast<size_t>(dim_) == 0);
-  ALID_CHECK(request.top_k >= 0);
   const Index count = static_cast<Index>(request.points.size() / dim_);
   QueryResponse response;
+  if (request.points.size() % static_cast<size_t>(dim_) != 0 ||
+      request.top_k < 0 ||
+      !std::all_of(request.points.begin(), request.points.end(),
+                   [](Scalar v) { return std::isfinite(v); })) {
+    response.status = QueryStatus::kInvalidRequest;
+    if (request.top_k > 0) {
+      response.ranked.resize(static_cast<size_t>(count));
+    } else {
+      response.assignments.resize(static_cast<size_t>(count));
+    }
+    return response;
+  }
   WallTimer timer;
   ALID_TRACE_SCOPE("serve", "query");
   // One acquire for the whole request: every point of the call, on every
@@ -295,20 +306,16 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
           // streams its clusters' SoA tiles across the whole block of
           // queries, and every outcome stays bit-identical to a per-query
           // Assign (see ClusterSnapshot::AssignBatch).
-          std::vector<AssignOutcome> outcomes(static_cast<size_t>(hi - lo));
+          std::vector<QueryOutcome> outcomes(static_cast<size_t>(hi - lo));
           const auto chunk =
               request.points.subspan(static_cast<size_t>(lo) * dim_,
                                      static_cast<size_t>(hi - lo) * dim_);
-          int64_t prunes = 0;
-          int64_t exact = 0;
           int offset = 0;
           for (const auto& shard : gen->shards) {
             if (shard->num_clusters() == 0) continue;
             shard->AssignBatch(chunk, outcomes);
             for (int64_t k = lo; k < hi; ++k) {
-              const AssignOutcome& outcome = outcomes[k - lo];
-              prunes += outcome.sketch_prunes;
-              exact += outcome.sketch_exact;
+              const QueryOutcome& outcome = outcomes[k - lo];
               if (outcome.cluster < 0) continue;
               // Strictly-greater replacement: equal margins keep the
               // earlier shard, and each shard already prefers its lowest
@@ -324,8 +331,6 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
           for (int64_t k = lo; k < hi; ++k) {
             response.assignments[k].generation = gen->generation;
           }
-          // Relaxed atomics, so chunks record straight from pool workers.
-          stats_.RecordSketch(prunes, exact);
         });
   }
   int64_t assigned = 0;

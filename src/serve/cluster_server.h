@@ -73,6 +73,11 @@ enum class QueryStatus {
   /// The addressed generation is neither current nor retained in the
   /// history ring.
   kGenerationUnavailable = 2,
+  /// The request itself is malformed: `points` is not a whole number of
+  /// dim-sized rows, top_k is negative, or a coordinate is NaN or infinite.
+  /// Nothing is scored; the answers are default-filled as for kOffline
+  /// (count = points.size() / dim, on the assignment side unless top_k > 0).
+  kInvalidRequest = 3,
 };
 
 /// The answer to one QueryRequest. Exactly one of `assignments` (top_k ==
@@ -188,7 +193,8 @@ class ClusterServer {
   /// to querying its shards point by point serially and merging by the
   /// class comment's rule, and an as-of request reproduces exactly the
   /// answers the addressed generation gave when it was current (the
-  /// snapshots are immutable — nothing to recompute).
+  /// snapshots are immutable — nothing to recompute). A malformed request
+  /// fails typed with kInvalidRequest and records no serve stats.
   QueryResponse Query(const QueryRequest& request) const;
 
   /// Cluster births, deaths and drift between two addressable generations

@@ -40,7 +40,7 @@ bool ClusterSnapshot::CompatibleWith(const ClusterSnapshotOptions& options,
          l.num_tables == options.lsh.num_tables &&
          l.num_projections == options.lsh.num_projections &&
          l.segment_length == options.lsh.segment_length &&
-         l.seed == options.lsh.seed && sketch_params_ == options.sketch;
+         l.seed == options.lsh.seed;
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromClusters(
@@ -62,7 +62,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
   snap->dim_ = dim;
   snap->generation_ = generation;
   snap->absorb_slack_ = options.absorb_slack;
-  snap->sketch_params_ = options.sketch;
   snap->affinity_fn_ = std::make_unique<AffinityFunction>(options.affinity);
 
   const int num_clusters = static_cast<int>(clusters.size());
@@ -159,9 +158,8 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
         std::shared_ptr<const ClusterScorer> scorer =
             stream != nullptr ? stream->cluster_scorer(c) : nullptr;
         if (scorer == nullptr ||
-            scorer->sketch.built_version != stream->cluster_version(c)) {
-          scorer = BuildClusterScorer(data, cluster.members, cluster.weights,
-                                      options.sketch);
+            scorer->version != stream->cluster_version(c)) {
+          scorer = BuildClusterScorer(data, cluster.members, cluster.weights);
         }
         block->scorer = std::move(scorer);
         snap->blocks_[c] = block;
@@ -247,7 +245,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
   options.affinity = stream.options().affinity;
   options.lsh = stream.options().lsh;
   options.absorb_slack = stream.options().absorb_slack;
-  options.sketch = stream.options().sketch;
   options.pool = pool;
   options.grain = stream.options().grain;
   StreamIdentity identity;
@@ -255,16 +252,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
   identity.previous = previous.get();
   return Build(stream.oracle().data(), stream.clusters(), options,
                static_cast<uint64_t>(stream.size()), &identity);
-}
-
-ClusterSnapshot::SketchView ClusterSnapshot::sketch(int c) const {
-  SketchView view;
-  if (c < 0 || c >= num_clusters()) return view;
-  const SupportSketch& sketch = blocks_[c]->scorer->sketch;
-  view.members = sketch.ordinals;
-  view.weights = sketch.weights;
-  view.rest_weights = sketch.rest_weights;
-  return view;
 }
 
 const std::vector<Index>& ClusterSnapshot::CandidateMembers(
@@ -278,9 +265,9 @@ const std::vector<Index>& ClusterSnapshot::CandidateMembers(
   return scratch.hits;
 }
 
-AssignOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
+QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
   ALID_CHECK(static_cast<int>(point.size()) == dim());
-  AssignOutcome best;
+  QueryOutcome best;
   best.generation = generation_;
   if (num_clusters() == 0) return best;
   CandidateMembers(point);
@@ -291,21 +278,8 @@ AssignOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
     // Absorb when (near-)infective — the same slack rule, threshold and
     // lowest-id tie-break as the stream's ScoreArrival.
     const Scalar threshold = density_[c] * (1.0 - absorb_slack_);
-    const ClusterScorer& scorer = *blocks_[c]->scorer;
-    if (scorer.sketch.engaged()) {
-      // Branch-and-bound: any scored prefix of the sketch plus its rest
-      // weight (plus the FP guard) certifies an upper bound on pi(s_c, x);
-      // a checkpoint bound that cannot clear the threshold or beat the
-      // incumbent margin rejects the cluster without touching its full
-      // support. The fallback below is the unchanged exact summation, so
-      // answers are bit-identical with the sketch on or off.
-      if (scorer.Rejects(*affinity_fn_, point, threshold, best_margin)) {
-        ++best.sketch_prunes;
-        continue;
-      }
-      ++best.sketch_exact;
-    }
-    const Scalar affinity = scorer.Affinity(*affinity_fn_, point);
+    const Scalar affinity =
+        blocks_[c]->scorer->Affinity(*affinity_fn_, point);
     const Scalar margin = affinity - threshold;
     if (margin > 0.0 && margin > best_margin) {
       best_margin = margin;
@@ -318,13 +292,13 @@ AssignOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
 }
 
 void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
-                                  std::span<AssignOutcome> outcomes) const {
+                                  std::span<QueryOutcome> outcomes) const {
   const int d = dim();
   ALID_CHECK(d > 0 && points.size() % static_cast<size_t>(d) == 0);
   const Index count = static_cast<Index>(points.size() / d);
   ALID_CHECK(outcomes.size() == static_cast<size_t>(count));
   for (Index q = 0; q < count; ++q) {
-    outcomes[q] = AssignOutcome{};
+    outcomes[q] = QueryOutcome{};
     outcomes[q].generation = generation_;
   }
   const int num = num_clusters();
@@ -335,8 +309,8 @@ void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
   // cache once per block instead of once per query. The inner body is the
   // loop body of Assign verbatim, each query carrying its own incumbent,
   // and every query still visits its candidates in ascending cluster id —
-  // so winners, margins and sketch counters are bit-identical to per-query
-  // Assign calls (the property the batch-vs-serial tests pin).
+  // so winners and margins are bit-identical to per-query Assign calls (the
+  // property the batch-vs-serial tests pin).
   constexpr Index kQueryBlock = 32;
   std::vector<uint8_t> candidate(static_cast<size_t>(kQueryBlock) * num, 0);
   std::array<Scalar, kQueryBlock> best_margin;
@@ -358,21 +332,12 @@ void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
     for (int c = 0; c < num; ++c) {
       const Scalar threshold = density_[c] * (1.0 - absorb_slack_);
       const ClusterScorer& scorer = *blocks_[c]->scorer;
-      const bool sketched = scorer.sketch.engaged();
       for (Index i = 0; i < block; ++i) {
         if (candidate[static_cast<size_t>(i) * num + c] == 0) continue;
         const std::span<const Scalar> point =
             points.subspan(static_cast<size_t>(q0 + i) * d,
                            static_cast<size_t>(d));
-        AssignOutcome& best = outcomes[q0 + i];
-        if (sketched) {
-          if (scorer.Rejects(*affinity_fn_, point, threshold,
-                             best_margin[i])) {
-            ++best.sketch_prunes;
-            continue;
-          }
-          ++best.sketch_exact;
-        }
+        QueryOutcome& best = outcomes[q0 + i];
         const Scalar affinity = scorer.Affinity(*affinity_fn_, point);
         const Scalar margin = affinity - threshold;
         if (margin > 0.0 && margin > best_margin[i]) {
@@ -393,23 +358,10 @@ std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
   if (k <= 0 || num_clusters() == 0) return scored;
   CandidateMembers(point);
   const QueryScratch& scratch = Scratch();
-  // Running k-th best affinity (min of the current top-k). Candidates
-  // iterate in ascending id and exact ties break toward the lower id, so
-  // once k candidates are scored, a later candidate whose sketch bound is
-  // <= the k-th affinity can never enter the top k — skipping its exact
-  // scoring leaves the truncated result identical.
-  std::vector<Scalar> topk;  // min-heap of the k best affinities so far
   for (int c = 0; c < num_clusters(); ++c) {
     if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;
-    const ClusterScorer& scorer = *blocks_[c]->scorer;
-    // threshold = 0, so the bound compares directly against the k-th best
-    // affinity.
-    if (static_cast<int>(topk.size()) == k && scorer.sketch.engaged() &&
-        scorer.Rejects(*affinity_fn_, point, /*threshold=*/0.0,
-                       /*incumbent=*/topk.front())) {
-      continue;
-    }
-    const Scalar affinity = scorer.Affinity(*affinity_fn_, point);
+    const Scalar affinity =
+        blocks_[c]->scorer->Affinity(*affinity_fn_, point);
     ScoredCluster entry;
     entry.cluster = c;
     entry.affinity = affinity;
@@ -417,14 +369,6 @@ std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
     entry.generation = generation_;
     entry.absorbable = entry.margin > 0.0;
     scored.push_back(entry);
-    if (static_cast<int>(topk.size()) < k) {
-      topk.push_back(affinity);
-      std::push_heap(topk.begin(), topk.end(), std::greater<Scalar>());
-    } else if (affinity > topk.front()) {
-      std::pop_heap(topk.begin(), topk.end(), std::greater<Scalar>());
-      topk.back() = affinity;
-      std::push_heap(topk.begin(), topk.end(), std::greater<Scalar>());
-    }
   }
   // Descending affinity, ascending id on exact ties: a stable total order,
   // so batched and serial TopK answers are identical.

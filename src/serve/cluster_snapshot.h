@@ -9,7 +9,6 @@
 #include "affinity/affinity_function.h"
 #include "common/dataset.h"
 #include "core/cluster.h"
-#include "core/support_sketch.h"
 #include "lsh/lsh_index.h"
 #include "serve/snapshot_arena.h"
 
@@ -31,12 +30,6 @@ struct ClusterSnapshotOptions {
   LshParams lsh;
   /// Absorb slack of the assignment rule (see OnlineAlidOptions).
   double absorb_slack = 0.05;
-  /// Per-cluster support-sketch sizing for the serving hot path (the same
-  /// branch-and-bound filter the stream's absorb scoring uses; prefix = 0
-  /// disables it and every candidate scores exactly). Answers are
-  /// bit-identical either way — the sketch only skips provably hopeless
-  /// exact scorings.
-  SupportSketchParams sketch;
   /// Optional pool for the build's parallel pass (LSH key computation;
   /// build-time only — queries never touch it).
   ThreadPool* pool = nullptr;
@@ -64,8 +57,8 @@ struct SnapshotBuildInfo {
 };
 
 /// The shared shape of every answered query — the single result vocabulary
-/// of the serve API (ClusterServer::Query). AssignOutcome and ScoredCluster
-/// extend it without changing its meaning.
+/// of the serve API (ClusterServer::Query), returned by Assign and extended by
+/// ScoredCluster without changing its meaning.
 struct QueryOutcome {
   /// Snapshot cluster id, or -1 when no candidate cluster absorbs the point.
   int cluster = -1;
@@ -79,17 +72,6 @@ struct QueryOutcome {
   uint64_t generation = 0;
 
   bool operator==(const QueryOutcome&) const = default;
-};
-
-/// The outcome of one assignment query against a snapshot: the QueryOutcome
-/// shape plus the query's sketch-filter activity.
-struct AssignOutcome : QueryOutcome {
-  /// Candidate clusters the support-sketch bound rejected for this query —
-  /// full-support scorings skipped without changing the answer.
-  int32_t sketch_prunes = 0;
-  /// Sketch-engaged candidates whose bound was inconclusive and scored
-  /// exactly.
-  int32_t sketch_exact = 0;
 };
 
 /// One scored candidate of a TopKClusters query.
@@ -115,11 +97,11 @@ struct ClusterSnapshotInfo {
 /// An immutable, self-contained view of one detection state, built for
 /// serving: every dominant cluster's payload (compacted member rows, source
 /// ids, per-member LSH keys, and the ClusterScorer holding the simplex
-/// weights, support sketch and SoA tiles) lives in a refcounted arena block
-/// (see snapshot_arena.h), plus a per-snapshot LSH index over the members
-/// for candidate retrieval. Every query — Assign, AssignBatch, TopKClusters
-/// — scores a candidate through its block's scorer, the same object and
-/// the same two methods the stream's absorb step uses. The
+/// weights and SoA member tiles) lives in a refcounted arena block (see
+/// snapshot_arena.h), plus a per-snapshot LSH index over the members for
+/// candidate retrieval. Every query — Assign, AssignBatch, TopKClusters —
+/// scores each candidate exactly once through its block's scorer, the same
+/// object and the same method the stream's absorb step uses. The
 /// incremental export *shares* an unchanged cluster's block with the
 /// predecessor snapshot instead of copying it, so consecutive generations
 /// cost only their changed bytes — and a server's history ring of old
@@ -142,8 +124,8 @@ class ClusterSnapshot {
       const Dataset& data, const DetectionResult& result,
       const ClusterSnapshotOptions& options, uint64_t generation = 0);
 
-  /// Exports the live state of a stream. Affinity/LSH parameters, absorb
-  /// slack and the sketch sizing are taken from the stream's own options, so
+  /// Exports the live state of a stream. Affinity/LSH parameters and absorb
+  /// slack are taken from the stream's own options, so
   /// Assign reproduces the stream's absorb decision bit for bit (and every
   /// block shares the stream's own fresh ClusterScorer by refcount instead
   /// of rebuilding one); the generation is the stream's
@@ -176,20 +158,17 @@ class ClusterSnapshot {
   /// with the largest positive margin pi(s_c, x) - density_c * (1 - slack)
   /// (lowest id on ties — the same rule as OnlineAlid::ScoreArrival).
   /// outcome.generation carries this snapshot's generation.
-  AssignOutcome Assign(std::span<const Scalar> point) const;
+  QueryOutcome Assign(std::span<const Scalar> point) const;
 
   /// Assign for a batch of queries: `points` holds count * dim scalars,
   /// row-major; `outcomes` must hold count entries. Each outcome — winner,
-  /// affinity, margin, sketch counters — is bit-identical to a standalone
-  /// Assign of the same point: the batch only reorders the *work* query-
-  /// major (outer loop over clusters in ascending id, inner loop over a
-  /// block of queries, each with its own incumbent), so one cluster's SoA
-  /// tiles are streamed through the cache once per query block instead of
-  /// once per query. Every candidate visit still happens in ascending
-  /// cluster id with the same per-query incumbent sequence, so prune
-  /// decisions — and the counters — cannot diverge from the scalar order.
+  /// affinity, margin — is bit-identical to a standalone Assign of the same
+  /// point: the batch only reorders the *work* query-major (outer loop over
+  /// clusters in ascending id, inner loop over a block of queries, each
+  /// with its own incumbent), so one cluster's SoA tiles are streamed
+  /// through the cache once per query block instead of once per query.
   void AssignBatch(std::span<const Scalar> points,
-                   std::span<AssignOutcome> outcomes) const;
+                   std::span<QueryOutcome> outcomes) const;
 
   /// The candidate clusters of `point` scored by pi(s_c, x), descending
   /// (lowest id on ties), truncated to k.
@@ -211,19 +190,6 @@ class ClusterSnapshot {
 
   /// What this build cost and what the incremental path saved/shared.
   const SnapshotBuildInfo& build_info() const { return build_info_; }
-
-  /// Read-only view of cluster `c`'s support sketch (empty spans when the
-  /// sketch is disengaged for that cluster) — the deep-equality tests
-  /// compare these across incremental and from-scratch builds.
-  struct SketchView {
-    /// Cluster-local member ordinals, descending weight.
-    std::span<const Index> members;
-    std::span<const Scalar> weights;
-    /// Weight mass left after each prefix position (see SupportSketch).
-    std::span<const Scalar> rest_weights;
-    bool engaged() const { return !members.empty(); }
-  };
-  SketchView sketch(int c) const;
 
   /// The refcounted arena blocks backing this snapshot, one per cluster —
   /// shared with other generations that inherited the same clusters. The
@@ -272,7 +238,6 @@ class ClusterSnapshot {
   // the key the *next* incremental export matches against.
   std::vector<uint64_t> src_uid_;
   std::vector<uint64_t> src_version_;
-  SupportSketchParams sketch_params_;
   double absorb_slack_ = 0.05;
   std::unique_ptr<AffinityFunction> affinity_fn_;
   // Per-snapshot dataset-free LSH index over the global member positions

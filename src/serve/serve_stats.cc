@@ -19,8 +19,6 @@ ServeStats::ServeStats()
       info_queries_(registry_.AddCounter("info_queries")),
       fanout_(registry_.AddCounter("shard_fanout_queries")),
       snapshots_published_(registry_.AddCounter("snapshots_published")),
-      sketch_prunes_(registry_.AddCounter("sketch_prunes")),
-      sketch_exact_(registry_.AddCounter("sketch_exact")),
       rows_reused_(registry_.AddCounter("rows_reused")),
       clusters_reused_(registry_.AddCounter("clusters_reused")),
       bytes_shared_(registry_.AddCounter("bytes_shared")),
@@ -74,8 +72,6 @@ ServeStatsView ServeStats::View() const {
   view.topk_queries = topk_queries_->value();
   view.info_queries = info_queries_->value();
   view.snapshots_published = snapshots_published_->value();
-  view.sketch_prunes = sketch_prunes_->value();
-  view.sketch_exact = sketch_exact_->value();
   view.rows_reused = rows_reused_->value();
   view.clusters_reused = clusters_reused_->value();
   view.bytes_shared = bytes_shared_->value();
@@ -103,8 +99,6 @@ void ServeStats::Reset() {
   info_queries_->Set(0);
   fanout_->Set(0);
   snapshots_published_->Set(0);
-  sketch_prunes_->Set(0);
-  sketch_exact_->Set(0);
   rows_reused_->Set(0);
   clusters_reused_->Set(0);
   bytes_shared_->Set(0);

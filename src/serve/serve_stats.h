@@ -26,12 +26,9 @@ struct ServeStatsView {
   int64_t topk_queries = 0;
   int64_t info_queries = 0;
   int64_t snapshots_published = 0;
-  /// Candidate clusters the snapshot's support-sketch bound rejected during
-  /// Assign/AssignBatch — full-support scorings the branch-and-bound filter
-  /// skipped without changing a bit of any answer.
+  /// Always 0: kept only for readers of the retired support-sketch counter.
   int64_t sketch_prunes = 0;
-  /// Sketch-engaged candidates whose bound was inconclusive and scored
-  /// exactly (the fallback that keeps the filter exact).
+  /// Always 0: kept only for readers of the retired support-sketch counter.
   int64_t sketch_exact = 0;
   /// Member rows / clusters the published snapshots inherited from their
   /// predecessors via the incremental export (0 under from-scratch builds).
@@ -90,12 +87,6 @@ class ServeStats {
   void RecordPublish(bool has_build, double build_seconds, int64_t rows_reused,
                      int64_t clusters_reused, int64_t bytes_shared,
                      int64_t bytes_copied);
-  /// Sketch-filter activity of one answered query (relaxed atomics: batched
-  /// queries record from pool workers).
-  void RecordSketch(int64_t prunes, int64_t exact) {
-    if (prunes > 0) sketch_prunes_->Add(prunes);
-    if (exact > 0) sketch_exact_->Add(exact);
-  }
 
   /// A consistent copy of every counter plus derived QPS.
   ServeStatsView View() const;
@@ -118,8 +109,6 @@ class ServeStats {
   obs::Counter* info_queries_;
   obs::Counter* fanout_;
   obs::Counter* snapshots_published_;
-  obs::Counter* sketch_prunes_;
-  obs::Counter* sketch_exact_;
   obs::Counter* rows_reused_;
   obs::Counter* clusters_reused_;
   obs::Counter* bytes_shared_;

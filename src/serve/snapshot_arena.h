@@ -23,10 +23,10 @@ MemoryTracker& SnapshotArenaTracker();
 
 /// One cluster's immutable serving payload, allocated in the shared snapshot
 /// arena: the member rows, source ids and per-member LSH bucket keys, plus
-/// the cluster's ClusterScorer (simplex weights, support sketch and SIMD SoA
-/// tiles) that every query scores through. A stream export shares the
-/// stream's own scorer here by refcount, so the block holds no second copy
-/// of anything the scorer holds. A block is built and mutated only inside
+/// the cluster's ClusterScorer (simplex weights and SIMD SoA member tiles)
+/// that every query scores through. A stream export shares the stream's own
+/// scorer here by refcount, so the block holds no second copy of anything
+/// the scorer holds. A block is built and mutated only inside
 /// one snapshot build (which holds the sole reference), then sealed and
 /// published behind shared_ptr<const ClusterBlock>; from then on it is
 /// immutable, so a successor snapshot whose stream (uid, version) pair
@@ -57,7 +57,7 @@ struct ClusterBlock {
   /// a shared block's members re-enter the successor snapshot's index
   /// without re-hashing.
   std::vector<uint64_t> member_keys;
-  /// The cluster's scoring state (weights in member order, sketch, tiles);
+  /// The cluster's scoring state (weights and tiles in member order);
   /// shared with the stream that exported it and with every block that
   /// inherited it.
   std::shared_ptr<const ClusterScorer> scorer;

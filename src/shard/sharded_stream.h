@@ -15,9 +15,9 @@ namespace alid {
 /// Options of the sharded ingest tier.
 struct ShardedStreamOptions {
   /// Per-shard OnlineAlid configuration (every shard runs the same one —
-  /// affinity/LSH parameters, window, sketch, and the *shared* pool; the
-  /// LSH seed in particular makes bucket keys comparable across shards,
-  /// which is what the boundary-cluster report keys on).
+  /// affinity/LSH parameters, window, and the *shared* pool; the LSH seed
+  /// in particular makes bucket keys comparable across shards, which is
+  /// what the boundary-cluster report keys on).
   OnlineAlidOptions base;
   /// Number of independent OnlineAlid shards, fixed at construction. The
   /// partition of the stream — and therefore every shard's state — is a

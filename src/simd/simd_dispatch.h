@@ -43,9 +43,7 @@ struct SimdKernelOps {
 };
 
 /// Member columns per tile. Fixed at 8 so one tile is one AVX-512 register,
-/// two AVX2 registers, four NEON registers, or eight scalar accumulators —
-/// and so one tile is exactly one kSketchBoundStride checkpoint group of the
-/// branch-and-bound prefix walk.
+/// two AVX2 registers, four NEON registers, or eight scalar accumulators.
 inline constexpr int kSimdTileLanes = 8;
 
 /// The ops of `isa`, or nullptr when that ISA was not compiled in or the

@@ -348,8 +348,6 @@ void ExpectIdenticalStreamState(const OnlineAlid& a, const OnlineAlid& b) {
   EXPECT_EQ(sa.evicted, sb.evicted);
   EXPECT_EQ(sa.redetections, sb.redetections);
   EXPECT_EQ(sa.refreshes, sb.refreshes);
-  EXPECT_EQ(sa.sketch_prunes, sb.sketch_prunes);
-  EXPECT_EQ(sa.sketch_exact, sb.sketch_exact);
   EXPECT_EQ(sa.refresh_rounds, sb.refresh_rounds);
   EXPECT_EQ(sa.refresh_speculations, sb.refresh_speculations);
   EXPECT_EQ(sa.refresh_conflicts, sb.refresh_conflicts);

@@ -4,6 +4,7 @@
 // against the streaming runtime's own Theorem-1 decision.
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -442,6 +443,7 @@ TEST(ServeTest, OfflineAndEmptySnapshotEdges) {
   ASSERT_EQ(batch.assignments.size(), 5u);
   for (const QueryOutcome& r : batch.assignments) EXPECT_EQ(r.cluster, -1);
   EXPECT_TRUE(server.Query({}).assignments.empty());
+  ExpectInvalidRequestsRejected(server, data.data[0]);
 
   // A snapshot with zero clusters (fresh stream) serves unassigned answers
   // under its own generation.
@@ -458,6 +460,7 @@ TEST(ServeTest, OfflineAndEmptySnapshotEdges) {
   EXPECT_EQ(r.generation, 1u);
   EXPECT_EQ(r.assignments.front().cluster, -1);
   EXPECT_EQ(r.assignments.front().generation, 1u);
+  ExpectInvalidRequestsRejected(server, data.data[1]);
   // Taking the server offline again is an explicit Publish(nullptr).
   server.Publish(nullptr);
   EXPECT_EQ(server.generation(), 0u);
@@ -468,6 +471,56 @@ TEST(ServeTest, OfflineAndEmptySnapshotEdges) {
   EXPECT_EQ(server.Query({.points = data.data[1], .generation = 9})
                 .status,
             QueryStatus::kGenerationUnavailable);
+}
+
+TEST(ServeTest, HugeFiniteCoordinatesAnswerAlikeThroughEveryEntryPoint) {
+  // Coordinates far outside the data push the LSH projections past the
+  // int32 bucket range (and, at the largest magnitudes, to inf or NaN):
+  // the hash saturates instead of converting out of range, and Assign,
+  // AssignBatch and Query still give one answer per point.
+  LabeledData data = Workload(300, 19);
+  const std::vector<Index> order = ShuffledOrder(data);
+  auto online = FeedStream(data, order, 260, StreamOptions(data));
+  const auto snap = ClusterSnapshot::FromStream(*online);
+  ASSERT_GT(snap->num_clusters(), 0);
+  const int dim = data.data.dim();
+  constexpr Scalar kMax = std::numeric_limits<Scalar>::max();
+
+  // The control: a member row of cluster 0, which Assign must absorb.
+  const auto member = online->oracle().data()[snap->ClusterInfo(0).members[0]];
+  std::vector<Scalar> queries(member.begin(), member.end());
+  std::vector<Scalar> row = FlatRows(data, order, 261, 262);
+  row[0] = 1e12;
+  queries.insert(queries.end(), row.begin(), row.end());
+  for (const Scalar v : {-1e12, 1e300, kMax}) {
+    queries.insert(queries.end(), static_cast<size_t>(dim), v);
+  }
+  for (int d = 0; d < dim; ++d) queries.push_back(d % 2 == 0 ? kMax : -kMax);
+  const Index count = static_cast<Index>(queries.size()) / dim;
+
+  std::vector<QueryOutcome> batch(static_cast<size_t>(count));
+  snap->AssignBatch(queries, batch);
+  ClusterServer server(dim);
+  server.Publish(snap);
+  const QueryResponse all = server.Query({.points = queries});
+  const QueryResponse ranked = server.Query({.points = queries, .top_k = 3});
+  ASSERT_TRUE(all.ok());
+  ASSERT_TRUE(ranked.ok());
+  for (Index q = 0; q < count; ++q) {
+    SCOPED_TRACE(testing::Message() << "query " << q);
+    const std::span<const Scalar> point =
+        std::span<const Scalar>(queries).subspan(
+            static_cast<size_t>(q) * dim, static_cast<size_t>(dim));
+    const QueryOutcome single = snap->Assign(point);
+    EXPECT_EQ(batch[q], single);
+    EXPECT_EQ(all.assignments[q], single);
+    EXPECT_EQ(server.Query({.points = point}).assignments.front(), single);
+    EXPECT_EQ(ranked.ranked[q], snap->TopKClusters(point, 3));
+    if (q > 0) {
+      EXPECT_EQ(single.cluster, -1);  // nothing absorbs a far point
+    }
+  }
+  EXPECT_GE(all.assignments.front().cluster, 0);
 }
 
 TEST(ServeTest, StatsCountQueriesAndLatencies) {

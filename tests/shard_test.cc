@@ -121,8 +121,6 @@ void ExpectIdenticalStreams(const OnlineAlid& a, const OnlineAlid& b) {
   EXPECT_EQ(sa.refreshes, sb.refreshes);
   EXPECT_EQ(sa.clusters_born, sb.clusters_born);
   EXPECT_EQ(sa.clusters_dissolved, sb.clusters_dissolved);
-  EXPECT_EQ(sa.sketch_prunes, sb.sketch_prunes);
-  EXPECT_EQ(sa.sketch_exact, sb.sketch_exact);
 }
 
 // The smallest key routing to `shard` — explicit-key ingest for the tests
@@ -218,7 +216,7 @@ TEST(ShardTest, SingleShardRouterMatchesDirectSnapshot) {
   ASSERT_EQ(response.assignments.size(), 60u);
   const int shard0_clusters = router.snapshot()->shards[0]->num_clusters();
   for (Index i = 0; i < 60; ++i) {
-    const AssignOutcome expected = direct->Assign(data.data[i]);
+    const QueryOutcome expected = direct->Assign(data.data[i]);
     const QueryOutcome& got = response.assignments[static_cast<size_t>(i)];
     EXPECT_EQ(got.cluster, expected.cluster) << "point " << i;
     EXPECT_EQ(got.affinity, expected.affinity) << "point " << i;
@@ -307,10 +305,10 @@ TEST(ShardTest, RouterMergeMatchesSerialPerShardMerge) {
   for (Index i = 0; i < num_queries; ++i) {
     // The reference merge: serial per-shard Assign, strictly-greater margin
     // replacement (equal margins keep the earliest shard).
-    AssignOutcome expected;
+    QueryOutcome expected;
     int expected_shard = -1;
     for (int s = 0; s < 3; ++s) {
-      const AssignOutcome outcome = pinned->shards[s]->Assign(data.data[i]);
+      const QueryOutcome outcome = pinned->shards[s]->Assign(data.data[i]);
       if (outcome.cluster < 0) continue;
       if (expected.cluster < 0 || outcome.margin > expected.margin) {
         expected = outcome;
@@ -530,6 +528,7 @@ TEST(ShardTest, EmptyShardsHotSpotAndStatusEdges) {
   const QueryResponse offline = router.Query({.points = center});
   EXPECT_EQ(offline.status, QueryStatus::kOffline);
   EXPECT_EQ(router.generation(), 0u);
+  ExpectInvalidRequestsRejected(router, center);
 
   // Queries fan out over empty shards without harm; answers come from the
   // hot one.
@@ -543,6 +542,7 @@ TEST(ShardTest, EmptyShardsHotSpotAndStatusEdges) {
   const int cluster = response.assignments[0].cluster;
   ASSERT_GE(cluster, ClusterOffset(*published, hot));
   EXPECT_LT(cluster, ClusterOffset(*published, hot + 1));
+  ExpectInvalidRequestsRejected(router, center);
 
   // Generation addressing: the current one answers, anything else is
   // unavailable (the router's default keeps no history ring).

@@ -272,8 +272,7 @@ LabeledData Workload(Index n = 420, uint64_t seed = 91) {
   cfg.num_clusters = 4;
   cfg.omega = 0.6;
   cfg.mean_box = 300.0;
-  // Overlapping clusters put arrivals in LSH reach of losing candidates —
-  // the situation where the sketch walk actually rejects some of them.
+  // Overlapping clusters put arrivals in LSH reach of losing candidates.
   cfg.overlap_clusters = true;
   cfg.seed = seed;
   return MakeSynthetic(cfg);
@@ -284,16 +283,13 @@ OnlineAlidOptions StreamOptions(const LabeledData& data) {
   opts.affinity = {.k = data.suggested_k, .p = 2.0};
   opts.lsh.segment_length = data.suggested_lsh_r;
   opts.refresh_interval = 96;
-  // Engage the sketch on this workload's modest clusters so the tiled
-  // prefix walk is exercised, not just the exact tile summation.
-  opts.sketch.min_support = 16;
   return opts;
 }
 
 // The shuffled dataset followed by `probes` near-miss arrivals — jittered
 // copies of data rows, some of which collide with a cluster's LSH buckets
-// while scoring far below its absorb threshold: exactly the arrivals the
-// sketch bound rejects (same mix as sketch_test's prune-provoking streams).
+// while scoring far below its absorb threshold (same mix as
+// snapshot_export_test's streams).
 std::vector<Scalar> ArrivalMix(const LabeledData& data, Index probes) {
   const int dim = data.data.dim();
   Rng rng(5);
@@ -346,21 +342,16 @@ void ExpectIdenticalStreams(const OnlineAlid& a, const OnlineAlid& b) {
   EXPECT_EQ(sa.redetections, sb.redetections);
   EXPECT_EQ(sa.clusters_born, sb.clusters_born);
   EXPECT_EQ(sa.clusters_dissolved, sb.clusters_dissolved);
-  // The sketch filter's prune/exact split is part of the contract: the tiled
-  // walk must take the same branch at every checkpoint as the scalar walk.
-  EXPECT_EQ(sa.sketch_prunes, sb.sketch_prunes);
-  EXPECT_EQ(sa.sketch_exact, sb.sketch_exact);
 }
 
 // The tentpole's headline contract: a stream run entirely on the scalar
 // oracle path and a stream run on the dispatched vector path make the same
 // absorb/pool/evict decisions, produce the same clusters (weights and
-// densities bit-equal), and even take the same sketch prune branches.
+// densities bit-equal).
 TEST(SimdStreamTest, StreamBitIdenticalAcrossIsaPaths) {
   LabeledData data = Workload();
   const std::vector<Scalar> flat = ArrivalMix(data, 120);
   const Index batch = 37;
-  int64_t total_prunes = 0;
 
   for (const Index window : {Index{0}, Index{260}}) {
     OnlineAlidOptions opts = StreamOptions(data);
@@ -372,7 +363,6 @@ TEST(SimdStreamTest, StreamBitIdenticalAcrossIsaPaths) {
       scalar = RunStream(data, opts, batch, flat);
     }
     ASSERT_GT(scalar->clusters().size(), 0u);
-    total_prunes += scalar->stats().sketch_prunes;
 
     for (SimdIsa isa : AvailableSimdIsas()) {
       ScopedSimdIsaOverride pin(isa);
@@ -386,14 +376,11 @@ TEST(SimdStreamTest, StreamBitIdenticalAcrossIsaPaths) {
       }
     }
   }
-  // The sweep must take the tiled sketch walk's reject branch somewhere, or
-  // the equality above says nothing about it.
-  EXPECT_GT(total_prunes, 0);
 }
 
 // Flat serve query mix: jittered data rows sweeping through the
-// collide-but-fail band (the prune region between "absorbs" and "no LSH
-// collision at all"), with far-off uniform noise mixed in.
+// collide-but-fail band (between "absorbs" and "no LSH collision at all"),
+// with far-off uniform noise mixed in.
 std::vector<Scalar> ServeQueries(const LabeledData& data, int count) {
   const int dim = data.data.dim();
   Rng rng(11);
@@ -415,13 +402,11 @@ std::vector<Scalar> ServeQueries(const LabeledData& data, int count) {
   return queries;
 }
 
-void ExpectSameOutcome(const AssignOutcome& a, const AssignOutcome& b,
+void ExpectSameOutcome(const QueryOutcome& a, const QueryOutcome& b,
                        Index q) {
   EXPECT_EQ(a.cluster, b.cluster) << "query " << q;
   ExpectSameBits(a.affinity, b.affinity, "affinity", static_cast<int>(q));
   ExpectSameBits(a.margin, b.margin, "margin", static_cast<int>(q));
-  EXPECT_EQ(a.sketch_prunes, b.sketch_prunes) << "query " << q;
-  EXPECT_EQ(a.sketch_exact, b.sketch_exact) << "query " << q;
 }
 
 TEST(SimdServeTest, AssignAndTopKBitIdenticalAcrossIsaPaths) {
@@ -434,7 +419,7 @@ TEST(SimdServeTest, AssignAndTopKBitIdenticalAcrossIsaPaths) {
   const std::vector<Scalar> queries = ServeQueries(data, 300);
   const Index count = static_cast<Index>(queries.size()) / dim;
 
-  std::vector<AssignOutcome> expected(count);
+  std::vector<QueryOutcome> expected(count);
   std::vector<std::vector<ScoredCluster>> expected_topk(count);
   {
     ScopedSimdIsaOverride pin(SimdIsa::kScalar);
@@ -444,10 +429,6 @@ TEST(SimdServeTest, AssignAndTopKBitIdenticalAcrossIsaPaths) {
       expected_topk[q] = snap->TopKClusters(point, 3);
     }
   }
-
-  int pruned = 0;
-  for (const auto& o : expected) pruned += o.sketch_prunes;
-  EXPECT_GT(pruned, 0);  // the tiled sketch walk must actually engage
 
   for (SimdIsa isa : AvailableSimdIsas()) {
     ScopedSimdIsaOverride pin(isa);
@@ -469,9 +450,9 @@ TEST(SimdServeTest, AssignAndTopKBitIdenticalAcrossIsaPaths) {
   }
 }
 
-// AssignBatch only reorders the work query-major; winner, affinity, margin
-// and the sketch counters must match a standalone Assign of every point —
-// including ragged batch sizes that do not fill the query block.
+// AssignBatch only reorders the work query-major; winner, affinity and
+// margin must match a standalone Assign of every point — including ragged
+// batch sizes that do not fill the query block.
 TEST(SimdServeTest, AssignBatchBitIdenticalToPerQueryAssign) {
   LabeledData data = Workload(460, 23);
   auto online =
@@ -484,7 +465,7 @@ TEST(SimdServeTest, AssignBatchBitIdenticalToPerQueryAssign) {
   for (const Index take : {Index{1}, Index{31}, Index{32}, Index{33}, count}) {
     const std::span<const Scalar> points(queries.data(),
                                          static_cast<size_t>(take) * dim);
-    std::vector<AssignOutcome> batch(take);
+    std::vector<QueryOutcome> batch(take);
     snap->AssignBatch(points, batch);
     for (Index q = 0; q < take; ++q) {
       SCOPED_TRACE(testing::Message() << "take=" << take);
@@ -493,7 +474,7 @@ TEST(SimdServeTest, AssignBatchBitIdenticalToPerQueryAssign) {
     }
   }
   // Empty batch is a no-op, not a crash.
-  std::vector<AssignOutcome> none;
+  std::vector<QueryOutcome> none;
   snap->AssignBatch(std::span<const Scalar>(), none);
 }
 

@@ -3,8 +3,10 @@
 
 // Helpers shared by the test binaries (each tests/*.cc builds standalone, so
 // everything here is header-only).
+#include <limits>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "core/cluster.h"
 #include "data/labeled_data.h"
 #include "lsh/lsh_index.h"
+#include "serve/cluster_server.h"
 
 namespace alid {
 
@@ -61,6 +64,38 @@ inline Scalar QuadraticDensity(const Dataset& data,
     }
   }
   return density;
+}
+
+/// Malformed requests fail typed whatever the server holds: a ragged
+/// `points` span, a negative top_k, and a NaN or infinite coordinate each
+/// answer kInvalidRequest, generation 0, and default-filled entries (one per
+/// whole row, on the side top_k selects). `point` is one valid row.
+inline void ExpectInvalidRequestsRejected(const ClusterServer& server,
+                                          std::span<const Scalar> point) {
+  const auto expect_invalid = [](const QueryResponse& r, size_t rows,
+                                 bool ranked) {
+    EXPECT_EQ(r.status, QueryStatus::kInvalidRequest);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.generation, 0u);
+    ASSERT_EQ(r.assignments.size(), ranked ? 0u : rows);
+    ASSERT_EQ(r.ranked.size(), ranked ? rows : 0u);
+    for (const QueryOutcome& a : r.assignments) EXPECT_EQ(a, QueryOutcome{});
+    for (const auto& list : r.ranked) EXPECT_TRUE(list.empty());
+  };
+  std::vector<Scalar> ragged(point.begin(), point.end());
+  ragged.push_back(0.0);  // one row plus a stray scalar
+  expect_invalid(server.Query({.points = ragged}), 1, false);
+  expect_invalid(server.Query({.points = ragged, .top_k = 2}), 1, true);
+  expect_invalid(server.Query({.points = point, .top_k = -1}), 1, false);
+  for (const Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                           std::numeric_limits<Scalar>::infinity(),
+                           -std::numeric_limits<Scalar>::infinity()}) {
+    std::vector<Scalar> two(point.begin(), point.end());
+    two.insert(two.end(), point.begin(), point.end());
+    two[point.size() + point.size() / 2] = bad;  // second row only
+    expect_invalid(server.Query({.points = two}), 2, false);
+    expect_invalid(server.Query({.points = two, .top_k = 3}), 2, true);
+  }
 }
 
 }  // namespace alid

@@ -17,13 +17,12 @@ shared CI runners are noise, and a 3 ms -> 5 ms move is not a regression.
 Metrics present on only one side (new or retired benches) are reported but
 never fail the gate.
 
-Beyond wall times, the script reports (never gates) the support-sketch and
-incremental-publish counters — sketch_prunes / sketch_exact / rows_reused /
-clusters_reused / bytes_shared / bytes_copied / history_ring_bytes —
-including the per-record sketch hit-rate delta, and
+Beyond wall times, the script reports (never gates) the incremental-publish
+and fan-out counters — rows_reused / clusters_reused / bytes_shared /
+bytes_copied / history_ring_bytes / shard_fanout_queries — and
 ``--require-positive key1,key2`` asserts that the named counters sum to a
-positive value across the *current* record: CI uses it to prove the sketch
-fast path and the incremental export cannot silently disable themselves.
+positive value across the *current* record: CI uses it to prove the
+incremental export cannot silently disable itself.
 ``--require-max key:limit`` is the ceiling-shaped sibling: every occurrence
 of the key across the current records (top level and rows) must be <= limit,
 and the key must be present at all — CI gates the span-tracing overhead with
@@ -61,9 +60,8 @@ WALL_KEYS = ("wall_seconds", "p95_batch_seconds", "p95_query_seconds",
 # bytes_shared / bytes_copied are the arena ledger of the snapshot publish
 # path: shared > 0 proves the incremental export really aliased its
 # predecessor's blocks instead of copying them.
-COUNTER_KEYS = ("sketch_prunes", "sketch_exact", "rows_reused",
-                "clusters_reused", "bytes_shared", "bytes_copied",
-                "history_ring_bytes", "shard_fanout_queries")
+COUNTER_KEYS = ("rows_reused", "clusters_reused", "bytes_shared",
+                "bytes_copied", "history_ring_bytes", "shard_fanout_queries")
 
 
 def reject_duplicate_keys(pairs):
@@ -166,12 +164,6 @@ def sum_counters(records):
     return totals
 
 
-def sketch_hit_rate(totals):
-    """Fraction of sketch-engaged scorings the bound pruned."""
-    touched = totals["sketch_prunes"] + totals["sketch_exact"]
-    return totals["sketch_prunes"] / touched if touched > 0 else None
-
-
 def report_counters(prev_records, curr_records):
     prev = sum_counters(prev_records) if prev_records else None
     curr = sum_counters(curr_records)
@@ -180,13 +172,6 @@ def report_counters(prev_records, curr_records):
             print(f"info {key}: {prev[key]} -> {curr[key]}")
         else:
             print(f"info {key}: {curr[key]}")
-    rate = sketch_hit_rate(curr)
-    if rate is not None:
-        line = f"info sketch hit rate: {rate:.1%}"
-        prev_rate = sketch_hit_rate(prev) if prev is not None else None
-        if prev_rate is not None:
-            line += f" (was {prev_rate:.1%}, delta {rate - prev_rate:+.1%})"
-        print(line)
     return curr
 
 
