@@ -16,6 +16,7 @@
 // trajectory (machine-readable, stable key names).
 #include "bench_util.h"
 #include "registry.h"
+#include "scenarios.h"
 
 #include <algorithm>
 #include <memory>
@@ -48,6 +49,7 @@ struct StreamRow {
   int64_t entries_computed = 0;  // the stream oracle's kernel evaluations
   int64_t steals = 0;
   int clusters = 0;
+  double avg_f = 0.0;  // live window against the planted bursts, at ingest end
   // Publish phase (measured outside the ingest wall): steady-state
   // localized batches followed by one incremental snapshot export each.
   double publish_p95_seconds = 0.0;
@@ -85,8 +87,21 @@ std::vector<Scalar> ArrivalStream(const LabeledData& data,
   return flat;
 }
 
+// The planted burst of every arrival of ArrivalStream (-1 for noise and for
+// the near-miss probes).
+std::vector<int> ArrivalSources(const LabeledData& data,
+                                const std::vector<Index>& order,
+                                Index arrivals) {
+  std::vector<int> sources(static_cast<size_t>(arrivals), -1);
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    sources[pos] = data.labels[order[pos]];
+  }
+  return sources;
+}
+
 StreamRow RunStream(const LabeledData& data,
-                    const std::vector<Scalar>& arrivals, Index batch,
+                    const std::vector<Scalar>& arrivals,
+                    const std::vector<int>& arrival_sources, Index batch,
                     Index window, int executors) {
   StreamRow row;
   row.batch = batch;
@@ -107,15 +122,19 @@ StreamRow RunStream(const LabeledData& data,
   const int dim = data.data.dim();
   const Index count = static_cast<Index>(arrivals.size()) / dim;
   std::vector<Scalar> flat;
+  SlotSources sources;
   WallTimer timer;
   for (Index begin = 0; begin < count; begin += batch) {
     const Index size = std::min<Index>(batch, count - begin);
-    online.InsertBatch(std::span<const Scalar>(
-        arrivals.data() + static_cast<size_t>(begin) * dim,
-        static_cast<size_t>(size) * dim));
+    sources.Record(
+        online.InsertBatch(std::span<const Scalar>(
+            arrivals.data() + static_cast<size_t>(begin) * dim,
+            static_cast<size_t>(size) * dim)),
+        std::span<const int>(arrival_sources).subspan(begin, size));
   }
   online.Refresh();
   row.wall_seconds = timer.Seconds();
+  row.avg_f = sources.LiveAvgF(online);
 
   const StreamStats stats = online.stats();
   row.items_per_second = row.wall_seconds > 0.0
@@ -167,13 +186,13 @@ StreamRow RunStream(const LabeledData& data,
 
 void PrintRow(const StreamRow& r) {
   std::printf("%-6d %-7d %-6d %-9.3f %-9.2f %-8.1f %-10.4f %-10.4f "
-              "%-8lld %-8lld %-9lld %-9lld\n",
+              "%-8lld %-8lld %-9lld %-9lld %.3f\n",
               r.batch, r.window, r.executors, r.wall_seconds, r.speedup,
               r.items_per_second, r.p50_batch_seconds, r.p95_batch_seconds,
               static_cast<long long>(r.absorbed),
               static_cast<long long>(r.evicted),
               static_cast<long long>(r.redetections),
-              static_cast<long long>(r.steals));
+              static_cast<long long>(r.steals), r.avg_f);
 }
 
 void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
@@ -198,14 +217,15 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
         "\"p50_batch_seconds\":%.6f,\"p95_batch_seconds\":%.6f,"
         "\"ingest_p95_seconds\":%.6f,\"publish_p95_seconds\":%.6f,"
         "\"rows_reused\":%lld,\"clusters_reused\":%lld,"
-        "\"entries_computed\":%lld,\"steals\":%lld,\"clusters\":%d,%s}",
+        "\"entries_computed\":%lld,\"steals\":%lld,\"clusters\":%d,"
+        "\"avg_f\":%.4f,%s}",
         i == 0 ? "" : ",", r.batch, r.window, r.executors, r.wall_seconds,
         r.speedup, r.items_per_second, r.p50_batch_seconds,
         r.p95_batch_seconds, r.p95_batch_seconds, r.publish_p95_seconds,
         static_cast<long long>(r.rows_reused),
         static_cast<long long>(r.clusters_reused),
         static_cast<long long>(r.entries_computed),
-        static_cast<long long>(r.steals), r.clusters,
+        static_cast<long long>(r.steals), r.clusters, r.avg_f,
         r.registry_fields.c_str());
   }
   json += "]}";
@@ -227,6 +247,8 @@ void Run(BenchContext& ctx) {
   Rng rng(17);
   const std::vector<Index> order = rng.Permutation(data.size());
   const std::vector<Scalar> arrivals = ArrivalStream(data, order);
+  const std::vector<int> sources = ArrivalSources(
+      data, order, static_cast<Index>(arrivals.size()) / data.data.dim());
   std::printf("n=%d arrivals (+%d near-miss probes), %zu planted bursts\n",
               data.size(),
               static_cast<int>(arrivals.size()) / data.data.dim() -
@@ -246,7 +268,7 @@ void Run(BenchContext& ctx) {
     obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
     const bool was_enabled = recorder.enabled();
     const auto ingest_wall = [&] {
-      return RunStream(data, arrivals, 256, 0, 1).wall_seconds;
+      return RunStream(data, arrivals, sources, 256, 0, 1).wall_seconds;
     };
     recorder.Disable();
     trace_base_seconds = ingest_wall();
@@ -273,13 +295,15 @@ void Run(BenchContext& ctx) {
     PrintHeader(window == 0 ? "unbounded stream (window = 0)"
                             : "sliding window");
     std::printf("%-6s %-7s %-6s %-9s %-9s %-8s %-10s %-10s %-8s %-8s "
-                "%-9s %-9s\n",
+                "%-9s %-9s %s\n",
                 "batch", "window", "execs", "wall(s)", "speedup", "items/s",
-                "p50(s)", "p95(s)", "absorb", "evict", "redetect", "steals");
+                "p50(s)", "p95(s)", "absorb", "evict", "redetect", "steals",
+                "avg_f");
     for (Index batch : batches) {
       double base_wall = 0.0;
       for (int executors : {1, 2, 4, 8}) {
-        StreamRow row = RunStream(data, arrivals, batch, window, executors);
+        StreamRow row =
+            RunStream(data, arrivals, sources, batch, window, executors);
         if (executors == 1) {
           base_wall = row.wall_seconds;
           row.speedup = 1.0;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.h"
 #include "common/random.h"
+#include "eval/metrics.h"
 
 namespace alid::bench {
 namespace {
@@ -49,6 +51,7 @@ void AppendNoise(ScenarioBatch& batch, int dim, double box, Index count,
   }
   batch.rows += count;
   batch.noise_rows += count;
+  batch.source.insert(batch.source.end(), static_cast<size_t>(count), -1);
 }
 
 }  // namespace
@@ -90,6 +93,7 @@ ScenarioBatch DriftBatch(const DriftScenarioConfig& config, int batch_index) {
   for (Index i = 0; i < config.points_per_batch; ++i) {
     const int c = static_cast<int>(i % config.num_clusters);
     AppendGaussianPoint(batch.points, centers[c], config.spread, rng);
+    batch.source.push_back(c);
   }
   batch.rows = config.points_per_batch;
   batch.active_sources = static_cast<int>(std::min<Index>(
@@ -132,6 +136,9 @@ ScenarioBatch BurstBatch(const BurstScenarioConfig& config, int batch_index) {
     for (Index i = 0; i < config.points_per_slot; ++i) {
       AppendGaussianPoint(batch.points, center, config.spread, rng);
     }
+    batch.source.insert(batch.source.end(),
+                        static_cast<size_t>(config.points_per_slot),
+                        s + config.num_slots * generation);
     batch.rows += config.points_per_slot;
     ++batch.active_sources;
   }
@@ -174,6 +181,7 @@ ScenarioBatch HeavyTailBatch(const HeavyTailScenarioConfig& config,
         BoxCenter(config.seed, kTailCenterSalt, static_cast<uint64_t>(c),
                   config.dim, config.mean_box);
     AppendGaussianPoint(batch.points, center, config.spread, rng);
+    batch.source.push_back(c);
     if (!seen[c]) {
       seen[c] = true;
       ++batch.active_sources;
@@ -265,6 +273,7 @@ ScenarioBatch EmbeddingBatch(const EmbeddingScenarioConfig& config,
       point[d] += rng.Gaussian() * config.ambient_noise * config.spread;
     }
     batch.points.insert(batch.points.end(), point.begin(), point.end());
+    batch.source.push_back(c);
   }
   batch.rows = config.points_per_batch;
   batch.active_sources = static_cast<int>(
@@ -273,6 +282,37 @@ ScenarioBatch EmbeddingBatch(const EmbeddingScenarioConfig& config,
       config.noise_fraction * static_cast<double>(config.points_per_batch));
   AppendNoise(batch, dim, config.mean_box, noise, rng);
   return batch;
+}
+
+void SlotSources::Record(const std::vector<Index>& slots,
+                         std::span<const int> source) {
+  ALID_CHECK(slots.size() == source.size());
+  for (size_t r = 0; r < slots.size(); ++r) {
+    const size_t slot = static_cast<size_t>(slots[r]);
+    if (slot >= source_of_slot_.size()) source_of_slot_.resize(slot + 1, -1);
+    source_of_slot_[slot] = source[r];
+  }
+}
+
+double SlotSources::LiveAvgF(const OnlineAlid& online, int min_truth) const {
+  std::vector<IndexList> groups;
+  for (size_t slot = 0; slot < source_of_slot_.size(); ++slot) {
+    const int label = source_of_slot_[slot];
+    if (label < 0 || !online.IsAlive(static_cast<Index>(slot))) continue;
+    if (static_cast<size_t>(label) >= groups.size()) groups.resize(label + 1);
+    groups[label].push_back(static_cast<Index>(slot));
+  }
+  std::vector<IndexList> truth;
+  for (IndexList& group : groups) {
+    if (static_cast<int>(group.size()) >= min_truth) {
+      truth.push_back(std::move(group));
+    }
+  }
+  std::vector<IndexList> detected;
+  for (const Cluster& cluster : online.clusters()) {
+    detected.push_back(cluster.members);
+  }
+  return AverageF1(truth, detected);
 }
 
 }  // namespace alid::bench

@@ -26,9 +26,11 @@
 // threaded across batches.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
+#include "core/online_alid.h"
 
 namespace alid::bench {
 
@@ -108,6 +110,30 @@ struct ScenarioBatch {
   /// Distinct source clusters (drift/heavy-tail) or live generations
   /// (burst) that contributed at least one arrival to this batch.
   int active_sources = 0;
+  /// Per row, the planted source that produced it: the cluster index
+  /// (drift, heavy-tail, embedding) or a (slot, generation) id unique
+  /// across the stream (burst); -1 for far noise. The ground truth of
+  /// stream-quality scoring.
+  std::vector<int> source;
+};
+
+/// The planted source held by each slot of a stream. Slots are re-used
+/// under a sliding window, so each recorded arrival overwrites its slot's
+/// label.
+class SlotSources {
+ public:
+  /// Records one InsertBatch: `slots` as it returned them, `source` the
+  /// batch's per-row labels.
+  void Record(const std::vector<Index>& slots, std::span<const int> source);
+
+  /// The paper's AVG-F of the stream's live window against planted truth:
+  /// each source's live slots form one true cluster (noise, and sources
+  /// with fewer than `min_truth` live slots, are left out), scored against
+  /// the stream's current clusters.
+  double LiveAvgF(const OnlineAlid& online, int min_truth = 8) const;
+
+ private:
+  std::vector<int> source_of_slot_;
 };
 
 ScenarioBatch DriftBatch(const DriftScenarioConfig& config, int batch_index);

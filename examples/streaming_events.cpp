@@ -3,9 +3,10 @@
 //
 // News items arrive in batches. Each batch is hashed and scored against the
 // live events in parallel on a shared work-stealing pool (the streamed state
-// is bit-identical for any executor count), absorbed in arrival order, and a
-// sliding window expires old coverage: expired items leave the LSH index
-// and the events they supported are locally re-detected. No global
+// is bit-identical for any executor count), and a sliding window expires old
+// coverage: expired items leave the LSH index. Every event that gained
+// arrivals or lost expired items is then re-detected once, warm from its
+// own weighted support. No global
 // recomputation ever runs, and the index footprint stays bounded by the
 // window, not the stream.
 //

@@ -30,9 +30,32 @@ Cluster AlidDetector::DetectOne(Index seed,
                                 const std::vector<bool>* exclude) const {
   ALID_CHECK(seed >= 0 && seed < oracle_->size());
   ALID_CHECK(exclude == nullptr || !(*exclude)[seed]);
-
   Lid lid(*oracle_, seed, options_.lid);
-  for (int c = 1; c <= options_.max_outer_iterations; ++c) {
+  Cluster cluster = Grow(lid, seed, /*warm=*/false, exclude);
+  cluster.seed = seed;
+  return cluster;
+}
+
+Cluster AlidDetector::DetectFrom(const IndexList& members,
+                                 const std::vector<Scalar>& weights,
+                                 const IndexList& extra,
+                                 const std::vector<bool>* exclude) const {
+  Lid lid(*oracle_, members, weights, extra, options_.lid);
+  for (Index g : lid.beta()) {
+    ALID_CHECK(exclude == nullptr || !(*exclude)[g]);
+  }
+  const Index anchor =
+      members[std::max_element(weights.begin(), weights.end()) -
+              weights.begin()];
+  Cluster cluster = Grow(lid, anchor, /*warm=*/true, exclude);
+  cluster.seed = anchor;
+  return cluster;
+}
+
+Cluster AlidDetector::Grow(Lid& lid, Index anchor, bool warm,
+                           const std::vector<bool>* exclude) const {
+  const int rounds = options_.max_outer_iterations;
+  for (int c = 1; c <= rounds; ++c) {
     // Step 1: find the local dense subgraph in the current range.
     lid.Run();
     const Scalar density = lid.Density();
@@ -40,16 +63,17 @@ Cluster AlidDetector::DetectOne(Index seed,
 
     // Step 2: estimate the ROI from x̂ (Eq. 15/16). Before any affinity mass
     // exists (c == 1, singleton support, pi = 0) Algorithm 2 uses a fixed
-    // first radius around the seed.
+    // first radius around the seed. A warm start resumes at the radius a
+    // cold run ends on.
     Roi roi = EstimateRoi(*oracle_, support, density);
     Scalar radius;
     if (!roi.valid) {
-      roi.center.assign(oracle_->data()[seed].begin(),
-                        oracle_->data()[seed].end());
+      roi.center.assign(oracle_->data()[anchor].begin(),
+                        oracle_->data()[anchor].end());
       roi.valid = true;
       radius = FirstRadius();
     } else {
-      radius = roi.RadiusAt(c, options_.logistic_roi_growth);
+      radius = roi.RadiusAt(warm ? rounds : c, options_.logistic_roi_growth);
     }
 
     // Step 3: CIVS — retrieve candidate infective vertices inside the ROI
@@ -75,7 +99,7 @@ Cluster AlidDetector::DetectOne(Index seed,
       break;  // isolated seed: nothing within the first radius
     }
     const bool roi_fully_grown =
-        !options_.logistic_roi_growth || Roi::Theta(c) > 0.99 ||
+        warm || !options_.logistic_roi_growth || Roi::Theta(c) > 0.99 ||
         radius >= roi.r_out - 1e-12;
     if (infective.empty() && roi_fully_grown) {
       break;  // x̂ immune against all vertices within reach: global (Thm. 1)
@@ -84,7 +108,6 @@ Cluster AlidDetector::DetectOne(Index seed,
   }
 
   Cluster cluster;
-  cluster.seed = seed;
   cluster.density = lid.Density();
   for (const auto& [g, w] : lid.SupportWeights()) {
     cluster.members.push_back(g);

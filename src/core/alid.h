@@ -55,6 +55,19 @@ class AlidDetector {
   Cluster DetectOne(Index seed, const std::vector<bool>* exclude = nullptr)
       const;
 
+  /// Resumes Algorithm 2 from an existing weighted support (a warm start):
+  /// LID restarts from `weights` on `members` with the `extra` vertices
+  /// added to the local range at weight 0. By Theorem 1 only vertices
+  /// infective against that optimum can raise it, so the ROI/CIVS search
+  /// runs at the radius a cold run ends on (RadiusAt(C)) and stops at the
+  /// first round that retrieves no infective candidate. `exclude` as in
+  /// DetectOne; the result's seed is the heaviest member of the start
+  /// support (first on ties). Thread-safe: `this` is not mutated.
+  Cluster DetectFrom(const IndexList& members,
+                     const std::vector<Scalar>& weights,
+                     const IndexList& extra,
+                     const std::vector<bool>* exclude = nullptr) const;
+
   /// Detects all dominant clusters by peeling (Section 4.4): run Algorithm 2,
   /// peel the detected support off, reseed on the remaining items until all
   /// are peeled. Returns every raw cluster; apply
@@ -67,6 +80,11 @@ class AlidDetector {
 
  private:
   Scalar FirstRadius() const;
+  // The LID/ROI/CIVS loop shared by both entry points. A cold run grows
+  // the ROI logistically from c = 1 around `anchor`; a warm run searches
+  // at RadiusAt(C) and stops once no candidate is infective.
+  Cluster Grow(Lid& lid, Index anchor, bool warm,
+               const std::vector<bool>* exclude) const;
 
   const LazyAffinityOracle* oracle_;
   const LshIndex* lsh_;

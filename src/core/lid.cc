@@ -16,6 +16,38 @@ Lid::Lid(const LazyAffinityOracle& oracle, Index seed, LidOptions options)
   ax_.push_back(0.0);  // a_ii = 0 (Algorithm 2, line 1)
 }
 
+Lid::Lid(const LazyAffinityOracle& oracle, const IndexList& members,
+         const std::vector<Scalar>& weights, const IndexList& extra,
+         LidOptions options)
+    : oracle_(&oracle), options_(options) {
+  ALID_CHECK(!members.empty() && weights.size() == members.size());
+  Scalar total = 0.0;
+  for (Scalar w : weights) {
+    ALID_CHECK(w >= 0.0);
+    total += w;
+  }
+  ALID_CHECK_MSG(total > 0.0, "warm LID start without weight");
+  beta_.reserve(members.size() + extra.size());
+  beta_.insert(beta_.end(), members.begin(), members.end());
+  beta_.insert(beta_.end(), extra.begin(), extra.end());
+  for (size_t i = 0; i < beta_.size(); ++i) {
+    ALID_CHECK(beta_[i] >= 0 && beta_[i] < oracle.size());
+    const bool fresh = pos_.emplace(beta_[i], static_cast<int>(i)).second;
+    ALID_CHECK_MSG(fresh, "warm LID start lists a vertex twice");
+  }
+  x_.assign(beta_.size(), 0.0);
+  for (size_t a = 0; a < members.size(); ++a) x_[a] = weights[a] / total;
+  // A_{beta, alpha}, one column per member; (A x) is their weighted sum,
+  // accumulated in member order.
+  ax_.assign(beta_.size(), 0.0);
+  for (size_t a = 0; a < members.size(); ++a) {
+    std::vector<Scalar> col = oracle.Column(beta_, members[a]);
+    for (size_t i = 0; i < beta_.size(); ++i) ax_[i] += x_[a] * col[i];
+    columns_.emplace(members[a], std::move(col));
+  }
+  Recharge();
+}
+
 Lid::~Lid() {
   if (charged_bytes_ != 0) oracle_->Discharge(charged_bytes_);
 }

@@ -41,6 +41,16 @@ class Lid {
   /// Starts from the single-vertex subgraph x = s_seed, beta = {seed}.
   Lid(const LazyAffinityOracle& oracle, Index seed, LidOptions options = {});
 
+  /// Warm start from a weighted support: x is `weights` renormalized on
+  /// `members`, and beta is `members` followed by `extra` (each extra vertex
+  /// enters at weight 0). A_{beta, alpha} is computed once up front; it
+  /// seeds the column memo and the (A x) products (the Eq. 14 state), so
+  /// Run() resumes the dynamics from x instead of rebuilding it from a seed.
+  /// `members` and `extra` must be disjoint and duplicate-free.
+  Lid(const LazyAffinityOracle& oracle, const IndexList& members,
+      const std::vector<Scalar>& weights, const IndexList& extra,
+      LidOptions options = {});
+
   ~Lid();
 
   Lid(const Lid&) = delete;

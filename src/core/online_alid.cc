@@ -41,6 +41,8 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   metrics_.refresh_rounds = registry.AddCounter("refresh_rounds");
   metrics_.refresh_speculations = registry.AddCounter("refresh_speculations");
   metrics_.refresh_conflicts = registry.AddCounter("refresh_conflicts");
+  metrics_.redetect_entries = registry.AddCounter("redetect_entries");
+  metrics_.refresh_entries = registry.AddCounter("refresh_entries");
   metrics_.alive = registry.AddGauge("alive");
   metrics_.clusters_alive = registry.AddGauge("clusters_alive");
   // Every batch latency the bounded reservoir samples also lands in a
@@ -143,21 +145,51 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
                    });
   }
 
-  // Phase 5 (serial): apply in arrival order. Clusters mutate here, so the
-  // snapshot versions tell ApplyArrival which precomputed targets are stale.
+  // Phase 5 (serial): apply. Every target above was scored against the
+  // batch-start state, before anything mutates. Expired members are peeled
+  // first; then every touched cluster — an absorb target or a cluster that
+  // lost members — is re-detected once, warm from its surviving weighted
+  // support with its still-unassigned live newcomers added to the local
+  // range, in ascending id order.
   {
     ALID_TRACE_SCOPE("stream", "apply");
-    const std::vector<uint64_t> versions = cluster_version_;
-    for (Index k = 0; k < count; ++k) {
-      ApplyArrival(slots[k], targets[k], versions);
+    metrics_.arrivals->Add(count);
+    std::vector<int> touched;
+    if (options_.window > 0) {
+      ALID_TRACE_SCOPE("stream", "expire");
+      ExpireToWindow(touched);
     }
+    for (Index k = 0; k < count; ++k) {
+      if (targets[k] >= 0 && alive_[slots[k]] != 0) {
+        touched.push_back(targets[k]);
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    IndexList newcomers;
+    for (int cid : touched) {
+      newcomers.clear();
+      for (Index k = 0; k < count; ++k) {
+        const Index slot = slots[k];
+        if (targets[k] == cid && alive_[slot] != 0 && assignment_[slot] < 0) {
+          newcomers.push_back(slot);
+        }
+      }
+      RedetectCluster(cid, newcomers);
+    }
+    int64_t absorbed = 0;
+    for (Index k = 0; k < count; ++k) absorbed += assignment_[slots[k]] >= 0;
+    metrics_.absorbed->Add(absorbed);
+    metrics_.pooled->Add(count - absorbed);
   }
 
-  // Phase 6 (serial): sliding-window expiry and repair of the clusters
-  // that lost members.
-  if (options_.window > 0) {
-    ALID_TRACE_SCOPE("stream", "expire");
-    ExpireToWindow();
+  // Phase 6 (serial): the periodic pool pass, at batch end; the remainder
+  // carries into the next interval.
+  since_refresh_ += count;
+  if (since_refresh_ >= options_.refresh_interval) {
+    DetectFromPool();
+    since_refresh_ %= options_.refresh_interval;
+    metrics_.refreshes->Add(1);
   }
 
   {
@@ -224,56 +256,6 @@ int OnlineAlid::ScoreArrival(Index slot) const {
   return best;
 }
 
-Scalar OnlineAlid::ClusterAffinity(const Cluster& cluster, Index slot) const {
-  Scalar aff = 0.0;  // pi(s_slot, x_cluster)
-  for (size_t t = 0; t < cluster.members.size(); ++t) {
-    aff += cluster.weights[t] * oracle_->Entry(cluster.members[t], slot);
-  }
-  return aff;
-}
-
-void OnlineAlid::ApplyArrival(Index slot, int target,
-                              const std::vector<uint64_t>& versions) {
-  metrics_.arrivals->Add(1);
-  if (assignment_[slot] >= 0) {
-    // An earlier arrival of this batch already pulled this one in: its
-    // re-detection (or a mid-batch refresh) absorbed the still-unassigned
-    // newcomer and rebalanced the weights. Re-detecting again from here
-    // would seed inside a cluster the arrival may no longer target.
-    metrics_.absorbed->Add(1);
-  } else {
-    if (target >= 0) {
-      if (cluster_dead_[target] != 0) {
-        target = -1;  // dissolved earlier in this batch
-      } else if (cluster_version_[target] != versions[target]) {
-        // The chosen cluster absorbed an earlier same-batch arrival (or was
-        // otherwise re-detected): re-score against its current state. The
-        // re-check is serial, so the outcome is executor-independent.
-        const Cluster& cl = clusters_[target];
-        const Scalar margin = ClusterAffinity(cl, slot) -
-                              cl.density * (1.0 - options_.absorb_slack);
-        if (margin <= 0.0) target = -1;
-      }
-    }
-    if (target >= 0) {
-      // Local re-detection absorbs the newcomer and rebalances the weights.
-      RedetectCluster(target, slot);
-      if (assignment_[slot] >= 0) {
-        metrics_.absorbed->Add(1);
-      } else {
-        metrics_.pooled->Add(1);
-      }
-    } else {
-      metrics_.pooled->Add(1);
-    }
-  }
-  if (++since_refresh_ >= options_.refresh_interval) {
-    DetectFromPool();
-    since_refresh_ = 0;
-    metrics_.refreshes->Add(1);
-  }
-}
-
 void OnlineAlid::Refresh() {
   DetectFromPool();
   CompactClusters();
@@ -306,8 +288,17 @@ void OnlineAlid::RefreshScorers() {
       });
 }
 
-void OnlineAlid::RedetectCluster(int cluster_id, Index seed) {
+void OnlineAlid::RedetectCluster(int cluster_id, const IndexList& newcomers) {
+  const Cluster& cl = clusters_[cluster_id];
+  if (cl.members.empty() ||
+      (newcomers.empty() &&
+       static_cast<int>(cl.members.size()) < options_.alid.min_cluster_size)) {
+    DissolveCluster(cluster_id);  // the newcomers (if any) stay pooled
+    return;
+  }
+  ALID_TRACE_SCOPE("stream", "redetect");
   metrics_.redetections->Add(1);
+  const int64_t entries_before = oracle_->entries_computed();
   // Items owned by *other* clusters — and expired slots — stay out of this
   // re-detection.
   std::vector<bool> exclude(data_.size(), false);
@@ -315,12 +306,13 @@ void OnlineAlid::RedetectCluster(int cluster_id, Index seed) {
     exclude[i] = alive_[i] == 0 ||
                  (assignment_[i] >= 0 && assignment_[i] != cluster_id);
   }
-  ALID_CHECK(!exclude[seed]);
   AlidDetector detector(*oracle_, *lsh_, options_.alid);
-  Cluster fresh = detector.DetectOne(seed, &exclude);
+  Cluster fresh =
+      detector.DetectFrom(cl.members, cl.weights, newcomers, &exclude);
+  metrics_.redetect_entries->Add(oracle_->entries_computed() - entries_before);
 
   // Release the old membership.
-  for (Index i : clusters_[cluster_id].members) assignment_[i] = -1;
+  for (Index i : cl.members) assignment_[i] = -1;
   ++cluster_version_[cluster_id];
   if (fresh.density >= options_.alid.density_threshold &&
       static_cast<int>(fresh.members.size()) >=
@@ -329,9 +321,9 @@ void OnlineAlid::RedetectCluster(int cluster_id, Index seed) {
     Assign(cluster_id);
     return;
   }
-  // The cluster dissolved (e.g., it was marginal and the newcomer pulled the
-  // dynamics elsewhere): mark it dead; CompactClusters erases it at the end
-  // of the batch so same-batch cluster ids stay stable.
+  // The cluster dissolved (e.g., it was marginal and the newcomers pulled
+  // the dynamics elsewhere): mark it dead; CompactClusters erases it at the
+  // end of the batch so same-batch cluster ids stay stable.
   DissolveCluster(cluster_id);
 }
 
@@ -344,6 +336,7 @@ void OnlineAlid::DetectFromPool() {
     pool_count += exclude[i] ? 0 : 1;
   }
   if (pool_count == 0) return;
+  const int64_t entries_before = oracle_->entries_computed();
   AlidDetector detector(*oracle_, *lsh_, options_.alid);
 
   // PALID's map stage over the unassigned pool: each round maps a frontier
@@ -412,6 +405,7 @@ void OnlineAlid::DetectFromPool() {
     metrics_.refresh_rounds->Add(1);
     frontier = waste ? 1 : std::min(frontier * 2, max_frontier);
   }
+  metrics_.refresh_entries->Add(oracle_->entries_computed() - entries_before);
 }
 
 void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
@@ -484,9 +478,8 @@ void OnlineAlid::Assign(int cluster_id) {
   for (Index i : clusters_[cluster_id].members) assignment_[i] = cluster_id;
 }
 
-void OnlineAlid::ExpireToWindow() {
+void OnlineAlid::ExpireToWindow(std::vector<int>& peeled) {
   std::vector<Index> expired;
-  std::vector<int> dirty;
   while (static_cast<Index>(window_fifo_.size()) > options_.window) {
     const Index slot = window_fifo_.front();
     window_fifo_.pop_front();
@@ -502,7 +495,7 @@ void OnlineAlid::ExpireToWindow() {
       cl.members.erase(pos);
       assignment_[slot] = -1;
       ++cluster_version_[cid];
-      dirty.push_back(cid);
+      peeled.push_back(cid);
     }
     expired.push_back(slot);
     metrics_.evicted->Add(1);
@@ -510,26 +503,6 @@ void OnlineAlid::ExpireToWindow() {
   if (expired.empty()) return;
   free_slots_.insert(free_slots_.end(), expired.begin(), expired.end());
   std::sort(free_slots_.begin(), free_slots_.end(), std::greater<Index>());
-  // Repair the clusters that lost members, in ascending id order.
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  for (int cid : dirty) RepairCluster(cid);
-}
-
-void OnlineAlid::RepairCluster(int cluster_id) {
-  if (cluster_dead_[cluster_id] != 0) return;
-  const Cluster& cl = clusters_[cluster_id];
-  if (static_cast<int>(cl.members.size()) < options_.alid.min_cluster_size) {
-    DissolveCluster(cluster_id);
-    return;
-  }
-  // Re-detect from the heaviest surviving member (first on ties) so the
-  // weights rebalance around what is left inside the window.
-  size_t heaviest = 0;
-  for (size_t t = 1; t < cl.weights.size(); ++t) {
-    if (cl.weights[t] > cl.weights[heaviest]) heaviest = t;
-  }
-  RedetectCluster(cluster_id, cl.members[heaviest]);
 }
 
 void OnlineAlid::DissolveCluster(int cluster_id) {

@@ -25,8 +25,10 @@ struct OnlineAlidOptions {
   LshParams lsh;
   /// Per-detection ALID options.
   AlidOptions alid;
-  /// A maintenance pass (re-detection over the unassigned pool) runs after
-  /// this many new items.
+  /// A maintenance pass (re-detection over the unassigned pool) runs at the
+  /// end of the batch in which this many new items have arrived since the
+  /// last one; the remainder carries into the next interval (a batch of 40
+  /// at interval 32 refreshes once and leaves 8 toward the next pass).
   Index refresh_interval = 256;
   /// A newcomer is routed to a cluster already when pi(s_j, x) exceeds
   /// (1 - absorb_slack) * pi(x): same-cluster arrivals sit *at* the density
@@ -35,9 +37,9 @@ struct OnlineAlidOptions {
   double absorb_slack = 0.05;
   /// Sliding window: at most this many arrivals stay alive. Older items are
   /// expired — removed from the LSH buckets, peeled out of their cluster
-  /// (which is then locally re-detected or dissolved) — and their slots
-  /// re-used by later arrivals, so the index footprint stays bounded by the
-  /// window, not the stream.
+  /// (which is then warm re-detected from its survivors or dissolved) — and
+  /// their slots re-used by later arrivals, so the index footprint stays
+  /// bounded by the window, not the stream.
   /// 0 keeps every arrival forever (the append-only mode of the original
   /// extension).
   Index window = 0;
@@ -69,7 +71,8 @@ struct StreamStats {
   int64_t pooled = 0;    ///< Arrivals that joined the unassigned pool (a
                          ///< refresh pass may still cluster them later).
   int64_t evicted = 0;   ///< Items expired out of the sliding window.
-  int64_t redetections = 0;  ///< Local Algorithm-2 re-runs (absorb + repair).
+  int64_t redetections = 0;  ///< Warm re-detections (one per touched
+                             ///< cluster per batch).
   int64_t refreshes = 0;     ///< Maintenance passes over the pool.
   int64_t clusters_born = 0;
   int64_t clusters_dissolved = 0;
@@ -112,19 +115,25 @@ struct StreamStats {
 /// batch that last changed the cluster: one exact weighted kernel sum over
 /// the member tiles per candidate (the LSH candidates already bound the
 /// candidate set). Snapshot exports share the same scorers, so the serving
-/// side scores with the very objects the stream does. Absorptions
-/// then apply serially in arrival order: an arrival whose chosen cluster
-/// was mutated earlier in the same batch is re-scored against the cluster's
-/// current state before a *local* re-detection absorbs it. Arrivals
-/// matching nothing join the unassigned pool; every `refresh_interval`
-/// arrivals a refresh pass peels newly formed clusters out of the pool —
-/// frontier chunks of speculative Algorithm-2 runs mapped over the shared
-/// pool (the PALID map idiom), validated and applied serially in seed order
-/// so the outcome never depends on the executors. Under a sliding window,
-/// batch ingest ends by expiring the oldest items: they leave the LSH
-/// buckets (their slots will be re-used), and every cluster that lost
-/// members is locally re-detected or dissolved. Costs stay local: no global
-/// recomputation ever happens.
+/// side scores with the very objects the stream does. Every arrival's
+/// target is fixed before anything mutates. The serial apply phase then
+/// expires the oldest items under a sliding window (they leave the LSH
+/// buckets and are peeled out of their clusters; their slots will be
+/// re-used) and re-detects each *touched* cluster — an absorb target or a
+/// cluster that lost members — once, in ascending id order. That
+/// re-detection is warm (AlidDetector::DetectFrom): by Theorem 1 only
+/// vertices infective against the cluster's current optimum can raise it,
+/// so LID resumes from the surviving weighted support with the batch's
+/// still-unassigned newcomers added to the local range, and the ROI/CIVS
+/// search continues from there. A cluster left with no survivors, or with
+/// fewer than min_cluster_size and no newcomers, dissolves. Arrivals the
+/// re-detections leave out join the unassigned pool; at the end of every
+/// batch that completes `refresh_interval` arrivals a refresh pass peels
+/// newly formed clusters out of the pool — frontier chunks of speculative
+/// cold Algorithm-2 runs mapped over the shared pool (the PALID map idiom),
+/// validated and applied serially in seed order so the outcome never
+/// depends on the executors. Costs stay local: no global recomputation
+/// ever happens.
 class OnlineAlid {
  public:
   explicit OnlineAlid(int dim, OnlineAlidOptions options);
@@ -137,7 +146,8 @@ class OnlineAlid {
   /// Batch ingest: `points` holds count * dim scalars, row-major, in
   /// arrival order. Returns the slot of each arrival. Absorb candidates are
   /// evaluated against the state at batch start (in parallel when a pool is
-  /// set); window expiry runs once at the end of the batch.
+  /// set); window expiry, one re-detection per touched cluster and a due
+  /// refresh pass then run once for the whole batch.
   std::vector<Index> InsertBatch(std::span<const Scalar> points);
 
   /// Current dominant clusters (density >= the ALID keep-threshold).
@@ -211,21 +221,13 @@ class OnlineAlid {
  private:
   // Writes the point into a re-used or appended slot (serial phase).
   Index AllocateSlot(std::span<const Scalar> point);
-  // Pure Theorem-1 scoring of one arrival against the current clusters:
-  // the absorb target (-1 = pool). The deciding margin is recomputed on the
-  // apply path whenever the target mutated, so only the target is carried
-  // across the phases.
+  // Pure Theorem-1 scoring of one arrival against the batch-start
+  // clusters: the absorb target (-1 = pool).
   int ScoreArrival(Index slot) const;
-  // pi(s_j, x) of the newcomer against one cluster's live weighted support
-  // through the oracle — the apply phase's re-score of a cluster that
-  // changed earlier in the batch, whose scorer is stale by then.
-  Scalar ClusterAffinity(const Cluster& cluster, Index slot) const;
-  // Serial per-arrival apply: absorb (re-scoring if the chosen cluster
-  // mutated earlier in the batch, per `versions`) and refresh bookkeeping.
-  void ApplyArrival(Index slot, int target,
-                    const std::vector<uint64_t>& versions);
-  // Re-runs Algorithm 2 from a seed and installs/updates a cluster.
-  void RedetectCluster(int cluster_id, Index seed);
+  // Warm re-detection of one touched cluster (Algorithm 2 resumed from its
+  // surviving weighted support, `newcomers` added to the local range), or
+  // its dissolution when too little of it is left.
+  void RedetectCluster(int cluster_id, const IndexList& newcomers);
   // Peels new clusters out of the unassigned pool: a deterministic frontier
   // map stage (chunks of speculative DetectOne runs on the shared pool, the
   // PALID map idiom) validated and applied serially in seed order.
@@ -239,11 +241,10 @@ class OnlineAlid {
   // batch / refresh, so scoring and exports always see fresh scorers).
   void RefreshScorers();
   void Assign(int cluster_id);
-  // Expires the oldest items down to the window and repairs the clusters
-  // they were peeled out of.
-  void ExpireToWindow();
-  // Re-detects a cluster that lost members to expiry (or dissolves it).
-  void RepairCluster(int cluster_id);
+  // Expires the oldest items down to the window, peeling them out of their
+  // clusters; appends the id of every cluster that lost a member to
+  // `peeled` (repeats allowed).
+  void ExpireToWindow(std::vector<int>& peeled);
   void DissolveCluster(int cluster_id);
   // Erases dead clusters and remaps assignments (end of batch / refresh).
   void CompactClusters();
@@ -255,8 +256,7 @@ class OnlineAlid {
   std::unique_ptr<LshIndex> lsh_;
 
   std::vector<Cluster> clusters_;
-  // Mutation counter per cluster id; the batch apply phase re-scores an
-  // arrival whose precomputed target moved since the batch started, and the
+  // Mutation counter per cluster id; scorers are stamped with it, and the
   // incremental snapshot export re-uses clusters whose counter stood still.
   std::vector<uint64_t> cluster_version_;
   // Stable per-cluster identity (birth order, starting at 1) surviving the
@@ -297,6 +297,11 @@ class OnlineAlid {
     obs::Counter* refresh_rounds = nullptr;
     obs::Counter* refresh_speculations = nullptr;
     obs::Counter* refresh_conflicts = nullptr;
+    // Kernel evaluations of the warm re-detections and of the refresh
+    // passes: exact oracle deltas (both phases run with nothing else
+    // touching the oracle).
+    obs::Counter* redetect_entries = nullptr;
+    obs::Counter* refresh_entries = nullptr;
     obs::Gauge* alive = nullptr;
     obs::Gauge* clusters_alive = nullptr;
     obs::LatencyReservoir batch_seconds{StreamStats::kMaxLatencySamples};

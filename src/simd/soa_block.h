@@ -64,8 +64,9 @@ void TileDistances(const SimdKernelOps& ops, const SoaBlock& block, Index t,
 
 /// pi(s, x): the weighted Eq.-1 kernel sum of every member of `block`
 /// against `query`, accumulated serially in member order — the summation
-/// order of OnlineAlid::ClusterAffinity's oracle loop, so the value is
-/// bit-identical to the row-major scalar path (ClusterScorer::Affinity). Distances come from the tile kernels; the transcendental stays the
+/// order of a weighted loop over LazyAffinityOracle::Entry, so the value
+/// is bit-identical to the row-major scalar path (ClusterScorer::Affinity).
+/// Distances come from the tile kernels; the transcendental stays the
 /// same per-member std::exp on the same argument bits (the exact path never
 /// batches it — see the tolerance contract in README for the opt-out).
 Scalar SoaWeightedKernelSum(const SimdKernelOps& ops, const SoaBlock& block,

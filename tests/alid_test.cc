@@ -132,6 +132,60 @@ TEST(AlidDetectorTest, ExcludeMaskKeepsPeeledItemsOut) {
   }
 }
 
+TEST(AlidDetectorTest, DetectFromADetectedClusterKeepsItsMembers) {
+  LabeledData data = SmallWorkload();
+  Harness h(data);
+  const Cluster cold = h.detector->DetectOne(data.true_clusters[0][0]);
+  ASSERT_GT(cold.members.size(), 2u);
+  const Cluster warm = h.detector->DetectFrom(cold.members, cold.weights, {});
+  EXPECT_EQ(warm.members, cold.members);
+  EXPECT_NEAR(warm.density, cold.density, 1e-9);
+}
+
+TEST(AlidDetectorTest, DetectFromAbsorbsAHeldOutMember) {
+  LabeledData data = SmallWorkload();
+  Harness h(data);
+  const Index seed = data.true_clusters[0][0];
+  const Cluster full = h.detector->DetectOne(seed);
+  ASSERT_GT(full.members.size(), 2u);
+  // Hold out the heaviest member other than the seed.
+  size_t pick = full.members[0] == seed ? 1 : 0;
+  for (size_t t = 0; t < full.members.size(); ++t) {
+    if (full.members[t] != seed && full.weights[t] > full.weights[pick]) {
+      pick = t;
+    }
+  }
+  const Index held_out = full.members[pick];
+  std::vector<bool> hide(data.size(), false);
+  hide[held_out] = true;
+  const Cluster partial = h.detector->DetectOne(seed, &hide);
+  ASSERT_FALSE(std::binary_search(partial.members.begin(),
+                                  partial.members.end(), held_out));
+  const Cluster warm =
+      h.detector->DetectFrom(partial.members, partial.weights, {held_out});
+  EXPECT_TRUE(std::binary_search(warm.members.begin(), warm.members.end(),
+                                 held_out))
+      << "held-out member " << held_out << " not absorbed";
+  EXPECT_GE(warm.density, partial.density - 1e-12);
+}
+
+TEST(AlidDetectorTest, DetectFromKeepsExcludedItemsOut) {
+  LabeledData data = SmallWorkload();
+  Harness h(data);
+  const IndexList& truth = data.true_clusters[0];
+  // Start from a few members; hide every other member of the rest of the
+  // planted cluster, which the warm ROI/CIVS search would otherwise reach.
+  const IndexList start(truth.begin(), truth.begin() + 4);
+  const std::vector<Scalar> uniform(start.size(), 1.0);
+  std::vector<bool> exclude(data.size(), false);
+  for (size_t t = 4; t < truth.size(); t += 2) exclude[truth[t]] = true;
+  const Cluster warm = h.detector->DetectFrom(start, uniform, {}, &exclude);
+  EXPECT_GT(warm.members.size(), start.size());
+  for (Index g : warm.members) {
+    EXPECT_FALSE(exclude[g]) << "excluded item " << g << " detected";
+  }
+}
+
 TEST(AlidDetectorTest, TouchesFarFewerEntriesThanFullMatrix) {
   LabeledData data = SmallWorkload(800);
   Harness h(data);

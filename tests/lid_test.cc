@@ -205,6 +205,55 @@ TEST_F(LidFixture, MemoryChargeReleasedOnDestruction) {
   EXPECT_EQ(oracle_.current_bytes(), 0);
 }
 
+TEST_F(LidFixture, WarmStartFromConvergedSupportIsAFixedPoint) {
+  Lid cold = MakeGlobalLid(0);
+  cold.Run();
+  ASSERT_TRUE(cold.converged());
+  IndexList members;
+  std::vector<Scalar> weights;
+  for (const auto& [g, w] : cold.SupportWeights()) {
+    members.push_back(g);
+    weights.push_back(w);
+  }
+  Lid warm(oracle_, members, weights, {}, {});
+  EXPECT_EQ(warm.beta(), members);
+  EXPECT_NEAR(warm.Density(), cold.Density(), 1e-12);
+  // x* is immune against its own support (Theorem 1): nothing to invade.
+  EXPECT_EQ(warm.Run(), 0);
+  EXPECT_TRUE(warm.converged());
+  EXPECT_NEAR(warm.Density(), cold.Density(), 1e-12);
+  EXPECT_EQ(warm.Support(), cold.Support());
+}
+
+TEST_F(LidFixture, WarmStartResumesWithExtrasAtZeroWeight) {
+  Lid cold(oracle_, 0, {});
+  cold.UpdateRange({1, 2});
+  cold.Run();
+  const Scalar before = cold.Density();
+  IndexList members;
+  std::vector<Scalar> weights;
+  for (const auto& [g, w] : cold.SupportWeights()) {
+    members.push_back(g);
+    weights.push_back(2.0 * w);  // unnormalized: the constructor rescales
+  }
+  const IndexList extra{3, 4, 5, 6};
+  Lid warm(oracle_, members, weights, extra, {});
+  for (Index g : extra) EXPECT_EQ(warm.WeightOf(g), 0.0);
+  EXPECT_NEAR(warm.Density(), before, 1e-12);
+  warm.Run();
+  EXPECT_TRUE(warm.converged());
+  // The warm state is the cold run's Eq. 17 update over the same extras, so
+  // both resume to the same subgraph.
+  cold.UpdateRange(extra);
+  cold.Run();
+  EXPECT_EQ(warm.Support(), cold.Support());
+  EXPECT_NEAR(warm.Density(), cold.Density(), 1e-12);
+  EXPECT_GE(warm.Density(), before - 1e-12);
+  EXPECT_NEAR(warm.Density(),
+              BruteDensity(data_, affinity_, warm.SupportWeights()), 1e-9);
+  for (Index g : warm.Support()) EXPECT_LT(g, 6) << "outlier invaded";
+}
+
 // Property sweep: for every seed, the converged local dense subgraph is
 // immune against the whole range (Theorem 1) and lives on the simplex.
 class LidSeedProperty : public ::testing::TestWithParam<int> {};

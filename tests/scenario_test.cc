@@ -4,10 +4,13 @@
 // across batches), the shapes each scenario promises (linear drift walk,
 // storm-phased burst lifetimes, Zipf head mass), and the end-to-end burst
 // property the bench reports on: streaming the burst scenario through a
-// windowed OnlineAlid provably churns clusters (births AND dissolutions).
+// windowed OnlineAlid provably churns clusters (births AND dissolutions),
+// and a quality floor per scenario: the live window's AVG-F against the
+// planted sources, at reduced scale.
 #include "scenarios.h"
 
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,15 @@
 
 namespace alid::bench {
 namespace {
+
+// Reference live-window AVG-F of the reduced-scale streams of the quality
+// floor tests below, measured with a cold ingest that re-ran Algorithm 2
+// from one seed per absorbed arrival and per expiry repair (truncated to 4
+// decimals). The warm, coalesced ingest may not fall more than 0.01 below.
+constexpr double kDriftReferenceAvgF = 0.8380;
+constexpr double kBurstReferenceAvgF = 0.9221;
+constexpr double kHeavyTailReferenceAvgF = 0.8603;
+constexpr double kEmbeddingReferenceAvgF = 0.8000;
 
 TEST(ScenarioTest, DriftIsSeedDeterministic) {
   DriftScenarioConfig config;
@@ -234,6 +246,84 @@ TEST(ScenarioTest, BurstStreamChurnsClusters) {
   EXPECT_GT(online.stats().clusters_born, 0);
   EXPECT_GT(online.stats().clusters_dissolved, 0);
   EXPECT_GT(online.stats().evicted, 0);
+}
+
+TEST(ScenarioTest, SourceLabelsCoverEveryRow) {
+  const std::vector<ScenarioBatch> batches{
+      DriftBatch(DriftScenarioConfig{}, 3),
+      BurstBatch(BurstScenarioConfig{}, 3),
+      HeavyTailBatch(HeavyTailScenarioConfig{}, 3),
+      EmbeddingBatch(EmbeddingScenarioConfig{}, 3)};
+  for (const ScenarioBatch& batch : batches) {
+    ASSERT_EQ(static_cast<Index>(batch.source.size()), batch.rows);
+    // Cluster rows come first and carry a source; the far noise follows.
+    const Index members = batch.rows - batch.noise_rows;
+    for (Index r = 0; r < batch.rows; ++r) {
+      EXPECT_EQ(batch.source[r] >= 0, r < members) << "row " << r;
+    }
+  }
+}
+
+// Streams `num_batches` batches of a scenario through a windowed OnlineAlid
+// with the scenario bench's options and returns the live window's AVG-F
+// against the planted sources.
+double StreamedAvgF(int dim, double spread, Index window, int num_batches,
+                    const std::function<ScenarioBatch(int)>& batch_at) {
+  const double intra = std::sqrt(2.0 * static_cast<double>(dim)) * spread;
+  OnlineAlidOptions opts;
+  opts.affinity = {.k = -std::log(0.9) / intra, .p = 2.0};
+  opts.lsh.segment_length = 3.0 * intra;
+  opts.refresh_interval = 256;
+  opts.window = window;
+  OnlineAlid online(dim, opts);
+  SlotSources sources;
+  for (int t = 0; t < num_batches; ++t) {
+    const ScenarioBatch batch = batch_at(t);
+    if (batch.rows > 0) {
+      sources.Record(online.InsertBatch(batch.points), batch.source);
+    }
+  }
+  online.Refresh();
+  return sources.LiveAvgF(online);
+}
+
+TEST(ScenarioTest, DriftStreamKeepsItsQualityFloor) {
+  DriftScenarioConfig config;
+  config.points_per_batch = 36;
+  const double f = StreamedAvgF(
+      config.dim, config.spread,
+      static_cast<Index>(6 * config.points_per_batch * 1.15), 24,
+      [&](int t) { return DriftBatch(config, t); });
+  EXPECT_GE(f, kDriftReferenceAvgF - 0.01);
+}
+
+TEST(ScenarioTest, BurstStreamKeepsItsQualityFloor) {
+  BurstScenarioConfig config;
+  config.points_per_slot = 8;
+  const double f = StreamedAvgF(
+      config.dim, config.spread,
+      static_cast<Index>(config.num_slots * config.points_per_slot *
+                         config.lifetime * 3 / 2),
+      36, [&](int t) { return BurstBatch(config, t); });
+  EXPECT_GE(f, kBurstReferenceAvgF - 0.01);
+}
+
+TEST(ScenarioTest, HeavyTailStreamKeepsItsQualityFloor) {
+  HeavyTailScenarioConfig config;
+  config.points_per_batch = 48;
+  const double f = StreamedAvgF(
+      config.dim, config.spread, 16 * config.points_per_batch, 30,
+      [&](int t) { return HeavyTailBatch(config, t); });
+  EXPECT_GE(f, kHeavyTailReferenceAvgF - 0.01);
+}
+
+TEST(ScenarioTest, EmbeddingStreamKeepsItsQualityFloor) {
+  EmbeddingScenarioConfig config;
+  config.points_per_batch = 36;
+  const double f = StreamedAvgF(
+      config.dim, config.spread, 12 * config.points_per_batch, 24,
+      [&](int t) { return EmbeddingBatch(config, t); });
+  EXPECT_GE(f, kEmbeddingReferenceAvgF - 0.01);
 }
 
 }  // namespace

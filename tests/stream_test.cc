@@ -4,6 +4,7 @@
 // streaming edge cases (empty window, duplicate inserts, remove-then-
 // reinsert, refresh-interval boundaries).
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -241,10 +242,9 @@ TEST(StreamTest, DuplicateInsertsShareACluster) {
 }
 
 TEST(StreamTest, MidBatchAbsorptionClaimsLaterArrivals) {
-  // A batch of near-identical points next to an existing cluster: the first
-  // arrival's local re-detection absorbs the still-unassigned later ones,
-  // so their own apply step must notice the slot is already claimed instead
-  // of re-detecting from a seed another cluster owns.
+  // A batch of near-identical points next to an existing cluster: every
+  // arrival targets the same cluster, so the batch coalesces into ONE warm
+  // re-detection that absorbs all six newcomers at once.
   LabeledData data = Workload(240);
   OnlineAlidOptions opts = Options(data);
   OnlineAlid online(data.data.dim(), opts);
@@ -260,6 +260,7 @@ TEST(StreamTest, MidBatchAbsorptionClaimsLaterArrivals) {
   }
   ASSERT_GE(member, 0);
   const int64_t before = online.stats().absorbed;
+  const int64_t redetections_before = online.stats().redetections;
   std::vector<Scalar> batch;
   for (int copy = 0; copy < 6; ++copy) {
     const auto row = data.data[member];
@@ -271,6 +272,7 @@ TEST(StreamTest, MidBatchAbsorptionClaimsLaterArrivals) {
     EXPECT_EQ(online.ClusterOf(slot), online.ClusterOf(member));
   }
   EXPECT_EQ(online.stats().absorbed, before + 6);
+  EXPECT_EQ(online.stats().redetections, redetections_before + 1);
   // Out-of-universe slots answer -1 instead of reading past the arrays.
   EXPECT_EQ(online.ClusterOf(online.size() + 1000), -1);
   EXPECT_FALSE(online.IsAlive(online.size() + 1000));
@@ -321,8 +323,8 @@ TEST(StreamTest, RefreshIntervalBoundary) {
     EXPECT_EQ(online.stats().refreshes, 1);
   }
   {
-    // The boundary also fires *inside* a batch: one batch of 40 arrivals
-    // refreshes exactly once, after its 32nd item.
+    // A batch that crosses the boundary refreshes at batch end: one batch
+    // of 40 arrivals refreshes exactly once and carries 8 arrivals over.
     OnlineAlid online(data.data.dim(), opts);
     std::vector<Scalar> flat;
     for (Index i = 0; i < 40; ++i) {
@@ -331,7 +333,7 @@ TEST(StreamTest, RefreshIntervalBoundary) {
     }
     online.InsertBatch(flat);
     EXPECT_EQ(online.stats().refreshes, 1);
-    // 24 more arrivals complete the second interval.
+    // 24 more arrivals complete the second interval (8 + 24 = 32).
     flat.clear();
     for (Index i = 40; i < 64; ++i) {
       const auto row = data.data[i];
@@ -340,6 +342,35 @@ TEST(StreamTest, RefreshIntervalBoundary) {
     online.InsertBatch(flat);
     EXPECT_EQ(online.stats().refreshes, 2);
   }
+}
+
+int64_t RegistryValue(const OnlineAlid& online, const std::string& name) {
+  for (const obs::MetricSample& sample : online.metrics().Snapshot()) {
+    if (sample.name == name) return sample.value;
+  }
+  ADD_FAILURE() << "no registry metric " << name;
+  return -1;
+}
+
+TEST(StreamTest, PhaseEntryCountersAreExactAcrossExecutors) {
+  // redetect_entries / refresh_entries attribute the oracle's kernel
+  // evaluations to the warm re-detections and the refresh passes. Each is
+  // an exact delta, so it is a deterministic function of the stream, and
+  // together they never exceed the oracle's total.
+  LabeledData data = Workload();
+  OnlineAlidOptions opts = Options(data);
+  opts.window = 260;
+  std::unique_ptr<OnlineAlid> serial = RunStream(data, opts, 37);
+  const int64_t redetect = RegistryValue(*serial, "redetect_entries");
+  const int64_t refresh = RegistryValue(*serial, "refresh_entries");
+  EXPECT_GT(redetect, 0);
+  EXPECT_GT(refresh, 0);
+  EXPECT_LE(redetect + refresh, serial->oracle().entries_computed());
+  ThreadPool pool(4);
+  opts.pool = &pool;
+  std::unique_ptr<OnlineAlid> parallel = RunStream(data, opts, 37);
+  EXPECT_EQ(RegistryValue(*parallel, "redetect_entries"), redetect);
+  EXPECT_EQ(RegistryValue(*parallel, "refresh_entries"), refresh);
 }
 
 TEST(StreamTest, BatchInsertMatchesSingleInsertStats) {
