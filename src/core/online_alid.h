@@ -217,6 +217,8 @@ class OnlineAlid {
 
   /// The shared oracle (kernel-evaluation counters for benches and tests).
   const LazyAffinityOracle& oracle() const { return *oracle_; }
+  /// The LSH index over the live slots (snapshot exports read its keys).
+  const LshIndex& lsh() const { return *lsh_; }
 
  private:
   // Writes the point into a re-used or appended slot (serial phase).

@@ -45,7 +45,8 @@ uint64_t HashFloors(const int32_t* vals, int count) {
 
 void LshIndex::InitTables() {
   ALID_CHECK(params_.num_tables > 0);
-  ALID_CHECK(params_.num_projections > 0);
+  ALID_CHECK(params_.num_projections > 0 &&
+             params_.num_projections <= kMaxProjections);
   ALID_CHECK(params_.segment_length > 0.0);
   const int d = dim_;
   Rng rng(params_.seed);
@@ -86,17 +87,6 @@ LshIndex::LshIndex(const Dataset& data, LshParams params)
       std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
 }
 
-LshIndex::LshIndex(const Dataset& data, LshParams params, DeferIndexing)
-    : data_(&data), dim_(data.dim()), params_(params) {
-  InitTables();
-  for (const auto& table : tables_) {
-    memory_bytes_ += table.projections.size() * sizeof(Scalar);
-    memory_bytes_ += table.offsets.size() * sizeof(Scalar);
-  }
-  charge_ =
-      std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
-}
-
 LshIndex::LshIndex(int dim, LshParams params)
     : data_(nullptr), dim_(dim), params_(params) {
   ALID_CHECK(dim_ > 0);
@@ -107,13 +97,6 @@ LshIndex::LshIndex(int dim, LshParams params)
   }
   charge_ =
       std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
-}
-
-void LshIndex::AppendItem(Index i) {
-  ALID_CHECK_MSG(i == indexed_count_, "items must be appended in order");
-  std::vector<uint64_t> keys(tables_.size());
-  ComputeItemKeys(i, keys.data());
-  InsertItemWithKeys(i, keys);
 }
 
 void LshIndex::ComputeItemKeys(Index i, uint64_t* out) const {
@@ -183,7 +166,7 @@ uint64_t LshIndex::HashPoint(const Table& table,
                              std::span<const Scalar> point) const {
   const int d = dim_;
   ALID_DCHECK(static_cast<int>(point.size()) == d);
-  std::vector<int32_t> floors(params_.num_projections);
+  int32_t floors[kMaxProjections] = {};
   for (int p = 0; p < params_.num_projections; ++p) {
     const Scalar* proj = table.projections.data() + static_cast<size_t>(p) * d;
     Scalar dot = 0.0;
@@ -191,7 +174,7 @@ uint64_t LshIndex::HashPoint(const Table& table,
     floors[p] =
         SaturatingFloor((dot + table.offsets[p]) / params_.segment_length);
   }
-  return HashFloors(floors.data(), params_.num_projections);
+  return HashFloors(floors, params_.num_projections);
 }
 
 std::vector<Index> LshIndex::QueryByIndex(Index i) const {

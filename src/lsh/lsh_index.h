@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "common/dataset.h"
 #include "common/memory_tracker.h"
 #include "common/types.h"
@@ -36,29 +37,16 @@ struct LshParams {
 /// queries by item index need no re-hashing.
 class LshIndex {
  public:
-  /// Tag selecting the deferred-indexing constructor below.
-  enum class DeferIndexing { kDeferred };
+  /// Largest supported num_projections (the paper's largest mu is 40):
+  /// HashPoint keeps a point's floor values in a fixed stack buffer.
+  static constexpr int kMaxProjections = 64;
 
   LshIndex(const Dataset& data, LshParams params);
 
-  /// Builds the tables (projections and offsets seeded from params) WITHOUT
-  /// hashing any of `data`'s current rows: the caller inserts every item
-  /// itself through InsertItemWithKeys, with keys either computed via
-  /// ComputeItemKeys or carried over from an earlier index built with the
-  /// same params (the incremental snapshot export re-uses an unchanged
-  /// cluster's keys this way). Inserting items 0..n-1 in order with their
-  /// own keys yields an index identical to the hashing constructor.
-  LshIndex(const Dataset& data, LshParams params, DeferIndexing);
-
-  /// Dataset-free deferred index of the given dimensionality: the tables
-  /// (projections and offsets) are seeded exactly as in the other
-  /// constructors, but no Dataset is attached — items enter only through
-  /// InsertItemWithKeys with keys the caller computed (ComputePointKeys) or
-  /// inherited from an earlier index built with the same params. This is the
-  /// serving snapshot's mode: member rows live in refcounted arena blocks
-  /// rather than one flat dataset, so there is no Dataset to point at, yet
-  /// the buckets (and hence every QueryByPoint answer) are identical to an
-  /// eager index over the same rows in the same order.
+  /// Dataset-free index of the given dimensionality, its tables seeded as
+  /// in the hashing constructor; items enter only through
+  /// InsertItemWithKeys. A serving snapshot holds one with no items as its
+  /// query hasher: same params, same keys as the source index.
   LshIndex(int dim, LshParams params);
 
   ~LshIndex();
@@ -68,18 +56,11 @@ class LshIndex {
 
   const LshParams& params() const { return params_; }
   int num_tables() const { return params_.num_tables; }
-  /// Number of item slots the tables know about (== dataset size unless the
-  /// dataset grew and AppendItem was not yet called for the new rows).
+  /// Number of item slots the tables know about.
   /// Removed slots still count; see live_count().
   Index size() const { return indexed_count_; }
   /// Items currently present in the buckets (size() minus removed slots).
   Index live_count() const { return live_count_; }
-
-  /// Hashes the data point with index `i` (which must already exist in the
-  /// underlying Dataset, appended after this index was built) into every
-  /// table. Enables the streaming extension (OnlineAlid): the index grows
-  /// with the dataset instead of being rebuilt.
-  void AppendItem(Index i);
 
   /// Pure per-item hashing: writes item i's bucket key for every table into
   /// out[0 .. num_tables()). Thread-safe — OnlineAlid's batch ingest hashes
@@ -91,10 +72,17 @@ class LshIndex {
   /// dimensionality): writes its bucket key for every table into
   /// out[0 .. num_tables()). Exactly the HashPoint that ComputeItemKeys and
   /// QueryByPoint run, so keys computed from a copied row equal keys
-  /// computed from the original dataset row — the property that lets arena
-  /// blocks carry their members' keys across snapshot generations.
+  /// computed from the original dataset row — the property that lets a
+  /// snapshot match a query's keys against its blocks' bucket keys.
   /// Thread-safe; works in dataset-free mode.
   void ComputePointKeys(std::span<const Scalar> point, uint64_t* out) const;
+
+  /// Present item i's bucket key in `table`, as inserted: read back, not
+  /// re-hashed.
+  uint64_t ItemKey(int table, Index i) const {
+    ALID_DCHECK(i >= 0 && i < indexed_count_ && removed_[i] == 0);
+    return tables_[static_cast<size_t>(table)].item_key[i];
+  }
 
   /// Inserts item i with precomputed keys: either the next append slot
   /// (i == size()) or a previously removed slot whose dataset row was
@@ -128,15 +116,10 @@ class LshIndex {
   /// All items colliding with an arbitrary point, deduplicated, unordered.
   std::vector<Index> QueryByPoint(std::span<const Scalar> point) const;
 
-  /// Allocation-light form of QueryByPoint — the serving hot path. Appends
-  /// the deduplicated union of the point's buckets to *out after clearing
-  /// it; dedup runs on a reusable thread-local stamp buffer, so a
-  /// high-QPS query loop allocates nothing per call. The result order is a
-  /// pure function of the point and the index history (tables in order,
-  /// buckets in insertion order), so batched serving stays bit-identical to
-  /// serial serving. Thread-safe against concurrent readers; the index must
-  /// not be mutated concurrently (serving queries a frozen per-snapshot
-  /// index, which guarantees this).
+  /// Allocation-light form of QueryByPoint: appends the deduplicated union
+  /// of the point's buckets to *out after clearing it, deduplicating on a
+  /// thread-local stamp buffer. The order is a pure function of the point
+  /// and the index history. Thread-safe against concurrent readers.
   void QueryByPoint(std::span<const Scalar> point,
                     std::vector<Index>* out) const;
 
@@ -167,9 +150,9 @@ class LshIndex {
   uint64_t HashPoint(const Table& table, std::span<const Scalar> point) const;
 
   // Seeds the projection/offset streams of every table from params_. Both
-  // constructors share this, so a deferred index hashes every point exactly
-  // like an eager one built from the same params — the property that lets
-  // precomputed keys move between snapshot generations.
+  // constructors share this, so a dataset-free index hashes every point
+  // exactly like an eager one built from the same params — the property
+  // that lets a snapshot compare query keys with the stream's own keys.
   void InitTables();
 
   const Dataset* data_;  // nullptr in dataset-free mode

@@ -16,12 +16,12 @@ namespace alid {
 
 namespace {
 
-// Per-thread query scratch: the LSH collision list and an epoch-stamped
+// Per-thread query scratch: the query's bucket keys and an epoch-stamped
 // cluster-candidate mark. Thread-local, so any number of readers query one
 // snapshot (or different snapshots) concurrently without allocating.
 struct QueryScratch {
-  std::vector<Index> hits;
-  EpochStamp candidates;  // marked cluster ids of the current query
+  std::vector<uint64_t> keys;  // one per table
+  EpochStamp candidates;       // marked cluster ids of the current query
 };
 
 QueryScratch& Scratch() {
@@ -34,7 +34,7 @@ QueryScratch& Scratch() {
 bool ClusterSnapshot::CompatibleWith(const ClusterSnapshotOptions& options,
                                      int dim) const {
   const AffinityParams& a = affinity_fn_->params();
-  const LshParams& l = lsh_->params();
+  const LshParams& l = hasher_->params();
   return this->dim() == dim && absorb_slack_ == options.absorb_slack &&
          a.k == options.affinity.k && a.p == options.affinity.p &&
          l.num_tables == options.lsh.num_tables &&
@@ -70,6 +70,11 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
       identity != nullptr ? identity->stream : nullptr;
   const ClusterSnapshot* prev =
       identity != nullptr ? identity->previous : nullptr;
+  const bool compatible = prev != nullptr && prev->CompatibleWith(options, dim);
+  // A compatible predecessor's query hasher has the same projections.
+  snap->hasher_ = compatible
+                      ? prev->hasher_
+                      : std::make_shared<const LshIndex>(dim, options.lsh);
 
   // Incremental re-use plan: a cluster whose stream (uid, version) pair
   // matches a cluster of the previous snapshot is provably unchanged (every
@@ -86,7 +91,7 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
       snap->src_uid_[c] = stream->cluster_uid(c);
       snap->src_version_[c] = stream->cluster_version(c);
     }
-    if (prev != nullptr && prev->CompatibleWith(options, dim)) {
+    if (compatible) {
       std::unordered_map<uint64_t, int> prev_by_uid;
       prev_by_uid.reserve(prev->src_uid_.size());
       for (size_t p = 0; p < prev->src_uid_.size(); ++p) {
@@ -122,7 +127,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
       static_cast<size_t>(num_clusters));
   {
     ALID_TRACE_SCOPE("publish", "block_fill");
-    snap->cluster_begin_.push_back(0);
     for (int c = 0; c < num_clusters; ++c) {
       const Cluster& cluster = clusters[c];
       ALID_CHECK(cluster.members.size() == cluster.weights.size());
@@ -143,10 +147,8 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
         auto block = std::make_shared<ClusterBlock>();
         block->count = count;
         block->dim = dim;
-        block->keys_per_member = tables;
         block->rows.resize(static_cast<size_t>(count) * dim);
         block->source_ids.resize(static_cast<size_t>(count));
-        block->member_keys.resize(static_cast<size_t>(count) * tables);
         for (Index t = 0; t < count; ++t) {
           const Index source = cluster.members[t];
           ALID_CHECK(source >= 0 && source < data.size());
@@ -166,52 +168,80 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
         fresh[c] = std::move(block);
         snap->build_info_.rows_rebuilt += count;
       }
-      for (Index t = 0; t < count; ++t) {
-        snap->cluster_of_.push_back(c);
-      }
-      snap->cluster_begin_.push_back(snap->cluster_begin_.back() + count);
+      snap->num_members_ += count;
       snap->density_.push_back(cluster.density);
       snap->seed_.push_back(cluster.seed);
     }
   }
   snap->build_info_.clusters_total = num_clusters;
 
-  // Per-snapshot LSH index over the global member positions, dataset-free
-  // (the rows live in the blocks): shared clusters re-insert their
-  // inherited keys, fresh clusters hash their block rows in a deterministic
-  // parallel pass, and the serial 0..M-1 insertion then reproduces exactly
-  // the buckets an eager index over the same rows would have built (same
-  // params => same projections as the source index, so point queries land
-  // in equivalent buckets).
+  // Candidate keys. A fresh block collects its members' distinct (table,
+  // key) buckets: a stream export reads the keys the stream computed on
+  // arrival, any other build hashes the rows (same params, same keys). The
+  // lookup table tags every block's keys with its cluster id, so a cluster
+  // is marked exactly when a member shares a bucket with the query.
   {
-    ALID_TRACE_SCOPE("publish", "lsh");
-    snap->lsh_ = std::make_unique<LshIndex>(dim, options.lsh);
-    ParallelChunks(options.pool, 0, num_clusters, options.grain,
-                   [&snap, &fresh](int64_t, int64_t lo, int64_t hi) {
-                     for (int64_t c = lo; c < hi; ++c) {
-                       ClusterBlock* block = fresh[c].get();
-                       if (block == nullptr) continue;  // keys inherited
-                       const size_t tables = static_cast<size_t>(
-                           snap->lsh_->num_tables());
-                       for (Index m = 0; m < block->count; ++m) {
-                         snap->lsh_->ComputePointKeys(
-                             block->row(m),
-                             &block->member_keys[static_cast<size_t>(m) *
-                                                 tables]);
-                       }
-                     }
-                   });
+    ALID_TRACE_SCOPE("publish", "candidate_keys");
+    const LshIndex* stream_lsh = stream != nullptr ? &stream->lsh() : nullptr;
+    // Copying keys is too cheap to pay for a pool dispatch (measured on
+    // stream_heavy_tail), so only a build that hashes rows uses the pool.
+    ParallelChunks(
+        stream_lsh != nullptr ? nullptr : options.pool, 0, num_clusters,
+        options.grain, [&](int64_t, int64_t lo, int64_t hi) {
+          std::vector<uint64_t> hashed;  // count x tables, FromClusters only
+          std::vector<uint64_t> keys;    // one table's member keys
+          std::vector<BucketKey> buckets;
+          for (int64_t c = lo; c < hi; ++c) {
+            ClusterBlock* block = fresh[c].get();
+            if (block == nullptr) continue;  // keys inherited
+            const size_t count = static_cast<size_t>(block->count);
+            if (stream_lsh == nullptr) {
+              hashed.resize(count * tables);
+              for (size_t m = 0; m < count; ++m) {
+                snap->hasher_->ComputePointKeys(
+                    block->row(static_cast<Index>(m)), &hashed[m * tables]);
+              }
+            }
+            buckets.clear();
+            for (int t = 0; t < tables; ++t) {
+              keys.clear();
+              for (size_t m = 0; m < count; ++m) {
+                keys.push_back(
+                    stream_lsh != nullptr
+                        ? stream_lsh->ItemKey(t, block->source_ids[m])
+                        : hashed[m * tables + static_cast<size_t>(t)]);
+              }
+              std::sort(keys.begin(), keys.end());
+              keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+              for (const uint64_t key : keys) buckets.push_back({t, key});
+            }
+            block->bucket_keys.assign(buckets.begin(), buckets.end());
+          }
+        });
+    // The blocks' keys are sorted runs in cluster order: stable pairwise
+    // merges sort the table in O(K log C).
+    std::vector<CandidateKey> table, merged;
+    std::vector<size_t> run(1, 0);  // run c is [run[c], run[c + 1])
     for (int c = 0; c < num_clusters; ++c) {
-      const ClusterBlock& block = *snap->blocks_[c];
-      const Index begin = snap->cluster_begin_[c];
-      for (Index m = 0; m < block.count; ++m) {
-        snap->lsh_->InsertItemWithKeys(
-            begin + m,
-            std::span<const uint64_t>(
-                block.member_keys.data() + static_cast<size_t>(m) * tables,
-                static_cast<size_t>(tables)));
+      for (const BucketKey& b : snap->blocks_[c]->bucket_keys) {
+        table.push_back({b.table, c, b.key});
       }
+      run.push_back(table.size());
     }
+    merged.resize(table.size());
+    const size_t runs = static_cast<size_t>(num_clusters);
+    const auto at = [&](size_t r) { return run[std::min(r, runs)]; };
+    for (size_t w = 1; w < runs; w *= 2) {
+      for (size_t lo = 0; lo < runs; lo += 2 * w) {
+        std::merge(table.begin() + at(lo), table.begin() + at(lo + w),
+                   table.begin() + at(lo + w), table.begin() + at(lo + 2 * w),
+                   merged.begin() + at(lo));
+      }
+      table.swap(merged);
+    }
+    snap->candidate_keys_ = std::move(table);
+    snap->candidate_keys_charge_.Adjust(static_cast<int64_t>(
+        snap->candidate_keys_.size() * sizeof(CandidateKey)));
   }
 
   // Every fresh block is complete: seal it — charging its bytes to the
@@ -254,15 +284,20 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
                static_cast<uint64_t>(stream.size()), &identity);
 }
 
-const std::vector<Index>& ClusterSnapshot::CandidateMembers(
-    std::span<const Scalar> point) const {
+void ClusterSnapshot::MarkCandidates(std::span<const Scalar> point) const {
   QueryScratch& scratch = Scratch();
-  lsh_->QueryByPoint(point, &scratch.hits);
+  const int tables = hasher_->num_tables();
+  scratch.keys.resize(static_cast<size_t>(tables));
+  hasher_->ComputePointKeys(point, scratch.keys.data());
   scratch.candidates.Begin(static_cast<size_t>(num_clusters()));
-  for (Index j : scratch.hits) {
-    scratch.candidates.Mark(static_cast<size_t>(cluster_of_[j]));
+  for (int t = 0; t < tables; ++t) {
+    const CandidateKey probe{t, -1, scratch.keys[static_cast<size_t>(t)]};
+    auto it = std::lower_bound(candidate_keys_.begin(), candidate_keys_.end(),
+                               probe);
+    for (; it != candidate_keys_.end() && !(probe < *it); ++it) {
+      scratch.candidates.Mark(static_cast<size_t>(it->cluster));
+    }
   }
-  return scratch.hits;
 }
 
 QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
@@ -270,7 +305,7 @@ QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
   QueryOutcome best;
   best.generation = generation_;
   if (num_clusters() == 0) return best;
-  CandidateMembers(point);
+  MarkCandidates(point);
   const QueryScratch& scratch = Scratch();
   Scalar best_margin = -std::numeric_limits<Scalar>::infinity();
   for (int c = 0; c < num_clusters(); ++c) {
@@ -321,7 +356,7 @@ void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
           points.subspan(static_cast<size_t>(q0 + i) * d,
                          static_cast<size_t>(d));
       ALID_CHECK(static_cast<int>(point.size()) == d);
-      CandidateMembers(point);
+      MarkCandidates(point);
       const QueryScratch& scratch = Scratch();
       for (int c = 0; c < num; ++c) {
         candidate[static_cast<size_t>(i) * num + c] =
@@ -356,7 +391,7 @@ std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
   ALID_CHECK(static_cast<int>(point.size()) == dim());
   std::vector<ScoredCluster> scored;
   if (k <= 0 || num_clusters() == 0) return scored;
-  CandidateMembers(point);
+  MarkCandidates(point);
   const QueryScratch& scratch = Scratch();
   for (int c = 0; c < num_clusters(); ++c) {
     if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;

@@ -19,19 +19,19 @@ class ThreadPool;
 
 /// Parameters of a snapshot build. For scoring parity with a detector, pass
 /// the detector's own affinity/LSH parameters: the LSH seed fixes the
-/// Gaussian projections, so a query point hashes to the same buckets in the
-/// snapshot's per-snapshot index as in the source index — which makes the
-/// snapshot's candidate clusters (and hence Assign) *exactly* the Theorem-1
-/// absorb decision the source detector would take.
+/// Gaussian projections, so a query point hashes to the same bucket keys in
+/// the snapshot as in the source index — which makes the snapshot's
+/// candidate clusters (and hence Assign) *exactly* the Theorem-1 absorb
+/// decision the source detector would take.
 struct ClusterSnapshotOptions {
   /// Affinity kernel the supports were detected under.
   AffinityParams affinity;
-  /// LSH parameters of the rebuilt per-snapshot index (seed included).
+  /// LSH parameters of the bucket keys (seed included).
   LshParams lsh;
   /// Absorb slack of the assignment rule (see OnlineAlidOptions).
   double absorb_slack = 0.05;
-  /// Optional pool for the build's parallel pass (LSH key computation;
-  /// build-time only — queries never touch it).
+  /// Optional pool for the build's parallel pass (the fresh blocks' bucket
+  /// keys; build-time only — queries never touch it).
   ThreadPool* pool = nullptr;
   /// Chunk grain of the build's parallel passes; 0 auto.
   int64_t grain = 0;
@@ -42,11 +42,11 @@ struct ClusterSnapshotOptions {
 struct SnapshotBuildInfo {
   int clusters_total = 0;
   /// Clusters inherited wholesale from the previous snapshot: their arena
-  /// blocks (member rows, LSH keys, scorer) moved as shared refcount bumps
-  /// because the stream's (uid, version) pair proved them unchanged.
+  /// blocks (member rows, bucket keys, scorer) moved as shared refcount
+  /// bumps because the stream's (uid, version) pair proved them unchanged.
   int clusters_reused = 0;
   Index rows_reused = 0;    ///< Member rows shared from the predecessor.
-  Index rows_rebuilt = 0;   ///< Member rows gathered + re-hashed from source.
+  Index rows_rebuilt = 0;   ///< Member rows gathered from source.
   /// Arena-block bytes this build *shared* with its predecessor (refcount
   /// bumps — no copy, no new charge) vs. bytes it newly materialized and
   /// charged. bytes_shared > 0 on a steady-state incremental publish is the
@@ -96,19 +96,19 @@ struct ClusterSnapshotInfo {
 
 /// An immutable, self-contained view of one detection state, built for
 /// serving: every dominant cluster's payload (compacted member rows, source
-/// ids, per-member LSH keys, and the ClusterScorer holding the simplex
-/// weights and SoA member tiles) lives in a refcounted arena block (see
-/// snapshot_arena.h), plus a per-snapshot LSH index over the members for
-/// candidate retrieval. Every query — Assign, AssignBatch, TopKClusters —
-/// scores each candidate exactly once through its block's scorer, the same
-/// object and the same method the stream's absorb step uses. The
-/// incremental export *shares* an unchanged cluster's block with the
-/// predecessor snapshot instead of copying it, so consecutive generations
-/// cost only their changed bytes — and a server's history ring of old
-/// generations is nearly free. Every query method is const, touches only
-/// snapshot-owned state plus thread-local scratch, and is therefore safe for
-/// any number of concurrent readers — the read side of the serving
-/// subsystem's RCU design.
+/// ids, its members' distinct LSH buckets, and the ClusterScorer holding
+/// the simplex weights and SoA member tiles) lives in a refcounted arena
+/// block (see snapshot_arena.h); one flat (table, key, cluster) table over
+/// the blocks' buckets yields each query's candidate clusters. Every query
+/// — Assign, AssignBatch, TopKClusters — scores each candidate exactly once
+/// through its block's scorer, the same object and the same method the
+/// stream's absorb step uses. The incremental export *shares* an unchanged
+/// cluster's block with the predecessor snapshot instead of copying it, so
+/// consecutive generations cost only their changed bytes — and a server's
+/// history ring of old generations is nearly free. Every query method is
+/// const, touches only snapshot-owned state plus thread-local scratch, and
+/// is therefore safe for any number of concurrent readers — the read side
+/// of the serving subsystem's RCU design.
 class ClusterSnapshot {
  public:
   /// Builds from any detector output shaped as clusters over `data` — the
@@ -136,19 +136,18 @@ class ClusterSnapshot {
   /// `previous` enables the incremental export: any cluster whose stream
   /// (uid, version) pair matches a cluster of the previous snapshot — which
   /// proves its members, weights, density and member rows did not change —
-  /// *shares* that snapshot's arena block (rows, per-member LSH keys,
-  /// scorer) by refcount instead of gathering and re-hashing, turning
-  /// publish cost from O(window) into O(changed bytes). The result is
+  /// *shares* that snapshot's arena block (rows, bucket keys, scorer) by
+  /// refcount instead of gathering it, turning publish cost from O(window)
+  /// into O(changed bytes); a fresh block reads its members' bucket keys
+  /// from the stream's LSH index instead of re-hashing. The result is
   /// deep-equal to a from-scratch build (the property tests pin this every
   /// generation); pass nullptr for the from-scratch behavior.
   static std::shared_ptr<const ClusterSnapshot> FromStream(
       const OnlineAlid& stream, ThreadPool* pool = nullptr,
       std::shared_ptr<const ClusterSnapshot> previous = nullptr);
 
-  int num_clusters() const {
-    return static_cast<int>(cluster_begin_.size()) - 1;
-  }
-  Index num_members() const { return cluster_begin_.back(); }
+  int num_clusters() const { return static_cast<int>(blocks_.size()); }
+  Index num_members() const { return num_members_; }
   int dim() const { return dim_; }
   uint64_t generation() const { return generation_; }
   double absorb_slack() const { return absorb_slack_; }
@@ -180,9 +179,7 @@ class ClusterSnapshot {
   ClusterSnapshotInfo ClusterInfo(int c) const;
 
   Scalar density(int c) const { return density_[c]; }
-  Index cluster_size(int c) const {
-    return cluster_begin_[c + 1] - cluster_begin_[c];
-  }
+  Index cluster_size(int c) const { return blocks_[c]->count; }
   /// Stream identity of cluster `c` ((0, 0) when the source carries none) —
   /// what the incremental export and ClusterServer::GenerationDiff match on.
   uint64_t cluster_uid(int c) const { return src_uid_[c]; }
@@ -197,9 +194,6 @@ class ClusterSnapshot {
   std::span<const std::shared_ptr<const ClusterBlock>> blocks() const {
     return {blocks_.data(), blocks_.size()};
   }
-
-  /// Per-snapshot substrate observability: the LSH footprint.
-  const LshIndex& lsh() const { return *lsh_; }
 
  private:
   ClusterSnapshot() = default;
@@ -220,18 +214,27 @@ class ClusterSnapshot {
   // parameters, so its per-cluster arena blocks are shareable verbatim.
   bool CompatibleWith(const ClusterSnapshotOptions& options, int dim) const;
 
-  // Marks the clusters of the point's LSH collisions in thread-local
-  // scratch and returns the collision list.
-  const std::vector<Index>& CandidateMembers(
-      std::span<const Scalar> point) const;
+  // Marks the point's candidate clusters in thread-local scratch: hashes
+  // the point once per table and marks every cluster holding that bucket.
+  void MarkCandidates(std::span<const Scalar> point) const;
+
+  // A lookup-table entry, ordered by bucket alone.
+  struct CandidateKey {
+    int table = 0;
+    int cluster = -1;
+    uint64_t key = 0;
+
+    bool operator<(const CandidateKey& o) const {
+      return table != o.table ? table < o.table : key < o.key;
+    }
+  };
 
   int dim_ = 0;
   // One refcounted arena block per cluster (see snapshot_arena.h): all
   // member-indexed payload lives there, shared with the predecessor for
   // unchanged clusters.
   std::vector<std::shared_ptr<const ClusterBlock>> blocks_;
-  std::vector<Index> cluster_begin_; // cluster -> first global member (C + 1)
-  std::vector<int> cluster_of_;      // global member position -> cluster id
+  Index num_members_ = 0;            // summed over clusters
   std::vector<Scalar> density_;      // per cluster
   std::vector<Index> seed_;          // per cluster, source ids
   // Stream identity of each cluster ((0, 0) when the source carries none):
@@ -240,10 +243,12 @@ class ClusterSnapshot {
   std::vector<uint64_t> src_version_;
   double absorb_slack_ = 0.05;
   std::unique_ptr<AffinityFunction> affinity_fn_;
-  // Per-snapshot dataset-free LSH index over the global member positions
-  // (rebuilt clusters hash their block rows, shared clusters re-insert their
-  // inherited keys — identical buckets either way).
-  std::unique_ptr<LshIndex> lsh_;
+  // Query hasher: an item-free LshIndex, shared along compatible exports.
+  std::shared_ptr<const LshIndex> hasher_;
+  // Every block's bucket keys tagged with its cluster id, sorted by
+  // (table, key, cluster) and charged to the global tracker.
+  std::vector<CandidateKey> candidate_keys_;
+  ScopedMemoryCharge candidate_keys_charge_{0};
   uint64_t generation_ = 0;
   SnapshotBuildInfo build_info_;
 };

@@ -29,8 +29,7 @@ ClusterBlock::~ClusterBlock() {
 
 size_t ClusterBlock::MemoryBytes() const {
   return rows.size() * sizeof(Scalar) + source_ids.size() * sizeof(Index) +
-         member_keys.size() * sizeof(uint64_t) +
-         scorer->MemoryBytes();
+         bucket_keys.size() * sizeof(BucketKey) + scorer->MemoryBytes();
 }
 
 void ClusterBlock::Seal() {

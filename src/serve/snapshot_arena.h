@@ -21,15 +21,23 @@ namespace alid {
 /// (server ring included) is torn down; the teardown tests pin this.
 MemoryTracker& SnapshotArenaTracker();
 
+/// One LSH bucket: a key within one hash table, ordered by (table, key).
+struct BucketKey {
+  int table = 0;
+  uint64_t key = 0;
+
+  auto operator<=>(const BucketKey&) const = default;
+};
+
 /// One cluster's immutable serving payload, allocated in the shared snapshot
-/// arena: the member rows, source ids and per-member LSH bucket keys, plus
-/// the cluster's ClusterScorer (simplex weights and SIMD SoA member tiles)
-/// that every query scores through. A stream export shares the stream's own
-/// scorer here by refcount, so the block holds no second copy of anything
-/// the scorer holds. A block is built and mutated only inside
-/// one snapshot build (which holds the sole reference), then sealed and
-/// published behind shared_ptr<const ClusterBlock>; from then on it is
-/// immutable, so a successor snapshot whose stream (uid, version) pair
+/// arena: the member rows, source ids and the distinct LSH buckets its
+/// members occupy, plus the cluster's ClusterScorer (simplex weights and
+/// SIMD SoA member tiles) that every query scores through. A stream export
+/// shares the stream's own scorer here by refcount, so the block holds no
+/// second copy of anything the scorer holds. A block is built and mutated
+/// only inside one snapshot build (which holds the sole reference), then
+/// sealed and published behind shared_ptr<const ClusterBlock>; from then on
+/// it is immutable, so a successor snapshot whose stream (uid, version) pair
 /// proves the cluster unchanged *shares* the block with a refcount bump
 /// instead of copying it — publish cost in bytes is the changed clusters
 /// only, and bounded time travel over a ring of generations costs only each
@@ -45,18 +53,16 @@ struct ClusterBlock {
   ClusterBlock(const ClusterBlock&) = delete;
   ClusterBlock& operator=(const ClusterBlock&) = delete;
 
-  Index count = 0;          ///< Members of the cluster.
-  int dim = 0;              ///< Row dimensionality.
-  int keys_per_member = 0;  ///< LSH tables (member_keys stride).
+  Index count = 0;  ///< Members of the cluster.
+  int dim = 0;      ///< Row dimensionality.
 
   /// count x dim row-major member rows, in member (support) order.
   std::vector<Scalar> rows;
   /// Member -> source id (dataset row / stream slot).
   std::vector<Index> source_ids;
-  /// Per-member LSH bucket keys, count x keys_per_member row-major — kept so
-  /// a shared block's members re-enter the successor snapshot's index
-  /// without re-hashing.
-  std::vector<uint64_t> member_keys;
+  /// Every (table, key) bucket some member occupies, sorted and distinct:
+  /// the cluster is a candidate exactly when a query hashes into one.
+  std::vector<BucketKey> bucket_keys;
   /// The cluster's scoring state (weights and tiles in member order);
   /// shared with the stream that exported it and with every block that
   /// inherited it.

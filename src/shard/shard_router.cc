@@ -52,39 +52,27 @@ std::vector<BoundaryPair> ShardRouter::BoundaryClusters(
   const std::shared_ptr<const ServedGeneration> pinned = snapshot();
   if (pinned == nullptr) return report;
 
-  // Every (table, bucket key) a cluster's members occupy, deduplicated per
-  // cluster. The per-shard LSH indices share projections (same LshParams
-  // seed), so equal keys mean the same bucket of the same table.
+  // Every (table, bucket key) a cluster's members occupy — each block holds
+  // them deduplicated. The shards hash with the same LshParams seed, so
+  // equal keys mean the same bucket of the same table.
   struct BucketRef {
-    int table;
-    uint64_t key;
+    BucketKey bucket;
     int shard;
     int cluster;
 
-    bool operator<(const BucketRef& o) const {
-      if (table != o.table) return table < o.table;
-      if (key != o.key) return key < o.key;
-      if (shard != o.shard) return shard < o.shard;
-      return cluster < o.cluster;
-    }
-    bool operator==(const BucketRef&) const = default;
+    auto operator<=>(const BucketRef&) const = default;
   };
   std::vector<BucketRef> refs;
   for (int s = 0; s < static_cast<int>(pinned->shards.size()); ++s) {
     const auto blocks = pinned->shards[static_cast<size_t>(s)]->blocks();
     for (int c = 0; c < static_cast<int>(blocks.size()); ++c) {
-      const ClusterBlock& block = *blocks[static_cast<size_t>(c)];
-      const int kpm = block.keys_per_member;
-      for (Index m = 0; m < block.count; ++m) {
-        for (int t = 0; t < kpm; ++t) {
-          refs.push_back(BucketRef{
-              t, block.member_keys[static_cast<size_t>(m) * kpm + t], s, c});
-        }
+      for (const BucketKey& bucket :
+           blocks[static_cast<size_t>(c)]->bucket_keys) {
+        refs.push_back(BucketRef{bucket, s, c});
       }
     }
   }
   std::sort(refs.begin(), refs.end());
-  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
 
   // Count shared buckets per cross-shard cluster pair. The map key orders
   // the report ascending by (shard_a, cluster_a, shard_b, cluster_b).
@@ -92,10 +80,7 @@ std::vector<BoundaryPair> ShardRouter::BoundaryClusters(
   size_t lo = 0;
   while (lo < refs.size()) {
     size_t hi = lo;
-    while (hi < refs.size() && refs[hi].table == refs[lo].table &&
-           refs[hi].key == refs[lo].key) {
-      ++hi;
-    }
+    while (hi < refs.size() && refs[hi].bucket == refs[lo].bucket) ++hi;
     for (size_t i = lo; i < hi; ++i) {
       for (size_t j = i + 1; j < hi; ++j) {
         if (refs[i].shard == refs[j].shard) continue;

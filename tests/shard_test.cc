@@ -7,10 +7,12 @@
 // response across generations (the TSan claim), the empty-shard / hot-spot
 // / offline / stale-generation edges, as-of queries and GenerationDiff
 // across shards, and the boundary-cluster report (cross-shard LSH
-// collisions with exact cross densities).
+// collisions with exact cross densities, checked against keys re-hashed
+// from the block rows).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -20,7 +22,9 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/online_alid.h"
+#include "affinity/affinity_function.h"
 #include "data/synthetic.h"
+#include "lsh/lsh_index.h"
 #include "serve/cluster_snapshot.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_stream.h"
@@ -788,6 +792,75 @@ TEST(ShardTest, BoundaryReportFindsSplitClustersOnly) {
     }
   }
   EXPECT_TRUE(hot_seen);
+}
+
+TEST(ShardTest, BoundaryReportMatchesRecomputedBucketKeys) {
+  // Content-hash routing splits every planted cluster across the shards,
+  // so many cross-shard pairs collide. Each pair's ids, shared bucket count
+  // and cross density must equal a recomputation from keys re-hashed out
+  // of the block rows — not from the bucket keys the blocks carry.
+  LabeledData data = Workload(420, 37);
+  ShardedStreamOptions opts;
+  opts.base = BaseOptions(data);
+  opts.num_shards = 3;
+  std::unique_ptr<ShardedStream> stream = RunSharded(data, opts, 48);
+  ShardRouter router(data.data.dim(), opts.num_shards);
+  router.PublishFromStream(*stream);
+  const std::vector<BoundaryPair> report =
+      router.BoundaryClusters(opts.base.affinity);
+  ASSERT_FALSE(report.empty());
+
+  const auto snapshot = router.snapshot();
+  const LshIndex hasher(data.data.dim(), opts.base.lsh);
+  const int tables = opts.base.lsh.num_tables;
+  // buckets[s][c]: the distinct (table, key) buckets of shard s, cluster c.
+  std::vector<std::vector<std::vector<BucketKey>>> buckets;
+  for (const auto& shard : snapshot->shards) {
+    auto& per_cluster = buckets.emplace_back();
+    for (const auto& block : shard->blocks()) {
+      std::vector<BucketKey>& keys = per_cluster.emplace_back();
+      std::vector<uint64_t> point_keys(static_cast<size_t>(tables));
+      for (Index m = 0; m < block->count; ++m) {
+        hasher.ComputePointKeys(block->row(m), point_keys.data());
+        for (int t = 0; t < tables; ++t) {
+          keys.push_back({t, point_keys[static_cast<size_t>(t)]});
+        }
+      }
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    }
+  }
+  const AffinityFunction fn(opts.base.affinity);
+  std::vector<BoundaryPair> expected;
+  for (int sa = 0; sa < opts.num_shards; ++sa) {
+    for (int ca = 0; ca < static_cast<int>(buckets[sa].size()); ++ca) {
+      for (int sb = sa + 1; sb < opts.num_shards; ++sb) {
+        for (int cb = 0; cb < static_cast<int>(buckets[sb].size()); ++cb) {
+          std::vector<BucketKey> shared;
+          std::set_intersection(buckets[sa][ca].begin(),
+                                buckets[sa][ca].end(),
+                                buckets[sb][cb].begin(),
+                                buckets[sb][cb].end(),
+                                std::back_inserter(shared));
+          if (shared.empty()) continue;
+          const ClusterBlock& a = *snapshot->shards[sa]->blocks()[ca];
+          const ClusterBlock& b = *snapshot->shards[sb]->blocks()[cb];
+          Scalar cross = 0.0;
+          for (Index i = 0; i < a.count; ++i) {
+            for (Index j = 0; j < b.count; ++j) {
+              cross += a.scorer->weights[static_cast<size_t>(i)] *
+                       b.scorer->weights[static_cast<size_t>(j)] *
+                       fn.FromDistance(LpDistance(
+                           a.row(i), b.row(j), opts.base.affinity.p));
+            }
+          }
+          expected.push_back(BoundaryPair{
+              sa, ca, sb, cb, static_cast<int64_t>(shared.size()), cross});
+        }
+      }
+    }
+  }
+  EXPECT_EQ(report, expected);
 }
 
 }  // namespace

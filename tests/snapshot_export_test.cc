@@ -1,8 +1,10 @@
 // Tests of the snapshot export and the stream state it reads: a stream
 // export answers exactly like a from-clusters build of the same clusters,
 // incremental snapshots are deep-equal to from-scratch rebuilds every
-// generation, and the stream's state, counters and refresh speculation are
-// identical across executor counts.
+// generation, every block's bucket keys equal its rows' recomputed keys and
+// the candidate clusters equal a member-level LSH index's, and the stream's
+// state, counters and refresh speculation are identical across executor
+// counts.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
+#include "lsh/lsh_index.h"
 #include "serve/cluster_server.h"
 #include "serve/cluster_snapshot.h"
 #include "test_util.h"
@@ -77,6 +80,89 @@ std::unique_ptr<OnlineAlid> RunStream(const LabeledData& data,
   }
   online->Refresh();
   return online;
+}
+
+// The distinct (table, key) buckets of a block's rows, hashed afresh.
+std::vector<BucketKey> RecomputedBuckets(const ClusterBlock& block,
+                                         const LshParams& params) {
+  const LshIndex hasher(block.dim, params);
+  std::vector<uint64_t> keys(static_cast<size_t>(params.num_tables));
+  std::vector<BucketKey> buckets;
+  for (Index m = 0; m < block.count; ++m) {
+    hasher.ComputePointKeys(block.row(m), keys.data());
+    for (int t = 0; t < params.num_tables; ++t) {
+      buckets.push_back({t, keys[static_cast<size_t>(t)]});
+    }
+  }
+  std::sort(buckets.begin(), buckets.end());
+  buckets.erase(std::unique(buckets.begin(), buckets.end()), buckets.end());
+  return buckets;
+}
+
+// Checks the snapshot's candidate stage against an eager member-level
+// LshIndex over its block rows, concatenated in cluster order: for every
+// probe — each cluster's first members, near misses of them at several
+// jitter scales, and far noise — TopKClusters over all clusters must return
+// exactly the clusters of the index's collisions. Every block's bucket keys
+// must also equal the keys recomputed from its rows.
+void ExpectCandidatesMatchMemberIndex(const ClusterSnapshot& snap,
+                                      const LshParams& params, uint64_t seed) {
+  const int dim = snap.dim();
+  Dataset rows(dim);
+  std::vector<int> cluster_of;
+  for (int c = 0; c < snap.num_clusters(); ++c) {
+    const ClusterBlock& block = *snap.blocks()[c];
+    EXPECT_EQ(block.bucket_keys, RecomputedBuckets(block, params))
+        << "cluster " << c;
+    rows.AppendRaw(block.rows);
+    cluster_of.insert(cluster_of.end(), static_cast<size_t>(block.count), c);
+  }
+  const LshIndex eager(rows, params);
+
+  Rng rng(seed);
+  std::vector<std::vector<Scalar>> probes;
+  for (int c = 0; c < snap.num_clusters(); ++c) {
+    const ClusterBlock& block = *snap.blocks()[c];
+    for (Index m = 0; m < std::min<Index>(block.count, 3); ++m) {
+      const auto row = block.row(m);
+      probes.emplace_back(row.begin(), row.end());
+      for (const double scale : {0.25, 1.0, 4.0}) {
+        std::vector<Scalar> miss(row.begin(), row.end());
+        for (Scalar& v : miss) {
+          v += rng.Gaussian() * scale * params.segment_length;
+        }
+        probes.push_back(std::move(miss));
+      }
+    }
+  }
+  for (int q = 0; q < 20; ++q) {
+    std::vector<Scalar> noise(static_cast<size_t>(dim));
+    for (Scalar& v : noise) v = rng.Uniform(-900.0, 900.0);
+    probes.push_back(std::move(noise));
+  }
+
+  int64_t with_candidates = 0;
+  for (size_t q = 0; q < probes.size(); ++q) {
+    std::vector<int> expected;
+    for (const Index j : eager.QueryByPoint(probes[q])) {
+      expected.push_back(cluster_of[static_cast<size_t>(j)]);
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    std::vector<int> got;
+    for (const ScoredCluster& scored :
+         snap.TopKClusters(probes[q], snap.num_clusters())) {
+      got.push_back(scored.cluster);
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "probe " << q;
+    with_candidates += expected.empty() ? 0 : 1;
+  }
+  // Members always collide with their own cluster.
+  if (snap.num_clusters() > 0) {
+    EXPECT_GT(with_candidates, 0);
+  }
 }
 
 // Full structural equality of two streams, every counter included.
@@ -144,6 +230,9 @@ TEST(SnapshotExportTest, FromStreamAnswersEqualFromClusters) {
   for (int c = 0; c < exported->num_clusters(); ++c) {
     EXPECT_NE(rebuilt->blocks()[c]->scorer, online->cluster_scorer(c));
   }
+  // FromClusters hashes its block rows itself: its bucket keys and
+  // candidate sets must match a member-level index too.
+  ExpectCandidatesMatchMemberIndex(*rebuilt, opts.lsh, 3);
 
   const int dim = data.data.dim();
   Rng rng(11);
@@ -178,10 +267,11 @@ TEST(SnapshotExportTest, FromStreamAnswersEqualFromClusters) {
 }
 
 // Streams `data` while publishing a chained incremental snapshot and a
-// from-scratch snapshot every batch, deep-comparing the two; returns the
-// total rows the incremental chain re-used. Phase 2 (after the dataset is
-// exhausted) feeds batches localized around one planted cluster — the
-// steady-state shape where ingest leaves most clusters untouched.
+// from-scratch snapshot every batch, deep-comparing the two and checking the
+// chain's candidate stage; returns the total rows the incremental chain
+// re-used. Phase 2 (after the dataset is exhausted) feeds batches localized
+// around one planted cluster — the steady-state shape where ingest leaves
+// most clusters untouched.
 void RunIncrementalVsScratch(const LabeledData& data, Index window,
                              int64_t* rows_reused_out) {
   OnlineAlidOptions opts = Options(data);
@@ -237,6 +327,12 @@ void RunIncrementalVsScratch(const LabeledData& data, Index window,
     EXPECT_EQ(scratch->build_info().rows_reused, 0);
     EXPECT_EQ(scratch->build_info().clusters_reused, 0);
     rows_reused += incremental->build_info().rows_reused;
+    // Keys read from the stream — fresh blocks this generation, inherited
+    // ones from earlier — must be the keys of the rows the blocks hold,
+    // across expiry and slot re-use, and candidate sets must stay those of
+    // a member-level index.
+    ExpectCandidatesMatchMemberIndex(*incremental, opts.lsh,
+                                     static_cast<uint64_t>(online.size()));
 
     ASSERT_EQ(incremental->num_clusters(), scratch->num_clusters());
     ASSERT_EQ(incremental->num_members(), scratch->num_members());
@@ -278,6 +374,11 @@ void RunIncrementalVsScratch(const LabeledData& data, Index window,
     }
   }
   *rows_reused_out = rows_reused;
+  // Under a window, expired slots were re-used by later arrivals, so a
+  // stale stream key would have shown in the bucket-key checks.
+  if (window > 0) {
+    EXPECT_GT(online.stats().evicted, 0);
+  }
 }
 
 TEST(SnapshotExportTest, IncrementalExportDeepEqualsFromScratch) {
