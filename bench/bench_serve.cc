@@ -273,9 +273,10 @@ void Run(BenchContext& ctx) {
 
   // Tracing-overhead row: the batched single-executor query workload timed
   // with the span recorder off and then on (best of 3 each — min is the
-  // noise-robust estimator on shared runners). Measured before the sweep so
-  // Enable()'s ring re-arm cannot wipe the sweep's own --trace-out spans;
-  // CI pins the ratio below 1.05 via bench_compare's --require-max gate.
+  // noise-robust estimator on shared runners). Disable()/Enable() keep the
+  // buffered --trace-out spans of earlier benches (only a capacity change
+  // re-arms the rings); CI pins the ratio below 1.05 via bench_compare's
+  // --require-max gate.
   double trace_base_seconds = 0.0;
   double trace_wall_seconds = 0.0;
   {

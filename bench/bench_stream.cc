@@ -260,8 +260,9 @@ void Run(BenchContext& ctx) {
   // noise-robust estimator on shared runners). The hooks are a single
   // relaxed load per span when disabled and one ring write when enabled,
   // so the ratio stays ~1.0; CI pins it below 1.05 via bench_compare's
-  // --require-max trace_overhead_ratio gate. Measured before the sweep so
-  // Enable()'s ring re-arm cannot wipe the sweep's own --trace-out spans.
+  // --require-max trace_overhead_ratio gate. Disable()/Enable() keep the
+  // buffered --trace-out spans of earlier benches (only a capacity change
+  // re-arms the rings).
   double trace_base_seconds = 0.0;
   double trace_wall_seconds = 0.0;
   {

@@ -11,9 +11,9 @@
 //                 must dissolve the stale cluster and re-detect the moved
 //                 one) rather than steady absorb.
 //   burst       — cluster generations are born in storms and die `lifetime`
-//                 batches later; stresses the frontier ramp (cold absorb on
-//                 brand-new clusters) and incremental publish (rows_reused
-//                 collapses in birth storms).
+//                 batches later; stresses the refresh peel (cold detection
+//                 of brand-new clusters out of the pool) and incremental
+//                 publish (rows_reused collapses in birth storms).
 //   heavy_tail  — Zipf cluster membership: one giant head cluster, a long
 //                 tail of rare ones; stresses the head cluster's
 //                 re-detection cost.

@@ -116,11 +116,8 @@ int main() {
               static_cast<long long>(stats.redetections),
               static_cast<long long>(online.oracle().entries_computed()),
               static_cast<long long>(pool.steal_count()));
-  std::printf("refresh map stage: %lld rounds, %lld speculative "
-              "detections, %lld conflicts\n",
-              static_cast<long long>(stats.refresh_rounds),
-              static_cast<long long>(stats.refresh_speculations),
-              static_cast<long long>(stats.refresh_conflicts));
+  std::printf("pool refresh passes (serial peel): %lld\n",
+              static_cast<long long>(stats.refreshes));
   const std::vector<int> latency = stats.LatencyHistogram(8);
   std::printf("ingest-latency histogram (%zu batches, 8 bins to max): ",
               stats.batch_seconds.size());

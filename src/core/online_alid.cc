@@ -21,7 +21,6 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
     : options_(options), data_(dim), affinity_fn_(options.affinity) {
   ALID_CHECK(options_.window >= 0);
   ALID_CHECK(options_.refresh_interval >= 1);
-  ALID_CHECK(options_.refresh_frontier >= 1);
   oracle_ = std::make_unique<LazyAffinityOracle>(data_, affinity_fn_);
   lsh_ = std::make_unique<LshIndex>(data_, options_.lsh);
 
@@ -38,9 +37,6 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   metrics_.refreshes = registry.AddCounter("refreshes");
   metrics_.clusters_born = registry.AddCounter("clusters_born");
   metrics_.clusters_dissolved = registry.AddCounter("clusters_dissolved");
-  metrics_.refresh_rounds = registry.AddCounter("refresh_rounds");
-  metrics_.refresh_speculations = registry.AddCounter("refresh_speculations");
-  metrics_.refresh_conflicts = registry.AddCounter("refresh_conflicts");
   metrics_.redetect_entries = registry.AddCounter("redetect_entries");
   metrics_.refresh_entries = registry.AddCounter("refresh_entries");
   metrics_.alive = registry.AddGauge("alive");
@@ -68,9 +64,6 @@ StreamStats OnlineAlid::stats() const {
   s.refreshes = metrics_.refreshes->value();
   s.clusters_born = metrics_.clusters_born->value();
   s.clusters_dissolved = metrics_.clusters_dissolved->value();
-  s.refresh_rounds = metrics_.refresh_rounds->value();
-  s.refresh_speculations = metrics_.refresh_speculations->value();
-  s.refresh_conflicts = metrics_.refresh_conflicts->value();
   s.alive = static_cast<Index>(metrics_.alive->value());
   s.clusters_alive = static_cast<int>(metrics_.clusters_alive->value());
   s.batch_seconds = metrics_.batch_seconds.Samples();
@@ -110,7 +103,6 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
     ALID_TRACE_SCOPE("stream", "lsh_keys");
     ParallelChunks(options_.pool, 0, count, options_.grain,
                    [&](int64_t, int64_t lo, int64_t hi) {
-                     ALID_TRACE_SCOPE("stream", "lsh_keys_chunk");
                      for (int64_t k = lo; k < hi; ++k) {
                        lsh_->ComputeItemKeys(
                            slots[k], &keys[static_cast<size_t>(k) * tables]);
@@ -138,7 +130,6 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
     ALID_TRACE_SCOPE("stream", "absorb_score");
     ParallelChunks(options_.pool, 0, count, options_.grain,
                    [&](int64_t, int64_t lo, int64_t hi) {
-                     ALID_TRACE_SCOPE("stream", "absorb_score_chunk");
                      for (int64_t k = lo; k < hi; ++k) {
                        targets[k] = ScoreArrival(slots[k]);
                      }
@@ -186,22 +177,9 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   // Phase 6 (serial): the periodic pool pass, at batch end; the remainder
   // carries into the next interval.
   since_refresh_ += count;
-  if (since_refresh_ >= options_.refresh_interval) {
-    DetectFromPool();
-    since_refresh_ %= options_.refresh_interval;
-    metrics_.refreshes->Add(1);
-  }
-
-  {
-    ALID_TRACE_SCOPE("stream", "compact");
-    CompactClusters();
-  }
-  // Mutated clusters get new scorers at batch end — the next batch's
-  // parallel scoring phase and any between-batch snapshot export read only
-  // fresh ones.
-  RefreshScorers();
-  metrics_.alive->Set(alive());
-  metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
+  const bool refresh_pool = since_refresh_ >= options_.refresh_interval;
+  since_refresh_ %= options_.refresh_interval;
+  EndPass(refresh_pool);
   metrics_.batch_seconds.Record(timer.Seconds());
   return slots;
 }
@@ -257,11 +235,23 @@ int OnlineAlid::ScoreArrival(Index slot) const {
 }
 
 void OnlineAlid::Refresh() {
-  DetectFromPool();
-  CompactClusters();
-  RefreshScorers();
   since_refresh_ = 0;
-  metrics_.refreshes->Add(1);
+  EndPass(/*refresh_pool=*/true);
+}
+
+void OnlineAlid::EndPass(bool refresh_pool) {
+  if (refresh_pool) {
+    DetectFromPool();
+    metrics_.refreshes->Add(1);
+  }
+  {
+    ALID_TRACE_SCOPE("stream", "compact");
+    CompactClusters();
+  }
+  // Mutated clusters get new scorers here — the next batch's parallel
+  // scoring phase and any between-batch snapshot export read only fresh
+  // ones.
+  RefreshScorers();
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
 }
@@ -330,80 +320,17 @@ void OnlineAlid::RedetectCluster(int cluster_id, const IndexList& newcomers) {
 void OnlineAlid::DetectFromPool() {
   ALID_TRACE_SCOPE("stream", "refresh");
   std::vector<bool> exclude(data_.size(), false);
-  Index pool_count = 0;
   for (Index i = 0; i < data_.size(); ++i) {
     exclude[i] = alive_[i] == 0 || assignment_[i] >= 0;
-    pool_count += exclude[i] ? 0 : 1;
   }
-  if (pool_count == 0) return;
   const int64_t entries_before = oracle_->entries_computed();
   AlidDetector detector(*oracle_, *lsh_, options_.alid);
-
-  // PALID's map stage over the unassigned pool: each round maps a frontier
-  // chunk of speculative DetectOne runs — pure against the round-start
-  // exclusions — across the shared pool, then validates and applies them
-  // serially in seed order. A speculative detection whose support stayed
-  // disjoint from everything claimed earlier in the round is exactly what a
-  // serial run *from the round-start state* would have produced and is
-  // applied as-is; one that overlaps an earlier claim is re-detected
-  // against the live exclusions (the strictly-serial step). The frontier
-  // width ramps geometrically while rounds stay conflict-free and resets to
-  // 1 on any waste, so a pool full of one big cluster degrades to the old
-  // serial peel instead of detecting it `frontier` times. Every input of
-  // the schedule — the frontier sequence, the seed order, each DetectOne —
-  // is a pure function of the stream history, so the refresh outcome is
-  // bit-identical for every executor count, scheduling discipline and
-  // grain.
-  const int max_frontier = std::max(1, options_.refresh_frontier);
-  int frontier = 1;
-  Index cursor = 0;  // seeds are consumed in ascending order, exactly once
-  std::vector<Index> seeds;
-  std::vector<Cluster> raw;
-  while (cursor < data_.size()) {
-    ALID_TRACE_SCOPE("stream", "refresh_round");
-    seeds.clear();
-    Index next_cursor = cursor;
-    for (Index s = cursor;
-         s < data_.size() && static_cast<int>(seeds.size()) < frontier; ++s) {
-      if (!exclude[s]) seeds.push_back(s);
-      next_cursor = s + 1;
-    }
-    cursor = next_cursor;
-    if (seeds.empty()) continue;
-    raw.assign(seeds.size(), Cluster{});
-    ParallelChunks(options_.pool, 0, static_cast<int64_t>(seeds.size()),
-                   /*grain=*/1, [&](int64_t, int64_t lo, int64_t hi) {
-                     for (int64_t k = lo; k < hi; ++k) {
-                       raw[k] = detector.DetectOne(seeds[k], &exclude);
-                     }
-                   });
-    bool waste = false;
-    for (size_t k = 0; k < seeds.size(); ++k) {
-      if (exclude[seeds[k]]) {
-        // Claimed by an earlier detection of this round — the serial peel
-        // would never have seeded here.
-        waste = true;
-        continue;
-      }
-      Cluster c = std::move(raw[k]);
-      bool conflict = false;
-      for (Index m : c.members) {
-        if (exclude[m]) {
-          conflict = true;
-          break;
-        }
-      }
-      if (conflict) {
-        c = detector.DetectOne(seeds[k], &exclude);
-        metrics_.refresh_conflicts->Add(1);
-        waste = true;
-      } else if (k > 0) {
-        metrics_.refresh_speculations->Add(1);
-      }
-      InstallPoolCluster(std::move(c), detector, exclude);
-    }
-    metrics_.refresh_rounds->Add(1);
-    frontier = waste ? 1 : std::min(frontier * 2, max_frontier);
+  // The paper's peel (Section 4.4): detect from a seed, remove the support
+  // it found, reseed on what is left. Seeds go in ascending slot order, so
+  // the outcome is a pure function of the stream history.
+  for (Index seed = 0; seed < data_.size(); ++seed) {
+    if (exclude[seed]) continue;
+    InstallPoolCluster(detector.DetectOne(seed, &exclude), detector, exclude);
   }
   metrics_.refresh_entries->Add(oracle_->entries_computed() - entries_before);
 }

@@ -51,14 +51,6 @@ struct OnlineAlidOptions {
   ThreadPool* pool = nullptr;
   /// Chunk grain of the parallel phases (see DeterministicGrain); 0 auto.
   int64_t grain = 0;
-  /// Maximum number of pool seeds the refresh pass detects speculatively
-  /// per map round (PALID's seed-chunk map stage over the unassigned pool).
-  /// The frontier ramps 1 -> 2 -> ... -> this cap while rounds stay
-  /// conflict-free and resets to 1 on any conflict, so serial re-detections
-  /// stay rare; 1 pins the original strictly-serial peeling. The refresh
-  /// outcome depends only on this option and the stream history — never on
-  /// the executor count.
-  int refresh_frontier = 16;
 };
 
 /// Counters and per-batch ingest latencies of one OnlineAlid stream — the
@@ -80,13 +72,11 @@ struct StreamStats {
   int64_t sketch_prunes = 0;
   /// Always 0: kept only for readers of the retired support-sketch counter.
   int64_t sketch_exact = 0;
-  /// Map rounds of the refresh pass's frontier scheme.
-  int64_t refresh_rounds = 0;
-  /// Speculative pool detections accepted as-is (their support stayed
-  /// disjoint from everything claimed earlier in the round).
+  /// Always 0: kept only for readers of the retired refresh-frontier
+  /// counter (the refresh is the serial peel and never speculates).
   int64_t refresh_speculations = 0;
-  /// Speculative pool detections that overlapped an earlier claim and were
-  /// re-detected serially against the up-to-date exclusions.
+  /// Always 0: kept only for readers of the retired refresh-frontier
+  /// counter.
   int64_t refresh_conflicts = 0;
   Index alive = 0;         ///< Live items (inside the window).
   int clusters_alive = 0;  ///< Current dominant clusters.
@@ -129,11 +119,10 @@ struct StreamStats {
 /// fewer than min_cluster_size and no newcomers, dissolves. Arrivals the
 /// re-detections leave out join the unassigned pool; at the end of every
 /// batch that completes `refresh_interval` arrivals a refresh pass peels
-/// newly formed clusters out of the pool — frontier chunks of speculative
-/// cold Algorithm-2 runs mapped over the shared pool (the PALID map idiom),
-/// validated and applied serially in seed order so the outcome never
-/// depends on the executors. Costs stay local: no global recomputation
-/// ever happens.
+/// newly formed clusters out of the pool — the paper's serial peel (Section
+/// 4.4): a cold Algorithm-2 run from each still-unpeeled pool seed in
+/// ascending slot order, its support removed before the next seed. Costs
+/// stay local: no global recomputation ever happens.
 class OnlineAlid {
  public:
   explicit OnlineAlid(int dim, OnlineAlidOptions options);
@@ -230,15 +219,17 @@ class OnlineAlid {
   // surviving weighted support, `newcomers` added to the local range), or
   // its dissolution when too little of it is left.
   void RedetectCluster(int cluster_id, const IndexList& newcomers);
-  // Peels new clusters out of the unassigned pool: a deterministic frontier
-  // map stage (chunks of speculative DetectOne runs on the shared pool, the
-  // PALID map idiom) validated and applied serially in seed order.
+  // Peels new clusters out of the unassigned pool: one DetectOne per
+  // still-unpeeled seed, in ascending slot order.
   void DetectFromPool();
   // The serial tail of one pool detection: peel the support, filter by
   // density/size, merge with an existing cluster when the cross density
   // says so, otherwise install as a new cluster.
   void InstallPoolCluster(Cluster cluster, const AlidDetector& detector,
                           std::vector<bool>& exclude);
+  // End of a batch or of a forced Refresh(): the pool pass when
+  // `refresh_pool`, then compaction, fresh scorers and the gauges.
+  void EndPass(bool refresh_pool);
   // Builds a new scorer for every cluster whose version moved (end of every
   // batch / refresh, so scoring and exports always see fresh scorers).
   void RefreshScorers();
@@ -296,9 +287,6 @@ class OnlineAlid {
     obs::Counter* refreshes = nullptr;
     obs::Counter* clusters_born = nullptr;
     obs::Counter* clusters_dissolved = nullptr;
-    obs::Counter* refresh_rounds = nullptr;
-    obs::Counter* refresh_speculations = nullptr;
-    obs::Counter* refresh_conflicts = nullptr;
     // Kernel evaluations of the warm re-detections and of the refresh
     // passes: exact oracle deltas (both phases run with nothing else
     // touching the oracle).

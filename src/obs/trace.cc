@@ -77,13 +77,17 @@ void TraceRecorder::Enable(const ObsOptions& options) {
   Impl* state = impl();
   {
     std::lock_guard<std::mutex> lock(state->mu);
-    state->ring_capacity = options.trace_ring_capacity;
-    for (auto& buffer : state->buffers) {
-      std::lock_guard<std::mutex> buffer_lock(buffer->mu);
-      buffer->ring.clear();
-      buffer->ring.shrink_to_fit();
-      buffer->capacity = state->ring_capacity;
-      buffer->head = 0;
+    // Only a new capacity re-arms the rings (their wrap index depends on
+    // it); re-enabling at the same capacity keeps what they hold.
+    if (options.trace_ring_capacity != state->ring_capacity) {
+      state->ring_capacity = options.trace_ring_capacity;
+      for (auto& buffer : state->buffers) {
+        std::lock_guard<std::mutex> buffer_lock(buffer->mu);
+        buffer->ring.clear();
+        buffer->ring.shrink_to_fit();
+        buffer->capacity = state->ring_capacity;
+        buffer->head = 0;
+      }
     }
   }
   trace_internal::g_trace_enabled.store(options.trace_enabled,

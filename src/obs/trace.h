@@ -53,8 +53,9 @@ class TraceRecorder {
  public:
   static TraceRecorder& Global();
 
-  /// Turns recording on; re-arms every thread ring at the given capacity
-  /// (buffered events from a previous enablement are dropped).
+  /// Turns recording on. Buffered events survive a Disable()/Enable() pair;
+  /// only a changed capacity re-arms every thread ring, empty, at the new
+  /// size. Clear() is the way to drop them.
   void Enable(const ObsOptions& options = {});
   void Disable();
   bool enabled() const {

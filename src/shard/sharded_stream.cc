@@ -202,9 +202,6 @@ StreamStats ShardedStream::stats() const {
     total.refreshes += s.refreshes;
     total.clusters_born += s.clusters_born;
     total.clusters_dissolved += s.clusters_dissolved;
-    total.refresh_rounds += s.refresh_rounds;
-    total.refresh_speculations += s.refresh_speculations;
-    total.refresh_conflicts += s.refresh_conflicts;
     total.alive += s.alive;
     total.clusters_alive += s.clusters_alive;
   }

@@ -188,9 +188,9 @@ void ExpectIdenticalStreams(const OnlineAlid& a, const OnlineAlid& b) {
   EXPECT_EQ(sa.refreshes, sb.refreshes);
   EXPECT_EQ(sa.clusters_born, sb.clusters_born);
   EXPECT_EQ(sa.clusters_dissolved, sb.clusters_dissolved);
-  EXPECT_EQ(sa.refresh_rounds, sb.refresh_rounds);
-  EXPECT_EQ(sa.refresh_speculations, sb.refresh_speculations);
-  EXPECT_EQ(sa.refresh_conflicts, sb.refresh_conflicts);
+  // The stateless oracle's kernel-evaluation count is as deterministic as
+  // the state it paid for.
+  EXPECT_EQ(a.oracle().entries_computed(), b.oracle().entries_computed());
 }
 
 TEST(StreamDeterminismTest, CountersAndStateIdenticalAcrossExecutors) {
@@ -427,17 +427,17 @@ TEST(SnapshotExportTest, ReuseRequiresCompatibleParameters) {
   EXPECT_EQ(incompatible->build_info().clusters_reused, 0);
 }
 
-TEST(StreamDeterminismTest, ParallelRefreshSpeculatesAndStaysDeterministic) {
-  // A large unassigned pool at refresh time drives the frontier past 1, so
-  // the map stage actually speculates — and the streamed state must still
+TEST(StreamDeterminismTest, LargePoolRefreshIdenticalAcrossExecutors) {
+  // The first refresh runs only after 400 arrivals, so the serial peel
+  // starts from a large unassigned pool — and the streamed state must still
   // be bit-identical across executor counts.
   LabeledData data = Workload(480, 41);
   OnlineAlidOptions opts = Options(data);
   opts.refresh_interval = 400;  // let the pool grow before the first pass
   const std::vector<Scalar> flat = ArrivalMix(data, 40);
   std::unique_ptr<OnlineAlid> serial = RunStream(data, opts, 80, flat);
-  EXPECT_GT(serial->stats().refresh_rounds, 0);
-  EXPECT_GT(serial->stats().refresh_speculations, 0);
+  EXPECT_GT(serial->stats().refreshes, 0);
+  EXPECT_GT(serial->stats().clusters_born, 0);
   for (int executors : {2, 8}) {
     ThreadPool pool(executors);
     OnlineAlidOptions parallel = opts;
@@ -446,18 +446,6 @@ TEST(StreamDeterminismTest, ParallelRefreshSpeculatesAndStaysDeterministic) {
     SCOPED_TRACE(testing::Message() << "executors=" << executors);
     ExpectIdenticalStreams(*serial, *streamed);
   }
-  // frontier = 1 pins the strictly-serial peel; the pool contents it
-  // produces may differ from the speculative schedule's, but it must be
-  // self-consistent across executors too.
-  OnlineAlidOptions pinned = opts;
-  pinned.refresh_frontier = 1;
-  std::unique_ptr<OnlineAlid> pinned_serial = RunStream(data, pinned, 80, flat);
-  EXPECT_EQ(pinned_serial->stats().refresh_speculations, 0);
-  ThreadPool pool(4);
-  pinned.pool = &pool;
-  std::unique_ptr<OnlineAlid> pinned_parallel =
-      RunStream(data, pinned, 80, flat);
-  ExpectIdenticalStreams(*pinned_serial, *pinned_parallel);
 }
 
 TEST(SnapshotExportTest, ServerSurfacesPublishTelemetry) {

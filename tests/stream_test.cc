@@ -3,12 +3,14 @@
 // disciplines, an executor-independent kernel-evaluation count, and the
 // streaming edge cases (empty window, duplicate inserts, remove-then-
 // reinsert, refresh-interval boundaries).
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/online_alid.h"
@@ -78,11 +80,6 @@ void ExpectIdenticalStreams(const OnlineAlid& a, const OnlineAlid& b) {
   EXPECT_EQ(sa.refreshes, sb.refreshes);
   EXPECT_EQ(sa.clusters_born, sb.clusters_born);
   EXPECT_EQ(sa.clusters_dissolved, sb.clusters_dissolved);
-  // The refresh frontier schedule is deterministic too: its counters are
-  // part of the bit-identity contract.
-  EXPECT_EQ(sa.refresh_rounds, sb.refresh_rounds);
-  EXPECT_EQ(sa.refresh_speculations, sb.refresh_speculations);
-  EXPECT_EQ(sa.refresh_conflicts, sb.refresh_conflicts);
   // The oracle is stateless, so its kernel-evaluation count is exact: a
   // deterministic function of the stream like the state it paid for.
   EXPECT_EQ(a.oracle().entries_computed(), b.oracle().entries_computed());
@@ -371,6 +368,106 @@ TEST(StreamTest, PhaseEntryCountersAreExactAcrossExecutors) {
   std::unique_ptr<OnlineAlid> parallel = RunStream(data, opts, 37);
   EXPECT_EQ(RegistryValue(*parallel, "redetect_entries"), redetect);
   EXPECT_EQ(RegistryValue(*parallel, "refresh_entries"), refresh);
+}
+
+// Outside reference for a refresh over a stream that has no clusters yet:
+// the paper's serial peel (Section 4.4) driven through AlidDetector on the
+// stream's own oracle and LSH index. Seeds go in ascending slot order; each
+// support is removed before the next seed; a kept cluster whose cross
+// density pi(x_new, x_e) with an earlier one reaches the threshold is
+// re-detected from its seed over the union of both, and replaces that one
+// on success.
+std::vector<Cluster> ReferencePeel(const OnlineAlid& online) {
+  const AlidOptions& alid = online.options().alid;
+  const LazyAffinityOracle& oracle = online.oracle();
+  const AlidDetector detector(oracle, online.lsh(), alid);
+  const auto kept = [&](const Cluster& c) {
+    return c.density >= alid.density_threshold &&
+           static_cast<int>(c.members.size()) >= alid.min_cluster_size;
+  };
+  const Index slots = online.size();
+  std::vector<bool> peeled(slots, false);
+  std::vector<Cluster> clusters;
+  for (Index seed = 0; seed < slots; ++seed) {
+    if (peeled[seed]) continue;
+    Cluster c = detector.DetectOne(seed, &peeled);
+    for (Index i : c.members) peeled[i] = true;
+    if (!kept(c)) continue;
+    bool merged = false;
+    for (size_t e = 0; e < clusters.size() && !merged; ++e) {
+      const Cluster& old = clusters[e];
+      // The stream's fixed-grain pair sum, so the threshold test sees the
+      // same bits.
+      const Scalar cross = ParallelSum(
+          nullptr, 0, static_cast<int64_t>(c.members.size()), 0,
+          [&](int64_t lo, int64_t hi) {
+            Scalar partial = 0.0;
+            for (int64_t a = lo; a < hi; ++a) {
+              for (size_t b = 0; b < old.members.size(); ++b) {
+                partial += c.weights[a] * old.weights[b] *
+                           oracle.Entry(c.members[a], old.members[b]);
+              }
+            }
+            return partial;
+          });
+      if (cross < alid.density_threshold) continue;
+      std::vector<bool> owned_elsewhere(slots, false);
+      for (size_t o = 0; o < clusters.size(); ++o) {
+        if (o == e) continue;
+        for (Index i : clusters[o].members) owned_elsewhere[i] = true;
+      }
+      Cluster both = detector.DetectOne(c.seed, &owned_elsewhere);
+      if (kept(both)) {
+        for (Index i : both.members) peeled[i] = true;
+        clusters[e] = std::move(both);
+        merged = true;
+      }
+      break;  // a failed merge installs the new cluster as-is
+    }
+    if (!merged) clusters.push_back(std::move(c));
+  }
+  return clusters;
+}
+
+TEST(StreamTest, RefreshIsTheSerialPeel) {
+  // With no clusters yet and the refresh interval out of reach, every
+  // arrival is pooled; the forced Refresh() must then install exactly the
+  // reference peel's clusters and spend exactly its kernel evaluations.
+  for (uint64_t seed : {91u, 17u, 53u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    LabeledData data = Workload(420, seed);
+    OnlineAlidOptions opts = Options(data);
+    opts.refresh_interval = data.size() + 1;
+    OnlineAlid online(data.data.dim(), opts);
+    Rng rng(5);
+    const auto order = rng.Permutation(data.size());
+    for (Index pos = 0; pos < data.size(); pos += 64) {
+      std::vector<Scalar> flat;
+      for (Index k = pos; k < std::min<Index>(pos + 64, data.size()); ++k) {
+        const auto row = data.data[order[k]];
+        flat.insert(flat.end(), row.begin(), row.end());
+      }
+      online.InsertBatch(flat);
+    }
+    ASSERT_TRUE(online.clusters().empty());
+    ASSERT_EQ(online.stats().pooled, data.size());
+
+    const int64_t before = online.oracle().entries_computed();
+    DetectionResult expected;
+    expected.clusters = ReferencePeel(online);
+    const int64_t reference_entries =
+        online.oracle().entries_computed() - before;
+    ASSERT_FALSE(expected.clusters.empty());
+
+    const int64_t refresh_before = online.oracle().entries_computed();
+    online.Refresh();
+    DetectionResult actual;
+    actual.clusters = online.clusters();
+    ExpectIdenticalDetections(expected, actual);
+    EXPECT_EQ(online.oracle().entries_computed() - refresh_before,
+              reference_entries);
+    EXPECT_EQ(RegistryValue(online, "refresh_entries"), reference_entries);
+  }
 }
 
 TEST(StreamTest, BatchInsertMatchesSingleInsertStats) {
