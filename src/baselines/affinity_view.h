@@ -21,7 +21,9 @@ class AffinityView {
   explicit AffinityView(const DenseMatrix* dense) : dense_(dense) {}
   explicit AffinityView(const SparseMatrix* sparse) : sparse_(sparse) {}
 
-  Index size() const { return dense_ != nullptr ? dense_->rows() : sparse_->rows(); }
+  Index size() const {
+    return dense_ != nullptr ? dense_->rows() : sparse_->rows();
+  }
 
   /// Entry A(i, j).
   Scalar At(Index i, Index j) const {

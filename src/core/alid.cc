@@ -16,9 +16,9 @@ AlidDetector::AlidDetector(const LazyAffinityOracle& oracle,
 }
 
 Scalar AlidDetector::FirstRadius() const {
-  if (options_.first_radius > 0.0) return options_.first_radius;
-  // Adaptive default: the distance at which the Laplacian kernel decays to
-  // the peeling threshold. Points beyond it cannot belong to a cluster of
+  // The first-iteration ROI radius (Algorithm 2 fixes R = 0.4 on its
+  // normalized features): the distance at which the Laplacian kernel decays
+  // to the peeling threshold. Points beyond it cannot belong to a cluster of
   // density >= the threshold together with the seed, so scanning them in the
   // first iteration is wasted work (it is exactly what lets background
   // clutter seeds terminate in O(1)).

@@ -23,11 +23,6 @@ struct AlidOptions {
   LidOptions lid;
   /// CIVS (Step 3) options — delta and the query strategy.
   CivsOptions civs;
-  /// Radius of the first-iteration ROI, when pi(x) = 0 still (Algorithm 2
-  /// sets R = 0.4 for c = 1 on its normalized features). Negative means
-  /// adaptive: the distance at which the affinity kernel decays to 0.5,
-  /// i.e. ln(2)/k.
-  double first_radius = -1.0;
   /// Eq. 16's logistic ROI growth; false jumps straight to the outer ball
   /// (ablation).
   bool logistic_roi_growth = true;

@@ -266,7 +266,9 @@ void Lid::UpdateRange(const IndexList& new_candidates) {
   ax_ = std::move(new_ax);
   columns_ = std::move(new_columns);
   pos_.clear();
-  for (size_t i = 0; i < beta_.size(); ++i) pos_[beta_[i]] = static_cast<int>(i);
+  for (size_t i = 0; i < beta_.size(); ++i) {
+    pos_[beta_[i]] = static_cast<int>(i);
+  }
   converged_ = false;
   Recharge();
 }

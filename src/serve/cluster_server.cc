@@ -105,15 +105,20 @@ std::vector<ScoredCluster> RankAcrossShards(const ServedGeneration& gen,
 
 int64_t ClusterServer::HistoryBytesLocked() const {
   if (history_.empty()) return 0;
+  std::unordered_set<const ClusterSnapshot*> counted_shards;
   std::unordered_set<const ClusterBlock*> counted;
   if (current_ != nullptr) {
     for (const auto& shard : current_->shards) {
+      counted_shards.insert(shard.get());
       for (const auto& block : shard->blocks()) counted.insert(block.get());
     }
   }
   int64_t bytes = 0;
   for (const auto& entry : history_) {
     for (const auto& shard : entry->shards) {
+      if (counted_shards.insert(shard.get()).second) {
+        bytes += static_cast<int64_t>(shard->candidate_key_bytes());
+      }
       for (const auto& block : shard->blocks()) {
         if (counted.insert(block.get()).second) {
           bytes += static_cast<int64_t>(block->MemoryBytes());

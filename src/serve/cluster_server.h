@@ -28,14 +28,15 @@ struct ClusterServerOptions {
   int64_t grain = 0;
   /// Retired generations the server keeps addressable for as-of queries
   /// (the history ring, oldest evicted first); 0 disables time travel.
-  /// Retention is cheap because consecutive generations share their
-  /// unchanged clusters' arena blocks — the ring pays only for blocks no
-  /// longer referenced by the current snapshot.
+  /// Consecutive generations share their unchanged clusters' arena blocks,
+  /// so the ring pays for the blocks the current snapshot no longer
+  /// references plus each retained snapshot's own candidate-key table.
   int history_capacity = 4;
   /// Byte budget of that *extra* history footprint (unique arena-block
-  /// bytes retained only for history — see ServeStatsView::
-  /// history_ring_bytes); oldest generations are evicted until the ring
-  /// fits. 0 means no byte bound (the capacity bound alone applies).
+  /// bytes and candidate-key tables retained only for history — see
+  /// ServeStatsView::history_ring_bytes); oldest generations are evicted
+  /// until the ring fits. 0 means no byte bound (the capacity bound alone
+  /// applies).
   int64_t history_budget_bytes = 0;
 };
 
@@ -137,7 +138,8 @@ struct GenerationDiffResult {
 /// nothing the readers touch: it builds fresh snapshots off-line and
 /// publishes them in one pointer swap. Because consecutive snapshots share
 /// their unchanged clusters' arena blocks, both the publish and the ring
-/// cost O(changed bytes), not O(window).
+/// pay block bytes for changed clusters only; each generation still owns
+/// its candidate-key table (one entry per distinct member bucket).
 ///
 /// Sharded answers merge by the snapshot's own rule over the generation's
 /// one cluster-id space: assignment takes the largest positive margin and
@@ -225,9 +227,10 @@ class ClusterServer {
   const obs::MetricsRegistry& metrics() const { return stats_.registry(); }
 
  private:
-  // Unique arena-block bytes referenced by ring entries but NOT by the
-  // current generation — the true extra cost of time travel (shared blocks
-  // are charged to the live generation). Caller holds snapshot_mu_.
+  // Unique arena-block bytes and snapshot candidate-key tables referenced
+  // by ring entries but NOT by the current generation — the true extra
+  // cost of time travel (shared blocks are charged to the live generation).
+  // Caller holds snapshot_mu_.
   int64_t HistoryBytesLocked() const;
 
   int dim_;

@@ -46,13 +46,13 @@ bool ClusterSnapshot::CompatibleWith(const ClusterSnapshotOptions& options,
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromClusters(
     const Dataset& data, std::span<const Cluster> clusters,
     const ClusterSnapshotOptions& options, uint64_t generation) {
-  return Build(data, clusters, options, generation, nullptr);
+  return Build(data, clusters, options, generation, nullptr, nullptr);
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
     const Dataset& data, std::span<const Cluster> clusters,
     const ClusterSnapshotOptions& options, uint64_t generation,
-    const StreamIdentity* identity) {
+    const OnlineAlid* stream, const ClusterSnapshot* prev) {
   ALID_CHECK(data.dim() > 0);
   ALID_CHECK(options.absorb_slack >= 0.0 && options.absorb_slack < 1.0);
   ALID_TRACE_SCOPE("publish", "build");
@@ -66,10 +66,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
 
   const int num_clusters = static_cast<int>(clusters.size());
   const int tables = options.lsh.num_tables;
-  const OnlineAlid* stream =
-      identity != nullptr ? identity->stream : nullptr;
-  const ClusterSnapshot* prev =
-      identity != nullptr ? identity->previous : nullptr;
   const bool compatible = prev != nullptr && prev->CompatibleWith(options, dim);
   // A compatible predecessor's query hasher has the same projections.
   snap->hasher_ = compatible
@@ -77,46 +73,26 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
                       : std::make_shared<const LshIndex>(dim, options.lsh);
 
   // Incremental re-use plan: a cluster whose stream (uid, version) pair
-  // matches a cluster of the previous snapshot is provably unchanged (every
-  // membership/weight/density mutation — and every member-row overwrite,
-  // which expiry precedes — bumps the stream's version counter), so its
-  // arena block is shared by refcount. Everything in the block is a pure
-  // function of the cluster's members and weights, hence the shared block is
-  // bit-identical to what a from-scratch build would recompute.
-  std::vector<int> reuse_from(static_cast<size_t>(num_clusters), -1);
-  if (stream != nullptr) {
-    snap->src_uid_.resize(static_cast<size_t>(num_clusters));
-    snap->src_version_.resize(static_cast<size_t>(num_clusters));
-    for (int c = 0; c < num_clusters; ++c) {
-      snap->src_uid_[c] = stream->cluster_uid(c);
-      snap->src_version_[c] = stream->cluster_version(c);
-    }
-    if (compatible) {
-      std::unordered_map<uint64_t, int> prev_by_uid;
-      prev_by_uid.reserve(prev->src_uid_.size());
-      for (size_t p = 0; p < prev->src_uid_.size(); ++p) {
-        if (prev->src_uid_[p] != 0) {
-          prev_by_uid.emplace(prev->src_uid_[p], static_cast<int>(p));
-        }
-      }
-      for (int c = 0; c < num_clusters; ++c) {
-        if (snap->src_uid_[c] == 0) continue;
-        const auto it = prev_by_uid.find(snap->src_uid_[c]);
-        if (it != prev_by_uid.end() &&
-            prev->src_version_[it->second] == snap->src_version_[c]) {
-          reuse_from[c] = it->second;
-        }
+  // matches a block of the previous snapshot is provably unchanged (every
+  // membership/weight/density/seed mutation — and every member-row
+  // overwrite, which expiry precedes — bumps the stream's version counter),
+  // so that block is shared by refcount. Everything in the block is a pure
+  // function of the cluster's state at that version, hence the shared block
+  // is bit-identical to what a from-scratch build would write.
+  std::unordered_map<uint64_t, size_t> prev_by_uid;
+  if (stream != nullptr && compatible) {
+    prev_by_uid.reserve(prev->blocks_.size());
+    for (size_t p = 0; p < prev->blocks_.size(); ++p) {
+      if (prev->blocks_[p]->uid != 0) {
+        prev_by_uid.emplace(prev->blocks_[p]->uid, p);
       }
     }
-  } else {
-    snap->src_uid_.assign(static_cast<size_t>(num_clusters), 0);
-    snap->src_version_.assign(static_cast<size_t>(num_clusters), 0);
   }
 
   // Block fill, cluster-major: an unchanged cluster *shares* the previous
   // snapshot's sealed arena block (a refcount bump — zero bytes moved);
-  // a changed one materializes a fresh block, gathers its rows from the
-  // source and takes the stream's own scorer when it is fresh (the
+  // a changed one materializes a fresh block with the cluster's metadata
+  // and source ids and takes the stream's own scorer when it is fresh (the
   // "export, don't rebuild" path — another refcount bump), building one
   // with the same builder otherwise; the scorer is a pure function of the
   // members' rows and weights, so both give the same bits. `fresh` keeps
@@ -131,11 +107,16 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
       const Cluster& cluster = clusters[c];
       ALID_CHECK(cluster.members.size() == cluster.weights.size());
       const Index count = static_cast<Index>(cluster.members.size());
-      const int p = reuse_from[c];
-      if (p >= 0) {
+      const uint64_t uid = stream != nullptr ? stream->cluster_uid(c) : 0;
+      const uint64_t version =
+          stream != nullptr ? stream->cluster_version(c) : 0;
+      const auto reuse = prev_by_uid.find(uid);
+      if (reuse != prev_by_uid.end() &&
+          prev->blocks_[reuse->second]->version == version) {
         // The reuse branch is a refcount bump; the span distinguishing it
         // from a gather is the accounting in build_info_, not a trace event.
-        const std::shared_ptr<const ClusterBlock>& block = prev->blocks_[p];
+        const std::shared_ptr<const ClusterBlock>& block =
+            prev->blocks_[reuse->second];
         ALID_CHECK(block->count == count);
         snap->blocks_[c] = block;
         snap->build_info_.bytes_shared +=
@@ -146,21 +127,17 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
         ALID_TRACE_SCOPE("publish", "block_gather");
         auto block = std::make_shared<ClusterBlock>();
         block->count = count;
-        block->dim = dim;
-        block->rows.resize(static_cast<size_t>(count) * dim);
-        block->source_ids.resize(static_cast<size_t>(count));
-        for (Index t = 0; t < count; ++t) {
-          const Index source = cluster.members[t];
+        block->density = cluster.density;
+        block->seed = cluster.seed;
+        block->uid = uid;
+        block->version = version;
+        block->source_ids = cluster.members;
+        for (const Index source : block->source_ids) {
           ALID_CHECK(source >= 0 && source < data.size());
-          const std::span<const Scalar> row = data[source];
-          std::copy(row.begin(), row.end(),
-                    block->rows.begin() + static_cast<size_t>(t) * dim);
-          block->source_ids[t] = source;
         }
         std::shared_ptr<const ClusterScorer> scorer =
             stream != nullptr ? stream->cluster_scorer(c) : nullptr;
-        if (scorer == nullptr ||
-            scorer->version != stream->cluster_version(c)) {
+        if (scorer == nullptr || scorer->version != version) {
           scorer = BuildClusterScorer(data, cluster.members, cluster.weights);
         }
         block->scorer = std::move(scorer);
@@ -169,17 +146,16 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
         snap->build_info_.rows_rebuilt += count;
       }
       snap->num_members_ += count;
-      snap->density_.push_back(cluster.density);
-      snap->seed_.push_back(cluster.seed);
     }
   }
   snap->build_info_.clusters_total = num_clusters;
 
   // Candidate keys. A fresh block collects its members' distinct (table,
   // key) buckets: a stream export reads the keys the stream computed on
-  // arrival, any other build hashes the rows (same params, same keys). The
-  // lookup table tags every block's keys with its cluster id, so a cluster
-  // is marked exactly when a member shares a bucket with the query.
+  // arrival, any other build hashes the members' source rows (same params,
+  // same keys). The lookup table tags every block's keys with its cluster
+  // id, so a cluster is marked exactly when a member shares a bucket with
+  // the query.
   {
     ALID_TRACE_SCOPE("publish", "candidate_keys");
     const LshIndex* stream_lsh = stream != nullptr ? &stream->lsh() : nullptr;
@@ -198,8 +174,8 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
             if (stream_lsh == nullptr) {
               hashed.resize(count * tables);
               for (size_t m = 0; m < count; ++m) {
-                snap->hasher_->ComputePointKeys(
-                    block->row(static_cast<Index>(m)), &hashed[m * tables]);
+                snap->hasher_->ComputePointKeys(data[block->source_ids[m]],
+                                                &hashed[m * tables]);
               }
             }
             buckets.clear();
@@ -277,11 +253,8 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
   options.absorb_slack = stream.options().absorb_slack;
   options.pool = pool;
   options.grain = stream.options().grain;
-  StreamIdentity identity;
-  identity.stream = &stream;
-  identity.previous = previous.get();
   return Build(stream.oracle().data(), stream.clusters(), options,
-               static_cast<uint64_t>(stream.size()), &identity);
+               static_cast<uint64_t>(stream.size()), &stream, previous.get());
 }
 
 void ClusterSnapshot::MarkCandidates(std::span<const Scalar> point) const {
@@ -312,7 +285,7 @@ QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
     if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;
     // Absorb when (near-)infective — the same slack rule, threshold and
     // lowest-id tie-break as the stream's ScoreArrival.
-    const Scalar threshold = density_[c] * (1.0 - absorb_slack_);
+    const Scalar threshold = blocks_[c]->density * (1.0 - absorb_slack_);
     const Scalar affinity =
         blocks_[c]->scorer->Affinity(*affinity_fn_, point);
     const Scalar margin = affinity - threshold;
@@ -365,7 +338,7 @@ void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
       best_margin[i] = -std::numeric_limits<Scalar>::infinity();
     }
     for (int c = 0; c < num; ++c) {
-      const Scalar threshold = density_[c] * (1.0 - absorb_slack_);
+      const Scalar threshold = blocks_[c]->density * (1.0 - absorb_slack_);
       const ClusterScorer& scorer = *blocks_[c]->scorer;
       for (Index i = 0; i < block; ++i) {
         if (candidate[static_cast<size_t>(i) * num + c] == 0) continue;
@@ -400,7 +373,7 @@ std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
     ScoredCluster entry;
     entry.cluster = c;
     entry.affinity = affinity;
-    entry.margin = affinity - density_[c] * (1.0 - absorb_slack_);
+    entry.margin = affinity - blocks_[c]->density * (1.0 - absorb_slack_);
     entry.generation = generation_;
     entry.absorbable = entry.margin > 0.0;
     scored.push_back(entry);
@@ -422,8 +395,8 @@ ClusterSnapshotInfo ClusterSnapshot::ClusterInfo(int c) const {
   const ClusterBlock& block = *blocks_[c];
   info.cluster = c;
   info.size = block.count;
-  info.density = density_[c];
-  info.seed = seed_[c];
+  info.density = block.density;
+  info.seed = block.seed;
   info.members.assign(block.source_ids.begin(), block.source_ids.end());
   info.weights = block.scorer->weights;
   return info;

@@ -42,11 +42,11 @@ struct ClusterSnapshotOptions {
 struct SnapshotBuildInfo {
   int clusters_total = 0;
   /// Clusters inherited wholesale from the previous snapshot: their arena
-  /// blocks (member rows, bucket keys, scorer) moved as shared refcount
-  /// bumps because the stream's (uid, version) pair proved them unchanged.
+  /// blocks (metadata, bucket keys, scorer) moved as shared refcount bumps
+  /// because the stream's (uid, version) pair proved them unchanged.
   int clusters_reused = 0;
-  Index rows_reused = 0;    ///< Member rows shared from the predecessor.
-  Index rows_rebuilt = 0;   ///< Member rows gathered from source.
+  Index rows_reused = 0;    ///< Members of the shared blocks.
+  Index rows_rebuilt = 0;   ///< Members of the freshly built blocks.
   /// Arena-block bytes this build *shared* with its predecessor (refcount
   /// bumps — no copy, no new charge) vs. bytes it newly materialized and
   /// charged. bytes_shared > 0 on a steady-state incremental publish is the
@@ -95,17 +95,17 @@ struct ClusterSnapshotInfo {
 };
 
 /// An immutable, self-contained view of one detection state, built for
-/// serving: every dominant cluster's payload (compacted member rows, source
-/// ids, its members' distinct LSH buckets, and the ClusterScorer holding
-/// the simplex weights and SoA member tiles) lives in a refcounted arena
-/// block (see snapshot_arena.h); one flat (table, key, cluster) table over
-/// the blocks' buckets yields each query's candidate clusters. Every query
-/// — Assign, AssignBatch, TopKClusters — scores each candidate exactly once
-/// through its block's scorer, the same object and the same method the
+/// serving: every dominant cluster's state (density, seed, stream identity,
+/// source ids, its members' distinct LSH buckets, and the ClusterScorer
+/// holding the simplex weights and SoA member tiles) lives in a refcounted
+/// arena block (see snapshot_arena.h); one flat (table, key, cluster) table
+/// over the blocks' buckets yields each query's candidate clusters. Every
+/// query — Assign, AssignBatch, TopKClusters — scores each candidate exactly
+/// once through its block's scorer, the same object and the same method the
 /// stream's absorb step uses. The incremental export *shares* an unchanged
 /// cluster's block with the predecessor snapshot instead of copying it, so
-/// consecutive generations cost only their changed bytes — and a server's
-/// history ring of old generations is nearly free. Every query method is
+/// consecutive generations pay block bytes only for their changed clusters;
+/// the lookup table is each snapshot's own. Every query method is
 /// const, touches only snapshot-owned state plus thread-local scratch, and
 /// is therefore safe for any number of concurrent readers — the read side
 /// of the serving subsystem's RCU design.
@@ -136,7 +136,7 @@ class ClusterSnapshot {
   /// `previous` enables the incremental export: any cluster whose stream
   /// (uid, version) pair matches a cluster of the previous snapshot — which
   /// proves its members, weights, density and member rows did not change —
-  /// *shares* that snapshot's arena block (rows, bucket keys, scorer) by
+  /// *shares* that snapshot's arena block (metadata, bucket keys, scorer) by
   /// refcount instead of gathering it, turning publish cost from O(window)
   /// into O(changed bytes); a fresh block reads its members' bucket keys
   /// from the stream's LSH index instead of re-hashing. The result is
@@ -178,12 +178,12 @@ class ClusterSnapshot {
   /// range.
   ClusterSnapshotInfo ClusterInfo(int c) const;
 
-  Scalar density(int c) const { return density_[c]; }
+  Scalar density(int c) const { return blocks_[c]->density; }
   Index cluster_size(int c) const { return blocks_[c]->count; }
   /// Stream identity of cluster `c` ((0, 0) when the source carries none) —
   /// what the incremental export and ClusterServer::GenerationDiff match on.
-  uint64_t cluster_uid(int c) const { return src_uid_[c]; }
-  uint64_t cluster_version(int c) const { return src_version_[c]; }
+  uint64_t cluster_uid(int c) const { return blocks_[c]->uid; }
+  uint64_t cluster_version(int c) const { return blocks_[c]->version; }
 
   /// What this build cost and what the incremental path saved/shared.
   const SnapshotBuildInfo& build_info() const { return build_info_; }
@@ -195,20 +195,22 @@ class ClusterSnapshot {
     return {blocks_.data(), blocks_.size()};
   }
 
+  /// Bytes of the candidate-key lookup table — owned by this snapshot
+  /// alone, never shared with another generation.
+  size_t candidate_key_bytes() const {
+    return candidate_keys_.size() * sizeof(CandidateKey);
+  }
+
  private:
   ClusterSnapshot() = default;
 
-  // Stream-side identity of the exported clusters (what FromStream knows
-  // beyond the bare cluster list); drives the incremental re-use decision.
-  struct StreamIdentity {
-    const OnlineAlid* stream = nullptr;
-    const ClusterSnapshot* previous = nullptr;
-  };
-
+  // `stream` (the exporting stream, or nullptr) supplies the clusters'
+  // identities, scorers and LSH keys; `previous` (or nullptr) donates the
+  // blocks of unchanged clusters.
   static std::shared_ptr<const ClusterSnapshot> Build(
       const Dataset& data, std::span<const Cluster> clusters,
       const ClusterSnapshotOptions& options, uint64_t generation,
-      const StreamIdentity* identity);
+      const OnlineAlid* stream, const ClusterSnapshot* previous);
 
   // True iff `previous` was built under the same scoring/indexing
   // parameters, so its per-cluster arena blocks are shareable verbatim.
@@ -234,13 +236,7 @@ class ClusterSnapshot {
   // member-indexed payload lives there, shared with the predecessor for
   // unchanged clusters.
   std::vector<std::shared_ptr<const ClusterBlock>> blocks_;
-  Index num_members_ = 0;            // summed over clusters
-  std::vector<Scalar> density_;      // per cluster
-  std::vector<Index> seed_;          // per cluster, source ids
-  // Stream identity of each cluster ((0, 0) when the source carries none):
-  // the key the *next* incremental export matches against.
-  std::vector<uint64_t> src_uid_;
-  std::vector<uint64_t> src_version_;
+  Index num_members_ = 0;  // summed over clusters
   double absorb_slack_ = 0.05;
   std::unique_ptr<AffinityFunction> affinity_fn_;
   // Query hasher: an item-free LshIndex, shared along compatible exports.

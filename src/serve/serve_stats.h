@@ -30,7 +30,7 @@ struct ServeStatsView {
   int64_t sketch_prunes = 0;
   /// Always 0: kept only for readers of the retired support-sketch counter.
   int64_t sketch_exact = 0;
-  /// Member rows / clusters the published snapshots inherited from their
+  /// Members / clusters the published snapshots inherited from their
   /// predecessors via the incremental export (0 under from-scratch builds).
   int64_t rows_reused = 0;
   int64_t clusters_reused = 0;
@@ -40,10 +40,11 @@ struct ServeStatsView {
   /// SnapshotBuildInfo).
   int64_t bytes_shared = 0;
   int64_t bytes_copied = 0;
-  /// Gauges of the server's history ring at View() time: unique arena bytes
-  /// held *only* for retained historical generations (blocks shared with
-  /// the current snapshot are free), how many retired generations are
-  /// addressable, and how many were evicted by the capacity/budget bounds.
+  /// Gauges of the server's history ring at View() time: unique arena-block
+  /// and candidate-key-table bytes held *only* for retained historical
+  /// generations (blocks shared with the current snapshot are free), how
+  /// many retired generations are addressable, and how many were evicted
+  /// by the capacity/budget bounds.
   int64_t history_ring_bytes = 0;
   int generations_retained = 0;
   int64_t history_evictions = 0;

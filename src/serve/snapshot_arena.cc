@@ -28,7 +28,7 @@ ClusterBlock::~ClusterBlock() {
 }
 
 size_t ClusterBlock::MemoryBytes() const {
-  return rows.size() * sizeof(Scalar) + source_ids.size() * sizeof(Index) +
+  return source_ids.size() * sizeof(Index) +
          bucket_keys.size() * sizeof(BucketKey) + scorer->MemoryBytes();
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/memory_tracker.h"
@@ -29,22 +28,21 @@ struct BucketKey {
   auto operator<=>(const BucketKey&) const = default;
 };
 
-/// One cluster's immutable serving payload, allocated in the shared snapshot
-/// arena: the member rows, source ids and the distinct LSH buckets its
-/// members occupy, plus the cluster's ClusterScorer (simplex weights and
-/// SIMD SoA member tiles) that every query scores through. A stream export
-/// shares the stream's own scorer here by refcount, so the block holds no
-/// second copy of anything the scorer holds. A block is built and mutated
-/// only inside one snapshot build (which holds the sole reference), then
-/// sealed and published behind shared_ptr<const ClusterBlock>; from then on
-/// it is immutable, so a successor snapshot whose stream (uid, version) pair
-/// proves the cluster unchanged *shares* the block with a refcount bump
-/// instead of copying it — publish cost in bytes is the changed clusters
-/// only, and bounded time travel over a ring of generations costs only each
-/// generation's unshared blocks. Bytes (the scorer's included) are charged
-/// exactly once per block (at Seal) to both the global MemoryTracker and
-/// SnapshotArenaTracker(), and released when the last referencing snapshot
-/// dies.
+/// One cluster's immutable serving state, allocated in the shared snapshot
+/// arena: its metadata (density, seed, stream identity), source ids and the
+/// distinct LSH buckets its members occupy, plus the cluster's ClusterScorer
+/// (simplex weights and SIMD SoA member tiles) that every query scores
+/// through; its tiles are the block's only copy of the member rows, and a
+/// stream export shares the stream's own scorer here by refcount. A block is
+/// built and mutated only inside one snapshot build (which holds the sole
+/// reference), then sealed and published behind shared_ptr<const
+/// ClusterBlock>; from then on it is immutable, so a successor snapshot
+/// whose stream (uid, version) pair proves the cluster unchanged *shares*
+/// the block with a refcount bump instead of copying it — publish cost in
+/// bytes is the changed clusters only. Bytes (the scorer's included) are
+/// charged exactly once per block (at Seal) to both the global
+/// MemoryTracker and SnapshotArenaTracker(), and released when the last
+/// referencing snapshot dies.
 struct ClusterBlock {
   ClusterBlock() = default;
   /// Traced ("arena"/"release"): the last referencing snapshot's teardown
@@ -53,11 +51,15 @@ struct ClusterBlock {
   ClusterBlock(const ClusterBlock&) = delete;
   ClusterBlock& operator=(const ClusterBlock&) = delete;
 
-  Index count = 0;  ///< Members of the cluster.
-  int dim = 0;      ///< Row dimensionality.
+  Index count = 0;       ///< Members of the cluster.
+  Scalar density = 0.0;  ///< pi(s_c) of the support.
+  Index seed = -1;       ///< Source id of the detection seed.
+  /// Stream identity ((0, 0) when the source carries none): every change to
+  /// the cluster's members, weights, density or seed bumps the version, so
+  /// a block whose (uid, version) matches is shareable verbatim.
+  uint64_t uid = 0;
+  uint64_t version = 0;
 
-  /// count x dim row-major member rows, in member (support) order.
-  std::vector<Scalar> rows;
   /// Member -> source id (dataset row / stream slot).
   std::vector<Index> source_ids;
   /// Every (table, key) bucket some member occupies, sorted and distinct:
@@ -67,12 +69,6 @@ struct ClusterBlock {
   /// shared with the stream that exported it and with every block that
   /// inherited it.
   std::shared_ptr<const ClusterScorer> scorer;
-
-  /// Row-major view of member row i.
-  std::span<const Scalar> row(Index i) const {
-    return {rows.data() + static_cast<size_t>(i) * dim,
-            static_cast<size_t>(dim)};
-  }
 
   /// Bytes of the block's payload vectors plus its scorer's — what sharing
   /// saves and what Seal() charges.

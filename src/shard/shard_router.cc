@@ -6,9 +6,10 @@
 
 #include "affinity/affinity_function.h"
 #include "common/check.h"
-#include "common/dataset.h"
 #include "common/parallel.h"
 #include "obs/trace.h"
+#include "simd/simd_dispatch.h"
+#include "simd/soa_block.h"
 
 namespace alid {
 
@@ -94,23 +95,34 @@ std::vector<BoundaryPair> ShardRouter::BoundaryClusters(
   // Exact cross density of each colliding pair, in one fixed double-loop
   // order — the same weighted pair sum the stream's merge rule
   // (InstallPoolCluster) evaluates, so a reconciliation pass can apply the
-  // stream's own density threshold to these numbers verbatim.
+  // stream's own density threshold to these numbers verbatim. Member rows
+  // come out of the scorers' tiles; TileDistances is bit-identical to
+  // LpDistance, and the sum keeps its i-outer, j-inner order.
   const AffinityFunction fn(affinity);
+  const SimdKernelOps& ops = *ActiveSimdOps();
+  std::vector<Scalar> row_a(static_cast<size_t>(dim()));
+  Scalar dists[kSimdTileLanes];
   report.reserve(pairs.size());
   for (const auto& [key, buckets] : pairs) {
-    const ClusterBlock& a =
+    const ClusterScorer& a =
         *pinned->shards[static_cast<size_t>(key[0])]->blocks()[
-            static_cast<size_t>(key[1])];
-    const ClusterBlock& b =
+            static_cast<size_t>(key[1])]->scorer;
+    const ClusterScorer& b =
         *pinned->shards[static_cast<size_t>(key[2])]->blocks()[
-            static_cast<size_t>(key[3])];
+            static_cast<size_t>(key[3])]->scorer;
     Scalar cross = 0.0;
-    for (Index i = 0; i < a.count; ++i) {
-      const auto row_a = a.row(i);
-      for (Index j = 0; j < b.count; ++j) {
-        cross += a.scorer->weights[static_cast<size_t>(i)] *
-                 b.scorer->weights[static_cast<size_t>(j)] *
-                 fn.FromDistance(LpDistance(row_a, b.row(j), affinity.p));
+    for (Index i = 0; i < a.members.count(); ++i) {
+      a.members.CopyRow(i, row_a.data());
+      for (Index t = 0; t < b.members.num_tiles(); ++t) {
+        TileDistances(ops, b.members, t, row_a.data(), affinity.p, dists);
+        const Index base = t * kSimdTileLanes;
+        const Index lanes =
+            std::min<Index>(kSimdTileLanes, b.members.count() - base);
+        for (Index l = 0; l < lanes; ++l) {
+          cross += a.weights[static_cast<size_t>(i)] *
+                   b.weights[static_cast<size_t>(base + l)] *
+                   fn.FromDistance(dists[l]);
+        }
       }
     }
     report.push_back(BoundaryPair{key[0], key[1], key[2], key[3], buckets,

@@ -54,7 +54,7 @@ uint64_t ShardedStream::PartitionKey(std::span<const Scalar> point) {
 }
 
 int ShardedStream::ShardOf(uint64_t partition_key) const {
-  return static_cast<int>(SplitMix64(partition_key ^ options_.partition_salt) %
+  return static_cast<int>(SplitMix64(partition_key) %
                           static_cast<uint64_t>(shards_.size()));
 }
 
@@ -103,7 +103,8 @@ std::vector<ShardSlot> ShardedStream::InsertPartitioned(
     // inner parallel phases keep the whole pool.
     const std::vector<Index> slots = shards_[0]->InsertBatch(points);
     for (Index i = 0; i < count; ++i) {
-      result[static_cast<size_t>(i)] = ShardSlot{0, slots[static_cast<size_t>(i)]};
+      result[static_cast<size_t>(i)] =
+          ShardSlot{0, slots[static_cast<size_t>(i)]};
     }
   } else {
     // Gather each shard's sub-batch, preserving arrival order within the

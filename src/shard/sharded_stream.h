@@ -21,14 +21,11 @@ struct ShardedStreamOptions {
   OnlineAlidOptions base;
   /// Number of independent OnlineAlid shards, fixed at construction. The
   /// partition of the stream — and therefore every shard's state — is a
-  /// pure function of (num_shards, partition_salt, stream), so the sharded
-  /// output is part of the determinism contract exactly like an executor
-  /// count is not: changing S changes the result, changing executors never
-  /// does. num_shards == 1 is bit-identical to a plain OnlineAlid.
+  /// pure function of (num_shards, stream), so the sharded output is part
+  /// of the determinism contract exactly like an executor count is not:
+  /// changing S changes the result, changing executors never does.
+  /// num_shards == 1 is bit-identical to a plain OnlineAlid.
   int num_shards = 1;
-  /// Mixed into the partition hash; lets deployments re-key the partition
-  /// without touching the per-point content hash.
-  uint64_t partition_salt = 0;
 };
 
 /// Where one arrival landed: the shard and the slot inside that shard's

@@ -23,7 +23,17 @@ void SoaBlock::GatherRows(const Dataset& data,
                    (m / kSimdTileLanes) * static_cast<size_t>(dim_) *
                        kSimdTileLanes +
                    m % kSimdTileLanes;
-    for (int k = 0; k < dim_; ++k) lane[static_cast<size_t>(k) * kSimdTileLanes] = row[k];
+    for (int k = 0; k < dim_; ++k) {
+      lane[static_cast<size_t>(k) * kSimdTileLanes] = row[k];
+    }
+  }
+}
+
+void SoaBlock::CopyRow(Index i, Scalar* out) const {
+  ALID_DCHECK(i >= 0 && i < count_);
+  const Scalar* lane = tile(i / kSimdTileLanes) + i % kSimdTileLanes;
+  for (int k = 0; k < dim_; ++k) {
+    out[k] = lane[static_cast<size_t>(k) * kSimdTileLanes];
   }
 }
 

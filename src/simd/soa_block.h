@@ -35,6 +35,9 @@ class SoaBlock {
   /// live in arbitrary slots or dataset rows).
   void GatherRows(const Dataset& data, std::span<const Index> members);
 
+  /// Copies member i's row out of its tile lane into out[0..dim).
+  void CopyRow(Index i, Scalar* out) const;
+
   /// Base pointer of tile t (dim * kSimdTileLanes scalars).
   const Scalar* tile(Index t) const {
     return tiles_.data() +

@@ -70,7 +70,9 @@ TEST(JacobiTest, EigenvectorsOrthonormal) {
   for (Index a = 0; a < 10; ++a) {
     for (Index b = a; b < 10; ++b) {
       Scalar dot = 0.0;
-      for (Index i = 0; i < 10; ++i) dot += eig.vectors(i, a) * eig.vectors(i, b);
+      for (Index i = 0; i < 10; ++i) {
+        dot += eig.vectors(i, a) * eig.vectors(i, b);
+      }
       EXPECT_NEAR(dot, a == b ? 1.0 : 0.0, 1e-9);
     }
   }
@@ -109,7 +111,9 @@ TEST(LanczosTest, HandlesKEqualsN) {
   auto matvec = [&](std::span<const Scalar> x) { return m.MatVec(x); };
   auto top = LanczosTopK(n, n, matvec);
   ASSERT_EQ(top.values.size(), static_cast<size_t>(n));
-  for (Index j = 0; j < n; ++j) EXPECT_NEAR(top.values[j], full.values[j], 1e-7);
+  for (Index j = 0; j < n; ++j) {
+    EXPECT_NEAR(top.values[j], full.values[j], 1e-7);
+  }
 }
 
 // Property sweep: Lanczos leading eigenvalue matches Jacobi across sizes.

@@ -125,8 +125,9 @@ TEST(ScenarioTest, HeavyTailHeadDominates) {
     total += HeavyTailClusterProbability(config, c);
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
-  EXPECT_GT(HeavyTailClusterProbability(config, 0),
-            10.0 * HeavyTailClusterProbability(config, config.num_clusters - 1));
+  EXPECT_GT(
+      HeavyTailClusterProbability(config, 0),
+      10.0 * HeavyTailClusterProbability(config, config.num_clusters - 1));
 
   // The realized batch composition tracks the head mass.
   const ScenarioBatch batch = HeavyTailBatch(config, 0);

@@ -4,6 +4,7 @@
 // readers (TSan-visible), arena-block sharing and its MemoryTracker
 // accounting (returns to baseline after teardown — the ASan leg), the
 // GenerationDiff report, and the constructor contract death test.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -324,14 +325,71 @@ TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {
     for (const auto& snap : snaps) server.Publish(snap);
     EXPECT_EQ(SnapshotArenaTracker().current_bytes() - arena_baseline,
               unique_bytes);
+    // The ring gauge is exactly what the four retained generations hold
+    // beyond the current one: their unshared blocks (each counted once)
+    // plus their own candidate-key tables.
+    ASSERT_GE(snaps.size(), 5u);
+    std::unordered_set<const ClusterBlock*> counted;
+    for (const auto& block : snaps.back()->blocks()) {
+      counted.insert(block.get());
+    }
+    int64_t ring_bytes = 0;
+    for (size_t s = snaps.size() - 5; s + 1 < snaps.size(); ++s) {
+      ring_bytes += static_cast<int64_t>(snaps[s]->candidate_key_bytes());
+      for (const auto& block : snaps[s]->blocks()) {
+        if (counted.insert(block.get()).second) {
+          ring_bytes += static_cast<int64_t>(block->MemoryBytes());
+        }
+      }
+    }
     EXPECT_GT(server.stats().history_ring_bytes, 0);
-    EXPECT_LE(server.stats().history_ring_bytes, unique_bytes);
+    EXPECT_EQ(server.stats().history_ring_bytes, ring_bytes);
   }
   // Everything torn down (stream, snapshots, server ring): both resource
   // spaces return to their pre-test baselines — no leaked charges, no
   // leaked blocks (the ASan leg verifies the allocations themselves).
   EXPECT_EQ(SnapshotArenaTracker().current_bytes(), arena_baseline);
   EXPECT_EQ(MemoryTracker::Global().current_bytes(), global_baseline);
+}
+
+TEST(ServeHistoryTest, BudgetCountsRetainedCandidateKeyTables) {
+  // A retained generation holds its own candidate-key table besides the
+  // blocks the current snapshot no longer references. A budget that covers
+  // those blocks alone must still evict it.
+  LabeledData data = Workload(520, 61);
+  OnlineAlid online(data.data.dim(), StreamOptions(data));
+  auto snaps = SnapshotChain(data, online, 80);
+  ASSERT_GE(snaps.size(), 2u);
+  AppendLocalizedTail(data, online, snaps, 1);
+  const auto& older = snaps[snaps.size() - 2];
+  const auto& newer = snaps.back();
+  ASSERT_GT(older->num_clusters(), 0);
+  std::unordered_set<const ClusterBlock*> current;
+  for (const auto& block : newer->blocks()) current.insert(block.get());
+  int64_t block_bytes = 0;  // blocks only `older` references
+  for (const auto& block : older->blocks()) {
+    if (current.count(block.get()) == 0) {
+      block_bytes += static_cast<int64_t>(block->MemoryBytes());
+    }
+  }
+  const int dim = data.data.dim();
+
+  ClusterServer unbounded(dim, {.history_capacity = 1});
+  unbounded.Publish(older);
+  unbounded.Publish(newer);
+  EXPECT_EQ(unbounded.stats().generations_retained, 1);
+  EXPECT_GT(unbounded.stats().history_ring_bytes, block_bytes);
+
+  ClusterServer bounded(
+      dim, {.history_capacity = 1,
+            .history_budget_bytes = std::max<int64_t>(block_bytes, 1)});
+  bounded.Publish(older);
+  bounded.Publish(newer);
+  const ServeStatsView stats = bounded.stats();
+  EXPECT_EQ(stats.generations_retained, 0);
+  EXPECT_EQ(stats.history_evictions, 1);
+  EXPECT_EQ(stats.history_ring_bytes, 0);
+  EXPECT_EQ(bounded.SnapshotAt(older->generation()), nullptr);
 }
 
 TEST(ServeHistoryTest, GenerationDiffReportsBirthsDeathsAndDrift) {

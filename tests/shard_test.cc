@@ -776,7 +776,9 @@ TEST(ShardTest, BoundaryReportFindsSplitClustersOnly) {
       const ClusterBlock& block =
           *snapshot->shards[static_cast<size_t>(shard)]
                ->blocks()[static_cast<size_t>(cluster)];
-      EXPECT_LT(std::abs(block.row(0)[0] - center_a[0]), 50.0)
+      const Scalar x0 =
+          stream.shard(shard).oracle().data()[block.source_ids[0]][0];
+      EXPECT_LT(std::abs(x0 - center_a[0]), 50.0)
           << "pair endpoint is not at the split blob";
     }
   }
@@ -797,8 +799,10 @@ TEST(ShardTest, BoundaryReportFindsSplitClustersOnly) {
 TEST(ShardTest, BoundaryReportMatchesRecomputedBucketKeys) {
   // Content-hash routing splits every planted cluster across the shards,
   // so many cross-shard pairs collide. Each pair's ids, shared bucket count
-  // and cross density must equal a recomputation from keys re-hashed out
-  // of the block rows — not from the bucket keys the blocks carry.
+  // and cross density must equal a recomputation from the members' source
+  // rows (unchanged since the publish): keys re-hashed out of the rows, not
+  // the bucket keys the blocks carry, and LpDistance over the rows, not the
+  // scorers' tiles.
   LabeledData data = Workload(420, 37);
   ShardedStreamOptions opts;
   opts.base = BaseOptions(data);
@@ -813,15 +817,18 @@ TEST(ShardTest, BoundaryReportMatchesRecomputedBucketKeys) {
   const auto snapshot = router.snapshot();
   const LshIndex hasher(data.data.dim(), opts.base.lsh);
   const int tables = opts.base.lsh.num_tables;
+  const auto row = [&](int s, const ClusterBlock& block, Index m) {
+    return stream->shard(s).oracle().data()[block.source_ids[m]];
+  };
   // buckets[s][c]: the distinct (table, key) buckets of shard s, cluster c.
   std::vector<std::vector<std::vector<BucketKey>>> buckets;
-  for (const auto& shard : snapshot->shards) {
+  for (int s = 0; s < opts.num_shards; ++s) {
     auto& per_cluster = buckets.emplace_back();
-    for (const auto& block : shard->blocks()) {
+    for (const auto& block : snapshot->shards[s]->blocks()) {
       std::vector<BucketKey>& keys = per_cluster.emplace_back();
       std::vector<uint64_t> point_keys(static_cast<size_t>(tables));
       for (Index m = 0; m < block->count; ++m) {
-        hasher.ComputePointKeys(block->row(m), point_keys.data());
+        hasher.ComputePointKeys(row(s, *block, m), point_keys.data());
         for (int t = 0; t < tables; ++t) {
           keys.push_back({t, point_keys[static_cast<size_t>(t)]});
         }
@@ -850,8 +857,8 @@ TEST(ShardTest, BoundaryReportMatchesRecomputedBucketKeys) {
             for (Index j = 0; j < b.count; ++j) {
               cross += a.scorer->weights[static_cast<size_t>(i)] *
                        b.scorer->weights[static_cast<size_t>(j)] *
-                       fn.FromDistance(LpDistance(
-                           a.row(i), b.row(j), opts.base.affinity.p));
+                       fn.FromDistance(LpDistance(row(sa, a, i), row(sb, b, j),
+                                                  opts.base.affinity.p));
             }
           }
           expected.push_back(BoundaryPair{

@@ -143,6 +143,22 @@ TEST(SoaBlockTest, TilesAreDimensionMajorWithZeroPaddedTail) {
   }
 }
 
+TEST(SoaBlockTest, CopyRowRoundTripsEveryMemberBitForBit) {
+  const int dim = 7;
+  const Index n = 2 * kSimdTileLanes + 3;  // a ragged final tile
+  Dataset rows = RandomRows(n, dim, 19);
+  const SoaBlock block = AllRowsBlock(rows);
+  ASSERT_EQ(block.num_tiles(), 3);
+  std::vector<Scalar> out(static_cast<size_t>(dim));
+  for (Index i = 0; i < n; ++i) {
+    block.CopyRow(i, out.data());
+    for (int k = 0; k < dim; ++k) {
+      ExpectSameBits(out[static_cast<size_t>(k)], rows[i][k], "CopyRow",
+                     static_cast<int>(i) * dim + k);
+    }
+  }
+}
+
 // Every compiled-in ISA's tile kernels must produce bit-identical outputs to
 // the scalar ops AND to the row-major reference accumulation, across odd
 // dimensions and ragged final tiles.

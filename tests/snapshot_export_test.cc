@@ -1,7 +1,7 @@
 // Tests of the snapshot export and the stream state it reads: a stream
 // export answers exactly like a from-clusters build of the same clusters,
 // incremental snapshots are deep-equal to from-scratch rebuilds every
-// generation, every block's bucket keys equal its rows' recomputed keys and
+// generation, every block's bucket keys equal its members' recomputed keys and
 // the candidate clusters equal a member-level LSH index's, and the stream's
 // state, counters and refresh speculation are identical across executor
 // counts.
@@ -82,14 +82,16 @@ std::unique_ptr<OnlineAlid> RunStream(const LabeledData& data,
   return online;
 }
 
-// The distinct (table, key) buckets of a block's rows, hashed afresh.
-std::vector<BucketKey> RecomputedBuckets(const ClusterBlock& block,
+// The distinct (table, key) buckets of a block's member rows in `data`,
+// hashed afresh.
+std::vector<BucketKey> RecomputedBuckets(const Dataset& data,
+                                         const ClusterBlock& block,
                                          const LshParams& params) {
-  const LshIndex hasher(block.dim, params);
+  const LshIndex hasher(data.dim(), params);
   std::vector<uint64_t> keys(static_cast<size_t>(params.num_tables));
   std::vector<BucketKey> buckets;
-  for (Index m = 0; m < block.count; ++m) {
-    hasher.ComputePointKeys(block.row(m), keys.data());
+  for (const Index source : block.source_ids) {
+    hasher.ComputePointKeys(data[source], keys.data());
     for (int t = 0; t < params.num_tables; ++t) {
       buckets.push_back({t, keys[static_cast<size_t>(t)]});
     }
@@ -100,21 +102,31 @@ std::vector<BucketKey> RecomputedBuckets(const ClusterBlock& block,
 }
 
 // Checks the snapshot's candidate stage against an eager member-level
-// LshIndex over its block rows, concatenated in cluster order: for every
-// probe — each cluster's first members, near misses of them at several
-// jitter scales, and far noise — TopKClusters over all clusters must return
-// exactly the clusters of the index's collisions. Every block's bucket keys
-// must also equal the keys recomputed from its rows.
-void ExpectCandidatesMatchMemberIndex(const ClusterSnapshot& snap,
+// LshIndex over its members' rows in `data` (the snapshot's source, which
+// the caller has not mutated since the build), concatenated in cluster
+// order: for every probe — each cluster's first members, near misses of
+// them at several jitter scales, and far noise — TopKClusters over all
+// clusters must return exactly the clusters of the index's collisions.
+// Every block's scorer tiles must hold exactly those source rows, and its
+// bucket keys must equal the keys recomputed from them.
+void ExpectCandidatesMatchMemberIndex(const Dataset& data,
+                                      const ClusterSnapshot& snap,
                                       const LshParams& params, uint64_t seed) {
   const int dim = snap.dim();
   Dataset rows(dim);
   std::vector<int> cluster_of;
+  std::vector<Scalar> tile_row(static_cast<size_t>(dim));
   for (int c = 0; c < snap.num_clusters(); ++c) {
     const ClusterBlock& block = *snap.blocks()[c];
-    EXPECT_EQ(block.bucket_keys, RecomputedBuckets(block, params))
+    EXPECT_EQ(block.bucket_keys, RecomputedBuckets(data, block, params))
         << "cluster " << c;
-    rows.AppendRaw(block.rows);
+    for (Index m = 0; m < block.count; ++m) {
+      const auto row = data[block.source_ids[static_cast<size_t>(m)]];
+      block.scorer->members.CopyRow(m, tile_row.data());
+      EXPECT_TRUE(std::equal(row.begin(), row.end(), tile_row.begin()))
+          << "cluster " << c << " member " << m;
+      rows.Append(row);
+    }
     cluster_of.insert(cluster_of.end(), static_cast<size_t>(block.count), c);
   }
   const LshIndex eager(rows, params);
@@ -124,7 +136,7 @@ void ExpectCandidatesMatchMemberIndex(const ClusterSnapshot& snap,
   for (int c = 0; c < snap.num_clusters(); ++c) {
     const ClusterBlock& block = *snap.blocks()[c];
     for (Index m = 0; m < std::min<Index>(block.count, 3); ++m) {
-      const auto row = block.row(m);
+      const auto row = data[block.source_ids[static_cast<size_t>(m)]];
       probes.emplace_back(row.begin(), row.end());
       for (const double scale : {0.25, 1.0, 4.0}) {
         std::vector<Scalar> miss(row.begin(), row.end());
@@ -230,9 +242,10 @@ TEST(SnapshotExportTest, FromStreamAnswersEqualFromClusters) {
   for (int c = 0; c < exported->num_clusters(); ++c) {
     EXPECT_NE(rebuilt->blocks()[c]->scorer, online->cluster_scorer(c));
   }
-  // FromClusters hashes its block rows itself: its bucket keys and
-  // candidate sets must match a member-level index too.
-  ExpectCandidatesMatchMemberIndex(*rebuilt, opts.lsh, 3);
+  // FromClusters hashes its members' source rows itself: its bucket keys
+  // and candidate sets must match a member-level index too.
+  ExpectCandidatesMatchMemberIndex(online->oracle().data(), *rebuilt,
+                                   opts.lsh, 3);
 
   const int dim = data.data.dim();
   Rng rng(11);
@@ -328,10 +341,11 @@ void RunIncrementalVsScratch(const LabeledData& data, Index window,
     EXPECT_EQ(scratch->build_info().clusters_reused, 0);
     rows_reused += incremental->build_info().rows_reused;
     // Keys read from the stream — fresh blocks this generation, inherited
-    // ones from earlier — must be the keys of the rows the blocks hold,
+    // ones from earlier — must be the keys of the members' current rows,
     // across expiry and slot re-use, and candidate sets must stay those of
     // a member-level index.
-    ExpectCandidatesMatchMemberIndex(*incremental, opts.lsh,
+    ExpectCandidatesMatchMemberIndex(online.oracle().data(), *incremental,
+                                     opts.lsh,
                                      static_cast<uint64_t>(online.size()));
 
     ASSERT_EQ(incremental->num_clusters(), scratch->num_clusters());
