@@ -9,7 +9,8 @@
 //   a* <= P/20      : time O(n),       space O(1)
 //
 // The time-side count is the stateless oracle's entries_computed: every
-// kernel evaluation ALID requests, which is the Table 1 quantity itself.
+// kernel evaluation ALID requests, which is the Table 1 quantity itself —
+// each unordered pair once per detection, never the diagonal.
 #include "bench_util.h"
 #include "registry.h"
 
@@ -78,9 +79,10 @@ void Run(BenchContext& ctx) {
     results.push_back(result);
   }
   std::printf("\nNote: the measured time slope (ms) counts every kernel "
-              "evaluation ALID requests. Space for the bounded regime is "
-              "O(a*(a*+delta)) — constant in n, so its measured slope should "
-              "hover near 0; "
+              "evaluation ALID requests (each unordered pair once per "
+              "detection, never the diagonal). Space for the bounded regime "
+              "is O(a*(a*+delta)) — constant in n, so its measured slope "
+              "should hover near 0; "
               "the sublinear regime's theoretical slopes are 1+eta and "
               "2*eta.\n");
   std::string json = "{\"bench\":\"table1_complexity\",\"rows\":[";

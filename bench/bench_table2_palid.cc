@@ -2,7 +2,8 @@
 //
 // Runs PALID on a SIFT-like workload with 1/2/4/8 executors and reports wall
 // time, the speedup ratio against 1 executor, the aggregate map-task time,
-// executor steal counts and the kernel-evaluation count; a final row
+// executor steal counts and the kernel-evaluation count (`entries`: each
+// unordered pair once per detection, never the diagonal); a final row
 // runs the paper-faithful FIFO ablation at the widest executor count. On the
 // paper's 8-core Spark cluster the speedup reaches 7.51 at 8 executors; on
 // this host the wall-clock speedup saturates at the physical core count, so
@@ -145,7 +146,9 @@ void Run(BenchContext& ctx) {
               "executor count up to the hardware's parallelism (7.51x at 8 "
               "executors on 8 cores). On a 1-core host wall-clock speedup "
               "stays ~1; the concurrency column shows the pool still "
-              "distributes the map tasks.\n");
+              "distributes the map tasks. The entries column counts kernel "
+              "evaluations: each unordered pair once per detection, never "
+              "the diagonal.\n");
   EmitSweepJson(ctx, rows, data.size());
 }
 

@@ -18,11 +18,14 @@ namespace alid {
 ///
 /// The oracle is stateless: every Entry/Column call evaluates the kernel and
 /// advances entries_computed by the number of entries returned, so that
-/// counter is the paper's Table-1 count of true kernel evaluations. The
-/// O(a*(a*+delta)) space bound comes from LID's per-run column memo
-/// (Lid::columns_), which detections charge here and release when the
-/// cluster is peeled off. Counters are atomic so PALID workers can share one
-/// oracle without any other synchronization.
+/// counter is the paper's Table-1 count of true kernel evaluations. LID asks
+/// for each unordered pair at most once per detection and never for the
+/// diagonal (it copies a_ji out of its memo wherever it needs a_ij), so the
+/// count is one per pair a detection touches. The O(a*(a*+delta)) space
+/// bound comes from LID's per-run column memo (Lid::columns_), which
+/// detections charge here and release when the cluster is peeled off.
+/// Counters are atomic so PALID workers can share one oracle without any
+/// other synchronization.
 class LazyAffinityOracle {
  public:
   LazyAffinityOracle(const Dataset& data, const AffinityFunction& affinity);

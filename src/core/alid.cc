@@ -83,14 +83,11 @@ Cluster AlidDetector::Grow(Lid& lid, Index anchor, bool warm,
 
     // Keep only candidates that are actually infective against x̂: they are
     // the only ones that can increase pi (Theorem 1/2). This mirrors the
-    // "candidate *infective* vertex" screening and keeps beta tight.
+    // "candidate *infective* vertex" screening and keeps beta tight. The
+    // screened rows are the psi rows UpdateRange needs, so Lid keeps them.
     IndexList infective;
     if (density > 0.0) {
-      for (Index j : psi) {
-        if (lid.AverageAffinityTo(j) > density + options_.lid.tolerance) {
-          infective.push_back(j);
-        }
-      }
+      infective = lid.Screen(psi, density + options_.lid.tolerance);
     } else {
       infective = std::move(psi);  // no subgraph yet; take the neighbourhood
     }

@@ -14,6 +14,7 @@ Lid::Lid(const LazyAffinityOracle& oracle, Index seed, LidOptions options)
   pos_[seed] = 0;
   x_.push_back(1.0);
   ax_.push_back(0.0);  // a_ii = 0 (Algorithm 2, line 1)
+  columns_.emplace_back();
 }
 
 Lid::Lid(const LazyAffinityOracle& oracle, const IndexList& members,
@@ -37,13 +38,15 @@ Lid::Lid(const LazyAffinityOracle& oracle, const IndexList& members,
   }
   x_.assign(beta_.size(), 0.0);
   for (size_t a = 0; a < members.size(); ++a) x_[a] = weights[a] / total;
-  // A_{beta, alpha}, one column per member; (A x) is their weighted sum,
-  // accumulated in member order.
+  // A_{beta, alpha}, one column per member (each copies the rows of the
+  // members filled before it); (A x) is their weighted sum, accumulated in
+  // member order.
   ax_.assign(beta_.size(), 0.0);
+  columns_.resize(beta_.size());
   for (size_t a = 0; a < members.size(); ++a) {
-    std::vector<Scalar> col = oracle.Column(beta_, members[a]);
+    FillColumn(static_cast<int>(a));
+    const std::vector<Scalar>& col = columns_[a];
     for (size_t i = 0; i < beta_.size(); ++i) ax_[i] += x_[a] * col[i];
-    columns_.emplace(members[a], std::move(col));
   }
   Recharge();
 }
@@ -60,6 +63,9 @@ Lid::Lid(Lid&& other) noexcept
       x_(std::move(other.x_)),
       ax_(std::move(other.ax_)),
       columns_(std::move(other.columns_)),
+      screened_(std::move(other.screened_)),
+      screened_rows_(std::move(other.screened_rows_)),
+      memo_scalars_(other.memo_scalars_),
       converged_(other.converged_),
       total_iterations_(other.total_iterations_),
       charged_bytes_(other.charged_bytes_) {
@@ -96,31 +102,100 @@ Scalar Lid::WeightOf(Index g) const {
   return it == pos_.end() ? 0.0 : x_[it->second];
 }
 
-Scalar Lid::AverageAffinityTo(Index global_j) const {
-  Scalar s = 0.0;
+IndexList Lid::SupportInBetaOrder() const {
+  IndexList support;
   for (size_t i = 0; i < x_.size(); ++i) {
-    if (x_[i] == 0.0) continue;
-    s += x_[i] * oracle_->Entry(beta_[i], global_j);
+    if (x_[i] > 0.0) support.push_back(beta_[i]);
+  }
+  return support;
+}
+
+std::vector<Scalar> Lid::SupportRow(const IndexList& support, Index j) const {
+  const auto it = pos_.find(j);
+  if (it == pos_.end() || !(x_[it->second] > 0.0)) {
+    return oracle_->Column(support, j);
+  }
+  const auto self = std::find(support.begin(), support.end(), j);
+  IndexList others(support.begin(), self);
+  others.insert(others.end(), self + 1, support.end());
+  std::vector<Scalar> row = oracle_->Column(others, j);
+  row.insert(row.begin() + (self - support.begin()), 0.0);  // a_jj = 0
+  return row;
+}
+
+Scalar Lid::SupportAverage(const std::vector<Scalar>& row) const {
+  Scalar s = 0.0;
+  size_t k = 0;
+  for (size_t i = 0; i < x_.size(); ++i) {
+    if (x_[i] > 0.0) s += x_[i] * row[k++];
   }
   return s;
 }
 
-const std::vector<Scalar>& Lid::EnsureColumn(Index g) {
-  auto it = columns_.find(g);
-  if (it != columns_.end()) return it->second;
-  std::vector<Scalar> col = oracle_->Column(beta_, g);
-  auto [ins, ok] = columns_.emplace(g, std::move(col));
+Scalar Lid::AverageAffinityTo(Index global_j) const {
+  return SupportAverage(SupportRow(SupportInBetaOrder(), global_j));
+}
+
+IndexList Lid::Screen(const IndexList& candidates, Scalar threshold) {
+  DropScreened();
+  const IndexList support = SupportInBetaOrder();
+  for (Index j : candidates) {
+    std::vector<Scalar> row = SupportRow(support, j);
+    if (SupportAverage(row) > threshold) {
+      memo_scalars_ += static_cast<int64_t>(row.size());
+      screened_.push_back(j);
+      screened_rows_.push_back(std::move(row));
+    }
+  }
   Recharge();
-  return ins->second;
+  return screened_;
+}
+
+void Lid::DropScreened() {
+  for (const auto& row : screened_rows_) {
+    memo_scalars_ -= static_cast<int64_t>(row.size());
+  }
+  screened_.clear();
+  screened_rows_.clear();
+}
+
+void Lid::FillColumn(int p) {
+  std::vector<Scalar>& col = columns_[p];
+  const size_t b = beta_.size();
+  const size_t from = col.size();
+  col.resize(b);
+  IndexList rows;
+  std::vector<size_t> at;
+  for (size_t i = from; i < b; ++i) {
+    if (static_cast<int>(i) == p) {
+      col[i] = 0.0;  // a_ii = 0 (Eq. 1)
+    } else if (columns_[i].size() > static_cast<size_t>(p)) {
+      col[i] = columns_[i][p];
+    } else {
+      rows.push_back(beta_[i]);
+      at.push_back(i);
+    }
+  }
+  if (!rows.empty()) {
+    const std::vector<Scalar> fresh = oracle_->Column(rows, beta_[p]);
+    for (size_t k = 0; k < at.size(); ++k) col[at[k]] = fresh[k];
+  }
+  memo_scalars_ += static_cast<int64_t>(b - from);
+}
+
+const std::vector<Scalar>& Lid::EnsureColumn(int p) {
+  if (columns_[p].size() < beta_.size()) {
+    FillColumn(p);
+    Recharge();
+  }
+  return columns_[p];
 }
 
 void Lid::Recharge() {
-  int64_t bytes = 0;
-  for (const auto& [g, col] : columns_) {
-    bytes += static_cast<int64_t>(col.size() * sizeof(Scalar));
-  }
-  bytes += static_cast<int64_t>(
-      (x_.size() + ax_.size()) * sizeof(Scalar) + beta_.size() * sizeof(Index));
+  const int64_t bytes =
+      static_cast<int64_t>(sizeof(Scalar)) * memo_scalars_ +
+      static_cast<int64_t>((x_.size() + ax_.size()) * sizeof(Scalar) +
+                           beta_.size() * sizeof(Index));
   if (bytes != charged_bytes_) {
     oracle_->Charge(bytes - charged_bytes_);
     charged_bytes_ = bytes;
@@ -128,11 +203,13 @@ void Lid::Recharge() {
 }
 
 int Lid::Run() {
+  DropScreened();
+  Recharge();
   const int b = static_cast<int>(beta_.size());
   converged_ = false;
   int iters = 0;
+  Scalar pi = Density();
   for (; iters < options_.max_iterations; ++iters) {
-    const Scalar pi = Density();
     // Vertex selection M(x) (Eq. 6): maximize |pi(s_i - x, x)| over
     //   C1 = { i : pi(s_i - x, x) > 0 }  (infective vertices)
     //   C2 = { i : pi(s_i - x, x) < 0, x_i > 0 }  (weak support vertices)
@@ -155,8 +232,7 @@ int Lid::Run() {
 
     const Scalar r = ax_[best] - pi;           // pi(s_i - x, x)
     const Scalar pi_si_minus_x = -2.0 * ax_[best] + pi;  // Eq. 11 (a_ii = 0)
-    const Index g = beta_[best];
-    const std::vector<Scalar>& col = EnsureColumn(g);
+    const std::vector<Scalar>& col = EnsureColumn(best);
 
     // "mu" is the effective share of s_best mixed into x:
     //   infection:     z = (1 - eps) x + eps s_i          => mu = eps
@@ -178,23 +254,27 @@ int Lid::Run() {
       mu = eps * ratio;
     }
 
-    // Invasion model (Eq. 13): x <- (1 - mu) x + mu s_i.
-    for (int i = 0; i < b; ++i) x_[i] *= (1.0 - mu);
-    x_[best] += mu;
-    // Numerical hygiene: snap tiny/negative weights to zero and renormalize.
+    // Invasion model (Eq. 13): x <- (1 - mu) x + mu s_i, with numerical
+    // hygiene: tiny/negative weights snap to zero before the sum that
+    // renormalizes x.
     Scalar sum = 0.0;
     for (int i = 0; i < b; ++i) {
+      x_[i] *= (1.0 - mu);
+      if (i == best) x_[i] += mu;
       if (x_[i] < options_.weight_epsilon) x_[i] = 0.0;
       sum += x_[i];
     }
     ALID_CHECK_MSG(sum > 0.0, "LID lost all weight");
     const Scalar inv = 1.0 / sum;
-    for (int i = 0; i < b; ++i) x_[i] *= inv;
 
-    // Eq. 14: (A x) <- (A x) + mu ([A]_col - (A x)), then the same
-    // renormalization applied to x (A x is linear in x).
+    // Renormalize x; Eq. 14: (A x) <- (A x) + mu ([A]_col - (A x)), then
+    // the same renormalization (A x is linear in x); and the next
+    // pi(x) = sum_i x_i (A x)_i, accumulated ascending as Density() does.
+    pi = 0.0;
     for (int i = 0; i < b; ++i) {
+      x_[i] *= inv;
       ax_[i] = (ax_[i] + mu * (col[i] - ax_[i])) * inv;
+      pi += x_[i] * ax_[i];
     }
   }
   total_iterations_ += iters;
@@ -202,21 +282,36 @@ int Lid::Run() {
 }
 
 void Lid::UpdateRange(const IndexList& new_candidates) {
-  // Gather the support (alpha) with its weights and (A x) rows.
+  const bool reuse_screened = !screened_.empty();
+  ALID_CHECK_MSG(!reuse_screened || screened_ == new_candidates,
+                 "UpdateRange after Screen() must take the screened list");
+  // Gather the support (alpha) with its weights, (A x) rows and columns.
   IndexList new_beta;
   std::vector<Scalar> new_x;
   std::vector<Scalar> new_ax;
-  std::vector<int> old_pos;  // position in old beta_, -1 for fresh candidates
+  std::vector<std::vector<Scalar>> new_columns;
+  std::vector<int> old_pos;  // alpha's positions in the old beta_
   for (size_t i = 0; i < beta_.size(); ++i) {
     if (x_[i] > 0.0) {
       new_beta.push_back(beta_[i]);
       new_x.push_back(x_[i]);
       new_ax.push_back(ax_[i]);
+      new_columns.emplace_back();
       old_pos.push_back(static_cast<int>(i));
     }
   }
   const size_t alpha_size = new_beta.size();
-  for (Index g : new_candidates) {
+  // Keep the alpha rows of every materialized support column.
+  for (size_t a = 0; a < alpha_size; ++a) {
+    const std::vector<Scalar>& old_col = columns_[old_pos[a]];
+    if (old_col.empty()) continue;
+    new_columns[a].resize(alpha_size);
+    for (size_t i = 0; i < alpha_size; ++i) {
+      new_columns[a][i] = old_col[old_pos[i]];
+    }
+  }
+  for (size_t k = 0; k < new_candidates.size(); ++k) {
+    const Index g = new_candidates[k];
     if (pos_.count(g) != 0 && x_[pos_[g]] > 0.0) continue;  // already in alpha
     // Candidates outside the old beta OR non-support members being re-added.
     if (std::find(new_beta.begin(), new_beta.end(), g) != new_beta.end()) {
@@ -225,40 +320,9 @@ void Lid::UpdateRange(const IndexList& new_candidates) {
     new_beta.push_back(g);
     new_x.push_back(0.0);
     new_ax.push_back(0.0);  // filled below
-    old_pos.push_back(-1);
-  }
-
-  // Rebuild the support columns on the new range: keep the alpha rows we
-  // already have, compute the psi rows fresh; their weighted sum fills the
-  // new (A x) entries (Eq. 17).
-  std::unordered_map<Index, std::vector<Scalar>> new_columns;
-  IndexList psi(new_beta.begin() + alpha_size, new_beta.end());
-  for (size_t a = 0; a < alpha_size; ++a) {
-    const Index ga = new_beta[a];
-    auto it = columns_.find(ga);
-    std::vector<Scalar> col(new_beta.size());
-    if (it != columns_.end()) {
-      for (size_t i = 0; i < alpha_size; ++i) col[i] = it->second[old_pos[i]];
-    } else {
-      // Support vertex whose column was never materialized (e.g., the seed
-      // before its first immunization): compute the alpha rows now.
-      IndexList alpha_rows(new_beta.begin(), new_beta.begin() + alpha_size);
-      std::vector<Scalar> frag = oracle_->Column(alpha_rows, ga);
-      for (size_t i = 0; i < alpha_size; ++i) col[i] = frag[i];
-    }
-    if (!psi.empty()) {
-      std::vector<Scalar> frag = oracle_->Column(psi, ga);
-      for (size_t i = 0; i < psi.size(); ++i) col[alpha_size + i] = frag[i];
-    }
-    new_columns.emplace(ga, std::move(col));
-  }
-  // (A x) rows for the fresh candidates: sum over support columns.
-  for (size_t i = alpha_size; i < new_beta.size(); ++i) {
-    Scalar s = 0.0;
-    for (size_t a = 0; a < alpha_size; ++a) {
-      s += new_x[a] * new_columns[new_beta[a]][i];
-    }
-    new_ax[i] = s;
+    // A screened candidate's support row is the alpha prefix of its column.
+    new_columns.push_back(reuse_screened ? std::move(screened_rows_[k])
+                                         : std::vector<Scalar>{});
   }
 
   beta_ = std::move(new_beta);
@@ -269,6 +333,22 @@ void Lid::UpdateRange(const IndexList& new_candidates) {
   for (size_t i = 0; i < beta_.size(); ++i) {
     pos_[beta_[i]] = static_cast<int>(i);
   }
+  screened_.clear();
+  screened_rows_.clear();
+
+  // Complete every support column on the new range (psi rows from the
+  // screened prefixes, the rest once from the oracle), then drop the psi
+  // prefixes: the support columns now hold the same entries, and the memo
+  // is exactly alpha_size full columns. The weighted sum of the support
+  // columns fills the new (A x) entries (Eq. 17).
+  for (size_t a = 0; a < alpha_size; ++a) FillColumn(static_cast<int>(a));
+  for (size_t i = alpha_size; i < beta_.size(); ++i) {
+    std::vector<Scalar>().swap(columns_[i]);
+    Scalar s = 0.0;
+    for (size_t a = 0; a < alpha_size; ++a) s += x_[a] * columns_[a][i];
+    ax_[i] = s;
+  }
+  memo_scalars_ = static_cast<int64_t>(alpha_size * beta_.size());
   converged_ = false;
   Recharge();
 }

@@ -34,6 +34,13 @@ struct LidOptions {
 /// (A_{beta,alpha} x_alpha) are updated incrementally per Eq. 14 — one column
 /// per iteration, never the full local matrix A_{beta,beta}.
 ///
+/// Eq. 1 is symmetric bit for bit (a_ij == a_ji), so a detection evaluates
+/// each unordered pair at most once: a new column copies a_{beta_i, g} from
+/// beta_i's memo column when that is held, sets the diagonal a_gg = 0
+/// without asking the oracle, and sends only the remaining rows to one
+/// oracle Column call. The candidate rows evaluated by Screen() become the
+/// new rows of the next UpdateRange instead of being evaluated again.
+///
 /// The instance also implements the Eq. 17 range update used by Step 3
 /// (CIVS): beta' = alpha ∪ psi, with (A x) rows extended to the new members.
 class Lid {
@@ -83,23 +90,45 @@ class Lid {
   Scalar WeightOf(Index g) const;
 
   /// pi(s_j, x) for an arbitrary *global* vertex j: the average affinity
-  /// between j and the subgraph. O(|alpha|) kernel evaluations. Used by the
-  /// global-immunity check and by CIVS-retrieved candidate screening.
+  /// between j and the subgraph, from one oracle Column call over the
+  /// support (|alpha| kernel evaluations, |alpha| - 1 when j is itself in
+  /// the support).
   Scalar AverageAffinityTo(Index global_j) const;
+
+  /// CIVS candidate screening: returns, in order, the candidates j with
+  /// pi(s_j, x) > threshold (each pi as AverageAffinityTo computes it, bit
+  /// for bit). Their support rows A_{alpha, j} are kept, and charged to the
+  /// oracle, until the next Run() or UpdateRange(); an UpdateRange on
+  /// exactly the returned list takes them as its new rows.
+  IndexList Screen(const IndexList& candidates, Scalar threshold);
 
   /// Eq. 17: replaces the local range with alpha ∪ new_candidates, extending
   /// the maintained (A x) products to the new rows. Candidates already in
   /// beta are ignored. Rows of beta outside the support are dropped (their
-  /// weight is zero, so x is unchanged).
+  /// weight is zero, so x is unchanged). Rows kept by Screen() are reused,
+  /// so only pairs no earlier call evaluated reach the oracle.
   void UpdateRange(const IndexList& new_candidates);
 
   /// Total invasions across all Run() calls.
   int total_iterations() const { return total_iterations_; }
 
  private:
-  // Ensures columns_[g] holds A_{beta, g}; returns a reference to it.
-  const std::vector<Scalar>& EnsureColumn(Index g);
-  // Re-account the column-memo footprint with the oracle.
+  // Ensures columns_[p] holds all of A_{beta, beta_p}; returns it.
+  const std::vector<Scalar>& EnsureColumn(int p);
+  // Extends columns_[p] from the rows it holds to all of beta: row i is
+  // copied from columns_[i] when that holds row p (a_ij == a_ji), the
+  // diagonal is 0, and the other rows go to one oracle Column call.
+  void FillColumn(int p);
+  // Global indices of the support alpha, in beta order.
+  IndexList SupportInBetaOrder() const;
+  // A_{alpha, j} over `support` (SupportInBetaOrder()): one oracle Column
+  // call, the diagonal left out of it when j is in the support.
+  std::vector<Scalar> SupportRow(const IndexList& support, Index j) const;
+  // sum_i x_i * row_i over the support, ascending.
+  Scalar SupportAverage(const std::vector<Scalar>& row) const;
+  // Drops the rows kept by Screen().
+  void DropScreened();
+  // Re-account the footprint with the oracle.
   void Recharge();
 
   const LazyAffinityOracle* oracle_;
@@ -109,9 +138,18 @@ class Lid {
   std::unordered_map<Index, int> pos_;   // global index -> position in beta_
   std::vector<Scalar> x_;                // weights, parallel to beta_
   std::vector<Scalar> ax_;               // (A_{beta,alpha} x_alpha), parallel
-  // Per-run column memo: A_{beta, g} for invaded vertices, parallel to
-  // beta_ — the O(a*(a*+delta)) structure of the paper's space bound.
-  std::unordered_map<Index, std::vector<Scalar>> columns_;
+  // Per-run column memo, parallel to beta_: columns_[i] holds the first
+  // columns_[i].size() rows of A_{beta, beta_i} — all of them for invaded
+  // and support vertices, none for the others (a psi vertex holds its
+  // screened alpha rows only inside UpdateRange) — the O(a*(a*+delta))
+  // structure of the paper's space bound.
+  std::vector<std::vector<Scalar>> columns_;
+  // Candidates kept by the last Screen() and their support rows.
+  IndexList screened_;
+  std::vector<std::vector<Scalar>> screened_rows_;
+  // Scalars held by columns_ and screened_rows_, kept up to date where
+  // they grow or are dropped.
+  int64_t memo_scalars_ = 0;
 
   bool converged_ = false;
   int total_iterations_ = 0;

@@ -304,9 +304,6 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
     ParallelChunks(
         options_.pool, 0, count, options_.grain,
         [&](int64_t, int64_t lo, int64_t hi) {
-          // Candidate walk + scoring of one chunk (the per-worker view of
-          // the batch in a trace).
-          ALID_TRACE_SCOPE("serve", "assign_chunk");
           // Query-major block assignment inside the chunk: each snapshot
           // streams its clusters' SoA tiles across the whole block of
           // queries, and every outcome stays bit-identical to a per-query

@@ -1,6 +1,7 @@
 // Unit tests for the affinity substrate: the Eq. 1 kernel, the materialized
 // matrix, the lazy column oracle and the sparsifiers.
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -37,10 +38,33 @@ TEST(AffinityFunctionTest, DiagonalIsZero) {
   EXPECT_DOUBLE_EQ(f(d, 2, 2), 0.0);
 }
 
+// a_ij == a_ji bit for bit — not merely within a few ULPs — through every
+// affinity producer: LID copies a_ji out of a memo column wherever it needs
+// a_ij, and its results are bit-identical to evaluating a_ij only because
+// of this.
 TEST(AffinityFunctionTest, SymmetricByConstruction) {
-  AffinityFunction f({.k = 0.7, .p = 1.0});
-  Dataset d = SmallLine();
-  EXPECT_DOUBLE_EQ(f(d, 0, 3), f(d, 3, 0));
+  Rng rng(17);
+  Dataset d(7);
+  for (int i = 0; i < 24; ++i) {
+    std::vector<Scalar> row(7);
+    for (Scalar& v : row) v = rng.Gaussian(0.0, 3.0);
+    d.Append(row);
+  }
+  IndexList all(d.size());
+  for (Index i = 0; i < d.size(); ++i) all[i] = i;
+  const auto bits = [](Scalar v) { return std::bit_cast<uint64_t>(v); };
+  for (double p : {1.0, 2.0, 1.5}) {
+    AffinityFunction f({.k = 0.7, .p = p});
+    LazyAffinityOracle oracle(d, f);
+    for (int t = 0; t < 64; ++t) {
+      const Index i = static_cast<Index>(rng.UniformInt(0, d.size() - 1));
+      const Index j = static_cast<Index>(rng.UniformInt(0, d.size() - 1));
+      EXPECT_EQ(bits(f(d, i, j)), bits(f(d, j, i))) << "p=" << p;
+      EXPECT_EQ(bits(oracle.Entry(i, j)), bits(oracle.Entry(j, i)));
+      EXPECT_EQ(bits(oracle.Column(all, j)[i]), bits(oracle.Column(all, i)[j]));
+      EXPECT_EQ(bits(oracle.Column(all, j)[i]), bits(f(d, i, j)));
+    }
+  }
 }
 
 TEST(AffinityFunctionTest, ScalingFactorSharpensDecay) {

@@ -195,6 +195,69 @@ TEST_F(LidFixture, ColumnsOnlyComputedForInvadedVertices) {
   EXPECT_LT(oracle_.entries_computed(), n * n);
 }
 
+// A warm start with m members and e extras fills the m member columns over
+// beta once: m(m-1)/2 member pairs (each copied into its mirror entry) plus
+// m*e member-extra pairs, and never the diagonal.
+TEST_F(LidFixture, WarmStartEvaluatesEachPairOnce) {
+  const IndexList members{0, 1, 2, 3};
+  const IndexList extra{4, 6, 7};
+  oracle_.ResetCounters();
+  Lid lid(oracle_, members, {0.4, 0.3, 0.2, 0.1}, extra);
+  const int64_t m = 4, e = 3;
+  EXPECT_EQ(oracle_.entries_computed(), m * (m - 1) / 2 + m * e);
+  lid.Run();
+  // The whole detection touches at most every unordered pair of beta once.
+  EXPECT_LE(oracle_.entries_computed(), (m + e) * (m + e - 1) / 2);
+  EXPECT_EQ(oracle_.entries_computed(), 20);
+}
+
+// A cold detection's exact kernel-evaluation count: the seed's column (no
+// diagonal), the invaded columns' rows not yet held by a mirror, the
+// screening rows of the remaining candidates, and an UpdateRange that takes
+// those rows instead of evaluating them again. Pinned, so a regression to
+// per-column recomputation fails here and not only in a bench.
+TEST_F(LidFixture, ColdDetectionEvaluatesEachPairOnce) {
+  oracle_.ResetCounters();
+  Lid lid(oracle_, 0, {});
+  lid.UpdateRange({1, 2, 3});
+  EXPECT_EQ(oracle_.entries_computed(), 3);  // a_{1..3, 0}; a_00 is 0
+  lid.Run();
+  const int64_t after_run = oracle_.entries_computed();
+  EXPECT_EQ(after_run, 6);
+  const int64_t alpha = static_cast<int64_t>(lid.Support().size());
+  const IndexList rest{4, 5, 6, 7, 8, 9, 10};
+  const IndexList kept = lid.Screen(rest, lid.Density() + 1e-10);
+  EXPECT_EQ(oracle_.entries_computed(),
+            after_run + alpha * static_cast<int64_t>(rest.size()));
+  const int64_t after_screen = oracle_.entries_computed();
+  lid.UpdateRange(kept);
+  EXPECT_EQ(oracle_.entries_computed(), after_screen);
+  lid.Run();
+  const int64_t n = data_.size();
+  EXPECT_LE(oracle_.entries_computed(), n * (n - 1) / 2);
+  EXPECT_EQ(oracle_.entries_computed(), 35);
+}
+
+// Screening reuses nothing it cannot: a kept row becomes the candidate's
+// psi row, and AverageAffinityTo never sends the diagonal to the oracle.
+TEST_F(LidFixture, ScreenMatchesAverageAffinityTo) {
+  Lid lid(oracle_, 0, {});
+  lid.UpdateRange({1, 2, 3});
+  lid.Run();
+  const Scalar threshold = lid.Density() + 1e-10;
+  IndexList expected;
+  for (Index j = 4; j < data_.size(); ++j) {
+    if (lid.AverageAffinityTo(j) > threshold) expected.push_back(j);
+  }
+  IndexList rest{4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(lid.Screen(rest, threshold), expected);
+  const IndexList support = lid.Support();
+  oracle_.ResetCounters();
+  lid.AverageAffinityTo(support.front());
+  EXPECT_EQ(oracle_.entries_computed(),
+            static_cast<int64_t>(support.size()) - 1);
+}
+
 TEST_F(LidFixture, MemoryChargeReleasedOnDestruction) {
   oracle_.ResetCounters();
   {
