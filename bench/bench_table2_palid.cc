@@ -3,8 +3,7 @@
 // Runs PALID on a SIFT-like workload with 1/2/4/8 executors and reports wall
 // time, the speedup ratio against 1 executor, the aggregate map-task time,
 // executor steal counts and the kernel-evaluation count (`entries`: each
-// unordered pair once per detection, never the diagonal); a final row
-// runs the paper-faithful FIFO ablation at the widest executor count. On the
+// unordered pair once per detection, never the diagonal). On the
 // paper's 8-core Spark cluster the speedup reaches 7.51 at 8 executors; on
 // this host the wall-clock speedup saturates at the physical core count, so
 // the aggregate-task-time / wall-time ratio is also printed — it shows the
@@ -15,8 +14,6 @@
 #include "bench_util.h"
 #include "registry.h"
 
-#include <string_view>
-
 #include "core/palid.h"
 #include "data/sift_like.h"
 #include "eval/metrics.h"
@@ -25,7 +22,6 @@ namespace alid::bench {
 namespace {
 
 struct SweepRow {
-  const char* method;
   int executors;
   PalidStats stats;
   double speedup;
@@ -35,15 +31,13 @@ struct SweepRow {
 
 SweepRow RunOnce(const LabeledData& data, const LshIndex& lsh,
                  const AffinityFunction& affinity, int executors,
-                 bool work_stealing, double base_wall) {
+                 double base_wall) {
   // A fresh oracle per configuration keeps each row's entries_computed its
   // own (the count is identical across rows — the map tasks are pure).
   LazyAffinityOracle oracle(data.data, affinity);
   PalidOptions opts;
   opts.num_executors = executors;
-  opts.work_stealing = work_stealing;
   SweepRow row;
-  row.method = work_stealing ? "PALID" : "PALID-FIFO";
   row.executors = executors;
   Palid palid(oracle, lsh, opts);
   DetectionResult result = palid.Detect(&row.stats).Filtered(0.75);
@@ -60,18 +54,10 @@ SweepRow RunOnce(const LabeledData& data, const LshIndex& lsh,
 void PrintRow(const SweepRow& row) {
   std::printf(
       "%-11s %-6d %-10.3f %-9.2f %-12.3f %-7.2f %-8lld %-10lld %-8.3f\n",
-      row.method, row.executors, row.stats.wall_seconds, row.speedup,
+      "PALID", row.executors, row.stats.wall_seconds, row.speedup,
       row.stats.total_task_seconds, row.concurrency,
       static_cast<long long>(row.stats.steals),
       static_cast<long long>(row.stats.entries_computed), row.avg_f);
-}
-
-void PrintHistogram(const SweepRow& row) {
-  const std::vector<int> histogram = row.stats.TaskHistogram(8);
-  std::printf("task-busy histogram (%d tasks, 8 bins to max): ",
-              row.stats.num_tasks);
-  for (int count : histogram) std::printf("%d ", count);
-  std::printf("\n");
 }
 
 void EmitSweepJson(BenchContext& ctx, const std::vector<SweepRow>& rows,
@@ -82,14 +68,12 @@ void EmitSweepJson(BenchContext& ctx, const std::vector<SweepRow>& rows,
     const SweepRow& r = rows[i];
     AppendF(
         json,
-        "%s{\"method\":\"%s\",\"executors\":%d,\"wall_seconds\":%.6f,"
-        "\"speedup\":%.4f,\"gate_speedup\":%s,\"task_seconds\":%.6f,"
+        "%s{\"method\":\"PALID\",\"executors\":%d,\"wall_seconds\":%.6f,"
+        "\"speedup\":%.4f,\"gate_speedup\":true,\"task_seconds\":%.6f,"
         "\"concurrency\":%.4f,"
         "\"steals\":%lld,\"entries_computed\":%lld,"
         "\"num_seeds\":%d,\"num_tasks\":%d,\"avg_f\":%.4f}",
-        i == 0 ? "" : ",", r.method, r.executors, r.stats.wall_seconds,
-        r.speedup,
-        std::string_view(r.method) == "PALID" ? "true" : "false",
+        i == 0 ? "" : ",", r.executors, r.stats.wall_seconds, r.speedup,
         r.stats.total_task_seconds, r.concurrency,
         static_cast<long long>(r.stats.steals),
         static_cast<long long>(r.stats.entries_computed),
@@ -121,25 +105,12 @@ void Run(BenchContext& ctx) {
   std::vector<SweepRow> rows;
   double base_wall = 0.0;
   for (int execs : {1, 2, 4, 8}) {
-    rows.push_back(RunOnce(data, lsh, affinity, execs,
-                           /*work_stealing=*/true, base_wall));
+    rows.push_back(RunOnce(data, lsh, affinity, execs, base_wall));
     if (execs == 1) {
       base_wall = rows.back().stats.wall_seconds;
       rows.back().speedup = 1.0;  // the row is its own baseline
     }
     PrintRow(rows.back());
-  }
-  // Ablation: the seed's coarse single-FIFO-queue executor at max width.
-  rows.push_back(RunOnce(data, lsh, affinity, 8, /*work_stealing=*/false,
-                         base_wall));
-  PrintRow(rows.back());
-  // Histogram of the widest work-stealing run, found by name (robust to
-  // sweep edits).
-  for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-    if (std::string_view(it->method) == "PALID") {
-      PrintHistogram(*it);
-      break;
-    }
   }
 
   std::printf("\nExpected shape (paper Table 2): near-linear speedup in the "

@@ -19,6 +19,7 @@
 #include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "serve/cluster_server.h"
 #include "serve/cluster_snapshot.h"
 
@@ -193,9 +194,17 @@ int main() {
               static_cast<long long>(stats.bytes_copied),
               stats.generations_retained,
               static_cast<long long>(stats.history_ring_bytes));
-  std::printf("per-query latency histogram (%zu samples, 8 bins to max): ",
-              stats.query_seconds.size());
-  for (int count : stats.LatencyHistogram(8)) std::printf("%d ", count);
-  std::printf("\n");
+  // The server's registry histogram of per-query latency: one count per
+  // decade bucket from 1 us to 1 s, the +inf bucket last.
+  for (const obs::MetricSample& sample : server.metrics().Snapshot()) {
+    if (sample.name != "query_seconds") continue;
+    std::printf("per-query latency histogram (%lld samples, <=1us .. <=1s, "
+                "+inf): ",
+                static_cast<long long>(sample.count));
+    for (const int64_t count : sample.buckets) {
+      std::printf("%lld ", static_cast<long long>(count));
+    }
+    std::printf("\n");
+  }
   return 0;
 }

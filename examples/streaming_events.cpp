@@ -20,6 +20,7 @@
 #include "core/online_alid.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "obs/metrics.h"
 
 int main() {
   using namespace alid;
@@ -118,10 +119,17 @@ int main() {
               static_cast<long long>(pool.steal_count()));
   std::printf("pool refresh passes (serial peel): %lld\n",
               static_cast<long long>(stats.refreshes));
-  const std::vector<int> latency = stats.LatencyHistogram(8);
-  std::printf("ingest-latency histogram (%zu batches, 8 bins to max): ",
-              stats.batch_seconds.size());
-  for (int count : latency) std::printf("%d ", count);
-  std::printf("\n");
+  // The stream's registry histogram of batch ingest latency: one count per
+  // decade bucket from 1 us to 1 s, the +inf bucket last.
+  for (const obs::MetricSample& sample : online.metrics().Snapshot()) {
+    if (sample.name != "ingest_seconds") continue;
+    std::printf("ingest-latency histogram (%lld batches, <=1us .. <=1s, "
+                "+inf): ",
+                static_cast<long long>(sample.count));
+    for (const int64_t count : sample.buckets) {
+      std::printf("%lld ", static_cast<long long>(count));
+    }
+    std::printf("\n");
+  }
   return 0;
 }

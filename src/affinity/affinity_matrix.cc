@@ -6,10 +6,10 @@ namespace alid {
 
 AffinityMatrix::AffinityMatrix(const Dataset& data,
                                const AffinityFunction& affinity,
-                               ThreadPool* pool, int64_t grain)
+                               ThreadPool* pool)
     : matrix_(data.size(), data.size(), 0.0) {
   const Index n = data.size();
-  ParallelChunks(pool, 0, n, grain, [&](int64_t, int64_t lo, int64_t hi) {
+  ParallelChunks(pool, 0, n, /*grain=*/0, [&](int64_t, int64_t lo, int64_t hi) {
     for (int64_t ii = lo; ii < hi; ++ii) {
       const Index i = static_cast<Index>(ii);
       for (Index j = i + 1; j < n; ++j) {

@@ -24,7 +24,7 @@ class AffinityMatrix {
   /// has exactly one writer and the matrix is identical for every pool
   /// width).
   AffinityMatrix(const Dataset& data, const AffinityFunction& affinity,
-                 ThreadPool* pool = nullptr, int64_t grain = 0);
+                 ThreadPool* pool = nullptr);
 
   ~AffinityMatrix();
 

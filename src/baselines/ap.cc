@@ -74,7 +74,7 @@ DetectionResult ApDetector::Detect() const {
     // Rows are independent (read a/sim, write only the row's r edges), so the
     // sweep runs chunked on the pool with bit-identical messages.
     ParallelChunks(
-        options_.pool, 0, n, options_.grain,
+        options_.pool, 0, n, /*grain=*/0,
         [&](int64_t, int64_t lo, int64_t hi) {
           for (int64_t ii = lo; ii < hi; ++ii) {
             const Index i = static_cast<Index>(ii);
@@ -98,7 +98,7 @@ DetectionResult ApDetector::Detect() const {
     // --- Availabilities: columns are independent (read r, write only the
     // column's a edges).
     ParallelChunks(
-        options_.pool, 0, n, options_.grain,
+        options_.pool, 0, n, /*grain=*/0,
         [&](int64_t, int64_t lo, int64_t hi) {
           for (int64_t kk = lo; kk < hi; ++kk) {
             const Index k = static_cast<Index>(kk);

@@ -36,8 +36,6 @@ struct ApOptions {
   /// messages — and with them the exemplar set — are bit-identical for
   /// every pool width.
   ThreadPool* pool = nullptr;
-  /// Chunk grain of the parallel sweeps (0 = ~64 fixed chunks).
-  int64_t grain = 0;
 };
 
 /// Affinity Propagation (Frey & Dueck, Science 2007): exemplar-based

@@ -26,7 +26,7 @@ Dataset SeedPlusPlus(const Dataset& data, int k, const KMeansOptions& options,
   while (centers.size() < k) {
     const Index c = centers.size() - 1;
     const Scalar total = ParallelSum(
-        options.pool, 0, n, options.grain, [&](int64_t lo, int64_t hi) {
+        options.pool, 0, n, /*grain=*/0, [&](int64_t lo, int64_t hi) {
           Scalar partial = 0.0;
           for (int64_t i = lo; i < hi; ++i) {
             const Scalar d = SquaredL2(data[static_cast<Index>(i)], centers[c]);
@@ -72,14 +72,14 @@ KMeansResult RunOnce(const Dataset& data, int k, const KMeansOptions& options,
   res.centers = SeedPlusPlus(data, k, options, rng);
   res.labels.assign(n, -1);
 
-  const int64_t num_chunks = DeterministicChunkCount(n, options.grain);
+  const int64_t num_chunks = DeterministicChunkCount(n, /*grain=*/0);
   std::vector<ChunkPartial> partials(num_chunks);
   std::vector<Scalar> sums(static_cast<size_t>(k) * d);
   std::vector<Index> counts(k);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++res.iterations;
     ParallelChunks(
-        options.pool, 0, n, options.grain,
+        options.pool, 0, n, /*grain=*/0,
         [&](int64_t chunk, int64_t lo, int64_t hi) {
           ChunkPartial& p = partials[chunk];
           p.sums.assign(static_cast<size_t>(k) * d, 0.0);

@@ -22,12 +22,8 @@ struct KMeansOptions {
   /// Optional shared worker pool for the assignment/reduction hot loop and
   /// the k-means++ distance updates; nullptr runs serially. Labels, centers
   /// and SSE are bit-identical for every pool width: chunk boundaries depend
-  /// only on n and `grain`, and the centroid partial sums reduce in chunk
-  /// order.
+  /// only on n, and the centroid partial sums reduce in chunk order.
   ThreadPool* pool = nullptr;
-  /// Chunk grain of the parallel loops (0 = ~64 fixed chunks). Part of the
-  /// FP reduction order: a fixed grain fixes the result exactly.
-  int64_t grain = 0;
 };
 
 /// Result of a k-means run.

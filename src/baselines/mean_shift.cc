@@ -25,7 +25,7 @@ double EstimateBandwidth(const Dataset& data, Rng& rng,
   auto ids = rng.SampleWithoutReplacement(n, sample);
   std::vector<Scalar> kth_dists(ids.size(), 0.0);
   ParallelChunks(
-      options.pool, 0, static_cast<int64_t>(ids.size()), options.grain,
+      options.pool, 0, static_cast<int64_t>(ids.size()), /*grain=*/0,
       [&](int64_t, int64_t lo, int64_t hi) {
         std::vector<Scalar> dists;
         dists.reserve(n);
@@ -73,7 +73,7 @@ MeanShiftResult RunMeanShift(const Dataset& data, MeanShiftOptions options) {
   // immutable dataset, written to its own row of `ascended`.
   std::vector<Scalar> ascended(static_cast<size_t>(num_starts) * d);
   ParallelChunks(
-      options.pool, 0, num_starts, options.grain,
+      options.pool, 0, num_starts, /*grain=*/0,
       [&](int64_t, int64_t lo, int64_t hi) {
         std::vector<Scalar> y(d), next(d);
         for (int64_t s = lo; s < hi; ++s) {
@@ -133,7 +133,7 @@ MeanShiftResult RunMeanShift(const Dataset& data, MeanShiftOptions options) {
 
   // Assign any remaining points (when max_ascents subsampled) to the nearest
   // mode; each point owns its slot.
-  ParallelChunks(options.pool, 0, n, options.grain,
+  ParallelChunks(options.pool, 0, n, /*grain=*/0,
                  [&](int64_t, int64_t lo, int64_t hi) {
                    for (int64_t ii = lo; ii < hi; ++ii) {
                      const Index i = static_cast<Index>(ii);

@@ -32,8 +32,6 @@ struct MeanShiftOptions {
   /// the modes merge sequentially in start order afterwards, so labels and
   /// modes are bit-identical for every pool width.
   ThreadPool* pool = nullptr;
-  /// Chunk grain of the parallel loops (0 = ~64 fixed chunks).
-  int64_t grain = 0;
 };
 
 /// Result of mean shift: a hard mode assignment.

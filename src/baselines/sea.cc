@@ -54,7 +54,7 @@ Cluster SeaDetector::ExtractFrom(Index seed,
     // scatter form because A is symmetric, and makes rows independent.
     std::vector<Scalar> ax(s, 0.0);
     for (int it = 0; it < options_.rd_iterations; ++it) {
-      ParallelChunks(pool, 0, s, options_.grain,
+      ParallelChunks(pool, 0, s, /*grain=*/0,
                      [&](int64_t, int64_t lo, int64_t hi) {
                        for (int64_t b = lo; b < hi; ++b) {
                          Scalar acc = 0.0;
@@ -67,7 +67,7 @@ Cluster SeaDetector::ExtractFrom(Index seed,
                        }
                      });
       const Scalar pi =
-          ParallelSum(pool, 0, s, options_.grain, [&](int64_t lo, int64_t hi) {
+          ParallelSum(pool, 0, s, /*grain=*/0, [&](int64_t lo, int64_t hi) {
             Scalar partial = 0.0;
             for (int64_t a = lo; a < hi; ++a) partial += x[a] * ax[a];
             return partial;
@@ -111,7 +111,7 @@ Cluster SeaDetector::ExtractFrom(Index seed,
     ThreadPool* kept_pool =
         kept_s >= SeaOptions::kMinParallelSupport ? options_.pool : nullptr;
     density = ParallelSum(
-        kept_pool, 0, kept_s, options_.grain, [&](int64_t lo, int64_t hi) {
+        kept_pool, 0, kept_s, /*grain=*/0, [&](int64_t lo, int64_t hi) {
           Scalar partial = 0.0;
           for (int64_t a = lo; a < hi; ++a) {
             Scalar row = 0.0;

@@ -30,8 +30,6 @@ struct SeaOptions {
   /// pool width. Engaged only once the support outgrows
   /// kMinParallelSupport — a size-only gate, so results never depend on it.
   ThreadPool* pool = nullptr;
-  /// Chunk grain of the parallel sweeps (0 = ~64 fixed chunks).
-  int64_t grain = 0;
 
   static constexpr int kMinParallelSupport = 48;
 };

@@ -36,7 +36,6 @@ std::vector<int> ClusterEmbedding(DenseMatrix embedding, int k,
   km.seed = options.seed;
   km.restarts = options.kmeans_restarts;
   km.pool = options.pool;
-  km.grain = options.grain;
   return RunKMeans(rows, k, km).labels;
 }
 
@@ -49,9 +48,9 @@ SpectralResult SpectralClusterFull(const Dataset& data,
   const int k = options.num_clusters;
   ALID_CHECK(k >= 1 && k <= n);
 
-  AffinityMatrix w(data, affinity, options.pool, options.grain);
+  AffinityMatrix w(data, affinity, options.pool);
   std::vector<Scalar> inv_sqrt_deg(n, 0.0);
-  ParallelChunks(options.pool, 0, n, options.grain,
+  ParallelChunks(options.pool, 0, n, /*grain=*/0,
                  [&](int64_t, int64_t lo, int64_t hi) {
                    for (int64_t i = lo; i < hi; ++i) {
                      Scalar deg = 0.0;
@@ -70,7 +69,7 @@ SpectralResult SpectralClusterFull(const Dataset& data,
   auto matvec = [&](std::span<const Scalar> x) {
     std::vector<Scalar> z(n), t(n);
     for (Index i = 0; i < n; ++i) z[i] = x[i] * inv_sqrt_deg[i];
-    ParallelChunks(options.pool, 0, n, options.grain,
+    ParallelChunks(options.pool, 0, n, /*grain=*/0,
                    [&](int64_t, int64_t lo, int64_t hi) {
                      for (int64_t i = lo; i < hi; ++i) {
                        auto row = w.matrix().Row(static_cast<Index>(i));
@@ -84,7 +83,6 @@ SpectralResult SpectralClusterFull(const Dataset& data,
   LanczosOptions lz;
   lz.seed = options.seed;
   lz.pool = options.pool;
-  lz.grain = options.grain;
   EigenDecompositionTopK eig = LanczosTopK(n, k, matvec, lz);
 
   SpectralResult out;
@@ -101,7 +99,7 @@ SpectralResult SpectralClusterNystrom(const Dataset& data,
   ALID_CHECK(k >= 1 && k <= n);
   ALID_CHECK(m >= k);
   ThreadPool* pool = options.pool;
-  const int64_t grain = options.grain;
+  constexpr int64_t grain = 0;  // the auto grain: about 64 chunks
 
   Rng rng(options.seed);
   IndexList landmarks = rng.SampleWithoutReplacement(n, m);

@@ -28,8 +28,6 @@ struct SpectralOptions {
   /// block fills, and the final k-means. All reductions are chunk-ordered,
   /// so labels are bit-identical for every pool width.
   ThreadPool* pool = nullptr;
-  /// Chunk grain of the parallel loops (0 = ~64 fixed chunks).
-  int64_t grain = 0;
 };
 
 /// Result: a hard partition of all n items into num_clusters groups.

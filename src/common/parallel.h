@@ -14,13 +14,13 @@ class ThreadPool;
 /// Deterministic data-parallel helpers for the baselines' hot loops.
 ///
 /// Determinism contract (the baseline counterpart of PALID's per-seed-slot
-/// guarantee): chunk boundaries depend only on the range and the requested
-/// grain — never on the pool width, the scheduling discipline, or which
-/// worker claims a chunk — and every reduction combines per-chunk partials
-/// in ascending chunk order. A loop body that is pure per chunk therefore
+/// guarantee): chunk boundaries depend only on the range and the call site's
+/// fixed grain — never on the pool width, the schedule, or which worker
+/// claims a chunk — and every reduction combines per-chunk partials in
+/// ascending chunk order. A loop body that is pure per chunk therefore
 /// produces bit-identical results with pool == nullptr and with any executor
-/// count. Changing `grain` moves the FP reduction boundaries and may change
-/// the low bits; fixing it fixes the result.
+/// count. The grain is part of the FP reduction order, so it is a code
+/// constant at every call site, never a setting.
 
 /// The chunk grain actually used for a range: `grain` clamped to [1, range]
 /// when positive, otherwise the range split into about kDefaultChunks chunks

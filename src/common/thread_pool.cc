@@ -16,8 +16,7 @@ thread_local int tls_worker_index = -1;
 
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads, ThreadPoolOptions options)
-    : options_(options) {
+ThreadPool::ThreadPool(int num_threads) {
   ALID_CHECK(num_threads > 0);
   queues_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
@@ -43,13 +42,10 @@ bool ThreadPool::CalledFromWorker() const { return tls_pool == this; }
 void ThreadPool::Post(std::function<void()> job) {
   ALID_CHECK_MSG(!shutdown_.load(), "Post after shutdown");
   pending_.fetch_add(1, std::memory_order_relaxed);
-  size_t q = 0;
-  if (options_.work_stealing) {
-    q = (tls_pool == this && tls_worker_index >= 0)
-            ? static_cast<size_t>(tls_worker_index)
-            : next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                  queues_.size();
-  }
+  const size_t q = (tls_pool == this && tls_worker_index >= 0)
+                       ? static_cast<size_t>(tls_worker_index)
+                       : next_queue_.fetch_add(1, std::memory_order_relaxed) %
+                             queues_.size();
   {
     std::lock_guard<std::mutex> lock(queues_[q]->mu);
     queues_[q]->jobs.push_back(std::move(job));
@@ -69,21 +65,15 @@ bool ThreadPool::TryRunOne(int self) {
   bool stolen = false;
   const int nq = static_cast<int>(queues_.size());
   {
-    // Own deque first: newest job when stealing (cache-hot LIFO), oldest in
-    // FIFO mode (all jobs live on queue 0, preserving submission order).
-    WorkerQueue& own = *queues_[options_.work_stealing ? self : 0];
+    // Own deque first, newest job (cache-hot LIFO).
+    WorkerQueue& own = *queues_[self];
     std::lock_guard<std::mutex> lock(own.mu);
     if (!own.jobs.empty()) {
-      if (options_.work_stealing) {
-        job = std::move(own.jobs.back());
-        own.jobs.pop_back();
-      } else {
-        job = std::move(own.jobs.front());
-        own.jobs.pop_front();
-      }
+      job = std::move(own.jobs.back());
+      own.jobs.pop_back();
     }
   }
-  if (!job && options_.work_stealing) {
+  if (!job) {
     for (int off = 1; off < nq && !job; ++off) {
       WorkerQueue& victim = *queues_[(self + off) % nq];
       std::lock_guard<std::mutex> lock(victim.mu);
@@ -133,9 +123,8 @@ void ThreadPool::ParallelFor(
   if (begin >= end) return;
   ALID_CHECK_MSG(tls_pool != this,
                  "ParallelFor must not be called from a pool worker");
-  const int64_t range = end - begin;
-  if (grain <= 0) grain = std::max<int64_t>(1, range / (8 * num_threads()));
-  const int64_t num_chunks = (range + grain - 1) / grain;
+  ALID_CHECK(grain >= 1);
+  const int64_t num_chunks = (end - begin + grain - 1) / grain;
   if (num_chunks == 1) {
     body(begin, end);
     return;

@@ -6,36 +6,26 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.h"
 
 namespace alid {
 
-/// Scheduling discipline of the pool.
-struct ThreadPoolOptions {
-  /// Work stealing (default): every worker owns a deque, external submissions
-  /// are spread round-robin, a worker out of local work steals the *oldest*
-  /// job of a peer (oldest jobs are the largest remaining chunks under
-  /// ParallelFor's splitting, so steals amortize well). false reproduces the
-  /// original single-FIFO-queue executor — the coarse Spark-task discipline
-  /// of the paper, kept as the paper-faithful ablation.
-  bool work_stealing = true;
-};
-
-/// A fixed-size worker pool. PALID's "executors" (Table 2) map onto these
-/// workers: every map task (one ALID run per seed chunk) is a job, and the
-/// reduce stage runs after Wait(). Jobs may be posted from any thread,
-/// including pool workers (a worker's own submissions go to its own deque,
-/// popped LIFO while still cache-hot).
+/// A fixed-size work-stealing worker pool. PALID's "executors" (Table 2)
+/// map onto these workers: every map task (one ALID run per seed chunk) is a
+/// job, and the reduce stage runs after Wait(). Every worker owns a deque;
+/// external submissions are spread round-robin, and a worker's own
+/// submissions go to its own deque, popped LIFO while still cache-hot. A
+/// worker out of local work steals the *oldest* job of a peer (oldest jobs
+/// are the largest remaining chunks under ParallelFor's splitting, so steals
+/// amortize well). Jobs may be posted from any thread.
 class ThreadPool {
  public:
-  explicit ThreadPool(int num_threads, ThreadPoolOptions options = {});
+  explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -44,37 +34,20 @@ class ThreadPool {
   /// Enqueues a fire-and-forget job. Safe from any thread.
   void Post(std::function<void()> job);
 
-  /// Enqueues a job and returns a future for its result, so map tasks and
-  /// the reduce stage compose without shared mutable accumulators. An
-  /// exception thrown by the job is stored in the future — discarding the
-  /// future would swallow it, hence [[nodiscard]]; fire-and-forget work
-  /// belongs on Post (which also skips the packaged_task allocation and
-  /// lets a throwing job terminate loudly).
-  template <typename F>
-  [[nodiscard]] auto Submit(F&& f)
-      -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    Post([task] { (*task)(); });
-    return future;
-  }
-
-  /// Splits [begin, end) into chunks of ~grain iterations (grain <= 0 picks
-  /// about 8 chunks per worker) and runs body(chunk_begin, chunk_end) across
-  /// the pool. The calling thread participates, so the pool being saturated
-  /// never deadlocks the caller. Chunks are claimed from a shared counter —
+  /// Splits [begin, end) into chunks of `grain` >= 1 iterations (the last
+  /// may be shorter) and runs body(chunk_begin, chunk_end) across the pool.
+  /// The calling thread participates, so the pool being saturated never
+  /// deadlocks the caller. Chunks are claimed from a shared counter —
   /// results must not depend on claim order. Must not be called from inside
   /// one of this pool's workers.
   void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t, int64_t)>& body,
-                   int64_t grain = 0);
+                   int64_t grain);
 
   /// Blocks until every job posted so far has finished.
   void Wait();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-  const ThreadPoolOptions& options() const { return options_; }
 
   /// True iff the calling thread is one of this pool's workers. Shared
   /// helpers (ParallelChunks) use it to degrade to serial execution instead
@@ -84,7 +57,6 @@ class ThreadPool {
   bool CalledFromWorker() const;
 
   /// Jobs executed by a worker other than the one they were queued on.
-  /// Always 0 in FIFO mode.
   int64_t steal_count() const {
     return steals_.load(std::memory_order_relaxed);
   }
@@ -116,7 +88,6 @@ class ThreadPool {
   /// Pops and runs one job (own deque first, then steal). False if none.
   bool TryRunOne(int self);
 
-  ThreadPoolOptions options_;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
 

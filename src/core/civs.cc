@@ -28,7 +28,9 @@ IndexList CivsRetrieve(const LazyAffinityOracle& oracle, const LshIndex& lsh,
   } else if (!roi.center.empty()) {
     std::unordered_set<Index> support_set;
     for (const auto& [g, w] : support) support_set.insert(g);
-    for (Index j : lsh.QueryByPoint(roi.center)) {
+    IndexList colliding;
+    lsh.QueryByPoint(roi.center, &colliding);
+    for (Index j : colliding) {
       if (support_set.count(j) == 0) candidates.push_back(j);
     }
   }

@@ -5,17 +5,12 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/histogram.h"
 #include "common/parallel.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/trace.h"
 
 namespace alid {
-
-std::vector<int> StreamStats::LatencyHistogram(int bins) const {
-  return EqualWidthHistogram(batch_seconds, bins);
-}
 
 OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
     : options_(options), data_(dim), affinity_fn_(options.affinity) {
@@ -101,7 +96,7 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   std::vector<uint64_t> keys(static_cast<size_t>(count) * tables);
   {
     ALID_TRACE_SCOPE("stream", "lsh_keys");
-    ParallelChunks(options_.pool, 0, count, options_.grain,
+    ParallelChunks(options_.pool, 0, count, /*grain=*/0,
                    [&](int64_t, int64_t lo, int64_t hi) {
                      for (int64_t k = lo; k < hi; ++k) {
                        lsh_->ComputeItemKeys(
@@ -128,7 +123,7 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   std::vector<int> targets(count);
   {
     ALID_TRACE_SCOPE("stream", "absorb_score");
-    ParallelChunks(options_.pool, 0, count, options_.grain,
+    ParallelChunks(options_.pool, 0, count, /*grain=*/0,
                    [&](int64_t, int64_t lo, int64_t hi) {
                      for (int64_t k = lo; k < hi; ++k) {
                        targets[k] = ScoreArrival(slots[k]);
@@ -265,7 +260,7 @@ void OnlineAlid::RefreshScorers() {
   // may still be serving it.
   ParallelChunks(
       options_.pool, 0, static_cast<int64_t>(clusters_.size()),
-      options_.grain, [&](int64_t, int64_t lo, int64_t hi) {
+      /*grain=*/0, [&](int64_t, int64_t lo, int64_t hi) {
         for (int64_t c = lo; c < hi; ++c) {
           if (scorers_[c] != nullptr &&
               scorers_[c]->version == cluster_version_[c]) {
@@ -346,9 +341,7 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
   // members arrived after that cluster was detected). If the cross
   // density matches dominant-cluster coherence, merge by re-detection
   // over the union. The pair sum runs chunk-deterministic on the shared
-  // pool with a *fixed* auto grain — this is the one reduction whose FP
-  // grouping a grain could move, and pinning it keeps the streamed state
-  // bit-identical across grains as well as executor counts.
+  // pool, so its FP grouping is the same for every executor count.
   int merge_with = -1;
   for (size_t e = 0; e < clusters_.size(); ++e) {
     if (cluster_dead_[e] != 0) continue;

@@ -46,11 +46,9 @@ struct OnlineAlidOptions {
   /// Optional shared executor pool for the batch-ingest phases (arrival
   /// hashing and absorb scoring run chunked on it; all mutation phases stay
   /// serial in arrival order). The streamed state is bit-identical for any
-  /// pool width, scheduling discipline, grain, or pool == nullptr — the
-  /// same determinism contract as src/common/parallel.*.
+  /// pool width, schedule, or pool == nullptr — the same determinism
+  /// contract as src/common/parallel.*.
   ThreadPool* pool = nullptr;
-  /// Chunk grain of the parallel phases (see DeterministicGrain); 0 auto.
-  int64_t grain = 0;
 };
 
 /// Counters and per-batch ingest latencies of one OnlineAlid stream — the
@@ -86,10 +84,6 @@ struct StreamStats {
   std::vector<double> batch_seconds;
 
   static constexpr size_t kMaxLatencySamples = 8192;
-
-  /// Histogram of batch_seconds over `bins` equal-width buckets spanning
-  /// [0, max batch time] — the ingest-latency profile of the stream.
-  std::vector<int> LatencyHistogram(int bins = 8) const;
 };
 
 /// OnlineAlid — the "online version to efficiently process streaming data

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "common/histogram.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -48,15 +47,10 @@ PalidCounters& GlobalPalidCounters() {
 
 }  // namespace
 
-std::vector<int> PalidStats::TaskHistogram(int bins) const {
-  return EqualWidthHistogram(task_seconds, bins);
-}
-
 Palid::Palid(const LazyAffinityOracle& oracle, const LshIndex& lsh,
              PalidOptions options)
     : oracle_(&oracle), lsh_(&lsh), options_(options) {
   ALID_CHECK(options_.num_executors >= 1);
-  ALID_CHECK(options_.chunk_size >= 0);
   ALID_CHECK(options_.seed_sample_rate > 0.0 &&
              options_.seed_sample_rate <= 1.0);
 }
@@ -92,14 +86,11 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
 
   WallTimer wall;
   const int num_seeds = static_cast<int>(seeds.size());
-  int chunk = options_.chunk_size;
-  if (chunk <= 0) {
-    // Auto chunking depends on the seed count only — never on num_executors —
-    // so task boundaries, and with them the per-task RNG streams below, are
-    // identical under every executor count. 64 tasks give ample stealing
-    // slack for any plausible executor width at negligible pool overhead.
-    chunk = std::max(1, (num_seeds + 63) / 64);
-  }
+  // Chunking depends on the seed count only — never on num_executors — so
+  // task boundaries, and with them the per-task RNG streams below, are
+  // identical under every executor count. 64 tasks give ample stealing
+  // slack for any plausible executor width at negligible pool overhead.
+  const int chunk = std::max(1, (num_seeds + 63) / 64);
   const int num_tasks = num_seeds == 0 ? 0 : (num_seeds + chunk - 1) / chunk;
 
   // Per-seed result slots: task t detects seeds [t*chunk, t*chunk+chunk) and
@@ -117,9 +108,7 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
     std::unique_ptr<ThreadPool> owned;
     ThreadPool* pool = options_.pool;
     if (pool == nullptr) {
-      owned = std::make_unique<ThreadPool>(
-          options_.num_executors,
-          ThreadPoolOptions{.work_stealing = options_.work_stealing});
+      owned = std::make_unique<ThreadPool>(options_.num_executors);
       pool = owned.get();
     }
     const int64_t steals_before = pool->steal_count();

@@ -24,19 +24,10 @@ struct PalidOptions {
   double seed_sample_rate = 0.2;
   /// Seed-sampling randomness; also the root of the per-task RNG streams.
   uint64_t seed = 42;
-  /// Seeds per map task. Each task runs `chunk_size` consecutive seeds so
-  /// scheduling stays coarse enough to amortize pool overhead; 0 picks a
-  /// size giving about 64 tasks total, independent of num_executors (so the
-  /// per-task RNG streams are too). Results never depend on the chunking:
-  /// every detection writes the slot of its seed.
-  int chunk_size = 0;
-  /// Work-stealing executors (default). false falls back to the original
-  /// single-FIFO-queue pool — the paper-faithful coarse-Spark-task ablation.
-  bool work_stealing = true;
   /// Optional externally owned executor pool — e.g. the one the parallel
   /// baselines run on, so a bench sweep exercises PALID and its competitors
   /// on the same substrate. When set, the map stage runs on it and
-  /// num_executors / work_stealing are taken from the pool itself. Detect()
+  /// num_executors is taken from the pool itself. Detect()
   /// must be the pool's only client until it returns (its completion barrier
   /// waits for every job posted to the pool).
   ThreadPool* pool = nullptr;
@@ -47,19 +38,18 @@ struct PalidOptions {
 /// Statistics of one PALID run, for the Table 2 harness: wall time, the
 /// aggregate busy time across map tasks (whose ratio to wall time shows the
 /// realized parallelism even on machines with few physical cores), executor
-/// steal counts, kernel evaluations, and the per-task busy times from which
-/// the bench prints a load-balance histogram.
+/// steal counts, kernel evaluations, and the per-task busy times.
 struct PalidStats {
   int num_seeds = 0;
   int num_tasks = 0;
   double wall_seconds = 0.0;
   double total_task_seconds = 0.0;
   /// Map tasks executed by an executor other than the one they were queued
-  /// on (0 under the FIFO ablation).
+  /// on.
   int64_t steals = 0;
   /// Kernel evaluations performed during this run (the Table 1 count).
   /// Every seed's run is pure, so this is identical for every executor
-  /// count, chunk size and scheduling discipline.
+  /// count and schedule.
   int64_t entries_computed = 0;
   /// Always 0: read by the repository benchmark; removed at its next revision.
   int64_t cache_hits = 0;
@@ -67,10 +57,6 @@ struct PalidStats {
   int64_t cache_evictions = 0;
   /// Busy seconds of each map task, in task order.
   std::vector<double> task_seconds;
-
-  /// Histogram of task_seconds over `bins` equal-width buckets spanning
-  /// [0, max task time] — the load-balance profile of the map stage.
-  std::vector<int> TaskHistogram(int bins = 8) const;
 };
 
 /// Parallel ALID. The map stage runs Algorithm 2 independently from every
@@ -78,8 +64,7 @@ struct PalidStats {
 /// executors = workers); the reduce stage assigns each data item to the
 /// containing cluster of maximum density, exactly as Algorithm 3's reducer
 /// does. Detections are written into per-seed slots and reduced in seed
-/// order, so the output is identical for every executor count, chunk size
-/// and scheduling discipline.
+/// order, so the output is identical for every executor count and schedule.
 class Palid {
  public:
   Palid(const LazyAffinityOracle& oracle, const LshIndex& lsh,

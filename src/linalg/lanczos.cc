@@ -13,14 +13,10 @@ namespace alid {
 
 namespace {
 
-// Default grain of the O(n) vector kernels: one chunk for small problems (no
-// pool overhead where a dot costs microseconds), splitting only when n is
-// large enough for the pool to pay off.
+// Grain of the O(n) vector kernels: one chunk for small problems (no pool
+// overhead where a dot costs microseconds), splitting only when n is large
+// enough for the pool to pay off.
 constexpr int64_t kVectorGrain = 4096;
-
-int64_t VectorGrain(const LanczosOptions& options) {
-  return options.grain > 0 ? options.grain : kVectorGrain;
-}
 
 }  // namespace
 
@@ -37,7 +33,6 @@ EigenDecompositionTopK LanczosTopK(
 
   Rng rng(options.seed);
   ThreadPool* pool = options.pool;
-  const int64_t grain = VectorGrain(options);
 
   // Lanczos basis vectors (rows of `basis` for cache friendliness).
   std::vector<std::vector<Scalar>> basis;
@@ -47,8 +42,8 @@ EigenDecompositionTopK LanczosTopK(
   std::vector<Scalar> q(n);
   for (auto& v : q) v = rng.Gaussian();
   {
-    const Scalar norm = std::sqrt(ParallelDot(pool, q, q, grain));
-    ParallelChunks(pool, 0, n, grain,
+    const Scalar norm = std::sqrt(ParallelDot(pool, q, q, kVectorGrain));
+    ParallelChunks(pool, 0, n, kVectorGrain,
                    [&](int64_t, int64_t lo, int64_t hi) {
                      for (int64_t i = lo; i < hi; ++i) q[i] /= norm;
                    });
@@ -58,11 +53,11 @@ EigenDecompositionTopK LanczosTopK(
     basis.push_back(q);
     std::vector<Scalar> w = matvec(q);
     ALID_CHECK(static_cast<Index>(w.size()) == n);
-    const Scalar a = ParallelDot(pool, w, q, grain);
+    const Scalar a = ParallelDot(pool, w, q, kVectorGrain);
     alpha.push_back(a);
     const Scalar b_prev = j > 0 ? beta.back() : 0.0;
     const std::vector<Scalar>* prev = j > 0 ? &basis[j - 1] : nullptr;
-    ParallelChunks(pool, 0, n, grain,
+    ParallelChunks(pool, 0, n, kVectorGrain,
                    [&](int64_t, int64_t lo, int64_t hi) {
                      for (int64_t i = lo; i < hi; ++i) {
                        w[i] -= a * q[i];
@@ -72,17 +67,17 @@ EigenDecompositionTopK LanczosTopK(
     // Full reorthogonalization against the whole basis (twice is enough).
     for (int pass = 0; pass < 2; ++pass) {
       for (const auto& b : basis) {
-        const Scalar proj = ParallelDot(pool, w, b, grain);
-        ParallelChunks(pool, 0, n, grain,
+        const Scalar proj = ParallelDot(pool, w, b, kVectorGrain);
+        ParallelChunks(pool, 0, n, kVectorGrain,
                        [&](int64_t, int64_t lo, int64_t hi) {
                          for (int64_t i = lo; i < hi; ++i) w[i] -= proj * b[i];
                        });
       }
     }
-    const Scalar b = std::sqrt(ParallelDot(pool, w, w, grain));
+    const Scalar b = std::sqrt(ParallelDot(pool, w, w, kVectorGrain));
     if (b < options.tolerance || j == m - 1) break;
     beta.push_back(b);
-    ParallelChunks(pool, 0, n, grain,
+    ParallelChunks(pool, 0, n, kVectorGrain,
                    [&](int64_t, int64_t lo, int64_t hi) {
                      for (int64_t i = lo; i < hi; ++i) q[i] = w[i] / b;
                    });
@@ -106,7 +101,7 @@ EigenDecompositionTopK LanczosTopK(
   out.vectors = DenseMatrix(n, kk, 0.0);
   // Ritz vectors, one row range per chunk; each (i, j) element accumulates
   // over s in ascending order regardless of scheduling.
-  ParallelChunks(pool, 0, n, grain,
+  ParallelChunks(pool, 0, n, kVectorGrain,
                  [&](int64_t, int64_t lo, int64_t hi) {
                    for (int64_t i = lo; i < hi; ++i) {
                      for (int j = 0; j < kk; ++j) {

@@ -27,9 +27,6 @@ struct LanczosOptions {
   /// bit-identical for every pool width. (The caller's matvec is free to use
   /// the same pool — that is where the O(n^2) work lives.)
   ThreadPool* pool = nullptr;
-  /// Chunk grain of the parallel loops (0 = one ~4096-element grain, so
-  /// small problems stay serial and large ones split).
-  int64_t grain = 0;
 };
 
 /// Top-k eigenpairs as returned by LanczosTopK.

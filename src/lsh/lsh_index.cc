@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/epoch_stamp.h"
@@ -178,17 +177,9 @@ uint64_t LshIndex::HashPoint(const Table& table,
 }
 
 std::vector<Index> LshIndex::QueryByIndex(Index i) const {
-  ALID_CHECK(i >= 0 && i < size());
-  ALID_CHECK_MSG(removed_[i] == 0, "cannot query a removed item");
-  std::unordered_set<Index> seen;
-  for (const auto& table : tables_) {
-    auto it = table.buckets.find(table.item_key[i]);
-    if (it == table.buckets.end()) continue;
-    for (Index j : it->second) {
-      if (j != i) seen.insert(j);
-    }
-  }
-  return {seen.begin(), seen.end()};
+  std::vector<Index> out;
+  QueryByIndexBatch(std::span<const Index>(&i, 1), &out);
+  return out;
 }
 
 void LshIndex::QueryByIndexBatch(std::span<const Index> items,
@@ -223,12 +214,6 @@ void LshIndex::QueryByIndexBatch(std::span<const Index> items,
       }
     }
   }
-}
-
-std::vector<Index> LshIndex::QueryByPoint(std::span<const Scalar> point) const {
-  std::vector<Index> out;
-  QueryByPoint(point, &out);
-  return out;
 }
 
 void LshIndex::QueryByPoint(std::span<const Scalar> point,

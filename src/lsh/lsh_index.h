@@ -100,7 +100,7 @@ class LshIndex {
   }
 
   /// All items colliding with item i in at least one table (i excluded),
-  /// deduplicated, unordered.
+  /// deduplicated, in unspecified order: QueryByIndexBatch of {i}.
   std::vector<Index> QueryByIndex(Index i) const;
 
   /// Batched CIVS query (one multi-probe call): the deduplicated union of
@@ -113,13 +113,10 @@ class LshIndex {
   void QueryByIndexBatch(std::span<const Index> items,
                          std::vector<Index>* out) const;
 
-  /// All items colliding with an arbitrary point, deduplicated, unordered.
-  std::vector<Index> QueryByPoint(std::span<const Scalar> point) const;
-
-  /// Allocation-light form of QueryByPoint: appends the deduplicated union
-  /// of the point's buckets to *out after clearing it, deduplicating on a
-  /// thread-local stamp buffer. The order is a pure function of the point
-  /// and the index history. Thread-safe against concurrent readers.
+  /// All items colliding with an arbitrary point: appends the deduplicated
+  /// union of the point's buckets to *out after clearing it, deduplicating
+  /// on a thread-local stamp buffer. The order is a pure function of the
+  /// point and the index history. Thread-safe against concurrent readers.
   void QueryByPoint(std::span<const Scalar> point,
                     std::vector<Index>* out) const;
 

@@ -66,6 +66,28 @@ std::vector<ClusterMeta> ClusterMetas(const ServedGeneration& gen) {
   return metas;
 }
 
+// The absorb decision for one point across every shard of `gen`: each
+// shard's Assign with its id offset into the generation's id space, merged
+// by strictly-greater margin — equal margins keep the earlier shard, and
+// each shard already prefers its lowest cluster id, so the lowest
+// generation-wide id wins ties. For S == 1 this is the shard's answer.
+QueryOutcome AssignAcrossShards(const ServedGeneration& gen,
+                                std::span<const Scalar> point) {
+  QueryOutcome best;
+  int offset = 0;
+  for (const auto& shard : gen.shards) {
+    const QueryOutcome outcome = shard->Assign(point);
+    if (outcome.cluster >= 0 &&
+        (best.cluster < 0 || outcome.margin > best.margin)) {
+      best = outcome;
+      best.cluster += offset;
+    }
+    offset += shard->num_clusters();
+  }
+  best.generation = gen.generation;
+  return best;
+}
+
 // Top-k of one point across every shard of `gen`: each shard's ranking with
 // its ids offset into the generation's id space, merged by affinity
 // descending and ascending id on ties — the snapshot's own order, so for
@@ -282,7 +304,7 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
     if (count == 0) return response;
     if (gen != nullptr) {
       // Ranked queries are pure per point; chunking only distributes them.
-      ParallelChunks(options_.pool, 0, count, options_.grain,
+      ParallelChunks(options_.pool, 0, count, /*grain=*/0,
                      [&](int64_t, int64_t lo, int64_t hi) {
                        ALID_TRACE_SCOPE("serve", "rank_chunk");
                        for (int64_t q = lo; q < hi; ++q) {
@@ -301,39 +323,16 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
   response.assignments.resize(static_cast<size_t>(count));
   if (count == 0) return response;
   if (gen != nullptr) {
-    ParallelChunks(
-        options_.pool, 0, count, options_.grain,
-        [&](int64_t, int64_t lo, int64_t hi) {
-          // Query-major block assignment inside the chunk: each snapshot
-          // streams its clusters' SoA tiles across the whole block of
-          // queries, and every outcome stays bit-identical to a per-query
-          // Assign (see ClusterSnapshot::AssignBatch).
-          std::vector<QueryOutcome> outcomes(static_cast<size_t>(hi - lo));
-          const auto chunk =
-              request.points.subspan(static_cast<size_t>(lo) * dim_,
-                                     static_cast<size_t>(hi - lo) * dim_);
-          int offset = 0;
-          for (const auto& shard : gen->shards) {
-            if (shard->num_clusters() == 0) continue;
-            shard->AssignBatch(chunk, outcomes);
-            for (int64_t k = lo; k < hi; ++k) {
-              const QueryOutcome& outcome = outcomes[k - lo];
-              if (outcome.cluster < 0) continue;
-              // Strictly-greater replacement: equal margins keep the
-              // earlier shard, and each shard already prefers its lowest
-              // cluster id — the lowest generation-wide id wins ties.
-              QueryOutcome& best = response.assignments[k];
-              if (best.cluster < 0 || outcome.margin > best.margin) {
-                best = outcome;
-                best.cluster += offset;
-              }
-            }
-            offset += shard->num_clusters();
-          }
-          for (int64_t k = lo; k < hi; ++k) {
-            response.assignments[k].generation = gen->generation;
-          }
-        });
+    // Assignments are pure per point; chunking only distributes them.
+    ParallelChunks(options_.pool, 0, count, /*grain=*/0,
+                   [&](int64_t, int64_t lo, int64_t hi) {
+                     for (int64_t q = lo; q < hi; ++q) {
+                       response.assignments[q] = AssignAcrossShards(
+                           *gen, request.points.subspan(
+                                     static_cast<size_t>(q) * dim_,
+                                     static_cast<size_t>(dim_)));
+                     }
+                   });
   }
   int64_t assigned = 0;
   for (const QueryOutcome& r : response.assignments) {

@@ -20,12 +20,9 @@ class ThreadPool;
 struct ClusterServerOptions {
   /// Optional shared executor pool for batched queries (the same pool the
   /// rest of the runtime runs on). Each query is pure against the batch's
-  /// snapshot, so results are bit-identical for any pool width, scheduling
-  /// discipline, grain, or pool == nullptr — the runtime's standard
-  /// determinism contract.
+  /// snapshot, so results are bit-identical for any pool width, schedule,
+  /// or pool == nullptr — the runtime's standard determinism contract.
   ThreadPool* pool = nullptr;
-  /// Chunk grain of batched queries (see DeterministicGrain); 0 auto.
-  int64_t grain = 0;
   /// Retired generations the server keeps addressable for as-of queries
   /// (the history ring, oldest evicted first); 0 disables time travel.
   /// Consecutive generations share their unchanged clusters' arena blocks,

@@ -1,7 +1,6 @@
 #include "serve/cluster_snapshot.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <unordered_map>
 
@@ -163,7 +162,7 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
     // stream_heavy_tail), so only a build that hashes rows uses the pool.
     ParallelChunks(
         stream_lsh != nullptr ? nullptr : options.pool, 0, num_clusters,
-        options.grain, [&](int64_t, int64_t lo, int64_t hi) {
+        /*grain=*/0, [&](int64_t, int64_t lo, int64_t hi) {
           std::vector<uint64_t> hashed;  // count x tables, FromClusters only
           std::vector<uint64_t> keys;    // one table's member keys
           std::vector<BucketKey> buckets;
@@ -252,7 +251,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
   options.lsh = stream.options().lsh;
   options.absorb_slack = stream.options().absorb_slack;
   options.pool = pool;
-  options.grain = stream.options().grain;
   return Build(stream.oracle().data(), stream.clusters(), options,
                static_cast<uint64_t>(stream.size()), &stream, previous.get());
 }
@@ -297,66 +295,6 @@ QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
     }
   }
   return best;
-}
-
-void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
-                                  std::span<QueryOutcome> outcomes) const {
-  const int d = dim();
-  ALID_CHECK(d > 0 && points.size() % static_cast<size_t>(d) == 0);
-  const Index count = static_cast<Index>(points.size() / d);
-  ALID_CHECK(outcomes.size() == static_cast<size_t>(count));
-  for (Index q = 0; q < count; ++q) {
-    outcomes[q] = QueryOutcome{};
-    outcomes[q].generation = generation_;
-  }
-  const int num = num_clusters();
-  if (num == 0) return;
-  // Query-major tiling: mark every query's candidate clusters up front for
-  // a block of queries, then stream the clusters in ascending id across
-  // the whole block, so each cluster's SoA tiles are pulled through the
-  // cache once per block instead of once per query. The inner body is the
-  // loop body of Assign verbatim, each query carrying its own incumbent,
-  // and every query still visits its candidates in ascending cluster id —
-  // so winners and margins are bit-identical to per-query Assign calls (the
-  // property the batch-vs-serial tests pin).
-  constexpr Index kQueryBlock = 32;
-  std::vector<uint8_t> candidate(static_cast<size_t>(kQueryBlock) * num, 0);
-  std::array<Scalar, kQueryBlock> best_margin;
-  for (Index q0 = 0; q0 < count; q0 += kQueryBlock) {
-    const Index block = std::min<Index>(kQueryBlock, count - q0);
-    for (Index i = 0; i < block; ++i) {
-      const std::span<const Scalar> point =
-          points.subspan(static_cast<size_t>(q0 + i) * d,
-                         static_cast<size_t>(d));
-      ALID_CHECK(static_cast<int>(point.size()) == d);
-      MarkCandidates(point);
-      const QueryScratch& scratch = Scratch();
-      for (int c = 0; c < num; ++c) {
-        candidate[static_cast<size_t>(i) * num + c] =
-            scratch.candidates.IsMarked(static_cast<size_t>(c)) ? 1 : 0;
-      }
-      best_margin[i] = -std::numeric_limits<Scalar>::infinity();
-    }
-    for (int c = 0; c < num; ++c) {
-      const Scalar threshold = blocks_[c]->density * (1.0 - absorb_slack_);
-      const ClusterScorer& scorer = *blocks_[c]->scorer;
-      for (Index i = 0; i < block; ++i) {
-        if (candidate[static_cast<size_t>(i) * num + c] == 0) continue;
-        const std::span<const Scalar> point =
-            points.subspan(static_cast<size_t>(q0 + i) * d,
-                           static_cast<size_t>(d));
-        QueryOutcome& best = outcomes[q0 + i];
-        const Scalar affinity = scorer.Affinity(*affinity_fn_, point);
-        const Scalar margin = affinity - threshold;
-        if (margin > 0.0 && margin > best_margin[i]) {
-          best_margin[i] = margin;
-          best.cluster = c;
-          best.affinity = affinity;
-          best.margin = margin;
-        }
-      }
-    }
-  }
 }
 
 std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(

@@ -33,8 +33,6 @@ struct ClusterSnapshotOptions {
   /// Optional pool for the build's parallel pass (the fresh blocks' bucket
   /// keys; build-time only — queries never touch it).
   ThreadPool* pool = nullptr;
-  /// Chunk grain of the build's parallel passes; 0 auto.
-  int64_t grain = 0;
 };
 
 /// Cost accounting of one snapshot build — what the incremental export
@@ -100,7 +98,7 @@ struct ClusterSnapshotInfo {
 /// holding the simplex weights and SoA member tiles) lives in a refcounted
 /// arena block (see snapshot_arena.h); one flat (table, key, cluster) table
 /// over the blocks' buckets yields each query's candidate clusters. Every
-/// query — Assign, AssignBatch, TopKClusters — scores each candidate exactly
+/// query — Assign, TopKClusters — scores each candidate exactly
 /// once through its block's scorer, the same object and the same method the
 /// stream's absorb step uses. The incremental export *shares* an unchanged
 /// cluster's block with the predecessor snapshot instead of copying it, so
@@ -158,16 +156,6 @@ class ClusterSnapshot {
   /// (lowest id on ties — the same rule as OnlineAlid::ScoreArrival).
   /// outcome.generation carries this snapshot's generation.
   QueryOutcome Assign(std::span<const Scalar> point) const;
-
-  /// Assign for a batch of queries: `points` holds count * dim scalars,
-  /// row-major; `outcomes` must hold count entries. Each outcome — winner,
-  /// affinity, margin — is bit-identical to a standalone Assign of the same
-  /// point: the batch only reorders the *work* query-major (outer loop over
-  /// clusters in ascending id, inner loop over a block of queries, each
-  /// with its own incumbent), so one cluster's SoA tiles are streamed
-  /// through the cache once per query block instead of once per query.
-  void AssignBatch(std::span<const Scalar> points,
-                   std::span<QueryOutcome> outcomes) const;
 
   /// The candidate clusters of `point` scored by pi(s_c, x), descending
   /// (lowest id on ties), truncated to k.

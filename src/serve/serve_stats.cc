@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "common/histogram.h"
-
 namespace alid {
-
-std::vector<int> ServeStatsView::LatencyHistogram(int bins) const {
-  return EqualWidthHistogram(query_seconds, bins);
-}
 
 ServeStats::ServeStats()
     : single_queries_(registry_.AddCounter("single_queries")),

@@ -50,7 +50,7 @@ struct ServeStatsView {
   int64_t history_evictions = 0;
   double elapsed_seconds = 0.0;  ///< Since server construction / Reset().
   double qps = 0.0;              ///< queries / elapsed_seconds.
-  /// Mean per-query wall seconds of each recent Assign/AssignBatch call
+  /// Mean per-query wall seconds of each recent query call
   /// (a batch contributes one sample: call seconds / batch size), bounded
   /// like StreamStats::batch_seconds so a long-lived server stays bounded.
   std::vector<double> query_seconds;
@@ -58,10 +58,6 @@ struct ServeStatsView {
   /// profile of the ingest->publish->serve loop), bounded like
   /// query_seconds.
   std::vector<double> publish_seconds;
-
-  /// Histogram of query_seconds over `bins` equal-width buckets spanning
-  /// [0, max] — the per-query latency profile of the server.
-  std::vector<int> LatencyHistogram(int bins = 8) const;
 };
 
 /// Thread-safe counters + bounded latency reservoirs behind a ClusterServer.

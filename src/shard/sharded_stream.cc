@@ -67,7 +67,7 @@ std::vector<ShardSlot> ShardedStream::InsertBatch(
   // Default keys: the content hash, computed chunk-parallel (pure per
   // arrival, so the keys — and the partition — never depend on executors).
   std::vector<uint64_t> keys(static_cast<size_t>(count));
-  ParallelChunks(options_.base.pool, 0, count, options_.base.grain,
+  ParallelChunks(options_.base.pool, 0, count, /*grain=*/0,
                  [&](int64_t, int64_t lo, int64_t hi) {
                    for (int64_t i = lo; i < hi; ++i) {
                      keys[static_cast<size_t>(i)] = PartitionKey(

@@ -50,8 +50,8 @@ struct ShardSlot {
 /// (SplitMix64 over the point's scalar bit patterns, or an explicit caller
 /// key), so which shard owns an arrival — and hence every shard's full
 /// state — is a pure function of (options incl. num_shards, stream). For a
-/// fixed S the result is bit-identical across executor counts, grains and
-/// scheduling (each shard's phases inherit the runtime-wide contract;
+/// fixed S the result is bit-identical across executor counts and
+/// schedules (each shard's phases inherit the runtime-wide contract;
 /// cross-shard ingest only changes *when* shards run, never what they see),
 /// and S == 1 delegates straight to the single OnlineAlid, bit for bit.
 ///
@@ -68,7 +68,7 @@ class ShardedStream {
   /// the same bytes always land on the same shard.
   static uint64_t PartitionKey(std::span<const Scalar> point);
 
-  /// Shard owning a partition key: SplitMix64(key ^ salt) mod num_shards.
+  /// Shard owning a partition key: SplitMix64(key) mod num_shards.
   int ShardOf(uint64_t partition_key) const;
 
   /// Batch ingest: `points` holds count * dim scalars, row-major, in

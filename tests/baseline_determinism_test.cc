@@ -1,9 +1,8 @@
 // Determinism regression tests for the parallelized baselines: every
 // baseline running on ThreadPool::ParallelFor must produce bit-identical
-// labels/centroids/weights across executor counts {1, 2, 4, 8}, chunk
-// grains, FIFO-vs-stealing scheduling, and against the serial (pool-less)
-// path — the same guarantee PALID's runtime makes, so Table 1 / Figure 7
-// comparisons stay apples-to-apples.
+// labels/centroids/weights across executor counts {1, 2, 4, 8} and against
+// the serial (pool-less) path — the same guarantee PALID's runtime makes, so
+// Table 1 / Figure 7 comparisons stay apples-to-apples.
 #include <functional>
 #include <memory>
 #include <vector>
@@ -38,38 +37,28 @@ LabeledData Workload(Index n = 400, int clusters = 2, uint64_t seed = 31) {
   return MakeSynthetic(cfg);
 }
 
-/// Runs `run` under every scheduling configuration the runtime supports and
-/// checks each result equals the serial reference via `expect_equal`. The
-/// grain is fixed across configurations (it is part of the FP reduction
-/// order); a second sweep with a different fixed grain re-checks at other
-/// chunk boundaries.
+/// Runs `run` serially and on pools of 1, 2, 4 and 8 executors and checks
+/// each pooled result equals the serial reference via `expect_equal`.
 template <typename Result>
 void ExpectSchedulingInvariant(
-    const std::function<Result(ThreadPool*, int64_t grain)>& run,
+    const std::function<Result(ThreadPool*)>& run,
     const std::function<void(const Result&, const Result&)>& expect_equal) {
-  for (int64_t grain : {0, 7, 64}) {
-    const Result reference = run(nullptr, grain);
-    for (int executors : {1, 2, 4, 8}) {
-      for (bool stealing : {true, false}) {
-        ThreadPool pool(executors, {.work_stealing = stealing});
-        const Result parallel = run(&pool, grain);
-        SCOPED_TRACE(::testing::Message()
-                     << "executors=" << executors << " stealing=" << stealing
-                     << " grain=" << grain);
-        expect_equal(reference, parallel);
-      }
-    }
+  const Result reference = run(nullptr);
+  for (int executors : {1, 2, 4, 8}) {
+    ThreadPool pool(executors);
+    const Result parallel = run(&pool);
+    SCOPED_TRACE(::testing::Message() << "executors=" << executors);
+    expect_equal(reference, parallel);
   }
 }
 
 TEST(BaselineDeterminismTest, KMeansBitIdenticalAcrossExecutors) {
   LabeledData data = Workload();
   ExpectSchedulingInvariant<KMeansResult>(
-      [&](ThreadPool* pool, int64_t grain) {
+      [&](ThreadPool* pool) {
         KMeansOptions opts;
         opts.restarts = 2;
         opts.pool = pool;
-        opts.grain = grain;
         return RunKMeans(data.data, 3, opts);
       },
       [](const KMeansResult& a, const KMeansResult& b) {
@@ -84,11 +73,10 @@ TEST(BaselineDeterminismTest, KMeansBitIdenticalAcrossExecutors) {
 TEST(BaselineDeterminismTest, MeanShiftBitIdenticalAcrossExecutors) {
   LabeledData data = Workload(260);
   ExpectSchedulingInvariant<MeanShiftResult>(
-      [&](ThreadPool* pool, int64_t grain) {
+      [&](ThreadPool* pool) {
         MeanShiftOptions opts;
         opts.max_ascents = 80;  // exercises the nearest-mode assignment too
         opts.pool = pool;
-        opts.grain = grain;
         return RunMeanShift(data.data, opts);
       },
       [](const MeanShiftResult& a, const MeanShiftResult& b) {
@@ -101,11 +89,10 @@ TEST(BaselineDeterminismTest, SpectralFullBitIdenticalAcrossExecutors) {
   LabeledData data = Workload(180, 3);
   AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
   ExpectSchedulingInvariant<SpectralResult>(
-      [&](ThreadPool* pool, int64_t grain) {
+      [&](ThreadPool* pool) {
         SpectralOptions opts;
         opts.num_clusters = 3;
         opts.pool = pool;
-        opts.grain = grain;
         return SpectralClusterFull(data.data, affinity, opts);
       },
       [](const SpectralResult& a, const SpectralResult& b) {
@@ -117,12 +104,11 @@ TEST(BaselineDeterminismTest, SpectralNystromBitIdenticalAcrossExecutors) {
   LabeledData data = Workload(200, 3);
   AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
   ExpectSchedulingInvariant<SpectralResult>(
-      [&](ThreadPool* pool, int64_t grain) {
+      [&](ThreadPool* pool) {
         SpectralOptions opts;
         opts.num_clusters = 3;
         opts.nystrom_landmarks = 60;
         opts.pool = pool;
-        opts.grain = grain;
         return SpectralClusterNystrom(data.data, affinity, opts);
       },
       [](const SpectralResult& a, const SpectralResult& b) {
@@ -135,11 +121,10 @@ TEST(BaselineDeterminismTest, ApBitIdenticalAcrossExecutors) {
   AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
   AffinityMatrix matrix(data.data, affinity);
   ExpectSchedulingInvariant<DetectionResult>(
-      [&](ThreadPool* pool, int64_t grain) {
+      [&](ThreadPool* pool) {
         ApOptions opts;
         opts.max_iterations = 120;
         opts.pool = pool;
-        opts.grain = grain;
         return ApDetector(AffinityView(&matrix.matrix()), opts).Detect();
       },
       ExpectIdenticalDetections);
@@ -154,10 +139,9 @@ TEST(BaselineDeterminismTest, SeaBitIdenticalAcrossExecutors) {
   ASSERT_GT(static_cast<int>(data.true_clusters[0].size()),
             SeaOptions::kMinParallelSupport);
   ExpectSchedulingInvariant<DetectionResult>(
-      [&](ThreadPool* pool, int64_t grain) {
+      [&](ThreadPool* pool) {
         SeaOptions opts;
         opts.pool = pool;
-        opts.grain = grain;
         return SeaDetector(AffinityView(&sparse), opts).DetectAll();
       },
       ExpectIdenticalDetections);

@@ -1,6 +1,6 @@
 // Determinism regression tests for the parallel runtime: PALID's output must
-// be bit-identical across executor counts, chunk sizes and scheduling
-// disciplines, and so must its kernel-evaluation count.
+// be bit-identical across executor counts and schedules, and so must its
+// kernel-evaluation count.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -49,32 +49,6 @@ TEST(DeterminismTest, IdenticalAcrossExecutorCounts) {
   ASSERT_FALSE(r1.clusters.empty());
   ExpectIdentical(r1, fx.Detect(four));
   ExpectIdentical(r1, fx.Detect(eight));
-}
-
-TEST(DeterminismTest, IdenticalAcrossChunkSizes) {
-  LabeledData data = Workload();
-  Fixture fx(data);
-  PalidOptions fine;
-  fine.num_executors = 4;
-  fine.chunk_size = 1;
-  PalidOptions coarse;
-  coarse.num_executors = 4;
-  coarse.chunk_size = 64;
-  PalidOptions automatic;
-  automatic.num_executors = 4;
-  ExpectIdentical(fx.Detect(fine), fx.Detect(coarse));
-  ExpectIdentical(fx.Detect(fine), fx.Detect(automatic));
-}
-
-TEST(DeterminismTest, IdenticalUnderFifoAblation) {
-  LabeledData data = Workload();
-  Fixture fx(data);
-  PalidOptions stealing;
-  stealing.num_executors = 4;
-  PalidOptions fifo;
-  fifo.num_executors = 4;
-  fifo.work_stealing = false;
-  ExpectIdentical(fx.Detect(stealing), fx.Detect(fifo));
 }
 
 // No affinity state survives between detections (the shared column cache

@@ -81,7 +81,8 @@ TEST(LshIndexTest, QueryByPointMatchesQueryByIndexBuckets) {
   // Querying with an item's own coordinates returns its bucket mates (and
   // possibly the item itself).
   auto by_index = lsh.QueryByIndex(5);
-  auto by_point = lsh.QueryByPoint(data.data[5]);
+  std::vector<Index> by_point;
+  lsh.QueryByPoint(data.data[5], &by_point);
   std::set<Index> a(by_index.begin(), by_index.end());
   std::set<Index> b(by_point.begin(), by_point.end());
   b.erase(5);
@@ -151,13 +152,29 @@ INSTANTIATE_TEST_SUITE_P(SegmentScales, LshSegmentLengthProperty,
 TEST(LshIndexTest, PointQueryOutParamMatchesAllocatingForm) {
   LabeledData data = TightClusters();
   LshIndex lsh(data.data, DefaultParams(data));
+  const int tables = lsh.num_tables();
+  // The allocating reference: a scan of every item's keys against the
+  // point's, table by table.
+  std::vector<uint64_t> item_keys(static_cast<size_t>(data.size()) * tables);
+  for (Index j = 0; j < data.size(); ++j) {
+    lsh.ComputeItemKeys(j, &item_keys[static_cast<size_t>(j) * tables]);
+  }
+  std::vector<uint64_t> point_keys(static_cast<size_t>(tables));
   std::vector<Index> out;
   for (Index i = 0; i < 25; ++i) {
     lsh.QueryByPoint(data.data[i], &out);
-    auto allocated = lsh.QueryByPoint(data.data[i]);
+    lsh.ComputePointKeys(data.data[i], point_keys.data());
+    std::vector<Index> allocated;
+    for (Index j = 0; j < data.size(); ++j) {
+      for (int t = 0; t < tables; ++t) {
+        if (item_keys[static_cast<size_t>(j) * tables + t] == point_keys[t]) {
+          allocated.push_back(j);
+          break;
+        }
+      }
+    }
     auto sorted = out;
     std::sort(sorted.begin(), sorted.end());
-    std::sort(allocated.begin(), allocated.end());
     EXPECT_EQ(sorted, allocated) << "point " << i;
     // Repeated calls re-use the scratch and stay self-consistent.
     std::vector<Index> again;

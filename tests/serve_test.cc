@@ -164,22 +164,27 @@ TEST(ServeTest, BatchedParallelQueriesBitIdenticalToSerial) {
     expected.push_back(one.assignments.front());
   }
   // Bit-identity of the whole result — cluster, affinity, margin bits and
-  // the per-batch generation — across pool widths, scheduling and grains.
+  // the per-batch generation — across pool widths and request sizes 1, 31,
+  // 32, 33 and all points, so every chunking of a request on a pool,
+  // ragged last chunk included, answers like its points one by one.
   const QueryResponse no_pool = serial.Query({.points = queries});
   EXPECT_TRUE(no_pool.ok());
   EXPECT_EQ(no_pool.generation, snap->generation());
   EXPECT_EQ(no_pool.assignments, expected);
   for (int executors : {2, 4, 8}) {
-    for (bool stealing : {true, false}) {
-      for (int64_t grain : {int64_t{0}, int64_t{1}, int64_t{7}}) {
-        ThreadPool pool(executors, {.work_stealing = stealing});
-        ClusterServer server(dim, {.pool = &pool, .grain = grain});
-        server.Publish(snap);
-        SCOPED_TRACE(testing::Message()
-                     << "executors=" << executors << " stealing=" << stealing
-                     << " grain=" << grain);
-        EXPECT_EQ(server.Query({.points = queries}).assignments, expected);
-      }
+    ThreadPool pool(executors);
+    ClusterServer server(dim, {.pool = &pool});
+    server.Publish(snap);
+    for (const Index size :
+         {Index{1}, Index{31}, Index{32}, Index{33}, count}) {
+      SCOPED_TRACE(testing::Message()
+                   << "executors=" << executors << " size=" << size);
+      const QueryResponse response = server.Query(
+          {.points = std::span<const Scalar>(queries).first(
+               static_cast<size_t>(size) * dim)});
+      EXPECT_EQ(response.assignments,
+                std::vector<QueryOutcome>(expected.begin(),
+                                          expected.begin() + size));
     }
   }
   // The sweep exercised real assignments, not a wall of -1s.
@@ -477,7 +482,7 @@ TEST(ServeTest, HugeFiniteCoordinatesAnswerAlikeThroughEveryEntryPoint) {
   // Coordinates far outside the data push the LSH projections past the
   // int32 bucket range (and, at the largest magnitudes, to inf or NaN):
   // the hash saturates instead of converting out of range, and Assign,
-  // AssignBatch and Query still give one answer per point.
+  // Query and the top-k query still give one answer per point.
   LabeledData data = Workload(300, 19);
   const std::vector<Index> order = ShuffledOrder(data);
   auto online = FeedStream(data, order, 260, StreamOptions(data));
@@ -498,8 +503,6 @@ TEST(ServeTest, HugeFiniteCoordinatesAnswerAlikeThroughEveryEntryPoint) {
   for (int d = 0; d < dim; ++d) queries.push_back(d % 2 == 0 ? kMax : -kMax);
   const Index count = static_cast<Index>(queries.size()) / dim;
 
-  std::vector<QueryOutcome> batch(static_cast<size_t>(count));
-  snap->AssignBatch(queries, batch);
   ClusterServer server(dim);
   server.Publish(snap);
   const QueryResponse all = server.Query({.points = queries});
@@ -512,7 +515,6 @@ TEST(ServeTest, HugeFiniteCoordinatesAnswerAlikeThroughEveryEntryPoint) {
         std::span<const Scalar>(queries).subspan(
             static_cast<size_t>(q) * dim, static_cast<size_t>(dim));
     const QueryOutcome single = snap->Assign(point);
-    EXPECT_EQ(batch[q], single);
     EXPECT_EQ(all.assignments[q], single);
     EXPECT_EQ(server.Query({.points = point}).assignments.front(), single);
     EXPECT_EQ(ranked.ranked[q], snap->TopKClusters(point, 3));
@@ -551,9 +553,12 @@ TEST(ServeTest, StatsCountQueriesAndLatencies) {
   EXPECT_GT(stats.qps, 0.0);
   // One latency sample per call: 20 singles + 1 batch.
   EXPECT_EQ(stats.query_seconds.size(), 21u);
-  int total = 0;
-  for (int bin : stats.LatencyHistogram(4)) total += bin;
-  EXPECT_EQ(total, 21);
+  const std::vector<obs::MetricSample> samples = server.metrics().Snapshot();
+  const auto latency = std::find_if(
+      samples.begin(), samples.end(),
+      [](const obs::MetricSample& m) { return m.name == "query_seconds"; });
+  ASSERT_NE(latency, samples.end());
+  EXPECT_EQ(latency->count, 21);
 
   server.ResetStats();
   const ServeStatsView reset = server.stats();

@@ -1,6 +1,6 @@
 // Contracts of the sharded runtime (src/shard/): S == 1 is bit-identical to
 // a plain OnlineAlid, a fixed shard count is bit-identical across executor
-// counts / grains / scheduling (the partition is a pure function of the
+// counts and schedules (the partition is a pure function of the
 // stream, never of the schedule), the router's fan-out merge equals the
 // serial per-shard merge with the ascending-(shard, cluster) tie-break over
 // the generation's one cluster-id space, a hot publisher never tears a
@@ -255,24 +255,17 @@ TEST(ShardTest, FixedShardCountIsBitIdenticalAcrossSchedules) {
   ASSERT_EQ(populated, num_shards);
 
   for (int executors : {1, 8}) {
-    for (bool stealing : {true, false}) {
-      for (int64_t grain : {int64_t{1}, int64_t{64}}) {
-        ThreadPool pool(executors, {.work_stealing = stealing});
-        ShardedStreamOptions opts = serial;
-        opts.base.pool = &pool;
-        opts.base.grain = grain;
-        std::vector<ShardSlot> slots;
-        std::unique_ptr<ShardedStream> streamed =
-            RunSharded(data, opts, batch, &slots);
-        SCOPED_TRACE(testing::Message()
-                     << "executors=" << executors << " stealing=" << stealing
-                     << " grain=" << grain);
-        EXPECT_EQ(slots, baseline_slots);
-        for (int s = 0; s < num_shards; ++s) {
-          SCOPED_TRACE(testing::Message() << "shard=" << s);
-          ExpectIdenticalStreams(baseline->shard(s), streamed->shard(s));
-        }
-      }
+    ThreadPool pool(executors);
+    ShardedStreamOptions opts = serial;
+    opts.base.pool = &pool;
+    std::vector<ShardSlot> slots;
+    std::unique_ptr<ShardedStream> streamed =
+        RunSharded(data, opts, batch, &slots);
+    SCOPED_TRACE(testing::Message() << "executors=" << executors);
+    EXPECT_EQ(slots, baseline_slots);
+    for (int s = 0; s < num_shards; ++s) {
+      SCOPED_TRACE(testing::Message() << "shard=" << s);
+      ExpectIdenticalStreams(baseline->shard(s), streamed->shard(s));
     }
   }
 }

@@ -466,33 +466,5 @@ TEST(SimdServeTest, AssignAndTopKBitIdenticalAcrossIsaPaths) {
   }
 }
 
-// AssignBatch only reorders the work query-major; winner, affinity and
-// margin must match a standalone Assign of every point — including ragged
-// batch sizes that do not fill the query block.
-TEST(SimdServeTest, AssignBatchBitIdenticalToPerQueryAssign) {
-  LabeledData data = Workload(460, 23);
-  auto online =
-      RunStream(data, StreamOptions(data), 37, ArrivalMix(data, 0));
-  const auto snap = ClusterSnapshot::FromStream(*online);
-  const int dim = data.data.dim();
-  const std::vector<Scalar> queries = ServeQueries(data, 300);
-  const Index count = static_cast<Index>(queries.size()) / dim;
-
-  for (const Index take : {Index{1}, Index{31}, Index{32}, Index{33}, count}) {
-    const std::span<const Scalar> points(queries.data(),
-                                         static_cast<size_t>(take) * dim);
-    std::vector<QueryOutcome> batch(take);
-    snap->AssignBatch(points, batch);
-    for (Index q = 0; q < take; ++q) {
-      SCOPED_TRACE(testing::Message() << "take=" << take);
-      ExpectSameOutcome(batch[q], snap->Assign(points.subspan(q * dim, dim)),
-                        q);
-    }
-  }
-  // Empty batch is a no-op, not a crash.
-  std::vector<QueryOutcome> none;
-  snap->AssignBatch(std::span<const Scalar>(), none);
-}
-
 }  // namespace
 }  // namespace alid

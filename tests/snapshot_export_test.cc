@@ -156,7 +156,9 @@ void ExpectCandidatesMatchMemberIndex(const Dataset& data,
   int64_t with_candidates = 0;
   for (size_t q = 0; q < probes.size(); ++q) {
     std::vector<int> expected;
-    for (const Index j : eager.QueryByPoint(probes[q])) {
+    std::vector<Index> colliding;
+    eager.QueryByPoint(probes[q], &colliding);
+    for (const Index j : colliding) {
       expected.push_back(cluster_of[static_cast<size_t>(j)]);
     }
     std::sort(expected.begin(), expected.end());

@@ -103,7 +103,6 @@ TEST(StressTest, KMeansObjectiveMonotoneUnderParallelReduction) {
     LabeledData data = RandomWorkload(rng);
     KMeansOptions opts;
     opts.seed = rng.engine()();
-    opts.grain = static_cast<int64_t>(rng.UniformInt(1, 128));
     opts.pool = trial % 2 == 0 ? &pool : nullptr;  // parallel and serial
     const int k = static_cast<int>(rng.UniformInt(2, 8));
     KMeansResult result = RunKMeans(data.data, k, opts);

@@ -1,8 +1,8 @@
-// Tests of the work-stealing executor pool: future-returning Submit,
-// ParallelFor coverage, Wait semantics, the FIFO ablation mode, and nested
-// posting from inside workers.
+// Tests of the work-stealing executor pool: ParallelFor coverage, Wait
+// semantics, stealing under imbalance, and nested posting from inside
+// workers.
 #include <atomic>
-#include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,25 +11,6 @@
 
 namespace alid {
 namespace {
-
-TEST(ThreadPoolTest, SubmitReturnsFutureResults) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  int sum = 0;
-  for (auto& f : futures) sum += f.get();
-  int expected = 0;
-  for (int i = 0; i < 64; ++i) expected += i * i;
-  EXPECT_EQ(sum, expected);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesNonTrivialTypes) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { return std::vector<int>{1, 2, 3}; });
-  EXPECT_EQ(f.get(), (std::vector<int>{1, 2, 3}));
-}
 
 TEST(ThreadPoolTest, WaitDrainsAllPostedJobs) {
   ThreadPool pool(3);
@@ -48,9 +29,12 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   constexpr int64_t kN = 10'000;
   std::vector<std::atomic<int>> visits(kN);
-  pool.ParallelFor(0, kN, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
-  });
+  pool.ParallelFor(
+      0, kN,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
+      },
+      /*grain=*/125);
   for (int64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(visits[i].load(), 1) << "index " << i;
   }
@@ -68,24 +52,8 @@ TEST(ThreadPoolTest, ParallelForRespectsGrainAndEmptyRange) {
       /*grain=*/7);
   EXPECT_EQ(sum.load(), (104 + 5) * 100 / 2);
   // Empty and reversed ranges are no-ops.
-  pool.ParallelFor(3, 3, [&](int64_t, int64_t) { FAIL(); });
-  pool.ParallelFor(4, 1, [&](int64_t, int64_t) { FAIL(); });
-}
-
-TEST(ThreadPoolTest, FifoModeRunsInSubmissionOrder) {
-  // The paper-faithful ablation: one worker, one FIFO queue — jobs observe
-  // strict submission order (the work-stealing pool pops its own deque LIFO
-  // instead, so this property is specific to the ablation mode).
-  ThreadPool pool(1, {.work_stealing = false});
-  std::vector<int> order;
-  for (int i = 0; i < 50; ++i) {
-    pool.Post([&order, i] { order.push_back(i); });
-  }
-  pool.Wait();
-  std::vector<int> expected(50);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-  EXPECT_EQ(pool.steal_count(), 0);
+  pool.ParallelFor(3, 3, [&](int64_t, int64_t) { FAIL(); }, /*grain=*/1);
+  pool.ParallelFor(4, 1, [&](int64_t, int64_t) { FAIL(); }, /*grain=*/1);
 }
 
 TEST(ThreadPoolTest, WorkStealingExecutesEverythingUnderImbalance) {

@@ -105,9 +105,9 @@ def main():
             name = ",".join(f"{k}={v}" for k, v in key) or "rows"
             if len(widths) < 2:
                 # A deliberate single configuration (an ablation row like
-                # PALID-FIFO, the serve swap-under-load run) — nothing to
-                # ratio; the record-level check below still demands a real
-                # sweep somewhere in the record.
+                # the serve swap-under-load run) — nothing to ratio; the
+                # record-level check below still demands a real sweep
+                # somewhere in the record.
                 print(f"note {bench}/{name}: single width "
                       f"{sorted(widths)} (not a sweep)")
                 continue
