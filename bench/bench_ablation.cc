@@ -1,4 +1,5 @@
-// Ablation bench — the design choices DESIGN.md §5 calls out, measured:
+// Ablation bench — the design choices of ALID (Section 4) and of the
+// streaming runtime, measured:
 //   1. ROI growth schedule: logistic theta(c) (paper) vs jump-to-outer-ball.
 //   2. CIVS query strategy: all support points (paper) vs center-only.
 //   3. Lazy column oracle vs materializing the full matrix (entries touched).
@@ -71,7 +72,7 @@ void Run(BenchContext& ctx) {
                 "  radius), so jumping to the outer ball converges in fewer\n"
                 "  outer iterations and scans *less*. The paper's schedule\n"
                 "  pays off when the ROI scan is a true spatial range query\n"
-                "  (cost grows with radius); see EXPERIMENTS.md.\n");
+                "  (cost grows with radius).\n");
   }
 
   PrintHeader("2. CIVS query strategy (Fig. 4)");

@@ -114,12 +114,15 @@ ShardRow RunSharded(const LabeledData& data,
 
   const int dim = data.data.dim();
   const Index count = static_cast<Index>(arrivals.size()) / dim;
+  std::vector<double> batch_seconds;
   WallTimer timer;
   for (Index begin = 0; begin < count; begin += batch) {
     const Index size = std::min<Index>(batch, count - begin);
+    WallTimer batch_timer;
     stream->InsertBatch(std::span<const Scalar>(
         arrivals.data() + static_cast<size_t>(begin) * dim,
         static_cast<size_t>(size) * dim));
+    batch_seconds.push_back(batch_timer.Seconds());
   }
   stream->Refresh();
   row.wall_seconds = timer.Seconds();
@@ -130,8 +133,8 @@ ShardRow RunSharded(const LabeledData& data,
       row.wall_seconds > 0.0
           ? static_cast<double>(stats.arrivals) / row.wall_seconds
           : 0.0;
-  row.p50_batch_seconds = Percentile(stats.batch_seconds, 0.50);
-  row.p95_batch_seconds = Percentile(stats.batch_seconds, 0.95);
+  row.p50_batch_seconds = Percentile(batch_seconds, 0.50);
+  row.p95_batch_seconds = Percentile(batch_seconds, 0.95);
   row.absorbed = stats.absorbed;
   row.evicted = stats.evicted;
   row.clusters = stats.clusters_alive;

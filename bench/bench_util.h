@@ -1,10 +1,10 @@
 #ifndef ALID_BENCH_BENCH_UTIL_H_
 #define ALID_BENCH_BENCH_UTIL_H_
 
-// Shared harness for the per-figure/per-table bench binaries. Each binary
-// prints the rows/series of one paper artifact (see DESIGN.md §4). Sizes are
-// laptop-friendly by default; set ALID_BENCH_SCALE >= 1 to enlarge them
-// toward the paper's grids.
+// Shared harness for the per-figure/per-table benchmarks. Each one prints
+// the rows/series of one paper artifact (Tables 1-2, Figs. 6-11; see the
+// README's "Benchmarks" section). Sizes are laptop-friendly by default; set
+// ALID_BENCH_SCALE >= 1 to enlarge them toward the paper's grids.
 
 #include <algorithm>
 #include <cmath>

@@ -5,8 +5,8 @@
 #include <cstdlib>
 
 // Contract-violation macros. The library does not use exceptions across its
-// public API (see DESIGN.md); programmer errors abort with a source location,
-// runtime fallibility is expressed with std::optional / status booleans.
+// public API: programmer errors abort with a source location, and runtime
+// fallibility is expressed with std::optional / status booleans.
 
 #define ALID_CHECK(cond)                                                     \
   do {                                                                       \

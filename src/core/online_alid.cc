@@ -36,12 +36,8 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   metrics_.refresh_entries = registry.AddCounter("refresh_entries");
   metrics_.alive = registry.AddGauge("alive");
   metrics_.clusters_alive = registry.AddGauge("clusters_alive");
-  // Every batch latency the bounded reservoir samples also lands in a
-  // fixed-bucket histogram, so the ingest profile ships through the JSON /
-  // Prometheus exporters (ingest_seconds_count / _sum and the le buckets)
-  // instead of living only in the in-process percentile window.
-  metrics_.batch_seconds.AttachHistogram(
-      registry.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges()));
+  metrics_.ingest_seconds =
+      registry.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges());
   // The shared pool (when set) must outlive this stream — already the
   // standing usage contract, since every batch runs phases on it.
   if (options_.pool != nullptr) {
@@ -61,7 +57,6 @@ StreamStats OnlineAlid::stats() const {
   s.clusters_dissolved = metrics_.clusters_dissolved->value();
   s.alive = static_cast<Index>(metrics_.alive->value());
   s.clusters_alive = static_cast<int>(metrics_.clusters_alive->value());
-  s.batch_seconds = metrics_.batch_seconds.Samples();
   return s;
 }
 
@@ -175,7 +170,7 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   const bool refresh_pool = since_refresh_ >= options_.refresh_interval;
   since_refresh_ %= options_.refresh_interval;
   EndPass(refresh_pool);
-  metrics_.batch_seconds.Record(timer.Seconds());
+  metrics_.ingest_seconds->Observe(timer.Seconds());
   return slots;
 }
 
@@ -207,7 +202,7 @@ int OnlineAlid::ScoreArrival(Index slot) const {
   const std::span<const Scalar> query = data_[slot];
   Scalar best_margin = -std::numeric_limits<Scalar>::infinity();
   for (size_t c = 0; c < clusters_.size(); ++c) {
-    if (candidate[c] == 0 || cluster_dead_[c] != 0) continue;
+    if (candidate[c] == 0) continue;
     // Batch-start state: every scorer was rebuilt at the previous batch end.
     ALID_DCHECK(scorers_[c] != nullptr &&
                 scorers_[c]->version == cluster_version_[c]);
@@ -307,8 +302,8 @@ void OnlineAlid::RedetectCluster(int cluster_id, const IndexList& newcomers) {
     return;
   }
   // The cluster dissolved (e.g., it was marginal and the newcomers pulled
-  // the dynamics elsewhere): mark it dead; CompactClusters erases it at the
-  // end of the batch so same-batch cluster ids stay stable.
+  // the dynamics elsewhere): empty it; CompactClusters erases it at the end
+  // of the batch so same-batch cluster ids stay stable.
   DissolveCluster(cluster_id);
 }
 
@@ -344,8 +339,8 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
   // pool, so its FP grouping is the same for every executor count.
   int merge_with = -1;
   for (size_t e = 0; e < clusters_.size(); ++e) {
-    if (cluster_dead_[e] != 0) continue;
     const Cluster& cl = clusters_[e];
+    if (cl.members.empty()) continue;  // dissolved earlier in this pass
     const Scalar cross = ParallelSum(
         options_.pool, 0, static_cast<int64_t>(c.members.size()),
         /*grain=*/0, [&](int64_t lo, int64_t hi) {
@@ -387,7 +382,6 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
   }
   clusters_.push_back(std::move(c));
   cluster_version_.push_back(0);
-  cluster_dead_.push_back(0);
   cluster_uid_.push_back(next_cluster_uid_++);
   scorers_.emplace_back();
   Assign(static_cast<int>(clusters_.size()) - 1);
@@ -430,16 +424,16 @@ void OnlineAlid::DissolveCluster(int cluster_id) {
   clusters_[cluster_id].members.clear();
   clusters_[cluster_id].weights.clear();
   clusters_[cluster_id].density = 0.0;
-  cluster_dead_[cluster_id] = 1;
   ++cluster_version_[cluster_id];
   metrics_.clusters_dissolved->Add(1);
 }
 
 void OnlineAlid::CompactClusters() {
-  if (std::find(cluster_dead_.begin(), cluster_dead_.end(), uint8_t{1}) ==
-      cluster_dead_.end()) {
-    return;
-  }
+  // A cluster is dead exactly when DissolveCluster emptied it: every live
+  // cluster leaves RedetectCluster or InstallPoolCluster with a non-empty
+  // support (an ALID optimum keeps at least one positive weight).
+  const auto dead = [](const Cluster& c) { return c.members.empty(); };
+  if (std::none_of(clusters_.begin(), clusters_.end(), dead)) return;
   std::vector<int> remap(clusters_.size(), -1);
   std::vector<Cluster> kept;
   std::vector<uint64_t> kept_versions;
@@ -447,7 +441,7 @@ void OnlineAlid::CompactClusters() {
   std::vector<std::shared_ptr<const ClusterScorer>> kept_scorers;
   kept.reserve(clusters_.size());
   for (size_t c = 0; c < clusters_.size(); ++c) {
-    if (cluster_dead_[c] != 0) continue;
+    if (dead(clusters_[c])) continue;
     remap[c] = static_cast<int>(kept.size());
     kept.push_back(std::move(clusters_[c]));
     kept_versions.push_back(cluster_version_[c]);
@@ -458,7 +452,7 @@ void OnlineAlid::CompactClusters() {
   cluster_version_ = std::move(kept_versions);
   cluster_uid_ = std::move(kept_uids);
   scorers_ = std::move(kept_scorers);
-  cluster_dead_.assign(clusters_.size(), 0);
+  ALID_DCHECK(std::none_of(clusters_.begin(), clusters_.end(), dead));
   for (int& a : assignment_) {
     if (a >= 0) a = remap[a];  // dead clusters hold no assignments
   }

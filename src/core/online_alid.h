@@ -9,7 +9,6 @@
 
 #include "core/alid.h"
 #include "core/cluster_scorer.h"
-#include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
 
 namespace alid {
@@ -51,7 +50,7 @@ struct OnlineAlidOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// Counters and per-batch ingest latencies of one OnlineAlid stream — the
+/// Counters of one OnlineAlid stream — the
 /// streaming counterpart of PalidStats. Since the observability layer
 /// landed this is a thin view materialized from the stream's per-instance
 /// obs::MetricsRegistry (OnlineAlid::metrics()), kept so no caller breaks.
@@ -78,12 +77,8 @@ struct StreamStats {
   int64_t refresh_conflicts = 0;
   Index alive = 0;         ///< Live items (inside the window).
   int clusters_alive = 0;  ///< Current dominant clusters.
-  /// Wall seconds of the most recent InsertBatch calls, in call order —
-  /// bounded at kMaxLatencySamples (oldest halved away) so a long-lived
-  /// stream's stats footprint stays bounded like everything else.
-  std::vector<double> batch_seconds;
-
-  static constexpr size_t kMaxLatencySamples = 8192;
+  // InsertBatch wall seconds live in the registry's `ingest_seconds`
+  // histogram (one observation per non-empty batch).
 };
 
 /// OnlineAlid — the "online version to efficiently process streaming data
@@ -256,9 +251,6 @@ class OnlineAlid {
   // parallel scoring phase and FromStream exports only ever read fresh
   // ones.
   std::vector<std::shared_ptr<const ClusterScorer>> scorers_;
-  // Dissolved-in-this-batch markers; compacted away at batch end so public
-  // cluster ids stay dense.
-  std::vector<uint8_t> cluster_dead_;
   std::vector<int> assignment_;   // slot -> cluster id or -1
   std::vector<uint8_t> alive_;    // slot -> live?
   // Expired slots, descending, so the smallest is an O(1) pop_back away.
@@ -268,9 +260,9 @@ class OnlineAlid {
 
   // The stream counters re-homed onto a per-instance registry (StreamStats
   // is materialized from these): relaxed-atomic Adds in the serial apply
-  // phases, pool telemetry as callback gauges, batch latencies in the
-  // shared bounded reservoir. Wired in the constructor; pointers are stable
-  // for the stream's lifetime.
+  // phases, pool telemetry as callback gauges, batch latencies in a
+  // histogram. Wired in the constructor; pointers are stable for the
+  // stream's lifetime.
   struct StreamInstruments {
     obs::MetricsRegistry registry;
     obs::Counter* arrivals = nullptr;
@@ -288,7 +280,7 @@ class OnlineAlid {
     obs::Counter* refresh_entries = nullptr;
     obs::Gauge* alive = nullptr;
     obs::Gauge* clusters_alive = nullptr;
-    obs::LatencyReservoir batch_seconds{StreamStats::kMaxLatencySamples};
+    obs::Histogram* ingest_seconds = nullptr;
   };
   StreamInstruments metrics_;
 };

@@ -134,30 +134,22 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
     steals = pool->steal_count() - steals_before;
   }
 
-  // Reduce: each item goes to its maximum-density containing cluster; a
-  // cluster survives iff it wins at least one item. Duplicate detections of
+  // Reduce: each item goes to its maximum-density containing cluster (the
+  // DetectionResult::Assignment rule, first cluster on ties); a cluster
+  // survives iff it wins at least one item. Duplicate detections of
   // the same dominant cluster collapse to one survivor. `raw` is in seed
   // order, so survivors come out deterministically too.
   const Index n = oracle_->size();
   DetectionResult result;
   {
     ALID_TRACE_SCOPE("palid", "reduce");
-    std::vector<int> best_cluster(n, -1);
-    std::vector<Scalar> best_density(n, -1.0);
-    for (size_t c = 0; c < raw.size(); ++c) {
-      for (Index i : raw[c].members) {
-        if (raw[c].density > best_density[i]) {
-          best_density[i] = raw[c].density;
-          best_cluster[i] = static_cast<int>(c);
-        }
-      }
+    DetectionResult all{std::move(raw)};
+    std::vector<bool> wins(all.clusters.size(), false);
+    for (int c : all.Assignment(n)) {
+      if (c >= 0) wins[c] = true;
     }
-    std::vector<bool> wins(raw.size(), false);
-    for (Index i = 0; i < n; ++i) {
-      if (best_cluster[i] >= 0) wins[best_cluster[i]] = true;
-    }
-    for (size_t c = 0; c < raw.size(); ++c) {
-      if (wins[c]) result.clusters.push_back(std::move(raw[c]));
+    for (size_t c = 0; c < all.clusters.size(); ++c) {
+      if (wins[c]) result.clusters.push_back(std::move(all.clusters[c]));
     }
   }
 

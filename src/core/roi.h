@@ -31,7 +31,7 @@ struct Roi {
 
   /// The ROI radius at ALID iteration c: R = R_in + theta(c)(R_out - R_in).
   /// With `logistic_growth` false the radius jumps straight to R_out (the
-  /// ablation of DESIGN.md §5).
+  /// ROI-growth ablation in bench/bench_ablation.cc).
   Scalar RadiusAt(int c, bool logistic_growth = true) const;
 };
 

@@ -11,7 +11,7 @@ namespace alid {
 /// data set holds 5,301 crawled Sina news articles as 350-dimensional LDA
 /// topic vectors: 13 hot events of 734 labeled articles total, plus 4,567
 /// daily-news items that form no dominant cluster. We reproduce the same
-/// shape synthetically (see DESIGN.md substitution table): each event is a
+/// shape synthetically in place of the crawled articles: each event is a
 /// tight mixture over a few topics, daily news are diffuse mixtures.
 struct NartLikeConfig {
   int num_events = 13;

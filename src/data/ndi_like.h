@@ -12,7 +12,7 @@ namespace alid {
 /// 57 near-duplicate groups of 11,951 images plus 97,864 diverse-content
 /// noise images; Sub-NDI is the 6-cluster / 1,420 + 8,520 subset used where
 /// AP cannot scale. Near-duplicate GIST descriptors are tight blobs in
-/// [0,1]^256, which is what we synthesize (DESIGN.md substitution table).
+/// [0,1]^256, which is what we synthesize in place of the real images.
 struct NdiLikeConfig {
   int num_groups = 57;
   /// Total near-duplicate images across groups (paper: 11,951).

@@ -127,7 +127,7 @@ class LshIndex {
       const;
 
   /// Mean collision-list length over items — a cheap recall/selectivity
-  /// diagnostic used by tests and EXPERIMENTS.md.
+  /// diagnostic used by tests and benches.
   double MeanCandidatesPerItem(int sample = 200, uint64_t seed = 7) const;
 
   /// Bytes of table + inverted-list storage (charged to MemoryTracker).

@@ -20,9 +20,6 @@ class Counter {
   void Add(int64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  /// Reset support for the thin-view Reset() paths (StreamStats/ServeStats);
-  /// exporters treat the value as monotone between resets.
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -66,6 +63,15 @@ class Histogram {
   std::atomic<int64_t> count_{0};
   std::atomic<double> sum_{0.0};
 };
+
+/// The exponential bucket edges every latency histogram in the runtime
+/// shares (1 microsecond to 1 second, a decade per bucket, +inf implicit):
+/// ingest batches, queries and publishes all land inside this span on any
+/// plausible host, and a shared layout keeps the Prometheus `le` labels
+/// comparable across subsystems.
+inline std::vector<double> LatencyHistogramEdges() {
+  return {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0};
+}
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 

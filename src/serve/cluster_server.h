@@ -212,10 +212,9 @@ class ClusterServer {
   int dim() const { return dim_; }
   const ClusterServerOptions& options() const { return options_; }
 
-  /// A consistent read of the serving counters (QPS, latency profile,
-  /// publish byte ledger, history-ring gauges, …).
+  /// A read of the serving counters (query counts, publish byte ledger,
+  /// history-ring gauges, …); latencies live in registry() histograms.
   ServeStatsView stats() const;
-  void ResetStats() { stats_.Reset(); }
 
   /// The per-instance instrument registry behind stats(): every serve
   /// counter (shard_fanout_queries counts points x shards per answered

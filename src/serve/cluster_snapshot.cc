@@ -236,12 +236,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
   return snap;
 }
 
-std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromDetection(
-    const Dataset& data, const DetectionResult& result,
-    const ClusterSnapshotOptions& options, uint64_t generation) {
-  return FromClusters(data, result.clusters, options, generation);
-}
-
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
     const OnlineAlid& stream, ThreadPool* pool,
     std::shared_ptr<const ClusterSnapshot> previous) {

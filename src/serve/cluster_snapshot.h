@@ -117,11 +117,6 @@ class ClusterSnapshot {
       const Dataset& data, std::span<const Cluster> clusters,
       const ClusterSnapshotOptions& options, uint64_t generation = 0);
 
-  /// Convenience overload for a DetectionResult.
-  static std::shared_ptr<const ClusterSnapshot> FromDetection(
-      const Dataset& data, const DetectionResult& result,
-      const ClusterSnapshotOptions& options, uint64_t generation = 0);
-
   /// Exports the live state of a stream. Affinity/LSH parameters and absorb
   /// slack are taken from the stream's own options, so
   /// Assign reproduces the stream's absorb decision bit for bit (and every

@@ -16,16 +16,11 @@ ServeStats::ServeStats()
       rows_reused_(registry_.AddCounter("rows_reused")),
       clusters_reused_(registry_.AddCounter("clusters_reused")),
       bytes_shared_(registry_.AddCounter("bytes_shared")),
-      bytes_copied_(registry_.AddCounter("bytes_copied")) {
-  // The bounded reservoirs mirror into registry histograms so the query and
-  // publish latency profiles ship through ToJsonFields()/ToPrometheusText()
-  // (query_seconds_count / _sum and the le buckets), not just the
-  // in-process percentile windows.
-  query_seconds_.AttachHistogram(
-      registry_.AddHistogram("query_seconds", obs::LatencyHistogramEdges()));
-  publish_seconds_.AttachHistogram(
-      registry_.AddHistogram("publish_seconds", obs::LatencyHistogramEdges()));
-}
+      bytes_copied_(registry_.AddCounter("bytes_copied")),
+      query_seconds_(registry_.AddHistogram("query_seconds",
+                                            obs::LatencyHistogramEdges())),
+      publish_seconds_(registry_.AddHistogram(
+          "publish_seconds", obs::LatencyHistogramEdges())) {}
 
 void ServeStats::RecordAssign(int64_t items, int64_t assigned, double seconds,
                               bool batch) {
@@ -39,7 +34,7 @@ void ServeStats::RecordAssign(int64_t items, int64_t assigned, double seconds,
   queries_->Add(items);
   assigned_->Add(assigned);
   if (items <= 0) return;
-  query_seconds_.Record(seconds / static_cast<double>(items));
+  query_seconds_->Observe(seconds / static_cast<double>(items));
 }
 
 void ServeStats::RecordPublish(bool has_build, double build_seconds,
@@ -51,7 +46,7 @@ void ServeStats::RecordPublish(bool has_build, double build_seconds,
   if (bytes_shared > 0) bytes_shared_->Add(bytes_shared);
   if (bytes_copied > 0) bytes_copied_->Add(bytes_copied);
   if (!has_build) return;
-  publish_seconds_.Record(build_seconds);
+  publish_seconds_->Observe(build_seconds);
 }
 
 ServeStatsView ServeStats::View() const {
@@ -70,37 +65,7 @@ ServeStatsView ServeStats::View() const {
   view.clusters_reused = clusters_reused_->value();
   view.bytes_shared = bytes_shared_->value();
   view.bytes_copied = bytes_copied_->value();
-  {
-    // The clock is read under mu_: Reset() rewrites the (non-atomic) start
-    // point under the same lock.
-    std::lock_guard<std::mutex> lock(mu_);
-    view.elapsed_seconds = since_.Seconds();
-  }
-  view.query_seconds = query_seconds_.Samples();
-  view.publish_seconds = publish_seconds_.Samples();
-  view.qps = view.elapsed_seconds > 0.0
-                 ? static_cast<double>(view.queries) / view.elapsed_seconds
-                 : 0.0;
   return view;
-}
-
-void ServeStats::Reset() {
-  single_queries_->Set(0);
-  batch_calls_->Set(0);
-  queries_->Set(0);
-  assigned_->Set(0);
-  topk_queries_->Set(0);
-  info_queries_->Set(0);
-  fanout_->Set(0);
-  snapshots_published_->Set(0);
-  rows_reused_->Set(0);
-  clusters_reused_->Set(0);
-  bytes_shared_->Set(0);
-  bytes_copied_->Set(0);
-  query_seconds_.Reset();
-  publish_seconds_.Reset();
-  std::lock_guard<std::mutex> lock(mu_);
-  since_.Reset();
 }
 
 }  // namespace alid

@@ -2,16 +2,12 @@
 #define ALID_SERVE_SERVE_STATS_H_
 
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
-#include "common/timer.h"
-#include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
 
 namespace alid {
 
-/// One consistent read of a ClusterServer's counters (ServeStats::View()) —
+/// One read of a ClusterServer's counters (ServeStats::View()) —
 /// the serving counterpart of PalidStats / StreamStats. Since the
 /// observability layer landed this is a thin view materialized from the
 /// server's obs::MetricsRegistry (ServeStats::registry()), kept so no
@@ -48,27 +44,16 @@ struct ServeStatsView {
   int64_t history_ring_bytes = 0;
   int generations_retained = 0;
   int64_t history_evictions = 0;
-  double elapsed_seconds = 0.0;  ///< Since server construction / Reset().
-  double qps = 0.0;              ///< queries / elapsed_seconds.
-  /// Mean per-query wall seconds of each recent query call
-  /// (a batch contributes one sample: call seconds / batch size), bounded
-  /// like StreamStats::batch_seconds so a long-lived server stays bounded.
-  std::vector<double> query_seconds;
-  /// Build seconds of each recently published snapshot (the publish-latency
-  /// profile of the ingest->publish->serve loop), bounded like
-  /// query_seconds.
-  std::vector<double> publish_seconds;
 };
 
-/// Thread-safe counters + bounded latency reservoirs behind a ClusterServer.
-/// The counters live as named instruments in a per-instance
-/// obs::MetricsRegistry (relaxed-atomic hot path, same cost as the old raw
-/// atomics); the latency reservoirs take one short lock per *call*, not per
-/// query, so a 64-wide batch pays it once.
+/// Lock-free counters and latency histograms behind a ClusterServer, all
+/// named instruments in a per-instance obs::MetricsRegistry (relaxed-atomic
+/// hot path). Latencies are registry histograms only: `query_seconds` gets
+/// one observation per assignment call (call seconds / points), and
+/// `publish_seconds` one per publish that carries a build. Callers that
+/// want percentiles time their own calls.
 class ServeStats {
  public:
-  static constexpr size_t kMaxLatencySamples = 8192;
-
   ServeStats();
 
   void RecordAssign(int64_t items, int64_t assigned, double seconds,
@@ -77,19 +62,16 @@ class ServeStats {
   void RecordInfo() { info_queries_->Add(1); }
   /// Per-shard sub-queries of one answered request (points x shards).
   void RecordFanout(int64_t subqueries) { fanout_->Add(subqueries); }
-  /// One publication: the snapshot's build latency joins the bounded
-  /// publish-latency reservoir (skipped when has_build is false — the
-  /// offline nullptr publish) and its incremental-export reuse/byte
-  /// counters accumulate.
+  /// One publication: the snapshot's build latency joins the
+  /// `publish_seconds` histogram (skipped when has_build is false — the
+  /// offline nullptr publish or a republish) and its incremental-export
+  /// reuse/byte counters accumulate.
   void RecordPublish(bool has_build, double build_seconds, int64_t rows_reused,
                      int64_t clusters_reused, int64_t bytes_shared,
                      int64_t bytes_copied);
 
-  /// A consistent copy of every counter plus derived QPS.
+  /// A copy of every counter (each load relaxed; unassigned clamped >= 0).
   ServeStatsView View() const;
-
-  /// Zeroes the counters, drops the latency samples, restarts the QPS clock.
-  void Reset();
 
   /// The instrument registry behind the view — ClusterServer adds its
   /// history-ring gauges here, and exporters read it as JSON/Prometheus.
@@ -110,10 +92,8 @@ class ServeStats {
   obs::Counter* clusters_reused_;
   obs::Counter* bytes_shared_;
   obs::Counter* bytes_copied_;
-  obs::LatencyReservoir query_seconds_{kMaxLatencySamples};
-  obs::LatencyReservoir publish_seconds_{kMaxLatencySamples};
-  mutable std::mutex mu_;  // guards since_ (Reset rewrites it)
-  WallTimer since_;
+  obs::Histogram* query_seconds_;
+  obs::Histogram* publish_seconds_;
 };
 
 }  // namespace alid

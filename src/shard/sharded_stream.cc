@@ -25,8 +25,8 @@ ShardedStream::ShardedStream(int dim, ShardedStreamOptions options)
   metrics_.arrivals = reg.AddCounter("arrivals");
   metrics_.hot_shard_arrivals = reg.AddGauge("hot_shard_arrivals");
   metrics_.cold_shard_arrivals = reg.AddGauge("cold_shard_arrivals");
-  metrics_.ingest_seconds.AttachHistogram(
-      reg.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges()));
+  metrics_.ingest_seconds =
+      reg.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges());
   for (int s = 0; s < options_.num_shards; ++s) {
     const std::string label = "shard" + std::to_string(s);
     // Arrivals read an atomic counter, so the callback is safe from any
@@ -148,7 +148,7 @@ std::vector<ShardSlot> ShardedStream::InsertPartitioned(
   metrics_.ingest_batches->Add(1);
   metrics_.arrivals->Add(count);
   UpdateShardGauges();
-  metrics_.ingest_seconds.Record(timer.Seconds());
+  metrics_.ingest_seconds->Observe(timer.Seconds());
   return result;
 }
 
@@ -206,7 +206,6 @@ StreamStats ShardedStream::stats() const {
     total.alive += s.alive;
     total.clusters_alive += s.clusters_alive;
   }
-  total.batch_seconds = metrics_.ingest_seconds.Samples();
   return total;
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/online_alid.h"
-#include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
 
 namespace alid {
@@ -97,8 +96,8 @@ class ShardedStream {
   Index size() const;
   Index alive() const;
 
-  /// Counter sums across every shard, in the StreamStats shape (the
-  /// batch_seconds samples are the *sharded* per-InsertBatch latencies).
+  /// Counter sums across every shard, in the StreamStats shape. The sharded
+  /// per-InsertBatch latencies live in metrics()'s `ingest_seconds`.
   StreamStats stats() const;
 
   /// The sharded tier's own instruments: ingest counters, the per-shard
@@ -124,7 +123,7 @@ class ShardedStream {
     obs::Gauge* cold_shard_arrivals = nullptr; // min per-shard arrivals
     std::vector<obs::Gauge*> shard_alive;
     std::vector<obs::Gauge*> shard_clusters_alive;
-    obs::LatencyReservoir ingest_seconds{StreamStats::kMaxLatencySamples};
+    obs::Histogram* ingest_seconds = nullptr;
   };
   ShardInstruments metrics_;
 };

@@ -1,8 +1,8 @@
 // Tests of the observability layer (src/obs/): metrics-registry snapshot
 // consistency under concurrent writers, histogram bucket-edge semantics,
 // exporter formats, the span tracer's bounded drop-oldest rings, the
-// disabled tracer's zero-allocation contract, the shared latency reservoir
-// under Reset()-vs-Record() races — and the layer's defining promise:
+// disabled tracer's zero-allocation contract, one latency-histogram
+// observation per stream/server call — and the layer's defining promise:
 // streamed and served results are bit-identical with tracing on or off.
 #include <atomic>
 #include <cstdlib>
@@ -18,7 +18,6 @@
 #include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
-#include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/cluster_server.h"
@@ -47,7 +46,6 @@ void operator delete(void* ptr, size_t) noexcept { std::free(ptr); }
 namespace alid {
 namespace {
 
-using obs::LatencyReservoir;
 using obs::MetricsRegistry;
 using obs::ObsOptions;
 using obs::TraceRecorder;
@@ -261,64 +259,6 @@ TEST(TraceTest, DisabledSpansAllocateNothing) {
   EXPECT_EQ(after - before, 0);
 }
 
-TEST(LatencyReservoirTest, HalvesWhenFullKeepingTheRecentWindow) {
-  LatencyReservoir reservoir(8);
-  for (int i = 0; i < 10; ++i) reservoir.Record(static_cast<double>(i));
-  // At the 9th record the full reservoir halved (dropping 0..3), so the
-  // survivors are exactly the recent window 4..9.
-  const std::vector<double> samples = reservoir.Samples();
-  ASSERT_EQ(samples.size(), 6u);
-  for (int i = 0; i < 6; ++i) EXPECT_DOUBLE_EQ(samples[i], 4.0 + i);
-  EXPECT_EQ(reservoir.max_samples(), 8u);
-
-  reservoir.Reset();
-  EXPECT_EQ(reservoir.size(), 0u);
-  reservoir.Record(1.5);
-  EXPECT_EQ(reservoir.size(), 1u);
-}
-
-// Reset() racing concurrent Record()s is an allowed call pattern
-// (ClusterServer::ResetStats against live queries): the reservoir must
-// stay bounded and usable, never crash or leak samples past the cap.
-// Run under TSan via the concurrency suite.
-TEST(LatencyReservoirTest, ResetDuringConcurrentRecord) {
-  LatencyReservoir reservoir(64);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        reservoir.Record(static_cast<double>(t * kPerThread + i));
-        if (i % 4096 == 0) {
-          EXPECT_LE(reservoir.Samples().size(), 64u);
-        }
-      }
-    });
-  }
-  for (int i = 0; i < 200; ++i) reservoir.Reset();
-  for (auto& thread : writers) thread.join();
-  EXPECT_LE(reservoir.size(), 64u);
-  reservoir.Record(3.25);
-  const std::vector<double> samples = reservoir.Samples();
-  EXPECT_DOUBLE_EQ(samples.back(), 3.25);
-}
-
-// The reservoir->histogram mirror (LatencyReservoir::AttachHistogram):
-// every Record lands in the histogram, and unlike the bounded sample
-// window the histogram is cumulative — halving never uncounts anything.
-TEST(LatencyReservoirTest, AttachedHistogramMirrorsEveryRecord) {
-  MetricsRegistry registry;
-  obs::Histogram* hist =
-      registry.AddHistogram("lat_seconds", obs::LatencyHistogramEdges());
-  LatencyReservoir reservoir(8);
-  reservoir.AttachHistogram(hist);
-  for (int i = 0; i < 20; ++i) reservoir.Record(1e-4);
-  EXPECT_LE(reservoir.size(), 8u);  // the sample window halved
-  EXPECT_EQ(hist->count(), 20);     // the histogram kept every record
-  EXPECT_DOUBLE_EQ(hist->sum(), 20 * 1e-4);
-}
-
 LabeledData Workload(Index n = 420, uint64_t seed = 91) {
   SyntheticConfig cfg;
   cfg.n = n;
@@ -380,9 +320,9 @@ void ExpectIdenticalStreamState(const OnlineAlid& a, const OnlineAlid& b) {
   EXPECT_EQ(a.oracle().entries_computed(), b.oracle().entries_computed());
 }
 
-// Satellite contract of the latency export: the stream's ingest latency
-// and the server's query/publish latencies ship as histogram-typed metrics
-// through the registry exporters, not only as bounded reservoir samples.
+// The latency export: the stream's ingest latency and the server's
+// query/publish latencies are histogram-typed registry metrics, one
+// observation per call, shipped through the registry exporters.
 TEST(MetricsTest, LatencyHistogramsShipThroughExporters) {
   LabeledData data = Workload(300, 5);
   std::unique_ptr<OnlineAlid> online =
@@ -404,9 +344,9 @@ TEST(MetricsTest, LatencyHistogramsShipThroughExporters) {
     ADD_FAILURE() << "no histogram named " << name;
     return -1;
   };
-  // One observation per InsertBatch / Query / Publish call.
-  EXPECT_EQ(histogram_count(online->metrics(), "ingest_seconds"),
-            static_cast<int64_t>(online->stats().batch_seconds.size()));
+  // One observation per InsertBatch / Query / Publish call: 300 arrivals
+  // in batches of 50.
+  EXPECT_EQ(histogram_count(online->metrics(), "ingest_seconds"), 6);
   EXPECT_EQ(histogram_count(server.metrics(), "query_seconds"), 1);
   EXPECT_EQ(histogram_count(server.metrics(), "publish_seconds"), 1);
 

@@ -336,8 +336,8 @@ TEST(ServeTest, ServesAlidAndPalidDetections) {
   ClusterSnapshotOptions sopts;
   sopts.affinity = {.k = data.suggested_k, .p = 2.0};
   sopts.lsh = pipeline.lsh->params();
-  const auto snap = ClusterSnapshot::FromDetection(data.data, alid, sopts,
-                                                   /*generation=*/1);
+  const auto snap = ClusterSnapshot::FromClusters(data.data, alid.clusters,
+                                                  sopts, /*generation=*/1);
   ClusterServer server(data.data.dim());
   server.Publish(snap);
   for (size_t c = 0; c < alid.clusters.size(); ++c) {
@@ -362,8 +362,8 @@ TEST(ServeTest, ServesAlidAndPalidDetections) {
   Palid palid(*pipeline.oracle, *pipeline.lsh, popts);
   const DetectionResult parallel = palid.Detect().Filtered(0.75);
   ASSERT_GT(parallel.clusters.size(), 0u);
-  const auto psnap = ClusterSnapshot::FromDetection(data.data, parallel,
-                                                    sopts, /*generation=*/2);
+  const auto psnap = ClusterSnapshot::FromClusters(
+      data.data, parallel.clusters, sopts, /*generation=*/2);
   server.Publish(psnap);
   EXPECT_EQ(server.generation(), 2u);
   const Index member = parallel.clusters[0].members.front();
@@ -535,6 +535,7 @@ TEST(ServeTest, StatsCountQueriesAndLatencies) {
   for (Index i = 200; i < 220; ++i) server.Query({.points = data.data[i]});
   const std::vector<Scalar> forty = FlatRows(data, order, 220, 260);
   server.Query({.points = forty});
+  server.Query({.points = {}});
   server.Query({.points = data.data[0], .top_k = 2});
   server.ClusterInfo(0);
 
@@ -549,21 +550,14 @@ TEST(ServeTest, StatsCountQueriesAndLatencies) {
   // A from-scratch publish materializes every block and shares none.
   EXPECT_GT(stats.bytes_copied, 0);
   EXPECT_EQ(stats.bytes_shared, 0);
-  EXPECT_GT(stats.elapsed_seconds, 0.0);
-  EXPECT_GT(stats.qps, 0.0);
-  // One latency sample per call: 20 singles + 1 batch.
-  EXPECT_EQ(stats.query_seconds.size(), 21u);
+  // One latency observation per assignment call with at least one point:
+  // 20 singles + 1 batch (the empty call and the top-k call add none).
   const std::vector<obs::MetricSample> samples = server.metrics().Snapshot();
   const auto latency = std::find_if(
       samples.begin(), samples.end(),
       [](const obs::MetricSample& m) { return m.name == "query_seconds"; });
   ASSERT_NE(latency, samples.end());
   EXPECT_EQ(latency->count, 21);
-
-  server.ResetStats();
-  const ServeStatsView reset = server.stats();
-  EXPECT_EQ(reset.queries, 0);
-  EXPECT_TRUE(reset.query_seconds.empty());
 }
 
 }  // namespace

@@ -557,6 +557,30 @@ TEST(ShardTest, EmptyShardsHotSpotAndStatusEdges) {
   EXPECT_EQ(router.generation(), 0u);
 }
 
+// The sharded ingest latency is one `ingest_seconds` observation per
+// non-empty InsertBatch call, on the S == 1 fast path and on the fan-out
+// path alike; an empty batch records nothing.
+TEST(ShardTest, IngestLatencyIsOneObservationPerNonEmptyBatch) {
+  LabeledData data = Workload(300, 17);
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    ShardedStreamOptions opts;
+    opts.base = BaseOptions(data);
+    opts.num_shards = shards;
+    std::unique_ptr<ShardedStream> stream = RunSharded(data, opts, 50);
+    const auto ingest_count = [&] {
+      for (const obs::MetricSample& m : stream->metrics().Snapshot()) {
+        if (m.name == "ingest_seconds") return m.count;
+      }
+      ADD_FAILURE() << "no ingest_seconds histogram";
+      return int64_t{-1};
+    };
+    EXPECT_EQ(ingest_count(), 6);  // 300 arrivals in batches of 50
+    EXPECT_TRUE(stream->InsertBatch(std::span<const Scalar>{}).empty());
+    EXPECT_EQ(ingest_count(), 6);
+  }
+}
+
 // A sharded generation rides the server's history ring: with a capacity,
 // a retired generation answers as-of exactly as it did when it was current,
 // and GenerationDiff matches clusters by (shard, uid) although every

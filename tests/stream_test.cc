@@ -477,13 +477,12 @@ TEST(StreamTest, StatsCountersAddUp) {
   EXPECT_EQ(s.absorbed + s.pooled, s.arrivals);
   EXPECT_EQ(s.alive, online->alive());
   EXPECT_EQ(s.clusters_alive, static_cast<int>(online->clusters().size()));
-  EXPECT_EQ(s.batch_seconds.size(), 6u);  // 300 arrivals / batches of 50
   const std::vector<obs::MetricSample> samples = online->metrics().Snapshot();
   const auto ingest = std::find_if(
       samples.begin(), samples.end(),
       [](const obs::MetricSample& m) { return m.name == "ingest_seconds"; });
   ASSERT_NE(ingest, samples.end());
-  EXPECT_EQ(ingest->count, 6);
+  EXPECT_EQ(ingest->count, 6);  // 300 arrivals / batches of 50
 }
 
 }  // namespace
