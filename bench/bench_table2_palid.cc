@@ -1,16 +1,24 @@
 // Table 2 — PALID parallel performance (Section 5.3/4.6).
 //
 // Runs PALID on a SIFT-like workload with 1/2/4/8 executors and reports wall
-// time, the speedup ratio against 1 executor, the aggregate map-task time,
-// executor steal counts and the kernel-evaluation count (`entries`: each
-// unordered pair once per detection, never the diagonal). On the
-// paper's 8-core Spark cluster the speedup reaches 7.51 at 8 executors; on
-// this host the wall-clock speedup saturates at the physical core count, so
-// the aggregate-task-time / wall-time ratio is also printed — it shows the
-// realized concurrency of the executor pool independent of the hardware.
+// time (the median of kRunsPerRow runs), the speedup ratio against 1
+// executor, the aggregate map-task time, executor steal counts and the
+// kernel-evaluation count (`entries`: each unordered pair once per
+// detection, never the diagonal). PALID's map skips a seed that a kept
+// cluster of an earlier wave holds, so `entries` counts the detected seeds
+// only (`num_tasks` of `num_seeds` in the JSON record); the waves do not
+// depend on the executors, so it is still identical at every executor
+// count. On the paper's 8-core Spark cluster the speedup reaches 7.51 at 8
+// executors; on this host the wall-clock speedup saturates at the physical
+// core count, so the aggregate-task-time / wall-time ratio is also printed —
+// it shows the realized concurrency of the executor pool independent of the
+// hardware.
 //
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
+#include <algorithm>
+#include <vector>
+
 #include "bench_util.h"
 #include "registry.h"
 
@@ -29,18 +37,30 @@ struct SweepRow {
   double avg_f;
 };
 
-SweepRow RunOnce(const LabeledData& data, const LshIndex& lsh,
-                 const AffinityFunction& affinity, int executors,
-                 double base_wall) {
-  // A fresh oracle per configuration keeps each row's entries_computed its
-  // own (the count is identical across rows — the map tasks are pure).
+// Runs per row. The map skips covered seeds, so one run lasts tens of
+// milliseconds, where a single sample is mostly scheduler noise; a row
+// reports the run with the median wall time.
+constexpr int kRunsPerRow = 7;
+
+SweepRow RunRow(const LabeledData& data, const LshIndex& lsh,
+                const AffinityFunction& affinity, int executors,
+                double base_wall) {
+  // Each run's stats count its own kernel evaluations (identical across
+  // runs and rows — the map tasks are pure).
   LazyAffinityOracle oracle(data.data, affinity);
   PalidOptions opts;
   opts.num_executors = executors;
+  Palid palid(oracle, lsh, opts);
+  std::vector<PalidStats> runs(kRunsPerRow);
+  DetectionResult result;
+  for (PalidStats& run : runs) result = palid.Detect(&run).Filtered(0.75);
+  std::nth_element(runs.begin(), runs.begin() + kRunsPerRow / 2, runs.end(),
+                   [](const PalidStats& a, const PalidStats& b) {
+                     return a.wall_seconds < b.wall_seconds;
+                   });
   SweepRow row;
   row.executors = executors;
-  Palid palid(oracle, lsh, opts);
-  DetectionResult result = palid.Detect(&row.stats).Filtered(0.75);
+  row.stats = std::move(runs[kRunsPerRow / 2]);
   row.speedup = row.stats.wall_seconds > 0.0 && base_wall > 0.0
                     ? base_wall / row.stats.wall_seconds
                     : 0.0;
@@ -105,7 +125,7 @@ void Run(BenchContext& ctx) {
   std::vector<SweepRow> rows;
   double base_wall = 0.0;
   for (int execs : {1, 2, 4, 8}) {
-    rows.push_back(RunOnce(data, lsh, affinity, execs, base_wall));
+    rows.push_back(RunRow(data, lsh, affinity, execs, base_wall));
     if (execs == 1) {
       base_wall = rows.back().stats.wall_seconds;
       rows.back().speedup = 1.0;  // the row is its own baseline
@@ -118,8 +138,9 @@ void Run(BenchContext& ctx) {
               "executors on 8 cores). On a 1-core host wall-clock speedup "
               "stays ~1; the concurrency column shows the pool still "
               "distributes the map tasks. The entries column counts kernel "
-              "evaluations: each unordered pair once per detection, never "
-              "the diagonal.\n");
+              "evaluations of the detected seeds (a seed a kept cluster of an "
+              "earlier wave holds is skipped): each unordered pair once per "
+              "detection, never the diagonal.\n");
   EmitSweepJson(ctx, rows, data.size());
 }
 

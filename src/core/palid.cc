@@ -20,7 +20,8 @@ namespace {
 // accumulates here regardless of which Palid instance ran it, so long-lived
 // hosts (benches, services re-detecting periodically) expose cumulative
 // batch-detection work next to the arena/memory gauges. Per-run numbers stay
-// in PalidStats — these counters only ever add run totals.
+// in PalidStats — these counters only ever add run totals: `seeds` the
+// sampled seeds, `tasks` the detections run.
 struct PalidCounters {
   obs::Counter* runs;
   obs::Counter* seeds;
@@ -44,6 +45,16 @@ PalidCounters& GlobalPalidCounters() {
   }();
   return *counters;
 }
+
+// Seeds per wave. A wave's detections run concurrently and cannot skip one
+// another, so the size trades executor occupancy against repeated work: 32
+// gives the paper's widest sweep (8 executors) four detections each to
+// balance, while a first wave of 32 hashed seeds already reaches most
+// planted clusters and so lets later waves skip most of their seeds.
+constexpr int kWaveSize = 32;
+// Salts the visiting-order hash apart from the sampling hash (which is
+// keyed by options.seed alone and decides membership, not order).
+constexpr uint64_t kOrderSalt = 0x0D5EED0D5EED0D5EULL;
 
 }  // namespace
 
@@ -81,30 +92,49 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
   ALID_TRACE_SCOPE("palid", "detect");
   const IndexList seeds = SampleSeeds();
   AlidDetector detector(*oracle_, *lsh_, options_.alid);
+  const AlidOptions& alid = options_.alid;
+  const Index n = oracle_->size();
 
   const int64_t entries_before = oracle_->entries_computed();
 
   WallTimer wall;
   const int num_seeds = static_cast<int>(seeds.size());
-  // Chunking depends on the seed count only — never on num_executors — so
-  // task boundaries, and with them the per-task RNG streams below, are
-  // identical under every executor count. 64 tasks give ample stealing
-  // slack for any plausible executor width at negligible pool overhead.
-  const int chunk = std::max(1, (num_seeds + 63) / 64);
-  const int num_tasks = num_seeds == 0 ? 0 : (num_seeds + chunk - 1) / chunk;
+  // Visiting order: a counter-based hash of (options.seed, seed id), so every
+  // wave draws from all planted clusters alike. Id order would not do: a
+  // generator that stores each cluster contiguously would fill a wave with
+  // the seeds of two or three clusters, and the next wave would find few of
+  // its seeds covered.
+  std::vector<int> order(num_seeds);
+  std::iota(order.begin(), order.end(), 0);
+  {
+    std::vector<double> key(num_seeds);
+    for (int s = 0; s < num_seeds; ++s) {
+      key[s] = HashToUnit(options_.seed ^ kOrderSalt,
+                          static_cast<uint64_t>(seeds[s]));
+    }
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return key[a] != key[b] ? key[a] < key[b] : a < b;
+    });
+  }
 
-  // Per-seed result slots: task t detects seeds [t*chunk, t*chunk+chunk) and
-  // writes only its own slots, so no result lock exists and the reduce below
-  // sees detections in seed order no matter how tasks were scheduled.
+  // Per-seed result slots: a detection writes only its own slot, so no
+  // result lock exists and the reduce below sees detections in seed order no
+  // matter how they were scheduled.
   std::vector<Cluster> raw(num_seeds);
-  std::vector<double> task_seconds(num_tasks, 0.0);
+  std::vector<bool> detected(num_seeds, false);
+  // Items held by a kept cluster of a finished wave; a seed among them is
+  // skipped. Later detections still see every item.
+  std::vector<bool> covered(n, false);
+  std::vector<double> task_seconds;
+  std::vector<Index> task_seeds;
+  std::vector<int> task_waves;
   int64_t steals = 0;
   {
     ALID_TRACE_SCOPE("palid", "map");
     // An external pool (options.pool) lets benches run PALID and the
     // parallel baselines on one substrate; otherwise the run owns a pool
-    // sized to num_executors. Either way the map tasks and their chunking
-    // are identical — the executor pool never influences results.
+    // sized to num_executors. Either way the waves and their detections are
+    // identical — the executor pool never influences results.
     std::unique_ptr<ThreadPool> owned;
     ThreadPool* pool = options_.pool;
     if (pool == nullptr) {
@@ -112,38 +142,60 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
       pool = owned.get();
     }
     const int64_t steals_before = pool->steal_count();
-    for (int t = 0; t < num_tasks; ++t) {
-      pool->Post([&, t] {
-        // Map task: a chunk of independent Algorithm 2 runs (Figure 5's
-        // mappers). Any stochastic choice a task ever needs must draw from
-        // a stream keyed by (options.seed, task id) — e.g.
-        // Rng(SplitMix64(options.seed ^ t)) — never by the executor id;
-        // with task boundaries executor-independent (see chunking above),
-        // such choices replay identically under every executor count. The
-        // current map stage is fully deterministic (DetectOne draws nothing;
-        // seed sampling uses counter-based HashToUnit streams), so no
-        // generator is instantiated here.
-        WallTimer task_timer;
-        const int lo = t * chunk;
-        const int hi = std::min(num_seeds, lo + chunk);
-        for (int s = lo; s < hi; ++s) raw[s] = detector.DetectOne(seeds[s]);
-        task_seconds[t] = task_timer.Seconds();
-      });
+    std::vector<int> wave;
+    for (int lo = 0; lo < num_seeds; lo += kWaveSize) {
+      // A wave's membership depends only on the visiting order and on the
+      // kept clusters of earlier waves, never on the executors.
+      wave.clear();
+      const int hi = std::min(num_seeds, lo + kWaveSize);
+      for (int k = lo; k < hi; ++k) {
+        if (!covered[seeds[order[k]]]) wave.push_back(order[k]);
+      }
+      const size_t first = task_seconds.size();
+      task_seconds.resize(first + wave.size(), 0.0);
+      for (size_t w = 0; w < wave.size(); ++w) {
+        const int s = wave[w];
+        task_seeds.push_back(seeds[s]);
+        task_waves.push_back(lo / kWaveSize);
+        detected[s] = true;
+        pool->Post([&, s, slot = first + w] {
+          // Map task: one Algorithm 2 run (Figure 5's mappers). Any
+          // stochastic choice a detection ever needs must draw from a
+          // stream keyed by (options.seed, seed id), never by the executor
+          // id. The current map stage draws nothing (DetectOne is
+          // deterministic; sampling and the visiting order use
+          // counter-based HashToUnit streams).
+          WallTimer task_timer;
+          raw[s] = detector.DetectOne(seeds[s]);
+          task_seconds[slot] = task_timer.Seconds();
+        });
+      }
+      pool->Wait();
+      for (const int s : wave) {
+        const Cluster& c = raw[s];
+        if (c.density >= alid.density_threshold &&
+            static_cast<int>(c.members.size()) >= alid.min_cluster_size) {
+          for (const Index i : c.members) covered[i] = true;
+        }
+      }
     }
-    pool->Wait();
     steals = pool->steal_count() - steals_before;
   }
 
   // Reduce: each item goes to its maximum-density containing cluster (the
   // DetectionResult::Assignment rule, first cluster on ties); a cluster
   // survives iff it wins at least one item. Duplicate detections of
-  // the same dominant cluster collapse to one survivor. `raw` is in seed
-  // order, so survivors come out deterministically too.
-  const Index n = oracle_->size();
+  // the same dominant cluster collapse to one survivor. The detections are
+  // reduced in seed order, so survivors come out deterministically too.
+  const int num_tasks = static_cast<int>(task_seconds.size());
   DetectionResult result;
   {
     ALID_TRACE_SCOPE("palid", "reduce");
-    DetectionResult all{std::move(raw)};
+    DetectionResult all;
+    all.clusters.reserve(num_tasks);
+    for (int s = 0; s < num_seeds; ++s) {
+      if (detected[s]) all.clusters.push_back(std::move(raw[s]));
+    }
     std::vector<bool> wins(all.clusters.size(), false);
     for (int c : all.Assignment(n)) {
       if (c >= 0) wins[c] = true;
@@ -171,6 +223,8 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
     stats->steals = steals;
     stats->entries_computed = run_entries;
     stats->task_seconds = std::move(task_seconds);
+    stats->task_seeds = std::move(task_seeds);
+    stats->task_waves = std::move(task_waves);
   }
   return result;
 }

@@ -80,7 +80,11 @@ TEST(GoldenDigestTest, PalidDetect) {
   ASSERT_GE(result.Filtered(0.75).clusters.size(), 3u);
   Digest d;
   d.Add(result.clusters);
-  EXPECT_EQ(d.value(), 0x440729149b99a543ULL);
+  // Re-recorded when the map began peeling in waves (a seed that a kept
+  // cluster of an earlier wave holds is no longer detected); the all-seeds
+  // map hashed 0x440729149b99a543. PalidTest.WavesMatchAllSeedsMap holds
+  // the new map against the old one's clusters and quality.
+  EXPECT_EQ(d.value(), 0x3af24eee19547f95ULL);
 }
 
 // A windowed stream: absorb re-detections warm-start from each touched
