@@ -8,7 +8,9 @@
 #include "bench_util.h"
 #include "registry.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "baselines/replicator.h"
 #include "common/random.h"
@@ -16,6 +18,7 @@
 #include "data/synthetic.h"
 #include "linalg/jacobi.h"
 #include "linalg/lanczos.h"
+#include "lsh/lsh_index.h"
 #include "simd/simd_dispatch.h"
 #include "simd/soa_block.h"
 
@@ -180,7 +183,9 @@ ALID_BENCHMARK("micro_components", "micro", "micro_components",
 // fails the benchmark, because the vector path is only allowed to exist
 // under the exactness contract (README "SIMD dispatch"). The "simd_kernel"
 // record is the gate-able result: per-ISA member-evaluations/sec and the
-// speedup over the row-major baseline.
+// speedup over the row-major baseline. Its "lsh_hash" rows do the same for
+// the p-stable hashing layer: ns per point for every table's key, tiled
+// projections through each ISA against the per-table row-major loop.
 // ---------------------------------------------------------------------------
 struct KernelFixture {
   Dataset data;
@@ -229,6 +234,124 @@ Scalar RowMajorKernelSum(const KernelFixture& f, const AffinityFunction& fn,
     sum += f.weights[i] * fn.FromDistance(f.data.DistanceTo(i, q));
   }
   return sum;
+}
+
+// The per-table row-major p-stable hasher that LshIndex's projection tiles
+// replaced: the same Rng(seed) draws (each table's projection matrix, then
+// its offsets), one serial dot product per projection, the same saturating
+// floor and FNV-1a over the floors. Its keys are what every ISA must match.
+class RowMajorLshReference {
+ public:
+  RowMajorLshReference(int dim, const LshParams& params)
+      : dim_(dim), params_(params) {
+    Rng rng(params.seed);
+    for (int t = 0; t < params.num_tables; ++t) {
+      for (int v = 0; v < params.num_projections * dim; ++v) {
+        projections_.push_back(rng.Gaussian());
+      }
+      for (int p = 0; p < params.num_projections; ++p) {
+        offsets_.push_back(rng.Uniform(0.0, params.segment_length));
+      }
+    }
+  }
+
+  void Keys(const Scalar* point, uint64_t* out) const {
+    constexpr Scalar kMin = std::numeric_limits<int32_t>::min();
+    constexpr Scalar kMax = std::numeric_limits<int32_t>::max();
+    for (int t = 0; t < params_.num_tables; ++t) {
+      uint64_t h = 1469598103934665603ull;
+      for (int p = 0; p < params_.num_projections; ++p) {
+        const size_t lane =
+            static_cast<size_t>(t) * params_.num_projections + p;
+        const Scalar* proj = projections_.data() + lane * dim_;
+        Scalar dot = 0.0;
+        for (int k = 0; k < dim_; ++k) dot += proj[k] * point[k];
+        const Scalar f =
+            std::floor((dot + offsets_[lane]) / params_.segment_length);
+        int32_t floor = std::numeric_limits<int32_t>::min();  // NaN too
+        if (f > kMax) {
+          floor = std::numeric_limits<int32_t>::max();
+        } else if (f >= kMin) {
+          floor = static_cast<int32_t>(f);
+        }
+        const uint32_t v = static_cast<uint32_t>(floor);
+        for (int b = 0; b < 4; ++b) {
+          h ^= (v >> (8 * b)) & 0xffu;
+          h *= 1099511628211ull;
+        }
+      }
+      out[t] = h;
+    }
+  }
+
+ private:
+  int dim_;
+  LshParams params_;
+  std::vector<Scalar> projections_;  // row-major, one row per lane
+  std::vector<Scalar> offsets_;
+};
+
+// Appends the "lsh_hash" rows: every table's key for one point (8 tables x
+// 12 projections), per ISA, bit-compared against RowMajorLshReference on
+// every probe first. Returns the mismatch total.
+int64_t AppendLshHashRows(const std::vector<SimdIsa>& isas, bool* first,
+                          std::string& json) {
+  int64_t total_mismatches = 0;
+  for (int dim : {16, 64, 128}) {
+    LshParams params;
+    params.num_tables = 8;
+    params.num_projections = 12;
+    params.segment_length = 4.0;
+    Rng rng(4001 + dim);
+    constexpr int kPoints = 64;
+    std::vector<Scalar> points(static_cast<size_t>(kPoints) * dim);
+    for (auto& v : points) v = rng.Uniform(-20.0, 20.0);
+    auto point = [&](int q) {
+      return std::span<const Scalar>(
+          points.data() + static_cast<size_t>(q % kPoints) * dim,
+          static_cast<size_t>(dim));
+    };
+    const RowMajorLshReference reference(dim, params);
+    std::vector<uint64_t> want(static_cast<size_t>(params.num_tables));
+    std::vector<uint64_t> got(want.size());
+
+    int q = 0;
+    const double rowmajor_per_call = TimePerCall([&] {
+      reference.Keys(point(q++).data(), want.data());
+      KeepAlive(want[0]);
+    });
+    for (SimdIsa isa : isas) {
+      ScopedSimdIsaOverride pin(isa);
+      const LshIndex hasher(dim, params);
+      int mismatches = 0;
+      for (int probe = 0; probe < kPoints; ++probe) {
+        reference.Keys(point(probe).data(), want.data());
+        hasher.ComputePointKeys(point(probe), got.data());
+        if (want != got) ++mismatches;
+      }
+      total_mismatches += mismatches;
+
+      int v = 0;
+      const double per_call = TimePerCall([&] {
+        hasher.ComputePointKeys(point(v++), got.data());
+        KeepAlive(got[0]);
+      });
+      const double speedup =
+          per_call > 0.0 ? rowmajor_per_call / per_call : 0.0;
+      std::printf("  lsh_hash dim=%-4d 8x12    %-7s %8.1f ns/point  "
+                  "speedup %.2fx  mismatches %d\n",
+                  dim, SimdIsaName(isa), per_call * 1e9, speedup, mismatches);
+      AppendF(json,
+              "%s{\"kernel\":\"lsh_hash\",\"dim\":%d,\"tables\":%d,"
+              "\"projections\":%d,\"isa\":\"%s\",\"ns_per_point\":%.1f,"
+              "\"speedup_vs_rowmajor\":%.4f,\"mismatches\":%d}",
+              *first ? "" : ",", dim, params.num_tables,
+              params.num_projections, SimdIsaName(isa), per_call * 1e9,
+              speedup, mismatches);
+      *first = false;
+    }
+  }
+  return total_mismatches;
 }
 
 void RunSimd(BenchContext& ctx) {
@@ -283,7 +406,8 @@ void RunSimd(BenchContext& ctx) {
                   dim, support, ops.name, per_call, evals_per_sec, speedup,
                   mismatches);
       AppendF(json,
-              "%s{\"dim\":%d,\"support\":%d,\"isa\":\"%s\","
+              "%s{\"kernel\":\"eq1_sum\",\"dim\":%d,\"support\":%d,"
+              "\"isa\":\"%s\","
               "\"seconds_per_call\":%.9f,\"evals_per_sec\":%.0f,"
               "\"speedup_vs_rowmajor\":%.4f,\"mismatches\":%d}",
               first ? "" : ",", dim, support, ops.name, per_call,
@@ -291,10 +415,12 @@ void RunSimd(BenchContext& ctx) {
       first = false;
     }
   }
-  json += "]}";
+  total_mismatches += AppendLshHashRows(isas, &first, json);
+  AppendF(json, "],\"mismatches\":%lld}",
+          static_cast<long long>(total_mismatches));
   ctx.EmitJson(json);
   if (total_mismatches > 0) {
-    ctx.Fail("SoA tile kernel disagreed with the row-major scalar loop — "
+    ctx.Fail("a tile kernel disagreed with its row-major scalar loop — "
              "the bit-exactness contract is broken");
   }
 }

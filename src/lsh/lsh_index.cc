@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/epoch_stamp.h"
 #include "common/random.h"
+#include "simd/simd_dispatch.h"
 
 namespace alid {
 
@@ -48,26 +49,49 @@ void LshIndex::InitTables() {
              params_.num_projections <= kMaxProjections);
   ALID_CHECK(params_.segment_length > 0.0);
   const int d = dim_;
+  const int per_table = params_.num_projections;
+  const int lanes = params_.num_tables * per_table;
+  num_projection_tiles_ = (lanes + kSimdTileLanes - 1) / kSimdTileLanes;
+  projection_tiles_.assign(
+      static_cast<size_t>(num_projection_tiles_) * d * kSimdTileLanes, 0.0);
+  offsets_.resize(static_cast<size_t>(lanes));
+  // Per table: its projection vectors one after another, then its offsets —
+  // the draw order every index built from these params has always used.
   Rng rng(params_.seed);
-  tables_.resize(params_.num_tables);
-  for (auto& table : tables_) {
-    table.projections.resize(static_cast<size_t>(params_.num_projections) * d);
-    for (auto& v : table.projections) v = rng.Gaussian();
-    table.offsets.resize(params_.num_projections);
-    for (auto& b : table.offsets) b = rng.Uniform(0.0, params_.segment_length);
+  for (int t = 0; t < params_.num_tables; ++t) {
+    for (int p = 0; p < per_table; ++p) {
+      const int j = t * per_table + p;
+      Scalar* lane = projection_tiles_.data() +
+                     static_cast<size_t>(j / kSimdTileLanes) * d *
+                         kSimdTileLanes +
+                     j % kSimdTileLanes;
+      for (int k = 0; k < d; ++k) {
+        lane[static_cast<size_t>(k) * kSimdTileLanes] = rng.Gaussian();
+      }
+    }
+    for (int p = 0; p < per_table; ++p) {
+      offsets_[static_cast<size_t>(t * per_table + p)] =
+          rng.Uniform(0.0, params_.segment_length);
+    }
   }
+  tables_.resize(params_.num_tables);
+  memory_bytes_ =
+      (projection_tiles_.size() + offsets_.size()) * sizeof(Scalar);
 }
 
 LshIndex::LshIndex(const Dataset& data, LshParams params)
     : data_(&data), dim_(data.dim()), params_(params) {
   InitTables();
   const Index n = data.size();
-  for (auto& table : tables_) {
-    table.item_key.resize(n);
-    for (Index i = 0; i < n; ++i) {
-      const uint64_t key = HashPoint(table, data[i]);
-      table.item_key[i] = key;
-      table.buckets[key].push_back(i);
+  for (auto& table : tables_) table.item_key.resize(n);
+  // Items in ascending id, each hashed once for every table, so every
+  // bucket receives its items in ascending id.
+  std::vector<uint64_t> keys(tables_.size());
+  for (Index i = 0; i < n; ++i) {
+    HashPoint(data[i], keys.data());
+    for (size_t t = 0; t < tables_.size(); ++t) {
+      tables_[t].item_key[i] = keys[t];
+      tables_[t].buckets[keys[t]].push_back(i);
     }
   }
 
@@ -75,8 +99,6 @@ LshIndex::LshIndex(const Dataset& data, LshParams params)
   live_count_ = n;
   removed_.assign(static_cast<size_t>(n), 0);
   for (const auto& table : tables_) {
-    memory_bytes_ += table.projections.size() * sizeof(Scalar);
-    memory_bytes_ += table.offsets.size() * sizeof(Scalar);
     memory_bytes_ += table.item_key.size() * sizeof(uint64_t);
     for (const auto& [key, items] : table.buckets) {
       memory_bytes_ += sizeof(key) + items.size() * sizeof(Index);
@@ -90,10 +112,6 @@ LshIndex::LshIndex(int dim, LshParams params)
     : data_(nullptr), dim_(dim), params_(params) {
   ALID_CHECK(dim_ > 0);
   InitTables();
-  for (const auto& table : tables_) {
-    memory_bytes_ += table.projections.size() * sizeof(Scalar);
-    memory_bytes_ += table.offsets.size() * sizeof(Scalar);
-  }
   charge_ =
       std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
 }
@@ -101,16 +119,14 @@ LshIndex::LshIndex(int dim, LshParams params)
 void LshIndex::ComputeItemKeys(Index i, uint64_t* out) const {
   ALID_CHECK(data_ != nullptr);
   ALID_CHECK(i >= 0 && i < data_->size());
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    out[t] = HashPoint(tables_[t], (*data_)[i]);
-  }
+  HashPoint((*data_)[i], out);
 }
 
 void LshIndex::ComputePointKeys(std::span<const Scalar> point,
                                 uint64_t* out) const {
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    out[t] = HashPoint(tables_[t], point);
-  }
+  ALID_CHECK_MSG(static_cast<int>(point.size()) == dim_,
+                 "point dimension differs from the index dimension");
+  HashPoint(point, out);
 }
 
 void LshIndex::InsertItemWithKeys(Index i, std::span<const uint64_t> keys) {
@@ -161,19 +177,33 @@ void LshIndex::RemoveItem(Index i) {
 
 LshIndex::~LshIndex() = default;
 
-uint64_t LshIndex::HashPoint(const Table& table,
-                             std::span<const Scalar> point) const {
-  const int d = dim_;
-  ALID_DCHECK(static_cast<int>(point.size()) == d);
-  int32_t floors[kMaxProjections] = {};
-  for (int p = 0; p < params_.num_projections; ++p) {
-    const Scalar* proj = table.projections.data() + static_cast<size_t>(p) * d;
-    Scalar dot = 0.0;
-    for (int k = 0; k < d; ++k) dot += proj[k] * point[k];
-    floors[p] =
-        SaturatingFloor((dot + table.offsets[p]) / params_.segment_length);
+void LshIndex::HashPoint(std::span<const Scalar> point, uint64_t* out) const {
+  ALID_DCHECK(static_cast<int>(point.size()) == dim_);
+  // Tiles per tile_dot call: bounds the stack buffer of projected values at
+  // any table count (8 x 12 projections need 12 tiles, one call).
+  constexpr int kChunkTiles = 32;
+  Scalar dots[kChunkTiles * kSimdTileLanes];
+  int32_t floors[kMaxProjections];
+  const SimdKernelOps& ops = *ActiveSimdOps();
+  const size_t tile_size = static_cast<size_t>(dim_) * kSimdTileLanes;
+  const int lanes = params_.num_tables * params_.num_projections;
+  int table = 0;
+  int p = 0;
+  for (int first = 0; first < num_projection_tiles_; first += kChunkTiles) {
+    const int count = std::min(kChunkTiles, num_projection_tiles_ - first);
+    ops.tile_dot(projection_tiles_.data() + first * tile_size, count, dim_,
+                 point.data(), dots);
+    const int begin = first * kSimdTileLanes;
+    const int end = std::min(lanes, begin + count * kSimdTileLanes);
+    for (int j = begin; j < end; ++j) {
+      floors[p] = SaturatingFloor((dots[j - begin] + offsets_[j]) /
+                                  params_.segment_length);
+      if (++p == params_.num_projections) {
+        out[table++] = HashFloors(floors, params_.num_projections);
+        p = 0;
+      }
+    }
   }
-  return HashFloors(floors, params_.num_projections);
 }
 
 std::vector<Index> LshIndex::QueryByIndex(Index i) const {
@@ -222,11 +252,17 @@ void LshIndex::QueryByPoint(std::span<const Scalar> point,
   // thread-local, so concurrent serving threads dedup independently without
   // allocating.
   thread_local EpochStamp stamp;
+  thread_local std::vector<uint64_t> keys;
 
+  ALID_CHECK_MSG(static_cast<int>(point.size()) == dim_,
+                 "point dimension differs from the index dimension");
+  keys.resize(tables_.size());
+  HashPoint(point, keys.data());
   out->clear();
   stamp.Begin(static_cast<size_t>(size()));
-  for (const auto& table : tables_) {
-    auto it = table.buckets.find(HashPoint(table, point));
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    const Table& table = tables_[t];
+    auto it = table.buckets.find(keys[t]);
     if (it == table.buckets.end()) continue;
     for (Index j : it->second) {
       if (!stamp.IsMarked(j)) {

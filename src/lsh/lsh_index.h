@@ -38,7 +38,7 @@ struct LshParams {
 class LshIndex {
  public:
   /// Largest supported num_projections (the paper's largest mu is 40):
-  /// HashPoint keeps a point's floor values in a fixed stack buffer.
+  /// HashPoint keeps one table's floor values in a fixed stack buffer.
   static constexpr int kMaxProjections = 64;
 
   LshIndex(const Dataset& data, LshParams params);
@@ -68,12 +68,12 @@ class LshIndex {
   /// serially through InsertItemWithKeys. Requires an attached Dataset.
   void ComputeItemKeys(Index i, uint64_t* out) const;
 
-  /// Pure hashing of an arbitrary point (point.size() == the index's
-  /// dimensionality): writes its bucket key for every table into
-  /// out[0 .. num_tables()). Exactly the HashPoint that ComputeItemKeys and
-  /// QueryByPoint run, so keys computed from a copied row equal keys
-  /// computed from the original dataset row — the property that lets a
-  /// snapshot match a query's keys against its blocks' bucket keys.
+  /// Pure hashing of an arbitrary point: writes its bucket key for every
+  /// table into out[0 .. num_tables()). Exactly the HashPoint that
+  /// ComputeItemKeys and QueryByPoint run, so keys computed from a copied
+  /// row equal keys computed from the original dataset row — the property
+  /// that lets a snapshot match a query's keys against its blocks' bucket
+  /// keys. Dies unless point.size() is the index's dimensionality.
   /// Thread-safe; works in dataset-free mode.
   void ComputePointKeys(std::span<const Scalar> point, uint64_t* out) const;
 
@@ -116,7 +116,8 @@ class LshIndex {
   /// All items colliding with an arbitrary point: appends the deduplicated
   /// union of the point's buckets to *out after clearing it, deduplicating
   /// on a thread-local stamp buffer. The order is a pure function of the
-  /// point and the index history. Thread-safe against concurrent readers.
+  /// point and the index history. Dies unless point.size() is the index's
+  /// dimensionality. Thread-safe against concurrent readers.
   void QueryByPoint(std::span<const Scalar> point,
                     std::vector<Index>* out) const;
 
@@ -130,31 +131,43 @@ class LshIndex {
   /// diagnostic used by tests and benches.
   double MeanCandidatesPerItem(int sample = 200, uint64_t seed = 7) const;
 
-  /// Bytes of table + inverted-list storage (charged to MemoryTracker).
+  /// Bytes of projection tiles, offsets, buckets and inverted lists
+  /// (charged to MemoryTracker). The tiles are charged at their padded
+  /// size: whole kSimdTileLanes-wide tiles, so num_tables *
+  /// num_projections * dim scalars when that lane count is a multiple of 8.
   size_t MemoryBytes() const { return memory_bytes_; }
 
  private:
+  // A table's bucket structure. Its projections live in the shared tiles,
+  // lanes [t * num_projections, (t + 1) * num_projections) for table t.
   struct Table {
-    // Row-major [num_projections x dim] Gaussian projection matrix.
-    std::vector<Scalar> projections;
-    std::vector<Scalar> offsets;  // one per projection, U[0, r)
     // bucket key -> items. Keys are hashes of the concatenated floor values.
     std::unordered_map<uint64_t, std::vector<Index>> buckets;
     // Inverted list: bucket key of each item.
     std::vector<uint64_t> item_key;
   };
 
-  uint64_t HashPoint(const Table& table, std::span<const Scalar> point) const;
+  // Writes the point's key for every table into out[0 .. num_tables()): one
+  // tile_dot call (per bounded chunk of tiles) computes every projection,
+  // then each table's floors are FNV-hashed in projection order.
+  void HashPoint(std::span<const Scalar> point, uint64_t* out) const;
 
-  // Seeds the projection/offset streams of every table from params_. Both
-  // constructors share this, so a dataset-free index hashes every point
-  // exactly like an eager one built from the same params — the property
-  // that lets a snapshot compare query keys with the stream's own keys.
+  // Draws the Gaussian projections and the offsets of every table from
+  // params_ and scatters the projections into the tiles. Both constructors
+  // share this, so a dataset-free index hashes every point exactly like an
+  // eager one built from the same params — the property that lets a
+  // snapshot compare query keys with the stream's own keys.
   void InitTables();
 
   const Dataset* data_;  // nullptr in dataset-free mode
   int dim_ = 0;
   LshParams params_;
+  // Every table's projection vectors as one dimension-major tile array
+  // (the SoaBlock layout): lane j = t * num_projections + p holds table t's
+  // projection p, and lanes past num_tables * num_projections are zero.
+  std::vector<Scalar> projection_tiles_;
+  int num_projection_tiles_ = 0;
+  std::vector<Scalar> offsets_;  // one per lane j, U[0, r)
   std::vector<Table> tables_;
   Index indexed_count_ = 0;  // how many dataset rows the tables know about
   Index live_count_ = 0;     // indexed slots currently present in buckets

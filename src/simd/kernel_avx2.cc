@@ -48,7 +48,58 @@ void TileL1Avx2(const Scalar* tile, int dim, const Scalar* query,
   _mm256_storeu_pd(out + 4, acc_hi);
 }
 
-constexpr SimdKernelOps kAvx2Ops = {"avx2", TileSquaredL2Avx2, TileL1Avx2};
+// kTiles consecutive tiles side by side: 2 * kTiles independent add chains.
+template <int kTiles>
+void TileDotGroupAvx2(const Scalar* tiles, int dim, const Scalar* x,
+                      Scalar* out) {
+  const size_t stride = static_cast<size_t>(dim) * kSimdTileLanes;
+  __m256d acc_lo[kTiles];
+  __m256d acc_hi[kTiles];
+  for (int g = 0; g < kTiles; ++g) {
+    acc_lo[g] = _mm256_setzero_pd();
+    acc_hi[g] = _mm256_setzero_pd();
+  }
+  for (int k = 0; k < dim; ++k) {
+    const __m256d v = _mm256_set1_pd(x[k]);
+    const Scalar* col = tiles + static_cast<size_t>(k) * kSimdTileLanes;
+    for (int g = 0; g < kTiles; ++g) {
+      const Scalar* lanes = col + g * stride;
+      acc_lo[g] = _mm256_add_pd(acc_lo[g],
+                                _mm256_mul_pd(_mm256_loadu_pd(lanes), v));
+      acc_hi[g] = _mm256_add_pd(acc_hi[g],
+                                _mm256_mul_pd(_mm256_loadu_pd(lanes + 4), v));
+    }
+  }
+  for (int g = 0; g < kTiles; ++g) {
+    _mm256_storeu_pd(out + g * kSimdTileLanes, acc_lo[g]);
+    _mm256_storeu_pd(out + g * kSimdTileLanes + 4, acc_hi[g]);
+  }
+}
+
+void TileDotAvx2(const Scalar* tiles, int num_tiles, int dim, const Scalar* x,
+                 Scalar* out) {
+  const size_t stride = static_cast<size_t>(dim) * kSimdTileLanes;
+  int t = 0;
+  for (; t + 4 <= num_tiles; t += 4) {
+    TileDotGroupAvx2<4>(tiles + t * stride, dim, x, out + t * kSimdTileLanes);
+  }
+  const Scalar* rest = tiles + t * stride;
+  Scalar* rest_out = out + t * kSimdTileLanes;
+  switch (num_tiles - t) {
+    case 3:
+      TileDotGroupAvx2<3>(rest, dim, x, rest_out);
+      break;
+    case 2:
+      TileDotGroupAvx2<2>(rest, dim, x, rest_out);
+      break;
+    case 1:
+      TileDotGroupAvx2<1>(rest, dim, x, rest_out);
+      break;
+  }
+}
+
+constexpr SimdKernelOps kAvx2Ops = {"avx2", TileSquaredL2Avx2, TileL1Avx2,
+                                    TileDotAvx2};
 
 }  // namespace
 

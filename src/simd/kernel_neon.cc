@@ -56,7 +56,46 @@ void TileL1Neon(const Scalar* tile, int dim, const Scalar* query,
   vst1q_f64(out + 6, acc3);
 }
 
-constexpr SimdKernelOps kNeonOps = {"neon", TileSquaredL2Neon, TileL1Neon};
+// kTiles consecutive tiles side by side: 4 * kTiles independent add chains.
+template <int kTiles>
+void TileDotGroupNeon(const Scalar* tiles, int dim, const Scalar* x,
+                      Scalar* out) {
+  const size_t stride = static_cast<size_t>(dim) * kSimdTileLanes;
+  float64x2_t acc[kTiles][4];
+  for (int g = 0; g < kTiles; ++g) {
+    for (int r = 0; r < 4; ++r) acc[g][r] = vdupq_n_f64(0.0);
+  }
+  for (int k = 0; k < dim; ++k) {
+    const float64x2_t v = vdupq_n_f64(x[k]);
+    const Scalar* col = tiles + static_cast<size_t>(k) * kSimdTileLanes;
+    for (int g = 0; g < kTiles; ++g) {
+      for (int r = 0; r < 4; ++r) {
+        acc[g][r] = vaddq_f64(
+            acc[g][r], vmulq_f64(vld1q_f64(col + g * stride + 2 * r), v));
+      }
+    }
+  }
+  for (int g = 0; g < kTiles; ++g) {
+    for (int r = 0; r < 4; ++r) {
+      vst1q_f64(out + g * kSimdTileLanes + 2 * r, acc[g][r]);
+    }
+  }
+}
+
+void TileDotNeon(const Scalar* tiles, int num_tiles, int dim, const Scalar* x,
+                 Scalar* out) {
+  const size_t stride = static_cast<size_t>(dim) * kSimdTileLanes;
+  int t = 0;
+  for (; t + 2 <= num_tiles; t += 2) {
+    TileDotGroupNeon<2>(tiles + t * stride, dim, x, out + t * kSimdTileLanes);
+  }
+  if (t < num_tiles) {
+    TileDotGroupNeon<1>(tiles + t * stride, dim, x, out + t * kSimdTileLanes);
+  }
+}
+
+constexpr SimdKernelOps kNeonOps = {"neon", TileSquaredL2Neon, TileL1Neon,
+                                    TileDotNeon};
 
 }  // namespace
 

@@ -3,8 +3,9 @@
 // member's terms in ascending dimension order with separate multiply and add
 // (this TU builds with -ffp-contract=off, see CMakeLists), which is exactly
 // the operation sequence of the row-major scalar loops in common/dataset.cc
-// — so a lane's output is bit-identical to Dataset::SquaredL2 / the L1 loop
-// for that member, and bit-identical to what any vector ISA computes for the
+// and of the per-projection LSH dot product — so a lane's output is
+// bit-identical to Dataset::SquaredL2 / the L1 loop / the projection for
+// that column, and bit-identical to what any vector ISA computes for the
 // same lane.
 #include <cmath>
 
@@ -41,8 +42,30 @@ void TileL1Scalar(const Scalar* tile, int dim, const Scalar* query,
   for (int l = 0; l < kSimdTileLanes; ++l) out[l] = acc[l];
 }
 
+// One tile at a time: its eight lane accumulators are already eight
+// independent add chains.
+void TileDotScalar(const Scalar* tiles, int num_tiles, int dim,
+                   const Scalar* x, Scalar* out) {
+  for (int t = 0; t < num_tiles; ++t) {
+    const Scalar* tile =
+        tiles + static_cast<size_t>(t) * dim * kSimdTileLanes;
+    Scalar acc[kSimdTileLanes] = {};
+    for (int k = 0; k < dim; ++k) {
+      const Scalar v = x[k];
+      const Scalar* col = tile + static_cast<size_t>(k) * kSimdTileLanes;
+      for (int l = 0; l < kSimdTileLanes; ++l) {
+        const Scalar prod = col[l] * v;
+        acc[l] += prod;
+      }
+    }
+    for (int l = 0; l < kSimdTileLanes; ++l) {
+      out[t * kSimdTileLanes + l] = acc[l];
+    }
+  }
+}
+
 constexpr SimdKernelOps kScalarOps = {"scalar", TileSquaredL2Scalar,
-                                      TileL1Scalar};
+                                      TileL1Scalar, TileDotScalar};
 
 }  // namespace
 

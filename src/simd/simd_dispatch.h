@@ -7,10 +7,11 @@
 
 namespace alid {
 
-/// The instruction sets the Eq.-1 kernel path can run on. kScalar is always
-/// compiled and is the bit-exactness oracle every wider path is tested
-/// against; the others exist only where the toolchain could compile them and
-/// engage only where the running CPU reports support.
+/// The instruction sets the tile kernels (Eq.-1 scoring distances and the
+/// LSH projections) can run on. kScalar is always compiled and is the
+/// bit-exactness oracle every wider path is tested against; the others exist
+/// only where the toolchain could compile them and engage only where the
+/// running CPU reports support.
 enum class SimdIsa {
   kScalar = 0,
   kAvx2 = 1,
@@ -19,30 +20,41 @@ enum class SimdIsa {
 };
 
 /// One ISA's implementation of the dimension-major tile kernels. A tile is
-/// kSimdTileLanes member columns stored dimension-major (`tile[k *
-/// kSimdTileLanes + l]` is coordinate k of lane l), so one contiguous load
-/// feeds every lane the same coordinate of kSimdTileLanes different members.
+/// kSimdTileLanes columns stored dimension-major (`tile[k * kSimdTileLanes +
+/// l]` is coordinate k of lane l), so one contiguous load feeds every lane
+/// the same coordinate of kSimdTileLanes different columns. A column is a
+/// cluster member for the distance kernels (SoaBlock) and an LSH projection
+/// vector for tile_dot (LshIndex).
 ///
 /// Exactness contract (the reason the vector path can be the *default*):
-/// every lane accumulates its member's per-dimension terms in ascending
-/// dimension order with separate multiply and add — never fused, never
-/// reassociated across dimensions — which is operation-for-operation the
-/// scalar row-major loop of Dataset::SquaredL2 / LpDistance. Lanes never sum
-/// with each other, so lane width is not observable: every ISA produces
-/// bit-identical outputs, and `out[l]` is bit-identical to the scalar
-/// distance of member l. The SIMD translation units compile with
-/// -ffp-contract=off to pin this down.
+/// every lane accumulates its column's per-dimension terms in ascending
+/// dimension order, starting from 0.0, with separate multiply and add —
+/// never fused, never reassociated across dimensions — which is
+/// operation-for-operation the scalar row-major loop it replaces
+/// (Dataset::SquaredL2 / LpDistance for the distances, the per-projection
+/// dot product of p-stable hashing for tile_dot). Lanes never sum with each
+/// other, so lane width and the number of tiles in flight are not
+/// observable: every ISA produces bit-identical outputs, and each lane is
+/// bit-identical to the scalar row-major value of its column. The SIMD
+/// translation units compile with -ffp-contract=off to pin this down.
 struct SimdKernelOps {
   const char* name;
-  /// out[l] = sum_k (tile[k * lanes + l] - query[k])^2 for l < count.
+  /// out[l] = sum_k (tile[k * lanes + l] - query[k])^2 for every lane l.
   void (*tile_squared_l2)(const Scalar* tile, int dim, const Scalar* query,
                           Scalar* out);
-  /// out[l] = sum_k |tile[k * lanes + l] - query[k]| for l < count.
+  /// out[l] = sum_k |tile[k * lanes + l] - query[k]| for every lane l.
   void (*tile_l1)(const Scalar* tile, int dim, const Scalar* query,
                   Scalar* out);
+  /// Dot products of `x` with every lane of `num_tiles` consecutive tiles
+  /// (tile t starts at tiles + t * dim * lanes):
+  /// out[t * lanes + l] = sum_k tiles[(t * dim + k) * lanes + l] * x[k].
+  /// Several tiles are accumulated side by side, so one call keeps more
+  /// independent add chains in flight than one tile's lanes provide.
+  void (*tile_dot)(const Scalar* tiles, int num_tiles, int dim,
+                   const Scalar* x, Scalar* out);
 };
 
-/// Member columns per tile. Fixed at 8 so one tile is one AVX-512 register,
+/// Columns per tile. Fixed at 8 so one tile is one AVX-512 register,
 /// two AVX2 registers, four NEON registers, or eight scalar accumulators.
 inline constexpr int kSimdTileLanes = 8;
 

@@ -1,6 +1,10 @@
 // Tests of the p-stable LSH index: recall on planted clusters, selectivity
-// against noise, bucket iteration and determinism.
+// against noise, bucket iteration, determinism, and bit-identity of the
+// tiled projection keys with the per-table row-major hashing loop on every
+// SIMD path.
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -8,6 +12,7 @@
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "lsh/lsh_index.h"
+#include "simd/simd_dispatch.h"
 
 namespace alid {
 namespace {
@@ -266,6 +271,194 @@ TEST_P(LshRemoveReinsertFuzz, InterleavedRemovalsMatchFreshIndex) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LshRemoveReinsertFuzz,
                          ::testing::Values(1u, 17u, 404u, 9001u));
+
+// The per-table row-major hasher the tiled index replaced, kept as the
+// oracle of its keys: each table draws its projection matrix (row-major,
+// num_projections x dim) and then its offsets from one Rng(seed) stream,
+// and each projection is one serial dot product over the full dimension.
+class RowMajorReferenceHasher {
+ public:
+  RowMajorReferenceHasher(int dim, const LshParams& params)
+      : dim_(dim), params_(params) {
+    Rng rng(params.seed);
+    tables_.resize(static_cast<size_t>(params.num_tables));
+    for (auto& table : tables_) {
+      table.projections.resize(
+          static_cast<size_t>(params.num_projections) * dim);
+      for (auto& v : table.projections) v = rng.Gaussian();
+      table.offsets.resize(static_cast<size_t>(params.num_projections));
+      for (auto& b : table.offsets) b = rng.Uniform(0.0, params.segment_length);
+    }
+  }
+
+  // Projection p of table t, floored: the bucket coordinate.
+  int32_t Floor(int t, int p, std::span<const Scalar> point) const {
+    const Table& table = tables_[static_cast<size_t>(t)];
+    const Scalar* proj =
+        table.projections.data() + static_cast<size_t>(p) * dim_;
+    Scalar dot = 0.0;
+    for (int k = 0; k < dim_; ++k) dot += proj[k] * point[k];
+    return SaturatingFloor((dot + table.offsets[p]) / params_.segment_length);
+  }
+
+  Scalar Projection(int t, int p, int k) const {
+    return tables_[static_cast<size_t>(t)]
+        .projections[static_cast<size_t>(p) * dim_ + k];
+  }
+
+  uint64_t Key(int t, std::span<const Scalar> point) const {
+    int32_t floors[LshIndex::kMaxProjections] = {};
+    for (int p = 0; p < params_.num_projections; ++p) {
+      floors[p] = Floor(t, p, point);
+    }
+    uint64_t h = 1469598103934665603ull;
+    for (int p = 0; p < params_.num_projections; ++p) {
+      const uint32_t v = static_cast<uint32_t>(floors[p]);
+      for (int b = 0; b < 4; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+    return h;
+  }
+
+ private:
+  struct Table {
+    std::vector<Scalar> projections;
+    std::vector<Scalar> offsets;
+  };
+
+  static int32_t SaturatingFloor(Scalar v) {
+    constexpr Scalar kMin = std::numeric_limits<int32_t>::min();
+    constexpr Scalar kMax = std::numeric_limits<int32_t>::max();
+    const Scalar f = std::floor(v);
+    if (!(f >= kMin)) return std::numeric_limits<int32_t>::min();
+    if (f > kMax) return std::numeric_limits<int32_t>::max();
+    return static_cast<int32_t>(f);
+  }
+
+  int dim_;
+  LshParams params_;
+  std::vector<Table> tables_;
+};
+
+// Random rows; the SaturatingFloor edges (NaN, +-inf and +-1e300
+// coordinates, alone and mixed into ordinary rows); and, for every
+// projection, the two adjacent rows on either side of one of its bucket
+// edges. A random row's projection sits far from an edge in ulps, so it
+// would hide a kernel that is off in the last bits (an FMA, a reordered
+// sum); an edge row's reference floor flips if the projection moves by
+// about an ulp, so such a kernel changes some of these rows' keys.
+Dataset KeyProbeRows(int dim, const LshParams& params,
+                     const RowMajorReferenceHasher& reference,
+                     uint64_t seed) {
+  constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  const Scalar kEdges[] = {std::numeric_limits<Scalar>::quiet_NaN(), kInf,
+                           -kInf, 1e300, -1e300};
+  Rng rng(seed);
+  Dataset rows(dim);
+  std::vector<Scalar> row(static_cast<size_t>(dim));
+  for (int i = 0; i < 40; ++i) {
+    for (auto& v : row) v = rng.Uniform(-20.0, 20.0);
+    rows.Append(row);
+  }
+  for (const Scalar edge : kEdges) {
+    std::fill(row.begin(), row.end(), edge);
+    rows.Append(row);
+    for (auto& v : row) v = rng.Uniform(-20.0, 20.0);
+    row[static_cast<size_t>(dim / 2)] = edge;
+    rows.Append(row);
+  }
+  for (int t = 0; t < params.num_tables; ++t) {
+    for (int p = 0; p < params.num_projections; ++p) {
+      // The floor is monotone in coordinate k (rounded multiply and add
+      // are monotone), so bisect k down to two adjacent doubles whose
+      // floors differ.
+      for (auto& v : row) v = rng.Uniform(-20.0, 20.0);
+      const int k = (t + p) % dim;
+      const Scalar toward =
+          reference.Projection(t, p, k) > 0.0 ? 1.0 : -1.0;
+      const auto floor_at = [&](Scalar v) {
+        row[static_cast<size_t>(k)] = v;
+        return reference.Floor(t, p, row);
+      };
+      Scalar lo = row[static_cast<size_t>(k)];
+      const int32_t lo_floor = floor_at(lo);
+      Scalar hi = lo;
+      do {
+        hi += toward * params.segment_length;
+      } while (floor_at(hi) == lo_floor);
+      while (std::nextafter(lo, hi) != hi) {
+        const Scalar mid = lo + (hi - lo) / 2;
+        (floor_at(mid) == lo_floor ? lo : hi) = mid;
+      }
+      floor_at(lo);
+      rows.Append(row);
+      floor_at(hi);
+      rows.Append(row);
+    }
+  }
+  return rows;
+}
+
+TEST(LshIndexTest, KeysMatchRowMajorReferenceOnEveryIsa) {
+  // 8 x 6 and 8 x 12 fill whole tiles; 3 x 5 = 15 lanes leaves a ragged
+  // final tile and puts tables across tile boundaries.
+  const std::pair<int, int> shapes[] = {{8, 6}, {8, 12}, {3, 5}};
+  for (const int dim : {1, 7, 16, 64}) {
+    for (const auto& [tables, projections] : shapes) {
+      LshParams params;
+      params.num_tables = tables;
+      params.num_projections = projections;
+      params.segment_length = 3.5;
+      params.seed = 77 + dim;
+      const RowMajorReferenceHasher reference(dim, params);
+      const Dataset rows = KeyProbeRows(dim, params, reference, 300 + dim);
+      for (SimdIsa isa : AvailableSimdIsas()) {
+        ScopedSimdIsaOverride pin(isa);
+        SCOPED_TRACE(testing::Message()
+                     << "isa=" << SimdIsaName(isa) << " dim=" << dim
+                     << " shape=" << tables << "x" << projections);
+        const LshIndex eager(rows, params);
+        const LshIndex dataset_free(dim, params);
+        std::vector<uint64_t> item_keys(static_cast<size_t>(tables));
+        std::vector<uint64_t> point_keys(static_cast<size_t>(tables));
+        std::vector<uint64_t> free_keys(static_cast<size_t>(tables));
+        for (Index i = 0; i < rows.size(); ++i) {
+          eager.ComputeItemKeys(i, item_keys.data());
+          eager.ComputePointKeys(rows[i], point_keys.data());
+          dataset_free.ComputePointKeys(rows[i], free_keys.data());
+          for (int t = 0; t < tables; ++t) {
+            const uint64_t want = reference.Key(t, rows[i]);
+            const size_t at = static_cast<size_t>(t);
+            ASSERT_EQ(item_keys[at], want) << "ComputeItemKeys " << i;
+            ASSERT_EQ(point_keys[at], want) << "ComputePointKeys " << i;
+            ASSERT_EQ(free_keys[at], want) << "dataset-free " << i;
+            ASSERT_EQ(eager.ItemKey(t, i), want) << "ItemKey " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LshIndexDeathTest, PointEntryPointsRejectAWrongDimension) {
+  // Checked in every build type: a Release build must not read past a
+  // short span, nor silently hash a prefix of a long one.
+  LabeledData data = TightClusters();
+  LshIndex lsh(data.data, DefaultParams(data));
+  const size_t dim = static_cast<size_t>(data.data.dim());
+  const std::vector<Scalar> short_point(dim - 1);
+  const std::vector<Scalar> long_point(dim + 1);
+  std::vector<uint64_t> keys(static_cast<size_t>(lsh.num_tables()));
+  std::vector<Index> out;
+  EXPECT_DEATH(lsh.ComputePointKeys(short_point, keys.data()),
+               "point dimension");
+  EXPECT_DEATH(lsh.ComputePointKeys(long_point, keys.data()),
+               "point dimension");
+  EXPECT_DEATH(lsh.QueryByPoint(short_point, &out), "point dimension");
+  EXPECT_DEATH(lsh.QueryByPoint(long_point, &out), "point dimension");
+}
 
 }  // namespace
 }  // namespace alid

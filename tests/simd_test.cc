@@ -92,6 +92,7 @@ TEST(SimdDispatchTest, EveryAvailableIsaHasOpsAndAName) {
     ASSERT_NE(ops, nullptr) << SimdIsaName(isa);
     EXPECT_NE(ops->tile_squared_l2, nullptr) << SimdIsaName(isa);
     EXPECT_NE(ops->tile_l1, nullptr) << SimdIsaName(isa);
+    EXPECT_NE(ops->tile_dot, nullptr) << SimdIsaName(isa);
     EXPECT_STREQ(ops->name, SimdIsaName(isa));
   }
 }
@@ -161,8 +162,46 @@ TEST(SoaBlockTest, CopyRowRoundTripsEveryMemberBitForBit) {
 
 // Every compiled-in ISA's tile kernels must produce bit-identical outputs to
 // the scalar ops AND to the row-major reference accumulation, across odd
-// dimensions and ragged final tiles.
+// dimensions and ragged final tiles — and tile_dot across every tile count
+// that exercises a different mix of side-by-side tile groups.
 TEST(SimdKernelTest, TileKernelsBitIdenticalToScalarReference) {
+  for (const int dim : {1, 7, 16, 64, 128}) {
+    for (const int num_tiles : {1, 2, 3, 4, 5, 6, 7, 12}) {
+      const int lanes = num_tiles * kSimdTileLanes;
+      Rng rng(500 + dim * 13 + num_tiles);
+      std::vector<Scalar> tiles(static_cast<size_t>(lanes) * dim);
+      for (auto& v : tiles) v = rng.Gaussian();
+      const std::vector<Scalar> x = RandomQuery(dim, 700 + dim);
+      // Row-major reference: each lane's dot product from 0.0 in ascending
+      // dimension order, separate multiply and add — the p-stable
+      // projection loop tile_dot replaces.
+      std::vector<Scalar> ref(static_cast<size_t>(lanes));
+      for (int j = 0; j < lanes; ++j) {
+        const Scalar* lane =
+            tiles.data() +
+            static_cast<size_t>(j / kSimdTileLanes) * dim * kSimdTileLanes +
+            j % kSimdTileLanes;
+        Scalar dot = 0.0;
+        for (int k = 0; k < dim; ++k) {
+          dot += lane[static_cast<size_t>(k) * kSimdTileLanes] * x[k];
+        }
+        ref[static_cast<size_t>(j)] = dot;
+      }
+      for (SimdIsa isa : AvailableSimdIsas()) {
+        std::vector<Scalar> out(static_cast<size_t>(lanes));
+        SimdOpsFor(isa)->tile_dot(tiles.data(), num_tiles, dim, x.data(),
+                                  out.data());
+        SCOPED_TRACE(testing::Message()
+                     << "tile_dot isa=" << SimdIsaName(isa) << " dim=" << dim
+                     << " tiles=" << num_tiles);
+        for (int j = 0; j < lanes; ++j) {
+          ExpectSameBits(out[static_cast<size_t>(j)],
+                         ref[static_cast<size_t>(j)], "tile_dot", j);
+        }
+      }
+    }
+  }
+
   for (const int dim : {1, 3, 8, 17}) {
     for (const Index n : {1, 7, 8, 9, 24, 29}) {
       Dataset rows = RandomRows(n, dim, 100 + dim * 31 + n);
