@@ -12,9 +12,11 @@
 // pure delegation).
 //
 // After the sweep, one router phase at S = 4 publishes the sharded
-// snapshot bundle, fans out an assignment and a top-k query batch, and
-// emits the boundary-cluster report; the router's registry fields (incl.
-// the CI-gated shard_fanout_queries counter) embed in the record.
+// snapshot bundle, fans out an assignment and a top-k query batch, times
+// 2000 single-point requests (router_single_query_us_p50, reported, not
+// gated), and emits the boundary-cluster report; the router's registry
+// fields (incl. the CI-gated shard_fanout_queries counter) embed in the
+// record.
 #include "bench_util.h"
 #include "registry.h"
 
@@ -244,6 +246,23 @@ void Run(BenchContext& ctx) {
   const QueryResponse assigned = router.Query({.points = queries});
   const double query_wall = query_timer.Seconds();
   const QueryResponse ranked = router.Query({.points = queries, .top_k = 3});
+  // Single-point requests, alternating assignment and top-3: the per-request
+  // cost of the fan-out (one hash per point, every shard scored).
+  const int single_requests = 2000;
+  std::vector<double> single_us;
+  single_us.reserve(single_requests);
+  for (int r = 0; r < single_requests; ++r) {
+    const Index q = static_cast<Index>(r) % num_queries;
+    const std::span<const Scalar> point(
+        queries.data() + static_cast<size_t>(q) * cfg.dim,
+        static_cast<size_t>(cfg.dim));
+    WallTimer single_timer;
+    const QueryResponse single =
+        router.Query({.points = point, .top_k = r % 2 == 0 ? 0 : 3});
+    single_us.push_back(single_timer.Seconds() * 1e6);
+    if (!single.ok()) std::printf("router: single request %d failed\n", r);
+  }
+  const double single_p50_us = Percentile(single_us, 0.50);
   int64_t assigned_points = 0;
   for (const QueryOutcome& a : assigned.assignments) {
     assigned_points += a.cluster >= 0 ? 1 : 0;
@@ -255,11 +274,12 @@ void Run(BenchContext& ctx) {
     max_cross = std::max(max_cross, pair.cross_density);
   }
   std::printf("router: generation %llu, %d/%d assigned, %d ranked batches, "
-              "%zu boundary pairs (max cross density %.4f)\n",
+              "%zu boundary pairs (max cross density %.4f), single-point "
+              "request p50 %.2f us\n",
               static_cast<unsigned long long>(generation),
               static_cast<int>(assigned_points), num_queries,
               static_cast<int>(ranked.ranked.size()), boundary.size(),
-              max_cross);
+              max_cross, single_p50_us);
 
   std::printf("\nExpected shape: for a fixed S the state is bit-identical "
               "down the executor column (tests/shard_test.cc), so only wall "
@@ -276,10 +296,11 @@ void Run(BenchContext& ctx) {
           "\"window\":%d,\"plain_wall_seconds\":%.6f,"
           "\"s1_wall_seconds\":%.6f,\"shard_s1_overhead_ratio\":%.4f,"
           "\"publish_wall_seconds\":%.6f,\"query_wall_seconds\":%.6f,"
+          "\"router_single_query_us_p50\":%.3f,"
           "\"assigned_points\":%lld,\"boundary_pairs\":%zu,"
           "\"boundary_max_cross_density\":%.6f,%s,\"rows\":[",
           data.size(), cfg.dim, batch, window, plain_wall, s1_wall,
-          overhead_ratio, publish_seconds, query_wall,
+          overhead_ratio, publish_seconds, query_wall, single_p50_us,
           static_cast<long long>(assigned_points), boundary.size(),
           max_cross, router.metrics().ToJsonFields().c_str());
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -66,21 +66,45 @@ std::vector<ClusterMeta> ClusterMetas(const ServedGeneration& gen) {
   return metas;
 }
 
+// The point's bucket keys, hashed at most once per point of a request:
+// on the first call, with the hasher of the generation's shard 0 (Publish
+// checks that every shard hashes alike). A caller asks only when a shard
+// holds a cluster — an empty shard answers without keys — so a point of an
+// all-empty generation is never hashed.
+class LazyKeys {
+ public:
+  LazyKeys(const ServedGeneration& gen, std::span<const Scalar> point)
+      : gen_(gen), point_(point) {}
+
+  std::span<const uint64_t> get() {
+    if (keys_.empty()) keys_ = gen_.shards.front()->QueryKeys(point_);
+    return keys_;
+  }
+
+ private:
+  const ServedGeneration& gen_;
+  std::span<const Scalar> point_;
+  std::span<const uint64_t> keys_;  // the thread's query scratch
+};
+
 // The absorb decision for one point across every shard of `gen`: each
-// shard's Assign with its id offset into the generation's id space, merged
-// by strictly-greater margin — equal margins keep the earlier shard, and
-// each shard already prefers its lowest cluster id, so the lowest
+// shard's keyed Assign with its id offset into the generation's id space,
+// merged by strictly-greater margin — equal margins keep the earlier shard,
+// and each shard already prefers its lowest cluster id, so the lowest
 // generation-wide id wins ties. For S == 1 this is the shard's answer.
 QueryOutcome AssignAcrossShards(const ServedGeneration& gen,
                                 std::span<const Scalar> point) {
   QueryOutcome best;
+  LazyKeys keys(gen, point);
   int offset = 0;
   for (const auto& shard : gen.shards) {
-    const QueryOutcome outcome = shard->Assign(point);
-    if (outcome.cluster >= 0 &&
-        (best.cluster < 0 || outcome.margin > best.margin)) {
-      best = outcome;
-      best.cluster += offset;
+    if (shard->num_clusters() > 0) {
+      const QueryOutcome outcome = shard->Assign(point, keys.get());
+      if (outcome.cluster >= 0 &&
+          (best.cluster < 0 || outcome.margin > best.margin)) {
+        best = outcome;
+        best.cluster += offset;
+      }
     }
     offset += shard->num_clusters();
   }
@@ -88,20 +112,25 @@ QueryOutcome AssignAcrossShards(const ServedGeneration& gen,
   return best;
 }
 
-// Top-k of one point across every shard of `gen`: each shard's ranking with
-// its ids offset into the generation's id space, merged by affinity
-// descending and ascending id on ties — the snapshot's own order, so for
-// S == 1 this is the shard's ranking verbatim. The order is total (no two
-// candidates share an id), so the merge is deterministic whatever sort runs
-// underneath.
+// Top-k of one point across every shard of `gen`: each shard's keyed
+// ranking with its ids offset into the generation's id space, merged by
+// affinity descending and ascending id on ties — the snapshot's own order,
+// so for S == 1 this is the shard's ranking verbatim. The order is total
+// (no two candidates share an id), so the merge is deterministic whatever
+// sort runs underneath.
 std::vector<ScoredCluster> RankAcrossShards(const ServedGeneration& gen,
                                             std::span<const Scalar> point,
                                             int k) {
-  std::vector<ScoredCluster> ranked =
-      gen.shards.front()->TopKClusters(point, k);
+  LazyKeys keys(gen, point);
+  const auto rank = [&](const ClusterSnapshot& shard) {
+    return shard.num_clusters() > 0
+               ? shard.TopKClusters(point, keys.get(), k)
+               : std::vector<ScoredCluster>();
+  };
+  std::vector<ScoredCluster> ranked = rank(*gen.shards.front());
   int offset = gen.shards.front()->num_clusters();
   for (size_t s = 1; s < gen.shards.size(); ++s) {
-    for (ScoredCluster candidate : gen.shards[s]->TopKClusters(point, k)) {
+    for (ScoredCluster candidate : rank(*gen.shards[s])) {
       candidate.cluster += offset;
       ranked.push_back(candidate);
     }
@@ -123,21 +152,27 @@ std::vector<ScoredCluster> RankAcrossShards(const ServedGeneration& gen,
   return ranked;
 }
 
-}  // namespace
-
-int64_t ClusterServer::HistoryBytesLocked() const {
-  if (history_.empty()) return 0;
+// The bytes ring entries [i, end) hold beyond `current`, for every i (the
+// entry at ring.size() is 0): unique arena-block bytes and candidate-key
+// tables that `current` does not reference — the true extra cost of time
+// travel (shared blocks are charged to the live generation). The bytes of a
+// set of entries are a set union, so one newest-first walk, counting each
+// block and table once, yields every suffix.
+std::vector<int64_t> RingSuffixBytes(const ServedGeneration* current,
+                                     const HistoryRing& ring) {
+  std::vector<int64_t> suffix(ring.size() + 1, 0);
+  if (ring.empty()) return suffix;
   std::unordered_set<const ClusterSnapshot*> counted_shards;
   std::unordered_set<const ClusterBlock*> counted;
-  if (current_ != nullptr) {
-    for (const auto& shard : current_->shards) {
+  if (current != nullptr) {
+    for (const auto& shard : current->shards) {
       counted_shards.insert(shard.get());
       for (const auto& block : shard->blocks()) counted.insert(block.get());
     }
   }
-  int64_t bytes = 0;
-  for (const auto& entry : history_) {
-    for (const auto& shard : entry->shards) {
+  for (size_t i = ring.size(); i-- > 0;) {
+    int64_t bytes = suffix[i + 1];
+    for (const auto& shard : ring[i]->shards) {
       if (counted_shards.insert(shard.get()).second) {
         bytes += static_cast<int64_t>(shard->candidate_key_bytes());
       }
@@ -147,9 +182,12 @@ int64_t ClusterServer::HistoryBytesLocked() const {
         }
       }
     }
+    suffix[i] = bytes;
   }
-  return bytes;
+  return suffix;
 }
+
+}  // namespace
 
 void ClusterServer::Publish(std::shared_ptr<const ClusterSnapshot> snapshot) {
   if (snapshot == nullptr) {
@@ -171,6 +209,9 @@ void ClusterServer::Publish(
     ALID_CHECK(!generation->shards.empty());
     for (const auto& shard : generation->shards) {
       ALID_CHECK(shard != nullptr && shard->dim() == dim_);
+      // A request hashes each point once, with shard 0's hasher, and hands
+      // the keys to every shard.
+      ALID_CHECK(shard->HashesLike(*generation->shards.front()));
       const SnapshotBuildInfo& info = shard->build_info();
       ledger.build_seconds += info.build_seconds;
       ledger.rows_reused += info.rows_reused;
@@ -179,53 +220,71 @@ void ClusterServer::Publish(
       ledger.bytes_copied += info.bytes_copied;
     }
   }
-  // Generations released by this publication (ring evictions, plus the swap
-  // operand itself when it goes out of scope) die outside the critical
-  // section, so an expensive teardown never stalls readers.
+  // Generations released by this publication — ring evictions, the
+  // replaced ring and the swap operand — die after both locks are
+  // released, so an expensive teardown stalls neither the readers nor the
+  // next publisher.
   std::vector<std::shared_ptr<const ServedGeneration>> evicted;
+  HistoryRing ring;
   bool republish = false;
   {
-    ALID_TRACE_SCOPE("serve", "publish_swap");
-    std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
+    // Publishers take turns here; only they write current_ and history_,
+    // so reading both needs no more than this lock. The next ring and its
+    // bytes are built aside, and readers wait only for the swap below.
+    std::lock_guard<std::mutex> publish_lock(publish_mu_);
     // Re-publishing the current shards (a rollback, or a fresh one-shard
     // wrapper around the current snapshot) leaves the ring as it is.
     republish = current_ == generation ||
                 (current_ != nullptr && generation != nullptr &&
                  current_->generation == generation->generation &&
                  current_->shards == generation->shards);
+    ring = history_;
     if (!republish && current_ != nullptr && options_.history_capacity > 0) {
       // Retire the outgoing generation into the ring. A generation
       // republished later (rollback) would otherwise accumulate duplicate
       // entries, so an existing entry of the same generation is dropped
       // first.
       const uint64_t retiring = current_->generation;
-      for (auto it = history_.begin(); it != history_.end();) {
+      for (auto it = ring.begin(); it != ring.end();) {
         if ((*it)->generation == retiring) {
           evicted.push_back(std::move(*it));
-          it = history_.erase(it);
+          it = ring.erase(it);
         } else {
           ++it;
         }
       }
-      history_.push_back(current_);
+      ring.push_back(current_);
     }
-    current_.swap(generation);
-    while (static_cast<int>(history_.size()) > options_.history_capacity) {
-      evicted.push_back(std::move(history_.front()));
-      history_.pop_front();
-      ++history_evictions_;
+    int64_t evictions = history_evictions_;
+    const auto evict_oldest = [&] {
+      evicted.push_back(std::move(ring.front()));
+      ring.pop_front();
+      ++evictions;
+    };
+    while (static_cast<int>(ring.size()) > options_.history_capacity) {
+      evict_oldest();
     }
-    history_ring_bytes_ = HistoryBytesLocked();
+    // The budget evicts the oldest entries until the rest fit.
+    const std::vector<int64_t> suffix =
+        RingSuffixBytes(generation.get(), ring);
+    size_t oldest_kept = 0;
     while (options_.history_budget_bytes > 0 &&
-           history_ring_bytes_ > options_.history_budget_bytes &&
-           !history_.empty()) {
-      evicted.push_back(std::move(history_.front()));
-      history_.pop_front();
-      ++history_evictions_;
-      history_ring_bytes_ = HistoryBytesLocked();
+           suffix[oldest_kept] > options_.history_budget_bytes) {
+      ++oldest_kept;
+    }
+    for (size_t i = 0; i < oldest_kept; ++i) evict_oldest();
+    {
+      ALID_TRACE_SCOPE("serve", "publish_swap");
+      std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
+      current_.swap(generation);
+      history_.swap(ring);
+      history_ring_bytes_ = suffix[oldest_kept];
+      history_evictions_ = evictions;
     }
   }
   evicted.clear();
+  ring.clear();
+  generation.reset();
   // Re-publishing the generation that was already current still counts as
   // a publication, but its build cost and re-use totals were recorded when
   // it was first published — folding them again would claim work that

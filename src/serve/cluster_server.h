@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <vector>
@@ -49,6 +50,9 @@ struct ServedGeneration {
   uint64_t generation = 0;
   std::vector<std::shared_ptr<const ClusterSnapshot>> shards;
 };
+
+/// Retired generations kept addressable for as-of queries, oldest first.
+using HistoryRing = std::deque<std::shared_ptr<const ServedGeneration>>;
 
 /// A unified serve request: `points` holds count * dim scalars, row-major.
 /// top_k == 0 asks for assignments (one QueryOutcome per point — the
@@ -138,11 +142,16 @@ struct GenerationDiffResult {
 /// pay block bytes for changed clusters only; each generation still owns
 /// its candidate-key table (one entry per distinct member bucket).
 ///
-/// Sharded answers merge by the snapshot's own rule over the generation's
-/// one cluster-id space: assignment takes the largest positive margin and
-/// ranking orders by affinity descending, both breaking ties by the lowest
-/// id, i.e. by ascending (shard, cluster). For S == 1 a request does
-/// exactly the single snapshot's work.
+/// A request hashes each point once, with the hasher of the generation's
+/// shard 0, and hands the keys to every shard's keyed Assign/TopKClusters;
+/// so the shards of a generation must hash alike (ClusterSnapshot::
+/// HashesLike), which Publish checks. A point is hashed only when some
+/// shard of the pinned generation holds a cluster — an empty shard answers
+/// without keys. Sharded answers merge by the snapshot's own rule over the
+/// generation's one cluster-id space: assignment takes the largest positive
+/// margin and ranking orders by affinity descending, both breaking ties by
+/// the lowest id, i.e. by ascending (shard, cluster). For S == 1 a request
+/// does exactly the single snapshot's work.
 ///
 /// The publication cell implements std::atomic<std::shared_ptr> semantics
 /// (P0718: linearizable store, acquire loads) over a reader-writer lock
@@ -151,6 +160,9 @@ struct GenerationDiffResult {
 /// contract is enforced under TSan in CI. Readers take the lock shared and
 /// hold it only to bump the generation's refcount, so a reader is delayed
 /// only by the O(1) swap of a concurrent Publish, never by other readers.
+/// Publishers take turns on a lock of their own, under which each builds
+/// the next history ring and its byte total; the readers' lock is taken
+/// exclusively only to swap in the generation, the ring and the gauges.
 ///
 /// Thread-safety: Publish and every query method may be called from any
 /// number of threads concurrently. Detect-side structures (OnlineAlid, the
@@ -164,6 +176,8 @@ class ClusterServer {
 
   /// Atomically installs a new generation (a release in the publication
   /// order: a reader that sees it also sees everything its build wrote).
+  /// Every shard must have the server's dim and hash like shard 0
+  /// (ALID_CHECKed).
   /// The retired generation enters the history ring (unless
   /// history_capacity is 0); generations evicted by the capacity/budget
   /// bounds are released outside the swap critical section, so an expensive
@@ -223,19 +237,17 @@ class ClusterServer {
   const obs::MetricsRegistry& metrics() const { return stats_.registry(); }
 
  private:
-  // Unique arena-block bytes and snapshot candidate-key tables referenced
-  // by ring entries but NOT by the current generation — the true extra
-  // cost of time travel (shared blocks are charged to the live generation).
-  // Caller holds snapshot_mu_.
-  int64_t HistoryBytesLocked() const;
-
   int dim_;
   ClusterServerOptions options_;
+  // Serializes publishers: one builds the next ring (retire, evict, byte
+  // total) under it while readers go on reading the current one.
+  std::mutex publish_mu_;
   // The publication cell (see class comment). shared lock: copy the
-  // pointer / scan the ring; unique lock: swap + retire + evict.
+  // pointer / scan the ring; unique lock (with publish_mu_ held): swap in
+  // the next generation, ring and gauges.
   mutable std::shared_mutex snapshot_mu_;
   std::shared_ptr<const ServedGeneration> current_;
-  std::deque<std::shared_ptr<const ServedGeneration>> history_;  // oldest first
+  HistoryRing history_;  // oldest first
   int64_t history_ring_bytes_ = 0;
   int64_t history_evictions_ = 0;
   mutable ServeStats stats_;

@@ -28,18 +28,27 @@ QueryScratch& Scratch() {
   return scratch;
 }
 
+// True iff hashers of one dimensionality built from `a` and `b` draw the
+// same projections and offsets, hence give every point the same keys.
+bool SameKeys(const LshParams& a, const LshParams& b) {
+  return a.num_tables == b.num_tables &&
+         a.num_projections == b.num_projections &&
+         a.segment_length == b.segment_length && a.seed == b.seed;
+}
+
 }  // namespace
 
 bool ClusterSnapshot::CompatibleWith(const ClusterSnapshotOptions& options,
                                      int dim) const {
   const AffinityParams& a = affinity_fn_->params();
-  const LshParams& l = hasher_->params();
-  return this->dim() == dim && absorb_slack_ == options.absorb_slack &&
-         a.k == options.affinity.k && a.p == options.affinity.p &&
-         l.num_tables == options.lsh.num_tables &&
-         l.num_projections == options.lsh.num_projections &&
-         l.segment_length == options.lsh.segment_length &&
-         l.seed == options.lsh.seed;
+  return this->dim() == dim && SameKeys(hasher_->params(), options.lsh) &&
+         absorb_slack_ == options.absorb_slack && a.k == options.affinity.k &&
+         a.p == options.affinity.p;
+}
+
+bool ClusterSnapshot::HashesLike(const ClusterSnapshot& other) const {
+  return dim_ == other.dim_ &&
+         SameKeys(hasher_->params(), other.hasher_->params());
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromClusters(
@@ -249,32 +258,47 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
                static_cast<uint64_t>(stream.size()), &stream, previous.get());
 }
 
-void ClusterSnapshot::MarkCandidates(std::span<const Scalar> point) const {
-  QueryScratch& scratch = Scratch();
+std::span<const uint64_t> ClusterSnapshot::QueryKeys(
+    std::span<const Scalar> point) const {
+  std::vector<uint64_t>& keys = Scratch().keys;
+  keys.resize(static_cast<size_t>(hasher_->num_tables()));
+  hasher_->ComputePointKeys(point, keys.data());
+  return keys;
+}
+
+const EpochStamp& ClusterSnapshot::MarkCandidates(
+    std::span<const uint64_t> keys) const {
   const int tables = hasher_->num_tables();
-  scratch.keys.resize(static_cast<size_t>(tables));
-  hasher_->ComputePointKeys(point, scratch.keys.data());
-  scratch.candidates.Begin(static_cast<size_t>(num_clusters()));
+  ALID_CHECK(static_cast<int>(keys.size()) == tables);
+  EpochStamp& candidates = Scratch().candidates;
+  candidates.Begin(static_cast<size_t>(num_clusters()));
   for (int t = 0; t < tables; ++t) {
-    const CandidateKey probe{t, -1, scratch.keys[static_cast<size_t>(t)]};
+    const CandidateKey probe{t, -1, keys[static_cast<size_t>(t)]};
     auto it = std::lower_bound(candidate_keys_.begin(), candidate_keys_.end(),
                                probe);
     for (; it != candidate_keys_.end() && !(probe < *it); ++it) {
-      scratch.candidates.Mark(static_cast<size_t>(it->cluster));
+      candidates.Mark(static_cast<size_t>(it->cluster));
     }
   }
+  return candidates;
 }
 
 QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
+  // An empty snapshot answers before hashing.
+  return Assign(point, num_clusters() > 0 ? QueryKeys(point)
+                                          : std::span<const uint64_t>());
+}
+
+QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point,
+                                     std::span<const uint64_t> keys) const {
   ALID_CHECK(static_cast<int>(point.size()) == dim());
   QueryOutcome best;
   best.generation = generation_;
   if (num_clusters() == 0) return best;
-  MarkCandidates(point);
-  const QueryScratch& scratch = Scratch();
+  const EpochStamp& candidates = MarkCandidates(keys);
   Scalar best_margin = -std::numeric_limits<Scalar>::infinity();
   for (int c = 0; c < num_clusters(); ++c) {
-    if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;
+    if (!candidates.IsMarked(static_cast<size_t>(c))) continue;
     // Absorb when (near-)infective — the same slack rule, threshold and
     // lowest-id tie-break as the stream's ScoreArrival.
     const Scalar threshold = blocks_[c]->density * (1.0 - absorb_slack_);
@@ -293,13 +317,23 @@ QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
 
 std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
     std::span<const Scalar> point, int k) const {
+  // An empty snapshot or k <= 0 answers before hashing.
+  return TopKClusters(point,
+                      k > 0 && num_clusters() > 0
+                          ? QueryKeys(point)
+                          : std::span<const uint64_t>(),
+                      k);
+}
+
+std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
+    std::span<const Scalar> point, std::span<const uint64_t> keys,
+    int k) const {
   ALID_CHECK(static_cast<int>(point.size()) == dim());
   std::vector<ScoredCluster> scored;
   if (k <= 0 || num_clusters() == 0) return scored;
-  MarkCandidates(point);
-  const QueryScratch& scratch = Scratch();
+  const EpochStamp& candidates = MarkCandidates(keys);
   for (int c = 0; c < num_clusters(); ++c) {
-    if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;
+    if (!candidates.IsMarked(static_cast<size_t>(c))) continue;
     const Scalar affinity =
         blocks_[c]->scorer->Affinity(*affinity_fn_, point);
     ScoredCluster entry;

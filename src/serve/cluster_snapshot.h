@@ -8,6 +8,7 @@
 
 #include "affinity/affinity_function.h"
 #include "common/dataset.h"
+#include "common/epoch_stamp.h"
 #include "core/cluster.h"
 #include "lsh/lsh_index.h"
 #include "serve/snapshot_arena.h"
@@ -98,15 +99,20 @@ struct ClusterSnapshotInfo {
 /// holding the simplex weights and SoA member tiles) lives in a refcounted
 /// arena block (see snapshot_arena.h); one flat (table, key, cluster) table
 /// over the blocks' buckets yields each query's candidate clusters. Every
-/// query — Assign, TopKClusters — scores each candidate exactly
-/// once through its block's scorer, the same object and the same method the
-/// stream's absorb step uses. The incremental export *shares* an unchanged
-/// cluster's block with the predecessor snapshot instead of copying it, so
-/// consecutive generations pay block bytes only for their changed clusters;
-/// the lookup table is each snapshot's own. Every query method is
-/// const, touches only snapshot-owned state plus thread-local scratch, and
-/// is therefore safe for any number of concurrent readers — the read side
-/// of the serving subsystem's RCU design.
+/// query — Assign, TopKClusters — runs one keyed scoring core: it takes the
+/// point's bucket keys (one per table, hashed once by the caller), marks the
+/// clusters those buckets hold and scores each candidate exactly once
+/// through its block's scorer, the same object and the same method the
+/// stream's absorb step uses. The point-only forms hash into thread-local
+/// scratch first; a caller fanning one point out over several snapshots
+/// that hash alike (ClusterServer over a sharded generation) hashes it once
+/// with QueryKeys and hands the keys to each. The incremental export
+/// *shares* an unchanged cluster's block with the predecessor snapshot
+/// instead of copying it, so consecutive generations pay block bytes only
+/// for their changed clusters; the lookup table is each snapshot's own.
+/// Every query method is const, touches only snapshot-owned state plus
+/// thread-local scratch, and is therefore safe for any number of concurrent
+/// readers — the read side of the serving subsystem's RCU design.
 class ClusterSnapshot {
  public:
   /// Builds from any detector output shaped as clusters over `data` — the
@@ -149,13 +155,37 @@ class ClusterSnapshot {
   /// the clusters of the point's LSH collisions, the winner the candidate
   /// with the largest positive margin pi(s_c, x) - density_c * (1 - slack)
   /// (lowest id on ties — the same rule as OnlineAlid::ScoreArrival).
-  /// outcome.generation carries this snapshot's generation.
+  /// outcome.generation carries this snapshot's generation. An empty
+  /// snapshot answers unassigned without hashing the point.
   QueryOutcome Assign(std::span<const Scalar> point) const;
+
+  /// The keyed scoring core of Assign: `keys` are the point's bucket keys
+  /// under this snapshot's LSH parameters (QueryKeys of this snapshot or of
+  /// any snapshot that HashesLike it), one per table. The point-only form
+  /// is exactly Assign(point, QueryKeys(point)).
+  QueryOutcome Assign(std::span<const Scalar> point,
+                      std::span<const uint64_t> keys) const;
 
   /// The candidate clusters of `point` scored by pi(s_c, x), descending
   /// (lowest id on ties), truncated to k.
   std::vector<ScoredCluster> TopKClusters(std::span<const Scalar> point,
                                           int k) const;
+
+  /// The keyed scoring core of TopKClusters (keys as for the keyed Assign).
+  std::vector<ScoredCluster> TopKClusters(std::span<const Scalar> point,
+                                          std::span<const uint64_t> keys,
+                                          int k) const;
+
+  /// The point's bucket keys, one per table, hashed into the calling
+  /// thread's query scratch: valid until that thread's next QueryKeys or
+  /// point-only query on any snapshot.
+  std::span<const uint64_t> QueryKeys(std::span<const Scalar> point) const;
+
+  /// True iff `other` gives every point the same bucket keys: the same
+  /// dimensionality and LSH parameters (tables, projections, segment length
+  /// and seed fix the projections). The keys of one then drive the keyed
+  /// queries of the other.
+  bool HashesLike(const ClusterSnapshot& other) const;
 
   /// Copy-out of cluster `c`'s metadata; info.cluster == -1 when out of
   /// range.
@@ -199,9 +229,10 @@ class ClusterSnapshot {
   // parameters, so its per-cluster arena blocks are shareable verbatim.
   bool CompatibleWith(const ClusterSnapshotOptions& options, int dim) const;
 
-  // Marks the point's candidate clusters in thread-local scratch: hashes
-  // the point once per table and marks every cluster holding that bucket.
-  void MarkCandidates(std::span<const Scalar> point) const;
+  // Marks the candidate clusters of a point with bucket keys `keys` (one
+  // per table) in thread-local scratch — every cluster holding one of those
+  // buckets — and returns the mark. Hashes nothing.
+  const EpochStamp& MarkCandidates(std::span<const uint64_t> keys) const;
 
   // A lookup-table entry, ordered by bucket alone.
   struct CandidateKey {

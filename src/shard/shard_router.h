@@ -38,14 +38,17 @@ struct BoundaryPair {
 /// Queries, the merge rule, the one cluster-id space, the history ring,
 /// GenerationDiff and the instruments are the server's own (see
 /// ClusterServer); the router adds only the per-shard incremental export
-/// chain and the boundary-cluster report. By default it retains no
+/// chain and the boundary-cluster report. Every shard exports under the
+/// stream's one LshParams, so the snapshots of a generation hash alike and
+/// a request hashes each point once for all shards. By default it retains no
 /// generations besides the current one; pass a history_capacity for as-of
 /// queries across shards.
 ///
 /// Thread-safety: queries from any number of threads concurrently with one
-/// publisher; publishers are externally synchronized with each other (they
-/// read the stream, which is single-writer anyway, and extend one export
-/// chain).
+/// PublishFromStream caller; PublishFromStream calls are externally
+/// synchronized with each other (they read the stream, which is
+/// single-writer anyway, and extend one export chain). The inherited
+/// Publish serializes its callers itself.
 class ShardRouter : public ClusterServer {
  public:
   ShardRouter(int dim, int num_shards,

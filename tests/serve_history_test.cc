@@ -1,9 +1,10 @@
 // Tests of the generation-addressed serve API: bounded time travel through
 // the history ring (as-of queries bit-identical to the pinned historical
-// snapshot), capacity/budget eviction under a hot publisher with concurrent
-// readers (TSan-visible), arena-block sharing and its MemoryTracker
-// accounting (returns to baseline after teardown — the ASan leg), the
-// GenerationDiff report, and the constructor contract death test.
+// snapshot), capacity/budget eviction under a hot publisher — and under two
+// racing publishers — with concurrent readers (TSan-visible), arena-block
+// sharing and its MemoryTracker accounting (returns to baseline after
+// teardown — the ASan leg), the GenerationDiff report, and the constructor
+// contract death test.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -275,6 +276,103 @@ TEST(ServeHistoryTest, RingEvictionUnderHotPublisherAndConcurrentReaders) {
   EXPECT_FALSE(corrupt.load());
   EXPECT_FALSE(unknown_generation.load());
   EXPECT_GT(server.stats().history_evictions, 0);
+}
+
+TEST(ServeHistoryTest, ConcurrentPublishersKeepAnswersAndRingBytesExact) {
+  // Two publishers race over one ring (one walks the chain forward, one
+  // backward) while readers time-travel. Publishers take turns building the
+  // next ring aside and swap it in, so every kOk answer is still its
+  // snapshot's serial truth, and the final ring's byte gauge is exactly
+  // what a fresh server reports for the same ring published serially.
+  LabeledData data = Workload(520, 53);
+  OnlineAlid online(data.data.dim(), StreamOptions(data));
+  auto snaps = SnapshotChain(data, online, 64);
+  ASSERT_GE(snaps.size(), 5u);
+  AppendLocalizedTail(data, online, snaps, 3);  // blocks shared along
+  const int dim = data.data.dim();
+  const std::vector<Scalar> probes = Probes(data, 24);
+
+  std::unordered_map<uint64_t, std::vector<QueryOutcome>> truth;
+  std::unordered_map<uint64_t, std::vector<std::vector<ScoredCluster>>>
+      truth_ranked;
+  {
+    ClusterServer oracle(dim, {.history_capacity = 0});
+    for (const auto& snap : snaps) {
+      oracle.Publish(snap);
+      truth[snap->generation()] =
+          oracle.Query({.points = probes}).assignments;
+      truth_ranked[snap->generation()] =
+          oracle.Query({.points = probes, .top_k = 3}).ranked;
+    }
+  }
+
+  const int capacity = 4;
+  ClusterServer server(dim, {.history_capacity = capacity});
+  server.Publish(snaps[0]);
+  std::atomic<int> publishing{2};
+  std::atomic<bool> corrupt{false};
+  std::atomic<bool> bad_status{false};
+  std::atomic<int64_t> answered{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(300 + static_cast<uint64_t>(t));
+      while (publishing.load(std::memory_order_acquire) > 0) {
+        const uint64_t gen =
+            snaps[static_cast<size_t>(rng.UniformInt(
+                      0, static_cast<int>(snaps.size()) - 1))]
+                ->generation();
+        const bool ranked = rng.UniformInt(0, 1) == 1;
+        const QueryResponse response = server.Query(
+            {.points = probes, .top_k = ranked ? 3 : 0, .generation = gen});
+        if (response.status == QueryStatus::kOk) {
+          answered.fetch_add(1);
+          if (response.generation != gen ||
+              (ranked ? response.ranked != truth_ranked.at(gen)
+                      : response.assignments != truth.at(gen))) {
+            corrupt.store(true);
+          }
+        } else if (response.status != QueryStatus::kGenerationUnavailable) {
+          bad_status.store(true);
+        }
+      }
+    });
+  }
+  for (int p = 0; p < 2; ++p) {
+    threads.emplace_back([&, p] {
+      for (int round = 0; round < 8; ++round) {
+        for (size_t i = 0; i < snaps.size(); ++i) {
+          server.Publish(snaps[p == 0 ? i : snaps.size() - 1 - i]);
+          std::this_thread::yield();
+        }
+      }
+      publishing.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_FALSE(corrupt.load());
+  EXPECT_FALSE(bad_status.load());
+  EXPECT_GT(answered.load(), 0);
+
+  const ServeStatsView stats = server.stats();
+  EXPECT_LE(stats.generations_retained, capacity);
+  EXPECT_GT(stats.history_evictions, 0);
+  // The final ring, published serially into a fresh server: the retained
+  // generations (ring order does not change the byte total), then the
+  // current one. A ring entry of the current generation holds the current
+  // snapshot itself, so it adds no bytes either way.
+  const auto current = server.snapshot();
+  ASSERT_NE(current, nullptr);
+  ClusterServer serial(dim, {.history_capacity = capacity});
+  for (const auto& snap : snaps) {
+    if (snap->generation() != current->generation &&
+        server.SnapshotAt(snap->generation()) != nullptr) {
+      serial.Publish(snap);
+    }
+  }
+  serial.Publish(current);
+  EXPECT_GT(stats.history_ring_bytes, 0);
+  EXPECT_EQ(stats.history_ring_bytes, serial.stats().history_ring_bytes);
 }
 
 TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {

@@ -8,7 +8,8 @@
 // / offline / stale-generation edges, as-of queries and GenerationDiff
 // across shards, and the boundary-cluster report (cross-shard LSH
 // collisions with exact cross densities, checked against keys re-hashed
-// from the block rows).
+// from the block rows), the fan-out that hashes a point once for every
+// shard, and Publish's refusal of shards that hash differently.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -885,6 +886,204 @@ TEST(ShardTest, BoundaryReportMatchesRecomputedBucketKeys) {
     }
   }
   EXPECT_EQ(report, expected);
+}
+
+
+// The fan-out reference for generation `gen` of `router`: each shard's
+// point-only Assign / TopKClusters (each hashing the point itself), merged
+// serially — assignment by strictly-greater margin (equal margins keep the
+// earlier shard), ranking by (affinity desc, shard asc, cluster asc),
+// truncated to top_k — and named by generation-wide ids. The router's
+// answers, which hash each point once for all shards, must match it bit for
+// bit.
+void ExpectFanoutMatchesPointFormMerge(const ShardRouter& router,
+                                       uint64_t gen,
+                                       std::span<const Scalar> queries,
+                                       int top_k) {
+  const auto pinned = router.SnapshotAt(gen);
+  ASSERT_NE(pinned, nullptr);
+  const int dim = router.dim();
+  const int shards = static_cast<int>(pinned->shards.size());
+  const QueryResponse assigned =
+      router.Query({.points = queries, .generation = gen});
+  const QueryResponse ranked =
+      router.Query({.points = queries, .top_k = top_k, .generation = gen});
+  ASSERT_TRUE(assigned.ok());
+  ASSERT_TRUE(ranked.ok());
+  const size_t count = queries.size() / static_cast<size_t>(dim);
+  ASSERT_EQ(assigned.assignments.size(), count);
+  ASSERT_EQ(ranked.ranked.size(), count);
+  struct Tagged {
+    ScoredCluster scored;
+    int shard;
+  };
+  for (size_t i = 0; i < count; ++i) {
+    const auto point = queries.subspan(i * static_cast<size_t>(dim),
+                                       static_cast<size_t>(dim));
+    QueryOutcome expected;
+    std::vector<Tagged> tagged;
+    for (int s = 0; s < shards; ++s) {
+      const ClusterSnapshot& shard = *pinned->shards[s];
+      QueryOutcome outcome = shard.Assign(point);
+      if (outcome.cluster >= 0 &&
+          (expected.cluster < 0 || outcome.margin > expected.margin)) {
+        expected = outcome;
+        expected.cluster += ClusterOffset(*pinned, s);
+      }
+      for (const ScoredCluster& sc : shard.TopKClusters(point, top_k)) {
+        tagged.push_back({sc, s});
+      }
+    }
+    expected.generation = gen;
+    EXPECT_EQ(assigned.assignments[i], expected) << "point " << i;
+
+    std::sort(tagged.begin(), tagged.end(),
+              [](const Tagged& a, const Tagged& b) {
+                if (a.scored.affinity != b.scored.affinity) {
+                  return a.scored.affinity > b.scored.affinity;
+                }
+                if (a.shard != b.shard) return a.shard < b.shard;
+                return a.scored.cluster < b.scored.cluster;
+              });
+    if (static_cast<int>(tagged.size()) > top_k) {
+      tagged.resize(static_cast<size_t>(top_k));
+    }
+    std::vector<ScoredCluster> expected_ranked;
+    for (Tagged& t : tagged) {
+      t.scored.cluster += ClusterOffset(*pinned, t.shard);
+      t.scored.generation = gen;
+      expected_ranked.push_back(t.scored);
+    }
+    EXPECT_EQ(ranked.ranked[i], expected_ranked) << "point " << i;
+  }
+}
+
+// A request hashes each point once and hands the keys to every shard that
+// holds a cluster. Over an all-empty generation (nothing hashed), a
+// hot-shard-only one and a fully populated one, at S = 4, its answers equal
+// the per-shard point-only merge bit for bit — as current generations and
+// again as-of from the history ring.
+TEST(ShardTest, FanoutMatchesPerShardPointFormMergeOnEmptyHotAndFullShards) {
+  const int dim = 6;
+  const double spread = 1.0;
+  const int num_shards = 4;
+  const int top_k = 3;
+  ShardedStreamOptions opts;
+  opts.base = BlobOptions(dim, spread);
+  opts.num_shards = num_shards;
+  ShardedStream stream(dim, opts);
+  ShardRouter router(dim, num_shards, {.history_capacity = 3});
+  const auto clusters_of = [&](uint64_t gen, int s) {
+    return router.SnapshotAt(gen)->shards[s]->num_clusters();
+  };
+
+  // Centers far apart (distance 100 per coordinate step), one per shard
+  // plus one shared by shards 0 and 3 so a point collides on two shards.
+  const auto center = [&](int c) {
+    return std::vector<Scalar>(dim, 100.0 * (c + 1));
+  };
+  std::vector<Scalar> queries;
+  Rng rng(29);
+  for (int c = 0; c < 5; ++c) {
+    const std::vector<Scalar> at = center(c);
+    queries.insert(queries.end(), at.begin(), at.end());
+    for (int j = 0; j < 6; ++j) {
+      for (const Scalar v : at) {
+        queries.push_back(v + rng.Gaussian() * (j < 4 ? spread : 6 * spread));
+      }
+    }
+  }
+  for (int j = 0; j < 8; ++j) {  // far noise
+    for (int d = 0; d < dim; ++d) queries.push_back(rng.Uniform(-900, 900));
+  }
+  const auto insert_to = [&](const std::vector<Scalar>& points, int shard) {
+    const std::vector<uint64_t> keys(points.size() / dim,
+                                     KeyForShard(stream, shard));
+    stream.InsertBatch(points, keys);
+  };
+
+  // Generation 1: a few scattered points on every shard, no cluster yet.
+  for (int s = 0; s < num_shards; ++s) {
+    insert_to(Blob(std::vector<Scalar>(dim, -5000.0 * (s + 1)), 1, 0.0,
+                   3 + static_cast<uint64_t>(s)),
+              s);
+  }
+  stream.Refresh();
+  const uint64_t empty_gen = router.PublishFromStream(stream);
+  for (int s = 0; s < num_shards; ++s) {
+    ASSERT_EQ(clusters_of(empty_gen, s), 0) << "shard " << s;
+  }
+  ExpectFanoutMatchesPointFormMerge(router, empty_gen, queries, top_k);
+  const QueryResponse unassigned = router.Query({.points = queries});
+  for (const QueryOutcome& a : unassigned.assignments) {
+    EXPECT_EQ(a, (QueryOutcome{.generation = empty_gen}));
+  }
+
+  // Generation 2: one hot shard holds every cluster.
+  const int hot = 2;
+  insert_to(Blob(center(hot), 120, spread, 41), hot);
+  stream.Refresh();
+  const uint64_t hot_gen = router.PublishFromStream(stream);
+  for (int s = 0; s < num_shards; ++s) {
+    if (s == hot) {
+      ASSERT_GT(clusters_of(hot_gen, s), 0);
+    } else {
+      ASSERT_EQ(clusters_of(hot_gen, s), 0) << "shard " << s;
+    }
+  }
+  ExpectFanoutMatchesPointFormMerge(router, hot_gen, queries, top_k);
+
+  // Generation 3: every shard holds a cluster; center 4 lives on shards 0
+  // and 3 alike.
+  for (int s = 0; s < num_shards; ++s) {
+    if (s != hot) insert_to(Blob(center(s), 120, spread, 50 + s), s);
+  }
+  insert_to(Blob(center(4), 120, spread, 61), 0);
+  insert_to(Blob(center(4), 120, spread, 62), 3);
+  stream.Refresh();
+  const uint64_t full_gen = router.PublishFromStream(stream);
+  for (int s = 0; s < num_shards; ++s) {
+    ASSERT_GT(clusters_of(full_gen, s), 0) << "shard " << s;
+  }
+  ExpectFanoutMatchesPointFormMerge(router, full_gen, queries, top_k);
+  // Center 4 (query 28) ranks candidates of both shards 0 and 3.
+  const QueryResponse shared = router.Query(
+      {.points = std::span<const Scalar>(queries).subspan(28 * dim, dim),
+       .top_k = top_k});
+  ASSERT_GE(shared.ranked[0].size(), 2u);
+  const int shard1 = ClusterOffset(*router.snapshot(), 1);
+  const int shard3 = ClusterOffset(*router.snapshot(), 3);
+  const int first = shared.ranked[0][0].cluster;
+  const int second = shared.ranked[0][1].cluster;
+  EXPECT_TRUE((first < shard1 && second >= shard3) ||
+              (second < shard1 && first >= shard3))
+      << first << " " << second;
+
+  // The retired generations answer as-of exactly as they did when current.
+  ExpectFanoutMatchesPointFormMerge(router, empty_gen, queries, top_k);
+  ExpectFanoutMatchesPointFormMerge(router, hot_gen, queries, top_k);
+}
+
+// A generation whose shards hash differently cannot share one set of keys
+// per point, so Publish refuses it.
+TEST(ShardDeathTest, PublishRejectsShardsThatHashDifferently) {
+  const int dim = 6;
+  const Dataset data(dim, std::vector<Scalar>(dim, 0.0));
+  ClusterSnapshotOptions options;
+  const auto shard_a = ClusterSnapshot::FromClusters(data, {}, options, 7);
+  const auto shard_b = ClusterSnapshot::FromClusters(data, {}, options, 7);
+  options.lsh.seed += 1;
+  const auto reseeded = ClusterSnapshot::FromClusters(data, {}, options, 7);
+  ASSERT_TRUE(shard_a->HashesLike(*shard_b));
+  ASSERT_FALSE(shard_a->HashesLike(*reseeded));
+
+  ShardRouter router(dim, 2);
+  router.Publish(std::make_shared<const ServedGeneration>(
+      ServedGeneration{7, {shard_a, shard_b}}));
+  EXPECT_EQ(router.generation(), 7u);
+  EXPECT_DEATH(router.Publish(std::make_shared<const ServedGeneration>(
+                   ServedGeneration{8, {shard_a, reseeded}})),
+               "HashesLike");
 }
 
 }  // namespace
