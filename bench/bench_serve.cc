@@ -15,6 +15,11 @@
 // across the executor axis (tests/serve_test.cc), so only the wall-clock
 // columns move — on a 1-core host only scheduling columns do.
 //
+// Before the sweep, the candidate stage is timed in isolation on the final
+// snapshot: query_hash_ns_p50 (QueryKeys per point) and query_mark_ns_p50
+// (a keyed Assign on far-noise probes, which marks no cluster and scores
+// none — the candidate-directory lookup alone).
+//
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
 #include "bench_util.h"
@@ -107,13 +112,87 @@ void PrintRow(const ServeRow& r) {
               static_cast<long long>(r.swaps));
 }
 
+// Per-point costs of a query's candidate stage on `snapshot`, each the p50
+// over batches of kLayerBatch calls (per-call timer overhead would rival
+// the work):
+//   hash_ns — QueryKeys, the point's bucket keys, over the query mix;
+//   mark_ns — a keyed Assign with precomputed keys on far-noise probes that
+//             share no bucket with any cluster, so it marks no candidate
+//             and scores none: the directory lookup alone.
+struct QueryLayerTimes {
+  double hash_ns_p50 = 0.0;
+  double mark_ns_p50 = 0.0;
+  Index mark_probes = 0;  // far-noise probes that marked no cluster
+};
+
+// Row i of a row-major point matrix.
+std::span<const Scalar> Row(const std::vector<Scalar>& flat, Index i, int dim) {
+  return std::span<const Scalar>(flat).subspan(
+      static_cast<size_t>(i) * static_cast<size_t>(dim),
+      static_cast<size_t>(dim));
+}
+
+QueryLayerTimes TimeQueryLayers(const ClusterSnapshot& snapshot,
+                                const std::vector<Scalar>& queries, int dim) {
+  constexpr int kLayerBatch = 16;
+  constexpr int kLayerSamples = 2000;
+  constexpr int kProbeAttempts = 1024;
+  const Index count = static_cast<Index>(queries.size()) / dim;
+  const size_t tables = snapshot.QueryKeys(Row(queries, 0, dim)).size();
+  QueryLayerTimes times;
+  std::vector<double> per_point_ns;
+  Index next = 0;
+  for (int sample = 0; sample < kLayerSamples; ++sample) {
+    WallTimer timer;
+    for (int i = 0; i < kLayerBatch; ++i) {
+      KeepAlive(snapshot.QueryKeys(Row(queries, next, dim))[0]);
+      next = (next + 1) % count;
+    }
+    per_point_ns.push_back(timer.Seconds() * 1e9 / kLayerBatch);
+  }
+  times.hash_ns_p50 = Percentile(per_point_ns, 0.50);
+
+  // Far-noise probes and their keys; a probe that lands in some cluster's
+  // bucket would be scored, so it is dropped.
+  std::vector<Scalar> probes;
+  std::vector<uint64_t> probe_keys;
+  std::vector<Scalar> point(static_cast<size_t>(dim));
+  Rng rng(31);
+  for (int attempt = 0; attempt < kProbeAttempts; ++attempt) {
+    for (Scalar& v : point) v = rng.Uniform(-900.0, 900.0);
+    const std::span<const uint64_t> keys = snapshot.QueryKeys(point);
+    if (!snapshot.TopKClusters(point, keys, snapshot.num_clusters()).empty()) {
+      continue;
+    }
+    probes.insert(probes.end(), point.begin(), point.end());
+    probe_keys.insert(probe_keys.end(), keys.begin(), keys.end());
+  }
+  times.mark_probes = static_cast<Index>(probe_keys.size() / tables);
+  if (times.mark_probes == 0) return times;
+  per_point_ns.clear();
+  next = 0;
+  for (int sample = 0; sample < kLayerSamples; ++sample) {
+    WallTimer timer;
+    for (int i = 0; i < kLayerBatch; ++i) {
+      const std::span<const uint64_t> keys =
+          std::span<const uint64_t>(probe_keys)
+              .subspan(static_cast<size_t>(next) * tables, tables);
+      KeepAlive(snapshot.Assign(Row(probes, next, dim), keys).cluster);
+      next = (next + 1) % times.mark_probes;
+    }
+    per_point_ns.push_back(timer.Seconds() * 1e9 / kLayerBatch);
+  }
+  times.mark_ns_p50 = Percentile(per_point_ns, 0.50);
+  return times;
+}
+
 void EmitServeJson(BenchContext& ctx, const std::vector<ServeRow>& rows,
                    Index n, Index queries, int clusters, Index members,
                    double publish_p95_seconds, int64_t rows_reused,
                    int64_t clusters_reused, int64_t bytes_shared,
                    int64_t bytes_copied, int64_t history_ring_bytes,
                    double trace_base_seconds, double trace_wall_seconds,
-                   double trace_overhead_ratio) {
+                   double trace_overhead_ratio, const QueryLayerTimes& layers) {
   std::string json;
   AppendF(json,
           "{\"bench\":\"serve\",\"n\":%d,\"queries\":%d,"
@@ -122,14 +201,16 @@ void EmitServeJson(BenchContext& ctx, const std::vector<ServeRow>& rows,
           "\"clusters_reused\":%lld,\"bytes_shared\":%lld,"
           "\"bytes_copied\":%lld,\"history_ring_bytes\":%lld,"
           "\"trace_base_seconds\":%.6f,\"trace_wall_seconds\":%.6f,"
-          "\"trace_overhead_ratio\":%.4f,\"rows\":[",
+          "\"trace_overhead_ratio\":%.4f,\"query_hash_ns_p50\":%.1f,"
+          "\"query_mark_ns_p50\":%.1f,\"query_mark_probes\":%d,\"rows\":[",
           n, queries, clusters, members, publish_p95_seconds,
           static_cast<long long>(rows_reused),
           static_cast<long long>(clusters_reused),
           static_cast<long long>(bytes_shared),
           static_cast<long long>(bytes_copied),
           static_cast<long long>(history_ring_bytes), trace_base_seconds,
-          trace_wall_seconds, trace_overhead_ratio);
+          trace_wall_seconds, trace_overhead_ratio, layers.hash_ns_p50,
+          layers.mark_ns_p50, layers.mark_probes);
   // The wall/latency/derived keys are emitted by hand; the counter keys
   // (queries, assigned, publish ledger, history and pool gauges)
   // come from each row's embedded registry export — the manual list must
@@ -306,6 +387,13 @@ void Run(BenchContext& ctx) {
   std::printf("tracing overhead: %.3fs off vs %.3fs on (x%.4f)\n",
               trace_base_seconds, trace_wall_seconds, trace_overhead_ratio);
 
+  // The candidate stage in isolation: hashing a point, and the directory
+  // lookup of a point whose buckets hold no cluster.
+  const QueryLayerTimes layers = TimeQueryLayers(*final_snapshot, queries, dim);
+  std::printf("candidate stage: hash %.1f ns/point, mark %.1f ns/point "
+              "(%d far-noise probes)\n",
+              layers.hash_ns_p50, layers.mark_ns_p50, layers.mark_probes);
+
   PrintHeader("steady-state serving (single published snapshot)");
   std::printf("%-7s %-6s %-6s %-9s %-9s %-11s %-12s %-12s %-12s %-9s %-7s\n",
               "mode", "batch", "execs", "wall(s)", "speedup", "qps",
@@ -407,7 +495,7 @@ void Run(BenchContext& ctx) {
                 Percentile(publish_seconds, 0.95), rows_reused,
                 clusters_reused, bytes_shared, bytes_copied,
                 history_ring_bytes, trace_base_seconds, trace_wall_seconds,
-                trace_overhead_ratio);
+                trace_overhead_ratio, layers);
 }
 
 ALID_BENCHMARK("serve", "runtime,serve,speedup", "serve", Run);

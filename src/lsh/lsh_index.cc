@@ -1,7 +1,6 @@
 #include "lsh/lsh_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -18,27 +17,47 @@ namespace {
 // floor(v) as an int32, saturated to [INT32_MIN, INT32_MAX] with NaN sent to
 // INT32_MIN: a huge or non-finite query coordinate still hashes (to an edge
 // bucket) instead of hitting the undefined float-to-int conversion, and
-// every in-range value converts exactly as a plain cast would.
+// every in-range value converts exactly as a plain cast of floor(v) would.
+// v is clamped to [INT32_MIN, INT32_MAX + 0.5] first (NaN fails the first
+// comparison and becomes INT32_MIN), which leaves the saturated floor
+// unchanged and makes the truncating cast defined; a truncation above the
+// clamped value (a negative non-integer) then steps down by one. Every
+// projection of every hashed point takes this path, and it is shorter than
+// std::floor's SSE2 expansion followed by two range checks.
 int32_t SaturatingFloor(Scalar v) {
   constexpr Scalar kMin = std::numeric_limits<int32_t>::min();
-  constexpr Scalar kMax = std::numeric_limits<int32_t>::max();
-  const Scalar f = std::floor(v);
-  if (!(f >= kMin)) return std::numeric_limits<int32_t>::min();
-  if (f > kMax) return std::numeric_limits<int32_t>::max();
-  return static_cast<int32_t>(f);
+  constexpr Scalar kHigh = std::numeric_limits<int32_t>::max() + 0.5;
+  const Scalar low = v > kMin ? v : kMin;
+  const Scalar clamped = low < kHigh ? low : kHigh;
+  const int32_t t = static_cast<int32_t>(clamped);
+  return t - (static_cast<Scalar>(t) > clamped ? 1 : 0);
 }
 
-// 64-bit FNV-1a over a sequence of 32-bit floor values.
-uint64_t HashFloors(const int32_t* vals, int count) {
-  uint64_t h = 1469598103934665603ull;
-  for (int i = 0; i < count; ++i) {
-    uint32_t v = static_cast<uint32_t>(vals[i]);
+// Tables whose FNV-1a chains HashPoint runs side by side. A whole group's
+// lanes (kHashWidth * num_projections) fill whole tiles, so every group
+// starts on a tile boundary.
+constexpr int kHashWidth = 8;
+static_assert(kHashWidth % kSimdTileLanes == 0);
+
+// 64-bit FNV-1a of kHashWidth tables at once: floors[w * per_table + p] is
+// table w's floor value p, and table w's key is the FNV-1a of its floor
+// values in projection order, each little-endian byte by byte. The chains
+// are independent, so their multiplies overlap instead of waiting on one
+// another; each table still sees exactly its own byte sequence.
+void HashFloorsSideBySide(const int32_t* floors, int per_table,
+                          uint64_t* keys) {
+  uint64_t h[kHashWidth];
+  std::fill(h, h + kHashWidth, 1469598103934665603ull);
+  for (int p = 0; p < per_table; ++p) {
     for (int b = 0; b < 4; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
+      for (int w = 0; w < kHashWidth; ++w) {
+        const uint32_t v = static_cast<uint32_t>(floors[w * per_table + p]);
+        h[w] ^= (v >> (8 * b)) & 0xffu;
+        h[w] *= 1099511628211ull;
+      }
     }
   }
-  return h;
+  std::copy(h, h + kHashWidth, keys);
 }
 
 }  // namespace
@@ -179,30 +198,32 @@ LshIndex::~LshIndex() = default;
 
 void LshIndex::HashPoint(std::span<const Scalar> point, uint64_t* out) const {
   ALID_DCHECK(static_cast<int>(point.size()) == dim_);
-  // Tiles per tile_dot call: bounds the stack buffer of projected values at
-  // any table count (8 x 12 projections need 12 tiles, one call).
-  constexpr int kChunkTiles = 32;
-  Scalar dots[kChunkTiles * kSimdTileLanes];
-  int32_t floors[kMaxProjections];
+  // One group of up to kHashWidth consecutive tables at a time: one
+  // tile_dot call projects the group, one loop floors every lane, and the
+  // group's chains are hashed side by side. A short last group hashes its
+  // idle chains on zeros and keeps only its own tables' keys.
+  Scalar dots[kHashWidth * kMaxProjections];
+  int32_t floors[kHashWidth * kMaxProjections];
+  uint64_t keys[kHashWidth];
   const SimdKernelOps& ops = *ActiveSimdOps();
   const size_t tile_size = static_cast<size_t>(dim_) * kSimdTileLanes;
-  const int lanes = params_.num_tables * params_.num_projections;
-  int table = 0;
-  int p = 0;
-  for (int first = 0; first < num_projection_tiles_; first += kChunkTiles) {
-    const int count = std::min(kChunkTiles, num_projection_tiles_ - first);
-    ops.tile_dot(projection_tiles_.data() + first * tile_size, count, dim_,
+  const int per_table = params_.num_projections;
+  const Scalar r = params_.segment_length;
+  for (int first = 0; first < params_.num_tables; first += kHashWidth) {
+    const int tables = std::min(kHashWidth, params_.num_tables - first);
+    const int lanes = tables * per_table;
+    const int lane0 = first * per_table;
+    const size_t first_tile = static_cast<size_t>(lane0 / kSimdTileLanes);
+    const int tiles = (lanes + kSimdTileLanes - 1) / kSimdTileLanes;
+    ops.tile_dot(projection_tiles_.data() + first_tile * tile_size, tiles, dim_,
                  point.data(), dots);
-    const int begin = first * kSimdTileLanes;
-    const int end = std::min(lanes, begin + count * kSimdTileLanes);
-    for (int j = begin; j < end; ++j) {
-      floors[p] = SaturatingFloor((dots[j - begin] + offsets_[j]) /
-                                  params_.segment_length);
-      if (++p == params_.num_projections) {
-        out[table++] = HashFloors(floors, params_.num_projections);
-        p = 0;
-      }
+    const Scalar* offsets = offsets_.data() + lane0;
+    for (int j = 0; j < lanes; ++j) {
+      floors[j] = SaturatingFloor((dots[j] + offsets[j]) / r);
     }
+    std::fill(floors + lanes, floors + kHashWidth * per_table, 0);
+    HashFloorsSideBySide(floors, per_table, keys);
+    std::copy(keys, keys + tables, out + first);
   }
 }
 

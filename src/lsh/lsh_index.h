@@ -38,7 +38,7 @@ struct LshParams {
 class LshIndex {
  public:
   /// Largest supported num_projections (the paper's largest mu is 40):
-  /// HashPoint keeps one table's floor values in a fixed stack buffer.
+  /// HashPoint keeps a group of tables' floor values in a fixed stack buffer.
   static constexpr int kMaxProjections = 64;
 
   LshIndex(const Dataset& data, LshParams params);
@@ -149,7 +149,10 @@ class LshIndex {
 
   // Writes the point's key for every table into out[0 .. num_tables()): one
   // tile_dot call (per bounded chunk of tiles) computes every projection,
-  // then each table's floors are FNV-hashed in projection order.
+  // then the FNV-1a chains of up to 8 consecutive tables run side by side,
+  // interleaved so their multiplies overlap. Each table's key is still the
+  // FNV-1a of its own floor values in projection order, byte by byte, so
+  // the keys do not depend on the interleave.
   void HashPoint(std::span<const Scalar> point, uint64_t* out) const;
 
   // Draws the Gaussian projections and the offsets of every table from

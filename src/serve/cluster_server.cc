@@ -153,11 +153,11 @@ std::vector<ScoredCluster> RankAcrossShards(const ServedGeneration& gen,
 }
 
 // The bytes ring entries [i, end) hold beyond `current`, for every i (the
-// entry at ring.size() is 0): unique arena-block bytes and candidate-key
-// tables that `current` does not reference — the true extra cost of time
-// travel (shared blocks are charged to the live generation). The bytes of a
-// set of entries are a set union, so one newest-first walk, counting each
-// block and table once, yields every suffix.
+// entry at ring.size() is 0): unique arena-block bytes and candidate
+// directories that `current` does not reference — the true extra cost of
+// time travel (shared blocks are charged to the live generation). The bytes
+// of a set of entries are a set union, so one newest-first walk, counting
+// each block and directory once, yields every suffix.
 std::vector<int64_t> RingSuffixBytes(const ServedGeneration* current,
                                      const HistoryRing& ring) {
   std::vector<int64_t> suffix(ring.size() + 1, 0);

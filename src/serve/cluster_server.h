@@ -28,10 +28,10 @@ struct ClusterServerOptions {
   /// (the history ring, oldest evicted first); 0 disables time travel.
   /// Consecutive generations share their unchanged clusters' arena blocks,
   /// so the ring pays for the blocks the current snapshot no longer
-  /// references plus each retained snapshot's own candidate-key table.
+  /// references plus each retained snapshot's own candidate directory.
   int history_capacity = 4;
   /// Byte budget of that *extra* history footprint (unique arena-block
-  /// bytes and candidate-key tables retained only for history — see
+  /// bytes and candidate directories retained only for history — see
   /// ServeStatsView::history_ring_bytes); oldest generations are evicted
   /// until the ring fits. 0 means no byte bound (the capacity bound alone
   /// applies).
@@ -140,7 +140,7 @@ struct GenerationDiffResult {
 /// publishes them in one pointer swap. Because consecutive snapshots share
 /// their unchanged clusters' arena blocks, both the publish and the ring
 /// pay block bytes for changed clusters only; each generation still owns
-/// its candidate-key table (one entry per distinct member bucket).
+/// its candidate directory (one entry per distinct member bucket).
 ///
 /// A request hashes each point once, with the hasher of the generation's
 /// shard 0, and hands the keys to every shard's keyed Assign/TopKClusters;

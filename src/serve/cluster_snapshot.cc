@@ -161,9 +161,9 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
   // Candidate keys. A fresh block collects its members' distinct (table,
   // key) buckets: a stream export reads the keys the stream computed on
   // arrival, any other build hashes the members' source rows (same params,
-  // same keys). The lookup table tags every block's keys with its cluster
-  // id, so a cluster is marked exactly when a member shares a bucket with
-  // the query.
+  // same keys). The candidate directory files every block's buckets under
+  // its cluster id, so a cluster is marked exactly when a member shares a
+  // bucket with the query.
   {
     ALID_TRACE_SCOPE("publish", "candidate_keys");
     const LshIndex* stream_lsh = stream != nullptr ? &stream->lsh() : nullptr;
@@ -202,30 +202,14 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
             block->bucket_keys.assign(buckets.begin(), buckets.end());
           }
         });
-    // The blocks' keys are sorted runs in cluster order: stable pairwise
-    // merges sort the table in O(K log C).
-    std::vector<CandidateKey> table, merged;
-    std::vector<size_t> run(1, 0);  // run c is [run[c], run[c + 1])
+    std::vector<std::span<const BucketKey>> buckets(
+        static_cast<size_t>(num_clusters));
     for (int c = 0; c < num_clusters; ++c) {
-      for (const BucketKey& b : snap->blocks_[c]->bucket_keys) {
-        table.push_back({b.table, c, b.key});
-      }
-      run.push_back(table.size());
+      buckets[static_cast<size_t>(c)] = snap->blocks_[c]->bucket_keys;
     }
-    merged.resize(table.size());
-    const size_t runs = static_cast<size_t>(num_clusters);
-    const auto at = [&](size_t r) { return run[std::min(r, runs)]; };
-    for (size_t w = 1; w < runs; w *= 2) {
-      for (size_t lo = 0; lo < runs; lo += 2 * w) {
-        std::merge(table.begin() + at(lo), table.begin() + at(lo + w),
-                   table.begin() + at(lo + w), table.begin() + at(lo + 2 * w),
-                   merged.begin() + at(lo));
-      }
-      table.swap(merged);
-    }
-    snap->candidate_keys_ = std::move(table);
-    snap->candidate_keys_charge_.Adjust(static_cast<int64_t>(
-        snap->candidate_keys_.size() * sizeof(CandidateKey)));
+    snap->candidates_ = CandidateDirectory(tables, buckets);
+    snap->candidates_charge_.Adjust(
+        static_cast<int64_t>(snap->candidates_.MemoryBytes()));
   }
 
   // Every fresh block is complete: seal it — charging its bytes to the
@@ -268,18 +252,9 @@ std::span<const uint64_t> ClusterSnapshot::QueryKeys(
 
 const EpochStamp& ClusterSnapshot::MarkCandidates(
     std::span<const uint64_t> keys) const {
-  const int tables = hasher_->num_tables();
-  ALID_CHECK(static_cast<int>(keys.size()) == tables);
   EpochStamp& candidates = Scratch().candidates;
   candidates.Begin(static_cast<size_t>(num_clusters()));
-  for (int t = 0; t < tables; ++t) {
-    const CandidateKey probe{t, -1, keys[static_cast<size_t>(t)]};
-    auto it = std::lower_bound(candidate_keys_.begin(), candidate_keys_.end(),
-                               probe);
-    for (; it != candidate_keys_.end() && !(probe < *it); ++it) {
-      candidates.Mark(static_cast<size_t>(it->cluster));
-    }
-  }
+  candidates_.Mark(keys, &candidates);
   return candidates;
 }
 

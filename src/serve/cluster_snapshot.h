@@ -11,6 +11,7 @@
 #include "common/epoch_stamp.h"
 #include "core/cluster.h"
 #include "lsh/lsh_index.h"
+#include "serve/candidate_directory.h"
 #include "serve/snapshot_arena.h"
 
 namespace alid {
@@ -97,8 +98,10 @@ struct ClusterSnapshotInfo {
 /// serving: every dominant cluster's state (density, seed, stream identity,
 /// source ids, its members' distinct LSH buckets, and the ClusterScorer
 /// holding the simplex weights and SoA member tiles) lives in a refcounted
-/// arena block (see snapshot_arena.h); one flat (table, key, cluster) table
-/// over the blocks' buckets yields each query's candidate clusters. Every
+/// arena block (see snapshot_arena.h); one table-major candidate directory
+/// over the blocks' buckets (candidate_directory.h: 8-byte keys and 4-byte
+/// cluster ids in power-of-two slots per table, placed by one counting pass
+/// at build) yields each query's candidate clusters. Every
 /// query — Assign, TopKClusters — runs one keyed scoring core: it takes the
 /// point's bucket keys (one per table, hashed once by the caller), marks the
 /// clusters those buckets hold and scores each candidate exactly once
@@ -109,7 +112,7 @@ struct ClusterSnapshotInfo {
 /// with QueryKeys and hands the keys to each. The incremental export
 /// *shares* an unchanged cluster's block with the predecessor snapshot
 /// instead of copying it, so consecutive generations pay block bytes only
-/// for their changed clusters; the lookup table is each snapshot's own.
+/// for their changed clusters; the directory is each snapshot's own.
 /// Every query method is const, touches only snapshot-owned state plus
 /// thread-local scratch, and is therefore safe for any number of concurrent
 /// readers — the read side of the serving subsystem's RCU design.
@@ -208,11 +211,10 @@ class ClusterSnapshot {
     return {blocks_.data(), blocks_.size()};
   }
 
-  /// Bytes of the candidate-key lookup table — owned by this snapshot
-  /// alone, never shared with another generation.
-  size_t candidate_key_bytes() const {
-    return candidate_keys_.size() * sizeof(CandidateKey);
-  }
+  /// Bytes of the candidate directory (slot offsets, keys and cluster ids)
+  /// — exactly what the snapshot charges for it to the global tracker;
+  /// owned by this snapshot alone, never shared with another generation.
+  size_t candidate_key_bytes() const { return candidates_.MemoryBytes(); }
 
  private:
   ClusterSnapshot() = default;
@@ -231,19 +233,9 @@ class ClusterSnapshot {
 
   // Marks the candidate clusters of a point with bucket keys `keys` (one
   // per table) in thread-local scratch — every cluster holding one of those
-  // buckets — and returns the mark. Hashes nothing.
+  // buckets — and returns the mark. Reads one directory slot per table and
+  // compares its keys; hashes nothing, searches nothing.
   const EpochStamp& MarkCandidates(std::span<const uint64_t> keys) const;
-
-  // A lookup-table entry, ordered by bucket alone.
-  struct CandidateKey {
-    int table = 0;
-    int cluster = -1;
-    uint64_t key = 0;
-
-    bool operator<(const CandidateKey& o) const {
-      return table != o.table ? table < o.table : key < o.key;
-    }
-  };
 
   int dim_ = 0;
   // One refcounted arena block per cluster (see snapshot_arena.h): all
@@ -255,10 +247,10 @@ class ClusterSnapshot {
   std::unique_ptr<AffinityFunction> affinity_fn_;
   // Query hasher: an item-free LshIndex, shared along compatible exports.
   std::shared_ptr<const LshIndex> hasher_;
-  // Every block's bucket keys tagged with its cluster id, sorted by
-  // (table, key, cluster) and charged to the global tracker.
-  std::vector<CandidateKey> candidate_keys_;
-  ScopedMemoryCharge candidate_keys_charge_{0};
+  // Every block's buckets filed under its cluster id, charged to the
+  // global tracker.
+  CandidateDirectory candidates_;
+  ScopedMemoryCharge candidates_charge_{0};
   uint64_t generation_ = 0;
   SnapshotBuildInfo build_info_;
 };

@@ -37,7 +37,7 @@ struct ServeStatsView {
   int64_t bytes_shared = 0;
   int64_t bytes_copied = 0;
   /// Gauges of the server's history ring at View() time: unique arena-block
-  /// and candidate-key-table bytes held *only* for retained historical
+  /// and candidate-directory bytes held *only* for retained historical
   /// generations (blocks shared with the current snapshot are free), how
   /// many retired generations are addressable, and how many were evicted
   /// by the capacity/budget bounds.

@@ -345,14 +345,18 @@ class RowMajorReferenceHasher {
 // Random rows; the SaturatingFloor edges (NaN, +-inf and +-1e300
 // coordinates, alone and mixed into ordinary rows); and, for every
 // projection, the two adjacent rows on either side of one of its bucket
-// edges. A random row's projection sits far from an edge in ulps, so it
-// would hide a kernel that is off in the last bits (an FMA, a reordered
-// sum); an edge row's reference floor flips if the projection moves by
-// about an ulp, so such a kernel changes some of these rows' keys.
+// edges, of the edge where its floor reaches INT32_MAX and of the edge
+// where it leaves INT32_MIN. A random row's projection sits far from an
+// edge in ulps, so it would hide a kernel that is off in the last bits (an
+// FMA, a reordered sum) or a floor that is off at the saturation bounds; an
+// edge row's reference floor flips if the projection moves by about an ulp,
+// so such a kernel changes some of these rows' keys.
 Dataset KeyProbeRows(int dim, const LshParams& params,
                      const RowMajorReferenceHasher& reference,
                      uint64_t seed) {
   constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  constexpr int32_t kMinFloor = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMaxFloor = std::numeric_limits<int32_t>::max();
   const Scalar kEdges[] = {std::numeric_limits<Scalar>::quiet_NaN(), kInf,
                            -kInf, 1e300, -1e300};
   Rng rng(seed);
@@ -372,30 +376,39 @@ Dataset KeyProbeRows(int dim, const LshParams& params,
   for (int t = 0; t < params.num_tables; ++t) {
     for (int p = 0; p < params.num_projections; ++p) {
       // The floor is monotone in coordinate k (rounded multiply and add
-      // are monotone), so bisect k down to two adjacent doubles whose
-      // floors differ.
+      // are monotone), so bisect k down to two adjacent doubles on either
+      // side of an edge: `below` holds at lo and fails at hi.
       for (auto& v : row) v = rng.Uniform(-20.0, 20.0);
       const int k = (t + p) % dim;
-      const Scalar toward =
-          reference.Projection(t, p, k) > 0.0 ? 1.0 : -1.0;
+      const Scalar projection = reference.Projection(t, p, k);
+      const Scalar toward = projection > 0.0 ? 1.0 : -1.0;
       const auto floor_at = [&](Scalar v) {
         row[static_cast<size_t>(k)] = v;
         return reference.Floor(t, p, row);
       };
-      Scalar lo = row[static_cast<size_t>(k)];
-      const int32_t lo_floor = floor_at(lo);
-      Scalar hi = lo;
+      const auto append_edge = [&](Scalar lo, Scalar hi, auto below) {
+        while (std::nextafter(lo, hi) != hi) {
+          const Scalar mid = lo + (hi - lo) / 2;
+          (below(floor_at(mid)) ? lo : hi) = mid;
+        }
+        floor_at(lo);
+        rows.Append(row);
+        floor_at(hi);
+        rows.Append(row);
+      };
+      const Scalar start = row[static_cast<size_t>(k)];
+      const int32_t start_floor = floor_at(start);
+      Scalar next = start;
       do {
-        hi += toward * params.segment_length;
-      } while (floor_at(hi) == lo_floor);
-      while (std::nextafter(lo, hi) != hi) {
-        const Scalar mid = lo + (hi - lo) / 2;
-        (floor_at(mid) == lo_floor ? lo : hi) = mid;
-      }
-      floor_at(lo);
-      rows.Append(row);
-      floor_at(hi);
-      rows.Append(row);
+        next += toward * params.segment_length;
+      } while (floor_at(next) == start_floor);
+      append_edge(start, next, [&](int32_t f) { return f == start_floor; });
+      // Coordinate k alone carries the projection well past either
+      // saturation bound.
+      const Scalar scale = params.segment_length / std::abs(projection);
+      const Scalar far = toward * 1e10 * scale;
+      append_edge(start, far, [](int32_t f) { return f < kMaxFloor; });
+      append_edge(-far, start, [](int32_t f) { return f == kMinFloor; });
     }
   }
   return rows;
@@ -403,8 +416,13 @@ Dataset KeyProbeRows(int dim, const LshParams& params,
 
 TEST(LshIndexTest, KeysMatchRowMajorReferenceOnEveryIsa) {
   // 8 x 6 and 8 x 12 fill whole tiles; 3 x 5 = 15 lanes leaves a ragged
-  // final tile and puts tables across tile boundaries.
-  const std::pair<int, int> shapes[] = {{8, 6}, {8, 12}, {3, 5}};
+  // final tile and puts tables across tile boundaries. HashPoint hashes
+  // groups of 8 tables side by side, so 1, 3, 9 and 17 tables leave a short
+  // last group (9 and 17 after one or two full ones); one projection per
+  // table and kMaxProjections bound the group's buffers from both sides.
+  std::vector<std::pair<int, int>> shapes = {{8, 6}, {8, 12}, {3, 5}};
+  for (const int tables : {1, 9, 17}) shapes.emplace_back(tables, 3);
+  for (const int p : {1, LshIndex::kMaxProjections}) shapes.emplace_back(3, p);
   for (const int dim : {1, 7, 16, 64}) {
     for (const auto& [tables, projections] : shapes) {
       LshParams params;

@@ -417,6 +417,21 @@ TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {
     // Steady-state incremental publish shares most of its bytes.
     EXPECT_GT(snaps.back()->build_info().bytes_shared, 0);
 
+    // A re-export of the unchanged stream shares every block and the query
+    // hasher, so the only bytes it adds to the global tracker are its own
+    // candidate directory: candidate_key_bytes() is exactly that charge,
+    // and dropping the snapshot returns it.
+    {
+      const int64_t before = MemoryTracker::Global().current_bytes();
+      auto again = ClusterSnapshot::FromStream(*online, nullptr, snaps.back());
+      ASSERT_EQ(again->build_info().clusters_reused, again->num_clusters());
+      EXPECT_GT(again->candidate_key_bytes(), 0u);
+      EXPECT_EQ(MemoryTracker::Global().current_bytes() - before,
+                static_cast<int64_t>(again->candidate_key_bytes()));
+      again.reset();
+      EXPECT_EQ(MemoryTracker::Global().current_bytes(), before);
+    }
+
     // A server ring holds references, not copies: publishing the whole
     // chain adds nothing to the arena.
     ClusterServer server(data.data.dim(), {.history_capacity = 4});
