@@ -12,7 +12,6 @@ namespace alid {
 // needs to know what the toolchain could do.
 const SimdKernelOps* GetScalarSimdOps();
 const SimdKernelOps* GetAvx2SimdOps();
-const SimdKernelOps* GetAvx512SimdOps();
 const SimdKernelOps* GetNeonSimdOps();
 
 namespace {
@@ -24,12 +23,6 @@ bool CpuSupports(SimdIsa isa) {
     case SimdIsa::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case SimdIsa::kAvx512:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f") != 0;
 #else
       return false;
 #endif
@@ -46,8 +39,6 @@ const SimdKernelOps* CompiledOpsFor(SimdIsa isa) {
       return GetScalarSimdOps();
     case SimdIsa::kAvx2:
       return GetAvx2SimdOps();
-    case SimdIsa::kAvx512:
-      return GetAvx512SimdOps();
     case SimdIsa::kNeon:
       return GetNeonSimdOps();
   }
@@ -57,17 +48,19 @@ const SimdKernelOps* CompiledOpsFor(SimdIsa isa) {
 SimdIsa ParseIsaName(const char* name) {
   if (std::strcmp(name, "scalar") == 0) return SimdIsa::kScalar;
   if (std::strcmp(name, "avx2") == 0) return SimdIsa::kAvx2;
-  if (std::strcmp(name, "avx512") == 0) return SimdIsa::kAvx512;
   if (std::strcmp(name, "neon") == 0) return SimdIsa::kNeon;
-  return SimdIsa::kScalar;  // unknown names force the safe fallback
+  // Unknown names, the retired "avx512" among them, force the safe fallback.
+  return SimdIsa::kScalar;
 }
 
 SimdIsa BestIsa() {
-  // Widest first. AVX-512 on a supporting CPU beats AVX2 for this kernel
-  // shape (one 8-lane tile per register); NEON only exists off x86.
-  for (SimdIsa isa :
-       {SimdIsa::kAvx512, SimdIsa::kAvx2, SimdIsa::kNeon}) {
-    if (CompiledOpsFor(isa) != nullptr && CpuSupports(isa)) return isa;
+  // The host architecture's one vector path: AVX2 on x86, NEON on AArch64.
+  // The choice follows measurement, not register width: the same kernels on
+  // AVX-512 (one tile per register) ran slower than AVX2 on a 4-core AVX-512
+  // Xeon, in eq1_sum at every dim, lsh_hash at dim 64 and 128, and the
+  // serve_mixed and shard_embedding throughput, so x86 has no wider path.
+  for (SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kNeon}) {
+    if (SimdOpsFor(isa) != nullptr) return isa;
   }
   return SimdIsa::kScalar;
 }
@@ -85,9 +78,7 @@ Dispatch ResolveDispatch() {
     // An unsatisfiable pin degrades to scalar — never to a *different*
     // vector ISA, so ALID_SIMD=scalar CI legs and width-pinned repro runs
     // get exactly what they named or the one always-valid fallback.
-    isa = (CompiledOpsFor(pinned) != nullptr && CpuSupports(pinned))
-              ? pinned
-              : SimdIsa::kScalar;
+    isa = SimdOpsFor(pinned) != nullptr ? pinned : SimdIsa::kScalar;
   }
   return {CompiledOpsFor(isa), isa};
 }
@@ -116,8 +107,6 @@ const char* SimdIsaName(SimdIsa isa) {
       return "scalar";
     case SimdIsa::kAvx2:
       return "avx2";
-    case SimdIsa::kAvx512:
-      return "avx512";
     case SimdIsa::kNeon:
       return "neon";
   }
@@ -126,7 +115,7 @@ const char* SimdIsaName(SimdIsa isa) {
 
 std::vector<SimdIsa> AvailableSimdIsas() {
   std::vector<SimdIsa> isas{SimdIsa::kScalar};
-  for (SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kAvx512, SimdIsa::kNeon}) {
+  for (SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kNeon}) {
     if (SimdOpsFor(isa) != nullptr) isas.push_back(isa);
   }
   return isas;

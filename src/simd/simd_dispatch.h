@@ -8,15 +8,15 @@
 namespace alid {
 
 /// The instruction sets the tile kernels (Eq.-1 scoring distances and the
-/// LSH projections) can run on. kScalar is always compiled and is the
-/// bit-exactness oracle every wider path is tested against; the others exist
-/// only where the toolchain could compile them and engage only where the
-/// running CPU reports support.
+/// LSH projections) can run on: one vector path per architecture (AVX2 on
+/// x86, NEON on AArch64) beside the scalar reference. kScalar is always
+/// compiled and is the bit-exactness oracle every vector path is tested
+/// against; the others exist only where the toolchain could compile them and
+/// engage only where the running CPU reports support.
 enum class SimdIsa {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
-  kNeon = 3,
+  kNeon = 2,
 };
 
 /// One ISA's implementation of the dimension-major tile kernels. A tile is
@@ -54,19 +54,21 @@ struct SimdKernelOps {
                    const Scalar* x, Scalar* out);
 };
 
-/// Columns per tile. Fixed at 8 so one tile is one AVX-512 register,
-/// two AVX2 registers, four NEON registers, or eight scalar accumulators.
+/// Columns per tile. Fixed at 8 so one tile is two AVX2 registers, four NEON
+/// registers, or eight scalar accumulators.
 inline constexpr int kSimdTileLanes = 8;
 
 /// The ops of `isa`, or nullptr when that ISA was not compiled in or the
 /// running CPU does not support it (kScalar never returns nullptr).
 const SimdKernelOps* SimdOpsFor(SimdIsa isa);
 
-/// The dispatched ops: the widest supported ISA, unless the ALID_SIMD
-/// environment variable ("scalar", "avx2", "avx512", "neon", "auto")
-/// pinned one at first use. An unsatisfiable pin (ISA not compiled or not
-/// supported by the CPU) falls back to scalar, never to a different vector
-/// width, so a force-fallback CI leg can only ever get what it asked for.
+/// The dispatched ops: the host's vector ISA (AVX2 on x86, NEON on AArch64,
+/// else scalar), unless the ALID_SIMD environment variable ("scalar",
+/// "avx2", "neon", "auto") pinned one at first use. A pin that names an
+/// available ISA is active; any other pin (an unknown name, the retired
+/// "avx512", an ISA not compiled or not supported by the CPU) resolves to
+/// scalar, never to a different vector path, so a force-fallback CI leg can
+/// only ever get what it asked for.
 const SimdKernelOps* ActiveSimdOps();
 
 /// The ISA behind ActiveSimdOps().

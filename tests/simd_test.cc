@@ -97,15 +97,47 @@ TEST(SimdDispatchTest, EveryAvailableIsaHasOpsAndAName) {
   }
 }
 
-TEST(SimdDispatchTest, ScalarEnvPinForcesTheScalarPath) {
-  // The CI force-fallback leg reruns this binary with ALID_SIMD=scalar; the
-  // dispatch must then resolve scalar no matter what the CPU supports. An
-  // unset/auto env leaves dispatch free, and the test asserts nothing.
+// The ALID_SIMD pin this process runs under, or nullptr when the variable is
+// unset, empty or "auto" and dispatch is free.
+const char* SimdPin() {
   const char* pin = std::getenv("ALID_SIMD");
-  if (pin != nullptr && std::string(pin) == "scalar") {
-    EXPECT_EQ(ActiveSimdIsa(), SimdIsa::kScalar);
-    EXPECT_EQ(ActiveSimdOps(), SimdOpsFor(SimdIsa::kScalar));
+  if (pin == nullptr || *pin == '\0' || std::string(pin) == "auto") {
+    return nullptr;
   }
+  return pin;
+}
+
+TEST(SimdDispatchTest, EnvPinSelectsANamedAvailableIsaElseScalar) {
+  // The CI legs rerun this binary under ALID_SIMD=scalar and under the
+  // retired ALID_SIMD=avx512. A pin that names an available ISA is active;
+  // any other pin resolves to scalar, never to a different vector path. An
+  // unpinned run leaves dispatch free, and the test asserts nothing.
+  const char* pin = SimdPin();
+  if (pin == nullptr) return;
+  SimdIsa want = SimdIsa::kScalar;
+  for (SimdIsa isa : AvailableSimdIsas()) {
+    if (std::string(pin) == SimdIsaName(isa)) want = isa;
+  }
+  EXPECT_EQ(ActiveSimdIsa(), want) << "ALID_SIMD=" << pin;
+  EXPECT_EQ(ActiveSimdOps(), SimdOpsFor(want)) << "ALID_SIMD=" << pin;
+}
+
+TEST(SimdDispatchTest, AnAvx2CpuRunsTheAvx2Path) {
+  // AVX2 is the one x86 vector path. Were kernel_avx2.cc built without
+  // -mavx2 it would compile to a nullptr accessor: every bit-identity test
+  // would stay green on the scalar path while hashing ran several times
+  // slower.
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2") == 0) {
+    GTEST_SKIP() << "the CPU reports no AVX2";
+  }
+  EXPECT_NE(SimdOpsFor(SimdIsa::kAvx2), nullptr);
+  if (SimdPin() == nullptr) {
+    EXPECT_EQ(ActiveSimdIsa(), SimdIsa::kAvx2);
+  }
+#else
+  GTEST_SKIP() << "not an x86-64 build";
+#endif
 }
 
 TEST(SimdDispatchTest, ScopedOverridePinsAndRestores) {
