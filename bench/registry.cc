@@ -1,6 +1,7 @@
 #include "registry.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdarg>
@@ -210,9 +211,7 @@ double TimePerCall(const std::function<void()>& fn, double min_seconds) {
     WallTimer timer;
     for (int64_t i = 0; i < batch; ++i) fn();
     const double seconds = timer.Seconds();
-    if (seconds >= min_seconds) {
-      return seconds / static_cast<double>(batch);
-    }
+    if (seconds >= min_seconds) break;
     // Grow geometrically toward the time floor (at least 2x, at most 16x so
     // one overshoot cannot balloon a slow call's wall time).
     const int64_t target =
@@ -222,6 +221,19 @@ double TimePerCall(const std::function<void()>& fn, double min_seconds) {
                       : batch * 16;
     batch = std::clamp<int64_t>(target, batch * 2, batch * 16);
   }
+  // The sizing loop only finds the batch; the answer is the median of
+  // kBatches timed batches of that size, so one preempted batch on a shared
+  // host cannot move it.
+  constexpr int kBatches = 5;
+  std::array<double, kBatches> per_call{};
+  for (double& sample : per_call) {
+    WallTimer timer;
+    for (int64_t i = 0; i < batch; ++i) fn();
+    sample = timer.Seconds() / static_cast<double>(batch);
+  }
+  std::nth_element(per_call.begin(), per_call.begin() + kBatches / 2,
+                   per_call.end());
+  return per_call[kBatches / 2];
 }
 
 int BenchRegistry::RunMain(int argc, char** argv) {

@@ -158,8 +158,10 @@ inline void KeepAlive(const T& value) {
   asm volatile("" : : "r,m"(value) : "memory");
 }
 
-/// Times `fn` adaptively: repeats batches until `min_seconds` of total work
-/// accumulates, returns seconds per call. The component-micro helper.
+/// Times `fn` adaptively: grows a batch of calls until one batch takes
+/// `min_seconds`, then times 5 batches of that size and returns the median
+/// seconds per call (so a call costs at least 6x min_seconds of wall
+/// time). The component-micro helper.
 double TimePerCall(const std::function<void()>& fn, double min_seconds = 0.02);
 
 #define ALID_BENCH_CONCAT_(a, b) a##b

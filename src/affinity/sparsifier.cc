@@ -1,8 +1,6 @@
 #include "affinity/sparsifier.h"
 
-#include <algorithm>
 #include <tuple>
-#include <unordered_set>
 #include <vector>
 
 #include "common/check.h"
@@ -21,40 +19,6 @@ SparseMatrix Sparsifier::FromLshCollisions(const Dataset& data,
       const Scalar a = affinity(data, i, j);
       triplets.emplace_back(i, j, a);
       triplets.emplace_back(j, i, a);
-    }
-  }
-  return SparseMatrix::FromTriplets(n, n, std::move(triplets));
-}
-
-SparseMatrix Sparsifier::FromExactNearestNeighbors(
-    const Dataset& data, const AffinityFunction& affinity, int k) {
-  const Index n = data.size();
-  ALID_CHECK(k >= 1 && k < n);
-  const double p = affinity.params().p;
-  // For each item, find its k nearest neighbours (partial sort of distances).
-  std::vector<std::vector<Index>> nn(n);
-  std::vector<std::pair<Scalar, Index>> dists;
-  for (Index i = 0; i < n; ++i) {
-    dists.clear();
-    dists.reserve(n - 1);
-    for (Index j = 0; j < n; ++j) {
-      if (j == i) continue;
-      dists.emplace_back(data.Distance(i, j, p), j);
-    }
-    std::nth_element(dists.begin(), dists.begin() + (k - 1), dists.end());
-    nn[i].reserve(k);
-    for (int t = 0; t < k; ++t) nn[i].push_back(dists[t].second);
-  }
-  // Symmetrize by union.
-  std::vector<std::tuple<Index, Index, Scalar>> triplets;
-  std::vector<std::unordered_set<Index>> seen(n);
-  for (Index i = 0; i < n; ++i) {
-    for (Index j : nn[i]) {
-      const Index a = std::min(i, j), b = std::max(i, j);
-      if (!seen[a].insert(b).second) continue;
-      const Scalar v = affinity(data, a, b);
-      triplets.emplace_back(a, b, v);
-      triplets.emplace_back(b, a, v);
     }
   }
   return SparseMatrix::FromTriplets(n, n, std::move(triplets));

@@ -9,14 +9,13 @@
 namespace alid {
 
 /// Builders of sparsified affinity matrices for the baselines (Section 5.1).
-/// Chen et al. offer two sparsification routes; both are implemented:
+/// Of Chen et al.'s two sparsification routes, the one the paper benchmarks
+/// is implemented:
 ///
 ///  - ANN via LSH: keep exactly the affinities between items that collide in
-///    at least one LSH table (the setting the paper benchmarks, Fig. 6);
-///  - ENN: keep the affinities of each item's exact k nearest neighbours
-///    (expensive O(n^2) preprocessing, provided for completeness/tests).
+///    at least one LSH table (Fig. 6).
 ///
-/// Both produce a symmetric CSR matrix with an empty diagonal.
+/// Every builder produces a symmetric CSR matrix with an empty diagonal.
 class Sparsifier {
  public:
   /// LSH-collision (ANN) sparsification; the induced SparseDegree() is the
@@ -24,10 +23,6 @@ class Sparsifier {
   static SparseMatrix FromLshCollisions(const Dataset& data,
                                         const AffinityFunction& affinity,
                                         const LshIndex& lsh);
-
-  /// Exact k-nearest-neighbour (ENN) sparsification, symmetrized by union.
-  static SparseMatrix FromExactNearestNeighbors(
-      const Dataset& data, const AffinityFunction& affinity, int k);
 
   /// The fully dense matrix expressed as CSR (sparse degree ~ 0); lets every
   /// baseline run on one code path when the Fig. 11 protocol demands a full

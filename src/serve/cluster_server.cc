@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <unordered_set>
 #include <utility>
 
@@ -18,16 +19,14 @@ ClusterServer::ClusterServer(int dim, ClusterServerOptions options)
     : dim_(dim), options_(options) {
   ALID_CHECK(dim_ > 0);
   ALID_CHECK(options_.history_capacity >= 0);
-  ALID_CHECK(options_.history_budget_bytes >= 0);
   // History-ring gauges ride the same per-instance registry as the serve
   // counters; each read takes the publication lock shared, exactly like
-  // stats(). The callbacks capture `this` — they die with the registry,
-  // which dies with the server.
+  // stats() (the byte gauge only to copy the ring it then walks). The
+  // callbacks capture `this` — they die with the registry, which dies with
+  // the server.
   obs::MetricsRegistry* registry = stats_.mutable_registry();
-  registry->AddCallbackGauge("history_ring_bytes", [this] {
-    std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-    return history_ring_bytes_;
-  });
+  registry->AddCallbackGauge("history_ring_bytes",
+                             [this] { return HistoryRingBytes(); });
   registry->AddCallbackGauge("generations_retained", [this] {
     std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
     return static_cast<int64_t>(history_.size());
@@ -152,16 +151,13 @@ std::vector<ScoredCluster> RankAcrossShards(const ServedGeneration& gen,
   return ranked;
 }
 
-// The bytes ring entries [i, end) hold beyond `current`, for every i (the
-// entry at ring.size() is 0): unique arena-block bytes and candidate
-// directories that `current` does not reference — the true extra cost of
-// time travel (shared blocks are charged to the live generation). The bytes
-// of a set of entries are a set union, so one newest-first walk, counting
-// each block and directory once, yields every suffix.
-std::vector<int64_t> RingSuffixBytes(const ServedGeneration* current,
-                                     const HistoryRing& ring) {
-  std::vector<int64_t> suffix(ring.size() + 1, 0);
-  if (ring.empty()) return suffix;
+// The bytes the ring holds beyond `current`: unique arena-block bytes and
+// candidate directories that `current` does not reference — the true extra
+// cost of time travel (shared blocks are charged to the live generation).
+// The bytes of a set of entries are a set union, so each block and
+// directory is counted once.
+int64_t RingBytes(const ServedGeneration* current, const HistoryRing& ring) {
+  if (ring.empty()) return 0;
   std::unordered_set<const ClusterSnapshot*> counted_shards;
   std::unordered_set<const ClusterBlock*> counted;
   if (current != nullptr) {
@@ -170,9 +166,9 @@ std::vector<int64_t> RingSuffixBytes(const ServedGeneration* current,
       for (const auto& block : shard->blocks()) counted.insert(block.get());
     }
   }
-  for (size_t i = ring.size(); i-- > 0;) {
-    int64_t bytes = suffix[i + 1];
-    for (const auto& shard : ring[i]->shards) {
+  int64_t bytes = 0;
+  for (const auto& entry : ring) {
+    for (const auto& shard : entry->shards) {
       if (counted_shards.insert(shard.get()).second) {
         bytes += static_cast<int64_t>(shard->candidate_key_bytes());
       }
@@ -182,9 +178,8 @@ std::vector<int64_t> RingSuffixBytes(const ServedGeneration* current,
         }
       }
     }
-    suffix[i] = bytes;
   }
-  return suffix;
+  return bytes;
 }
 
 }  // namespace
@@ -220,70 +215,44 @@ void ClusterServer::Publish(
       ledger.bytes_copied += info.bytes_copied;
     }
   }
-  // Generations released by this publication — ring evictions, the
-  // replaced ring and the swap operand — die after both locks are
-  // released, so an expensive teardown stalls neither the readers nor the
-  // next publisher.
+  // Generations released by this publication — ring evictions and the
+  // swap operand — die after the lock is released, so an expensive teardown
+  // never stalls the readers.
   std::vector<std::shared_ptr<const ServedGeneration>> evicted;
-  HistoryRing ring;
   bool republish = false;
   {
-    // Publishers take turns here; only they write current_ and history_,
-    // so reading both needs no more than this lock. The next ring and its
-    // bytes are built aside, and readers wait only for the swap below.
-    std::lock_guard<std::mutex> publish_lock(publish_mu_);
+    ALID_TRACE_SCOPE("serve", "publish_swap");
+    std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
     // Re-publishing the current shards (a rollback, or a fresh one-shard
     // wrapper around the current snapshot) leaves the ring as it is.
     republish = current_ == generation ||
                 (current_ != nullptr && generation != nullptr &&
                  current_->generation == generation->generation &&
                  current_->shards == generation->shards);
-    ring = history_;
     if (!republish && current_ != nullptr && options_.history_capacity > 0) {
       // Retire the outgoing generation into the ring. A generation
       // republished later (rollback) would otherwise accumulate duplicate
       // entries, so an existing entry of the same generation is dropped
       // first.
       const uint64_t retiring = current_->generation;
-      for (auto it = ring.begin(); it != ring.end();) {
+      for (auto it = history_.begin(); it != history_.end();) {
         if ((*it)->generation == retiring) {
           evicted.push_back(std::move(*it));
-          it = ring.erase(it);
+          it = history_.erase(it);
         } else {
           ++it;
         }
       }
-      ring.push_back(current_);
+      history_.push_back(current_);
     }
-    int64_t evictions = history_evictions_;
-    const auto evict_oldest = [&] {
-      evicted.push_back(std::move(ring.front()));
-      ring.pop_front();
-      ++evictions;
-    };
-    while (static_cast<int>(ring.size()) > options_.history_capacity) {
-      evict_oldest();
+    while (static_cast<int>(history_.size()) > options_.history_capacity) {
+      evicted.push_back(std::move(history_.front()));
+      history_.pop_front();
+      ++history_evictions_;
     }
-    // The budget evicts the oldest entries until the rest fit.
-    const std::vector<int64_t> suffix =
-        RingSuffixBytes(generation.get(), ring);
-    size_t oldest_kept = 0;
-    while (options_.history_budget_bytes > 0 &&
-           suffix[oldest_kept] > options_.history_budget_bytes) {
-      ++oldest_kept;
-    }
-    for (size_t i = 0; i < oldest_kept; ++i) evict_oldest();
-    {
-      ALID_TRACE_SCOPE("serve", "publish_swap");
-      std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
-      current_.swap(generation);
-      history_.swap(ring);
-      history_ring_bytes_ = suffix[oldest_kept];
-      history_evictions_ = evictions;
-    }
+    current_.swap(generation);
   }
   evicted.clear();
-  ring.clear();
   generation.reset();
   // Re-publishing the generation that was already current still counts as
   // a publication, but its build cost and re-use totals were recorded when
@@ -486,12 +455,29 @@ ClusterSnapshotInfo ClusterServer::ClusterInfo(int cluster) const {
   return {};
 }
 
+int64_t ClusterServer::HistoryRingBytes() const {
+  std::shared_ptr<const ServedGeneration> current;
+  HistoryRing ring;
+  {
+    std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
+    current = current_;
+    ring = history_;
+  }
+  return RingBytes(current.get(), ring);
+}
+
 ServeStatsView ClusterServer::stats() const {
   ServeStatsView view = stats_.View();
-  std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-  view.history_ring_bytes = history_ring_bytes_;
-  view.generations_retained = static_cast<int>(history_.size());
-  view.history_evictions = history_evictions_;
+  std::shared_ptr<const ServedGeneration> current;
+  HistoryRing ring;
+  {
+    std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
+    current = current_;
+    ring = history_;
+    view.history_evictions = history_evictions_;
+  }
+  view.generations_retained = static_cast<int>(ring.size());
+  view.history_ring_bytes = RingBytes(current.get(), ring);
   return view;
 }
 

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <vector>
@@ -26,16 +25,11 @@ struct ClusterServerOptions {
   ThreadPool* pool = nullptr;
   /// Retired generations the server keeps addressable for as-of queries
   /// (the history ring, oldest evicted first); 0 disables time travel.
-  /// Consecutive generations share their unchanged clusters' arena blocks,
-  /// so the ring pays for the blocks the current snapshot no longer
-  /// references plus each retained snapshot's own candidate directory.
+  /// This count is the ring's only bound. Consecutive generations share
+  /// their unchanged clusters' arena blocks, so the ring pays for the blocks
+  /// the current snapshot no longer references plus each retained
+  /// snapshot's own candidate directory (ServeStatsView::history_ring_bytes).
   int history_capacity = 4;
-  /// Byte budget of that *extra* history footprint (unique arena-block
-  /// bytes and candidate directories retained only for history — see
-  /// ServeStatsView::history_ring_bytes); oldest generations are evicted
-  /// until the ring fits. 0 means no byte bound (the capacity bound alone
-  /// applies).
-  int64_t history_budget_bytes = 0;
 };
 
 /// One published generation: the per-shard ClusterSnapshots served together
@@ -157,12 +151,14 @@ struct GenerationDiffResult {
 /// (P0718: linearizable store, acquire loads) over a reader-writer lock
 /// rather than libstdc++'s _Sp_atomic: the latter's hand-rolled spinlock is
 /// opaque to ThreadSanitizer, and this subsystem's swap-linearizability
-/// contract is enforced under TSan in CI. Readers take the lock shared and
-/// hold it only to bump the generation's refcount, so a reader is delayed
-/// only by the O(1) swap of a concurrent Publish, never by other readers.
-/// Publishers take turns on a lock of their own, under which each builds
-/// the next history ring and its byte total; the readers' lock is taken
-/// exclusively only to swap in the generation, the ring and the gauges.
+/// contract is enforced under TSan in CI. It is the server's one lock.
+/// Readers take it shared and hold it only to bump the generation's
+/// refcount (or scan the ring), so a reader is delayed only by a concurrent
+/// Publish, never by other readers. Publish takes it exclusively for O(ring)
+/// pointer moves: retire the outgoing generation, cut the ring to capacity,
+/// swap. The ring's byte gauge walks no block on publish; it is counted
+/// when read (stats() and the registry gauge copy the ring under the shared
+/// lock and walk the copy outside it).
 ///
 /// Thread-safety: Publish and every query method may be called from any
 /// number of threads concurrently. Detect-side structures (OnlineAlid, the
@@ -179,11 +175,11 @@ class ClusterServer {
   /// Every shard must have the server's dim and hash like shard 0
   /// (ALID_CHECKed).
   /// The retired generation enters the history ring (unless
-  /// history_capacity is 0); generations evicted by the capacity/budget
-  /// bounds are released outside the swap critical section, so an expensive
-  /// teardown never stalls readers. Republishing the current shards is a
-  /// no-op for the ring. Passing nullptr takes the server offline (queries
-  /// answer unassigned, generation 0).
+  /// history_capacity is 0); generations evicted by the capacity bound are
+  /// released outside the swap critical section, so an expensive teardown
+  /// never stalls readers. Republishing the current shards is a no-op for
+  /// the ring. Passing nullptr takes the server offline (queries answer
+  /// unassigned, generation 0).
   void Publish(std::shared_ptr<const ServedGeneration> generation);
   /// Publishes `snapshot` as a one-shard generation tagged with the
   /// snapshot's own generation.
@@ -228,6 +224,8 @@ class ClusterServer {
 
   /// A read of the serving counters (query counts, publish byte ledger,
   /// history-ring gauges, …); latencies live in registry() histograms.
+  /// history_ring_bytes is counted here, by one walk over the ring's blocks
+  /// (O(retained blocks), outside the lock).
   ServeStatsView stats() const;
 
   /// The per-instance instrument registry behind stats(): every serve
@@ -237,18 +235,17 @@ class ClusterServer {
   const obs::MetricsRegistry& metrics() const { return stats_.registry(); }
 
  private:
+  // The history-ring byte gauge: copies the current generation and the
+  // ring under the shared lock, then walks the copy.
+  int64_t HistoryRingBytes() const;
+
   int dim_;
   ClusterServerOptions options_;
-  // Serializes publishers: one builds the next ring (retire, evict, byte
-  // total) under it while readers go on reading the current one.
-  std::mutex publish_mu_;
   // The publication cell (see class comment). shared lock: copy the
-  // pointer / scan the ring; unique lock (with publish_mu_ held): swap in
-  // the next generation, ring and gauges.
+  // pointer / scan the ring; unique lock: retire, evict and swap.
   mutable std::shared_mutex snapshot_mu_;
   std::shared_ptr<const ServedGeneration> current_;
   HistoryRing history_;  // oldest first
-  int64_t history_ring_bytes_ = 0;
   int64_t history_evictions_ = 0;
   mutable ServeStats stats_;
 };

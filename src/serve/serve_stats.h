@@ -40,7 +40,7 @@ struct ServeStatsView {
   /// and candidate-directory bytes held *only* for retained historical
   /// generations (blocks shared with the current snapshot are free), how
   /// many retired generations are addressable, and how many were evicted
-  /// by the capacity/budget bounds.
+  /// by the capacity bound.
   int64_t history_ring_bytes = 0;
   int generations_retained = 0;
   int64_t history_evictions = 0;

@@ -347,36 +347,6 @@ TEST(SparsifierTest, DenseCsrMatchesAffinityMatrix) {
   }
 }
 
-TEST(SparsifierTest, EnnKeepsNearestNeighbours) {
-  AffinityFunction f({.k = 1.0, .p = 2.0});
-  Dataset d = SmallLine();
-  SparseMatrix m = Sparsifier::FromExactNearestNeighbors(d, f, 1);
-  // Point 0's nearest neighbour is 1; symmetric entries must exist.
-  EXPECT_GT(m.At(0, 1), 0.0);
-  EXPECT_GT(m.At(1, 0), 0.0);
-  // The far point 3 keeps only its own nearest (2), nothing to 0 unless
-  // induced by symmetrization of 0's list.
-  EXPECT_DOUBLE_EQ(m.At(0, 3), 0.0);
-}
-
-TEST(SparsifierTest, EnnIsSymmetric) {
-  SyntheticConfig cfg;
-  cfg.n = 60;
-  cfg.dim = 4;
-  cfg.num_clusters = 3;
-  cfg.regime = SyntheticRegime::kProportional;
-  cfg.omega = 0.5;
-  LabeledData data = MakeSynthetic(cfg);
-  AffinityFunction f({.k = data.suggested_k, .p = 2.0});
-  SparseMatrix m = Sparsifier::FromExactNearestNeighbors(data.data, f, 5);
-  for (Index i = 0; i < m.rows(); ++i) {
-    auto idx = m.RowIndices(i);
-    for (Index j : idx) {
-      EXPECT_NEAR(m.At(i, j), m.At(j, i), 1e-15);
-    }
-  }
-}
-
 TEST(SparsifierTest, LshCollisionsKeepClusterEdgesAndStaySparse) {
   SyntheticConfig cfg;
   cfg.n = 400;

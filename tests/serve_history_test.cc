@@ -1,6 +1,6 @@
 // Tests of the generation-addressed serve API: bounded time travel through
 // the history ring (as-of queries bit-identical to the pinned historical
-// snapshot), capacity/budget eviction under a hot publisher — and under two
+// snapshot), capacity eviction under a hot publisher — and under two
 // racing publishers — with concurrent readers (TSan-visible), arena-block
 // sharing and its MemoryTracker accounting (returns to baseline after
 // teardown — the ASan leg), the GenerationDiff report, and the constructor
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -20,6 +21,7 @@
 #include "common/random.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "serve/cluster_server.h"
 #include "serve/cluster_snapshot.h"
 #include "serve/snapshot_arena.h"
@@ -170,7 +172,7 @@ TEST(ServeHistoryTest, AsOfQueryBitIdenticalToPinnedHistoricalSnapshot) {
   EXPECT_EQ(gone.assignments.front().cluster, -1);
 }
 
-TEST(ServeHistoryTest, CapacityAndBudgetBoundTheRing) {
+TEST(ServeHistoryTest, CapacityBoundsTheRing) {
   LabeledData data = Workload(480, 41);
   OnlineAlid online(data.data.dim(), StreamOptions(data));
   const auto snaps = SnapshotChain(data, online, 80);
@@ -195,23 +197,58 @@ TEST(ServeHistoryTest, CapacityAndBudgetBoundTheRing) {
   EXPECT_EQ(retained->shards, std::vector{snaps[snaps.size() - 2]});
   EXPECT_EQ(two.SnapshotAt(snaps.front()->generation()), nullptr);
 
-  // A 1-byte budget evicts every generation whose blocks are not fully
-  // shared with the current snapshot; the gauge respects the bound.
-  ClusterServer tight(dim,
-                      {.history_capacity = 8, .history_budget_bytes = 1});
-  for (const auto& snap : snaps) tight.Publish(snap);
-  const ServeStatsView tight_stats = tight.stats();
-  EXPECT_LE(tight_stats.history_ring_bytes, 1);
-  EXPECT_GT(tight_stats.history_evictions, 0);
   // Republishing the current snapshot is a no-op for the ring, whether as
   // the pinned generation or as the bare snapshot (a fresh one-shard
   // wrapper).
-  const ServeStatsView before = tight.stats();
-  tight.Publish(tight.snapshot());
-  EXPECT_EQ(tight.stats().generations_retained, before.generations_retained);
-  tight.Publish(snaps.back());
-  EXPECT_EQ(tight.stats().generations_retained, before.generations_retained);
-  EXPECT_EQ(tight.stats().history_evictions, before.history_evictions);
+  ClusterServer eight(dim, {.history_capacity = 8});
+  for (const auto& snap : snaps) eight.Publish(snap);
+  const ServeStatsView before = eight.stats();
+  EXPECT_GT(before.generations_retained, 0);
+  eight.Publish(eight.snapshot());
+  EXPECT_EQ(eight.stats().generations_retained, before.generations_retained);
+  eight.Publish(snaps.back());
+  const ServeStatsView after = eight.stats();
+  EXPECT_EQ(after.generations_retained, before.generations_retained);
+  EXPECT_EQ(after.history_evictions, before.history_evictions);
+  EXPECT_EQ(after.history_ring_bytes, before.history_ring_bytes);
+}
+
+TEST(ServeHistoryTest, RollbackKeepsOneRingEntryPerGeneration) {
+  // Republishing an older generation (a rollback) and then moving on
+  // retires it a second time: its older ring entry is dropped first, so
+  // the ring holds each generation once and the drop is no eviction.
+  LabeledData data = Workload(480, 43);
+  OnlineAlid online(data.data.dim(), StreamOptions(data));
+  const auto snaps = SnapshotChain(data, online, 80);
+  ASSERT_GE(snaps.size(), 4u);
+  const int dim = data.data.dim();
+  const std::vector<Scalar> probes = Probes(data, 30);
+  const auto& g1 = snaps[0];
+  std::vector<QueryOutcome> g1_serial;
+  for (size_t q = 0; q < probes.size(); q += dim) {
+    g1_serial.push_back(
+        g1->Assign(std::span<const Scalar>(probes).subspan(q, dim)));
+  }
+
+  ClusterServer server(dim, {.history_capacity = 4});
+  server.Publish(g1);
+  server.Publish(snaps[1]);
+  server.Publish(snaps[2]);
+  server.Publish(g1);
+  server.Publish(snaps[3]);
+  const ServeStatsView stats = server.stats();
+  EXPECT_EQ(stats.generations_retained, 3);
+  EXPECT_EQ(stats.history_evictions, 0);
+  const QueryResponse asof =
+      server.Query({.points = probes, .generation = g1->generation()});
+  ASSERT_EQ(asof.status, QueryStatus::kOk);
+  EXPECT_EQ(asof.assignments, g1_serial);
+  int64_t gauge = -1;
+  for (const obs::MetricSample& m : server.metrics().Snapshot()) {
+    if (m.name == "history_ring_bytes") gauge = m.value;
+  }
+  EXPECT_GT(stats.history_ring_bytes, 0);
+  EXPECT_EQ(gauge, stats.history_ring_bytes);
 }
 
 TEST(ServeHistoryTest, RingEvictionUnderHotPublisherAndConcurrentReaders) {
@@ -280,8 +317,8 @@ TEST(ServeHistoryTest, RingEvictionUnderHotPublisherAndConcurrentReaders) {
 
 TEST(ServeHistoryTest, ConcurrentPublishersKeepAnswersAndRingBytesExact) {
   // Two publishers race over one ring (one walks the chain forward, one
-  // backward) while readers time-travel. Publishers take turns building the
-  // next ring aside and swap it in, so every kOk answer is still its
+  // backward) while readers time-travel. Each publish retires, evicts and
+  // swaps under one exclusive lock, so every kOk answer is still its
   // snapshot's serial truth, and the final ring's byte gauge is exactly
   // what a fresh server reports for the same ring published serially.
   LabeledData data = Workload(520, 53);
@@ -465,10 +502,10 @@ TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {
   EXPECT_EQ(MemoryTracker::Global().current_bytes(), global_baseline);
 }
 
-TEST(ServeHistoryTest, BudgetCountsRetainedCandidateKeyTables) {
-  // A retained generation holds its own candidate-key table besides the
-  // blocks the current snapshot no longer references. A budget that covers
-  // those blocks alone must still evict it.
+TEST(ServeHistoryTest, RingBytesCountRetainedCandidateDirectories) {
+  // A retained generation holds its own candidate directory besides the
+  // blocks the current snapshot no longer references; the ring gauge
+  // counts both, exactly.
   LabeledData data = Workload(520, 61);
   OnlineAlid online(data.data.dim(), StreamOptions(data));
   auto snaps = SnapshotChain(data, online, 80);
@@ -485,24 +522,15 @@ TEST(ServeHistoryTest, BudgetCountsRetainedCandidateKeyTables) {
       block_bytes += static_cast<int64_t>(block->MemoryBytes());
     }
   }
-  const int dim = data.data.dim();
 
-  ClusterServer unbounded(dim, {.history_capacity = 1});
-  unbounded.Publish(older);
-  unbounded.Publish(newer);
-  EXPECT_EQ(unbounded.stats().generations_retained, 1);
-  EXPECT_GT(unbounded.stats().history_ring_bytes, block_bytes);
-
-  ClusterServer bounded(
-      dim, {.history_capacity = 1,
-            .history_budget_bytes = std::max<int64_t>(block_bytes, 1)});
-  bounded.Publish(older);
-  bounded.Publish(newer);
-  const ServeStatsView stats = bounded.stats();
-  EXPECT_EQ(stats.generations_retained, 0);
-  EXPECT_EQ(stats.history_evictions, 1);
-  EXPECT_EQ(stats.history_ring_bytes, 0);
-  EXPECT_EQ(bounded.SnapshotAt(older->generation()), nullptr);
+  ClusterServer server(data.data.dim(), {.history_capacity = 1});
+  server.Publish(older);
+  server.Publish(newer);
+  const ServeStatsView stats = server.stats();
+  EXPECT_EQ(stats.generations_retained, 1);
+  EXPECT_GT(older->candidate_key_bytes(), 0u);
+  EXPECT_EQ(stats.history_ring_bytes,
+            block_bytes + static_cast<int64_t>(older->candidate_key_bytes()));
 }
 
 TEST(ServeHistoryTest, GenerationDiffReportsBirthsDeathsAndDrift) {
