@@ -15,10 +15,18 @@
 // across the executor axis (tests/serve_test.cc), so only the wall-clock
 // columns move — on a 1-core host only scheduling columns do.
 //
-// Before the sweep, the candidate stage is timed in isolation on the final
-// snapshot: query_hash_ns_p50 (QueryKeys per point) and query_mark_ns_p50
-// (a keyed Assign on far-noise probes, which marks no cluster and scores
-// none — the candidate-directory lookup alone).
+// Before the sweep, the candidate stage is timed in isolation:
+// query_hash_ns_p50 (QueryKeys per point) and query_mark_ns_p50 (a keyed
+// Assign on far-noise probes, which marks no cluster and scores none — the
+// candidate-directory lookup alone) on a compact export of the final state,
+// and query_mark_chained_ns_p50, the same probes on a chained snapshot (a
+// shared candidate base plus a delta, from a small many-cluster chain that
+// hashes like the main stream; its directory is larger than the final
+// snapshot's, so compare query_mark_chained_ns_p50 across commits, not
+// with query_mark_ns_p50). candidate_entries_shared sums the base
+// entries every export inherited from its predecessor; CI requires it > 0,
+// since a change that compacts on every build keeps every answer test
+// green.
 //
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
@@ -32,6 +40,7 @@
 #include <string_view>
 #include <thread>
 
+#include "common/check.h"
 #include "common/random.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
@@ -112,18 +121,24 @@ void PrintRow(const ServeRow& r) {
               static_cast<long long>(r.swaps));
 }
 
-// Per-point costs of a query's candidate stage on `snapshot`, each the p50
-// over batches of kLayerBatch calls (per-call timer overhead would rival
-// the work):
+// Per-point costs of a query's candidate stage, each the p50 over batches
+// of kLayerBatch calls (per-call timer overhead would rival the work):
 //   hash_ns — QueryKeys, the point's bucket keys, over the query mix;
 //   mark_ns — a keyed Assign with precomputed keys on far-noise probes that
 //             share no bucket with any cluster, so it marks no candidate
-//             and scores none: the directory lookup alone.
+//             and scores none: the directory lookup alone, on a compact
+//             snapshot (one directory);
+//   mark_chained_ns — the same probes (those that mark nothing there too)
+//             on a chained snapshot: the fused base+delta lookup.
 struct QueryLayerTimes {
   double hash_ns_p50 = 0.0;
   double mark_ns_p50 = 0.0;
+  double mark_chained_ns_p50 = 0.0;
   Index mark_probes = 0;  // far-noise probes that marked no cluster
 };
+
+constexpr int kLayerBatch = 16;
+constexpr int kLayerSamples = 2000;
 
 // Row i of a row-major point matrix.
 std::span<const Scalar> Row(const std::vector<Scalar>& flat, Index i, int dim) {
@@ -132,20 +147,51 @@ std::span<const Scalar> Row(const std::vector<Scalar>& flat, Index i, int dim) {
       static_cast<size_t>(dim));
 }
 
-QueryLayerTimes TimeQueryLayers(const ClusterSnapshot& snapshot,
+// p50 ns per keyed Assign of `probes` (row-major points, `keys` `tables`
+// per point) on `snapshot`; 0 without probes.
+double MarkNsP50(const ClusterSnapshot& snapshot,
+                 const std::vector<Scalar>& probes,
+                 const std::vector<uint64_t>& keys, size_t tables, int dim) {
+  const Index count = static_cast<Index>(keys.size() / tables);
+  if (count == 0) return 0.0;
+  std::vector<double> per_point_ns;
+  Index next = 0;
+  for (int sample = 0; sample < kLayerSamples; ++sample) {
+    WallTimer timer;
+    for (int i = 0; i < kLayerBatch; ++i) {
+      const std::span<const uint64_t> point_keys =
+          std::span<const uint64_t>(keys).subspan(
+              static_cast<size_t>(next) * tables, tables);
+      KeepAlive(snapshot.Assign(Row(probes, next, dim), point_keys).cluster);
+      next = (next + 1) % count;
+    }
+    per_point_ns.push_back(timer.Seconds() * 1e9 / kLayerBatch);
+  }
+  return Percentile(per_point_ns, 0.50);
+}
+
+// True iff the keyed point marks no cluster of `snapshot`.
+bool MarksNothing(const ClusterSnapshot& snapshot,
+                  std::span<const Scalar> point,
+                  std::span<const uint64_t> keys) {
+  return snapshot.TopKClusters(point, keys, snapshot.num_clusters()).empty();
+}
+
+// `compact` and `chained` must hash alike, so one probe's keys drive both.
+QueryLayerTimes TimeQueryLayers(const ClusterSnapshot& compact,
+                                const ClusterSnapshot& chained,
                                 const std::vector<Scalar>& queries, int dim) {
-  constexpr int kLayerBatch = 16;
-  constexpr int kLayerSamples = 2000;
+  ALID_CHECK(compact.HashesLike(chained));
   constexpr int kProbeAttempts = 1024;
   const Index count = static_cast<Index>(queries.size()) / dim;
-  const size_t tables = snapshot.QueryKeys(Row(queries, 0, dim)).size();
+  const size_t tables = compact.QueryKeys(Row(queries, 0, dim)).size();
   QueryLayerTimes times;
   std::vector<double> per_point_ns;
   Index next = 0;
   for (int sample = 0; sample < kLayerSamples; ++sample) {
     WallTimer timer;
     for (int i = 0; i < kLayerBatch; ++i) {
-      KeepAlive(snapshot.QueryKeys(Row(queries, next, dim))[0]);
+      KeepAlive(compact.QueryKeys(Row(queries, next, dim))[0]);
       next = (next + 1) % count;
     }
     per_point_ns.push_back(timer.Seconds() * 1e9 / kLayerBatch);
@@ -153,37 +199,74 @@ QueryLayerTimes TimeQueryLayers(const ClusterSnapshot& snapshot,
   times.hash_ns_p50 = Percentile(per_point_ns, 0.50);
 
   // Far-noise probes and their keys; a probe that lands in some cluster's
-  // bucket would be scored, so it is dropped.
+  // bucket would be scored, so it is dropped (from the chained timing too
+  // when it lands in one of the chained snapshot's).
   std::vector<Scalar> probes;
   std::vector<uint64_t> probe_keys;
+  std::vector<Scalar> chained_probes;
+  std::vector<uint64_t> chained_keys;
   std::vector<Scalar> point(static_cast<size_t>(dim));
   Rng rng(31);
   for (int attempt = 0; attempt < kProbeAttempts; ++attempt) {
     for (Scalar& v : point) v = rng.Uniform(-900.0, 900.0);
-    const std::span<const uint64_t> keys = snapshot.QueryKeys(point);
-    if (!snapshot.TopKClusters(point, keys, snapshot.num_clusters()).empty()) {
-      continue;
-    }
+    const std::span<const uint64_t> keys = compact.QueryKeys(point);
+    if (!MarksNothing(compact, point, keys)) continue;
     probes.insert(probes.end(), point.begin(), point.end());
     probe_keys.insert(probe_keys.end(), keys.begin(), keys.end());
+    if (MarksNothing(chained, point, keys)) {
+      chained_probes.insert(chained_probes.end(), point.begin(), point.end());
+      chained_keys.insert(chained_keys.end(), keys.begin(), keys.end());
+    }
   }
   times.mark_probes = static_cast<Index>(probe_keys.size() / tables);
-  if (times.mark_probes == 0) return times;
-  per_point_ns.clear();
-  next = 0;
-  for (int sample = 0; sample < kLayerSamples; ++sample) {
-    WallTimer timer;
-    for (int i = 0; i < kLayerBatch; ++i) {
-      const std::span<const uint64_t> keys =
-          std::span<const uint64_t>(probe_keys)
-              .subspan(static_cast<size_t>(next) * tables, tables);
-      KeepAlive(snapshot.Assign(Row(probes, next, dim), keys).cluster);
-      next = (next + 1) % times.mark_probes;
-    }
-    per_point_ns.push_back(timer.Seconds() * 1e9 / kLayerBatch);
-  }
-  times.mark_ns_p50 = Percentile(per_point_ns, 0.50);
+  times.mark_ns_p50 = MarkNsP50(compact, probes, probe_keys, tables, dim);
+  times.mark_chained_ns_p50 =
+      MarkNsP50(chained, chained_probes, chained_keys, tables, dim);
   return times;
+}
+
+// A snapshot whose candidate lookup is chained: a stream over many small
+// planted clusters (the main source's shape with `kChainClusters` clusters,
+// streamed with the main stream's options, so its snapshots hash like the
+// main ones) is exported once, then again after each of a few localized
+// batches around one cluster. One changed cluster of many stays far under
+// the compaction ratio, so every later export shares the first one's
+// candidate base and files only the changed cluster in its delta. Adds
+// each export's inherited base entries to *entries_shared.
+std::shared_ptr<const ClusterSnapshot> ChainedSnapshot(
+    SyntheticConfig cfg, const OnlineAlidOptions& opts,
+    int64_t* entries_shared) {
+  constexpr int kChainClusters = 24;
+  cfg.num_clusters = kChainClusters;
+  cfg.n = kChainClusters * 40;
+  const LabeledData data = MakeSynthetic(cfg);
+  const int dim = data.data.dim();
+  OnlineAlid online(dim, opts);
+  std::vector<Scalar> flat;
+  for (Index i = 0; i < data.size(); ++i) {
+    const auto row = data.data[i];
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  online.InsertBatch(flat);
+  online.Refresh();
+  std::shared_ptr<const ClusterSnapshot> snapshot =
+      ClusterSnapshot::FromStream(online);
+  Rng jitter(41);
+  const IndexList& burst = data.true_clusters.front();
+  for (int round = 0; round < 4; ++round) {
+    flat.clear();
+    for (int q = 0; q < 16; ++q) {
+      const auto row = data.data[burst[static_cast<size_t>(
+          jitter.UniformInt(0, static_cast<int>(burst.size()) - 1))]];
+      for (int d = 0; d < dim; ++d) {
+        flat.push_back(row[d] + jitter.Gaussian() * 0.05);
+      }
+    }
+    online.InsertBatch(flat);
+    snapshot = ClusterSnapshot::FromStream(online, nullptr, snapshot);
+    *entries_shared += snapshot->build_info().candidate_entries_shared;
+  }
+  return snapshot;
 }
 
 void EmitServeJson(BenchContext& ctx, const std::vector<ServeRow>& rows,
@@ -192,7 +275,8 @@ void EmitServeJson(BenchContext& ctx, const std::vector<ServeRow>& rows,
                    int64_t clusters_reused, int64_t bytes_shared,
                    int64_t bytes_copied, int64_t history_ring_bytes,
                    double trace_base_seconds, double trace_wall_seconds,
-                   double trace_overhead_ratio, const QueryLayerTimes& layers) {
+                   double trace_overhead_ratio, const QueryLayerTimes& layers,
+                   int64_t candidate_entries_shared) {
   std::string json;
   AppendF(json,
           "{\"bench\":\"serve\",\"n\":%d,\"queries\":%d,"
@@ -202,7 +286,9 @@ void EmitServeJson(BenchContext& ctx, const std::vector<ServeRow>& rows,
           "\"bytes_copied\":%lld,\"history_ring_bytes\":%lld,"
           "\"trace_base_seconds\":%.6f,\"trace_wall_seconds\":%.6f,"
           "\"trace_overhead_ratio\":%.4f,\"query_hash_ns_p50\":%.1f,"
-          "\"query_mark_ns_p50\":%.1f,\"query_mark_probes\":%d,\"rows\":[",
+          "\"query_mark_ns_p50\":%.1f,\"query_mark_chained_ns_p50\":%.1f,"
+          "\"query_mark_probes\":%d,\"candidate_entries_shared\":%lld,"
+          "\"rows\":[",
           n, queries, clusters, members, publish_p95_seconds,
           static_cast<long long>(rows_reused),
           static_cast<long long>(clusters_reused),
@@ -210,7 +296,8 @@ void EmitServeJson(BenchContext& ctx, const std::vector<ServeRow>& rows,
           static_cast<long long>(bytes_copied),
           static_cast<long long>(history_ring_bytes), trace_base_seconds,
           trace_wall_seconds, trace_overhead_ratio, layers.hash_ns_p50,
-          layers.mark_ns_p50, layers.mark_probes);
+          layers.mark_ns_p50, layers.mark_chained_ns_p50, layers.mark_probes,
+          static_cast<long long>(candidate_entries_shared));
   // The wall/latency/derived keys are emitted by hand; the counter keys
   // (queries, assigned, publish ledger, history and pool gauges)
   // come from each row's embedded registry export — the manual list must
@@ -262,6 +349,7 @@ void Run(BenchContext& ctx) {
   int64_t clusters_reused = 0;
   int64_t bytes_shared = 0;
   int64_t bytes_copied = 0;
+  int64_t candidate_entries_shared = 0;
   const auto publish = [&] {
     WallTimer publish_timer;
     // Chained incremental export — the production ingest->publish loop:
@@ -274,6 +362,8 @@ void Run(BenchContext& ctx) {
     clusters_reused += snapshots.back()->build_info().clusters_reused;
     bytes_shared += snapshots.back()->build_info().bytes_shared;
     bytes_copied += snapshots.back()->build_info().bytes_copied;
+    candidate_entries_shared +=
+        snapshots.back()->build_info().candidate_entries_shared;
   };
   std::vector<Scalar> flat;
   for (Index pos = 0; pos < data.size(); ++pos) {
@@ -388,11 +478,23 @@ void Run(BenchContext& ctx) {
               trace_base_seconds, trace_wall_seconds, trace_overhead_ratio);
 
   // The candidate stage in isolation: hashing a point, and the directory
-  // lookup of a point whose buckets hold no cluster.
-  const QueryLayerTimes layers = TimeQueryLayers(*final_snapshot, queries, dim);
+  // lookup of a point whose buckets hold no cluster, on a compact export of
+  // the final state (answers equal to the chained one's) and on a chained
+  // snapshot.
+  const auto chained = ChainedSnapshot(cfg, opts, &candidate_entries_shared);
+  const QueryLayerTimes layers = TimeQueryLayers(
+      *ClusterSnapshot::FromStream(online), *chained, queries, dim);
   std::printf("candidate stage: hash %.1f ns/point, mark %.1f ns/point "
-              "(%d far-noise probes)\n",
-              layers.hash_ns_p50, layers.mark_ns_p50, layers.mark_probes);
+              "compact, %.1f chained (%d far-noise probes; the chained "
+              "snapshot shares %lld base entries and built %lld; %lld base "
+              "entries shared along the publish chains)\n",
+              layers.hash_ns_p50, layers.mark_ns_p50,
+              layers.mark_chained_ns_p50, layers.mark_probes,
+              static_cast<long long>(
+                  chained->build_info().candidate_entries_shared),
+              static_cast<long long>(
+                  chained->build_info().candidate_entries_built),
+              static_cast<long long>(candidate_entries_shared));
 
   PrintHeader("steady-state serving (single published snapshot)");
   std::printf("%-7s %-6s %-6s %-9s %-9s %-11s %-12s %-12s %-12s %-9s %-7s\n",
@@ -495,7 +597,7 @@ void Run(BenchContext& ctx) {
                 Percentile(publish_seconds, 0.95), rows_reused,
                 clusters_reused, bytes_shared, bytes_copied,
                 history_ring_bytes, trace_base_seconds, trace_wall_seconds,
-                trace_overhead_ratio, layers);
+                trace_overhead_ratio, layers, candidate_entries_shared);
 }
 
 ALID_BENCHMARK("serve", "runtime,serve,speedup", "serve", Run);

@@ -9,11 +9,13 @@
 namespace alid {
 
 CandidateDirectory::CandidateDirectory(
-    int num_tables, std::span<const std::span<const BucketKey>> clusters)
+    int num_tables, std::span<const std::span<const BucketKey>> clusters,
+    bool key_filter)
     : num_tables_(num_tables) {
   ALID_CHECK(num_tables > 0);
   ALID_CHECK(clusters.size() <=
              static_cast<size_t>(std::numeric_limits<int32_t>::max()));
+  num_clusters_ = static_cast<int>(clusters.size());
   size_t entries = 0;
   for (const std::span<const BucketKey> buckets : clusters) {
     entries += buckets.size();
@@ -47,6 +49,14 @@ CandidateDirectory::CandidateDirectory(
   }
   std::shift_right(slot_begin_.begin(), slot_begin_.end(), 1);
   slot_begin_[0] = 0;
+  if (key_filter) {
+    filter_.assign(static_cast<size_t>(num_tables) * kFilterWords, 0);
+    for (const std::span<const BucketKey> buckets : clusters) {
+      for (const BucketKey& b : buckets) {
+        filter_[FilterWord(b.table, b.key)] |= FilterMask(b.key);
+      }
+    }
+  }
 }
 
 void CandidateDirectory::Mark(std::span<const uint64_t> keys,
@@ -58,6 +68,35 @@ void CandidateDirectory::Mark(std::span<const uint64_t> keys,
     const size_t s = Slot(t, key);
     for (uint32_t i = slot_begin_[s]; i < slot_begin_[s + 1]; ++i) {
       if (keys_[i] == key) marks->Mark(static_cast<size_t>(clusters_[i]));
+    }
+  }
+}
+
+void CandidateDirectory::MarkWithDelta(std::span<const uint64_t> keys,
+                                       std::span<const int32_t> ids,
+                                       const CandidateDirectory& delta,
+                                       EpochStamp* marks) const {
+  ALID_CHECK(static_cast<int>(keys.size()) == num_tables_);
+  ALID_CHECK(delta.num_tables_ == num_tables_);
+  ALID_CHECK(ids.size() == static_cast<size_t>(num_clusters_));
+  for (int t = 0; t < num_tables_; ++t) {
+    const uint64_t key = keys[static_cast<size_t>(t)];
+    if (!keys_.empty()) {
+      const size_t s = Slot(t, key);
+      for (uint32_t i = slot_begin_[s]; i < slot_begin_[s + 1]; ++i) {
+        if (keys_[i] != key) continue;
+        const int32_t id = ids[static_cast<size_t>(clusters_[i])];
+        if (id >= 0) marks->Mark(static_cast<size_t>(id));
+      }
+    }
+    if (delta.MayHold(t, key)) {
+      const size_t s = delta.Slot(t, key);
+      for (uint32_t i = delta.slot_begin_[s]; i < delta.slot_begin_[s + 1];
+           ++i) {
+        if (delta.keys_[i] == key) {
+          marks->Mark(static_cast<size_t>(delta.clusters_[i]));
+        }
+      }
     }
   }
 }

@@ -151,18 +151,21 @@ std::vector<ScoredCluster> RankAcrossShards(const ServedGeneration& gen,
   return ranked;
 }
 
-// The bytes the ring holds beyond `current`: unique arena-block bytes and
-// candidate directories that `current` does not reference — the true extra
-// cost of time travel (shared blocks are charged to the live generation).
-// The bytes of a set of entries are a set union, so each block and
-// directory is counted once.
+// The bytes the ring holds beyond `current`: unique arena blocks, shared
+// base candidate directories and snapshots' own candidate bytes (delta and
+// base-position map) that `current` does not reference — the true extra
+// cost of time travel (shared blocks and bases are charged to the live
+// generation). The bytes of a set of entries are a set union, so each
+// block, base and snapshot is counted once.
 int64_t RingBytes(const ServedGeneration* current, const HistoryRing& ring) {
   if (ring.empty()) return 0;
   std::unordered_set<const ClusterSnapshot*> counted_shards;
+  std::unordered_set<const CandidateDirectory*> counted_bases;
   std::unordered_set<const ClusterBlock*> counted;
   if (current != nullptr) {
     for (const auto& shard : current->shards) {
       counted_shards.insert(shard.get());
+      counted_bases.insert(&shard->candidate_base());
       for (const auto& block : shard->blocks()) counted.insert(block.get());
     }
   }
@@ -171,6 +174,10 @@ int64_t RingBytes(const ServedGeneration* current, const HistoryRing& ring) {
     for (const auto& shard : entry->shards) {
       if (counted_shards.insert(shard.get()).second) {
         bytes += static_cast<int64_t>(shard->candidate_key_bytes());
+        const CandidateDirectory& base = shard->candidate_base();
+        if (counted_bases.insert(&base).second) {
+          bytes += static_cast<int64_t>(base.MemoryBytes());
+        }
       }
       for (const auto& block : shard->blocks()) {
         if (counted.insert(block.get()).second) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -26,6 +27,33 @@ struct QueryScratch {
 QueryScratch& Scratch() {
   thread_local QueryScratch scratch;
   return scratch;
+}
+
+// A chained build compacts when (delta entries + dead base entries) *
+// kCompactionRatio exceeds the base's entries, so a delta stays under a
+// quarter of its base: every query that passes the delta's key filter
+// reads the delta's slot, and a larger delta fills the filter further.
+// Higher ratios rebuild the base sooner and retain more bases: on perfbench
+// serve_mixed (32 clusters, one changed per publish, 64 retained
+// generations; seeds 1 and 2, 10 s, 4-core x86 host) the history ring
+// held 3.40-3.50 MB at 4, 5.00-5.08 MB at 8 and 6.79-7.55 MB at 16, against
+// 10.4 MB with one private directory per generation; 2 held 3.09-3.14 MB.
+constexpr size_t kCompactionRatio = 4;
+
+// The owner of a shared base directory: charges its bytes to the global
+// tracker once, for every snapshot that shares it.
+struct ChargedDirectory {
+  explicit ChargedDirectory(CandidateDirectory d)
+      : directory(std::move(d)),
+        charge(static_cast<int64_t>(directory.MemoryBytes())) {}
+  CandidateDirectory directory;
+  ScopedMemoryCharge charge;
+};
+
+std::shared_ptr<const CandidateDirectory> SharedDirectory(
+    CandidateDirectory directory) {
+  auto owner = std::make_shared<const ChargedDirectory>(std::move(directory));
+  return {owner, &owner->directory};
 }
 
 // True iff hashers of one dimensionality built from `a` and `b` draw the
@@ -107,6 +135,8 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
   // the mutable handle of every new block for the build passes below; once
   // Build returns, only const references remain.
   snap->blocks_.resize(static_cast<size_t>(num_clusters));
+  // The predecessor cluster each shared block came from, -1 when fresh.
+  std::vector<int32_t> reused_from(static_cast<size_t>(num_clusters), -1);
   std::vector<std::shared_ptr<ClusterBlock>> fresh(
       static_cast<size_t>(num_clusters));
   {
@@ -127,6 +157,7 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
             prev->blocks_[reuse->second];
         ALID_CHECK(block->count == count);
         snap->blocks_[c] = block;
+        reused_from[c] = static_cast<int32_t>(reuse->second);
         snap->build_info_.bytes_shared +=
             static_cast<int64_t>(block->MemoryBytes());
         snap->build_info_.rows_reused += count;
@@ -161,9 +192,10 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
   // Candidate keys. A fresh block collects its members' distinct (table,
   // key) buckets: a stream export reads the keys the stream computed on
   // arrival, any other build hashes the members' source rows (same params,
-  // same keys). The candidate directory files every block's buckets under
-  // its cluster id, so a cluster is marked exactly when a member shares a
-  // bucket with the query.
+  // same keys). The candidate lookup files every block's buckets under its
+  // cluster id — through the shared base's position map or in the delta —
+  // so a cluster is marked exactly when a member shares a bucket with the
+  // query.
   {
     ALID_TRACE_SCOPE("publish", "candidate_keys");
     const LshIndex* stream_lsh = stream != nullptr ? &stream->lsh() : nullptr;
@@ -202,14 +234,22 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
             block->bucket_keys.assign(buckets.begin(), buckets.end());
           }
         });
-    std::vector<std::span<const BucketKey>> buckets(
-        static_cast<size_t>(num_clusters));
-    for (int c = 0; c < num_clusters; ++c) {
-      buckets[static_cast<size_t>(c)] = snap->blocks_[c]->bucket_keys;
+    if (stream != nullptr && compatible) {
+      snap->ChainCandidates(*prev, reused_from);
     }
-    snap->candidates_ = CandidateDirectory(tables, buckets);
+    if (snap->base_ == nullptr) {
+      // Compaction: one fresh base over every block, identity map, no delta.
+      std::vector<std::span<const BucketKey>> buckets(
+          static_cast<size_t>(num_clusters));
+      for (int c = 0; c < num_clusters; ++c) {
+        buckets[static_cast<size_t>(c)] = snap->blocks_[c]->bucket_keys;
+      }
+      snap->base_ = SharedDirectory(CandidateDirectory(tables, buckets));
+      snap->build_info_.candidate_entries_built =
+          static_cast<int64_t>(snap->base_->entries());
+    }
     snap->candidates_charge_.Adjust(
-        static_cast<int64_t>(snap->candidates_.MemoryBytes()));
+        static_cast<int64_t>(snap->candidate_key_bytes()));
   }
 
   // Every fresh block is complete: seal it — charging its bytes to the
@@ -227,6 +267,53 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
 
   snap->build_info_.build_seconds = build_timer.Seconds();
   return snap;
+}
+
+void ClusterSnapshot::ChainCandidates(const ClusterSnapshot& prev,
+                                      std::span<const int32_t> reused_from) {
+  const CandidateDirectory& base = *prev.base_;
+  // The predecessor's map inverted: its cluster -> base position, -1 for a
+  // cluster in its delta. An empty map is the identity.
+  std::vector<int32_t> position_of(prev.blocks_.size(), -1);
+  if (prev.base_ids_.empty()) {
+    std::iota(position_of.begin(), position_of.end(), 0);
+  } else {
+    for (int32_t q = 0; q < base.num_clusters(); ++q) {
+      const int32_t p = prev.base_ids_[static_cast<size_t>(q)];
+      if (p >= 0) position_of[static_cast<size_t>(p)] = q;
+    }
+  }
+  // A shared block at a base position keeps it; every other block (fresh,
+  // or inherited from the predecessor's delta) goes to the delta.
+  std::vector<int32_t> ids(static_cast<size_t>(base.num_clusters()), -1);
+  std::vector<std::span<const BucketKey>> delta(
+      static_cast<size_t>(num_clusters()));
+  size_t live = 0;
+  size_t delta_entries = 0;
+  bool identity = static_cast<int>(ids.size()) == num_clusters();
+  for (int c = 0; c < num_clusters(); ++c) {
+    const std::vector<BucketKey>& keys = blocks_[c]->bucket_keys;
+    const int32_t from = reused_from[static_cast<size_t>(c)];
+    const int32_t q = from >= 0 ? position_of[static_cast<size_t>(from)] : -1;
+    if (q >= 0) {
+      ALID_CHECK(ids[static_cast<size_t>(q)] < 0);
+      ids[static_cast<size_t>(q)] = c;
+      live += keys.size();
+    } else {
+      delta[static_cast<size_t>(c)] = keys;
+      delta_entries += keys.size();
+    }
+    identity = identity && q == c;
+  }
+  const size_t dead = base.entries() - live;
+  if ((delta_entries + dead) * kCompactionRatio > base.entries()) return;
+  base_ = prev.base_;
+  if (!identity) {
+    base_ids_ = std::move(ids);
+    delta_ = CandidateDirectory(base.num_tables(), delta, /*key_filter=*/true);
+  }
+  build_info_.candidate_entries_shared = static_cast<int64_t>(base.entries());
+  build_info_.candidate_entries_built = static_cast<int64_t>(delta_entries);
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
@@ -254,7 +341,11 @@ const EpochStamp& ClusterSnapshot::MarkCandidates(
     std::span<const uint64_t> keys) const {
   EpochStamp& candidates = Scratch().candidates;
   candidates.Begin(static_cast<size_t>(num_clusters()));
-  candidates_.Mark(keys, &candidates);
+  if (base_ids_.empty()) {
+    base_->Mark(keys, &candidates);
+  } else {
+    base_->MarkWithDelta(keys, base_ids_, delta_, &candidates);
+  }
   return candidates;
 }
 

@@ -53,6 +53,11 @@ struct SnapshotBuildInfo {
   /// O(changed-bytes) property CI gates on.
   int64_t bytes_shared = 0;
   int64_t bytes_copied = 0;
+  /// Candidate-directory entries this build inherited in the predecessor's
+  /// shared base (0 when it compacted) vs. entries it filed itself: the
+  /// delta's on a chained build, the whole fresh base's on a compaction.
+  int64_t candidate_entries_shared = 0;
+  int64_t candidate_entries_built = 0;
   double build_seconds = 0.0;
 };
 
@@ -98,10 +103,10 @@ struct ClusterSnapshotInfo {
 /// serving: every dominant cluster's state (density, seed, stream identity,
 /// source ids, its members' distinct LSH buckets, and the ClusterScorer
 /// holding the simplex weights and SoA member tiles) lives in a refcounted
-/// arena block (see snapshot_arena.h); one table-major candidate directory
+/// arena block (see snapshot_arena.h); table-major candidate directories
 /// over the blocks' buckets (candidate_directory.h: 8-byte keys and 4-byte
 /// cluster ids in power-of-two slots per table, placed by one counting pass
-/// at build) yields each query's candidate clusters. Every
+/// at build) yield each query's candidate clusters. Every
 /// query — Assign, TopKClusters — runs one keyed scoring core: it takes the
 /// point's bucket keys (one per table, hashed once by the caller), marks the
 /// clusters those buckets hold and scores each candidate exactly once
@@ -112,7 +117,14 @@ struct ClusterSnapshotInfo {
 /// with QueryKeys and hands the keys to each. The incremental export
 /// *shares* an unchanged cluster's block with the predecessor snapshot
 /// instead of copying it, so consecutive generations pay block bytes only
-/// for their changed clusters; the directory is each snapshot's own.
+/// for their changed clusters. It shares the candidate lookup the same way:
+/// a base directory, refcounted along the chain of incremental exports and
+/// charged once by its owner, plus per snapshot a map from base position to
+/// cluster id (-1 for a block that is gone) and a small delta directory
+/// over the blocks the base does not hold. A build compacts — a fresh base
+/// over every block, no map, no delta — when there is no compatible stream
+/// predecessor or when the delta and the dead base entries outgrow a
+/// quarter of the base; a compact snapshot's lookup is a single directory.
 /// Every query method is const, touches only snapshot-owned state plus
 /// thread-local scratch, and is therefore safe for any number of concurrent
 /// readers — the read side of the serving subsystem's RCU design.
@@ -211,10 +223,20 @@ class ClusterSnapshot {
     return {blocks_.data(), blocks_.size()};
   }
 
-  /// Bytes of the candidate directory (slot offsets, keys and cluster ids)
-  /// — exactly what the snapshot charges for it to the global tracker;
-  /// owned by this snapshot alone, never shared with another generation.
-  size_t candidate_key_bytes() const { return candidates_.MemoryBytes(); }
+  /// The snapshot's own candidate-lookup bytes: its delta directory (with
+  /// its key filter) and its base-position map — exactly what the snapshot
+  /// charges to the global tracker. 0 for a compact snapshot, and for a
+  /// re-export of an unchanged compact one. The shared base is not counted
+  /// here: see candidate_base().
+  size_t candidate_key_bytes() const {
+    return base_ids_.size() * sizeof(int32_t) + delta_.MemoryBytes();
+  }
+
+  /// The base candidate directory, shared by refcount with every snapshot
+  /// of its chain (equal addresses mean one shared base). Its owner charges
+  /// its MemoryBytes() to the global tracker once, whatever the number of
+  /// snapshots sharing it.
+  const CandidateDirectory& candidate_base() const { return *base_; }
 
  private:
   ClusterSnapshot() = default;
@@ -227,14 +249,23 @@ class ClusterSnapshot {
       const ClusterSnapshotOptions& options, uint64_t generation,
       const OnlineAlid* stream, const ClusterSnapshot* previous);
 
+  // Chains this snapshot's candidate lookup on `prev`'s base: maps the
+  // base positions of the blocks it shares (reused_from[c] is the
+  // predecessor cluster of cluster c's block, -1 when fresh) and files every
+  // other block in a delta. Leaves base_ null — compaction — when the delta
+  // and the dead base entries outgrow the base (kCompactionRatio).
+  void ChainCandidates(const ClusterSnapshot& prev,
+                       std::span<const int32_t> reused_from);
+
   // True iff `previous` was built under the same scoring/indexing
   // parameters, so its per-cluster arena blocks are shareable verbatim.
   bool CompatibleWith(const ClusterSnapshotOptions& options, int dim) const;
 
   // Marks the candidate clusters of a point with bucket keys `keys` (one
   // per table) in thread-local scratch — every cluster holding one of those
-  // buckets — and returns the mark. Reads one directory slot per table and
-  // compares its keys; hashes nothing, searches nothing.
+  // buckets — and returns the mark. Reads one base slot per table (and the
+  // delta's when its filter passes) and compares its keys; hashes nothing,
+  // searches nothing.
   const EpochStamp& MarkCandidates(std::span<const uint64_t> keys) const;
 
   int dim_ = 0;
@@ -247,9 +278,16 @@ class ClusterSnapshot {
   std::unique_ptr<AffinityFunction> affinity_fn_;
   // Query hasher: an item-free LshIndex, shared along compatible exports.
   std::shared_ptr<const LshIndex> hasher_;
-  // Every block's buckets filed under its cluster id, charged to the
-  // global tracker.
-  CandidateDirectory candidates_;
+  // The shared base directory: the blocks of the chain's last compaction,
+  // filed under their base positions.
+  std::shared_ptr<const CandidateDirectory> base_;
+  // Base position -> cluster id, -1 for a block this snapshot no longer
+  // holds; empty when the identity (every block in the base, no delta).
+  std::vector<int32_t> base_ids_;
+  // The buckets of the blocks the base does not hold, filed under their
+  // cluster ids, with a key filter; empty when base_ids_ is.
+  CandidateDirectory delta_;
+  // candidate_key_bytes(), charged to the global tracker.
   ScopedMemoryCharge candidates_charge_{0};
   uint64_t generation_ = 0;
   SnapshotBuildInfo build_info_;

@@ -7,6 +7,7 @@
 // contract death test.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -25,15 +26,16 @@
 #include "serve/cluster_server.h"
 #include "serve/cluster_snapshot.h"
 #include "serve/snapshot_arena.h"
+#include "test_util.h"
 
 namespace alid {
 namespace {
 
-LabeledData Workload(Index n = 420, uint64_t seed = 91) {
+LabeledData Workload(Index n = 420, uint64_t seed = 91, int num_clusters = 4) {
   SyntheticConfig cfg;
   cfg.n = n;
   cfg.dim = 10;
-  cfg.num_clusters = 4;
+  cfg.num_clusters = num_clusters;
   cfg.omega = 0.6;
   cfg.mean_box = 300.0;
   cfg.overlap_clusters = false;
@@ -93,6 +95,57 @@ void AppendLocalizedTail(const LabeledData& data, OnlineAlid& online,
     online.InsertBatch(flat);
     snaps.push_back(
         ClusterSnapshot::FromStream(online, nullptr, snaps.back()));
+  }
+}
+
+// One publish whose arrivals (jittered members of every planted cluster)
+// change most clusters at once: after a chain of localized publishes, its
+// delta outgrows the shared base and the export compacts.
+void AppendSpreadBatch(const LabeledData& data, OnlineAlid& online,
+                       std::vector<std::shared_ptr<const ClusterSnapshot>>&
+                           snaps) {
+  Rng jitter(11);
+  const int dim = data.data.dim();
+  std::vector<Scalar> flat;
+  for (const IndexList& cluster : data.true_clusters) {
+    for (int q = 0; q < 8; ++q) {
+      const auto row = data.data[cluster[static_cast<size_t>(
+          jitter.UniformInt(0, static_cast<int>(cluster.size()) - 1))]];
+      for (int d = 0; d < dim; ++d) {
+        flat.push_back(row[d] + jitter.Gaussian() * 0.05);
+      }
+    }
+  }
+  online.InsertBatch(flat);
+  snaps.push_back(ClusterSnapshot::FromStream(online, nullptr, snaps.back()));
+}
+
+// The candidate-lookup bytes `ring` holds beyond `current`: each ring
+// snapshot's own bytes (delta, key filter and base-position map), plus each
+// shared base once unless `current` references it.
+int64_t RingCandidateBytes(
+    std::span<const std::shared_ptr<const ClusterSnapshot>> ring,
+    const ClusterSnapshot& current) {
+  std::unordered_set<const CandidateDirectory*> bases;
+  bases.insert(&current.candidate_base());
+  int64_t bytes = 0;
+  for (const auto& snap : ring) {
+    bytes += static_cast<int64_t>(snap->candidate_key_bytes());
+    if (bases.insert(&snap->candidate_base()).second) {
+      bytes += static_cast<int64_t>(snap->candidate_base().MemoryBytes());
+    }
+  }
+  return bytes;
+}
+
+// Returns once `answered` is positive, or after 10 s: a publisher calls it
+// before stopping its readers, so a reader descheduled for the whole
+// publish loop still gets to answer.
+void WaitForAnAnswer(const std::atomic<int64_t>& answered) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (answered.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
 }
 
@@ -383,6 +436,9 @@ TEST(ServeHistoryTest, ConcurrentPublishersKeepAnswersAndRingBytesExact) {
           std::this_thread::yield();
         }
       }
+      // On a loaded host the rounds can end before any reader is
+      // scheduled; the readers get up to 10 s to answer one request.
+      WaitForAnAnswer(answered);
       publishing.fetch_sub(1, std::memory_order_release);
     });
   }
@@ -412,11 +468,124 @@ TEST(ServeHistoryTest, ConcurrentPublishersKeepAnswersAndRingBytesExact) {
   EXPECT_EQ(stats.history_ring_bytes, serial.stats().history_ring_bytes);
 }
 
+TEST(ServeHistoryTest, AsOfReadersWhileThePublisherCrossesACompaction) {
+  // Eight planted clusters: localized publishes chain on one shared base
+  // with a delta, a spread publish compacts, and the chain starts again.
+  // Readers time-travel over a capacity-8 ring while a publisher replays
+  // the sequence, so ring entries of a chained base, of the compacted one
+  // and of both chains coexist and die under live readers (the TSan leg);
+  // every kOk answer must be its snapshot's serial truth.
+  LabeledData data = Workload(640, 71, /*num_clusters=*/8);
+  OnlineAlid online(data.data.dim(), StreamOptions(data));
+  auto snaps = SnapshotChain(data, online, 80);
+  ASSERT_GE(snaps.size(), 2u);
+  const size_t head = snaps.size();
+  AppendLocalizedTail(data, online, snaps, 3);
+  AppendSpreadBatch(data, online, snaps);
+  AppendLocalizedTail(data, online, snaps, 3);
+  // The sequence crosses a compaction: a generation chained on a non-empty
+  // base, then one with a fresh base, then a chain on that one.
+  bool crossed = false;
+  for (size_t i = head; i + 2 < snaps.size(); ++i) {
+    if (ChainedWithContent(*snaps[i - 1], *snaps[i]) &&
+        !SharesBase(*snaps[i], *snaps[i + 1]) &&
+        SharesBase(*snaps[i + 1], *snaps[i + 2])) {
+      crossed = true;
+    }
+  }
+  ASSERT_TRUE(crossed);
+  const int dim = data.data.dim();
+  const std::vector<Scalar> probes = Probes(data, 24);
+
+  std::unordered_map<uint64_t, std::vector<QueryOutcome>> truth;
+  std::unordered_map<uint64_t, std::vector<std::vector<ScoredCluster>>>
+      truth_ranked;
+  for (const auto& snap : snaps) {
+    ClusterServer oracle(dim, {.history_capacity = 0});
+    oracle.Publish(snap);
+    truth[snap->generation()] = oracle.Query({.points = probes}).assignments;
+    truth_ranked[snap->generation()] =
+        oracle.Query({.points = probes, .top_k = 3}).ranked;
+  }
+
+  ClusterServer server(dim, {.history_capacity = 8});
+  server.Publish(snaps[0]);
+  std::atomic<bool> done{false};
+  std::atomic<bool> corrupt{false};
+  std::atomic<bool> bad_status{false};
+  std::atomic<int64_t> answered{0};
+  // Readers address mostly the tail, where the chains and the compaction
+  // are.
+  const int64_t tail = static_cast<int64_t>(head) - 1;
+  const int64_t last = static_cast<int64_t>(snaps.size()) - 1;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(500 + static_cast<uint64_t>(t));
+      while (!done.load(std::memory_order_acquire)) {
+        const int64_t first = rng.UniformInt(0, 3) == 0 ? 0 : tail;
+        const size_t pick = static_cast<size_t>(rng.UniformInt(first, last));
+        const uint64_t gen = snaps[pick]->generation();
+        const bool ranked = rng.UniformInt(0, 1) == 1;
+        const QueryResponse response = server.Query(
+            {.points = probes, .top_k = ranked ? 3 : 0, .generation = gen});
+        if (response.status == QueryStatus::kOk) {
+          answered.fetch_add(1);
+          if (response.generation != gen ||
+              (ranked ? response.ranked != truth_ranked.at(gen)
+                      : response.assignments != truth.at(gen))) {
+            corrupt.store(true);
+          }
+        } else if (response.status != QueryStatus::kGenerationUnavailable) {
+          bad_status.store(true);
+        }
+      }
+    });
+  }
+  std::thread publisher([&] {
+    for (int round = 0; round < 10; ++round) {
+      for (const auto& snap : snaps) {
+        server.Publish(snap);
+        std::this_thread::yield();
+      }
+    }
+    // On a loaded host the rounds can end before any reader is scheduled.
+    WaitForAnAnswer(answered);
+    done.store(true, std::memory_order_release);
+  });
+  publisher.join();
+  for (auto& reader : readers) reader.join();
+  EXPECT_FALSE(corrupt.load());
+  EXPECT_FALSE(bad_status.load());
+  EXPECT_GT(answered.load(), 0);
+  EXPECT_GT(server.stats().history_evictions, 0);
+  // The last round left the tail in the ring: its byte gauge counts each
+  // shared base once.
+  const std::span<const std::shared_ptr<const ClusterSnapshot>> ring(
+      snaps.data() + snaps.size() - 9, 8);
+  int64_t block_bytes = 0;
+  std::unordered_set<const ClusterBlock*> counted;
+  for (const auto& block : snaps.back()->blocks()) counted.insert(block.get());
+  for (const auto& snap : ring) {
+    for (const auto& block : snap->blocks()) {
+      if (counted.insert(block.get()).second) {
+        block_bytes += static_cast<int64_t>(block->MemoryBytes());
+      }
+    }
+  }
+  EXPECT_EQ(server.stats().history_ring_bytes,
+            block_bytes + RingCandidateBytes(ring, *snaps.back()));
+}
+
 TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {
   const int64_t arena_baseline = SnapshotArenaTracker().current_bytes();
   const int64_t global_baseline = MemoryTracker::Global().current_bytes();
-  {
-    LabeledData data = Workload(520, 61);
+  // Four planted clusters compact on every changed publish; eight chain
+  // the localized tail on one shared candidate base.
+  bool ring_shared_a_base = false;
+  for (const int planted : {4, 8}) {
+    SCOPED_TRACE(testing::Message() << planted << " planted clusters");
+    LabeledData data = Workload(520, 61, planted);
     auto online = std::make_unique<OnlineAlid>(data.data.dim(),
                                                StreamOptions(data));
     auto snaps = SnapshotChain(data, *online, 80);
@@ -454,15 +623,18 @@ TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {
     // Steady-state incremental publish shares most of its bytes.
     EXPECT_GT(snaps.back()->build_info().bytes_shared, 0);
 
-    // A re-export of the unchanged stream shares every block and the query
-    // hasher, so the only bytes it adds to the global tracker are its own
-    // candidate directory: candidate_key_bytes() is exactly that charge,
-    // and dropping the snapshot returns it.
+    // A re-export of the unchanged stream shares every block, the query
+    // hasher and the predecessor's candidate base, so the only bytes it
+    // adds to the global tracker are its own delta and base-position map:
+    // candidate_key_bytes() is exactly that charge (0 when the predecessor
+    // is compact), and dropping the snapshot returns it.
     {
       const int64_t before = MemoryTracker::Global().current_bytes();
       auto again = ClusterSnapshot::FromStream(*online, nullptr, snaps.back());
       ASSERT_EQ(again->build_info().clusters_reused, again->num_clusters());
-      EXPECT_GT(again->candidate_key_bytes(), 0u);
+      EXPECT_TRUE(SharesBase(*snaps.back(), *again));
+      EXPECT_EQ(again->candidate_key_bytes(),
+                snaps.back()->candidate_key_bytes());
       EXPECT_EQ(MemoryTracker::Global().current_bytes() - before,
                 static_cast<int64_t>(again->candidate_key_bytes()));
       again.reset();
@@ -476,17 +648,21 @@ TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {
     EXPECT_EQ(SnapshotArenaTracker().current_bytes() - arena_baseline,
               unique_bytes);
     // The ring gauge is exactly what the four retained generations hold
-    // beyond the current one: their unshared blocks (each counted once)
-    // plus their own candidate-key tables.
+    // beyond the current one: their unshared blocks (each counted once),
+    // their own candidate bytes and each candidate base the current
+    // generation does not share, once.
     ASSERT_GE(snaps.size(), 5u);
+    const std::span<const std::shared_ptr<const ClusterSnapshot>> ring(
+        snaps.data() + snaps.size() - 5, 4);
     std::unordered_set<const ClusterBlock*> counted;
     for (const auto& block : snaps.back()->blocks()) {
       counted.insert(block.get());
     }
-    int64_t ring_bytes = 0;
-    for (size_t s = snaps.size() - 5; s + 1 < snaps.size(); ++s) {
-      ring_bytes += static_cast<int64_t>(snaps[s]->candidate_key_bytes());
-      for (const auto& block : snaps[s]->blocks()) {
+    int64_t ring_bytes = RingCandidateBytes(ring, *snaps.back());
+    for (const auto& snap : ring) {
+      ring_shared_a_base =
+          ring_shared_a_base || SharesBase(*snap, *snaps.back());
+      for (const auto& block : snap->blocks()) {
         if (counted.insert(block.get()).second) {
           ring_bytes += static_cast<int64_t>(block->MemoryBytes());
         }
@@ -495,42 +671,56 @@ TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {
     EXPECT_GT(server.stats().history_ring_bytes, 0);
     EXPECT_EQ(server.stats().history_ring_bytes, ring_bytes);
   }
-  // Everything torn down (stream, snapshots, server ring): both resource
+  EXPECT_TRUE(ring_shared_a_base);
+  // Everything torn down (streams, snapshots, server rings): both resource
   // spaces return to their pre-test baselines — no leaked charges, no
-  // leaked blocks (the ASan leg verifies the allocations themselves).
+  // leaked blocks or bases (the ASan leg verifies the allocations
+  // themselves).
   EXPECT_EQ(SnapshotArenaTracker().current_bytes(), arena_baseline);
   EXPECT_EQ(MemoryTracker::Global().current_bytes(), global_baseline);
 }
 
 TEST(ServeHistoryTest, RingBytesCountRetainedCandidateDirectories) {
-  // A retained generation holds its own candidate directory besides the
-  // blocks the current snapshot no longer references; the ring gauge
-  // counts both, exactly.
-  LabeledData data = Workload(520, 61);
-  OnlineAlid online(data.data.dim(), StreamOptions(data));
-  auto snaps = SnapshotChain(data, online, 80);
-  ASSERT_GE(snaps.size(), 2u);
-  AppendLocalizedTail(data, online, snaps, 1);
-  const auto& older = snaps[snaps.size() - 2];
-  const auto& newer = snaps.back();
-  ASSERT_GT(older->num_clusters(), 0);
-  std::unordered_set<const ClusterBlock*> current;
-  for (const auto& block : newer->blocks()) current.insert(block.get());
-  int64_t block_bytes = 0;  // blocks only `older` references
-  for (const auto& block : older->blocks()) {
-    if (current.count(block.get()) == 0) {
-      block_bytes += static_cast<int64_t>(block->MemoryBytes());
+  // A retained generation holds its own candidate bytes (delta, key filter
+  // and base-position map) and a candidate base besides the blocks the
+  // current snapshot no longer references; the ring gauge counts all of
+  // them exactly, the base only when the current snapshot does not share
+  // it. Four planted clusters compact the newer generation (the older
+  // base is retained); eight chain it on the older one's base.
+  for (const int planted : {4, 8}) {
+    SCOPED_TRACE(testing::Message() << planted << " planted clusters");
+    LabeledData data = Workload(520, 61, planted);
+    OnlineAlid online(data.data.dim(), StreamOptions(data));
+    auto snaps = SnapshotChain(data, online, 80);
+    ASSERT_GE(snaps.size(), 2u);
+    AppendLocalizedTail(data, online, snaps, 1);
+    const auto& older = snaps[snaps.size() - 2];
+    const auto& newer = snaps.back();
+    ASSERT_GT(older->num_clusters(), 0);
+    EXPECT_EQ(SharesBase(*older, *newer), planted == 8);
+    std::unordered_set<const ClusterBlock*> current;
+    for (const auto& block : newer->blocks()) current.insert(block.get());
+    int64_t block_bytes = 0;  // blocks only `older` references
+    for (const auto& block : older->blocks()) {
+      if (current.count(block.get()) == 0) {
+        block_bytes += static_cast<int64_t>(block->MemoryBytes());
+      }
     }
-  }
+    const int64_t base_bytes =
+        SharesBase(*older, *newer)
+            ? 0
+            : static_cast<int64_t>(older->candidate_base().MemoryBytes());
 
-  ClusterServer server(data.data.dim(), {.history_capacity = 1});
-  server.Publish(older);
-  server.Publish(newer);
-  const ServeStatsView stats = server.stats();
-  EXPECT_EQ(stats.generations_retained, 1);
-  EXPECT_GT(older->candidate_key_bytes(), 0u);
-  EXPECT_EQ(stats.history_ring_bytes,
-            block_bytes + static_cast<int64_t>(older->candidate_key_bytes()));
+    ClusterServer server(data.data.dim(), {.history_capacity = 1});
+    server.Publish(older);
+    server.Publish(newer);
+    const ServeStatsView stats = server.stats();
+    EXPECT_EQ(stats.generations_retained, 1);
+    EXPECT_GT(older->candidate_base().MemoryBytes(), 0u);
+    EXPECT_EQ(stats.history_ring_bytes,
+              block_bytes + base_bytes +
+                  static_cast<int64_t>(older->candidate_key_bytes()));
+  }
 }
 
 TEST(ServeHistoryTest, GenerationDiffReportsBirthsDeathsAndDrift) {

@@ -24,11 +24,12 @@
 namespace alid {
 namespace {
 
-LabeledData Workload(Index n = 460, uint64_t seed = 91, bool overlap = false) {
+LabeledData Workload(Index n = 460, uint64_t seed = 91, bool overlap = false,
+                     int num_clusters = 4) {
   SyntheticConfig cfg;
   cfg.n = n;
   cfg.dim = 10;
-  cfg.num_clusters = 4;
+  cfg.num_clusters = num_clusters;
   cfg.omega = 0.6;
   cfg.mean_box = 300.0;
   cfg.overlap_clusters = overlap;
@@ -282,6 +283,16 @@ TEST(SnapshotExportTest, FromStreamAnswersEqualFromClusters) {
   EXPECT_LT(assigned, 600);
 }
 
+// How the incremental chain's candidate lookups were built: generations
+// that chained on their predecessor's base with a non-empty base and a
+// non-empty delta (the fused lookup with content on both sides), and
+// compactions that directly followed a generation chained on a non-empty
+// base.
+struct ChainCounts {
+  int chained_with_content = 0;
+  int compactions_after_chain = 0;
+};
+
 // Streams `data` while publishing a chained incremental snapshot and a
 // from-scratch snapshot every batch, deep-comparing the two and checking the
 // chain's candidate stage; returns the total rows the incremental chain
@@ -289,7 +300,8 @@ TEST(SnapshotExportTest, FromStreamAnswersEqualFromClusters) {
 // around one planted cluster — the steady-state shape where ingest leaves
 // most clusters untouched.
 void RunIncrementalVsScratch(const LabeledData& data, Index window,
-                             int64_t* rows_reused_out) {
+                             int64_t* rows_reused_out,
+                             ChainCounts* chain_out = nullptr) {
   OnlineAlidOptions opts = Options(data);
   opts.window = window;
   const int dim = data.data.dim();
@@ -312,6 +324,8 @@ void RunIncrementalVsScratch(const LabeledData& data, Index window,
 
   std::shared_ptr<const ClusterSnapshot> incremental;
   int64_t rows_reused = 0;
+  ChainCounts chain;
+  bool was_chained = false;
   Index pos = 0;
   const Index batch = 40;
   int localized = 0;
@@ -336,9 +350,22 @@ void RunIncrementalVsScratch(const LabeledData& data, Index window,
       }
     }
     online.InsertBatch(flat);
+    const auto prev = incremental;
     incremental = ClusterSnapshot::FromStream(online, nullptr, incremental);
     const auto scratch = ClusterSnapshot::FromStream(online);
     SCOPED_TRACE(testing::Message() << "generation " << online.size());
+    // A from-scratch export always compacts: its own base, no delta.
+    EXPECT_EQ(scratch->candidate_key_bytes(), 0u);
+    EXPECT_EQ(scratch->build_info().candidate_entries_shared, 0);
+    if (prev != nullptr) {
+      const bool chained = SharesBase(*prev, *incremental);
+      if (ChainedWithContent(*prev, *incremental)) {
+        ++chain.chained_with_content;
+      }
+      if (!chained && was_chained) ++chain.compactions_after_chain;
+      was_chained =
+          chained && incremental->build_info().candidate_entries_shared > 0;
+    }
 
     EXPECT_EQ(scratch->build_info().rows_reused, 0);
     EXPECT_EQ(scratch->build_info().clusters_reused, 0);
@@ -375,6 +402,15 @@ void RunIncrementalVsScratch(const LabeledData& data, Index window,
       EXPECT_EQ(scratch->blocks()[c]->scorer, online.cluster_scorer(c))
           << "cluster " << c;
     }
+    // Every arrival probes its own buckets: the incremental snapshot's
+    // candidates (a chained lookup reads the shared base through its map,
+    // then the delta) must rank exactly like the compact scratch build's.
+    const Dataset& arrivals = online.oracle().data();
+    for (Index i = 0; i < arrivals.size(); ++i) {
+      EXPECT_EQ(incremental->TopKClusters(arrivals[i], scratch->num_clusters()),
+                scratch->TopKClusters(arrivals[i], scratch->num_clusters()))
+          << "arrival " << i;
+    }
     for (size_t q = 0; q < probes.size(); ++q) {
       const QueryOutcome a = incremental->Assign(probes[q]);
       const QueryOutcome b = scratch->Assign(probes[q]);
@@ -391,6 +427,7 @@ void RunIncrementalVsScratch(const LabeledData& data, Index window,
     }
   }
   *rows_reused_out = rows_reused;
+  if (chain_out != nullptr) *chain_out = chain;
   // Under a window, expired slots were re-used by later arrivals, so a
   // stale stream key would have shown in the bucket-key checks.
   if (window > 0) {
@@ -409,6 +446,15 @@ TEST(SnapshotExportTest, IncrementalExportDeepEqualsFromScratch) {
   int64_t rows_reused = 0;
   RunIncrementalVsScratch(data, /*window=*/0, &rows_reused);
   EXPECT_GT(rows_reused, 0);
+  // With four planted clusters every changed cluster is a quarter of the
+  // candidate directory, so each build compacts. Eight clusters over more
+  // arrivals chain on a shared base with a delta and later compact, so the
+  // fused base+delta lookup is deep-compared too.
+  LabeledData many = Workload(900, 17, /*overlap=*/false, /*num_clusters=*/8);
+  ChainCounts chain;
+  RunIncrementalVsScratch(many, /*window=*/0, &rows_reused, &chain);
+  EXPECT_GT(chain.chained_with_content, 0);
+  EXPECT_GT(chain.compactions_after_chain, 0);
 }
 
 TEST(SnapshotExportTest, IncrementalExportDeepEqualsFromScratchUnderWindow) {

@@ -98,6 +98,20 @@ inline void ExpectInvalidRequestsRejected(const ClusterServer& server,
   }
 }
 
+/// True iff `b` chains its candidate lookup on `a`'s shared base.
+inline bool SharesBase(const ClusterSnapshot& a, const ClusterSnapshot& b) {
+  return &a.candidate_base() == &b.candidate_base();
+}
+
+/// True iff `snap` chained on `prev`'s non-empty base with a non-empty
+/// delta: the fused base+delta lookup with content on both sides.
+inline bool ChainedWithContent(const ClusterSnapshot& prev,
+                               const ClusterSnapshot& snap) {
+  const SnapshotBuildInfo& info = snap.build_info();
+  return SharesBase(prev, snap) && info.candidate_entries_shared > 0 &&
+         info.candidate_entries_built > 0;
+}
+
 }  // namespace alid
 
 #endif  // ALID_TESTS_TEST_UTIL_H_

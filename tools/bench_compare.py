@@ -19,7 +19,8 @@ never fail the gate.
 
 Beyond wall times, the script reports (never gates) the incremental-publish
 and fan-out counters — rows_reused / clusters_reused / bytes_shared /
-bytes_copied / history_ring_bytes / shard_fanout_queries — and
+bytes_copied / history_ring_bytes / shard_fanout_queries /
+candidate_entries_shared — and
 ``--require-positive key1,key2`` asserts that the named counters sum to a
 positive value across the *current* record: CI uses it to prove the
 incremental export cannot silently disable itself.
@@ -59,9 +60,11 @@ WALL_KEYS = ("wall_seconds", "p95_batch_seconds", "p95_query_seconds",
 # --require-positive), never ratio-gated — counts move with workloads.
 # bytes_shared / bytes_copied are the arena ledger of the snapshot publish
 # path: shared > 0 proves the incremental export really aliased its
-# predecessor's blocks instead of copying them.
+# predecessor's blocks instead of copying them; candidate_entries_shared > 0
+# proves exports chained on a shared candidate base instead of compacting.
 COUNTER_KEYS = ("rows_reused", "clusters_reused", "bytes_shared",
-                "bytes_copied", "history_ring_bytes", "shard_fanout_queries")
+                "bytes_copied", "history_ring_bytes", "shard_fanout_queries",
+                "candidate_entries_shared")
 
 
 def reject_duplicate_keys(pairs):
