@@ -2,19 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <unordered_map>
 
-#include "common/check.h"
 #include "common/parallel.h"
 #include "common/random.h"
 
 namespace alid {
 
+// Message damping factor lambda in [0.5, 1). Frey & Dueck default to 0.5
+// and recommend raising it only when messages oscillate; 0.7 converges on
+// all our workloads while staying stable.
+constexpr Scalar kDamping = 0.7;
+// Stop early when the exemplar set is unchanged for this many iterations.
+constexpr int kConvergenceIterations = 15;
+// Magnitude of the deterministic tie-breaking jitter added to the
+// similarities (Frey & Dueck's remedy for oscillation on symmetric inputs),
+// relative to each similarity value, and the seed of its stream.
+constexpr double kJitter = 1e-9;
+constexpr uint64_t kJitterSeed = 42;
+
 ApDetector::ApDetector(AffinityView affinity, ApOptions options)
-    : affinity_(affinity), options_(options) {
-  ALID_CHECK(options_.damping >= 0.0 && options_.damping < 1.0);
-}
+    : affinity_(affinity), options_(options) {}
 
 DetectionResult ApDetector::Detect() const {
   const Index n = affinity_.size();
@@ -41,7 +51,7 @@ DetectionResult ApDetector::Detect() const {
         pref = all_sims[all_sims.size() / 2];
       }
     }
-    Rng jitter_rng(options_.jitter_seed);
+    Rng jitter_rng(kJitterSeed);
     for (Index i = 0; i < n; ++i) {
       row_start[i] = static_cast<int64_t>(src.size());
       affinity_.ForEachInRow(i, [&](Index j, Scalar v) {
@@ -50,7 +60,7 @@ DetectionResult ApDetector::Detect() const {
         dst.push_back(j);
         // Tiny asymmetric jitter breaks the oscillations AP exhibits on
         // exactly symmetric inputs (Frey & Dueck's published remedy).
-        sim.push_back(v * (1.0 + options_.jitter * jitter_rng.Uniform()));
+        sim.push_back(v * (1.0 + kJitter * jitter_rng.Uniform()));
       });
       src.push_back(i);  // self edge
       dst.push_back(i);
@@ -65,7 +75,6 @@ DetectionResult ApDetector::Detect() const {
   for (size_t e = 0; e < m; ++e) col_edges[dst[e]].push_back(e);
 
   std::vector<Scalar> r(m, 0.0), a(m, 0.0);
-  const Scalar lam = options_.damping;
 
   std::vector<bool> exemplar(n, false), prev_exemplar(n, false);
   int stable = 0;
@@ -91,7 +100,7 @@ DetectionResult ApDetector::Detect() const {
             }
             for (int64_t e = row_start[i]; e < row_start[i + 1]; ++e) {
               const Scalar competitor = (a[e] + sim[e] == best) ? second : best;
-              r[e] = lam * r[e] + (1.0 - lam) * (sim[e] - competitor);
+              r[e] = kDamping * r[e] + (1.0 - kDamping) * (sim[e] - competitor);
             }
           }
         });
@@ -119,7 +128,7 @@ DetectionResult ApDetector::Detect() const {
                 const Scalar own = r[e] > 0.0 ? r[e] : 0.0;
                 next = std::min<Scalar>(0.0, r_kk + pos_sum - own);
               }
-              a[e] = lam * a[e] + (1.0 - lam) * next;
+              a[e] = kDamping * a[e] + (1.0 - kDamping) * next;
             }
           }
         });
@@ -129,7 +138,7 @@ DetectionResult ApDetector::Detect() const {
       exemplar[k] = (r[self] + a[self]) > 0.0;
     }
     if (exemplar == prev_exemplar) {
-      if (++stable >= options_.convergence_iterations) break;
+      if (++stable >= kConvergenceIterations) break;
     } else {
       stable = 0;
       prev_exemplar = exemplar;

@@ -1,7 +1,6 @@
 #ifndef ALID_BASELINES_AP_H_
 #define ALID_BASELINES_AP_H_
 
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -14,22 +13,11 @@ class ThreadPool;
 
 /// Options of the Affinity Propagation baseline.
 struct ApOptions {
-  /// Message damping factor lambda in [0.5, 1). Frey & Dueck default to 0.5
-  /// and recommend raising it only when messages oscillate; 0.7 converges on
-  /// all our workloads while staying stable.
-  double damping = 0.7;
   /// Hard iteration cap.
   int max_iterations = 500;
-  /// Stop early when the exemplar set is unchanged for this many iterations.
-  int convergence_iterations = 15;
   /// Shared preference s(k, k). NaN means "median of the similarities" —
   /// Frey & Dueck's default, which yields a moderate number of clusters.
   double preference = std::numeric_limits<double>::quiet_NaN();
-  /// Magnitude of the deterministic tie-breaking jitter added to the
-  /// similarities (Frey & Dueck's remedy for oscillation on symmetric
-  /// inputs). Relative to each similarity value.
-  double jitter = 1e-9;
-  uint64_t jitter_seed = 42;
   /// Optional shared worker pool for the message sweeps. The responsibility
   /// update is row-independent and the availability update is
   /// column-independent (every edge has exactly one writer per sweep), so

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "core/lid.h"
 
 namespace alid {
 
@@ -33,7 +34,7 @@ Cluster IidDetector::ExtractOne(const std::vector<bool>* active) const {
 
     // Vertex selection M(x) over the active range (Eq. 6).
     Index best = -1;
-    Scalar best_abs = options_.tolerance;
+    Scalar best_abs = kLidTolerance;
     for (Index i = 0; i < n; ++i) {
       if (active != nullptr && !(*active)[i]) continue;
       const Scalar r = ax[i] - pi;
@@ -69,7 +70,7 @@ Cluster IidDetector::ExtractOne(const std::vector<bool>* active) const {
     x[best] += mu;
     Scalar sum = 0.0;
     for (Index i = 0; i < n; ++i) {
-      if (x[i] < options_.weight_epsilon) x[i] = 0.0;
+      if (x[i] < kLidWeightEpsilon) x[i] = 0.0;
       sum += x[i];
     }
     ALID_CHECK_MSG(sum > 0.0, "IID lost all weight");

@@ -8,14 +8,12 @@
 
 namespace alid {
 
-/// Options of the Infection Immunization Dynamics baseline.
+/// Options of the Infection Immunization Dynamics baseline. Its convergence
+/// tolerance and weight snap are LID's (kLidTolerance, kLidWeightEpsilon):
+/// IID is the same dynamics on the full matrix.
 struct IidOptions {
   /// Iteration cap per dense-subgraph extraction.
   int max_iterations = 5000;
-  /// Convergence tolerance on max |pi(s_i - x, x)|.
-  double tolerance = 1e-10;
-  /// Weights below this are snapped to zero.
-  double weight_epsilon = 1e-14;
 };
 
 /// The Infection Immunization Dynamics of Rota Bulò, Pelillo & Bomze (CVIU

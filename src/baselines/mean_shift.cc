@@ -13,6 +13,11 @@ namespace alid {
 
 namespace {
 
+// Convergence threshold on the shift length (relative to bandwidth).
+constexpr double kShiftTolerance = 1e-3;
+// Modes closer than this fraction of the bandwidth merge into one cluster.
+constexpr double kMergeFraction = 0.5;
+
 // Adaptive bandwidth: median distance to the ceil(sqrt(n))-th nearest
 // neighbour over a sample of points. Each sampled point's k-th distance is
 // independent work written to its own slot, so the estimate is identical for
@@ -56,8 +61,7 @@ MeanShiftResult RunMeanShift(const Dataset& data, MeanShiftOptions options) {
   double h = options.bandwidth;
   if (h <= 0.0) h = EstimateBandwidth(data, rng, options);
   const double inv_2h2 = 1.0 / (2.0 * h * h);
-  const double merge_d2 =
-      (options.merge_fraction * h) * (options.merge_fraction * h);
+  const double merge_d2 = (kMergeFraction * h) * (kMergeFraction * h);
 
   // Choose ascent starting points.
   IndexList starts;
@@ -97,8 +101,7 @@ MeanShiftResult RunMeanShift(const Dataset& data, MeanShiftOptions options) {
               shift2 += delta * delta;
             }
             y = next;
-            if (shift2 < (options.shift_tolerance * h) *
-                             (options.shift_tolerance * h)) {
+            if (shift2 < (kShiftTolerance * h) * (kShiftTolerance * h)) {
               break;
             }
           }

@@ -18,10 +18,6 @@ struct MeanShiftOptions {
   double bandwidth = -1.0;
   /// Iteration cap per point.
   int max_iterations = 50;
-  /// Convergence threshold on the shift length (relative to bandwidth).
-  double shift_tolerance = 1e-3;
-  /// Modes closer than this fraction of the bandwidth merge into one cluster.
-  double merge_fraction = 0.5;
   /// Optional speedup: ascend from at most this many points (0 = all),
   /// assigning the rest to the nearest discovered mode.
   int max_ascents = 0;

@@ -6,6 +6,12 @@
 
 namespace alid {
 
+// Stop when the L1 change of x per iteration falls below this.
+constexpr double kTolerance = 1e-10;
+// Weights below this are treated as outside the support when the final
+// dominant set is read off (RD never reaches exact zeros in finite time).
+constexpr double kSupportThreshold = 1e-5;
+
 int RunReplicatorDynamics(const AffinityView& affinity, std::vector<Scalar>& x,
                           const ReplicatorOptions& options) {
   const Index n = affinity.size();
@@ -22,7 +28,7 @@ int RunReplicatorDynamics(const AffinityView& affinity, std::vector<Scalar>& x,
       change += std::abs(next - x[i]);
       x[i] = next;
     }
-    if (change < options.tolerance) break;
+    if (change < kTolerance) break;
   }
   return iter;
 }
@@ -51,7 +57,7 @@ Cluster DominantSetDetector::ExtractOne(
   cluster.density = affinity_.QuadraticForm(x);
   Scalar kept = 0.0;
   for (Index i = 0; i < n; ++i) {
-    if (x[i] > options_.support_threshold) {
+    if (x[i] > kSupportThreshold) {
       cluster.members.push_back(i);
       cluster.weights.push_back(x[i]);
       kept += x[i];

@@ -14,15 +14,11 @@ struct ReplicatorOptions {
   /// more iterations than IID — the paper's "time consuming replicator
   /// dynamics" remark (Section 5.1).
   int max_iterations = 2000;
-  /// Stop when the L1 change of x per iteration falls below this.
-  double tolerance = 1e-10;
-  /// Weights below this are treated as outside the support when the final
-  /// dominant set is read off (RD never reaches exact zeros in finite time).
-  double support_threshold = 1e-5;
 };
 
 /// Discrete-time replicator dynamics x_i <- x_i (A x)_i / (x^T A x) — the
-/// payoff-monotone dynamics of Weibull's EGT — run to a fixed point.
+/// payoff-monotone dynamics of Weibull's EGT — run until the L1 change of x
+/// per iteration falls below 1e-10.
 /// `x` is modified in place; entries of inactive vertices must already be 0.
 /// Returns the number of iterations performed.
 int RunReplicatorDynamics(const AffinityView& affinity,

@@ -10,6 +10,17 @@
 
 namespace alid {
 
+// Cap on shrink/expand rounds per extraction.
+constexpr int kMaxRounds = 50;
+// Replicator iterations per shrink phase.
+constexpr int kRdIterations = 200;
+// RD convergence tolerance within a shrink phase.
+constexpr double kRdTolerance = 1e-9;
+// Weights below this are dropped when the support shrinks.
+constexpr double kSupportThreshold = 1e-6;
+// Expansion adds neighbours j with pi(s_j, x) > pi(x) + this margin.
+constexpr double kExpansionMargin = 1e-12;
+
 SeaDetector::SeaDetector(AffinityView affinity, SeaOptions options)
     : affinity_(affinity), options_(options) {}
 
@@ -40,7 +51,7 @@ Cluster SeaDetector::ExtractFrom(Index seed,
   }
 
   Scalar density = 0.0;
-  for (int round = 0; round < options_.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     const int s = static_cast<int>(support.size());
     // Size-only gate: tiny supports are not worth the chunk bookkeeping, and
     // because serial and pooled execution share the same chunk decomposition
@@ -53,7 +64,7 @@ Cluster SeaDetector::ExtractFrom(Index seed,
     // adjacency and gathers x over the support — which is equivalent to the
     // scatter form because A is symmetric, and makes rows independent.
     std::vector<Scalar> ax(s, 0.0);
-    for (int it = 0; it < options_.rd_iterations; ++it) {
+    for (int it = 0; it < kRdIterations; ++it) {
       ParallelChunks(pool, 0, s, /*grain=*/0,
                      [&](int64_t, int64_t lo, int64_t hi) {
                        for (int64_t b = lo; b < hi; ++b) {
@@ -79,14 +90,14 @@ Cluster SeaDetector::ExtractFrom(Index seed,
         change += std::abs(next - x[a]);
         x[a] = next;
       }
-      if (change < options_.rd_tolerance) break;
+      if (change < kRdTolerance) break;
     }
     // Drop weak vertices from the support.
     IndexList new_support;
     std::vector<Scalar> new_x;
     Scalar kept = 0.0;
     for (int a = 0; a < s; ++a) {
-      if (x[a] > options_.support_threshold) {
+      if (x[a] > kSupportThreshold) {
         new_support.push_back(support[a]);
         new_x.push_back(x[a]);
         kept += x[a];
@@ -135,7 +146,7 @@ Cluster SeaDetector::ExtractFrom(Index seed,
     }
     IndexList newcomers;
     for (const auto& [j, aff] : affinity_to_x) {
-      if (aff > density + options_.expansion_margin) newcomers.push_back(j);
+      if (aff > density + kExpansionMargin) newcomers.push_back(j);
     }
     if (newcomers.empty()) break;
 

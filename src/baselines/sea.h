@@ -13,16 +13,6 @@ class ThreadPool;
 
 /// Options of the Shrinking and Expansion Algorithm baseline.
 struct SeaOptions {
-  /// Cap on shrink/expand rounds per extraction.
-  int max_rounds = 50;
-  /// Replicator iterations per shrink phase.
-  int rd_iterations = 200;
-  /// RD convergence tolerance within a shrink phase.
-  double rd_tolerance = 1e-9;
-  /// Weights below this are dropped when the support shrinks.
-  double support_threshold = 1e-6;
-  /// Expansion adds neighbours j with pi(s_j, x) > pi(x) + this margin.
-  double expansion_margin = 1e-12;
   /// Optional shared worker pool for the replicator sweeps. The A x product
   /// over the support is computed destination-row-wise (each support vertex
   /// accumulates its own row sequentially — valid because A is symmetric),

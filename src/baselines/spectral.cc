@@ -16,6 +16,9 @@ namespace alid {
 
 namespace {
 
+// k-means restarts on the spectral embedding.
+constexpr int kKMeansRestarts = 3;
+
 // Row-normalizes an embedding and k-means it into `k` groups.
 std::vector<int> ClusterEmbedding(DenseMatrix embedding, int k,
                                   const SpectralOptions& options) {
@@ -34,7 +37,7 @@ std::vector<int> ClusterEmbedding(DenseMatrix embedding, int k,
   }
   KMeansOptions km;
   km.seed = options.seed;
-  km.restarts = options.kmeans_restarts;
+  km.restarts = kKMeansRestarts;
   km.pool = options.pool;
   return RunKMeans(rows, k, km).labels;
 }

@@ -21,8 +21,6 @@ struct SpectralOptions {
   int nystrom_landmarks = 100;
   /// Randomness for Lanczos starts, landmark sampling and k-means.
   uint64_t seed = 42;
-  /// k-means restarts on the spectral embedding.
-  int kmeans_restarts = 3;
   /// Optional shared worker pool, threaded through every hot layer: the
   /// affinity-row construction, the Lanczos matvecs (SC-FL), the Nystrom
   /// block fills, and the final k-means. All reductions are chunk-ordered,

@@ -8,11 +8,13 @@
 
 namespace alid {
 
+// Maximum number of outer ALID iterations C (the paper uses C = 10).
+constexpr int kMaxOuterIterations = 10;
+
 AlidDetector::AlidDetector(const LazyAffinityOracle& oracle,
                            const LshIndex& lsh, AlidOptions options)
     : oracle_(&oracle), lsh_(&lsh), options_(options) {
   ALID_CHECK(lsh.size() == oracle.size());
-  ALID_CHECK(options_.max_outer_iterations >= 1);
 }
 
 Scalar AlidDetector::FirstRadius() const {
@@ -54,8 +56,7 @@ Cluster AlidDetector::DetectFrom(const IndexList& members,
 
 Cluster AlidDetector::Grow(Lid& lid, Index anchor, bool warm,
                            const std::vector<bool>* exclude) const {
-  const int rounds = options_.max_outer_iterations;
-  for (int c = 1; c <= rounds; ++c) {
+  for (int c = 1; c <= kMaxOuterIterations; ++c) {
     // Step 1: find the local dense subgraph in the current range.
     lid.Run();
     const Scalar density = lid.Density();
@@ -73,7 +74,8 @@ Cluster AlidDetector::Grow(Lid& lid, Index anchor, bool warm,
       roi.valid = true;
       radius = FirstRadius();
     } else {
-      radius = roi.RadiusAt(warm ? rounds : c, options_.logistic_roi_growth);
+      radius = roi.RadiusAt(warm ? kMaxOuterIterations : c,
+                            options_.logistic_roi_growth);
     }
 
     // Step 3: CIVS — retrieve candidate infective vertices inside the ROI
@@ -87,7 +89,7 @@ Cluster AlidDetector::Grow(Lid& lid, Index anchor, bool warm,
     // screened rows are the psi rows UpdateRange needs, so Lid keeps them.
     IndexList infective;
     if (density > 0.0) {
-      infective = lid.Screen(psi, density + options_.lid.tolerance);
+      infective = lid.Screen(psi, density + kLidTolerance);
     } else {
       infective = std::move(psi);  // no subgraph yet; take the neighbourhood
     }

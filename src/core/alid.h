@@ -14,12 +14,13 @@
 
 namespace alid {
 
+/// Peeling keeps clusters with at least this many members.
+inline constexpr int kMinClusterSize = 2;
+
 /// Options of the full ALID iteration (Algorithm 2) and of the peeling loop
 /// that detects all dominant clusters (Section 4.4).
 struct AlidOptions {
-  /// Maximum number of outer ALID iterations C (the paper uses C = 10).
-  int max_outer_iterations = 10;
-  /// LID (Step 1) options — T and the convergence tolerance.
+  /// LID (Step 1) options — the iteration limit T.
   LidOptions lid;
   /// CIVS (Step 3) options — delta and the query strategy.
   CivsOptions civs;
@@ -28,8 +29,6 @@ struct AlidOptions {
   bool logistic_roi_growth = true;
   /// Peeling keeps clusters with pi(x) >= density_threshold (paper: 0.75).
   double density_threshold = 0.75;
-  /// Peeling keeps clusters with at least this many members.
-  int min_cluster_size = 2;
 };
 
 /// The ALID detector: LID + ROI + CIVS in a loop (Algorithm 2), plus the

@@ -13,8 +13,14 @@
 
 namespace alid {
 
-/// Everything the Theorem-1 infective test pi(s_c, x) > (1 - slack) * pi(s_c)
-/// reads about one cluster, built once and never mutated: the simplex
+/// A newcomer is routed to a cluster already when pi(s_j, x) exceeds
+/// (1 - kAbsorbSlack) * pi(x): same-cluster arrivals sit *at* the density
+/// (Theorem 1's equality on the support), so the strict > test alone would
+/// bounce half of them into the pool and fragment the cluster.
+inline constexpr double kAbsorbSlack = 0.05;
+
+/// Everything the Theorem-1 infective test pi(s_c, x) > (1 - kAbsorbSlack) *
+/// pi(s_c) reads about one cluster, built once and never mutated: the simplex
 /// weights, dimension-major tiles of the member rows and the cluster version
 /// they were built for. The stream builds one per cluster version at batch
 /// end and scores arrivals through it; a stream export shares the same object

@@ -214,7 +214,7 @@ int Lid::Run() {
     //   C1 = { i : pi(s_i - x, x) > 0 }  (infective vertices)
     //   C2 = { i : pi(s_i - x, x) < 0, x_i > 0 }  (weak support vertices)
     int best = -1;
-    Scalar best_abs = options_.tolerance;
+    Scalar best_abs = kLidTolerance;
     for (int i = 0; i < b; ++i) {
       const Scalar r = ax_[i] - pi;  // Eq. 10
       if (r > 0.0 || (r < 0.0 && x_[i] > 0.0)) {
@@ -261,7 +261,7 @@ int Lid::Run() {
     for (int i = 0; i < b; ++i) {
       x_[i] *= (1.0 - mu);
       if (i == best) x_[i] += mu;
-      if (x_[i] < options_.weight_epsilon) x_[i] = 0.0;
+      if (x_[i] < kLidWeightEpsilon) x_[i] = 0.0;
       sum += x_[i];
     }
     ALID_CHECK_MSG(sum > 0.0, "LID lost all weight");

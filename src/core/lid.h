@@ -9,16 +9,17 @@
 
 namespace alid {
 
+/// Convergence tolerance on max |pi(s_i - x, x)| over the local range: when
+/// no vertex is infective (and no support vertex is weak) beyond this, the
+/// local infective set gamma_beta(x) is empty (Theorem 1).
+inline constexpr double kLidTolerance = 1e-10;
+/// Weights below this are snapped to exactly zero after an invasion.
+inline constexpr double kLidWeightEpsilon = 1e-14;
+
 /// Options of the Localized Infection Immunization Dynamics (Algorithm 1).
 struct LidOptions {
   /// Upper limit T on infection/immunization iterations per LID run.
   int max_iterations = 2000;
-  /// Convergence tolerance on max |pi(s_i - x, x)| over the local range: when
-  /// no vertex is infective (and no support vertex is weak) beyond this, the
-  /// local infective set gamma_beta(x) is empty (Theorem 1).
-  double tolerance = 1e-10;
-  /// Weights below this are snapped to exactly zero after an invasion.
-  double weight_epsilon = 1e-14;
 };
 
 /// Localized Infection Immunization Dynamics (Step 1 of ALID, Algorithm 1).

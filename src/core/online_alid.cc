@@ -14,6 +14,7 @@ namespace alid {
 
 OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
     : options_(options), data_(dim), affinity_fn_(options.affinity) {
+  ALID_CHECK(dim > 0);
   ALID_CHECK(options_.window >= 0);
   ALID_CHECK(options_.refresh_interval >= 1);
   oracle_ = std::make_unique<LazyAffinityOracle>(data_, affinity_fn_);
@@ -67,7 +68,7 @@ Index OnlineAlid::Insert(std::span<const Scalar> point) {
 
 std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   const int dim = data_.dim();
-  ALID_CHECK(dim > 0 && points.size() % static_cast<size_t>(dim) == 0);
+  ALID_CHECK(points.size() % static_cast<size_t>(dim) == 0);
   const Index count = static_cast<Index>(points.size() / dim);
   std::vector<Index> slots(count);
   if (count == 0) return slots;
@@ -209,8 +210,7 @@ int OnlineAlid::ScoreArrival(Index slot) const {
     const ClusterScorer& scorer = *scorers_[c];
     // Absorb when (near-)infective: same-cluster arrivals sit at the density
     // (Theorem 1 equality on the support), hence the slack.
-    const Scalar threshold =
-        clusters_[c].density * (1.0 - options_.absorb_slack);
+    const Scalar threshold = clusters_[c].density * (1.0 - kAbsorbSlack);
     // The member tiles reproduce the oracle's member-order accumulation
     // bit for bit. The newcomer is unassigned, so no member equals `slot`
     // and the oracle's a_ii = 0 diagonal could never have been hit here.
@@ -272,7 +272,7 @@ void OnlineAlid::RedetectCluster(int cluster_id, const IndexList& newcomers) {
   const Cluster& cl = clusters_[cluster_id];
   if (cl.members.empty() ||
       (newcomers.empty() &&
-       static_cast<int>(cl.members.size()) < options_.alid.min_cluster_size)) {
+       static_cast<int>(cl.members.size()) < kMinClusterSize)) {
     DissolveCluster(cluster_id);  // the newcomers (if any) stay pooled
     return;
   }
@@ -295,8 +295,7 @@ void OnlineAlid::RedetectCluster(int cluster_id, const IndexList& newcomers) {
   for (Index i : cl.members) assignment_[i] = -1;
   ++cluster_version_[cluster_id];
   if (fresh.density >= options_.alid.density_threshold &&
-      static_cast<int>(fresh.members.size()) >=
-          options_.alid.min_cluster_size) {
+      static_cast<int>(fresh.members.size()) >= kMinClusterSize) {
     clusters_[cluster_id] = std::move(fresh);
     Assign(cluster_id);
     return;
@@ -329,7 +328,7 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
                                     std::vector<bool>& exclude) {
   for (Index i : c.members) exclude[i] = true;  // peel
   if (c.density < options_.alid.density_threshold ||
-      static_cast<int>(c.members.size()) < options_.alid.min_cluster_size) {
+      static_cast<int>(c.members.size()) < kMinClusterSize) {
     return;
   }
   // A pool cluster might be the missing half of an existing one (its
@@ -368,8 +367,7 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
     Cluster merged = detector.DetectOne(c.seed, &other_owned);
     ++cluster_version_[merge_with];
     if (merged.density >= options_.alid.density_threshold &&
-        static_cast<int>(merged.members.size()) >=
-            options_.alid.min_cluster_size) {
+        static_cast<int>(merged.members.size()) >= kMinClusterSize) {
       clusters_[merge_with] = std::move(merged);
       Assign(merge_with);
       for (Index i : clusters_[merge_with].members) exclude[i] = true;

@@ -29,11 +29,6 @@ struct OnlineAlidOptions {
   /// last one; the remainder carries into the next interval (a batch of 40
   /// at interval 32 refreshes once and leaves 8 toward the next pass).
   Index refresh_interval = 256;
-  /// A newcomer is routed to a cluster already when pi(s_j, x) exceeds
-  /// (1 - absorb_slack) * pi(x): same-cluster arrivals sit *at* the density
-  /// (Theorem 1's equality on the support), so the strict > test alone
-  /// would bounce half of them into the pool and fragment the cluster.
-  double absorb_slack = 0.05;
   /// Sliding window: at most this many arrivals stay alive. Older items are
   /// expired — removed from the LSH buckets, peeled out of their cluster
   /// (which is then warm re-detected from its survivors or dissolved) — and
@@ -105,7 +100,7 @@ struct StreamStats {
 /// so LID resumes from the surviving weighted support with the batch's
 /// still-unassigned newcomers added to the local range, and the ROI/CIVS
 /// search continues from there. A cluster left with no survivors, or with
-/// fewer than min_cluster_size and no newcomers, dissolves. Arrivals the
+/// fewer than kMinClusterSize and no newcomers, dissolves. Arrivals the
 /// re-detections leave out join the unassigned pool; at the end of every
 /// batch that completes `refresh_interval` arrivals a refresh pass peels
 /// newly formed clusters out of the pool — the paper's serial peel (Section
@@ -155,8 +150,7 @@ class OnlineAlid {
   void Refresh();
 
   /// The configured options (the serving layer reads the affinity/LSH
-  /// parameters and absorb slack off these to build scoring-compatible
-  /// snapshots).
+  /// parameters off these to build scoring-compatible snapshots).
   const OnlineAlidOptions& options() const { return options_; }
 
   /// Stable identity of cluster `c` (monotonic birth counter, >= 1;

@@ -55,6 +55,13 @@ constexpr int kWaveSize = 32;
 // Salts the visiting-order hash apart from the sampling hash (which is
 // keyed by options.seed alone and decides membership, not order).
 constexpr uint64_t kOrderSalt = 0x0D5EED0D5EED0D5EULL;
+// Seeds are sampled from every LSH bucket holding at least this many items
+// (paper: more than 5).
+constexpr int kMinBucketSize = 6;
+// Uniform within-bucket sample rate for seeds (paper: 20%). Sampling is
+// counter-based (HashToUnit keyed by item id), so the sampled set is
+// independent of bucket iteration order and platform.
+constexpr double kSeedSampleRate = 0.2;
 
 }  // namespace
 
@@ -62,8 +69,6 @@ Palid::Palid(const LazyAffinityOracle& oracle, const LshIndex& lsh,
              PalidOptions options)
     : oracle_(&oracle), lsh_(&lsh), options_(options) {
   ALID_CHECK(options_.num_executors >= 1);
-  ALID_CHECK(options_.seed_sample_rate > 0.0 &&
-             options_.seed_sample_rate <= 1.0);
 }
 
 IndexList Palid::SampleSeeds() const {
@@ -73,16 +78,14 @@ IndexList Palid::SampleSeeds() const {
   // order is not part of the contract — and items in several large buckets
   // are sampled once, not once per bucket.
   std::unordered_set<Index> seeds;
-  lsh_->VisitBuckets(options_.min_bucket_size,
-                     [&](std::span<const Index> items) {
-                       for (Index i : items) {
-                         if (HashToUnit(options_.seed,
-                                        static_cast<uint64_t>(i)) <
-                             options_.seed_sample_rate) {
-                           seeds.insert(i);
-                         }
-                       }
-                     });
+  lsh_->VisitBuckets(kMinBucketSize, [&](std::span<const Index> items) {
+    for (Index i : items) {
+      if (HashToUnit(options_.seed, static_cast<uint64_t>(i)) <
+          kSeedSampleRate) {
+        seeds.insert(i);
+      }
+    }
+  });
   IndexList out(seeds.begin(), seeds.end());
   std::sort(out.begin(), out.end());
   return out;
@@ -174,7 +177,7 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
       for (const int s : wave) {
         const Cluster& c = raw[s];
         if (c.density >= alid.density_threshold &&
-            static_cast<int>(c.members.size()) >= alid.min_cluster_size) {
+            static_cast<int>(c.members.size()) >= kMinClusterSize) {
           for (const Index i : c.members) covered[i] = true;
         }
       }

@@ -15,13 +15,6 @@ struct PalidOptions {
   /// Number of executors (worker threads). The paper's Table 2 sweeps
   /// 1/2/4/8 Spark executors; here each executor is a thread-pool worker.
   int num_executors = 4;
-  /// Seeds are sampled from every LSH bucket holding at least this many
-  /// items (paper: more than 5).
-  int min_bucket_size = 6;
-  /// Uniform within-bucket sample rate for seeds (paper: 20%). Sampling is
-  /// counter-based (HashToUnit keyed by item id), so the sampled set is
-  /// independent of bucket iteration order and platform.
-  double seed_sample_rate = 0.2;
   /// Seed-sampling randomness; also keys the order the map visits the
   /// seeds in.
   uint64_t seed = 42;
@@ -32,8 +25,8 @@ struct PalidOptions {
   /// must be the pool's only client until it returns (its completion barrier
   /// waits for every job posted to the pool).
   ThreadPool* pool = nullptr;
-  /// Per-detection ALID options. Their density_threshold and
-  /// min_cluster_size also decide which detections cover items for the
+  /// Per-detection ALID options. Their density_threshold, with
+  /// kMinClusterSize, also decides which detections cover items for the
   /// seed skip (see Palid).
   AlidOptions alid;
 };
@@ -78,7 +71,7 @@ struct PalidStats {
 /// The map peels in waves, the parallel form of serial ALID's peel (Section
 /// 4.4): it visits the seeds in a hashed order, a fixed number per wave, and
 /// skips a seed that a kept cluster of an earlier wave holds (kept: density
-/// >= alid.density_threshold and at least alid.min_cluster_size members, the
+/// >= alid.density_threshold and at least kMinClusterSize members, the
 /// Filtered rule). A skipped seed's detection would find that cluster again
 /// and lose the reduce to it. Only starts are skipped: every detection still
 /// sees every item. Waves depend only on the seeds, options.seed and earlier
@@ -98,7 +91,7 @@ class Palid {
   DetectionResult Detect(PalidStats* stats = nullptr) const;
 
   /// Seed sampling of Section 4.6: uniform 20% from each LSH bucket with
-  /// at least min_bucket_size items, deduplicated, in ascending id order.
+  /// more than 5 items, deduplicated, in ascending id order.
   IndexList SampleSeeds() const;
 
  private:

@@ -17,6 +17,8 @@ namespace {
 // overhead where a dot costs microseconds), splitting only when n is large
 // enough for the pool to pay off.
 constexpr int64_t kVectorGrain = 4096;
+// Convergence tolerance on the Ritz residual estimate.
+constexpr double kTolerance = 1e-9;
 
 }  // namespace
 
@@ -26,10 +28,8 @@ EigenDecompositionTopK LanczosTopK(
     LanczosOptions options) {
   ALID_CHECK(n >= 1);
   ALID_CHECK(k >= 1 && k <= n);
-  int m = options.max_subspace > 0 ? options.max_subspace
-                                   : std::max(3 * k, 30);
-  m = std::min<int>(m, n);
-  ALID_CHECK(m >= k);
+  // Krylov subspace dimension.
+  const int m = std::min<int>(std::max(3 * k, 30), n);
 
   Rng rng(options.seed);
   ThreadPool* pool = options.pool;
@@ -75,7 +75,7 @@ EigenDecompositionTopK LanczosTopK(
       }
     }
     const Scalar b = std::sqrt(ParallelDot(pool, w, w, kVectorGrain));
-    if (b < options.tolerance || j == m - 1) break;
+    if (b < kTolerance || j == m - 1) break;
     beta.push_back(b);
     ParallelChunks(pool, 0, n, kVectorGrain,
                    [&](int64_t, int64_t lo, int64_t hi) {

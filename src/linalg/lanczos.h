@@ -15,10 +15,6 @@ class ThreadPool;
 
 /// Options of the Lanczos process.
 struct LanczosOptions {
-  /// Krylov subspace dimension; 0 means max(3k, 30), capped at n.
-  int max_subspace = 0;
-  /// Convergence tolerance on the Ritz residual estimate.
-  double tolerance = 1e-9;
   /// Seed of the random start vector.
   uint64_t seed = 42;
   /// Optional shared worker pool. The basis updates, reorthogonalization
@@ -39,7 +35,8 @@ struct EigenDecompositionTopK {
 /// operator by the Lanczos process with full reorthogonalization. The
 /// operator is any y = A x callback, so callers can pass a dense matrix, a
 /// CSR matrix, or a normalized-Laplacian closure without materializing
-/// anything new. Cost: O(subspace * cost(matvec) + subspace^2 * n).
+/// anything new. The Krylov subspace has max(3k, 30) dimensions, capped at
+/// n. Cost: O(subspace * cost(matvec) + subspace^2 * n).
 EigenDecompositionTopK LanczosTopK(
     Index n, int k,
     const std::function<std::vector<Scalar>(std::span<const Scalar>)>& matvec,

@@ -100,6 +100,7 @@ void LshIndex::InitTables() {
 
 LshIndex::LshIndex(const Dataset& data, LshParams params)
     : data_(&data), dim_(data.dim()), params_(params) {
+  ALID_CHECK(dim_ > 0);
   InitTables();
   const Index n = data.size();
   for (auto& table : tables_) table.item_key.resize(n);

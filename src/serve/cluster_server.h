@@ -26,9 +26,11 @@ struct ClusterServerOptions {
   /// Retired generations the server keeps addressable for as-of queries
   /// (the history ring, oldest evicted first); 0 disables time travel.
   /// This count is the ring's only bound. Consecutive generations share
-  /// their unchanged clusters' arena blocks, so the ring pays for the blocks
-  /// the current snapshot no longer references plus each retained
-  /// snapshot's own candidate directory (ServeStatsView::history_ring_bytes).
+  /// their unchanged clusters' arena blocks and, along a chain of
+  /// incremental exports, one refcounted base candidate directory, so the
+  /// ring pays for the blocks and bases the current snapshot no longer
+  /// references plus each retained snapshot's own delta directory and base
+  /// map (ServeStatsView::history_ring_bytes).
   int history_capacity = 4;
 };
 
@@ -133,8 +135,10 @@ struct GenerationDiffResult {
 /// nothing the readers touch: it builds fresh snapshots off-line and
 /// publishes them in one pointer swap. Because consecutive snapshots share
 /// their unchanged clusters' arena blocks, both the publish and the ring
-/// pay block bytes for changed clusters only; each generation still owns
-/// its candidate directory (one entry per distinct member bucket).
+/// pay block bytes for changed clusters only. Chained generations also
+/// share one refcounted base candidate directory; each keeps only its own
+/// delta directory (the buckets of blocks the base lacks) and its map from
+/// base position to cluster id.
 ///
 /// A request hashes each point once, with the hasher of the generation's
 /// shard 0, and hands the keys to every shard's keyed Assign/TopKClusters;

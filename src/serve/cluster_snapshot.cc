@@ -70,8 +70,7 @@ bool ClusterSnapshot::CompatibleWith(const ClusterSnapshotOptions& options,
                                      int dim) const {
   const AffinityParams& a = affinity_fn_->params();
   return this->dim() == dim && SameKeys(hasher_->params(), options.lsh) &&
-         absorb_slack_ == options.absorb_slack && a.k == options.affinity.k &&
-         a.p == options.affinity.p;
+         a.k == options.affinity.k && a.p == options.affinity.p;
 }
 
 bool ClusterSnapshot::HashesLike(const ClusterSnapshot& other) const {
@@ -90,14 +89,12 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
     const ClusterSnapshotOptions& options, uint64_t generation,
     const OnlineAlid* stream, const ClusterSnapshot* prev) {
   ALID_CHECK(data.dim() > 0);
-  ALID_CHECK(options.absorb_slack >= 0.0 && options.absorb_slack < 1.0);
   ALID_TRACE_SCOPE("publish", "build");
   WallTimer build_timer;
   std::shared_ptr<ClusterSnapshot> snap(new ClusterSnapshot());
   const int dim = data.dim();
   snap->dim_ = dim;
   snap->generation_ = generation;
-  snap->absorb_slack_ = options.absorb_slack;
   snap->affinity_fn_ = std::make_unique<AffinityFunction>(options.affinity);
 
   const int num_clusters = static_cast<int>(clusters.size());
@@ -323,7 +320,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
   ClusterSnapshotOptions options;
   options.affinity = stream.options().affinity;
   options.lsh = stream.options().lsh;
-  options.absorb_slack = stream.options().absorb_slack;
   options.pool = pool;
   return Build(stream.oracle().data(), stream.clusters(), options,
                static_cast<uint64_t>(stream.size()), &stream, previous.get());
@@ -367,7 +363,7 @@ QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point,
     if (!candidates.IsMarked(static_cast<size_t>(c))) continue;
     // Absorb when (near-)infective — the same slack rule, threshold and
     // lowest-id tie-break as the stream's ScoreArrival.
-    const Scalar threshold = blocks_[c]->density * (1.0 - absorb_slack_);
+    const Scalar threshold = blocks_[c]->density * (1.0 - kAbsorbSlack);
     const Scalar affinity =
         blocks_[c]->scorer->Affinity(*affinity_fn_, point);
     const Scalar margin = affinity - threshold;
@@ -405,7 +401,7 @@ std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
     ScoredCluster entry;
     entry.cluster = c;
     entry.affinity = affinity;
-    entry.margin = affinity - blocks_[c]->density * (1.0 - absorb_slack_);
+    entry.margin = affinity - blocks_[c]->density * (1.0 - kAbsorbSlack);
     entry.generation = generation_;
     entry.absorbable = entry.margin > 0.0;
     scored.push_back(entry);

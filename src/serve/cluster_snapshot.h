@@ -30,8 +30,6 @@ struct ClusterSnapshotOptions {
   AffinityParams affinity;
   /// LSH parameters of the bucket keys (seed included).
   LshParams lsh;
-  /// Absorb slack of the assignment rule (see OnlineAlidOptions).
-  double absorb_slack = 0.05;
   /// Optional pool for the build's parallel pass (the fresh blocks' bucket
   /// keys; build-time only — queries never touch it).
   ThreadPool* pool = nullptr;
@@ -69,7 +67,7 @@ struct QueryOutcome {
   int cluster = -1;
   /// pi(s_c, x) of the cluster (0 when unassigned).
   Scalar affinity = 0.0;
-  /// Signed margin over the absorb threshold density * (1 - absorb_slack)
+  /// Signed margin over the absorb threshold density * (1 - kAbsorbSlack)
   /// (0 when unassigned; may be negative for ranked non-absorbable
   /// candidates).
   Scalar margin = 0.0;
@@ -82,7 +80,7 @@ struct QueryOutcome {
 /// One scored candidate of a TopKClusters query.
 struct ScoredCluster : QueryOutcome {
   /// True iff the affinity clears the absorb threshold
-  /// density * (1 - absorb_slack), i.e. margin > 0; the top absorbable
+  /// density * (1 - kAbsorbSlack), i.e. margin > 0; the top absorbable
   /// candidate is exactly Assign's answer.
   bool absorbable = false;
 
@@ -138,14 +136,13 @@ class ClusterSnapshot {
       const Dataset& data, std::span<const Cluster> clusters,
       const ClusterSnapshotOptions& options, uint64_t generation = 0);
 
-  /// Exports the live state of a stream. Affinity/LSH parameters and absorb
-  /// slack are taken from the stream's own options, so
-  /// Assign reproduces the stream's absorb decision bit for bit (and every
-  /// block shares the stream's own fresh ClusterScorer by refcount instead
-  /// of rebuilding one); the generation is the stream's
-  /// arrival count. The stream must not be mutated during the export (the
-  /// ingest loop exports between batches); afterwards the snapshot is fully
-  /// decoupled.
+  /// Exports the live state of a stream. Affinity/LSH parameters are taken
+  /// from the stream's own options, so Assign reproduces the stream's absorb
+  /// decision bit for bit (and every block shares the stream's own fresh
+  /// ClusterScorer by refcount instead of rebuilding one); the generation
+  /// is the stream's arrival count. The stream must not be mutated during
+  /// the export (the ingest loop exports between batches); afterwards the
+  /// snapshot is fully decoupled.
   ///
   /// `previous` enables the incremental export: any cluster whose stream
   /// (uid, version) pair matches a cluster of the previous snapshot — which
@@ -164,12 +161,12 @@ class ClusterSnapshot {
   Index num_members() const { return num_members_; }
   int dim() const { return dim_; }
   uint64_t generation() const { return generation_; }
-  double absorb_slack() const { return absorb_slack_; }
 
   /// The Theorem-1 absorb decision for an arbitrary point: candidates are
   /// the clusters of the point's LSH collisions, the winner the candidate
-  /// with the largest positive margin pi(s_c, x) - density_c * (1 - slack)
-  /// (lowest id on ties — the same rule as OnlineAlid::ScoreArrival).
+  /// with the largest positive margin pi(s_c, x) - density_c *
+  /// (1 - kAbsorbSlack) (lowest id on ties — the same rule as
+  /// OnlineAlid::ScoreArrival).
   /// outcome.generation carries this snapshot's generation. An empty
   /// snapshot answers unassigned without hashing the point.
   QueryOutcome Assign(std::span<const Scalar> point) const;
@@ -274,7 +271,6 @@ class ClusterSnapshot {
   // unchanged clusters.
   std::vector<std::shared_ptr<const ClusterBlock>> blocks_;
   Index num_members_ = 0;  // summed over clusters
-  double absorb_slack_ = 0.05;
   std::unique_ptr<AffinityFunction> affinity_fn_;
   // Query hasher: an item-free LshIndex, shared along compatible exports.
   std::shared_ptr<const LshIndex> hasher_;

@@ -460,6 +460,14 @@ TEST(LshIndexTest, KeysMatchRowMajorReferenceOnEveryIsa) {
   }
 }
 
+TEST(LshIndexDeathTest, ConstructorsRejectNonPositiveDim) {
+  // Both constructors check the dimension up front: the eager one must not
+  // size its projections from an empty dataset's dim.
+  const Dataset empty(0);
+  EXPECT_DEATH(LshIndex(empty, LshParams{}), "dim_ > 0");
+  EXPECT_DEATH(LshIndex(-1, LshParams{}), "dim_ > 0");
+}
+
 TEST(LshIndexDeathTest, PointEntryPointsRejectAWrongDimension) {
   // Checked in every build type: a Release build must not read past a
   // short span, nor silently hash a prefix of a long one.

@@ -149,7 +149,7 @@ AllSeedsMap RunAllSeedsMap(const PalidHarness& h, const AlidOptions& alid) {
 
 bool Kept(const Cluster& c, const AlidOptions& alid) {
   return c.density >= alid.density_threshold &&
-         static_cast<int>(c.members.size()) >= alid.min_cluster_size;
+         static_cast<int>(c.members.size()) >= kMinClusterSize;
 }
 
 bool Holds(const Cluster& c, Index item) {

@@ -390,8 +390,7 @@ TEST(ServeTest, TopKOrderingAndClusterInfoRoundTrip) {
     EXPECT_GE(topk[r - 1].affinity, topk[r].affinity);
   }
   for (const ScoredCluster& s : topk) {
-    const Scalar threshold =
-        snap->density(s.cluster) * (1.0 - snap->absorb_slack());
+    const Scalar threshold = snap->density(s.cluster) * (1.0 - kAbsorbSlack);
     EXPECT_EQ(s.absorbable, s.affinity - threshold > 0.0);
     // Ranked entries carry the full QueryOutcome shape: the signed margin
     // against this cluster's threshold and the answering generation.

@@ -239,7 +239,6 @@ TEST(SnapshotExportTest, FromStreamAnswersEqualFromClusters) {
   ClusterSnapshotOptions options;
   options.affinity = opts.affinity;
   options.lsh = opts.lsh;
-  options.absorb_slack = opts.absorb_slack;
   const auto rebuilt = ClusterSnapshot::FromClusters(
       online->oracle().data(), online->clusters(), options,
       static_cast<uint64_t>(online->size()));
@@ -480,9 +479,9 @@ TEST(SnapshotExportTest, ReuseRequiresCompatibleParameters) {
   EXPECT_EQ(second->build_info().clusters_reused,
             second->build_info().clusters_total);
   EXPECT_EQ(second->build_info().rows_rebuilt, 0);
-  // A predecessor with a different absorb slack is rejected wholesale.
+  // A predecessor with a different affinity kernel is rejected wholesale.
   OnlineAlidOptions other = opts;
-  other.absorb_slack = opts.absorb_slack / 2;
+  other.affinity.k = opts.affinity.k * 2;
   std::unique_ptr<OnlineAlid> online2 =
       RunStream(data, other, 64, ArrivalMix(data, 0));
   const auto incompatible =

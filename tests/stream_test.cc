@@ -5,6 +5,7 @@
 // reinsert, refresh-interval boundaries).
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,14 +21,15 @@
 namespace alid {
 namespace {
 
-LabeledData Workload(Index n = 420, uint64_t seed = 91) {
+LabeledData Workload(Index n = 420, uint64_t seed = 91,
+                     bool overlap = false) {
   SyntheticConfig cfg;
   cfg.n = n;
   cfg.dim = 10;
   cfg.num_clusters = 4;
   cfg.omega = 0.6;
   cfg.mean_box = 300.0;
-  cfg.overlap_clusters = false;
+  cfg.overlap_clusters = overlap;
   cfg.seed = seed;
   return MakeSynthetic(cfg);
 }
@@ -351,24 +353,36 @@ TEST(StreamTest, PhaseEntryCountersAreExactAcrossExecutors) {
   EXPECT_EQ(RegistryValue(*parallel, "refresh_entries"), refresh);
 }
 
-// Outside reference for a refresh over a stream that has no clusters yet:
-// the paper's serial peel (Section 4.4) driven through AlidDetector on the
-// stream's own oracle and LSH index. Seeds go in ascending slot order; each
-// support is removed before the next seed; a kept cluster whose cross
-// density pi(x_new, x_e) with an earlier one reaches the threshold is
-// re-detected from its seed over the union of both, and replaces that one
-// on success.
-std::vector<Cluster> ReferencePeel(const OnlineAlid& online) {
+// Outside reference for a refresh pass: the paper's serial peel (Section
+// 4.4) driven through AlidDetector on the stream's own oracle and LSH index,
+// starting from the stream's current clusters. Two explicit masks carry the
+// pass: `expired` marks the slots outside the window, `peeled` every item no
+// seed may start from (expired or owned when the pass starts, or in a
+// support detected during it). Seeds go in ascending slot order; each
+// support is peeled before the next seed; a kept cluster whose cross density
+// pi(x_new, x_e) with an earlier one (the stream's or one of this pass)
+// reaches the threshold is re-detected from its seed over everything the
+// other clusters do not own, and replaces that one on success. The members
+// of the replaced cluster that the merged support drops stay peeled.
+// `merges` (optional) counts the successful merges into the stream's own
+// clusters.
+std::vector<Cluster> ReferencePeel(const OnlineAlid& online,
+                                   int* merges = nullptr) {
   const AlidOptions& alid = online.options().alid;
   const LazyAffinityOracle& oracle = online.oracle();
   const AlidDetector detector(oracle, online.lsh(), alid);
   const auto kept = [&](const Cluster& c) {
     return c.density >= alid.density_threshold &&
-           static_cast<int>(c.members.size()) >= alid.min_cluster_size;
+           static_cast<int>(c.members.size()) >= kMinClusterSize;
   };
-  const Index slots = online.size();
+  const Index slots = oracle.size();
+  std::vector<bool> expired(slots, false);
   std::vector<bool> peeled(slots, false);
-  std::vector<Cluster> clusters;
+  for (Index i = 0; i < slots; ++i) {
+    expired[i] = !online.IsAlive(i);
+    peeled[i] = expired[i] || online.ClusterOf(i) >= 0;
+  }
+  std::vector<Cluster> clusters = online.clusters();
   for (Index seed = 0; seed < slots; ++seed) {
     if (peeled[seed]) continue;
     Cluster c = detector.DetectOne(seed, &peeled);
@@ -392,7 +406,7 @@ std::vector<Cluster> ReferencePeel(const OnlineAlid& online) {
             return partial;
           });
       if (cross < alid.density_threshold) continue;
-      std::vector<bool> owned_elsewhere(slots, false);
+      std::vector<bool> owned_elsewhere = expired;
       for (size_t o = 0; o < clusters.size(); ++o) {
         if (o == e) continue;
         for (Index i : clusters[o].members) owned_elsewhere[i] = true;
@@ -402,6 +416,7 @@ std::vector<Cluster> ReferencePeel(const OnlineAlid& online) {
         for (Index i : both.members) peeled[i] = true;
         clusters[e] = std::move(both);
         merged = true;
+        if (merges != nullptr && e < online.clusters().size()) ++*merges;
       }
       break;  // a failed merge installs the new cluster as-is
     }
@@ -451,6 +466,58 @@ TEST(StreamTest, RefreshIsTheSerialPeel) {
   }
 }
 
+// Streams the rows `order` of `data` into `online` in batches of 24.
+void InsertInBatches(OnlineAlid& online, const LabeledData& data,
+                     std::span<const Index> order) {
+  for (size_t pos = 0; pos < order.size(); pos += 24) {
+    std::vector<Scalar> flat;
+    for (size_t k = pos; k < std::min(pos + 24, order.size()); ++k) {
+      const auto row = data.data[order[k]];
+      flat.insert(flat.end(), row.begin(), row.end());
+    }
+    online.InsertBatch(flat);
+  }
+}
+
+TEST(StreamTest, RefreshOverExistingClustersIsTheSerialPeel) {
+  // A windowed stream over overlapping planted clusters, with a forced
+  // Refresh() after every 72 arrivals and the refresh interval out of reach:
+  // each pass starts from the stream's clusters and must install exactly
+  // the reference peel's clusters and spend exactly its kernel evaluations.
+  // Overlapping pairs make pool clusters merge into existing ones, and a
+  // merged support can drop members of the cluster it replaces.
+  int merges = 0;
+  for (uint64_t seed : {91u, 17u, 53u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    LabeledData data = Workload(600, seed, /*overlap=*/true);
+    OnlineAlidOptions opts = Options(data);
+    opts.refresh_interval = data.size() + 1;
+    opts.window = 240;
+    OnlineAlid online(data.data.dim(), opts);
+    Rng rng(7);
+    const auto order = rng.Permutation(data.size());
+    for (size_t pos = 0; pos < order.size(); pos += 72) {
+      const size_t count = std::min<size_t>(72, order.size() - pos);
+      InsertInBatches(online, data,
+                      std::span<const Index>(order).subspan(pos, count));
+      const int64_t before = online.oracle().entries_computed();
+      DetectionResult expected;
+      expected.clusters = ReferencePeel(online, &merges);
+      const int64_t reference_entries =
+          online.oracle().entries_computed() - before;
+      const int64_t refresh_before = RegistryValue(online, "refresh_entries");
+      online.Refresh();
+      DetectionResult actual;
+      actual.clusters = online.clusters();
+      ExpectIdenticalDetections(expected, actual);
+      EXPECT_EQ(RegistryValue(online, "refresh_entries") - refresh_before,
+                reference_entries);
+    }
+  }
+  // Not vacuous: some pass merged into a cluster that predates it.
+  EXPECT_GT(merges, 0);
+}
+
 TEST(StreamTest, BatchInsertMatchesSingleInsertStats) {
   // Batches of one are the single-arrival path: the whole stream fed one
   // item at a time must equal the same stream fed as InsertBatch of 1.
@@ -483,6 +550,13 @@ TEST(StreamTest, StatsCountersAddUp) {
       [](const obs::MetricSample& m) { return m.name == "ingest_seconds"; });
   ASSERT_NE(ingest, samples.end());
   EXPECT_EQ(ingest->count, 6);  // 300 arrivals / batches of 50
+}
+
+TEST(OnlineAlidDeathTest, ConstructorRejectsNonPositiveDim) {
+  // The dim contract is checked at construction, not first use: a stream
+  // wired to the wrong config dies here instead of at its first Insert.
+  EXPECT_DEATH(OnlineAlid(0, {}), "dim > 0");
+  EXPECT_DEATH(OnlineAlid(-1, {}), "dim > 0");
 }
 
 }  // namespace
