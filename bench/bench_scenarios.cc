@@ -23,8 +23,8 @@
 // batch sequence through OnlineAlid with a sliding window and a chained
 // incremental publish every few batches, and emits one JSON record with a
 // row per executor width. Rows carry the wall/p95 keys bench_compare.py
-// gates and a "speedup" column; they are not marked gate_speedup — on a
-// 1-core CI host the executor axis only moves scheduling counters.
+// gates and a "speedup" column; they are not marked gate_speedup — a
+// single stream posts no job to its pool, so the rows do the same work.
 #include "bench_util.h"
 #include "registry.h"
 #include "scenarios.h"

@@ -1,6 +1,5 @@
-// Streaming ingest — the windowed, batch-parallel OnlineAlid on the shared
-// runtime (the paper's Section-6 future-work direction grown into a served
-// workload).
+// Streaming ingest — the windowed OnlineAlid (the paper's Section-6
+// future-work direction grown into a served workload).
 //
 // Sweeps arrival rate (batch size) × sliding-window size × executors
 // {1, 2, 4, 8}: each configuration streams the same shuffled workload
@@ -8,9 +7,10 @@
 // row runs the serial no-pool path — the same baseline convention as the
 // fig7 parallel sweep) and reports ingest throughput, p50/p95 per-batch
 // latency, and the stream counters (absorbed / pooled / evicted /
-// refreshes / redetections). The streamed state is bit-identical across
-// the executor axis (tests/stream_test.cc), so only the wall-clock columns
-// move — on a 1-core host only the pool's scheduling columns do.
+// refreshes / redetections). A single stream posts no job to its pool (a
+// batch runs on the calling thread), so the streamed state and the work
+// are the same on every row of the executor axis; only noise moves the
+// wall-clock columns.
 //
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
@@ -56,7 +56,7 @@ struct StreamRow {
   int64_t rows_reused = 0;
   int64_t clusters_reused = 0;
   // The stream's per-instance metrics registry as comma-joined JSON fields
-  // (absorbed/pooled/evicted/..., pool gauges) — captured while
+  // (absorbed/pooled/evicted/...) — captured while
   // the stream is alive, embedded verbatim in the row record so every
   // counter key the trajectory carries comes from the registry exporter.
   std::string registry_fields;
@@ -209,7 +209,7 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
           "\"trace_overhead_ratio\":%.4f,\"rows\":[",
           n, trace_base_seconds, trace_wall_seconds, trace_overhead_ratio);
   // The wall/latency/derived keys are emitted by hand; every counter and
-  // gauge key (absorbed, evicted, redetections, pool_*, ...)
+  // gauge key (absorbed, evicted, redetections, ...)
   // comes from the embedded registry export — the manual list must never
   // overlap the registry's names (--schema-check rejects duplicate keys).
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -38,13 +38,13 @@ int main() {
   LabeledData stream = MakeSynthetic(config);
   const int dim = stream.data.dim();
 
-  ThreadPool pool(4);  // one shared runtime for ingest AND batched queries
   OnlineAlidOptions options;
   options.affinity = {.k = stream.suggested_k, .p = 2.0};
   options.lsh.segment_length = stream.suggested_lsh_r;
   options.refresh_interval = 200;
-  options.pool = &pool;
   OnlineAlid online(dim, options);
+
+  ThreadPool pool(4);  // the server's pool: batched queries run on it
 
   ClusterServer server(dim, {.pool = &pool});
   WallTimer serving;  // the overall-QPS clock: the server keeps none
@@ -67,7 +67,7 @@ int main() {
       // Incremental export: chaining on the served snapshot lets every
       // cluster the batch left untouched *share* its arena blocks (a
       // refcount bump) — publish cost tracks what changed, not the window.
-      published = ClusterSnapshot::FromStream(online, &pool, published);
+      published = ClusterSnapshot::FromStream(online, nullptr, published);
       server.Publish(published);
       const SnapshotBuildInfo& build = published->build_info();
       std::printf("published snapshot @%llu arrivals: %d clusters over %d "
@@ -98,7 +98,7 @@ int main() {
       }
     }
     online.InsertBatch(batch);
-    published = ClusterSnapshot::FromStream(online, &pool, published);
+    published = ClusterSnapshot::FromStream(online, nullptr, published);
     server.Publish(published);
     const SnapshotBuildInfo& build = published->build_info();
     std::printf("localized burst -> generation %llu: %d/%d clusters "

@@ -1,9 +1,8 @@
-// Streaming dominant-cluster detection on the shared runtime — the paper's
-// future-work extension grown into a windowed, batch-parallel subsystem.
+// Streaming dominant-cluster detection — the paper's future-work extension
+// grown into a windowed subsystem.
 //
 // News items arrive in batches. Each batch is hashed and scored against the
-// live events in parallel on a shared work-stealing pool (the streamed state
-// is bit-identical for any executor count), and a sliding window expires old
+// live events on the calling thread, and a sliding window expires old
 // coverage: expired items leave the LSH index. Every event that gained
 // arrivals or lost expired items is then re-detected once, warm from its
 // own weighted support. No global
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
@@ -38,13 +36,11 @@ int main() {
   constexpr Index kBatch = 64;    // arrivals absorbed per ingest tick
   constexpr Index kWindow = 800;  // live coverage kept per tick
 
-  ThreadPool pool(4);  // the shared runtime the batch phases run on
   OnlineAlidOptions options;
   options.affinity = {.k = stream.suggested_k, .p = 2.0};
   options.lsh.segment_length = stream.suggested_lsh_r;
   options.refresh_interval = 200;
   options.window = kWindow;
-  options.pool = &pool;
   OnlineAlid online(stream.data.dim(), options);
 
   Rng rng(99);
@@ -110,13 +106,12 @@ int main() {
               AverageF1(truth, detected));
   std::printf("stream totals: %lld arrivals, %lld absorbed on entry, %lld "
               "evicted, %lld local re-detections, %lld kernel "
-              "evaluations, %lld executor steals\n",
+              "evaluations\n",
               static_cast<long long>(stats.arrivals),
               static_cast<long long>(stats.absorbed),
               static_cast<long long>(stats.evicted),
               static_cast<long long>(stats.redetections),
-              static_cast<long long>(online.oracle().entries_computed()),
-              static_cast<long long>(pool.steal_count()));
+              static_cast<long long>(online.oracle().entries_computed()));
   std::printf("pool refresh passes (serial peel): %lld\n",
               static_cast<long long>(stats.refreshes));
   // The stream's registry histogram of batch ingest latency: one count per

@@ -43,8 +43,6 @@ class AffinityView {
   void ForEachInRow(Index r,
                     const std::function<void(Index, Scalar)>& fn) const;
 
-  bool is_dense() const { return dense_ != nullptr; }
-
  private:
   const DenseMatrix* dense_ = nullptr;
   const SparseMatrix* sparse_ = nullptr;

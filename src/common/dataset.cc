@@ -20,18 +20,6 @@ void Dataset::Append(std::span<const Scalar> point) {
   ++num_points_;
 }
 
-void Dataset::AppendAll(const Dataset& other) {
-  ALID_CHECK(other.dim() == dim_);
-  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
-  num_points_ += other.num_points_;
-}
-
-void Dataset::AppendRaw(std::span<const Scalar> rows) {
-  ALID_CHECK(dim_ > 0 && rows.size() % static_cast<size_t>(dim_) == 0);
-  data_.insert(data_.end(), rows.begin(), rows.end());
-  num_points_ += rows.size() / static_cast<size_t>(dim_);
-}
-
 Dataset Dataset::Subset(const IndexList& indices) const {
   Dataset out(dim_);
   out.data_.reserve(indices.size() * static_cast<size_t>(dim_));

@@ -23,21 +23,6 @@ class Dataset {
   /// Appends one point (must have size dim()).
   void Append(std::span<const Scalar> point);
 
-  /// Appends all rows of another dataset of the same dimensionality.
-  void AppendAll(const Dataset& other);
-
-  /// Appends a flat row-major block of whole rows (rows.size() % dim == 0).
-  /// One bulk copy — the incremental snapshot export moves an unchanged
-  /// cluster's member block with this instead of gathering row by row.
-  void AppendRaw(std::span<const Scalar> rows);
-
-  /// Flat row-major view of rows [begin, end) — the bulk-copy counterpart
-  /// of AppendRaw.
-  std::span<const Scalar> RawRows(Index begin, Index end) const {
-    return {data_.data() + static_cast<size_t>(begin) * dim_,
-            static_cast<size_t>(end - begin) * dim_};
-  }
-
   /// Returns the subset of rows given by `indices` (in order).
   Dataset Subset(const IndexList& indices) const;
 

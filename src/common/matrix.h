@@ -49,7 +49,6 @@ class DenseMatrix {
 
   size_t MemoryBytes() const { return data_.size() * sizeof(Scalar); }
   const std::vector<Scalar>& raw() const { return data_; }
-  std::vector<Scalar>& mutable_raw() { return data_; }
 
  private:
   Index rows_ = 0;

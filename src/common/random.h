@@ -43,10 +43,6 @@ class Rng {
   /// Random permutation of [0, n).
   std::vector<Index> Permutation(Index n);
 
-  /// Derives an independent child generator; used to hand each PALID worker
-  /// its own stream.
-  Rng Fork() { return Rng(engine_()); }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

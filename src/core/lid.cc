@@ -67,7 +67,6 @@ Lid::Lid(Lid&& other) noexcept
       screened_rows_(std::move(other.screened_rows_)),
       memo_scalars_(other.memo_scalars_),
       converged_(other.converged_),
-      total_iterations_(other.total_iterations_),
       charged_bytes_(other.charged_bytes_) {
   other.charged_bytes_ = 0;
 }
@@ -277,7 +276,6 @@ int Lid::Run() {
       pi += x_[i] * ax_[i];
     }
   }
-  total_iterations_ += iters;
   return iters;
 }
 

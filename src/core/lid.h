@@ -110,9 +110,6 @@ class Lid {
   /// so only pairs no earlier call evaluated reach the oracle.
   void UpdateRange(const IndexList& new_candidates);
 
-  /// Total invasions across all Run() calls.
-  int total_iterations() const { return total_iterations_; }
-
  private:
   // Ensures columns_[p] holds all of A_{beta, beta_p}; returns it.
   const std::vector<Scalar>& EnsureColumn(int p);
@@ -153,7 +150,6 @@ class Lid {
   int64_t memo_scalars_ = 0;
 
   bool converged_ = false;
-  int total_iterations_ = 0;
   int64_t charged_bytes_ = 0;
 };
 

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/trace.h"
 
@@ -39,11 +38,6 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   metrics_.clusters_alive = registry.AddGauge("clusters_alive");
   metrics_.ingest_seconds =
       registry.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges());
-  // The shared pool (when set) must outlive this stream — already the
-  // standing usage contract, since every batch runs phases on it.
-  if (options_.pool != nullptr) {
-    options_.pool->RegisterMetrics(&registry, "pool");
-  }
 }
 
 StreamStats OnlineAlid::stats() const {
@@ -75,7 +69,7 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   WallTimer timer;
   ALID_TRACE_SCOPE("stream", "insert_batch");
 
-  // Phase 1 (serial): slot allocation + row writes, in arrival order.
+  // Phase 1: slot allocation + row writes, in arrival order.
   // Expired slots are re-used smallest-first, so the slot sequence depends
   // only on the stream history.
   {
@@ -86,48 +80,24 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
     }
   }
 
-  // Phase 2 (parallel, pure): per-table LSH keys of every arrival. Each
-  // arrival's keys are self-contained, so any chunking yields the same bits.
-  const int tables = lsh_->num_tables();
-  std::vector<uint64_t> keys(static_cast<size_t>(count) * tables);
+  // Phase 2: bucket insertion in arrival order, each arrival hashed as it
+  // is filed.
   {
-    ALID_TRACE_SCOPE("stream", "lsh_keys");
-    ParallelChunks(options_.pool, 0, count, /*grain=*/0,
-                   [&](int64_t, int64_t lo, int64_t hi) {
-                     for (int64_t k = lo; k < hi; ++k) {
-                       lsh_->ComputeItemKeys(
-                           slots[k], &keys[static_cast<size_t>(k) * tables]);
-                     }
-                   });
+    ALID_TRACE_SCOPE("stream", "lsh_insert");
+    for (Index k = 0; k < count; ++k) lsh_->InsertItem(slots[k]);
   }
 
-  // Phase 3 (serial): bucket insertion in arrival order.
-  {
-    ALID_TRACE_SCOPE("stream", "bucket_insert");
-    for (Index k = 0; k < count; ++k) {
-      lsh_->InsertItemWithKeys(
-          slots[k], std::span<const uint64_t>(
-                        keys.data() + static_cast<size_t>(k) * tables,
-                        static_cast<size_t>(tables)));
-    }
-  }
-
-  // Phase 4 (parallel, pure): Theorem-1 absorb scoring of every arrival
-  // against the batch-start clusters. Same-batch neighbours are already in
-  // the LSH buckets but still unassigned, so the candidate sets — like the
-  // scores — depend only on the batch boundary, never on the executors.
+  // Phase 3: Theorem-1 absorb scoring of every arrival against the
+  // batch-start clusters. Same-batch neighbours are already in the LSH
+  // buckets but still unassigned, so the candidate sets — like the scores —
+  // depend only on the batch boundary.
   std::vector<int> targets(count);
   {
     ALID_TRACE_SCOPE("stream", "absorb_score");
-    ParallelChunks(options_.pool, 0, count, /*grain=*/0,
-                   [&](int64_t, int64_t lo, int64_t hi) {
-                     for (int64_t k = lo; k < hi; ++k) {
-                       targets[k] = ScoreArrival(slots[k]);
-                     }
-                   });
+    for (Index k = 0; k < count; ++k) targets[k] = ScoreArrival(slots[k]);
   }
 
-  // Phase 5 (serial): apply. Every target above was scored against the
+  // Phase 4: apply. Every target above was scored against the
   // batch-start state, before anything mutates. Expired members are peeled
   // first; then every touched cluster — an absorb target or a cluster that
   // lost members — is re-detected once, warm from its surviving weighted
@@ -165,7 +135,7 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
     metrics_.pooled->Add(count - absorbed);
   }
 
-  // Phase 6 (serial): the periodic pool pass, at batch end; the remainder
+  // Phase 5: the periodic pool pass, at batch end; the remainder
   // carries into the next interval.
   since_refresh_ += count;
   const bool refresh_pool = since_refresh_ >= options_.refresh_interval;
@@ -238,9 +208,8 @@ void OnlineAlid::EndPass(bool refresh_pool) {
     ALID_TRACE_SCOPE("stream", "compact");
     CompactClusters();
   }
-  // Mutated clusters get new scorers here — the next batch's parallel
-  // scoring phase and any between-batch snapshot export read only fresh
-  // ones.
+  // Mutated clusters get new scorers here — the next batch's scoring
+  // phase and any between-batch snapshot export read only fresh ones.
   RefreshScorers();
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
@@ -248,24 +217,16 @@ void OnlineAlid::EndPass(bool refresh_pool) {
 
 void OnlineAlid::RefreshScorers() {
   ALID_TRACE_SCOPE("stream", "scorer_rebuild");
-  // Pure per cluster (members and weights in, scorer out), so the sweep
-  // chunks on the shared pool like every other parallel phase; only
-  // clusters whose version moved rebuild, so the cost is O(changed), not
-  // O(clusters). A replaced scorer is released, never mutated: a snapshot
-  // may still be serving it.
-  ParallelChunks(
-      options_.pool, 0, static_cast<int64_t>(clusters_.size()),
-      /*grain=*/0, [&](int64_t, int64_t lo, int64_t hi) {
-        for (int64_t c = lo; c < hi; ++c) {
-          if (scorers_[c] != nullptr &&
-              scorers_[c]->version == cluster_version_[c]) {
-            continue;
-          }
-          scorers_[c] = BuildClusterScorer(data_, clusters_[c].members,
-                                           clusters_[c].weights,
-                                           cluster_version_[c]);
-        }
-      });
+  // Only clusters whose version moved rebuild, so the cost is O(changed),
+  // not O(clusters). A replaced scorer is released, never mutated: a
+  // snapshot may still be serving it.
+  for (size_t c = 0; c < clusters_.size(); ++c) {
+    if (scorers_[c] != nullptr && scorers_[c]->version == cluster_version_[c]) {
+      continue;
+    }
+    scorers_[c] = BuildClusterScorer(data_, clusters_[c].members,
+                                     clusters_[c].weights, cluster_version_[c]);
+  }
 }
 
 void OnlineAlid::RedetectCluster(int cluster_id, const IndexList& newcomers) {
@@ -333,15 +294,17 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
   }
   // A pool cluster might be the missing half of an existing one (its
   // members arrived after that cluster was detected). If the cross
-  // density matches dominant-cluster coherence, merge by re-detection
-  // over the union. The pair sum runs chunk-deterministic on the shared
-  // pool, so its FP grouping is the same for every executor count.
+  // density matches dominant-cluster coherence, re-detect from the pool
+  // cluster's seed over everything the other clusters do not own; the
+  // result replaces the sibling, and it need not keep all of the sibling's
+  // members. The pair sum runs on the calling thread in ParallelSum's
+  // fixed-grain chunk order.
   int merge_with = -1;
   for (size_t e = 0; e < clusters_.size(); ++e) {
     const Cluster& cl = clusters_[e];
     if (cl.members.empty()) continue;  // dissolved earlier in this pass
     const Scalar cross = ParallelSum(
-        options_.pool, 0, static_cast<int64_t>(c.members.size()),
+        nullptr, 0, static_cast<int64_t>(c.members.size()),
         /*grain=*/0, [&](int64_t lo, int64_t hi) {
           Scalar partial = 0.0;  // pi(x_new, x_e) over this chunk
           for (int64_t a = lo; a < hi; ++a) {
@@ -358,7 +321,7 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
     }
   }
   if (merge_with >= 0) {
-    // Release the sibling and re-detect over the union of both halves.
+    // Release the sibling and re-detect from the pool cluster's seed.
     for (Index i : clusters_[merge_with].members) assignment_[i] = -1;
     std::vector<bool> other_owned(data_.size(), false);
     for (Index i = 0; i < data_.size(); ++i) {

@@ -37,11 +37,9 @@ struct OnlineAlidOptions {
   /// 0 keeps every arrival forever (the append-only mode of the original
   /// extension).
   Index window = 0;
-  /// Optional shared executor pool for the batch-ingest phases (arrival
-  /// hashing and absorb scoring run chunked on it; all mutation phases stay
-  /// serial in arrival order). The streamed state is bit-identical for any
-  /// pool width, schedule, or pool == nullptr — the same determinism
-  /// contract as src/common/parallel.*.
+  /// A single stream ignores this: its batch runs on the calling thread.
+  /// ShardedStream reads it off its base options to ingest whole shards
+  /// concurrently.
   ThreadPool* pool = nullptr;
 };
 
@@ -78,35 +76,37 @@ struct StreamStats {
 
 /// OnlineAlid — the "online version to efficiently process streaming data
 /// sources" the paper names as future work (Section 6), grown into a
-/// windowed, batch-parallel streaming subsystem on the shared runtime.
+/// windowed streaming subsystem.
+///
+/// Parallelism rule: ThreadPool work is whole detections (PALID), whole
+/// shards (ShardedStream, ShardRouter) and query points (ClusterServer).
+/// Every per-arrival or per-cluster loop inside one stream batch runs
+/// inline on the calling thread: each is too small to pay for a dispatch.
 ///
 /// Ingest strategy per batch: every arrival is written into a slot (expired
-/// slots are re-used smallest-first) and hashed into the growing LSH index —
-/// the hashing and the Theorem-1 absorb scoring run chunked on the shared
-/// pool, both pure against the batch-start state, so the streamed state is
-/// bit-identical for every executor count. Absorb scoring goes through each
-/// candidate cluster's immutable ClusterScorer, built at the end of the
-/// batch that last changed the cluster: one exact weighted kernel sum over
-/// the member tiles per candidate (the LSH candidates already bound the
-/// candidate set). Snapshot exports share the same scorers, so the serving
-/// side scores with the very objects the stream does. Every arrival's
-/// target is fixed before anything mutates. The serial apply phase then
-/// expires the oldest items under a sliding window (they leave the LSH
-/// buckets and are peeled out of their clusters; their slots will be
-/// re-used) and re-detects each *touched* cluster — an absorb target or a
-/// cluster that lost members — once, in ascending id order. That
-/// re-detection is warm (AlidDetector::DetectFrom): by Theorem 1 only
-/// vertices infective against the cluster's current optimum can raise it,
-/// so LID resumes from the surviving weighted support with the batch's
-/// still-unassigned newcomers added to the local range, and the ROI/CIVS
-/// search continues from there. A cluster left with no survivors, or with
-/// fewer than kMinClusterSize and no newcomers, dissolves. Arrivals the
-/// re-detections leave out join the unassigned pool; at the end of every
-/// batch that completes `refresh_interval` arrivals a refresh pass peels
-/// newly formed clusters out of the pool — the paper's serial peel (Section
-/// 4.4): a cold Algorithm-2 run from each still-unpeeled pool seed in
-/// ascending slot order, its support removed before the next seed. Costs
-/// stay local: no global recomputation ever happens.
+/// slots are re-used smallest-first) and hashed into the growing LSH index,
+/// then scored for Theorem-1 absorption against the batch-start state. Absorb
+/// scoring goes through each candidate cluster's immutable ClusterScorer, built
+/// at the end of the batch that last changed the cluster: one exact weighted
+/// kernel sum over the member tiles per candidate (the LSH candidates already
+/// bound the candidate set). Snapshot exports share the same scorers, so the
+/// serving side scores with the very objects the stream does. Every arrival's
+/// target is fixed before anything mutates. The apply phase then expires the
+/// oldest items under a sliding window (they leave the LSH buckets and are
+/// peeled out of their clusters; their slots will be re-used) and re-detects
+/// each *touched* cluster — an absorb target or a cluster that lost members —
+/// once, in ascending id order. That re-detection is warm
+/// (AlidDetector::DetectFrom): by Theorem 1 only vertices infective against the
+/// cluster's current optimum can raise it, so LID resumes from the surviving
+/// weighted support with the batch's still-unassigned newcomers added to the
+/// local range, and the ROI/CIVS search continues from there. A cluster left
+/// with no survivors, or with fewer than kMinClusterSize and no newcomers,
+/// dissolves. Arrivals the re-detections leave out join the unassigned pool; at
+/// the end of every batch that completes `refresh_interval` arrivals a refresh
+/// pass peels newly formed clusters out of the pool — the paper's serial peel
+/// (Section 4.4): a cold Algorithm-2 run from each still-unpeeled pool seed in
+/// ascending slot order, its support removed before the next seed. Costs stay
+/// local: no global recomputation ever happens.
 class OnlineAlid {
  public:
   explicit OnlineAlid(int dim, OnlineAlidOptions options);
@@ -118,9 +118,9 @@ class OnlineAlid {
 
   /// Batch ingest: `points` holds count * dim scalars, row-major, in
   /// arrival order. Returns the slot of each arrival. Absorb candidates are
-  /// evaluated against the state at batch start (in parallel when a pool is
-  /// set); window expiry, one re-detection per touched cluster and a due
-  /// refresh pass then run once for the whole batch.
+  /// evaluated against the state at batch start; window expiry, one
+  /// re-detection per touched cluster and a due refresh pass then run once
+  /// for the whole batch.
   std::vector<Index> InsertBatch(std::span<const Scalar> points);
 
   /// Current dominant clusters (density >= the ALID keep-threshold).
@@ -183,8 +183,8 @@ class OnlineAlid {
   StreamStats stats() const;
 
   /// The per-instance instrument registry behind stats(): every stream
-  /// counter plus the pool gauges, exportable as single-line
-  /// JSON (bench trajectory) or Prometheus text.
+  /// counter, exportable as single-line JSON (bench trajectory) or
+  /// Prometheus text.
   const obs::MetricsRegistry& metrics() const { return metrics_.registry; }
 
   /// The shared oracle (kernel-evaluation counters for benches and tests).
@@ -205,9 +205,10 @@ class OnlineAlid {
   // Peels new clusters out of the unassigned pool: one DetectOne per
   // still-unpeeled seed, in ascending slot order.
   void DetectFromPool();
-  // The serial tail of one pool detection: peel the support, filter by
-  // density/size, merge with an existing cluster when the cross density
-  // says so, otherwise install as a new cluster.
+  // The tail of one pool detection: peel the support, filter by
+  // density/size; when the cross density with an existing cluster reaches
+  // the threshold, re-detect from the seed and replace that cluster with
+  // the result, otherwise install as a new cluster.
   void InstallPoolCluster(Cluster cluster, const AlidDetector& detector,
                           std::vector<bool>& exclude);
   // End of a batch or of a forced Refresh(): the pool pass when
@@ -242,8 +243,7 @@ class OnlineAlid {
   // Scorers parallel to clusters_ (nullptr until a cluster's first batch
   // end). A cluster whose version moved gets a new scorer at batch end; a
   // scorer is never mutated, because snapshots may share it. So the
-  // parallel scoring phase and FromStream exports only ever read fresh
-  // ones.
+  // scoring phase and FromStream exports only ever read fresh ones.
   std::vector<std::shared_ptr<const ClusterScorer>> scorers_;
   std::vector<int> assignment_;   // slot -> cluster id or -1
   std::vector<uint8_t> alive_;    // slot -> live?
@@ -253,10 +253,9 @@ class OnlineAlid {
   Index since_refresh_ = 0;
 
   // The stream counters re-homed onto a per-instance registry (StreamStats
-  // is materialized from these): relaxed-atomic Adds in the serial apply
-  // phases, pool telemetry as callback gauges, batch latencies in a
-  // histogram. Wired in the constructor; pointers are stable for the
-  // stream's lifetime.
+  // is materialized from these): relaxed-atomic Adds in the apply phases,
+  // batch latencies in a histogram. Wired in the constructor; pointers are
+  // stable for the stream's lifetime.
   struct StreamInstruments {
     obs::MetricsRegistry registry;
     obs::Counter* arrivals = nullptr;

@@ -136,12 +136,6 @@ LshIndex::LshIndex(int dim, LshParams params)
       std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
 }
 
-void LshIndex::ComputeItemKeys(Index i, uint64_t* out) const {
-  ALID_CHECK(data_ != nullptr);
-  ALID_CHECK(i >= 0 && i < data_->size());
-  HashPoint((*data_)[i], out);
-}
-
 void LshIndex::ComputePointKeys(std::span<const Scalar> point,
                                 uint64_t* out) const {
   ALID_CHECK_MSG(static_cast<int>(point.size()) == dim_,
@@ -149,28 +143,26 @@ void LshIndex::ComputePointKeys(std::span<const Scalar> point,
   HashPoint(point, out);
 }
 
-void LshIndex::InsertItemWithKeys(Index i, std::span<const uint64_t> keys) {
-  ALID_CHECK(static_cast<int>(keys.size()) == params_.num_tables);
-  ALID_CHECK(i >= 0 && (data_ == nullptr || i < data_->size()));
-  if (i == indexed_count_) {
-    for (size_t t = 0; t < tables_.size(); ++t) {
-      tables_[t].item_key.push_back(keys[t]);
-      tables_[t].buckets[keys[t]].push_back(i);
-    }
-    removed_.push_back(0);
+void LshIndex::InsertItem(Index i) {
+  ALID_CHECK(data_ != nullptr);
+  ALID_CHECK(i >= 0 && i < data_->size());
+  if (i == indexed_count_) {  // a new slot enters as a removed one
+    for (auto& table : tables_) table.item_key.push_back(0);
+    removed_.push_back(1);
     ++indexed_count_;
-    memory_bytes_ += tables_.size() * (sizeof(uint64_t) + sizeof(Index));
-  } else {
-    ALID_CHECK_MSG(IsItemRemoved(i),
-                   "only removed slots may be re-inserted out of order");
-    for (size_t t = 0; t < tables_.size(); ++t) {
-      tables_[t].item_key[i] = keys[t];
-      tables_[t].buckets[keys[t]].push_back(i);
-    }
-    removed_[i] = 0;
-    memory_bytes_ += tables_.size() * sizeof(Index);
+    memory_bytes_ += tables_.size() * sizeof(uint64_t);
   }
+  ALID_CHECK_MSG(IsItemRemoved(i),
+                 "only removed slots may be re-inserted out of order");
+  std::vector<uint64_t> keys(tables_.size());
+  HashPoint((*data_)[i], keys.data());
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    tables_[t].item_key[i] = keys[t];
+    tables_[t].buckets[keys[t]].push_back(i);
+  }
+  removed_[i] = 0;
   ++live_count_;
+  memory_bytes_ += tables_.size() * sizeof(Index);
   charge_->Adjust(static_cast<int64_t>(memory_bytes_));
 }
 

@@ -44,9 +44,9 @@ class LshIndex {
   LshIndex(const Dataset& data, LshParams params);
 
   /// Dataset-free index of the given dimensionality, its tables seeded as
-  /// in the hashing constructor; items enter only through
-  /// InsertItemWithKeys. A serving snapshot holds one with no items as its
-  /// query hasher: same params, same keys as the source index.
+  /// in the hashing constructor. It holds no items and never inserts: a
+  /// serving snapshot keeps one as its query hasher (same params, same keys
+  /// as the source index).
   LshIndex(int dim, LshParams params);
 
   ~LshIndex();
@@ -62,15 +62,9 @@ class LshIndex {
   /// Items currently present in the buckets (size() minus removed slots).
   Index live_count() const { return live_count_; }
 
-  /// Pure per-item hashing: writes item i's bucket key for every table into
-  /// out[0 .. num_tables()). Thread-safe — OnlineAlid's batch ingest hashes
-  /// a whole arrival batch in parallel with this and applies the mutations
-  /// serially through InsertItemWithKeys. Requires an attached Dataset.
-  void ComputeItemKeys(Index i, uint64_t* out) const;
-
   /// Pure hashing of an arbitrary point: writes its bucket key for every
   /// table into out[0 .. num_tables()). Exactly the HashPoint that
-  /// ComputeItemKeys and QueryByPoint run, so keys computed from a copied
+  /// InsertItem and QueryByPoint run, so keys computed from a copied
   /// row equal keys computed from the original dataset row — the property
   /// that lets a snapshot match a query's keys against its blocks' bucket
   /// keys. Dies unless point.size() is the index's dimensionality.
@@ -84,14 +78,15 @@ class LshIndex {
     return tables_[static_cast<size_t>(table)].item_key[i];
   }
 
-  /// Inserts item i with precomputed keys: either the next append slot
-  /// (i == size()) or a previously removed slot whose dataset row was
-  /// overwritten by a new arrival. Not thread-safe.
-  void InsertItemWithKeys(Index i, std::span<const uint64_t> keys);
+  /// Hashes the attached dataset's row i and files it in every table: either
+  /// the next append slot (i == size()) or a previously removed slot whose
+  /// row was overwritten by a new arrival. Requires an attached Dataset.
+  /// Not thread-safe.
+  void InsertItem(Index i);
 
   /// Removes item i from every bucket — the sliding-window expiry path of
   /// the streaming runtime. The slot may later be re-used through
-  /// InsertItemWithKeys. Not thread-safe.
+  /// InsertItem. Not thread-safe.
   void RemoveItem(Index i);
 
   /// True iff slot i was removed and not yet re-inserted.

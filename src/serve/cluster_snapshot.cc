@@ -196,11 +196,11 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
   {
     ALID_TRACE_SCOPE("publish", "candidate_keys");
     const LshIndex* stream_lsh = stream != nullptr ? &stream->lsh() : nullptr;
-    // Copying keys is too cheap to pay for a pool dispatch (measured on
-    // stream_heavy_tail), so only a build that hashes rows uses the pool.
+    // Only FromClusters sets a pool: copying a stream's keys is too cheap
+    // to pay for a pool dispatch (measured on stream_heavy_tail).
     ParallelChunks(
-        stream_lsh != nullptr ? nullptr : options.pool, 0, num_clusters,
-        /*grain=*/0, [&](int64_t, int64_t lo, int64_t hi) {
+        options.pool, 0, num_clusters, /*grain=*/0,
+        [&](int64_t, int64_t lo, int64_t hi) {
           std::vector<uint64_t> hashed;  // count x tables, FromClusters only
           std::vector<uint64_t> keys;    // one table's member keys
           std::vector<BucketKey> buckets;
@@ -314,13 +314,12 @@ void ClusterSnapshot::ChainCandidates(const ClusterSnapshot& prev,
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
-    const OnlineAlid& stream, ThreadPool* pool,
+    const OnlineAlid& stream, ThreadPool* /*pool*/,
     std::shared_ptr<const ClusterSnapshot> previous) {
   ALID_TRACE_SCOPE("publish", "from_stream");
   ClusterSnapshotOptions options;
   options.affinity = stream.options().affinity;
   options.lsh = stream.options().lsh;
-  options.pool = pool;
   return Build(stream.oracle().data(), stream.clusters(), options,
                static_cast<uint64_t>(stream.size()), &stream, previous.get());
 }

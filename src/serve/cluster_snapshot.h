@@ -153,6 +153,9 @@ class ClusterSnapshot {
   /// from the stream's LSH index instead of re-hashing. The result is
   /// deep-equal to a from-scratch build (the property tests pin this every
   /// generation); pass nullptr for the from-scratch behavior.
+  ///
+  /// `pool` is unused: a stream export reads its members' keys from the
+  /// stream's index and never hashes, and only hashing runs on a pool.
   static std::shared_ptr<const ClusterSnapshot> FromStream(
       const OnlineAlid& stream, ThreadPool* pool = nullptr,
       std::shared_ptr<const ClusterSnapshot> previous = nullptr);

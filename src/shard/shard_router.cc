@@ -93,11 +93,11 @@ std::vector<BoundaryPair> ShardRouter::BoundaryClusters(
   }
 
   // Exact cross density of each colliding pair, in one fixed double-loop
-  // order — the same weighted pair sum the stream's merge rule
-  // (InstallPoolCluster) evaluates, so a reconciliation pass can apply the
-  // stream's own density threshold to these numbers verbatim. Member rows
-  // come out of the scorers' tiles; TileDistances is bit-identical to
-  // LpDistance, and the sum keeps its i-outer, j-inner order.
+  // order: the weighted pair sum of the stream's merge rule
+  // (InstallPoolCluster) in member order, not the stream's chunked order.
+  // Member rows come out of the scorers' tiles; TileDistances is
+  // bit-identical to LpDistance, and the sum keeps its i-outer, j-inner
+  // order.
   const AffinityFunction fn(affinity);
   const SimdKernelOps& ops = *ActiveSimdOps();
   std::vector<Scalar> row_a(static_cast<size_t>(dim()));

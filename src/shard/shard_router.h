@@ -17,10 +17,12 @@ using ShardedQueryResponse = QueryResponse;
 /// One cross-shard boundary-cluster pair: two clusters on different shards
 /// whose members share at least one LSH bucket (same table, same key — the
 /// per-shard indices are seeded identically, so keys are comparable), with
-/// the weighted cross density the stream's own merge rule would consult
-/// (InstallPoolCluster's pair sum: sum_ij w_i w_j a(x_i, x_j)). A pair
-/// whose cross_density clears the detector's density threshold is exactly
-/// what a future reconciliation pass would merge.
+/// the weighted cross density of the stream's merge formula
+/// (InstallPoolCluster's pair sum: sum_ij w_i w_j a(x_i, x_j)) summed in
+/// member order. The stream sums the same terms in ParallelSum's
+/// fixed-grain chunk order, so the two can differ in the last bits; a pair
+/// whose cross_density clears the detector's density threshold is what a
+/// future reconciliation pass would merge.
 struct BoundaryPair {
   int shard_a = -1;
   int cluster_a = -1;

@@ -64,17 +64,12 @@ std::vector<ShardSlot> ShardedStream::InsertBatch(
   const Index count = static_cast<Index>(points.size()) / dim_;
   if (count == 0) return {};
   if (shards_.size() == 1) return InsertPartitioned(points, {});
-  // Default keys: the content hash, computed chunk-parallel (pure per
-  // arrival, so the keys — and the partition — never depend on executors).
+  // Default keys: the content hash of each arrival.
   std::vector<uint64_t> keys(static_cast<size_t>(count));
-  ParallelChunks(options_.base.pool, 0, count, /*grain=*/0,
-                 [&](int64_t, int64_t lo, int64_t hi) {
-                   for (int64_t i = lo; i < hi; ++i) {
-                     keys[static_cast<size_t>(i)] = PartitionKey(
-                         points.subspan(static_cast<size_t>(i) * dim_,
-                                        static_cast<size_t>(dim_)));
-                   }
-                 });
+  for (Index i = 0; i < count; ++i) {
+    keys[static_cast<size_t>(i)] = PartitionKey(points.subspan(
+        static_cast<size_t>(i) * dim_, static_cast<size_t>(dim_)));
+  }
   return InsertPartitioned(points, keys);
 }
 
@@ -99,8 +94,7 @@ std::vector<ShardSlot> ShardedStream::InsertPartitioned(
 
   if (num_shards == 1) {
     // The S == 1 contract: bit-identical to — and as cheap as — a plain
-    // OnlineAlid. No keys, no gather/scatter, no cross-shard dispatch; the
-    // inner parallel phases keep the whole pool.
+    // OnlineAlid. No keys, no gather/scatter, no cross-shard dispatch.
     const std::vector<Index> slots = shards_[0]->InsertBatch(points);
     for (Index i = 0; i < count; ++i) {
       result[static_cast<size_t>(i)] =
@@ -120,11 +114,10 @@ std::vector<ShardSlot> ShardedStream::InsertPartitioned(
       flat.insert(flat.end(), row.begin(), row.end());
       positions[static_cast<size_t>(s)].push_back(i);
     }
-    // One chunk per shard: a shard claimed by a pool worker ingests with
-    // its parallel phases degraded to serial (nested-parallelism rule),
-    // one claimed by the caller may keep them parallel — both produce the
-    // same bits, so the schedule never shows in the state. The serial
-    // phases of different shards overlap; that is the whole speedup.
+    // One chunk per shard, the unit of pool work: each shard's batch runs
+    // whole on whichever thread claims it (the caller or a worker), and a
+    // shard's state never depends on which. Different shards' batches
+    // overlap; that is the whole speedup.
     std::vector<std::vector<Index>> shard_slots(
         static_cast<size_t>(num_shards));
     ParallelChunks(options_.base.pool, 0, num_shards, /*grain=*/1,

@@ -14,9 +14,10 @@ namespace alid {
 /// Options of the sharded ingest tier.
 struct ShardedStreamOptions {
   /// Per-shard OnlineAlid configuration (every shard runs the same one —
-  /// affinity/LSH parameters, window, and the *shared* pool; the LSH seed
-  /// in particular makes bucket keys comparable across shards, which is
-  /// what the boundary-cluster report keys on).
+  /// affinity/LSH parameters and window; the LSH seed in particular makes
+  /// bucket keys comparable across shards, which is what the
+  /// boundary-cluster report keys on). base.pool is the pool the shards'
+  /// sub-batches run on.
   OnlineAlidOptions base;
   /// Number of independent OnlineAlid shards, fixed at construction. The
   /// partition of the stream — and therefore every shard's state — is a
@@ -39,20 +40,19 @@ struct ShardSlot {
 /// Hash-partitioned intra-process sharding of the ingest path: S independent
 /// OnlineAlid instances, each owning the arrivals whose partition key hashes
 /// to it, ingesting their per-batch sub-batches concurrently on the shared
-/// pool. One OnlineAlid's batch is a pipeline of parallel *pure* phases
-/// (hashing, absorb scoring) around serial mutation phases (slot alloc,
-/// bucket insert, arrival-order apply) — the serial phases cap its scaling.
-/// Sharding runs S such pipelines at once, so the serial phases of different
-/// shards overlap and ingest scales past the single-stream barrier ceiling.
+/// pool. One OnlineAlid batch runs entirely on the thread that calls it (no
+/// pool dispatch inside a stream batch), so a whole shard's sub-batch is
+/// the unit of pool work: sharding runs S such batches at once, and ingest
+/// scales past what one stream's calling thread can do.
 ///
 /// Determinism contract: the partition rule is a stable content hash
 /// (SplitMix64 over the point's scalar bit patterns, or an explicit caller
 /// key), so which shard owns an arrival — and hence every shard's full
 /// state — is a pure function of (options incl. num_shards, stream). For a
 /// fixed S the result is bit-identical across executor counts and
-/// schedules (each shard's phases inherit the runtime-wide contract;
-/// cross-shard ingest only changes *when* shards run, never what they see),
-/// and S == 1 delegates straight to the single OnlineAlid, bit for bit.
+/// schedules (cross-shard ingest only changes *when* shards run, never what
+/// they see), and S == 1 delegates straight to the single OnlineAlid, bit
+/// for bit.
 ///
 /// Thread-safety: like OnlineAlid, externally synchronized — one ingest
 /// call at a time. Readers query a ShardRouter: the ClusterServer that

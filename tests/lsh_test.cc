@@ -162,7 +162,8 @@ TEST(LshIndexTest, PointQueryOutParamMatchesAllocatingForm) {
   // point's, table by table.
   std::vector<uint64_t> item_keys(static_cast<size_t>(data.size()) * tables);
   for (Index j = 0; j < data.size(); ++j) {
-    lsh.ComputeItemKeys(j, &item_keys[static_cast<size_t>(j) * tables]);
+    lsh.ComputePointKeys(data.data[j],
+                         &item_keys[static_cast<size_t>(j) * tables]);
   }
   std::vector<uint64_t> point_keys(static_cast<size_t>(tables));
   std::vector<Index> out;
@@ -204,7 +205,6 @@ TEST_P(LshRemoveReinsertFuzz, InterleavedRemovalsMatchFreshIndex) {
   const Index n = data.size();
   std::vector<uint8_t> removed(n, 0);
   std::vector<Index> removed_list;
-  std::vector<uint64_t> keys(params.num_tables);
   for (int step = 0; step < 600; ++step) {
     const int op = static_cast<int>(rng.UniformInt(0, 2));
     if (op == 0 || removed_list.empty()) {
@@ -222,8 +222,7 @@ TEST_P(LshRemoveReinsertFuzz, InterleavedRemovalsMatchFreshIndex) {
       const size_t pick = static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(removed_list.size()) - 1));
       const Index target = removed_list[pick];
-      fuzzed.ComputeItemKeys(target, keys.data());
-      fuzzed.InsertItemWithKeys(target, keys);
+      fuzzed.InsertItem(target);
       removed[target] = 0;
       removed_list[pick] = removed_list.back();
       removed_list.pop_back();
@@ -439,17 +438,14 @@ TEST(LshIndexTest, KeysMatchRowMajorReferenceOnEveryIsa) {
                      << " shape=" << tables << "x" << projections);
         const LshIndex eager(rows, params);
         const LshIndex dataset_free(dim, params);
-        std::vector<uint64_t> item_keys(static_cast<size_t>(tables));
         std::vector<uint64_t> point_keys(static_cast<size_t>(tables));
         std::vector<uint64_t> free_keys(static_cast<size_t>(tables));
         for (Index i = 0; i < rows.size(); ++i) {
-          eager.ComputeItemKeys(i, item_keys.data());
           eager.ComputePointKeys(rows[i], point_keys.data());
           dataset_free.ComputePointKeys(rows[i], free_keys.data());
           for (int t = 0; t < tables; ++t) {
             const uint64_t want = reference.Key(t, rows[i]);
             const size_t at = static_cast<size_t>(t);
-            ASSERT_EQ(item_keys[at], want) << "ComputeItemKeys " << i;
             ASSERT_EQ(point_keys[at], want) << "ComputePointKeys " << i;
             ASSERT_EQ(free_keys[at], want) << "dataset-free " << i;
             ASSERT_EQ(eager.ItemKey(t, i), want) << "ItemKey " << i;
@@ -458,6 +454,35 @@ TEST(LshIndexTest, KeysMatchRowMajorReferenceOnEveryIsa) {
       }
     }
   }
+}
+
+TEST(LshIndexTest, InsertedItemsMatchTheEagerIndex) {
+  // The streaming path: rows appended one at a time to a growing dataset
+  // and filed with InsertItem hash, and collide, exactly like the eager
+  // index over the finished dataset.
+  LabeledData data = TightClusters();
+  const LshParams params = DefaultParams(data);
+  Dataset grown(data.data.dim());
+  LshIndex streamed(grown, params);
+  for (Index i = 0; i < data.size(); ++i) {
+    grown.Append(data.data[i]);
+    streamed.InsertItem(i);
+  }
+  const LshIndex eager(data.data, params);
+  ASSERT_EQ(streamed.size(), eager.size());
+  ASSERT_EQ(streamed.live_count(), eager.live_count());
+  for (Index i = 0; i < data.size(); ++i) {
+    for (int t = 0; t < params.num_tables; ++t) {
+      ASSERT_EQ(streamed.ItemKey(t, i), eager.ItemKey(t, i)) << i;
+    }
+    ASSERT_EQ(streamed.QueryByIndex(i), eager.QueryByIndex(i)) << i;
+  }
+}
+
+TEST(LshIndexDeathTest, DatasetFreeIndexNeverInserts) {
+  // The snapshot hasher has no rows to hash.
+  LshIndex hasher(4, LshParams{});
+  EXPECT_DEATH(hasher.InsertItem(0), "data_ != nullptr");
 }
 
 TEST(LshIndexDeathTest, ConstructorsRejectNonPositiveDim) {

@@ -1,8 +1,8 @@
-// Tests of the streaming runtime (windowed, batch-parallel OnlineAlid):
-// bit-identical stream state across executor counts and scheduling
-// disciplines, an executor-independent kernel-evaluation count, and the
-// streaming edge cases (empty window, duplicate inserts, remove-then-
-// reinsert, refresh-interval boundaries).
+// Tests of the streaming runtime (windowed OnlineAlid): bit-identical
+// stream state whatever pool the stream is handed (it posts no job to it),
+// an executor-independent kernel-evaluation count, and the streaming edge
+// cases (empty window, duplicate inserts, remove-then-reinsert,
+// refresh-interval boundaries).
 #include <algorithm>
 #include <memory>
 #include <span>
@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
+#include "shard/sharded_stream.h"
 #include "test_util.h"
 
 namespace alid {
@@ -516,6 +517,51 @@ TEST(StreamTest, RefreshOverExistingClustersIsTheSerialPeel) {
   }
   // Not vacuous: some pass merged into a cluster that predates it.
   EXPECT_GT(merges, 0);
+}
+
+TEST(StreamTest, SingleStreamPostsNoPoolJobs) {
+  // ThreadPool work is whole detections, whole shards and query points: a
+  // stream batch runs on its calling thread, so a stream handed a pool
+  // posts no job to it through absorbs, expiry and forced refreshes that
+  // merge. A 2-shard ShardedStream on the same pool still runs its shards
+  // there.
+  ThreadPool pool(4);
+  LabeledData data = Workload(600, 91, /*overlap=*/true);
+  OnlineAlidOptions opts = Options(data);
+  opts.refresh_interval = data.size() + 1;
+  opts.window = 240;
+  opts.pool = &pool;
+  OnlineAlid online(data.data.dim(), opts);
+  pool.Wait();
+  const int64_t before = pool.tasks_executed();
+  int merges = 0;
+  Rng rng(7);
+  const auto order = rng.Permutation(data.size());
+  for (size_t pos = 0; pos < order.size(); pos += 72) {
+    const size_t count = std::min<size_t>(72, order.size() - pos);
+    InsertInBatches(online, data,
+                    std::span<const Index>(order).subspan(pos, count));
+    ReferencePeel(online, &merges);  // counts the merges Refresh() makes
+    online.Refresh();
+  }
+  pool.Wait();
+  EXPECT_EQ(pool.tasks_executed(), before);
+  EXPECT_GT(online.stats().absorbed, 0);
+  EXPECT_GT(online.stats().evicted, 0);
+  EXPECT_GT(merges, 0);
+
+  ShardedStreamOptions sharded_opts;
+  sharded_opts.base = opts;
+  sharded_opts.num_shards = 2;
+  ShardedStream sharded(data.data.dim(), sharded_opts);
+  std::vector<Scalar> flat;
+  for (Index i = 0; i < 48; ++i) {
+    const auto row = data.data[order[static_cast<size_t>(i)]];
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  sharded.InsertBatch(flat);
+  pool.Wait();
+  EXPECT_GT(pool.tasks_executed(), before);
 }
 
 TEST(StreamTest, BatchInsertMatchesSingleInsertStats) {
