@@ -5,16 +5,11 @@
 //   3. Lazy column oracle vs materializing the full matrix (entries touched).
 //   4. CIVS budget delta sweep: quality/time trade-off.
 //   5. Peeling density threshold tau sweep: precision/recall trade-off.
-//   6. Streaming ingest substrate: serial vs the shared executor pool
-//      (bit-identical state, only wall time moves — a mismatch fails the
-//      benchmark, not just a printout).
+//   6. Streaming ingest: one windowed OnlineAlid run in batches of 128.
 #include "bench_util.h"
 #include "registry.h"
 
-#include <memory>
-
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "data/sift_like.h"
 #include "data/synthetic.h"
@@ -145,65 +140,44 @@ void Run(BenchContext& ctx) {
                 "below the ~0.9 planted densities.\n");
   }
 
-  PrintHeader("6. streaming ingest substrate (windowed OnlineAlid)");
+  PrintHeader("6. streaming ingest (windowed OnlineAlid)");
   {
-    // The same shuffled stream, batched, on no pool vs the shared
-    // work-stealing pool: the batch hash/score phases are the only
-    // parallel parts, so the streamed state is bit-identical and the
-    // wall-time delta isolates the substrate.
+    // The shuffled stream in batches of 128. A single stream runs every
+    // batch on its calling thread and posts no pool job, so one run without
+    // a pool measures it; the row keeps its "mode":"serial" key, which the
+    // trajectory gate pairs rows on.
     LabeledData stream = Workload(ctx.Scaled(1200));
     Rng rng(31);
     const auto order = rng.Permutation(stream.size());
     const int dim = stream.data.dim();
-    auto run = [&](ThreadPool* pool) {
-      OnlineAlidOptions opts;
-      opts.affinity = {.k = stream.suggested_k, .p = 2.0};
-      opts.lsh.segment_length = stream.suggested_lsh_r;
-      opts.window = ctx.Scaled(700);
-      opts.pool = pool;
-      auto online = std::make_unique<OnlineAlid>(dim, opts);
-      std::vector<Scalar> batch;
-      WallTimer timer;
-      for (Index pos = 0; pos < stream.size(); ++pos) {
-        const auto point = stream.data[order[pos]];
-        batch.insert(batch.end(), point.begin(), point.end());
-        if (static_cast<Index>(batch.size()) == 128 * dim) {
-          online->InsertBatch(batch);
-          batch.clear();
-        }
+    OnlineAlidOptions opts;
+    opts.affinity = {.k = stream.suggested_k, .p = 2.0};
+    opts.lsh.segment_length = stream.suggested_lsh_r;
+    opts.window = ctx.Scaled(700);
+    OnlineAlid online(dim, opts);
+    std::vector<Scalar> batch;
+    WallTimer timer;
+    for (Index pos = 0; pos < stream.size(); ++pos) {
+      const auto point = stream.data[order[pos]];
+      batch.insert(batch.end(), point.begin(), point.end());
+      if (static_cast<Index>(batch.size()) == 128 * dim) {
+        online.InsertBatch(batch);
+        batch.clear();
       }
-      if (!batch.empty()) online->InsertBatch(batch);
-      online->Refresh();
-      const double seconds = timer.Seconds();
-      std::printf("  %-22s wall %.3fs  clusters %zu  absorbed %lld  "
-                  "evicted %lld  steals %lld\n",
-                  pool == nullptr ? "serial ingest" : "shared pool (4)",
-                  seconds, online->clusters().size(),
-                  static_cast<long long>(online->stats().absorbed),
-                  static_cast<long long>(online->stats().evicted),
-                  static_cast<long long>(
-                      pool != nullptr ? pool->steal_count() : 0));
-      AppendF(json,
-              "%s{\"ablation\":\"stream_substrate\",\"mode\":\"%s\","
-              "\"wall_seconds\":%.6f,\"clusters\":%zu}",
-              json.back() == '[' ? "" : ",",
-              pool == nullptr ? "serial" : "pooled", seconds,
-              online->clusters().size());
-      return online;
-    };
-    auto serial = run(nullptr);
-    ThreadPool pool(4);
-    auto pooled = run(&pool);
-    const bool identical =
-        serial->clusters().size() == pooled->clusters().size() &&
-        serial->stats().absorbed == pooled->stats().absorbed &&
-        serial->stats().evicted == pooled->stats().evicted;
-    std::printf("  state identical: %s\n",
-                identical ? "yes" : "NO — determinism bug");
-    if (!identical) {
-      ctx.Fail("streaming ingest state diverged between the serial and "
-               "pooled substrates — the determinism contract is broken");
     }
+    if (!batch.empty()) online.InsertBatch(batch);
+    online.Refresh();
+    const double seconds = timer.Seconds();
+    std::printf("  serial ingest  wall %.3fs  clusters %zu  absorbed %lld  "
+                "evicted %lld\n",
+                seconds, online.clusters().size(),
+                static_cast<long long>(online.stats().absorbed),
+                static_cast<long long>(online.stats().evicted));
+    AppendF(json,
+            "%s{\"ablation\":\"stream_substrate\",\"mode\":\"serial\","
+            "\"wall_seconds\":%.6f,\"clusters\":%zu}",
+            json.back() == '[' ? "" : ",", seconds,
+            online.clusters().size());
   }
   json += "]}";
   ctx.EmitJson(json);

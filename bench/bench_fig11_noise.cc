@@ -86,7 +86,7 @@ void SweepNoise(const char* name, const char* dataset,
 void Run(BenchContext& ctx) {
   std::printf("Figure 11: noise resistance — AVG-F vs noise degree "
               "(scale %.2f)\n", ctx.scale());
-  // One shared work-stealing pool under every parallelized baseline: the
+  // One shared executor pool under every parallelized baseline: the
   // sweep measures noise resistance, and every method's output is
   // bit-identical to its serial run, so only wall-clock moves.
   ThreadPool pool(4);

@@ -13,7 +13,7 @@
 //
 // A second section sweeps 1/2/4/8 executors over the *parallelized*
 // baselines (k-means, mean shift, SC-FL, AP, SEA) and PALID, all on one
-// shared work-stealing pool per width — the same-substrate comparison the
+// shared executor pool per width — the same-substrate comparison the
 // scalability literature demands. Every baseline's output is bit-identical
 // across the sweep (tests/baseline_determinism_test.cc), so only wall time
 // moves. The sweep's JSON record carries per-baseline speedup columns for

@@ -18,13 +18,13 @@
 // Every row also carries avg_f: the live window at stream end scored
 // against the planted source of each arrival (ScenarioBatch::source).
 //
-// Each scenario sweeps executors {1, 8} (1 = the serial no-pool path, the
-// same baseline convention as the fig7/stream sweeps), streams the identical
-// batch sequence through OnlineAlid with a sliding window and a chained
-// incremental publish every few batches, and emits one JSON record with a
-// row per executor width. Rows carry the wall/p95 keys bench_compare.py
-// gates and a "speedup" column; they are not marked gate_speedup — a
-// single stream posts no job to its pool, so the rows do the same work.
+// Each scenario streams its batch sequence once through OnlineAlid with a
+// sliding window and a chained incremental publish every few batches, and
+// emits one JSON record with a single row carrying the wall/p95 keys
+// bench_compare.py gates. A single stream runs every batch on its calling
+// thread and posts no pool job, so the run has no pool and no executor
+// axis; the row keeps "executors":1, the key the trajectory gate pairs
+// rows on.
 #include "bench_util.h"
 #include "registry.h"
 #include "scenarios.h"
@@ -32,7 +32,6 @@
 #include <cmath>
 #include <memory>
 
-#include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "serve/cluster_snapshot.h"
 
@@ -40,9 +39,7 @@ namespace alid::bench {
 namespace {
 
 struct ScenarioRun {
-  int executors = 0;
   double wall_seconds = 0.0;
-  double speedup = 0.0;
   double items_per_second = 0.0;
   double p50_batch_seconds = 0.0;
   double p95_batch_seconds = 0.0;
@@ -58,7 +55,6 @@ struct ScenarioRun {
   int64_t rows_reused = 0;
   int64_t clusters_reused = 0;
   int64_t entries_computed = 0;
-  int64_t steals = 0;
   int clusters = 0;
   double avg_f = 0.0;  ///< Live window against the planted sources.
 };
@@ -72,15 +68,11 @@ struct ScenarioSpec {
   std::function<ScenarioBatch(int)> batch;
 };
 
-// Streams the scenario's batch sequence through one OnlineAlid instance on
-// `executors` workers. The batch sequence is identical across the executor
-// axis (the generators are pure in batch_index), so only wall time and
-// scheduling counters may move.
-ScenarioRun StreamScenario(const ScenarioSpec& spec, int executors) {
+// Streams the scenario's batch sequence through one OnlineAlid instance
+// (the generators are pure in batch_index, so every run sees the same
+// batches).
+ScenarioRun StreamScenario(const ScenarioSpec& spec) {
   ScenarioRun run;
-  run.executors = executors;
-  std::unique_ptr<ThreadPool> pool;
-  if (executors > 1) pool = std::make_unique<ThreadPool>(executors);
 
   // Same suggestion convention as the data generators: intra-cluster
   // distance ~ sqrt(2 d) * spread -> affinity ~0.9, LSH segment 3x that.
@@ -91,7 +83,6 @@ ScenarioRun StreamScenario(const ScenarioSpec& spec, int executors) {
   opts.lsh.segment_length = 3.0 * intra;
   opts.refresh_interval = 256;
   opts.window = spec.window;
-  opts.pool = pool.get();
   OnlineAlid online(spec.dim, opts);
 
   std::vector<double> batch_seconds;
@@ -109,7 +100,7 @@ ScenarioRun StreamScenario(const ScenarioSpec& spec, int executors) {
     }
     if ((t + 1) % spec.publish_every == 0 || t + 1 == spec.num_batches) {
       WallTimer publish_timer;
-      snapshot = ClusterSnapshot::FromStream(online, pool.get(), snapshot);
+      snapshot = ClusterSnapshot::FromStream(online, nullptr, snapshot);
       publish_seconds.push_back(publish_timer.Seconds());
       run.rows_reused += snapshot->build_info().rows_reused;
       run.clusters_reused += snapshot->build_info().clusters_reused;
@@ -135,15 +126,14 @@ ScenarioRun StreamScenario(const ScenarioSpec& spec, int executors) {
   run.clusters_born = stats.clusters_born;
   run.clusters_dissolved = stats.clusters_dissolved;
   run.entries_computed = online.oracle().entries_computed();
-  run.steals = pool != nullptr ? pool->steal_count() : 0;
   run.clusters = static_cast<int>(online.clusters().size());
   run.avg_f = sources.LiveAvgF(online);
   return run;
 }
 
-void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
+void AppendRunRow(std::string& json, const ScenarioRun& r) {
   AppendF(json,
-          "%s{\"executors\":%d,\"wall_seconds\":%.6f,\"speedup\":%.4f,"
+          "{\"executors\":1,\"wall_seconds\":%.6f,"
           "\"items_per_second\":%.2f,\"p50_batch_seconds\":%.6f,"
           "\"p95_batch_seconds\":%.6f,\"ingest_p95_seconds\":%.6f,"
           "\"publish_p95_seconds\":%.6f,\"arrivals\":%lld,"
@@ -151,11 +141,9 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
           "\"refreshes\":%lld,\"redetections\":%lld,"
           "\"clusters_born\":%lld,\"clusters_dissolved\":%lld,"
           "\"rows_reused\":%lld,\"clusters_reused\":%lld,"
-          "\"entries_computed\":%lld,\"steals\":%lld,\"clusters\":%d,"
-          "\"avg_f\":%.4f}",
-          first ? "" : ",", r.executors, r.wall_seconds, r.speedup,
-          r.items_per_second, r.p50_batch_seconds, r.p95_batch_seconds,
-          r.p95_batch_seconds, r.publish_p95_seconds,
+          "\"entries_computed\":%lld,\"clusters\":%d,\"avg_f\":%.4f}",
+          r.wall_seconds, r.items_per_second, r.p50_batch_seconds,
+          r.p95_batch_seconds, r.p95_batch_seconds, r.publish_p95_seconds,
           static_cast<long long>(r.arrivals),
           static_cast<long long>(r.absorbed),
           static_cast<long long>(r.pooled),
@@ -166,37 +154,19 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
           static_cast<long long>(r.clusters_dissolved),
           static_cast<long long>(r.rows_reused),
           static_cast<long long>(r.clusters_reused),
-          static_cast<long long>(r.entries_computed),
-          static_cast<long long>(r.steals), r.clusters, r.avg_f);
+          static_cast<long long>(r.entries_computed), r.clusters, r.avg_f);
 }
 
 void PrintRun(const ScenarioRun& r) {
-  std::printf("  execs %-2d  wall %.3fs (x%.2f)  items/s %8.1f  "
+  std::printf("  wall %.3fs  items/s %8.1f  "
               "born %-4lld dissolved %-4lld redetect %-4lld  entries %-9lld "
               "rows_reused %-6lld  clusters %d  avg_f %.3f\n",
-              r.executors, r.wall_seconds, r.speedup, r.items_per_second,
+              r.wall_seconds, r.items_per_second,
               static_cast<long long>(r.clusters_born),
               static_cast<long long>(r.clusters_dissolved),
               static_cast<long long>(r.redetections),
               static_cast<long long>(r.entries_computed),
               static_cast<long long>(r.rows_reused), r.clusters, r.avg_f);
-}
-
-std::vector<ScenarioRun> SweepExecutors(const ScenarioSpec& spec) {
-  std::vector<ScenarioRun> runs;
-  for (int executors : {1, 8}) {
-    ScenarioRun run = StreamScenario(spec, executors);
-    if (runs.empty()) {
-      run.speedup = 1.0;
-    } else {
-      run.speedup = run.wall_seconds > 0.0 && runs.front().wall_seconds > 0.0
-                        ? runs.front().wall_seconds / run.wall_seconds
-                        : 0.0;
-    }
-    PrintRun(run);
-    runs.push_back(run);
-  }
-  return runs;
 }
 
 void RunDrift(BenchContext& ctx) {
@@ -215,7 +185,8 @@ void RunDrift(BenchContext& ctx) {
               "batches (scale %.2f)\n",
               cfg.num_clusters, cfg.drift_per_batch, spec.num_batches,
               ctx.scale());
-  const std::vector<ScenarioRun> runs = SweepExecutors(spec);
+  const ScenarioRun run = StreamScenario(spec);
+  PrintRun(run);
   std::printf("Expected shape: clusters_born stays at the planted cluster "
               "count and clusters_dissolved near 0 — each batch's warm "
               "re-detection follows a walking cluster from its own optimum "
@@ -228,9 +199,7 @@ void RunDrift(BenchContext& ctx) {
           "\"rows\":[",
           cfg.num_clusters, cfg.drift_per_batch, spec.num_batches,
           spec.window);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    AppendRunRow(json, runs[i], i == 0);
-  }
+  AppendRunRow(json, run);
   json += "]}";
   ctx.EmitJson(json);
 }
@@ -252,7 +221,8 @@ void RunBurst(BenchContext& ctx) {
               "period %d, %d batches (scale %.2f)\n",
               cfg.num_slots, cfg.num_storms, cfg.lifetime, cfg.period,
               spec.num_batches, ctx.scale());
-  const std::vector<ScenarioRun> runs = SweepExecutors(spec);
+  const ScenarioRun run = StreamScenario(spec);
+  PrintRun(run);
   std::printf("Expected shape: births and dissolutions arrive in storms; "
               "rows_reused collapses at storm publishes (nearly every "
               "cluster changed) and recovers between them.\n");
@@ -263,9 +233,7 @@ void RunBurst(BenchContext& ctx) {
           "\"window\":%d,\"rows\":[",
           cfg.num_slots, cfg.period, cfg.lifetime, cfg.num_storms,
           spec.num_batches, spec.window);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    AppendRunRow(json, runs[i], i == 0);
-  }
+  AppendRunRow(json, run);
   json += "]}";
   ctx.EmitJson(json);
 }
@@ -284,7 +252,8 @@ void RunHeavyTail(BenchContext& ctx) {
               cfg.zipf_exponent, cfg.num_clusters,
               HeavyTailClusterProbability(cfg, 0), spec.num_batches,
               ctx.scale());
-  const std::vector<ScenarioRun> runs = SweepExecutors(spec);
+  const ScenarioRun run = StreamScenario(spec);
+  PrintRun(run);
   std::printf("Expected shape: the head cluster draws most arrivals, but "
               "a batch's arrivals coalesce into one warm re-detection per "
               "touched cluster, so redetections track touched clusters per "
@@ -296,9 +265,7 @@ void RunHeavyTail(BenchContext& ctx) {
           "\"num_batches\":%d,\"window\":%d,\"rows\":[",
           cfg.num_clusters, cfg.zipf_exponent,
           HeavyTailClusterProbability(cfg, 0), spec.num_batches, spec.window);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    AppendRunRow(json, runs[i], i == 0);
-  }
+  AppendRunRow(json, run);
   json += "]}";
   ctx.EmitJson(json);
 }
@@ -318,7 +285,8 @@ void RunEmbedding(BenchContext& ctx) {
               "%d ambient dims, anisotropy %.1fx, %d batches (scale %.2f)\n",
               cfg.num_clusters, cfg.manifold_dim, cfg.dim, cfg.anisotropy,
               spec.num_batches, ctx.scale());
-  const std::vector<ScenarioRun> runs = SweepExecutors(spec);
+  const ScenarioRun run = StreamScenario(spec);
+  PrintRun(run);
   std::printf("Expected shape: LSH bucket occupancy skews along the wide "
               "manifold axes, so the absorbed/pooled split behaves unlike "
               "the isotropic synthetic regimes at the same arrival rate.\n");
@@ -330,20 +298,18 @@ void RunEmbedding(BenchContext& ctx) {
           "\"rows\":[",
           cfg.dim, cfg.manifold_dim, cfg.num_clusters, cfg.anisotropy,
           cfg.ambient_noise, spec.num_batches, spec.window);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    AppendRunRow(json, runs[i], i == 0);
-  }
+  AppendRunRow(json, run);
   json += "]}";
   ctx.EmitJson(json);
 }
 
-ALID_BENCHMARK("scenario_drift", "scenario,stream,speedup", "scenario_drift",
+ALID_BENCHMARK("scenario_drift", "scenario,stream", "scenario_drift",
                RunDrift);
-ALID_BENCHMARK("scenario_burst", "scenario,stream,speedup", "scenario_burst",
+ALID_BENCHMARK("scenario_burst", "scenario,stream", "scenario_burst",
                RunBurst);
-ALID_BENCHMARK("scenario_heavy_tail", "scenario,stream,speedup",
+ALID_BENCHMARK("scenario_heavy_tail", "scenario,stream",
                "scenario_heavy_tail", RunHeavyTail);
-ALID_BENCHMARK("scenario_embedding", "scenario,stream,speedup",
+ALID_BENCHMARK("scenario_embedding", "scenario,stream",
                "scenario_embedding", RunEmbedding);
 
 }  // namespace

@@ -6,7 +6,7 @@
 // snapshots along the way, and then hammers the final snapshot with a mixed
 // query stream (jittered cluster points + far noise). The sweep crosses
 // query batch size {1, 64} with executors {1, 8} on one shared
-// work-stealing pool and reports QPS and p50/p95/p99 per-query latency; a
+// executor pool and reports QPS and p50/p95/p99 per-query latency; a
 // "swap" row re-runs the batched-parallel configuration while a publisher
 // thread hot-swaps the intermediate snapshots underneath the readers — the
 // snapshot-isolation cost under churn — and an "asof" row addresses a

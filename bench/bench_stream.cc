@@ -1,16 +1,13 @@
 // Streaming ingest — the windowed OnlineAlid (the paper's Section-6
 // future-work direction grown into a served workload).
 //
-// Sweeps arrival rate (batch size) × sliding-window size × executors
-// {1, 2, 4, 8}: each configuration streams the same shuffled workload
-// through OnlineAlid on a work-stealing pool of that width (the 1-executor
-// row runs the serial no-pool path — the same baseline convention as the
-// fig7 parallel sweep) and reports ingest throughput, p50/p95 per-batch
-// latency, and the stream counters (absorbed / pooled / evicted /
-// refreshes / redetections). A single stream posts no job to its pool (a
-// batch runs on the calling thread), so the streamed state and the work
-// are the same on every row of the executor axis; only noise moves the
-// wall-clock columns.
+// Sweeps arrival rate (batch size) × sliding-window size: each
+// configuration streams the same shuffled workload through OnlineAlid once
+// and reports ingest throughput, p50/p95 per-batch latency, and the stream
+// counters (absorbed / pooled / evicted / refreshes / redetections). A
+// single stream runs every batch on its calling thread and posts no pool
+// job, so there is no executor axis: each row runs without a pool and
+// carries "executors":1, the key the trajectory gate pairs rows on.
 //
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
@@ -23,7 +20,6 @@
 #include <string>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
 #include "obs/trace.h"
@@ -35,19 +31,16 @@ namespace {
 struct StreamRow {
   Index batch;
   Index window;
-  int executors;
   double wall_seconds = 0.0;
   double items_per_second = 0.0;
   double p50_batch_seconds = 0.0;
   double p95_batch_seconds = 0.0;  // == ingest_p95_seconds (both emitted)
-  double speedup = 0.0;  // vs the 1-executor row of the same (batch, window)
   // Stdout-table and derived columns only — the full counter set reaches
   // the JSON through registry_fields below.
   int64_t absorbed = 0;
   int64_t evicted = 0;
   int64_t redetections = 0;
   int64_t entries_computed = 0;  // the stream oracle's kernel evaluations
-  int64_t steals = 0;
   int clusters = 0;
   double avg_f = 0.0;  // live window against the planted bursts, at ingest end
   // Publish phase (measured outside the ingest wall): steady-state
@@ -102,21 +95,16 @@ std::vector<int> ArrivalSources(const LabeledData& data,
 StreamRow RunStream(const LabeledData& data,
                     const std::vector<Scalar>& arrivals,
                     const std::vector<int>& arrival_sources, Index batch,
-                    Index window, int executors) {
+                    Index window) {
   StreamRow row;
   row.batch = batch;
   row.window = window;
-  row.executors = executors;
-
-  std::unique_ptr<ThreadPool> pool;
-  if (executors > 1) pool = std::make_unique<ThreadPool>(executors);
 
   OnlineAlidOptions opts;
   opts.affinity = {.k = data.suggested_k, .p = 2.0};
   opts.lsh.segment_length = data.suggested_lsh_r;
   opts.refresh_interval = 256;
   opts.window = window;
-  opts.pool = pool.get();
   OnlineAlid online(data.data.dim(), opts);
 
   const int dim = data.data.dim();
@@ -151,7 +139,6 @@ StreamRow RunStream(const LabeledData& data,
   row.evicted = stats.evicted;
   row.redetections = stats.redetections;
   row.entries_computed = online.oracle().entries_computed();
-  row.steals = pool != nullptr ? pool->steal_count() : 0;
   row.clusters = static_cast<int>(online.clusters().size());
 
   // Publish phase, measured outside the ingest wall: a steady-state tail of
@@ -175,7 +162,7 @@ StreamRow RunStream(const LabeledData& data,
     }
     online.InsertBatch(flat);
     WallTimer publish_timer;
-    snapshot = ClusterSnapshot::FromStream(online, pool.get(), snapshot);
+    snapshot = ClusterSnapshot::FromStream(online, nullptr, snapshot);
     publish_seconds.push_back(publish_timer.Seconds());
     row.rows_reused += snapshot->build_info().rows_reused;
     row.clusters_reused += snapshot->build_info().clusters_reused;
@@ -189,14 +176,13 @@ StreamRow RunStream(const LabeledData& data,
 }
 
 void PrintRow(const StreamRow& r) {
-  std::printf("%-6d %-7d %-6d %-9.3f %-9.2f %-8.1f %-10.4f %-10.4f "
-              "%-8lld %-8lld %-9lld %-9lld %.3f\n",
-              r.batch, r.window, r.executors, r.wall_seconds, r.speedup,
-              r.items_per_second, r.p50_batch_seconds, r.p95_batch_seconds,
+  std::printf("%-6d %-7d %-9.3f %-8.1f %-10.4f %-10.4f %-8lld %-8lld "
+              "%-9lld %.3f\n",
+              r.batch, r.window, r.wall_seconds, r.items_per_second,
+              r.p50_batch_seconds, r.p95_batch_seconds,
               static_cast<long long>(r.absorbed),
               static_cast<long long>(r.evicted),
-              static_cast<long long>(r.redetections),
-              static_cast<long long>(r.steals), r.avg_f);
+              static_cast<long long>(r.redetections), r.avg_f);
 }
 
 void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
@@ -216,20 +202,18 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
     const StreamRow& r = rows[i];
     AppendF(
         json,
-        "%s{\"batch\":%d,\"window\":%d,\"executors\":%d,"
-        "\"wall_seconds\":%.6f,\"speedup\":%.4f,\"items_per_second\":%.2f,"
+        "%s{\"batch\":%d,\"window\":%d,\"executors\":1,"
+        "\"wall_seconds\":%.6f,\"items_per_second\":%.2f,"
         "\"p50_batch_seconds\":%.6f,\"p95_batch_seconds\":%.6f,"
         "\"ingest_p95_seconds\":%.6f,\"publish_p95_seconds\":%.6f,"
         "\"rows_reused\":%lld,\"clusters_reused\":%lld,"
-        "\"entries_computed\":%lld,\"steals\":%lld,\"clusters\":%d,"
-        "\"avg_f\":%.4f,%s}",
-        i == 0 ? "" : ",", r.batch, r.window, r.executors, r.wall_seconds,
-        r.speedup, r.items_per_second, r.p50_batch_seconds,
+        "\"entries_computed\":%lld,\"clusters\":%d,\"avg_f\":%.4f,%s}",
+        i == 0 ? "" : ",", r.batch, r.window, r.wall_seconds,
+        r.items_per_second, r.p50_batch_seconds,
         r.p95_batch_seconds, r.p95_batch_seconds, r.publish_p95_seconds,
         static_cast<long long>(r.rows_reused),
         static_cast<long long>(r.clusters_reused),
-        static_cast<long long>(r.entries_computed),
-        static_cast<long long>(r.steals), r.clusters, r.avg_f,
+        static_cast<long long>(r.entries_computed), r.clusters, r.avg_f,
         r.registry_fields.c_str());
   }
   json += "]}";
@@ -237,8 +221,8 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
 }
 
 void Run(BenchContext& ctx) {
-  std::printf("Streaming ingest: batch x window x executors sweep "
-              "(scale %.2f)\n", ctx.scale());
+  std::printf("Streaming ingest: batch x window sweep (scale %.2f)\n",
+              ctx.scale());
   SyntheticConfig cfg;
   cfg.n = ctx.Scaled(1600);
   cfg.dim = 16;
@@ -273,7 +257,7 @@ void Run(BenchContext& ctx) {
     obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
     const bool was_enabled = recorder.enabled();
     const auto ingest_wall = [&] {
-      return RunStream(data, arrivals, sources, 256, 0, 1).wall_seconds;
+      return RunStream(data, arrivals, sources, 256, 0).wall_seconds;
     };
     recorder.Disable();
     trace_base_seconds = ingest_wall();
@@ -299,35 +283,21 @@ void Run(BenchContext& ctx) {
   for (Index window : windows) {
     PrintHeader(window == 0 ? "unbounded stream (window = 0)"
                             : "sliding window");
-    std::printf("%-6s %-7s %-6s %-9s %-9s %-8s %-10s %-10s %-8s %-8s "
-                "%-9s %-9s %s\n",
-                "batch", "window", "execs", "wall(s)", "speedup", "items/s",
-                "p50(s)", "p95(s)", "absorb", "evict", "redetect", "steals",
-                "avg_f");
+    std::printf("%-6s %-7s %-9s %-8s %-10s %-10s %-8s %-8s %-9s %s\n",
+                "batch", "window", "wall(s)", "items/s", "p50(s)", "p95(s)",
+                "absorb", "evict", "redetect", "avg_f");
     for (Index batch : batches) {
-      double base_wall = 0.0;
-      for (int executors : {1, 2, 4, 8}) {
-        StreamRow row =
-            RunStream(data, arrivals, sources, batch, window, executors);
-        if (executors == 1) {
-          base_wall = row.wall_seconds;
-          row.speedup = 1.0;
-        } else {
-          row.speedup = row.wall_seconds > 0.0 && base_wall > 0.0
-                            ? base_wall / row.wall_seconds
-                            : 0.0;
-        }
-        PrintRow(row);
-        rows.push_back(row);
-      }
+      StreamRow row = RunStream(data, arrivals, sources, batch, window);
+      PrintRow(row);
+      rows.push_back(row);
     }
   }
 
-  std::printf("\nExpected shape: the streamed state is bit-identical down "
-              "the executor column (only wall time moves); larger batches "
-              "amortize the parallel hash/score phases, and the window "
-              "bounds evictions — and with them the index "
-              "footprint — independent of stream length. The publish columns "
+  std::printf("\nExpected shape: larger batches coalesce more arrivals "
+              "into each warm re-detection of a touched cluster, and the "
+              "window bounds "
+              "evictions — and with them the index footprint — "
+              "independent of stream length. The publish columns "
               "time the incremental snapshot export over a steady-state "
               "tail: rows_reused > 0 is the proof the publish path pays "
               "O(changed clusters), not O(window).\n");
@@ -335,7 +305,7 @@ void Run(BenchContext& ctx) {
                  trace_wall_seconds, trace_overhead_ratio);
 }
 
-ALID_BENCHMARK("stream", "runtime,stream,speedup", "stream", Run);
+ALID_BENCHMARK("stream", "runtime,stream", "stream", Run);
 
 }  // namespace
 }  // namespace alid::bench

@@ -2,17 +2,16 @@
 //
 // Runs PALID on a SIFT-like workload with 1/2/4/8 executors and reports wall
 // time (the median of kRunsPerRow runs), the speedup ratio against 1
-// executor, the aggregate map-task time, executor steal counts and the
-// kernel-evaluation count (`entries`: each unordered pair once per
-// detection, never the diagonal). PALID's map skips a seed that a kept
-// cluster of an earlier wave holds, so `entries` counts the detected seeds
-// only (`num_tasks` of `num_seeds` in the JSON record); the waves do not
-// depend on the executors, so it is still identical at every executor
-// count. On the paper's 8-core Spark cluster the speedup reaches 7.51 at 8
-// executors; on this host the wall-clock speedup saturates at the physical
-// core count, so the aggregate-task-time / wall-time ratio is also printed —
-// it shows the realized concurrency of the executor pool independent of the
-// hardware.
+// executor, the aggregate map-task time and the kernel-evaluation count
+// (`entries`: each unordered pair once per detection, never the diagonal).
+// PALID's map skips a seed that a kept cluster of an earlier wave holds, so
+// `entries` counts the detected seeds only (`num_tasks` of `num_seeds` in
+// the JSON record); the waves do not depend on the executors, so it is
+// still identical at every executor count. On the paper's 8-core Spark
+// cluster the speedup reaches 7.51 at 8 executors; on this host the
+// wall-clock speedup saturates at the physical core count, so the
+// aggregate-task-time / wall-time ratio is also printed — it shows the
+// realized concurrency of the executor pool independent of the hardware.
 //
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
@@ -73,10 +72,9 @@ SweepRow RunRow(const LabeledData& data, const LshIndex& lsh,
 
 void PrintRow(const SweepRow& row) {
   std::printf(
-      "%-11s %-6d %-10.3f %-9.2f %-12.3f %-7.2f %-8lld %-10lld %-8.3f\n",
+      "%-11s %-6d %-10.3f %-9.2f %-12.3f %-7.2f %-10lld %-8.3f\n",
       "PALID", row.executors, row.stats.wall_seconds, row.speedup,
       row.stats.total_task_seconds, row.concurrency,
-      static_cast<long long>(row.stats.steals),
       static_cast<long long>(row.stats.entries_computed), row.avg_f);
 }
 
@@ -90,12 +88,10 @@ void EmitSweepJson(BenchContext& ctx, const std::vector<SweepRow>& rows,
         json,
         "%s{\"method\":\"PALID\",\"executors\":%d,\"wall_seconds\":%.6f,"
         "\"speedup\":%.4f,\"gate_speedup\":true,\"task_seconds\":%.6f,"
-        "\"concurrency\":%.4f,"
-        "\"steals\":%lld,\"entries_computed\":%lld,"
+        "\"concurrency\":%.4f,\"entries_computed\":%lld,"
         "\"num_seeds\":%d,\"num_tasks\":%d,\"avg_f\":%.4f}",
         i == 0 ? "" : ",", r.executors, r.stats.wall_seconds, r.speedup,
         r.stats.total_task_seconds, r.concurrency,
-        static_cast<long long>(r.stats.steals),
         static_cast<long long>(r.stats.entries_computed),
         r.stats.num_seeds, r.stats.num_tasks, r.avg_f);
   }
@@ -118,9 +114,9 @@ void Run(BenchContext& ctx) {
   AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
   LshIndex lsh(data.data, MakeLshParams(data));
 
-  PrintHeader("executors sweep (work-stealing pool, stateless oracle)");
-  std::printf("%-11s %-6s %-10s %-9s %-12s %-7s %-8s %-10s %-8s\n", "method",
-              "execs", "wall(s)", "speedup", "task-sum(s)", "conc.", "steals",
+  PrintHeader("executors sweep (FIFO executor pool, stateless oracle)");
+  std::printf("%-11s %-6s %-10s %-9s %-12s %-7s %-10s %-8s\n", "method",
+              "execs", "wall(s)", "speedup", "task-sum(s)", "conc.",
               "entries", "AVG-F");
   std::vector<SweepRow> rows;
   double base_wall = 0.0;

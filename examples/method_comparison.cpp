@@ -23,7 +23,7 @@
 int main() {
   using namespace alid;
 
-  // One shared work-stealing pool drives every parallelized hot loop below;
+  // One shared executor pool drives every parallelized hot loop below;
   // each method's output is bit-identical to its serial run.
   ThreadPool pool(4);
 

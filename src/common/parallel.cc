@@ -12,7 +12,7 @@ namespace {
 
 /// Default chunk count when the caller does not pin a grain. 64 mirrors
 /// PALID's auto chunking: coarse enough to amortize pool overhead, fine
-/// enough that 8 executors still steal productively.
+/// enough that 8 executors still share the work evenly.
 constexpr int64_t kDefaultChunks = 64;
 
 }  // namespace

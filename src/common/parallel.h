@@ -24,7 +24,7 @@ class ThreadPool;
 
 /// The chunk grain actually used for a range: `grain` clamped to [1, range]
 /// when positive, otherwise the range split into about kDefaultChunks chunks
-/// (enough stealing slack for any plausible executor width).
+/// (enough balancing slack for any plausible executor width).
 int64_t DeterministicGrain(int64_t range, int64_t grain);
 
 /// Number of chunks the range decomposes into under DeterministicGrain.

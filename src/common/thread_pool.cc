@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 #include "common/check.h"
 
@@ -8,30 +10,24 @@ namespace alid {
 
 namespace {
 
-// Identity of the current thread within a pool, so Post() can route a
-// worker's own submissions to its own deque and ParallelFor can reject
+// The pool the current thread works for, so ParallelFor can reject
 // re-entrant calls that would deadlock.
 thread_local const ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker_index = -1;
 
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   ALID_CHECK(num_threads > 0);
-  queues_.reserve(num_threads);
-  for (int i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    shutdown_.store(true);
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
   }
   work_available_.notify_all();
   for (auto& w : workers_) w.join();
@@ -39,82 +35,48 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::CalledFromWorker() const { return tls_pool == this; }
 
+int64_t ThreadPool::tasks_executed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return executed_;
+}
+
+int64_t ThreadPool::queue_depth() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int64_t>(jobs_.size());
+}
+
 void ThreadPool::Post(std::function<void()> job) {
-  ALID_CHECK_MSG(!shutdown_.load(), "Post after shutdown");
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  const size_t q = (tls_pool == this && tls_worker_index >= 0)
-                       ? static_cast<size_t>(tls_worker_index)
-                       : next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                             queues_.size();
   {
-    std::lock_guard<std::mutex> lock(queues_[q]->mu);
-    queues_[q]->jobs.push_back(std::move(job));
+    std::lock_guard<std::mutex> lock(mu_);
+    ALID_CHECK_MSG(!shutdown_, "Post after shutdown");
+    jobs_.push_back(std::move(job));
+    ++pending_;
   }
-  // unclaimed_ rises only after the job is findable in a deque, so a worker
-  // whose wait predicate sees it > 0 never busy-spins over empty queues.
-  unclaimed_.fetch_add(1, std::memory_order_release);
-  // Empty critical section pairs with the sleep predicate: a worker that read
-  // unclaimed_ == 0 has either not yet blocked (it will re-read under the
-  // lock) or is blocked and will receive the notify.
-  { std::lock_guard<std::mutex> lock(sleep_mu_); }
   work_available_.notify_one();
 }
 
-bool ThreadPool::TryRunOne(int self) {
-  std::function<void()> job;
-  bool stolen = false;
-  const int nq = static_cast<int>(queues_.size());
-  {
-    // Own deque first, newest job (cache-hot LIFO).
-    WorkerQueue& own = *queues_[self];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.jobs.empty()) {
-      job = std::move(own.jobs.back());
-      own.jobs.pop_back();
-    }
-  }
-  if (!job) {
-    for (int off = 1; off < nq && !job; ++off) {
-      WorkerQueue& victim = *queues_[(self + off) % nq];
-      std::lock_guard<std::mutex> lock(victim.mu);
-      if (!victim.jobs.empty()) {
-        job = std::move(victim.jobs.front());
-        victim.jobs.pop_front();
-        stolen = true;
-      }
-    }
-  }
-  if (!job) return false;
-
-  unclaimed_.fetch_sub(1, std::memory_order_acquire);
-  if (stolen) steals_.fetch_add(1, std::memory_order_relaxed);
-  job();
-  executed_.fetch_add(1, std::memory_order_relaxed);
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    all_done_.notify_all();
-  }
-  return true;
-}
-
-void ThreadPool::WorkerLoop(int index) {
+void ThreadPool::WorkerLoop() {
   tls_pool = this;
-  tls_worker_index = index;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (TryRunOne(index)) continue;
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    work_available_.wait(lock, [this] {
-      return shutdown_.load() || unclaimed_.load(std::memory_order_acquire) > 0;
-    });
-    if (shutdown_.load() && unclaimed_.load() == 0) return;
+    work_available_.wait(lock, [this] { return shutdown_ || !jobs_.empty(); });
+    // Shutdown drains the queue first.
+    if (jobs_.empty()) return;
+    {
+      std::function<void()> job = std::move(jobs_.front());
+      jobs_.pop_front();
+      lock.unlock();
+      job();
+    }  // the job's captures are released outside the lock
+    lock.lock();
+    ++executed_;
+    if (--pending_ == 0) all_done_.notify_all();
   }
 }
 
 void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(sleep_mu_);
-  all_done_.wait(lock, [this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
+  std::unique_lock<std::mutex> lock(mu_);
+  all_done_.wait(lock, [this] { return pending_ == 0; });
 }
 
 void ThreadPool::ParallelFor(
@@ -168,8 +130,6 @@ void ThreadPool::ParallelFor(
 void ThreadPool::RegisterMetrics(obs::MetricsRegistry* registry,
                                  const std::string& prefix) const {
   ALID_CHECK(registry != nullptr);
-  registry->AddCallbackGauge(prefix + "_steals",
-                             [this] { return steal_count(); });
   registry->AddCallbackGauge(prefix + "_tasks_executed",
                              [this] { return tasks_executed(); });
   registry->AddCallbackGauge(prefix + "_queue_depth",

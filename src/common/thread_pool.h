@@ -1,12 +1,10 @@
 #ifndef ALID_COMMON_THREAD_POOL_H_
 #define ALID_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -15,14 +13,12 @@
 
 namespace alid {
 
-/// A fixed-size work-stealing worker pool. PALID's "executors" (Table 2)
-/// map onto these workers: every map task (one ALID run per seed chunk) is a
-/// job, and the reduce stage runs after Wait(). Every worker owns a deque;
-/// external submissions are spread round-robin, and a worker's own
-/// submissions go to its own deque, popped LIFO while still cache-hot. A
-/// worker out of local work steals the *oldest* job of a peer (oldest jobs
-/// are the largest remaining chunks under ParallelFor's splitting, so steals
-/// amortize well). Jobs may be posted from any thread.
+/// A fixed-size worker pool over one FIFO job queue. PALID's "executors"
+/// (Table 2) map onto these workers: every map task (one detection) is a
+/// job, and the reduce stage runs after Wait(). Jobs are coarse (whole
+/// detections, whole shards, chunks of query points) and no job posts
+/// subtasks on the hot path, so the workers take them from one
+/// mutex-guarded deque in posting order. Jobs may be posted from any thread.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -56,50 +52,33 @@ class ThreadPool {
   /// that shares the same pool).
   bool CalledFromWorker() const;
 
-  /// Jobs executed by a worker other than the one they were queued on.
-  int64_t steal_count() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: read by the repository benchmark; removed at its next revision.
+  int64_t steal_count() const { return 0; }
   /// Total jobs executed since construction.
-  int64_t tasks_executed() const {
-    return executed_.load(std::memory_order_relaxed);
-  }
-  /// Jobs posted but not yet popped by any worker — the instantaneous
+  int64_t tasks_executed() const;
+  /// Jobs posted but not yet taken by any worker — the instantaneous
   /// backlog (a saturation gauge, not a throughput counter).
-  int64_t queue_depth() const {
-    return unclaimed_.load(std::memory_order_relaxed);
-  }
+  int64_t queue_depth() const;
 
-  /// Registers `<prefix>_steals` / `<prefix>_tasks_executed` /
-  /// `<prefix>_queue_depth` callback gauges on `registry`. The pool must
-  /// outlive every Snapshot()/export of that registry — in practice pools
-  /// are declared before (so destroyed after) the stream/server whose
-  /// per-instance registry reads them.
+  /// Registers `<prefix>_tasks_executed` / `<prefix>_queue_depth` callback
+  /// gauges on `registry`. The pool must outlive every Snapshot()/export of
+  /// that registry — in practice pools are declared before (so destroyed
+  /// after) the server whose per-instance registry reads them.
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) const;
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> jobs;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(int index);
-  /// Pops and runs one job (own deque first, then steal). False if none.
-  bool TryRunOne(int self);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex sleep_mu_;
+  mutable std::mutex mu_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
-  std::atomic<int64_t> pending_{0};    // posted, not yet finished
-  std::atomic<int64_t> unclaimed_{0};  // posted, not yet popped
-  std::atomic<int64_t> steals_{0};
-  std::atomic<int64_t> executed_{0};
-  std::atomic<uint64_t> next_queue_{0};
-  std::atomic<bool> shutdown_{false};
+  std::deque<std::function<void()>> jobs_;  // guarded by mu_
+  int64_t pending_ = 0;    // posted, not yet finished; guarded by mu_
+  int64_t executed_ = 0;   // guarded by mu_
+  bool shutdown_ = false;  // guarded by mu_
+  // Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace alid

@@ -27,7 +27,6 @@ struct PalidCounters {
   obs::Counter* seeds;
   obs::Counter* tasks;
   obs::Counter* clusters;
-  obs::Counter* steals;
   obs::Counter* entries_computed;
 };
 
@@ -39,7 +38,6 @@ PalidCounters& GlobalPalidCounters() {
     c->seeds = r.AddCounter("palid_seeds");
     c->tasks = r.AddCounter("palid_tasks");
     c->clusters = r.AddCounter("palid_clusters");
-    c->steals = r.AddCounter("palid_steals");
     c->entries_computed = r.AddCounter("palid_entries_computed");
     return c;
   }();
@@ -131,7 +129,6 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
   std::vector<double> task_seconds;
   std::vector<Index> task_seeds;
   std::vector<int> task_waves;
-  int64_t steals = 0;
   {
     ALID_TRACE_SCOPE("palid", "map");
     // An external pool (options.pool) lets benches run PALID and the
@@ -144,7 +141,6 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
       owned = std::make_unique<ThreadPool>(options_.num_executors);
       pool = owned.get();
     }
-    const int64_t steals_before = pool->steal_count();
     std::vector<int> wave;
     for (int lo = 0; lo < num_seeds; lo += kWaveSize) {
       // A wave's membership depends only on the visiting order and on the
@@ -182,7 +178,6 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
         }
       }
     }
-    steals = pool->steal_count() - steals_before;
   }
 
   // Reduce: each item goes to its maximum-density containing cluster (the
@@ -214,7 +209,6 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
   totals.seeds->Add(num_seeds);
   totals.tasks->Add(num_tasks);
   totals.clusters->Add(static_cast<int64_t>(result.clusters.size()));
-  totals.steals->Add(steals);
   totals.entries_computed->Add(run_entries);
 
   if (stats != nullptr) {
@@ -223,7 +217,6 @@ DetectionResult Palid::Detect(PalidStats* stats) const {
     stats->wall_seconds = wall.Seconds();
     stats->total_task_seconds =
         std::accumulate(task_seconds.begin(), task_seconds.end(), 0.0);
-    stats->steals = steals;
     stats->entries_computed = run_entries;
     stats->task_seconds = std::move(task_seconds);
     stats->task_seeds = std::move(task_seeds);

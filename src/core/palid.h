@@ -33,8 +33,8 @@ struct PalidOptions {
 
 /// Statistics of one PALID run, for the Table 2 harness: wall time, the
 /// aggregate busy time across map tasks (whose ratio to wall time shows the
-/// realized parallelism even on machines with few physical cores), executor
-/// steal counts, kernel evaluations, and the per-detection busy times.
+/// realized parallelism even on machines with few physical cores), kernel
+/// evaluations, and the per-detection busy times.
 struct PalidStats {
   /// Sampled seeds, skipped ones included.
   int num_seeds = 0;
@@ -43,8 +43,7 @@ struct PalidStats {
   int num_tasks = 0;
   double wall_seconds = 0.0;
   double total_task_seconds = 0.0;
-  /// Map tasks executed by an executor other than the one they were queued
-  /// on.
+  /// Always 0: read by the repository benchmark; removed at its next revision.
   int64_t steals = 0;
   /// Kernel evaluations performed during this run (the Table 1 count).
   /// Every detection is pure and the waves do not depend on the executors,
@@ -64,9 +63,9 @@ struct PalidStats {
 };
 
 /// Parallel ALID. The map stage runs Algorithm 2 from the sampled seeds on a
-/// work-stealing thread pool (one task per detection, executors = workers);
-/// the reduce stage assigns each data item to the containing cluster of
-/// maximum density, exactly as Algorithm 3's reducer does.
+/// FIFO thread pool (one task per detection, executors = workers); the
+/// reduce stage assigns each data item to the containing cluster of maximum
+/// density, exactly as Algorithm 3's reducer does.
 ///
 /// The map peels in waves, the parallel form of serial ALID's peel (Section
 /// 4.4): it visits the seeds in a hashed order, a fixed number per wave, and
@@ -86,7 +85,7 @@ class Palid {
   /// run, deduplicated by the reduce rule; apply Filtered() for the
   /// paper's density cut. Besides the optional per-run PalidStats, every
   /// call accumulates its totals onto the global metrics registry's
-  /// `palid_*` counters (runs/seeds/tasks/clusters/steals/entries_computed)
+  /// `palid_*` counters (runs/seeds/tasks/clusters/entries_computed)
   /// and emits "palid" detect/map/reduce trace spans.
   DetectionResult Detect(PalidStats* stats = nullptr) const;
 

@@ -90,8 +90,7 @@ void TraceRecorder::Enable(const ObsOptions& options) {
       }
     }
   }
-  trace_internal::g_trace_enabled.store(options.trace_enabled,
-                                        std::memory_order_relaxed);
+  trace_internal::g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
 void TraceRecorder::Disable() {

@@ -11,7 +11,6 @@ namespace alid::obs {
 /// at process start when the ALID_TRACE environment variable is set to
 /// anything but "" or "0".
 struct ObsOptions {
-  bool trace_enabled = true;
   /// Per-thread ring capacity in events; when a thread's ring is full the
   /// oldest events are overwritten (drop-oldest) and the drop is counted
   /// (trace_dropped_events in MetricsRegistry::Global()). 16384 events ≈

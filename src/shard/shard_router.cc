@@ -30,13 +30,12 @@ uint64_t ShardRouter::PublishFromStream(const ShardedStream& stream) {
   // Per-shard incremental exports, concurrently — each chains against the
   // shard's previously exported snapshot, so a steady-state publish costs
   // only each shard's changed bytes.
-  ThreadPool* pool = options().pool;
-  ParallelChunks(pool, 0, num_shards_, /*grain=*/1,
+  ParallelChunks(options().pool, 0, num_shards_, /*grain=*/1,
                  [&](int64_t, int64_t lo, int64_t hi) {
                    for (int64_t s = lo; s < hi; ++s) {
                      const auto idx = static_cast<size_t>(s);
                      next->shards[idx] = ClusterSnapshot::FromStream(
-                         stream.shard(static_cast<int>(s)), pool,
+                         stream.shard(static_cast<int>(s)), nullptr,
                          previous_[idx]);
                    }
                  });

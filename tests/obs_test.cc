@@ -167,8 +167,7 @@ TEST(MetricsTest, SnapshotConsistentUnderConcurrentWriters) {
 
 TEST(TraceTest, RingWrapsDropOldestAndCountsDrops) {
   TraceRecorder& recorder = TraceRecorder::Global();
-  recorder.Enable(ObsOptions{.trace_enabled = true,
-                             .trace_ring_capacity = 8});
+  recorder.Enable(ObsOptions{.trace_ring_capacity = 8});
   recorder.Clear();
   for (int i = 0; i < 20; ++i) {
     ALID_TRACE_SCOPE("test", "wrap");
@@ -209,8 +208,7 @@ TEST(TraceTest, DisableEnableKeepsRecordedSpans) {
   EXPECT_EQ(recorder.buffered_events(), 2);
 
   // A new capacity re-arms the rings empty.
-  recorder.Enable(ObsOptions{.trace_enabled = true,
-                             .trace_ring_capacity = 16});
+  recorder.Enable(ObsOptions{.trace_ring_capacity = 16});
   EXPECT_EQ(recorder.buffered_events(), 0);
   recorder.Disable();
   recorder.Clear();
@@ -218,8 +216,7 @@ TEST(TraceTest, DisableEnableKeepsRecordedSpans) {
 
 TEST(TraceTest, WriteChromeTraceRoundTrips) {
   TraceRecorder& recorder = TraceRecorder::Global();
-  recorder.Enable(ObsOptions{.trace_enabled = true,
-                             .trace_ring_capacity = 64});
+  recorder.Enable(ObsOptions{.trace_ring_capacity = 64});
   {
     ALID_TRACE_SCOPE("test", "outer");
     ALID_TRACE_SCOPE("test", "inner");
@@ -374,8 +371,7 @@ TEST(TraceTest, StreamStateBitIdenticalTracingOnVsOff) {
   ASSERT_GT(untraced->clusters().size(), 0u);
   ASSERT_GT(untraced->stats().evicted, 0);
 
-  recorder.Enable(ObsOptions{.trace_enabled = true,
-                             .trace_ring_capacity = 32});
+  recorder.Enable(ObsOptions{.trace_ring_capacity = 32});
   std::unique_ptr<OnlineAlid> traced = RunStream(data, opts, 37);
   recorder.Disable();
   EXPECT_GT(recorder.buffered_events() + recorder.dropped_events(), 0);
@@ -408,8 +404,7 @@ TEST(TraceTest, ServeAnswersBitIdenticalTracingOnVsOff) {
   }
 
   const QueryResponse untraced = server.Query(QueryRequest{.points = queries});
-  recorder.Enable(ObsOptions{.trace_enabled = true,
-                             .trace_ring_capacity = 64});
+  recorder.Enable(ObsOptions{.trace_ring_capacity = 64});
   const QueryResponse traced = server.Query(QueryRequest{.points = queries});
   recorder.Disable();
   recorder.Clear();

@@ -1,7 +1,9 @@
-// Tests of the work-stealing executor pool: ParallelFor coverage, Wait
-// semantics, stealing under imbalance, and nested posting from inside
-// workers.
+// Tests of the FIFO executor pool: ParallelFor coverage, Wait semantics,
+// posting order, progress of the other workers while one is held, and
+// nested posting from inside workers.
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -56,22 +58,51 @@ TEST(ThreadPoolTest, ParallelForRespectsGrainAndEmptyRange) {
   pool.ParallelFor(4, 1, [&](int64_t, int64_t) { FAIL(); }, /*grain=*/1);
 }
 
-TEST(ThreadPoolTest, WorkStealingExecutesEverythingUnderImbalance) {
-  // One long job pins a worker; the stampede of short jobs behind it on the
-  // same deque must get stolen by the other workers.
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
+TEST(ThreadPoolTest, OneWorkerRunsJobsInPostingOrder) {
+  ThreadPool pool(1);
   std::atomic<bool> release{false};
-  pool.Post([&] {
+  pool.Post([&release] {
     while (!release.load()) std::this_thread::yield();
-    done.fetch_add(1);
   });
-  for (int i = 0; i < 400; ++i) {
-    pool.Post([&done] { done.fetch_add(1); });
+  constexpr int kJobs = 16;
+  std::mutex mu;
+  std::vector<int> order;
+  for (int i = 0; i < kJobs; ++i) {
+    pool.Post([&mu, &order, i] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+    });
   }
   release.store(true);
   pool.Wait();
-  EXPECT_EQ(done.load(), 401);
+  ASSERT_EQ(order.size(), static_cast<size_t>(kJobs));
+  for (int i = 0; i < kJobs; ++i) EXPECT_EQ(order[i], i) << "position " << i;
+}
+
+TEST(ThreadPoolTest, OtherWorkersDrainTheQueueWhileOneIsHeld) {
+  // One long job holds its worker until the 400 short jobs posted behind it
+  // have finished, so they must all run on the other three workers. The
+  // long job gives up after a bounded deadline, so a pool that parks the
+  // short jobs behind it fails the test instead of hanging it.
+  ThreadPool pool(4);
+  constexpr int kShort = 400;
+  std::atomic<int> short_done{0};
+  std::atomic<bool> held_until_drained{false};
+  pool.Post([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (short_done.load() < kShort &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    held_until_drained.store(short_done.load() == kShort);
+  });
+  for (int i = 0; i < kShort; ++i) {
+    pool.Post([&short_done] { short_done.fetch_add(1); });
+  }
+  pool.Wait();
+  EXPECT_TRUE(held_until_drained.load());
+  EXPECT_EQ(short_done.load(), kShort);
 }
 
 TEST(ThreadPoolTest, NestedPostFromWorkerCompletesBeforeWait) {
@@ -79,7 +110,7 @@ TEST(ThreadPoolTest, NestedPostFromWorkerCompletesBeforeWait) {
   std::atomic<int> count{0};
   for (int i = 0; i < 20; ++i) {
     pool.Post([&pool, &count] {
-      // A worker posting follow-up work (goes to its own deque).
+      // A worker posting follow-up work onto the shared queue.
       pool.Post([&count] { count.fetch_add(1); });
       count.fetch_add(1);
     });

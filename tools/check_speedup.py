@@ -12,16 +12,19 @@ Two layers:
   record whose rows carry an ``executors`` key must contain a real sweep —
   at least two distinct executor widths, each with a wall_seconds — and at
   least one record in the whole trajectory must carry rows marked
-  ``gate_speedup``. A scenario or stream bench that silently stopped
-  sweeping executors fails here even on a 1-core runner.
+  ``gate_speedup``. A pooled bench (table2/fig7/serve/shard) that silently
+  stopped sweeping executors fails here even on a 1-core runner. The
+  single-stream benches (stream, scenario_*) post no pool job, run once
+  per configuration and carry no ``speedup`` label, so this layer does not
+  see them.
 
 * **Ratio** (skipped below --min-cores): rows marked ``"gate_speedup":true``
-  (the work-stealing PALID rows) are grouped into sweeps and the widest
+  (the PALID executor rows) are grouped into sweeps and the widest
   width's wall time must be at most --max-ratio times the narrowest's.
   The ROADMAP claims >=3x on real 8-core hardware; the default 2x bound
   leaves headroom for shared CI runners. Unmarked sweep rows (baselines,
-  stream/serve/scenario rows) are reported, never ratio-gated — on a shared
-  1-core host their executor axis only moves scheduling counters.
+  serve/shard rows) are reported, never ratio-gated — on a shared 1-core
+  host their executor axis only moves scheduling counters.
 """
 
 import argparse
