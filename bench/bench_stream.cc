@@ -7,7 +7,9 @@
 // counters (absorbed / pooled / evicted / refreshes / redetections). A
 // single stream runs every batch on its calling thread and posts no pool
 // job, so there is no executor axis: each row runs without a pool and
-// carries "executors":1, the key the trajectory gate pairs rows on.
+// carries "executors":1, the key the trajectory gate pairs rows on. Rows
+// also carry the run's LID work (`lid_iterations`,
+// `lid_iteration_entries`), deterministic like the stream counters.
 //
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
@@ -53,6 +55,7 @@ struct StreamRow {
   // the stream is alive, embedded verbatim in the row record so every
   // counter key the trajectory carries comes from the registry exporter.
   std::string registry_fields;
+  LidWork lid;  // ingest and publish tail
 };
 
 // Shuffled dataset rows followed by a band of near-miss probes (jittered
@@ -99,6 +102,7 @@ StreamRow RunStream(const LabeledData& data,
   StreamRow row;
   row.batch = batch;
   row.window = window;
+  const LidWork lid_before = LidWork::Read();
 
   OnlineAlidOptions opts;
   opts.affinity = {.k = data.suggested_k, .p = 2.0};
@@ -172,6 +176,7 @@ StreamRow RunStream(const LabeledData& data,
   // stream's registry: the trajectory's counter keys are the exporter's
   // output, so a re-homed counter cannot silently drop out of the JSON.
   row.registry_fields = online.metrics().ToJsonFields();
+  row.lid = LidWork::Read() - lid_before;
   return row;
 }
 
@@ -207,13 +212,16 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
         "\"p50_batch_seconds\":%.6f,\"p95_batch_seconds\":%.6f,"
         "\"ingest_p95_seconds\":%.6f,\"publish_p95_seconds\":%.6f,"
         "\"rows_reused\":%lld,\"clusters_reused\":%lld,"
-        "\"entries_computed\":%lld,\"clusters\":%d,\"avg_f\":%.4f,%s}",
+        "\"entries_computed\":%lld,\"clusters\":%d,\"avg_f\":%.4f,"
+        "\"lid_iterations\":%lld,\"lid_iteration_entries\":%lld,%s}",
         i == 0 ? "" : ",", r.batch, r.window, r.wall_seconds,
         r.items_per_second, r.p50_batch_seconds,
         r.p95_batch_seconds, r.p95_batch_seconds, r.publish_p95_seconds,
         static_cast<long long>(r.rows_reused),
         static_cast<long long>(r.clusters_reused),
         static_cast<long long>(r.entries_computed), r.clusters, r.avg_f,
+        static_cast<long long>(r.lid.iterations),
+        static_cast<long long>(r.lid.iteration_entries),
         r.registry_fields.c_str());
   }
   json += "]}";

@@ -13,6 +13,10 @@
 // aggregate-task-time / wall-time ratio is also printed — it shows the
 // realized concurrency of the executor pool independent of the hardware.
 //
+// Each row also carries the LID work of one detection run
+// (`lid_iterations`, `lid_iteration_entries`), as deterministic as
+// `entries`.
+//
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
 #include <algorithm>
@@ -34,6 +38,7 @@ struct SweepRow {
   double speedup;
   double concurrency;
   double avg_f;
+  LidWork lid;  // of the first run (every run does the same work)
 };
 
 // Runs per row. The map skips covered seeds, so one run lasts tens of
@@ -52,13 +57,19 @@ SweepRow RunRow(const LabeledData& data, const LshIndex& lsh,
   Palid palid(oracle, lsh, opts);
   std::vector<PalidStats> runs(kRunsPerRow);
   DetectionResult result;
-  for (PalidStats& run : runs) result = palid.Detect(&run).Filtered(0.75);
+  LidWork lid;
+  for (int k = 0; k < kRunsPerRow; ++k) {
+    const LidWork before = LidWork::Read();
+    result = palid.Detect(&runs[k]).Filtered(0.75);
+    if (k == 0) lid = LidWork::Read() - before;
+  }
   std::nth_element(runs.begin(), runs.begin() + kRunsPerRow / 2, runs.end(),
                    [](const PalidStats& a, const PalidStats& b) {
                      return a.wall_seconds < b.wall_seconds;
                    });
   SweepRow row;
   row.executors = executors;
+  row.lid = lid;
   row.stats = std::move(runs[kRunsPerRow / 2]);
   row.speedup = row.stats.wall_seconds > 0.0 && base_wall > 0.0
                     ? base_wall / row.stats.wall_seconds
@@ -89,11 +100,14 @@ void EmitSweepJson(BenchContext& ctx, const std::vector<SweepRow>& rows,
         "%s{\"method\":\"PALID\",\"executors\":%d,\"wall_seconds\":%.6f,"
         "\"speedup\":%.4f,\"gate_speedup\":true,\"task_seconds\":%.6f,"
         "\"concurrency\":%.4f,\"entries_computed\":%lld,"
-        "\"num_seeds\":%d,\"num_tasks\":%d,\"avg_f\":%.4f}",
+        "\"num_seeds\":%d,\"num_tasks\":%d,\"avg_f\":%.4f,"
+        "\"lid_iterations\":%lld,\"lid_iteration_entries\":%lld}",
         i == 0 ? "" : ",", r.executors, r.stats.wall_seconds, r.speedup,
         r.stats.total_task_seconds, r.concurrency,
         static_cast<long long>(r.stats.entries_computed),
-        r.stats.num_seeds, r.stats.num_tasks, r.avg_f);
+        r.stats.num_seeds, r.stats.num_tasks, r.avg_f,
+        static_cast<long long>(r.lid.iterations),
+        static_cast<long long>(r.lid.iteration_entries));
   }
   json += "]}";
   ctx.EmitJson(json);

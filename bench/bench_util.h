@@ -26,6 +26,7 @@
 #include "data/labeled_data.h"
 #include "eval/metrics.h"
 #include "lsh/lsh_index.h"
+#include "obs/metrics.h"
 #include "registry.h"
 
 namespace alid::bench {
@@ -189,6 +190,30 @@ inline RunStats RunAp(const LabeledData& data, double r_scale = -1.0,
   stats.avg_f = AverageF1(data.true_clusters, result);
   return stats;
 }
+
+/// LID work from the global registry's `lid_iterations` and
+/// `lid_iteration_entries` counters (0 before the first Lid::Run
+/// registers them). Rows report the difference of two readings; both
+/// counts are deterministic, so they carry the LID layer into the
+/// trajectory without a profiler.
+struct LidWork {
+  int64_t iterations = 0;
+  int64_t iteration_entries = 0;
+
+  static LidWork Read() {
+    LidWork w;
+    for (const obs::MetricSample& s :
+         obs::MetricsRegistry::Global().Snapshot()) {
+      if (s.name == "lid_iterations") w.iterations = s.value;
+      if (s.name == "lid_iteration_entries") w.iteration_entries = s.value;
+    }
+    return w;
+  }
+  LidWork operator-(const LidWork& earlier) const {
+    return {iterations - earlier.iterations,
+            iteration_entries - earlier.iteration_entries};
+  }
+};
 
 /// Linear-interpolated q-quantile of `values` (sorts a copy). Shared by the
 /// stream and serve latency columns so the percentile convention behind the

@@ -4,8 +4,82 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 
 namespace alid {
+
+namespace {
+
+// Process-lifetime LID totals on the global registry, added once per Run():
+// `iterations` the invasions, `iteration_entries` the (iteration, beta
+// entry) steps of the two passes, `select_scans` the selections the
+// Sterbenz guard sent to the full scan.
+struct LidCounters {
+  obs::Counter* iterations;
+  obs::Counter* iteration_entries;
+  obs::Counter* select_scans;
+};
+
+LidCounters& GlobalLidCounters() {
+  static LidCounters* counters = [] {
+    auto* c = new LidCounters();
+    obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
+    c->iterations = r.AddCounter("lid_iterations");
+    c->iteration_entries = r.AddCounter("lid_iteration_entries");
+    c->select_scans = r.AddCounter("lid_select_scans");
+    return c;
+  }();
+  return *counters;
+}
+
+}  // namespace
+
+LidExtremes LidFindExtremes(std::span<const Scalar> ax,
+                            std::span<const Scalar> x) {
+  LidExtremes e;
+  for (size_t i = 0; i < ax.size(); ++i) {
+    e.Observe(static_cast<int>(i), ax[i], x[i]);
+  }
+  return e;
+}
+
+int LidSelectByScan(std::span<const Scalar> ax, std::span<const Scalar> x,
+                    Scalar pi) {
+  int best = -1;
+  Scalar best_abs = kLidTolerance;
+  for (size_t i = 0; i < ax.size(); ++i) {
+    const Scalar r = ax[i] - pi;  // Eq. 10
+    if (r > 0.0 || (r < 0.0 && x[i] > 0.0)) {
+      const Scalar a = std::abs(r);
+      if (a > best_abs) {
+        best_abs = a;
+        best = static_cast<int>(i);
+      }
+    }
+  }
+  return best;
+}
+
+int LidSelect(std::span<const Scalar> ax, std::span<const Scalar> x,
+              Scalar pi, const LidExtremes& extremes, bool* scanned) {
+  const Scalar top = extremes.top;
+  const Scalar bottom = extremes.bottom;
+  // Doubling is exact short of overflow, and an overflowed side still
+  // compares as the exact one would; a NaN anywhere fails a comparison.
+  if (!(top <= 2.0 * pi && 2.0 * bottom >= pi &&
+        pi <= std::numeric_limits<Scalar>::max())) {
+    *scanned = true;
+    return LidSelectByScan(ax, x, pi);
+  }
+  const Scalar r1 = top - pi;
+  const Scalar r2 = pi - bottom;
+  if (r1 > kLidTolerance &&
+      (r1 > r2 || (r1 == r2 && extremes.hi < extremes.lo))) {
+    return extremes.hi;
+  }
+  if (r2 > kLidTolerance) return extremes.lo;
+  return -1;
+}
 
 Lid::Lid(const LazyAffinityOracle& oracle, Index seed, LidOptions options)
     : oracle_(&oracle), options_(options) {
@@ -207,23 +281,14 @@ int Lid::Run() {
   const int b = static_cast<int>(beta_.size());
   converged_ = false;
   int iters = 0;
+  int64_t scans = 0;
   Scalar pi = Density();
+  LidExtremes extremes = LidFindExtremes(ax_, x_);
   for (; iters < options_.max_iterations; ++iters) {
-    // Vertex selection M(x) (Eq. 6): maximize |pi(s_i - x, x)| over
-    //   C1 = { i : pi(s_i - x, x) > 0 }  (infective vertices)
-    //   C2 = { i : pi(s_i - x, x) < 0, x_i > 0 }  (weak support vertices)
-    int best = -1;
-    Scalar best_abs = kLidTolerance;
-    for (int i = 0; i < b; ++i) {
-      const Scalar r = ax_[i] - pi;  // Eq. 10
-      if (r > 0.0 || (r < 0.0 && x_[i] > 0.0)) {
-        const Scalar a = std::abs(r);
-        if (a > best_abs) {
-          best_abs = a;
-          best = i;
-        }
-      }
-    }
+    // Vertex selection M(x) (Eq. 6), from the extremes the last pass kept.
+    bool scanned = false;
+    const int best = LidSelect(ax_, x_, pi, extremes, &scanned);
+    scans += scanned;
     if (best < 0) {
       converged_ = true;  // gamma_beta(x) is empty (Theorem 1)
       break;
@@ -253,9 +318,9 @@ int Lid::Run() {
       mu = eps * ratio;
     }
 
-    // Invasion model (Eq. 13): x <- (1 - mu) x + mu s_i, with numerical
-    // hygiene: tiny/negative weights snap to zero before the sum that
-    // renormalizes x.
+    // Pass 1, the invasion model (Eq. 13): x <- (1 - mu) x + mu s_i, with
+    // numerical hygiene: tiny/negative weights snap to zero before the sum
+    // that renormalizes x.
     Scalar sum = 0.0;
     for (int i = 0; i < b; ++i) {
       x_[i] *= (1.0 - mu);
@@ -266,16 +331,27 @@ int Lid::Run() {
     ALID_CHECK_MSG(sum > 0.0, "LID lost all weight");
     const Scalar inv = 1.0 / sum;
 
-    // Renormalize x; Eq. 14: (A x) <- (A x) + mu ([A]_col - (A x)), then
-    // the same renormalization (A x is linear in x); and the next
-    // pi(x) = sum_i x_i (A x)_i, accumulated ascending as Density() does.
+    // Pass 2: renormalize x; Eq. 14: (A x) <- (A x) + mu ([A]_col - (A x)),
+    // then the same renormalization (A x is linear in x); the next
+    // pi(x) = sum_i x_i (A x)_i, accumulated ascending as Density() does;
+    // and the extremes of the new (A x) for the next selection.
     pi = 0.0;
+    extremes = LidExtremes();
     for (int i = 0; i < b; ++i) {
-      x_[i] *= inv;
-      ax_[i] = (ax_[i] + mu * (col[i] - ax_[i])) * inv;
-      pi += x_[i] * ax_[i];
+      const Scalar xi = x_[i] * inv;
+      const Scalar axi = (ax_[i] + mu * (col[i] - ax_[i])) * inv;
+      x_[i] = xi;
+      ax_[i] = axi;
+      pi += xi * axi;
+      extremes.Observe(i, axi, xi);
     }
   }
+  if (iters > 0) {
+    LidCounters& counters = GlobalLidCounters();
+    counters.iterations->Add(iters);
+    counters.iteration_entries->Add(static_cast<int64_t>(iters) * b);
+  }
+  if (scans > 0) GlobalLidCounters().select_scans->Add(scans);
   return iters;
 }
 

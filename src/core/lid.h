@@ -1,6 +1,8 @@
 #ifndef ALID_CORE_LID_H_
 #define ALID_CORE_LID_H_
 
+#include <limits>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -15,6 +17,53 @@ namespace alid {
 inline constexpr double kLidTolerance = 1e-10;
 /// Weights below this are snapped to exactly zero after an invasion.
 inline constexpr double kLidWeightEpsilon = 1e-14;
+
+/// The extremes of (A x) that the Eq. 6 selection reads: `hi` is the first
+/// argmax of (A x)_i over the whole local range, `lo` the first argmin over
+/// the support (x_i > 0; -1 when no support entry is below +inf). NaN
+/// entries are never taken; `top` and `bottom` are the values at hi and lo.
+struct LidExtremes {
+  int hi = 0;
+  int lo = -1;
+  Scalar top = -std::numeric_limits<Scalar>::infinity();
+  Scalar bottom = std::numeric_limits<Scalar>::infinity();
+
+  void Observe(int i, Scalar ax_i, Scalar x_i) {
+    if (ax_i > top) {
+      top = ax_i;
+      hi = i;
+    }
+    if (x_i > 0.0 && ax_i < bottom) {
+      bottom = ax_i;
+      lo = i;
+    }
+  }
+};
+
+/// One scan of (A x) and x for their LidExtremes.
+LidExtremes LidFindExtremes(std::span<const Scalar> ax,
+                            std::span<const Scalar> x);
+
+/// The Eq. 6 vertex selection M(x) as a full scan: the first index with the
+/// largest |r_i| > kLidTolerance, r_i = fl((A x)_i - pi), over
+///   C1 = { i : r_i > 0 }  (infective vertices) and
+///   C2 = { i : r_i < 0, x_i > 0 }  (weak support vertices).
+/// Returns -1 when both are empty (gamma_beta(x) is empty, Theorem 1).
+int LidSelectByScan(std::span<const Scalar> ax, std::span<const Scalar> x,
+                    Scalar pi);
+
+/// The same selection, bit for bit, from the extremes alone: r1 =
+/// fl(top - pi) is the largest r_i and r2 = fl(pi - bottom) the largest
+/// |r_i| of C2 (fl(x - y) is monotone in x), and the larger one over
+/// kLidTolerance wins; on r1 == r2 the smaller index does, as the scan's
+/// strict comparison keeps the first. The scan keeps the first index of
+/// equal r_i, and that is hi (or lo) only when equal r_i means equal
+/// (A x)_i: by Sterbenz's lemma fl((A x)_i - pi) is exact for
+/// pi/2 <= (A x)_i <= 2 pi, which covers every candidate that could tie an
+/// extreme when top <= 2 pi and bottom >= pi/2. Outside that guard (pi = 0,
+/// pi infinite, NaN) it falls back to LidSelectByScan and sets *scanned.
+int LidSelect(std::span<const Scalar> ax, std::span<const Scalar> x,
+              Scalar pi, const LidExtremes& extremes, bool* scanned);
 
 /// Options of the Localized Infection Immunization Dynamics (Algorithm 1).
 struct LidOptions {
@@ -34,6 +83,16 @@ struct LidOptions {
 /// computed (through the LazyAffinityOracle), and the running products
 /// (A_{beta,alpha} x_alpha) are updated incrementally per Eq. 14 — one column
 /// per iteration, never the full local matrix A_{beta,beta}.
+///
+/// An iteration makes two passes over beta: the invasion update of x with
+/// the sum that renormalizes it, then the renormalization with Eq. 14, the
+/// next pi(x) and the LidExtremes of the new (A x). The invariant: at the
+/// top of every iteration the kept hi and lo are what LidFindExtremes
+/// returns on the current (A x) and x. The Eq. 6 choice is made from hi,
+/// lo and pi alone (LidSelect), so no pass selects; the Sterbenz guard
+/// sends the few iterations where an extreme could round into a tie with
+/// another vertex back to the full scan, and every trajectory is the
+/// three-pass one bit for bit.
 ///
 /// Eq. 1 is symmetric bit for bit (a_ij == a_ji), so a detection evaluates
 /// each unordered pair at most once: a new column copies a_{beta_i, g} from
@@ -68,7 +127,12 @@ class Lid {
   Lid& operator=(Lid&&) = delete;
 
   /// Runs Algorithm 1 until gamma_beta(x) is empty or max_iterations is hit.
-  /// Returns the number of invasions performed.
+  /// Returns the number of invasions performed. One scan finds the
+  /// extremes of (A x) before the first iteration; from then on the Eq. 14
+  /// pass keeps them, so each iteration makes two passes over beta (see
+  /// the class comment). Adds the run's totals to the global registry's
+  /// `lid_iterations`, `lid_iteration_entries` (iterations times |beta|)
+  /// and `lid_select_scans` (selections the guard sent to the full scan).
   int Run();
 
   /// Current graph density pi(x) = x^T A x.

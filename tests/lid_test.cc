@@ -2,8 +2,11 @@
 // monotonicity (Theorem 2), KKT/immunity conditions at convergence
 // (Theorem 1), incremental (A x) maintenance (Eq. 14), and the Eq. 17 range
 // update — all validated against brute-force computations on materialized
-// matrices.
+// matrices — and the folded Eq. 6 selection against the full scan.
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "core/lid.h"
 #include "core/simplex.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 
 namespace alid {
 namespace {
@@ -367,6 +371,239 @@ TEST_P(LidScaleProperty, ImmunityHoldsAcrossKernelScales) {
 
 INSTANTIATE_TEST_SUITE_P(KernelScales, LidScaleProperty,
                          ::testing::Values(0.1, 0.5, 1.0, 2.0, 5.0));
+
+int64_t GlobalCounter(const std::string& name) {
+  for (const obs::MetricSample& s : obs::MetricsRegistry::Global().Snapshot()) {
+    if (s.name == name) return s.value;
+  }
+  return 0;
+}
+
+// The registry's LID totals move by exactly one Run()'s work: its return
+// value, that many passes over beta, and at least the one full scan of the
+// cold first iteration (pi = 0 fails the Sterbenz guard).
+TEST_F(LidFixture, RunAddsItsWorkToTheGlobalRegistry) {
+  Lid lid = MakeGlobalLid(0);
+  const int64_t iterations = GlobalCounter("lid_iterations");
+  const int64_t entries = GlobalCounter("lid_iteration_entries");
+  const int64_t scans = GlobalCounter("lid_select_scans");
+  const int iters = lid.Run();
+  ASSERT_GT(iters, 0);
+  EXPECT_EQ(GlobalCounter("lid_iterations") - iterations, iters);
+  EXPECT_EQ(GlobalCounter("lid_iteration_entries") - entries,
+            static_cast<int64_t>(iters) *
+                static_cast<int64_t>(lid.beta().size()));
+  EXPECT_GE(GlobalCounter("lid_select_scans") - scans, 1);
+}
+
+// The three-pass loop's Eq. 6 scan, kept verbatim as the reference the
+// folded selection must equal: the first index with the largest |r| over
+// the infective vertices and the weak support vertices.
+int ReferenceSelect(const std::vector<Scalar>& ax, const std::vector<Scalar>& x,
+                    Scalar pi) {
+  int best = -1;
+  Scalar best_abs = kLidTolerance;
+  for (int i = 0; i < static_cast<int>(ax.size()); ++i) {
+    const Scalar r = ax[i] - pi;
+    if (r > 0.0 || (r < 0.0 && x[i] > 0.0)) {
+      const Scalar a = std::abs(r);
+      if (a > best_abs) {
+        best_abs = a;
+        best = i;
+      }
+    }
+  }
+  return best;
+}
+
+struct Folded {
+  int pick;
+  bool scanned;
+};
+
+Folded FoldedSelect(const std::vector<Scalar>& ax,
+                    const std::vector<Scalar>& x, Scalar pi) {
+  bool scanned = false;
+  const int pick = LidSelect(ax, x, pi, LidFindExtremes(ax, x), &scanned);
+  return {pick, scanned};
+}
+
+constexpr Scalar kUlp1 = std::numeric_limits<Scalar>::epsilon();  // 2^-52
+
+TEST(LidSelectTest, EqualMagnitudeAcrossSetsPicksTheFirstIndex) {
+  // |r| = 0.5 for the infective vertex 0 and the weak support vertex 2.
+  const std::vector<Scalar> ax_hi_first{1.5, 1.0, 0.5};
+  const std::vector<Scalar> x_hi_first{0.0, 0.5, 0.5};
+  Folded f = FoldedSelect(ax_hi_first, x_hi_first, 1.0);
+  EXPECT_EQ(ReferenceSelect(ax_hi_first, x_hi_first, 1.0), 0);
+  EXPECT_EQ(f.pick, 0);
+  EXPECT_FALSE(f.scanned);
+
+  const std::vector<Scalar> ax_lo_first{0.5, 1.0, 1.5};
+  const std::vector<Scalar> x_lo_first{0.5, 0.5, 0.0};
+  f = FoldedSelect(ax_lo_first, x_lo_first, 1.0);
+  EXPECT_EQ(ReferenceSelect(ax_lo_first, x_lo_first, 1.0), 0);
+  EXPECT_EQ(f.pick, 0);
+  EXPECT_FALSE(f.scanned);
+}
+
+// Two distinct (A x)_i above 2 pi whose r_i round to one value: the scan
+// keeps the first, the argmax is the second, so only the full scan is
+// right.
+TEST(LidSelectTest, RoundingTieAboveTwicePiFallsBackToTheScan) {
+  const Scalar pi = 1.5 * kUlp1;
+  const std::vector<Scalar> ax{1.0 + 3.0 * kUlp1, 1.0 + 4.0 * kUlp1, pi};
+  const std::vector<Scalar> x{0.0, 0.0, 1.0};
+  ASSERT_NE(ax[0], ax[1]);
+  ASSERT_EQ(ax[0] - pi, ax[1] - pi);
+  EXPECT_EQ(LidFindExtremes(ax, x).hi, 1);
+  EXPECT_EQ(ReferenceSelect(ax, x, pi), 0);
+  const Folded f = FoldedSelect(ax, x, pi);
+  EXPECT_EQ(f.pick, 0);
+  EXPECT_TRUE(f.scanned);
+}
+
+// The same on the weak side: two support values below pi/2 whose
+// pi - (A x)_i round to one value.
+TEST(LidSelectTest, RoundingTieBelowHalfPiFallsBackToTheScan) {
+  const Scalar pi = 1.0 + 4.0 * kUlp1;
+  const std::vector<Scalar> ax{2.5 * kUlp1, 1.5 * kUlp1, pi};
+  const std::vector<Scalar> x{0.3, 0.3, 0.4};
+  ASSERT_NE(ax[0], ax[1]);
+  ASSERT_EQ(pi - ax[0], pi - ax[1]);
+  EXPECT_EQ(LidFindExtremes(ax, x).lo, 1);
+  EXPECT_EQ(ReferenceSelect(ax, x, pi), 0);
+  const Folded f = FoldedSelect(ax, x, pi);
+  EXPECT_EQ(f.pick, 0);
+  EXPECT_TRUE(f.scanned);
+}
+
+// The first iteration after a cold UpdateRange: x is the seed alone, so
+// pi = 0 and every affinity to the seed is infective.
+TEST(LidSelectTest, ZeroDensityFallsBackToTheScan) {
+  const std::vector<Scalar> ax{0.0, 0.3, 0.7, 0.7};
+  const std::vector<Scalar> x{1.0, 0.0, 0.0, 0.0};
+  const Folded f = FoldedSelect(ax, x, 0.0);
+  EXPECT_EQ(ReferenceSelect(ax, x, 0.0), 2);
+  EXPECT_EQ(f.pick, 2);
+  EXPECT_TRUE(f.scanned);
+}
+
+// pi = +inf makes every finite support r_i = -inf, all tied: the scan
+// keeps the first, the argmin is the second.
+TEST(LidSelectTest, InfiniteDensityFallsBackToTheScan) {
+  const Scalar top = std::numeric_limits<Scalar>::max();
+  const Scalar pi = std::numeric_limits<Scalar>::infinity();
+  const std::vector<Scalar> ax{top, 0.75 * top};
+  const std::vector<Scalar> x{0.5, 0.5};
+  EXPECT_EQ(LidFindExtremes(ax, x).lo, 1);
+  EXPECT_EQ(ReferenceSelect(ax, x, pi), 0);
+  const Folded f = FoldedSelect(ax, x, pi);
+  EXPECT_EQ(f.pick, 0);
+  EXPECT_TRUE(f.scanned);
+}
+
+TEST(LidSelectTest, AllZeroProductsSelectNothing) {
+  const std::vector<Scalar> ax(4, 0.0);
+  const std::vector<Scalar> x{0.25, 0.25, 0.5, 0.0};
+  const Folded f = FoldedSelect(ax, x, 0.0);
+  EXPECT_EQ(ReferenceSelect(ax, x, 0.0), -1);
+  EXPECT_EQ(f.pick, -1);
+}
+
+// |r| must exceed kLidTolerance strictly, on both sides.
+TEST(LidSelectTest, CandidateExactlyAtTheToleranceIsNotSelected) {
+  const Scalar tol = kLidTolerance;
+  const std::vector<Scalar> ax_up{tol, 2.0 * tol};
+  const std::vector<Scalar> x_up{1.0, 0.0};
+  ASSERT_EQ(ax_up[1] - tol, tol);
+  EXPECT_EQ(ReferenceSelect(ax_up, x_up, tol), -1);
+  Folded f = FoldedSelect(ax_up, x_up, tol);
+  EXPECT_EQ(f.pick, -1);
+  EXPECT_FALSE(f.scanned);
+
+  const std::vector<Scalar> ax_down{tol, 2.0 * tol, 3.0 * tol};
+  const std::vector<Scalar> x_down{0.5, 0.5, 0.0};
+  ASSERT_EQ(2.0 * tol - ax_down[0], tol);
+  EXPECT_EQ(ReferenceSelect(ax_down, x_down, 2.0 * tol), -1);
+  f = FoldedSelect(ax_down, x_down, 2.0 * tol);
+  EXPECT_EQ(f.pick, -1);
+  EXPECT_FALSE(f.scanned);
+
+  const std::vector<Scalar> ax_over{tol, std::nextafter(2.0 * tol, 1.0)};
+  EXPECT_EQ(ReferenceSelect(ax_over, x_up, tol), 1);
+  EXPECT_EQ(FoldedSelect(ax_over, x_up, tol).pick, 1);
+}
+
+// Random (A x, x, pi) built to tie: values a few ulps around multiples of
+// pi, half the vectors inside the guard and half across it, repeated
+// values, zero weights, and now and then 0, an infinity or a NaN. The folded rule equals the scan on every
+// vector, both of its paths run, and the cases it covers include ones
+// where picking the extremes without the guard would be wrong.
+TEST(LidSelectTest, FoldedSelectionEqualsTheScanOnRandomVectors) {
+  Rng rng(20260);
+  const Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  const Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
+  // The first six multiples lie inside the guard's [pi/2, 2 pi].
+  const Scalar kMultiples[] = {0.5, 0.75, 1.0, 1.25, 1.5,
+                               2.0, 0.0,  0.25, 3.0, 1e6};
+  constexpr int kCases = 200000;
+  int scanned = 0;
+  int guard_needed = 0;
+  std::vector<Scalar> ax;
+  std::vector<Scalar> x;
+  for (int c = 0; c < kCases; ++c) {
+    Scalar pi;
+    switch (rng.UniformInt(0, 5)) {
+      case 0: pi = 0.0; break;
+      case 1: pi = 1.5 * kUlp1 * rng.UniformInt(1, 8); break;
+      case 2: pi = 1.0 + kUlp1 * rng.UniformInt(0, 8); break;
+      default: pi = std::ldexp(rng.Uniform(0.5, 1.0), rng.UniformInt(-40, 4));
+    }
+    const bool inside = rng.UniformInt(0, 1) == 0;
+    const int b = rng.UniformInt(1, 9);
+    ax.assign(b, 0.0);
+    x.assign(b, 0.0);
+    for (int i = 0; i < b; ++i) {
+      x[i] = rng.UniformInt(0, 2) == 0 ? 0.0 : rng.Uniform(0.1, 1.0);
+      const int kind = rng.UniformInt(0, 99);
+      if (kind < 10 && i > 0) {
+        ax[i] = ax[rng.UniformInt(0, i - 1)];  // an exact repeat
+        continue;
+      }
+      if (inside) {
+        ax[i] = pi * kMultiples[rng.UniformInt(0, 5)];
+      } else if (kind < 15) {
+        ax[i] = std::ldexp(1.0, rng.UniformInt(-3, 1)) +
+                kUlp1 * rng.UniformInt(0, 6);  // ulps above a power of two
+      } else if (kind < 17) {
+        ax[i] = kUlp1 * 0.5 * rng.UniformInt(0, 8);
+      } else if (kind == 17) {
+        ax[i] = rng.UniformInt(0, 1) == 0 ? kInf : kNaN;
+      } else {
+        ax[i] = pi * kMultiples[rng.UniformInt(0, 9)];
+      }
+      for (int step = rng.UniformInt(-3, 3); step != 0;
+           step += step > 0 ? -1 : 1) {
+        ax[i] = std::nextafter(ax[i], step > 0 ? kInf : -kInf);
+      }
+    }
+    if (rng.UniformInt(0, 199) == 0) pi = rng.UniformInt(0, 1) ? kInf : kNaN;
+
+    const int expected = ReferenceSelect(ax, x, pi);
+    const LidExtremes e = LidFindExtremes(ax, x);
+    bool used_scan = false;
+    const int pick = LidSelect(ax, x, pi, e, &used_scan);
+    ASSERT_EQ(pick, expected) << "case " << c << " pi " << pi;
+    scanned += used_scan;
+    // The extremes' own index where the scan picks elsewhere: a case only
+    // the guard keeps right.
+    if (expected >= 0 && expected != e.hi && expected != e.lo) ++guard_needed;
+  }
+  EXPECT_GT(scanned, kCases / 10);
+  EXPECT_LT(scanned, kCases * 9 / 10);
+  EXPECT_GT(guard_needed, 100);
+}
 
 }  // namespace
 }  // namespace alid
