@@ -239,7 +239,8 @@ Scalar RowMajorKernelSum(const KernelFixture& f, const AffinityFunction& fn,
 // The per-table row-major p-stable hasher that LshIndex's projection tiles
 // replaced: the same Rng(seed) draws (each table's projection matrix, then
 // its offsets), one serial dot product per projection, the same saturating
-// floor and FNV-1a over the floors. Its keys are what every ISA must match.
+// floor and the word-wise fold of the floors, finalized by SplitMix64. Its
+// keys are what every ISA must match.
 class RowMajorLshReference {
  public:
   RowMajorLshReference(int dim, const LshParams& params)
@@ -259,7 +260,7 @@ class RowMajorLshReference {
     constexpr Scalar kMin = std::numeric_limits<int32_t>::min();
     constexpr Scalar kMax = std::numeric_limits<int32_t>::max();
     for (int t = 0; t < params_.num_tables; ++t) {
-      uint64_t h = 1469598103934665603ull;
+      uint64_t h = 0;
       for (int p = 0; p < params_.num_projections; ++p) {
         const size_t lane =
             static_cast<size_t>(t) * params_.num_projections + p;
@@ -274,13 +275,9 @@ class RowMajorLshReference {
         } else if (f >= kMin) {
           floor = static_cast<int32_t>(f);
         }
-        const uint32_t v = static_cast<uint32_t>(floor);
-        for (int b = 0; b < 4; ++b) {
-          h ^= (v >> (8 * b)) & 0xffu;
-          h *= 1099511628211ull;
-        }
+        h = (h ^ static_cast<uint32_t>(floor)) * 0x9E3779B97F4A7C15ull;
       }
-      out[t] = h;
+      out[t] = SplitMix64(h);
     }
   }
 

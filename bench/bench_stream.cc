@@ -9,7 +9,8 @@
 // job, so there is no executor axis: each row runs without a pool and
 // carries "executors":1, the key the trajectory gate pairs rows on. Rows
 // also carry the run's LID work (`lid_iterations`,
-// `lid_iteration_entries`), deterministic like the stream counters.
+// `lid_iteration_entries`, `lid_capped_runs`), deterministic like the
+// stream counters.
 //
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
@@ -213,7 +214,8 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
         "\"ingest_p95_seconds\":%.6f,\"publish_p95_seconds\":%.6f,"
         "\"rows_reused\":%lld,\"clusters_reused\":%lld,"
         "\"entries_computed\":%lld,\"clusters\":%d,\"avg_f\":%.4f,"
-        "\"lid_iterations\":%lld,\"lid_iteration_entries\":%lld,%s}",
+        "\"lid_iterations\":%lld,\"lid_iteration_entries\":%lld,"
+        "\"lid_capped_runs\":%lld,%s}",
         i == 0 ? "" : ",", r.batch, r.window, r.wall_seconds,
         r.items_per_second, r.p50_batch_seconds,
         r.p95_batch_seconds, r.p95_batch_seconds, r.publish_p95_seconds,
@@ -222,7 +224,7 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
         static_cast<long long>(r.entries_computed), r.clusters, r.avg_f,
         static_cast<long long>(r.lid.iterations),
         static_cast<long long>(r.lid.iteration_entries),
-        r.registry_fields.c_str());
+        static_cast<long long>(r.lid.capped_runs), r.registry_fields.c_str());
   }
   json += "]}";
   ctx.EmitJson(json);

@@ -14,8 +14,8 @@
 // realized concurrency of the executor pool independent of the hardware.
 //
 // Each row also carries the LID work of one detection run
-// (`lid_iterations`, `lid_iteration_entries`), as deterministic as
-// `entries`.
+// (`lid_iterations`, `lid_iteration_entries`, `lid_capped_runs`), as
+// deterministic as `entries`.
 //
 // The last line is a single-line JSON record of the sweep for the bench
 // trajectory (machine-readable, stable key names).
@@ -101,13 +101,15 @@ void EmitSweepJson(BenchContext& ctx, const std::vector<SweepRow>& rows,
         "\"speedup\":%.4f,\"gate_speedup\":true,\"task_seconds\":%.6f,"
         "\"concurrency\":%.4f,\"entries_computed\":%lld,"
         "\"num_seeds\":%d,\"num_tasks\":%d,\"avg_f\":%.4f,"
-        "\"lid_iterations\":%lld,\"lid_iteration_entries\":%lld}",
+        "\"lid_iterations\":%lld,\"lid_iteration_entries\":%lld,"
+        "\"lid_capped_runs\":%lld}",
         i == 0 ? "" : ",", r.executors, r.stats.wall_seconds, r.speedup,
         r.stats.total_task_seconds, r.concurrency,
         static_cast<long long>(r.stats.entries_computed),
         r.stats.num_seeds, r.stats.num_tasks, r.avg_f,
         static_cast<long long>(r.lid.iterations),
-        static_cast<long long>(r.lid.iteration_entries));
+        static_cast<long long>(r.lid.iteration_entries),
+        static_cast<long long>(r.lid.capped_runs));
   }
   json += "]}";
   ctx.EmitJson(json);

@@ -191,14 +191,15 @@ inline RunStats RunAp(const LabeledData& data, double r_scale = -1.0,
   return stats;
 }
 
-/// LID work from the global registry's `lid_iterations` and
-/// `lid_iteration_entries` counters (0 before the first Lid::Run
-/// registers them). Rows report the difference of two readings; both
-/// counts are deterministic, so they carry the LID layer into the
-/// trajectory without a profiler.
+/// LID work from the global registry's `lid_iterations`,
+/// `lid_iteration_entries` and `lid_capped_runs` counters (0 before the
+/// first Lid::Run registers them). Rows report the difference of two
+/// readings; all three counts are deterministic, so they carry the LID
+/// layer into the trajectory without a profiler.
 struct LidWork {
   int64_t iterations = 0;
   int64_t iteration_entries = 0;
+  int64_t capped_runs = 0;
 
   static LidWork Read() {
     LidWork w;
@@ -206,12 +207,14 @@ struct LidWork {
          obs::MetricsRegistry::Global().Snapshot()) {
       if (s.name == "lid_iterations") w.iterations = s.value;
       if (s.name == "lid_iteration_entries") w.iteration_entries = s.value;
+      if (s.name == "lid_capped_runs") w.capped_runs = s.value;
     }
     return w;
   }
   LidWork operator-(const LidWork& earlier) const {
     return {iterations - earlier.iterations,
-            iteration_entries - earlier.iteration_entries};
+            iteration_entries - earlier.iteration_entries,
+            capped_runs - earlier.capped_runs};
   }
 };
 

@@ -13,11 +13,13 @@ namespace {
 // Process-lifetime LID totals on the global registry, added once per Run():
 // `iterations` the invasions, `iteration_entries` the (iteration, beta
 // entry) steps of the two passes, `select_scans` the selections the
-// Sterbenz guard sent to the full scan.
+// Sterbenz guard sent to the full scan, `capped_runs` the runs that stopped
+// at max_iterations unconverged.
 struct LidCounters {
   obs::Counter* iterations;
   obs::Counter* iteration_entries;
   obs::Counter* select_scans;
+  obs::Counter* capped_runs;
 };
 
 LidCounters& GlobalLidCounters() {
@@ -27,6 +29,7 @@ LidCounters& GlobalLidCounters() {
     c->iterations = r.AddCounter("lid_iterations");
     c->iteration_entries = r.AddCounter("lid_iteration_entries");
     c->select_scans = r.AddCounter("lid_select_scans");
+    c->capped_runs = r.AddCounter("lid_capped_runs");
     return c;
   }();
   return *counters;
@@ -352,6 +355,7 @@ int Lid::Run() {
     counters.iteration_entries->Add(static_cast<int64_t>(iters) * b);
   }
   if (scans > 0) GlobalLidCounters().select_scans->Add(scans);
+  if (!converged_) GlobalLidCounters().capped_runs->Add(1);
   return iters;
 }
 

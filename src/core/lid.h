@@ -132,7 +132,9 @@ class Lid {
   /// pass keeps them, so each iteration makes two passes over beta (see
   /// the class comment). Adds the run's totals to the global registry's
   /// `lid_iterations`, `lid_iteration_entries` (iterations times |beta|)
-  /// and `lid_select_scans` (selections the guard sent to the full scan).
+  /// and `lid_select_scans` (selections the guard sent to the full scan),
+  /// and 1 to `lid_capped_runs` when it stops at max_iterations without
+  /// converging.
   int Run();
 
   /// Current graph density pi(x) = x^T A x.

@@ -33,32 +33,14 @@ int32_t SaturatingFloor(Scalar v) {
   return t - (static_cast<Scalar>(t) > clamped ? 1 : 0);
 }
 
-// Tables whose FNV-1a chains HashPoint runs side by side. A whole group's
-// lanes (kHashWidth * num_projections) fill whole tiles, so every group
-// starts on a tile boundary.
-constexpr int kHashWidth = 8;
-static_assert(kHashWidth % kSimdTileLanes == 0);
+// Tables ComputePointKeys projects per tile_dot call: the bound of its stack
+// buffer. A whole group's lanes (kGroupTables * num_projections) fill whole
+// tiles, so every group starts on a tile boundary.
+constexpr int kGroupTables = 8;
+static_assert(kGroupTables % kSimdTileLanes == 0);
 
-// 64-bit FNV-1a of kHashWidth tables at once: floors[w * per_table + p] is
-// table w's floor value p, and table w's key is the FNV-1a of its floor
-// values in projection order, each little-endian byte by byte. The chains
-// are independent, so their multiplies overlap instead of waiting on one
-// another; each table still sees exactly its own byte sequence.
-void HashFloorsSideBySide(const int32_t* floors, int per_table,
-                          uint64_t* keys) {
-  uint64_t h[kHashWidth];
-  std::fill(h, h + kHashWidth, 1469598103934665603ull);
-  for (int p = 0; p < per_table; ++p) {
-    for (int b = 0; b < 4; ++b) {
-      for (int w = 0; w < kHashWidth; ++w) {
-        const uint32_t v = static_cast<uint32_t>(floors[w * per_table + p]);
-        h[w] ^= (v >> (8 * b)) & 0xffu;
-        h[w] *= 1099511628211ull;
-      }
-    }
-  }
-  std::copy(h, h + kHashWidth, keys);
-}
+// Multiplier of the word-wise key fold (the 64-bit golden ratio).
+constexpr uint64_t kKeyMultiplier = 0x9E3779B97F4A7C15ull;
 
 }  // namespace
 
@@ -93,7 +75,7 @@ void LshIndex::InitTables() {
           rng.Uniform(0.0, params_.segment_length);
     }
   }
-  tables_.resize(params_.num_tables);
+  buckets_.resize(static_cast<size_t>(params_.num_tables));
   memory_bytes_ =
       (projection_tiles_.size() + offsets_.size()) * sizeof(Scalar);
 }
@@ -103,24 +85,20 @@ LshIndex::LshIndex(const Dataset& data, LshParams params)
   ALID_CHECK(dim_ > 0);
   InitTables();
   const Index n = data.size();
-  for (auto& table : tables_) table.item_key.resize(n);
-  // Items in ascending id, each hashed once for every table, so every
-  // bucket receives its items in ascending id.
-  std::vector<uint64_t> keys(tables_.size());
+  const size_t tables = buckets_.size();
+  item_keys_.resize(static_cast<size_t>(n) * tables);
   for (Index i = 0; i < n; ++i) {
-    HashPoint(data[i], keys.data());
-    for (size_t t = 0; t < tables_.size(); ++t) {
-      tables_[t].item_key[i] = keys[t];
-      tables_[t].buckets[keys[t]].push_back(i);
-    }
+    uint64_t* keys = &item_keys_[static_cast<size_t>(i) * tables];
+    ComputePointKeys(data[i], keys);
+    for (size_t t = 0; t < tables; ++t) buckets_[t][keys[t]].push_back(i);
   }
 
   indexed_count_ = n;
   live_count_ = n;
   removed_.assign(static_cast<size_t>(n), 0);
-  for (const auto& table : tables_) {
-    memory_bytes_ += table.item_key.size() * sizeof(uint64_t);
-    for (const auto& [key, items] : table.buckets) {
+  memory_bytes_ += item_keys_.size() * sizeof(uint64_t);
+  for (const auto& table : buckets_) {
+    for (const auto& [key, items] : table) {
       memory_bytes_ += sizeof(key) + items.size() * sizeof(Index);
     }
   }
@@ -136,88 +114,78 @@ LshIndex::LshIndex(int dim, LshParams params)
       std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
 }
 
+LshIndex::~LshIndex() = default;
+
 void LshIndex::ComputePointKeys(std::span<const Scalar> point,
                                 uint64_t* out) const {
   ALID_CHECK_MSG(static_cast<int>(point.size()) == dim_,
                  "point dimension differs from the index dimension");
-  HashPoint(point, out);
+  // One group of up to kGroupTables consecutive tables at a time: one
+  // tile_dot call projects the group, then each table folds its floors.
+  Scalar dots[kGroupTables * kMaxProjections];
+  const SimdKernelOps& ops = *ActiveSimdOps();
+  const size_t tile_size = static_cast<size_t>(dim_) * kSimdTileLanes;
+  const int per_table = params_.num_projections;
+  const Scalar r = params_.segment_length;
+  for (int first = 0; first < params_.num_tables; first += kGroupTables) {
+    const int tables = std::min(kGroupTables, params_.num_tables - first);
+    const int lane0 = first * per_table;
+    const size_t first_tile = static_cast<size_t>(lane0 / kSimdTileLanes);
+    const int tiles =
+        (tables * per_table + kSimdTileLanes - 1) / kSimdTileLanes;
+    ops.tile_dot(projection_tiles_.data() + first_tile * tile_size, tiles, dim_,
+                 point.data(), dots);
+    const Scalar* offsets = offsets_.data() + lane0;
+    for (int w = 0; w < tables; ++w) {
+      uint64_t h = 0;
+      for (int j = w * per_table; j < (w + 1) * per_table; ++j) {
+        const int32_t floor = SaturatingFloor((dots[j] + offsets[j]) / r);
+        h = (h ^ static_cast<uint32_t>(floor)) * kKeyMultiplier;
+      }
+      out[first + w] = SplitMix64(h);
+    }
+  }
 }
 
 void LshIndex::InsertItem(Index i) {
   ALID_CHECK(data_ != nullptr);
   ALID_CHECK(i >= 0 && i < data_->size());
+  const size_t tables = buckets_.size();
   if (i == indexed_count_) {  // a new slot enters as a removed one
-    for (auto& table : tables_) table.item_key.push_back(0);
+    item_keys_.resize(item_keys_.size() + tables);
     removed_.push_back(1);
     ++indexed_count_;
-    memory_bytes_ += tables_.size() * sizeof(uint64_t);
+    memory_bytes_ += tables * sizeof(uint64_t);
   }
   ALID_CHECK_MSG(IsItemRemoved(i),
                  "only removed slots may be re-inserted out of order");
-  std::vector<uint64_t> keys(tables_.size());
-  HashPoint((*data_)[i], keys.data());
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    tables_[t].item_key[i] = keys[t];
-    tables_[t].buckets[keys[t]].push_back(i);
-  }
+  uint64_t* keys = &item_keys_[static_cast<size_t>(i) * tables];
+  ComputePointKeys((*data_)[i], keys);
+  for (size_t t = 0; t < tables; ++t) buckets_[t][keys[t]].push_back(i);
   removed_[i] = 0;
   ++live_count_;
-  memory_bytes_ += tables_.size() * sizeof(Index);
+  memory_bytes_ += tables * sizeof(Index);
   charge_->Adjust(static_cast<int64_t>(memory_bytes_));
 }
 
 void LshIndex::RemoveItem(Index i) {
   ALID_CHECK(i >= 0 && i < indexed_count_);
   ALID_CHECK_MSG(removed_[i] == 0, "item already removed");
-  for (auto& table : tables_) {
-    auto it = table.buckets.find(table.item_key[i]);
-    ALID_CHECK(it != table.buckets.end());
+  const size_t tables = buckets_.size();
+  for (size_t t = 0; t < tables; ++t) {
+    auto it = buckets_[t].find(item_keys_[static_cast<size_t>(i) * tables + t]);
+    ALID_CHECK(it != buckets_[t].end());
     auto& items = it->second;
     auto pos = std::find(items.begin(), items.end(), i);
     ALID_CHECK(pos != items.end());
-    // erase() keeps the remaining order, so bucket iteration — and with it
-    // every query result — depends only on the operation history, never on
-    // which item happened to sit last.
-    items.erase(pos);
-    if (items.empty()) table.buckets.erase(it);
+    *pos = items.back();  // bucket order is unspecified: swap-remove
+    items.pop_back();
+    if (items.empty()) buckets_[t].erase(it);
   }
   removed_[i] = 1;
   --live_count_;
-  memory_bytes_ -= tables_.size() * sizeof(Index);
+  memory_bytes_ -= tables * sizeof(Index);
   charge_->Adjust(static_cast<int64_t>(memory_bytes_));
-}
-
-LshIndex::~LshIndex() = default;
-
-void LshIndex::HashPoint(std::span<const Scalar> point, uint64_t* out) const {
-  ALID_DCHECK(static_cast<int>(point.size()) == dim_);
-  // One group of up to kHashWidth consecutive tables at a time: one
-  // tile_dot call projects the group, one loop floors every lane, and the
-  // group's chains are hashed side by side. A short last group hashes its
-  // idle chains on zeros and keeps only its own tables' keys.
-  Scalar dots[kHashWidth * kMaxProjections];
-  int32_t floors[kHashWidth * kMaxProjections];
-  uint64_t keys[kHashWidth];
-  const SimdKernelOps& ops = *ActiveSimdOps();
-  const size_t tile_size = static_cast<size_t>(dim_) * kSimdTileLanes;
-  const int per_table = params_.num_projections;
-  const Scalar r = params_.segment_length;
-  for (int first = 0; first < params_.num_tables; first += kHashWidth) {
-    const int tables = std::min(kHashWidth, params_.num_tables - first);
-    const int lanes = tables * per_table;
-    const int lane0 = first * per_table;
-    const size_t first_tile = static_cast<size_t>(lane0 / kSimdTileLanes);
-    const int tiles = (lanes + kSimdTileLanes - 1) / kSimdTileLanes;
-    ops.tile_dot(projection_tiles_.data() + first_tile * tile_size, tiles, dim_,
-                 point.data(), dots);
-    const Scalar* offsets = offsets_.data() + lane0;
-    for (int j = 0; j < lanes; ++j) {
-      floors[j] = SaturatingFloor((dots[j] + offsets[j]) / r);
-    }
-    std::fill(floors + lanes, floors + kHashWidth * per_table, 0);
-    HashFloorsSideBySide(floors, per_table, keys);
-    std::copy(keys, keys + tables, out + first);
-  }
 }
 
 std::vector<Index> LshIndex::QueryByIndex(Index i) const {
@@ -242,14 +210,17 @@ void LshIndex::QueryByIndexBatch(std::span<const Index> items,
     ALID_CHECK_MSG(removed_[i] == 0, "cannot query a removed item");
     stamp.Mark(i);
   }
-  for (const auto& table : tables_) {
+  const size_t tables = buckets_.size();
+  for (size_t t = 0; t < tables; ++t) {
     keys.clear();
-    for (Index i : items) keys.push_back(table.item_key[i]);
+    for (Index i : items) {
+      keys.push_back(item_keys_[static_cast<size_t>(i) * tables + t]);
+    }
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     for (uint64_t key : keys) {
-      auto it = table.buckets.find(key);
-      if (it == table.buckets.end()) continue;
+      auto it = buckets_[t].find(key);
+      if (it == buckets_[t].end()) continue;
       for (Index j : it->second) {
         if (!stamp.IsMarked(j)) {
           stamp.Mark(j);
@@ -268,16 +239,13 @@ void LshIndex::QueryByPoint(std::span<const Scalar> point,
   thread_local EpochStamp stamp;
   thread_local std::vector<uint64_t> keys;
 
-  ALID_CHECK_MSG(static_cast<int>(point.size()) == dim_,
-                 "point dimension differs from the index dimension");
-  keys.resize(tables_.size());
-  HashPoint(point, keys.data());
+  keys.resize(buckets_.size());
+  ComputePointKeys(point, keys.data());
   out->clear();
   stamp.Begin(static_cast<size_t>(size()));
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    const Table& table = tables_[t];
-    auto it = table.buckets.find(keys[t]);
-    if (it == table.buckets.end()) continue;
+  for (size_t t = 0; t < buckets_.size(); ++t) {
+    auto it = buckets_[t].find(keys[t]);
+    if (it == buckets_[t].end()) continue;
     for (Index j : it->second) {
       if (!stamp.IsMarked(j)) {
         stamp.Mark(j);
@@ -290,8 +258,8 @@ void LshIndex::QueryByPoint(std::span<const Scalar> point,
 void LshIndex::VisitBuckets(
     int min_size,
     const std::function<void(std::span<const Index>)>& visitor) const {
-  for (const auto& table : tables_) {
-    for (const auto& [key, items] : table.buckets) {
+  for (const auto& table : buckets_) {
+    for (const auto& [key, items] : table) {
       if (static_cast<int>(items.size()) >= min_size) {
         visitor(std::span<const Index>(items.data(), items.size()));
       }

@@ -35,10 +35,16 @@ struct LshParams {
 /// the union of its buckets (its Locality Sensitive Region, Fig. 4). As in
 /// the paper, per-item bucket assignments are kept as an inverted list so
 /// queries by item index need no re-hashing.
+///
+/// The index only tells which items collide. The order of every output
+/// (QueryByIndex, QueryByIndexBatch, QueryByPoint, VisitBuckets) is
+/// unspecified and changes with the removal and insertion history; every
+/// consumer reads its output as a set.
 class LshIndex {
  public:
   /// Largest supported num_projections (the paper's largest mu is 40):
-  /// HashPoint keeps a group of tables' floor values in a fixed stack buffer.
+  /// ComputePointKeys keeps a group of tables' projections in a fixed stack
+  /// buffer.
   static constexpr int kMaxProjections = 64;
 
   LshIndex(const Dataset& data, LshParams params);
@@ -62,20 +68,23 @@ class LshIndex {
   /// Items currently present in the buckets (size() minus removed slots).
   Index live_count() const { return live_count_; }
 
-  /// Pure hashing of an arbitrary point: writes its bucket key for every
-  /// table into out[0 .. num_tables()). Exactly the HashPoint that
-  /// InsertItem and QueryByPoint run, so keys computed from a copied
-  /// row equal keys computed from the original dataset row — the property
-  /// that lets a snapshot match a query's keys against its blocks' bucket
-  /// keys. Dies unless point.size() is the index's dimensionality.
-  /// Thread-safe; works in dataset-free mode.
+  /// The one key function: writes the point's bucket key for every table
+  /// into out[0 .. num_tables()). Table t's key folds its floors
+  /// floor((a . v + b) / r) in projection order, h = (h ^ floor) *
+  /// 0x9E3779B97F4A7C15, and finalizes h with SplitMix64. Every path that
+  /// hashes (the eager constructor, InsertItem, QueryByPoint, a snapshot's
+  /// query hasher) calls it, so keys computed from a copied row equal the
+  /// keys of the original dataset row — the property that lets a snapshot
+  /// match a query's keys against its blocks' bucket keys. Dies unless
+  /// point.size() is the index's dimensionality. Thread-safe; works in
+  /// dataset-free mode.
   void ComputePointKeys(std::span<const Scalar> point, uint64_t* out) const;
 
   /// Present item i's bucket key in `table`, as inserted: read back, not
   /// re-hashed.
   uint64_t ItemKey(int table, Index i) const {
     ALID_DCHECK(i >= 0 && i < indexed_count_ && removed_[i] == 0);
-    return tables_[static_cast<size_t>(table)].item_key[i];
+    return item_keys_[static_cast<size_t>(i) * params_.num_tables + table];
   }
 
   /// Hashes the attached dataset's row i and files it in every table: either
@@ -85,8 +94,8 @@ class LshIndex {
   void InsertItem(Index i);
 
   /// Removes item i from every bucket — the sliding-window expiry path of
-  /// the streaming runtime. The slot may later be re-used through
-  /// InsertItem. Not thread-safe.
+  /// the streaming runtime — by swapping it with its bucket's last item. The
+  /// slot may later be re-used through InsertItem. Not thread-safe.
   void RemoveItem(Index i);
 
   /// True iff slot i was removed and not yet re-inserted.
@@ -110,14 +119,15 @@ class LshIndex {
 
   /// All items colliding with an arbitrary point: appends the deduplicated
   /// union of the point's buckets to *out after clearing it, deduplicating
-  /// on a thread-local stamp buffer. The order is a pure function of the
-  /// point and the index history. Dies unless point.size() is the index's
-  /// dimensionality. Thread-safe against concurrent readers.
+  /// on a thread-local stamp buffer; order is unspecified. Dies unless
+  /// point.size() is the index's dimensionality. Thread-safe against
+  /// concurrent readers.
   void QueryByPoint(std::span<const Scalar> point,
                     std::vector<Index>* out) const;
 
   /// Invokes visitor(bucket_items) for every bucket of every table with at
-  /// least `min_size` items. PALID samples its seeds from these (Sec. 4.6).
+  /// least `min_size` items, buckets and their items in unspecified order.
+  /// PALID samples its seeds from these (Sec. 4.6).
   void VisitBuckets(int min_size,
                     const std::function<void(std::span<const Index>)>& visitor)
       const;
@@ -130,26 +140,11 @@ class LshIndex {
   /// (charged to MemoryTracker). The tiles are charged at their padded
   /// size: whole kSimdTileLanes-wide tiles, so num_tables *
   /// num_projections * dim scalars when that lane count is a multiple of 8.
+  /// The eager constructor also charges every bucket's 8-byte key;
+  /// InsertItem charges only the item's keys and bucket entries.
   size_t MemoryBytes() const { return memory_bytes_; }
 
  private:
-  // A table's bucket structure. Its projections live in the shared tiles,
-  // lanes [t * num_projections, (t + 1) * num_projections) for table t.
-  struct Table {
-    // bucket key -> items. Keys are hashes of the concatenated floor values.
-    std::unordered_map<uint64_t, std::vector<Index>> buckets;
-    // Inverted list: bucket key of each item.
-    std::vector<uint64_t> item_key;
-  };
-
-  // Writes the point's key for every table into out[0 .. num_tables()): one
-  // tile_dot call (per bounded chunk of tiles) computes every projection,
-  // then the FNV-1a chains of up to 8 consecutive tables run side by side,
-  // interleaved so their multiplies overlap. Each table's key is still the
-  // FNV-1a of its own floor values in projection order, byte by byte, so
-  // the keys do not depend on the interleave.
-  void HashPoint(std::span<const Scalar> point, uint64_t* out) const;
-
   // Draws the Gaussian projections and the offsets of every table from
   // params_ and scatters the projections into the tiles. Both constructors
   // share this, so a dataset-free index hashes every point exactly like an
@@ -166,7 +161,11 @@ class LshIndex {
   std::vector<Scalar> projection_tiles_;
   int num_projection_tiles_ = 0;
   std::vector<Scalar> offsets_;  // one per lane j, U[0, r)
-  std::vector<Table> tables_;
+  // Per table: bucket key -> the items filed under it.
+  std::vector<std::unordered_map<uint64_t, std::vector<Index>>> buckets_;
+  // Inverted list, item-major: item i's key in table t at
+  // item_keys_[i * num_tables + t], written in place by ComputePointKeys.
+  std::vector<uint64_t> item_keys_;
   Index indexed_count_ = 0;  // how many dataset rows the tables know about
   Index live_count_ = 0;     // indexed slots currently present in buckets
   std::vector<uint8_t> removed_;  // slot -> removed flag

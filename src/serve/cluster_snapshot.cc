@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/epoch_stamp.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/online_alid.h"
 #include "obs/trace.h"
@@ -196,41 +195,34 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
   {
     ALID_TRACE_SCOPE("publish", "candidate_keys");
     const LshIndex* stream_lsh = stream != nullptr ? &stream->lsh() : nullptr;
-    // Only FromClusters sets a pool: copying a stream's keys is too cheap
-    // to pay for a pool dispatch (measured on stream_heavy_tail).
-    ParallelChunks(
-        options.pool, 0, num_clusters, /*grain=*/0,
-        [&](int64_t, int64_t lo, int64_t hi) {
-          std::vector<uint64_t> hashed;  // count x tables, FromClusters only
-          std::vector<uint64_t> keys;    // one table's member keys
-          std::vector<BucketKey> buckets;
-          for (int64_t c = lo; c < hi; ++c) {
-            ClusterBlock* block = fresh[c].get();
-            if (block == nullptr) continue;  // keys inherited
-            const size_t count = static_cast<size_t>(block->count);
-            if (stream_lsh == nullptr) {
-              hashed.resize(count * tables);
-              for (size_t m = 0; m < count; ++m) {
-                snap->hasher_->ComputePointKeys(data[block->source_ids[m]],
-                                                &hashed[m * tables]);
-              }
-            }
-            buckets.clear();
-            for (int t = 0; t < tables; ++t) {
-              keys.clear();
-              for (size_t m = 0; m < count; ++m) {
-                keys.push_back(
-                    stream_lsh != nullptr
-                        ? stream_lsh->ItemKey(t, block->source_ids[m])
-                        : hashed[m * tables + static_cast<size_t>(t)]);
-              }
-              std::sort(keys.begin(), keys.end());
-              keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-              for (const uint64_t key : keys) buckets.push_back({t, key});
-            }
-            block->bucket_keys.assign(buckets.begin(), buckets.end());
-          }
-        });
+    std::vector<uint64_t> hashed;  // count x tables, FromClusters only
+    std::vector<uint64_t> keys;    // one table's member keys
+    std::vector<BucketKey> buckets;
+    for (int c = 0; c < num_clusters; ++c) {
+      ClusterBlock* block = fresh[c].get();
+      if (block == nullptr) continue;  // keys inherited
+      const size_t count = static_cast<size_t>(block->count);
+      if (stream_lsh == nullptr) {
+        hashed.resize(count * tables);
+        for (size_t m = 0; m < count; ++m) {
+          snap->hasher_->ComputePointKeys(data[block->source_ids[m]],
+                                          &hashed[m * tables]);
+        }
+      }
+      buckets.clear();
+      for (int t = 0; t < tables; ++t) {
+        keys.clear();
+        for (size_t m = 0; m < count; ++m) {
+          keys.push_back(stream_lsh != nullptr
+                             ? stream_lsh->ItemKey(t, block->source_ids[m])
+                             : hashed[m * tables + static_cast<size_t>(t)]);
+        }
+        std::sort(keys.begin(), keys.end());
+        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+        for (const uint64_t key : keys) buckets.push_back({t, key});
+      }
+      block->bucket_keys.assign(buckets.begin(), buckets.end());
+    }
     if (stream != nullptr && compatible) {
       snap->ChainCandidates(*prev, reused_from);
     }

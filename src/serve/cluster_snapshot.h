@@ -30,9 +30,6 @@ struct ClusterSnapshotOptions {
   AffinityParams affinity;
   /// LSH parameters of the bucket keys (seed included).
   LshParams lsh;
-  /// Optional pool for the build's parallel pass (the fresh blocks' bucket
-  /// keys; build-time only — queries never touch it).
-  ThreadPool* pool = nullptr;
 };
 
 /// Cost accounting of one snapshot build — what the incremental export

@@ -63,8 +63,8 @@ class LidFixture : public ::testing::Test {
 
   // Puts every vertex into the seed's local range so LID solves the global
   // StQP directly.
-  Lid MakeGlobalLid(Index seed) {
-    Lid lid(oracle_, seed, {});
+  Lid MakeGlobalLid(Index seed, LidOptions options = {}) {
+    Lid lid(oracle_, seed, options);
     IndexList all;
     for (Index i = 0; i < data_.size(); ++i) {
       if (i != seed) all.push_back(i);
@@ -381,19 +381,28 @@ int64_t GlobalCounter(const std::string& name) {
 
 // The registry's LID totals move by exactly one Run()'s work: its return
 // value, that many passes over beta, and at least the one full scan of the
-// cold first iteration (pi = 0 fails the Sterbenz guard).
+// cold first iteration (pi = 0 fails the Sterbenz guard). Only a run that
+// stops at max_iterations unconverged counts in `lid_capped_runs`.
 TEST_F(LidFixture, RunAddsItsWorkToTheGlobalRegistry) {
   Lid lid = MakeGlobalLid(0);
   const int64_t iterations = GlobalCounter("lid_iterations");
   const int64_t entries = GlobalCounter("lid_iteration_entries");
   const int64_t scans = GlobalCounter("lid_select_scans");
+  const int64_t capped = GlobalCounter("lid_capped_runs");
   const int iters = lid.Run();
   ASSERT_GT(iters, 0);
+  ASSERT_TRUE(lid.converged());
   EXPECT_EQ(GlobalCounter("lid_iterations") - iterations, iters);
   EXPECT_EQ(GlobalCounter("lid_iteration_entries") - entries,
             static_cast<int64_t>(iters) *
                 static_cast<int64_t>(lid.beta().size()));
   EXPECT_GE(GlobalCounter("lid_select_scans") - scans, 1);
+  EXPECT_EQ(GlobalCounter("lid_capped_runs"), capped);
+
+  Lid one_step = MakeGlobalLid(0, {.max_iterations = 1});
+  EXPECT_EQ(one_step.Run(), 1);
+  ASSERT_FALSE(one_step.converged());
+  EXPECT_EQ(GlobalCounter("lid_capped_runs") - capped, 1);
 }
 
 // The three-pass loop's Eq. 6 scan, kept verbatim as the reference the

@@ -274,7 +274,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LshRemoveReinsertFuzz,
 // The per-table row-major hasher the tiled index replaced, kept as the
 // oracle of its keys: each table draws its projection matrix (row-major,
 // num_projections x dim) and then its offsets from one Rng(seed) stream,
-// and each projection is one serial dot product over the full dimension.
+// each projection is one serial dot product over the full dimension, and a
+// table's key folds its floors word by word, h = (h ^ floor) *
+// 0x9E3779B97F4A7C15, finalized by SplitMix64.
 class RowMajorReferenceHasher {
  public:
   RowMajorReferenceHasher(int dim, const LshParams& params)
@@ -310,15 +312,11 @@ class RowMajorReferenceHasher {
     for (int p = 0; p < params_.num_projections; ++p) {
       floors[p] = Floor(t, p, point);
     }
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = 0;
     for (int p = 0; p < params_.num_projections; ++p) {
-      const uint32_t v = static_cast<uint32_t>(floors[p]);
-      for (int b = 0; b < 4; ++b) {
-        h ^= (v >> (8 * b)) & 0xffu;
-        h *= 1099511628211ull;
-      }
+      h = (h ^ static_cast<uint32_t>(floors[p])) * 0x9E3779B97F4A7C15ull;
     }
-    return h;
+    return SplitMix64(h);
   }
 
  private:
@@ -415,10 +413,10 @@ Dataset KeyProbeRows(int dim, const LshParams& params,
 
 TEST(LshIndexTest, KeysMatchRowMajorReferenceOnEveryIsa) {
   // 8 x 6 and 8 x 12 fill whole tiles; 3 x 5 = 15 lanes leaves a ragged
-  // final tile and puts tables across tile boundaries. HashPoint hashes
-  // groups of 8 tables side by side, so 1, 3, 9 and 17 tables leave a short
-  // last group (9 and 17 after one or two full ones); one projection per
-  // table and kMaxProjections bound the group's buffers from both sides.
+  // final tile and puts tables across tile boundaries. ComputePointKeys
+  // projects groups of 8 tables per call, so 1, 3, 9 and 17 tables leave a
+  // short last group (9 and 17 after one or two full ones); one projection
+  // per table and kMaxProjections bound the group's buffer from both sides.
   std::vector<std::pair<int, int>> shapes = {{8, 6}, {8, 12}, {3, 5}};
   for (const int tables : {1, 9, 17}) shapes.emplace_back(tables, 3);
   for (const int p : {1, LshIndex::kMaxProjections}) shapes.emplace_back(3, p);
